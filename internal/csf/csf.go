@@ -72,86 +72,23 @@ func FromCOO(t *tensor.COO, modeOrder []int) (*CSF, error) {
 		}
 		seen[m] = true
 	}
-	xs := t
-	if !xs.IsSortedBy(modeOrder) {
-		xs = t.Clone()
-		xs.Sort(modeOrder)
+	xs := t.SortedBy(modeOrder)
+	cols := make([][]tensor.Index, order)
+	for l, n := range modeOrder {
+		cols[l] = xs.Inds[n]
 	}
-	m := xs.NNZ()
-	c := &CSF{
+	// A node at level l is a maximal run of non-zeros agreeing on modes
+	// modeOrder[0..l]; every non-zero is a leaf.
+	leaf := order - 1
+	fids, fptr := tensor.FiberTree(cols, leaf)
+	fids[leaf] = append([]tensor.Index(nil), fids[leaf]...) // aliases xs
+	return &CSF{
 		Dims:      append([]tensor.Index(nil), t.Dims...),
 		ModeOrder: append([]int(nil), modeOrder...),
-		FIds:      make([][]tensor.Index, order),
-		FPtr:      make([][]int64, order-1),
+		FIds:      fids,
+		FPtr:      fptr,
 		Vals:      append([]tensor.Value(nil), xs.Vals...),
-	}
-	// Leaf level: every non-zero is a node.
-	leaf := order - 1
-	c.FIds[leaf] = append([]tensor.Index(nil), xs.Inds[modeOrder[leaf]]...)
-
-	// Build upper levels bottom-up: a node at level l is a maximal run of
-	// non-zeros agreeing on modes modeOrder[0..l].
-	for l := leaf - 1; l >= 0; l-- {
-		var fids []tensor.Index
-		var fptr []int64
-		for x := 0; x < m; x++ {
-			if x == 0 || !sameUpTo(xs, modeOrder, l, x-1, x) {
-				fids = append(fids, xs.Inds[modeOrder[l]][x])
-				fptr = append(fptr, int64(x))
-			}
-		}
-		fptr = append(fptr, int64(m))
-		// fptr currently indexes non-zeros; convert to child-node indexes
-		// by mapping positions through the child level's own starts.
-		if l == leaf-1 {
-			c.FPtr[l] = fptr
-		} else {
-			childStarts := c.nodeStarts(xs, modeOrder, l+1)
-			conv := make([]int64, len(fptr))
-			for i, p := range fptr {
-				conv[i] = int64(searchInt64(childStarts, p))
-			}
-			c.FPtr[l] = conv
-		}
-		c.FIds[l] = fids
-	}
-	return c, nil
-}
-
-// nodeStarts recomputes the first-non-zero offset of every node at a
-// level (used to convert non-zero offsets into child node numbers).
-func (c *CSF) nodeStarts(xs *tensor.COO, modeOrder []int, level int) []int64 {
-	var starts []int64
-	m := xs.NNZ()
-	for x := 0; x < m; x++ {
-		if x == 0 || !sameUpTo(xs, modeOrder, level, x-1, x) {
-			starts = append(starts, int64(x))
-		}
-	}
-	return starts
-}
-
-func sameUpTo(xs *tensor.COO, modeOrder []int, level, a, b int) bool {
-	for l := 0; l <= level; l++ {
-		n := modeOrder[l]
-		if xs.Inds[n][a] != xs.Inds[n][b] {
-			return false
-		}
-	}
-	return true
-}
-
-func searchInt64(a []int64, v int64) int {
-	lo, hi := 0, len(a)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if a[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	}, nil
 }
 
 // ToCOO expands the CSF tensor back to coordinate format.

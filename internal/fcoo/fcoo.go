@@ -83,7 +83,7 @@ func bitGet(set []uint64, i int64) bool { return set[i>>6]>>(uint(i)&63)&1 == 1 
 func bitSet(set []uint64, i int64)      { set[i>>6] |= 1 << (uint(i) & 63) }
 
 // FromCOO builds the mode-n F-COO representation. The tensor is sorted so
-// mode-n fibers are contiguous (a clone is sorted if needed); segSize <= 0
+// mode-n fibers are contiguous (a sorted copy is made if needed); segSize <= 0
 // selects DefaultSegSize.
 func FromCOO(t *tensor.COO, mode, segSize int) (*FCOO, error) {
 	if mode < 0 || mode >= t.Order() {
@@ -95,11 +95,7 @@ func FromCOO(t *tensor.COO, mode, segSize int) (*FCOO, error) {
 	if segSize <= 0 {
 		segSize = DefaultSegSize
 	}
-	xs := t
-	if !xs.IsSortedBy(tensor.ModeOrder(t.Order(), mode)) {
-		xs = t.Clone()
-		xs.SortForMode(mode)
-	}
+	xs := t.SortedBy(tensor.ModeOrder(t.Order(), mode))
 	fptr := xs.FiberPointers(mode)
 	mf := len(fptr) - 1
 	m := xs.NNZ()
@@ -143,12 +139,7 @@ func FromCOOMttkrp(t *tensor.COO, mode, segSize int) (*FCOO, error) {
 		segSize = DefaultSegSize
 	}
 	// Sort with the output mode outermost.
-	perm := append([]int{mode}, otherModes(t.Order(), mode)...)
-	xs := t
-	if !xs.IsSortedBy(perm) {
-		xs = t.Clone()
-		xs.Sort(perm)
-	}
+	xs := t.SortedBy(append([]int{mode}, otherModes(t.Order(), mode)...))
 	m := xs.NNZ()
 	f := &FCOO{
 		Dims:    append([]tensor.Index(nil), t.Dims...),

@@ -3,7 +3,6 @@ package hicoo
 import (
 	"fmt"
 
-	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -94,90 +93,19 @@ func FromCOOModes(t *tensor.COO, compModes []int, blockBits uint8) *GHiCOO {
 	if len(compModes) == 0 {
 		panic("hicoo: FromCOOModes needs at least one compressed mode")
 	}
-	m := t.NNZ()
-	mask := tensor.Index(1)<<blockBits - 1
-
 	g := &GHiCOO{
 		Dims:      append([]tensor.Index(nil), t.Dims...),
 		CompModes: append([]int(nil), compModes...),
 		BlockBits: blockBits,
 	}
 	uncomp := g.UncompModes()
-
-	// Per-non-zero block indices of the compressed modes.
-	binds := make([][]tensor.Index, len(compModes))
-	for ci, n := range compModes {
-		binds[ci] = make([]tensor.Index, m)
-		src := t.Inds[n]
-		for x := 0; x < m; x++ {
-			binds[ci][x] = src[x] >> blockBits
-		}
-	}
-
-	perm := make([]int32, m)
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	parallel.SortInt32s(perm, func(x, y int32) bool {
-		switch mortonCompareAt(binds, int(x), int(y)) {
-		case -1:
-			return true
-		case 1:
-			return false
-		}
-		for _, n := range compModes {
-			ea := t.Inds[n][x] & mask
-			eb := t.Inds[n][y] & mask
-			if ea != eb {
-				return ea < eb
-			}
-		}
-		for _, n := range uncomp {
-			ia := t.Inds[n][x]
-			ib := t.Inds[n][y]
-			if ia != ib {
-				return ia < ib
-			}
-		}
-		return false
-	})
-
-	g.BInds = make([][]tensor.Index, len(compModes))
-	g.EInds = make([][]uint8, len(compModes))
-	for ci := range compModes {
-		g.EInds[ci] = make([]uint8, m)
-		g.BInds[ci] = make([]tensor.Index, 0, 16)
-	}
+	b := blockModes(t, compModes, uncomp, blockBits)
+	g.BPtr, g.BInds, g.EInds = b.bptr, b.binds, b.einds
 	g.UInds = make([][]tensor.Index, len(uncomp))
-	for ui := range uncomp {
-		g.UInds[ui] = make([]tensor.Index, m)
+	for ui, n := range uncomp {
+		g.UInds[ui] = gathered(t.Inds[n], b.perm)
 	}
-	g.Vals = make([]tensor.Value, m)
-
-	prev := make([]tensor.Index, len(compModes))
-	for w, x := range perm {
-		newBlock := w == 0
-		for ci := range compModes {
-			if binds[ci][x] != prev[ci] {
-				newBlock = true
-			}
-		}
-		if newBlock {
-			g.BPtr = append(g.BPtr, int64(w))
-			for ci := range compModes {
-				g.BInds[ci] = append(g.BInds[ci], binds[ci][x])
-				prev[ci] = binds[ci][x]
-			}
-		}
-		for ci, n := range compModes {
-			g.EInds[ci][w] = uint8(t.Inds[n][x] & mask)
-		}
-		for ui, n := range uncomp {
-			g.UInds[ui][w] = t.Inds[n][x]
-		}
-		g.Vals[w] = t.Vals[x]
-	}
-	g.BPtr = append(g.BPtr, int64(m))
+	g.Vals = gathered(t.Vals, b.perm)
 	return g
 }
 

@@ -3,7 +3,6 @@ package hicoo
 import (
 	"fmt"
 
-	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -70,77 +69,19 @@ func FromCOO(t *tensor.COO, blockBits uint8) *HiCOO {
 	if blockBits == 0 || blockBits > MaxBlockBits {
 		panic(fmt.Sprintf("hicoo: blockBits %d outside [1,%d]", blockBits, MaxBlockBits))
 	}
-	order := t.Order()
-	m := t.NNZ()
-	mask := tensor.Index(1)<<blockBits - 1
-
-	// Pre-compute block indices per non-zero.
-	binds := make([][]tensor.Index, order)
-	for n := 0; n < order; n++ {
-		binds[n] = make([]tensor.Index, m)
-		src := t.Inds[n]
-		for x := 0; x < m; x++ {
-			binds[n][x] = src[x] >> blockBits
-		}
+	modes := make([]int, t.Order())
+	for n := range modes {
+		modes[n] = n
 	}
-
-	perm := make([]int32, m)
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	// The comparator must be pure (no shared scratch): the sort runs in
-	// parallel.
-	parallel.SortInt32s(perm, func(x, y int32) bool {
-		switch mortonCompareAt(binds, int(x), int(y)) {
-		case -1:
-			return true
-		case 1:
-			return false
-		}
-		// Same block: order by element indices lexicographically.
-		for n := 0; n < order; n++ {
-			ea := t.Inds[n][x] & mask
-			eb := t.Inds[n][y] & mask
-			if ea != eb {
-				return ea < eb
-			}
-		}
-		return false
-	})
-
-	h := &HiCOO{
+	b := blockModes(t, modes, nil, blockBits)
+	return &HiCOO{
 		Dims:      append([]tensor.Index(nil), t.Dims...),
 		BlockBits: blockBits,
-		BInds:     make([][]tensor.Index, order),
-		EInds:     make([][]uint8, order),
-		Vals:      make([]tensor.Value, m),
+		BPtr:      b.bptr,
+		BInds:     b.binds,
+		EInds:     b.einds,
+		Vals:      gathered(t.Vals, b.perm),
 	}
-	for n := 0; n < order; n++ {
-		h.EInds[n] = make([]uint8, m)
-		h.BInds[n] = make([]tensor.Index, 0, 16)
-	}
-	prev := make([]tensor.Index, order)
-	for w, x := range perm {
-		newBlock := w == 0
-		for n := 0; n < order; n++ {
-			if binds[n][x] != prev[n] {
-				newBlock = true
-			}
-		}
-		if newBlock {
-			h.BPtr = append(h.BPtr, int64(w))
-			for n := 0; n < order; n++ {
-				h.BInds[n] = append(h.BInds[n], binds[n][x])
-				prev[n] = binds[n][x]
-			}
-		}
-		for n := 0; n < order; n++ {
-			h.EInds[n][w] = uint8(t.Inds[n][x] & mask)
-		}
-		h.Vals[w] = t.Vals[x]
-	}
-	h.BPtr = append(h.BPtr, int64(m))
-	return h
 }
 
 // ToCOO expands the HiCOO tensor back to coordinate format in block order.

@@ -13,7 +13,9 @@ import "repro/internal/tensor"
 // N-dimensional Morton (Z-order) curve, i.e. when their coordinate bits
 // are interleaved mode-major. It uses Chan's most-significant-differing-
 // bit comparison, avoiding explicit interleaving (which would need 128
-// bits for a 4th-order tensor).
+// bits for a 4th-order tensor). The conversions do not call it — they
+// radix-sort on the packed interleaved key (blocksort.go) — it defines
+// the order they must produce and is what their tests compare against.
 func MortonLess(a, b []tensor.Index) bool {
 	msd := 0
 	var x tensor.Index
@@ -33,39 +35,11 @@ func lessMSB(x, y tensor.Index) bool {
 	return x < y && x < x^y
 }
 
-// mortonCompareAt compares the Morton order of the block tuples of
-// non-zeros x and y drawn column-wise from binds (one array per mode),
-// returning -1, 0, or +1. It is MortonLess without materializing the
-// tuples, so comparators built on it are pure and safe for parallel
-// sorting.
-func mortonCompareAt(binds [][]tensor.Index, x, y int) int {
-	msd := 0
-	var best tensor.Index
-	equal := true
-	for n := range binds {
-		d := binds[n][x] ^ binds[n][y]
-		if d != 0 {
-			equal = false
-		}
-		if lessMSB(best, d) {
-			msd = n
-			best = d
-		}
-	}
-	if equal {
-		return 0
-	}
-	if binds[msd][x] < binds[msd][y] {
-		return -1
-	}
-	return 1
-}
-
 // MortonEncodeBits returns the bit-interleaved Morton key of idx as a
 // big-endian bit slice (one byte per bit, value 0 or 1): bit 31 of mode 0,
 // bit 31 of mode 1, …, bit 0 of mode N-1. It exists as an independently
-// verifiable reference for MortonLess and for tests; production code uses
-// the comparison form.
+// verifiable reference for MortonLess and for tests; the conversions pack
+// the same bits, minus those no index has set, into 32-bit key columns.
 func MortonEncodeBits(idx []tensor.Index) []byte {
 	bits := make([]byte, 0, 32*len(idx))
 	for b := 31; b >= 0; b-- {

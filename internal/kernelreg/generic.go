@@ -53,7 +53,7 @@ func genericPrep(k roofline.Kernel, f roofline.Format) func(wb *Workbench, mode 
 				}
 				return err
 			}
-			ref, err := core.PrepareTtv(wb.X, mode)
+			ref, err := core.PrepareTtv(wb.FiberSorted(mode), mode)
 			if err != nil {
 				return nil, err
 			}
@@ -74,7 +74,7 @@ func genericPrep(k roofline.Kernel, f roofline.Format) func(wb *Workbench, mode 
 				}
 				return err
 			}
-			ref, err := core.PrepareTtm(wb.X, mode, wb.R())
+			ref, err := core.PrepareTtm(wb.FiberSorted(mode), mode, wb.R())
 			if err != nil {
 				return nil, err
 			}

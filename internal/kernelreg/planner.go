@@ -22,7 +22,8 @@ import (
 // Conversion edges. Each edge name doubles as its obs span label, so
 // the cost table and the trace read the same vocabulary.
 const (
-	// EdgeCSFFromCOO clones, sorts, and compresses COO into a CSF tree.
+	// EdgeCSFFromCOO sorts COO (or takes the workbench's sorted view) and
+	// compresses it into a CSF tree.
 	EdgeCSFFromCOO = "csf.FromCOO"
 	// EdgeBuild is a direct COO→hierarchy materialization; the full span
 	// label carries the format, e.g. "levels.Build:bCSF".
@@ -32,16 +33,25 @@ const (
 	EdgeBlockRoot = "levels.BlockRoot"
 )
 
-// defaultCostPriors seeds the table before any measurement: sort-based
-// conversions are comparable, the root split is an order of magnitude
-// cheaper. Units are ns per non-zero; only ratios matter for planning.
+// defaultCostPriors seeds the table before any measurement. Units are
+// ns per non-zero; only ratios matter for planning. The values are the
+// per-layer rows of the traced benchmark (`bench/run.sh --trace 1`,
+// EXPERIMENTS.md "Format conversion") on the three workloads: every
+// edge that finds no sorted view of X resident pays the keyed radix
+// sort plus the gather (~45), then its assembly — the shared linear
+// fiber-tree pass for CSF (14-22), key extraction and an order check
+// on top of it for a direct hierarchy build (28-42 for bCSF; COO
+// compresses one level only, HiCOO has twice the levels and must sort
+// its block keys again) — while the root split is a scan over root
+// nodes only (0.15-0.66). So a cold tree format goes via CSF, which
+// is also what a table holding measurements picks.
 var defaultCostPriors = map[string]float64{
-	EdgeCSFFromCOO:       100,
-	EdgeBuild + ":COO":   100,
-	EdgeBuild + ":HiCOO": 100,
-	EdgeBuild + ":CSF":   100,
-	EdgeBuild + ":bCSF":  100,
-	EdgeBlockRoot:        5,
+	EdgeCSFFromCOO:       60,
+	EdgeBuild + ":COO":   70,
+	EdgeBuild + ":HiCOO": 130,
+	EdgeBuild + ":CSF":   75,
+	EdgeBuild + ":bCSF":  80,
+	EdgeBlockRoot:        0.5,
 }
 
 // ConvCosts is the per-dataset conversion cost table: an exponentially
@@ -152,7 +162,7 @@ func (wb *Workbench) csfLocked(modeOrder []int, site string) (*csf.CSF, error) {
 	}
 	sp := obs.Begin(EdgeCSFFromCOO, site, obs.PhaseConvert, -1)
 	start := time.Now()
-	c, err := csf.FromCOO(wb.X, modeOrder)
+	c, err := csf.FromCOO(wb.sortedLocked(modeOrder), modeOrder)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -235,7 +245,7 @@ func (wb *Workbench) Hier(f roofline.Format, modeOrder []int, site string) (*lev
 func (wb *Workbench) buildHier(sig levels.Signature, modeOrder []int, edge, site string) (*levels.Hierarchy, error) {
 	sp := obs.Begin(edge, site, obs.PhaseConvert, -1)
 	start := time.Now()
-	h, err := levels.Build(wb.X, sig, modeOrder)
+	h, err := levels.Build(wb.sortedLocked(modeOrder), sig, modeOrder)
 	sp.End()
 	if err != nil {
 		return nil, err

@@ -2,10 +2,12 @@ package kernelreg
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
 
+	"repro/internal/dataset"
 	"repro/internal/roofline"
 	"repro/internal/tensor"
 )
@@ -177,16 +179,79 @@ func TestPlannerLearnsFromConversions(t *testing.T) {
 	if _, _, err := wb.Hier(roofline.BCSF, []int{0, 1, 2}, "test"); err != nil {
 		t.Fatal(err)
 	}
-	// Priors tie FromCOO and direct build at 100, so the cold bCSF path is
-	// the direct build; that edge must now be measured.
-	if !wb.Costs().Measured(EdgeBuild + ":bCSF") {
-		t.Fatalf("direct build left no measurement; table: %v", wb.Costs().Snapshot())
+	// The priors put FromCOO + root split below the direct build, so the
+	// cold bCSF path goes via CSF; both its edges must now be measured.
+	if !wb.Costs().Measured(EdgeCSFFromCOO) || !wb.Costs().Measured(EdgeBlockRoot) {
+		t.Fatalf("via-CSF build left no measurement; table: %v", wb.Costs().Snapshot())
 	}
-	if _, err := wb.CSF([]int{2, 1, 0}, "seed"); err != nil {
+	if _, _, err := wb.Hier(roofline.COO, []int{2, 1, 0}, "test"); err != nil {
 		t.Fatal(err)
 	}
-	if !wb.Costs().Measured(EdgeCSFFromCOO) {
-		t.Fatalf("CSF conversion left no measurement; table: %v", wb.Costs().Snapshot())
+	if !wb.Costs().Measured(EdgeBuild + ":COO") {
+		t.Fatalf("direct build left no measurement; table: %v", wb.Costs().Snapshot())
+	}
+}
+
+// TestColdPlanMatchesMeasuredPlan pins the static priors to reality on
+// the three benchmark recipes: the plan a cold workbench picks for a
+// tree format (priors only) must be the plan a table holding this
+// host's measured edge costs picks. Each edge is measured on a fresh
+// workbench whose sorted view of X is already resident — both paths pay
+// the same sort when it is not, so leaving it out sharpens the
+// comparison without changing its outcome — as the fastest of several
+// repetitions, so scheduling noise cannot flip it.
+func TestColdPlanMatchesMeasuredPlan(t *testing.T) {
+	for _, name := range []string{"irrS", "regS4d", "nell2"} {
+		e, err := dataset.ByID(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, err := dataset.Materialize(e, 20000, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Mttkrp in the last mode: an order X is not already sorted by.
+		mo := genericModeOrder(roofline.Mttkrp, x.Order(), x.Order()-1)
+		for _, f := range []roofline.Format{roofline.BCSF, roofline.CSF} {
+			_, cold, err := NewWorkbench(x, DefaultConfig()).Hier(f, mo, "cold")
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			measured := NewConvCosts()
+			for _, edge := range []string{EdgeCSFFromCOO, EdgeBuild + ":" + f.String(), EdgeBlockRoot} {
+				best := math.Inf(1)
+				for rep := 0; rep < 9; rep++ {
+					wb := NewWorkbench(x, DefaultConfig())
+					wb.Sorted(mo)
+					switch edge {
+					case EdgeCSFFromCOO:
+						_, err = wb.CSF(mo, "measure")
+					case EdgeBlockRoot:
+						_, err = wb.hierViaCSF(roofline.BCSF, mo, "measure", wb.BlockBits())
+					default:
+						sig, _ := LevelSignature(f, x.Order(), wb.BlockBits())
+						_, err = wb.buildHier(sig, mo, edge, "measure")
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					best = min(best, wb.Costs().Estimate(edge))
+				}
+				measured.Set(edge, best)
+			}
+			table := measured.Snapshot()
+			wb := NewWorkbench(x, DefaultConfig())
+			wb.costs = measured
+			_, warm, err := wb.Hier(f, mo, "measured")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cold != warm {
+				t.Errorf("%s %s: cold plan %q, but the measured table %v picks %q — re-derive defaultCostPriors",
+					name, f, cold, table, warm)
+			}
+		}
 	}
 }
 
@@ -208,9 +273,9 @@ func TestGeneratedVariantSurfacesPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cold workbench, tied priors: the direct build wins.
-	if inst.Plan != "direct:"+EdgeBuild+":CSF" {
-		t.Fatalf("cold plan = %q, want direct build", inst.Plan)
+	// Cold workbench: by the priors, FromCOO + wrap beats the direct build.
+	if inst.Plan != "via-csf:"+EdgeCSFFromCOO {
+		t.Fatalf("cold plan = %q, want the via-CSF build", inst.Plan)
 	}
 
 	// On a fresh workbench, run the hand-tuned Ttv/CSF first: its tree

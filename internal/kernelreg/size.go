@@ -27,6 +27,12 @@ func (wb *Workbench) MemBytes() int64 {
 	if wb.y != nil {
 		b += wb.y.StorageBytes()
 	}
+	for _, s := range wb.views {
+		// A view of already-ordered data shares X's arrays.
+		if s.NNZ() > 0 && &s.Vals[0] != &wb.X.Vals[0] {
+			b += s.StorageBytes()
+		}
+	}
 	if wb.hx != nil {
 		b += wb.hx.StorageBytes()
 	}
@@ -60,8 +66,8 @@ type Footprint struct {
 	// matrices, dense Ttm matrix, Ttv vector).
 	Workbench int64
 	// Instance is the prepared-instance component: the format
-	// conversion (Prepare clones the COO before sorting, so the clone
-	// is charged too) plus the output buffer the instance owns.
+	// conversion (it reads a sorted copy of the COO, so that copy is
+	// charged too) plus the output buffer the instance owns.
 	Instance int64
 	// Run is the per-execution transient component: the unique bytes a
 	// trial touches — the Table 1 roofline traffic clamped to the
@@ -112,7 +118,8 @@ func EstimateFootprint(k roofline.Kernel, f roofline.Format, dims []int64, nnz i
 		fp.Workbench += valueBytes * sumDims * r // one factor matrix per mode
 	}
 
-	// Prepare clones the COO before sorting, then converts; the clone
+	// Prepare converts from a sorted copy of the COO (the workbench's
+	// cached view, shared by the variants of one mode order); the copy
 	// and the converted structure coexist, so both are charged.
 	conv := coo
 	switch f {

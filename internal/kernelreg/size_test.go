@@ -68,3 +68,47 @@ func TestEstimateTracksMeasuredWorkbench(t *testing.T) {
 			est.Workbench, measured)
 	}
 }
+
+// TestWorkbenchSortedViews pins the sorted-view cache: one view per mode
+// order however many variants ask, X itself (or a view of its arrays,
+// costing nothing) when the data already is in that order, and a sorted
+// copy — charged once by MemBytes — when it is not.
+func TestWorkbenchSortedViews(t *testing.T) {
+	x := tensor.RandomCOO([]tensor.Index{40, 40, 40}, 2000, rand.New(rand.NewSource(9)))
+	x.SortNatural()
+	wb := NewWorkbench(x, Config{})
+	base := wb.MemBytes()
+	if wb.Sorted([]int{0, 1, 2}) != x {
+		t.Fatal("a tensor known to be in natural order must be its own natural view")
+	}
+	if wb.MemBytes() != base {
+		t.Fatal("a view of X's own arrays must not be charged")
+	}
+	s := wb.FiberSorted(0)
+	if s == x || !s.IsSortedBy([]int{1, 2, 0}) {
+		t.Fatal("FiberSorted(0) must be a copy ordered with mode 0 innermost")
+	}
+	if wb.Sorted([]int{1, 2, 0}) != s || wb.FiberSorted(0) != s {
+		t.Fatal("the same mode order must return the cached view")
+	}
+	if got := wb.MemBytes() - base; got != s.StorageBytes() {
+		t.Fatalf("sorted copy charged %d bytes, want its StorageBytes %d", got, s.StorageBytes())
+	}
+	// Preparing the variants that need this order must not sort again:
+	// the cache still holds exactly the two views.
+	for _, kf := range []struct {
+		k roofline.Kernel
+		f roofline.Format
+	}{{roofline.Ttv, roofline.COO}, {roofline.Ttm, roofline.COO}, {roofline.Ttv, roofline.CSF}, {roofline.Ttm, roofline.BCSF}} {
+		v, err := HostVariant(kf.k, kf.f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := v.Prepare(wb, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(wb.views) != 2 {
+		t.Fatalf("%d sorted views after preparing four mode-0 variants, want 2", len(wb.views))
+	}
+}

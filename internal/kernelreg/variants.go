@@ -177,7 +177,7 @@ func prepTsHiCOO(wb *Workbench, _ int, b Backend) (*Instance, error) {
 }
 
 func prepTtvCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
-	p, err := core.PrepareTtv(wb.X, mode)
+	p, err := core.PrepareTtv(wb.FiberSorted(mode), mode)
 	if err != nil {
 		return nil, err
 	}
@@ -221,7 +221,7 @@ func prepTtvHiCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
 }
 
 func prepTtmCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
-	p, err := core.PrepareTtm(wb.X, mode, wb.R())
+	p, err := core.PrepareTtm(wb.FiberSorted(mode), mode, wb.R())
 	if err != nil {
 		return nil, err
 	}
@@ -319,7 +319,7 @@ func prepTtvCSF(wb *Workbench, mode int, b Backend) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	ref, err := core.PrepareTtv(wb.X, mode)
+	ref, err := core.PrepareTtv(wb.FiberSorted(mode), mode)
 	if err != nil {
 		return nil, err
 	}
@@ -390,12 +390,12 @@ func prepTtvFCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
 		return nil, badBackend("Ttv/fCOO", b)
 	}
 	csp := obs.Begin("fcoo.FromCOO", "Ttv", obs.PhaseConvert, -1)
-	fc, err := fcoo.FromCOO(wb.X, mode, wb.SegSize())
+	fc, err := fcoo.FromCOO(wb.FiberSorted(mode), mode, wb.SegSize())
 	csp.End()
 	if err != nil {
 		return nil, err
 	}
-	ref, err := core.PrepareTtv(wb.X, mode)
+	ref, err := core.PrepareTtv(wb.FiberSorted(mode), mode)
 	if err != nil {
 		return nil, err
 	}
@@ -428,7 +428,7 @@ func prepMttkrpFCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
 		return nil, badBackend("Mttkrp/fCOO", b)
 	}
 	csp := obs.Begin("fcoo.FromCOOMttkrp", "Mttkrp", obs.PhaseConvert, -1)
-	fc, err := fcoo.FromCOOMttkrp(wb.X, mode, wb.SegSize())
+	fc, err := fcoo.FromCOOMttkrp(wb.Sorted(append([]int{mode}, otherModesOf(wb.X.Order(), mode)...)), mode, wb.SegSize())
 	csp.End()
 	if err != nil {
 		return nil, err

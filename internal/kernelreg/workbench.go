@@ -45,8 +45,9 @@ func DefaultConfig() Config {
 //
 // A Workbench is safe for concurrent use: operand, reference, and device
 // lazy-initialization is serialized by an internal mutex, X and every
-// cached operand are read-only once built (Prepare paths clone before
-// sorting), and device-backend executions serialize on a per-workbench
+// cached operand are read-only once built (Prepare paths take their
+// sorted input from the Sorted cache, never sorting X in place), and
+// device-backend executions serialize on a per-workbench
 // device lock so concurrent trials cannot clobber each other's device
 // context. Distinct Instances prepared from one workbench own their own
 // output buffers and may Run concurrently; a single Instance is NOT
@@ -54,7 +55,7 @@ func DefaultConfig() Config {
 // runs of the same Instance.
 type Workbench struct {
 	// X is the input tensor every variant computes on. It is read-only:
-	// every Prepare and format conversion clones before sorting.
+	// every Prepare and format conversion works on a view from Sorted.
 	X   *tensor.COO
 	cfg Config
 
@@ -63,6 +64,7 @@ type Workbench struct {
 	// so holding mu never blocks on a running trial.
 	mu    sync.Mutex
 	y     *tensor.COO
+	views map[string]*tensor.COO // read-only sorted views of X keyed by mode order
 	hx    *hicoo.HiCOO
 	hy    *hicoo.HiCOO
 	vecs  map[int]tensor.Vector
@@ -105,6 +107,7 @@ func NewWorkbench(x *tensor.COO, cfg Config) *Workbench {
 	return &Workbench{
 		X:     x,
 		cfg:   cfg,
+		views: make(map[string]*tensor.COO),
 		vecs:  make(map[int]tensor.Vector),
 		ttm:   make(map[int]*tensor.Matrix),
 		csfs:  make(map[string]*csf.CSF),
@@ -151,6 +154,35 @@ func (wb *Workbench) yLocked() *tensor.COO {
 		wb.y = y
 	}
 	return wb.y
+}
+
+// Sorted returns X ordered lexicographically by the mode permutation
+// perm (tensor.SortedBy: X itself or a view of it when the data already
+// is in that order, else a sorted copy), computed once per permutation.
+// Every variant that needs the same fiber order — the COO Ttv/Ttm plans,
+// the CSF tree, the F-COO layout, the serial references of the tree
+// variants — shares the one read-only view instead of each cloning and
+// re-sorting X.
+func (wb *Workbench) Sorted(perm []int) *tensor.COO {
+	wb.mu.Lock()
+	defer wb.mu.Unlock()
+	return wb.sortedLocked(perm)
+}
+
+func (wb *Workbench) sortedLocked(perm []int) *tensor.COO {
+	key := moKey(perm)
+	if s, ok := wb.views[key]; ok {
+		return s
+	}
+	s := wb.X.SortedBy(perm)
+	wb.views[key] = s
+	return s
+}
+
+// FiberSorted is Sorted for the order that makes mode-n fibers
+// contiguous, the pre-processing of Ttv and Ttm in mode n.
+func (wb *Workbench) FiberSorted(mode int) *tensor.COO {
+	return wb.Sorted(tensor.ModeOrder(wb.X.Order(), mode))
 }
 
 // HX is X converted to HiCOO, built once per workbench.

@@ -9,9 +9,9 @@ import (
 
 // Build materializes a hierarchy for x under a signature and a slot →
 // tensor-mode assignment. This is the whole cost of adding a format:
-// one lexicographic sort by the per-level keys, then one run-detection
-// scan per level — no format-specific conversion code. The input is not
-// modified.
+// one radix sort keyed by the per-level keys, then the linear fiber-tree
+// assembly CSF shares (tensor.FiberTree) — no format-specific conversion
+// code. The input is not modified.
 func Build(x *tensor.COO, sig Signature, modeOrder []int) (*Hierarchy, error) {
 	order := x.Order()
 	if len(modeOrder) != order {
@@ -45,74 +45,44 @@ func Build(x *tensor.COO, sig Signature, modeOrder []int) (*Hierarchy, error) {
 		keys[l] = ks
 	}
 
-	// Sort entries lexicographically by the level-key tuple.
-	perm := make([]int32, m)
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	parallel.SortInt32s(perm, func(a, b int32) bool {
-		for l := 0; l < nlev; l++ {
-			ka, kb := keys[l][a], keys[l][b]
-			if ka != kb {
-				return ka < kb
-			}
-		}
-		return false
-	})
-	for l := range keys {
-		sorted := make([]tensor.Index, m)
-		for i, p := range perm {
-			sorted[i] = keys[l][p]
-		}
-		keys[l] = sorted
-	}
+	// Sort entries lexicographically by the level-key tuple; input that
+	// already is in that order (a fiber-sorted tensor under a tree
+	// signature) is used as it stands.
 	vals := make([]tensor.Value, m)
-	for i, p := range perm {
-		vals[i] = x.Vals[p]
+	if keysSorted(keys) {
+		copy(vals, x.Vals)
+	} else {
+		perm := parallel.SortColumns(m, keys)
+		for l := range keys {
+			sorted := make([]tensor.Index, m)
+			for i, p := range perm {
+				sorted[i] = keys[l][p]
+			}
+			keys[l] = sorted
+		}
+		for i, p := range perm {
+			vals[i] = x.Vals[p]
+		}
 	}
 
+	// A node at level l is a maximal run of entries agreeing on
+	// keys[0..l]; from the first Singleton level down, and at the leaf
+	// (which parallels Vals), every entry is its own node.
+	flat := nlev - 1
+	for l, d := range sig.Levels {
+		if d.Kind == Singleton {
+			flat = l
+			break
+		}
+	}
+	crd, ptr := tensor.FiberTree(keys, flat)
 	h := &Hierarchy{
 		Sig:       sig,
 		Dims:      append([]tensor.Index(nil), x.Dims...),
 		ModeOrder: append([]int(nil), modeOrder...),
-		Crd:       make([][]tensor.Index, nlev),
-		Ptr:       make([][]int64, nlev-1),
+		Crd:       crd,
+		Ptr:       ptr,
 		Vals:      vals,
-	}
-
-	// Run detection: a node at level l is a maximal run of entries
-	// agreeing on keys[0..l]; Singleton levels always break (one node
-	// per entry from that level down).
-	brk := make([]bool, m) // carries the cumulative break condition down levels
-	starts := make([]int64, 0, 16)
-	prevStarts := []int64(nil) // entry offsets of the parent level's nodes
-	for l := 0; l < nlev; l++ {
-		// Singleton levels and the leaf always break: one node per entry
-		// (the leaf parallels Vals, so it can never merge runs).
-		always := sig.Levels[l].Kind == Singleton || l == nlev-1
-		starts = starts[:0]
-		for i := 0; i < m; i++ {
-			if i == 0 || always || brk[i] || keys[l][i-1] != keys[l][i] {
-				brk[i] = true
-				starts = append(starts, int64(i))
-			}
-		}
-		crd := make([]tensor.Index, len(starts))
-		for n, s := range starts {
-			crd[n] = keys[l][s]
-		}
-		h.Crd[l] = crd
-		if l > 0 {
-			// Parent pointers: each parent's entry range maps onto this
-			// level's node numbering by searching the starts.
-			ptr := make([]int64, len(prevStarts)+1)
-			for i, s := range prevStarts {
-				ptr[i] = int64(searchInt64(starts, s))
-			}
-			ptr[len(prevStarts)] = int64(len(starts))
-			h.Ptr[l-1] = ptr
-		}
-		prevStarts = append(prevStarts[:0], starts...)
 	}
 
 	// Dense levels materialize their full extent, bottom-up so child
@@ -218,15 +188,18 @@ func expandDense(h *Hierarchy, l int) {
 	}
 }
 
-func searchInt64(a []int64, v int64) int {
-	lo, hi := 0, len(a)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if a[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
+// keysSorted reports whether the entries are already in lexicographic
+// order of their key tuples.
+func keysSorted(keys [][]tensor.Index) bool {
+	for i := 1; i < len(keys[0]); i++ {
+		for _, ks := range keys {
+			if ks[i-1] < ks[i] {
+				break
+			}
+			if ks[i-1] > ks[i] {
+				return false
+			}
 		}
 	}
-	return lo
+	return true
 }

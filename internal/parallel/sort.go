@@ -1,133 +1,199 @@
 package parallel
 
 import (
-	"sort"
+	"math/bits"
 	"sync"
 
 	"repro/internal/obs"
 )
 
-// sortSerialThreshold is the subproblem size below which SortInt32s falls
-// back to the standard library sort; parallelism only pays above it.
+// sortSerialThreshold is the input size below which SortColumns runs on
+// one worker; the per-pass fork/join only pays above it.
 const sortSerialThreshold = 1 << 14
 
-// SortInt32s stably sorts idx by the comparator using a parallel merge
-// sort: the slice is split into one run per worker, runs are sorted
-// concurrently, and then merged pairwise (each merge itself split at the
-// midpoint by binary search). Sorting index permutations is the dominant
-// preprocessing cost of the benchmark kernels (fiber sorting, HiCOO
-// Morton ordering, CSF construction), which is why it gets a dedicated
-// parallel implementation. The comparator must be pure: it is called
-// concurrently.
-func SortInt32s(idx []int32, less func(a, b int32) bool) {
-	sp := obs.Begin("parallel.SortInt32s", "", obs.PhaseSort, -1)
+// sortDigitBits caps a radix digit: 2048 uint32 counters (8 KiB) per
+// worker stay L1-resident, and a full 32-bit column takes three passes.
+const sortDigitBits = 11
+
+// SortSpanLabel names the PhaseSort span every SortColumns call records.
+const SortSpanLabel = "parallel.SortColumns"
+
+// SortColumns returns the permutation that stably sorts elements
+// 0..n-1 by their key tuples (cols[0][i], cols[1][i], ...), cols[0] most
+// significant; every column must hold n keys. Equal tuples keep their
+// input order.
+//
+// Sorting index permutations is the pre-processing cost of every
+// benchmark kernel (fiber sort, HiCOO Morton order, CSF and hierarchy
+// construction), and the keys are small integers, so this is an LSD
+// radix sort, not a comparison sort: columns are consumed least
+// significant first, each split into digits of at most sortDigitBits
+// bits. Which bits a column needs comes from an OR/AND reduction of its
+// data, never from declared dimensions: bits equal across all keys are
+// never sorted on, so a constant column costs one read and an
+// out-of-range key still sorts correctly. Above sortSerialThreshold a
+// pass runs over one contiguous chunk per worker (per-chunk histograms,
+// one scan ordering buckets digit-major then chunk-major, stable
+// scatter); below it one worker does the same on a single chunk.
+func SortColumns(n int, cols [][]uint32) []int32 {
+	sp := obs.Begin(SortSpanLabel, "", obs.PhaseSort, -1)
 	defer sp.End()
-	n := len(idx)
-	workers := NumThreads()
-	if n < sortSerialThreshold || workers < 2 {
-		sort.SliceStable(idx, func(i, j int) bool { return less(idx[i], idx[j]) })
+
+	perm := make([]int32, n)
+	chunks := 1
+	if n >= sortSerialThreshold {
+		chunks = ResolveThreads(n, Options{})
+	}
+	s := getSortScratch(n, chunks)
+	defer sortScratchPool.Put(s)
+
+	// src == nil stands for the identity permutation no pass has moved
+	// yet; it is never materialized unless every pass is skipped.
+	var src []int32
+	dst, spare := perm, s.perm
+	for c := len(cols) - 1; c >= 0; c-- {
+		col := cols[c]
+		varying := s.varyingBits(col)
+		for lo := bits.TrailingZeros32(varying); lo < bits.Len32(varying); {
+			// Split what is left of the column into equal digits.
+			left := bits.Len32(varying) - lo
+			passes := (left + sortDigitBits - 1) / sortDigitBits
+			width := (left + passes - 1) / passes
+			mask := uint32(1)<<width - 1
+			if varying>>lo&mask != 0 {
+				s.pass(src, dst, col, uint(lo), mask)
+				if src == nil {
+					src, dst = dst, spare
+				} else {
+					src, dst = dst, src
+				}
+			}
+			lo += width
+		}
+	}
+	switch {
+	case src == nil:
+		for i := range perm {
+			perm[i] = int32(i)
+		}
+	case &src[0] != &perm[0]:
+		copy(perm, src)
+	}
+	return perm
+}
+
+// sortScratch is the reusable working memory of one SortColumns call:
+// the second permutation buffer, the digit of every element for the pass
+// in flight, and one histogram per chunk. Pooled so repeated conversions
+// allocate only the permutation they return.
+type sortScratch struct {
+	n      int
+	chunks int
+	perm   []int32
+	digits []uint16
+	hist   []uint32 // chunks × (1<<sortDigitBits), chunk-major
+	or     []uint32 // per-chunk reductions of varyingBits
+	and    []uint32
+}
+
+var sortScratchPool = sync.Pool{New: func() any { return new(sortScratch) }}
+
+func getSortScratch(n, chunks int) *sortScratch {
+	s := sortScratchPool.Get().(*sortScratch)
+	if cap(s.perm) < n {
+		s.perm = make([]int32, n)
+		s.digits = make([]uint16, n)
+	}
+	if cap(s.hist) < chunks<<sortDigitBits {
+		s.hist = make([]uint32, chunks<<sortDigitBits)
+		s.or = make([]uint32, chunks)
+		s.and = make([]uint32, chunks)
+	}
+	s.n, s.chunks = n, chunks
+	s.perm, s.digits = s.perm[:n], s.digits[:n]
+	return s
+}
+
+// each runs body once per chunk: inline for one chunk, else through For
+// over the chunk numbers, so every schedule For may pick (it re-chunks
+// static loops under cancellation or fault hooks) hands chunk c the same
+// element range in every phase of a pass.
+func (s *sortScratch) each(body func(c, lo, hi int)) {
+	if s.chunks == 1 {
+		body(0, 0, s.n)
 		return
 	}
-	// Round worker count down to a power of two for clean pairwise merges.
-	runs := 1
-	for runs*2 <= workers && runs < 64 {
-		runs *= 2
-	}
-
-	// Sort each run concurrently.
-	bounds := make([]int, runs+1)
-	for r := 0; r <= runs; r++ {
-		bounds[r] = r * n / runs
-	}
-	var wg sync.WaitGroup
-	wg.Add(runs)
-	for r := 0; r < runs; r++ {
-		go func(lo, hi int) {
-			defer wg.Done()
-			s := idx[lo:hi]
-			sort.SliceStable(s, func(i, j int) bool { return less(s[i], s[j]) })
-		}(bounds[r], bounds[r+1])
-	}
-	wg.Wait()
-
-	// Pairwise merge rounds, ping-ponging between idx and a buffer.
-	buf := make([]int32, n)
-	src, dst := idx, buf
-	for width := 1; width < runs; width *= 2 {
-		var mw sync.WaitGroup
-		for r := 0; r < runs; r += 2 * width {
-			lo := bounds[r]
-			mid := bounds[min(r+width, runs)]
-			hi := bounds[min(r+2*width, runs)]
-			mw.Add(1)
-			go func(lo, mid, hi int) {
-				defer mw.Done()
-				parallelMerge(src, dst, lo, mid, hi, less)
-			}(lo, mid, hi)
+	// For only fails on a cancelled Options.Ctx, and none is set.
+	_ = For(s.chunks, Options{Threads: s.chunks}, func(clo, chi, _ int) {
+		for c := clo; c < chi; c++ {
+			body(c, c*s.n/s.chunks, (c+1)*s.n/s.chunks)
 		}
-		mw.Wait()
-		src, dst = dst, src
-	}
-	if &src[0] != &idx[0] {
-		copy(idx, src)
-	}
+	})
 }
 
-// parallelMerge merges src[lo:mid] and src[mid:hi] into dst[lo:hi],
-// splitting large merges in two at the left run's midpoint.
-func parallelMerge(src, dst []int32, lo, mid, hi int, less func(a, b int32) bool) {
-	if hi-lo > 2*sortSerialThreshold && mid-lo > 1 && hi-mid > 1 {
-		// Split: take the left run's median, binary-search it in the
-		// right run, and merge the two halves concurrently.
-		lmid := (lo + mid) / 2
-		pivot := src[lmid]
-		rmid := mid + sort.Search(hi-mid, func(i int) bool { return !less(src[mid+i], pivot) })
-		dmid := lmid + (rmid - mid)
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			mergeInto(src, dst, lo, lmid, mid, rmid, lo, less)
-		}()
-		go func() {
-			defer wg.Done()
-			mergeInto(src, dst, lmid, mid, rmid, hi, dmid, less)
-		}()
-		wg.Wait()
-		return
-	}
-	mergeInto(src, dst, lo, mid, mid, hi, lo, less)
-}
-
-// mergeInto merges src[aLo:aHi] with src[bLo:bHi] into dst starting at
-// out. The merge is stable: ties take the left (a) element first.
-func mergeInto(src, dst []int32, aLo, aHi, bLo, bHi, out int, less func(a, b int32) bool) {
-	a, b := aLo, bLo
-	for a < aHi && b < bHi {
-		if less(src[b], src[a]) {
-			dst[out] = src[b]
-			b++
-		} else {
-			dst[out] = src[a]
-			a++
+// varyingBits returns the bits of col that differ between at least two
+// keys (OR of all keys minus their AND).
+func (s *sortScratch) varyingBits(col []uint32) uint32 {
+	s.each(func(c, lo, hi int) {
+		or, and := uint32(0), ^uint32(0)
+		for _, k := range col[lo:hi] {
+			or |= k
+			and &= k
 		}
-		out++
+		s.or[c], s.and[c] = or, and
+	})
+	or, and := uint32(0), ^uint32(0)
+	for c := 0; c < s.chunks; c++ {
+		or |= s.or[c]
+		and &= s.and[c]
 	}
-	for a < aHi {
-		dst[out] = src[a]
-		a++
-		out++
-	}
-	for b < bHi {
-		dst[out] = src[b]
-		b++
-		out++
-	}
+	return or &^ and
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// pass stably redistributes src into dst by the digit
+// (col[src[i]]>>shift)&mask; a nil src is the identity permutation.
+func (s *sortScratch) pass(src, dst []int32, col []uint32, shift uint, mask uint32) {
+	buckets := int(mask) + 1
+	digits := s.digits
+	s.each(func(c, lo, hi int) {
+		hist := s.hist[c<<sortDigitBits:][:buckets]
+		clear(hist)
+		if src == nil {
+			for i, k := range col[lo:hi] {
+				d := k >> shift & mask
+				digits[lo+i] = uint16(d)
+				hist[d]++
+			}
+			return
+		}
+		for i, x := range src[lo:hi] {
+			d := col[x] >> shift & mask
+			digits[lo+i] = uint16(d)
+			hist[d]++
+		}
+	})
+	// Exclusive scan, digit-major then chunk-major: bucket d of chunk c
+	// starts after every smaller digit and after digit d of the chunks
+	// before it, which is what keeps the scatter stable.
+	var sum uint32
+	for d := 0; d < buckets; d++ {
+		for c := 0; c < s.chunks; c++ {
+			h := &s.hist[c<<sortDigitBits+d]
+			*h, sum = sum, sum+*h
+		}
 	}
-	return b
+	s.each(func(c, lo, hi int) {
+		offs := s.hist[c<<sortDigitBits:][:buckets]
+		if src == nil {
+			for i, d := range digits[lo:hi] {
+				dst[offs[d]] = int32(lo + i)
+				offs[d]++
+			}
+			return
+		}
+		for i, d := range digits[lo:hi] {
+			dst[offs[d]] = src[lo+i]
+			offs[d]++
+		}
+	})
 }

@@ -27,22 +27,45 @@ func (t *COO) Sort(perm []int) {
 		t.sortOrder = append(t.sortOrder[:0], perm...)
 		return
 	}
-	idx := make([]int32, t.NNZ())
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	inds := t.Inds
-	parallel.SortInt32s(idx, func(x, y int32) bool {
-		for _, n := range perm {
-			ia, ib := inds[n][x], inds[n][y]
-			if ia != ib {
-				return ia < ib
-			}
-		}
-		return false
-	})
-	t.applyPerm(idx)
+	t.Inds, t.Vals = t.gather(t.sortPerm(perm))
 	t.sortOrder = append([]int(nil), perm...)
+}
+
+// sortPerm returns the permutation of the non-zeros that orders them
+// stably by perm: the index arrays themselves are the key columns.
+func (t *COO) sortPerm(perm []int) []int32 {
+	cols := make([][]uint32, len(perm))
+	for k, n := range perm {
+		cols[k] = t.Inds[n]
+	}
+	return parallel.SortColumns(t.NNZ(), cols)
+}
+
+// SortedBy returns the tensor's non-zeros ordered by perm without
+// modifying the receiver: the receiver itself when it is known to be in
+// that order, a view sharing its arrays (with the order recorded) when an
+// O(nnz) scan finds the data already ordered — which files usually are,
+// though a freshly read tensor does not know it —, and a sorted clone
+// otherwise. The result must be treated as read-only.
+func (t *COO) SortedBy(perm []int) *COO {
+	if t.IsSortedBy(perm) {
+		return t
+	}
+	if !validPerm(perm, t.Order()) {
+		panic("tensor: SortedBy with invalid mode permutation")
+	}
+	if t.isSorted(perm) {
+		view := *t
+		view.sortOrder = append([]int(nil), perm...)
+		return &view
+	}
+	inds, vals := t.gather(t.sortPerm(perm))
+	return &COO{
+		Dims:      append([]Index(nil), t.Dims...),
+		Inds:      inds,
+		Vals:      vals,
+		sortOrder: append([]int(nil), perm...),
+	}
 }
 
 // SortForMode sorts so that mode-n fibers are contiguous, i.e. by
@@ -109,22 +132,22 @@ func (t *COO) isSorted(perm []int) bool {
 	return true
 }
 
-// applyPerm reorders every parallel array by the given index permutation.
-func (t *COO) applyPerm(idx []int32) {
-	for n := range t.Inds {
-		src := t.Inds[n]
+// gather returns copies of the index and value arrays reordered by the
+// given permutation of the non-zeros.
+func (t *COO) gather(idx []int32) ([][]Index, []Value) {
+	inds := make([][]Index, len(t.Inds))
+	for n, src := range t.Inds {
 		dst := make([]Index, len(src))
 		for i, x := range idx {
 			dst[i] = src[x]
 		}
-		t.Inds[n] = dst
+		inds[n] = dst
 	}
-	vsrc := t.Vals
-	vdst := make([]Value, len(vsrc))
+	vals := make([]Value, len(t.Vals))
 	for i, x := range idx {
-		vdst[i] = vsrc[x]
+		vals[i] = t.Vals[x]
 	}
-	t.Vals = vdst
+	return inds, vals
 }
 
 // Dedup coalesces duplicate coordinates by summing their values. The

@@ -19,15 +19,10 @@ type FiberStats struct {
 	Imbalance float64 // MaxLen / MeanLen; 1.0 is perfectly balanced
 }
 
-// ComputeFiberStats sorts (a clone of) the tensor for mode n and measures
+// ComputeFiberStats orders (a copy of) the tensor for mode n and measures
 // its fiber-length distribution. The input tensor is not modified.
 func ComputeFiberStats(t *COO, n int) FiberStats {
-	work := t
-	if !t.IsSortedBy(ModeOrder(t.Order(), n)) {
-		work = t.Clone()
-		work.SortForMode(n)
-	}
-	fptr := work.FiberPointers(n)
+	fptr := t.SortedBy(ModeOrder(t.Order(), n)).FiberPointers(n)
 	return fiberStatsFromPtr(fptr, n)
 }
 

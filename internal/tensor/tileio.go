@@ -76,9 +76,9 @@ func tileDirEntryLen(order int) int { return 28 + 8*order }
 
 // WriteBinaryTiled emits the tensor in the PSTB v3 tiled format with
 // at most tileNNZ non-zeros per tile (tileNNZ <= 0 selects
-// DefaultTileNNZ). The payload is written in natural sort order — a
-// clone is sorted if t is not already — so tiles are coordinate-
-// contiguous ranges with tight bounding boxes.
+// DefaultTileNNZ). The payload is written in natural sort order — from
+// a sorted copy if t's data is not already in it — so tiles are
+// coordinate-contiguous ranges with tight bounding boxes.
 func WriteBinaryTiled(w io.Writer, t *COO, tileNNZ int) error {
 	if tileNNZ <= 0 {
 		tileNNZ = DefaultTileNNZ
@@ -126,11 +126,7 @@ func writeBinaryTiled(w io.Writer, t *COO, targetTileNNZ uint32, bounds []uint64
 	if tiles > maxBinTiles {
 		return fmt.Errorf("tensor: %d tiles exceeds sanity limit", tiles)
 	}
-	xs := t
-	if !xs.IsSortedBy(naturalOrder(order)) {
-		xs = t.Clone()
-		xs.SortNatural()
-	}
+	xs := t.SortedBy(naturalOrder(order))
 
 	scratch, put := acquireScratch(uint64(order+1) * 4 * nnz)
 	defer put()

@@ -1,0 +1,89 @@
+package tensor
+
+// FiberTree compresses lexicographically sorted key columns into the
+// level arrays of a fiber tree — the assembly step shared by CSF
+// (columns are the index arrays in level order) and the level
+// hierarchies (columns are the per-level keys). cols[l][x] is the
+// level-l key of sorted entry x. A node at level l is a maximal run of
+// entries agreeing on cols[0..l]; from level flat down, and always at
+// the last level, every entry is its own node.
+//
+// ids[l] holds the key of every node at level l, and ptr[l] (one per
+// level but the last) the first child at level l+1 of every node at
+// level l plus a closing sentinel. The levels where every entry is a
+// node are not copied: ids[l] aliases cols[l] there.
+//
+// The work is linear in the input plus the output: one sweep per level
+// finds, for every entry, the topmost level at which it opens a node; a
+// histogram of that gives every level's exact node count; and one sweep
+// over the entries emits ids and child pointers from per-level running
+// node counters, with no per-level rescans and no searching.
+func FiberTree(cols [][]Index, flat int) (ids [][]Index, ptr [][]int64) {
+	nlev := len(cols)
+	if nlev == 0 {
+		return nil, nil
+	}
+	m := len(cols[0])
+	flat = min(flat, nlev-1)
+
+	// opens[x]: the topmost level at which entry x opens a new node.
+	opens := make([]int32, m)
+	for x := range opens {
+		opens[x] = int32(flat)
+	}
+	for l := flat - 1; l >= 0; l-- {
+		col := cols[l]
+		for x := 1; x < m; x++ {
+			if col[x] != col[x-1] {
+				opens[x] = int32(l)
+			}
+		}
+	}
+	if m > 0 {
+		opens[0] = 0
+	}
+
+	count := make([]int, nlev) // nodes per level
+	for _, l := range opens {
+		count[l]++
+	}
+	for l := 1; l < nlev; l++ {
+		if l <= flat {
+			count[l] += count[l-1]
+		} else {
+			count[l] = m
+		}
+	}
+
+	ids = make([][]Index, nlev)
+	ptr = make([][]int64, nlev-1)
+	for l := range ids {
+		if l < flat {
+			ids[l] = make([]Index, count[l])
+		} else {
+			ids[l] = cols[l]
+		}
+		if l < nlev-1 {
+			ptr[l] = make([]int64, count[l]+1)
+			ptr[l][count[l]] = int64(count[l+1])
+		}
+	}
+	for l := flat; l < nlev-1; l++ {
+		for x := range ptr[l] {
+			ptr[l][x] = int64(x)
+		}
+	}
+
+	next := make([]int, flat+1) // nodes emitted so far per compressed level
+	for x, top := range opens {
+		next[flat] = x
+		for l := int(top); l < flat; l++ {
+			// The node's first child is the one this same entry is
+			// about to open on the level below.
+			ids[l][next[l]] = cols[l][x]
+			ptr[l][next[l]] = int64(next[l+1])
+			next[l]++
+		}
+	}
+	return ids, ptr
+}

@@ -1,0 +1,151 @@
+// Package tensortest holds the tensors and the comparator-sort oracle the
+// format-conversion golden tests share: every conversion must produce,
+// array for array, what the comparison-sort code path it replaced did.
+package tensortest
+
+import (
+	"math/rand"
+	"sort"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/tensor"
+)
+
+// Case is one named test tensor.
+type Case struct {
+	Name string
+	X    *tensor.COO
+}
+
+// Corpus returns the conversion corpus: the three benchmark recipes at
+// small nnz, each in natural order and shuffled, plus the degenerate
+// shapes conversions get wrong — no non-zeros, modes of size one,
+// everything in one fiber, one coordinate repeated, a single mode, an
+// order whose interleaved block key exceeds 64 bits, and indices at the
+// top of the 32-bit range.
+func Corpus(tb testing.TB) []Case {
+	tb.Helper()
+	var cases []Case
+	for _, name := range []string{"irrS", "regS4d", "nell2"} {
+		e, err := dataset.ByID(name)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		x, err := dataset.Materialize(e, 3000, 11)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		cases = append(cases, Case{name, x}, Case{name + "/shuffled", Shuffled(x, 5)})
+	}
+
+	rng := rand.New(rand.NewSource(17))
+	build := func(name string, dims []tensor.Index, n int, coord func(i, mode int) tensor.Index) {
+		x := tensor.NewCOO(dims, n)
+		idx := make([]tensor.Index, len(dims))
+		for i := 0; i < n; i++ {
+			for mode := range idx {
+				idx[mode] = coord(i, mode)
+			}
+			x.Append(idx, tensor.Value(i+1))
+		}
+		cases = append(cases, Case{name, x})
+	}
+	build("empty", []tensor.Index{3, 4, 5}, 0, nil)
+	build("single", []tensor.Index{9, 9, 9}, 1, func(_, mode int) tensor.Index { return tensor.Index(mode + 3) })
+	build("dim-one", []tensor.Index{1, 700, 1}, 60, func(_, mode int) tensor.Index {
+		if mode == 1 {
+			return tensor.Index(rng.Intn(700))
+		}
+		return 0
+	})
+	build("one-fiber", []tensor.Index{5, 5, 2000}, 300, func(_, mode int) tensor.Index {
+		if mode == 2 {
+			return tensor.Index(rng.Intn(2000))
+		}
+		return 4
+	})
+	build("all-duplicates", []tensor.Index{300, 300, 300}, 50, func(_, mode int) tensor.Index { return tensor.Index(129 + mode) })
+	build("few-distinct", []tensor.Index{400, 400, 400}, 500, func(_, mode int) tensor.Index { return tensor.Index(rng.Intn(3) * 130) })
+	build("order-1", []tensor.Index{5000}, 200, func(int, int) tensor.Index { return tensor.Index(rng.Intn(5000)) })
+	build("order-6", []tensor.Index{1 << 20, 1 << 20, 1 << 20, 1 << 20, 1 << 20, 1 << 20}, 400, func(int, int) tensor.Index {
+		return tensor.Index(rng.Intn(1<<20)) &^ tensor.Index(rng.Intn(2)*0xFFF00)
+	})
+	const top = ^tensor.Index(0)
+	build("index-top", []tensor.Index{top, 2, top}, 200, func(_, mode int) tensor.Index {
+		if mode == 1 {
+			return tensor.Index(rng.Intn(2))
+		}
+		return top - 1 - tensor.Index(rng.Intn(3))*tensor.Index(rng.Intn(1<<31))
+	})
+	return cases
+}
+
+// Shuffled returns a copy of x with its non-zeros in a random order.
+func Shuffled(x *tensor.COO, seed int64) *tensor.COO {
+	return gathered(x, rand.New(rand.NewSource(seed)).Perm(x.NNZ()))
+}
+
+// OracleSorted returns a copy of x ordered by the mode permutation perm
+// with the comparison sort the conversions used before the radix sort:
+// sort.SliceStable over the lexicographic predicate. The copy knows its
+// order (IsSortedBy(perm) holds).
+func OracleSorted(x *tensor.COO, perm []int) *tensor.COO {
+	idx := make([]int, x.NNZ())
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(i, j int) bool {
+		a, b := idx[i], idx[j]
+		for _, n := range perm {
+			if x.Inds[n][a] != x.Inds[n][b] {
+				return x.Inds[n][a] < x.Inds[n][b]
+			}
+		}
+		return false
+	})
+	s := gathered(x, idx)
+	s.Sort(perm) // already ordered: only records the order
+	return s
+}
+
+func gathered(x *tensor.COO, idx []int) *tensor.COO {
+	out := tensor.NewCOO(x.Dims, x.NNZ())
+	coord := make([]tensor.Index, x.Order())
+	for _, i := range idx {
+		for n := range coord {
+			coord[n] = x.Inds[n][i]
+		}
+		out.Append(coord, x.Vals[i])
+	}
+	return out
+}
+
+// ModeOrders returns every permutation of the modes of an order-n tensor
+// for n <= 4, and the n rotations beyond that.
+func ModeOrders(n int) [][]int {
+	if n > 4 {
+		out := make([][]int, n)
+		for r := range out {
+			for m := 0; m < n; m++ {
+				out[r] = append(out[r], (m+r)%n)
+			}
+		}
+		return out
+	}
+	var out [][]int
+	var rec func(prefix []int, used uint)
+	rec = func(prefix []int, used uint) {
+		if len(prefix) == n {
+			out = append(out, append([]int(nil), prefix...))
+			return
+		}
+		for m := 0; m < n; m++ {
+			if used>>uint(m)&1 == 0 {
+				rec(append(prefix, m), used|1<<uint(m))
+			}
+		}
+	}
+	rec(nil, 0)
+	return out
+}
