@@ -417,9 +417,11 @@ func BenchmarkAblationMttkrpStrategy(b *testing.B) {
 			_, _ = p.ExecuteOMP(mats, atomicOpt)
 		}
 	})
+	privOpt := opt
+	privOpt.Strategy = pasta.StrategyPrivatized
 	b.Run("coo-privatized", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_, _ = p.ExecuteOMPPrivatized(mats, opt)
+			_, _ = p.ExecuteOMP(mats, privOpt)
 		}
 	})
 	b.Run("coo-adaptive", func(b *testing.B) {

@@ -34,7 +34,6 @@ func main() {
 		seed    = flag.Int64("seed", 1, "random seed (reproducible output)")
 		recipe  = flag.String("recipe", "", "generate a Table 2/3 entry by ID or name (e.g. s4, irrS, deli)")
 		out     = flag.String("o", "", "output path: .tns, .tns.gz, or .bten (default .tns to stdout)")
-		binv1   = flag.Bool("binv1", false, "write .bten output in the legacy checksum-free v1 layout")
 		tiled   = flag.Bool("tiled", false, "write .bten output in the tiled v3 layout (streamable tile-at-a-time)")
 		tileNNZ = flag.Int("tile-nnz", tensor.DefaultTileNNZ, "target non-zeros per tile for -tiled output")
 	)
@@ -84,26 +83,8 @@ func main() {
 		return
 	}
 	start := time.Now()
-	if *tiled && *binv1 {
-		fail(fmt.Errorf("pastagen: -tiled and -binv1 are mutually exclusive"))
-	}
 	if *tiled {
 		if err := tensor.WriteFileTiled(*out, x, *tileNNZ); err != nil {
-			fail(err)
-		}
-	} else if *binv1 {
-		if !strings.HasSuffix(*out, ".bten") {
-			fail(fmt.Errorf("pastagen: -binv1 requires a .bten output path"))
-		}
-		f, err := os.Create(*out)
-		if err != nil {
-			fail(err)
-		}
-		if err := tensor.WriteBinaryV1(f, x); err != nil {
-			f.Close()
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
 			fail(err)
 		}
 	} else if err := tensor.WriteFile(*out, x); err != nil {

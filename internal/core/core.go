@@ -11,6 +11,17 @@
 // (the Execute* methods), which is the part the benchmarks time. Plans
 // are reusable: repeated Execute calls recompute the output values using
 // the same preallocated output.
+//
+// Formats differ in preprocessing only (§3.4): each kernel's value
+// computation exists once and the COO and HiCOO plans both delegate to
+// it — fiber.go for Ttv and Ttm (a fiber reduction over an index column
+// and a value column, whichever format supplied them), tewValues and
+// tsValues for the element-wise kernels, cooMttkrp (exported over raw
+// columns as MttkrpCOORange) for COO Mttkrp.
+// The same bodies take a range, so the multi-GPU shards (multigpu.go),
+// the out-of-core tile stream (internal/ooc) and the distributed ranks
+// (internal/dist) run them too. HiCOO Mttkrp (Algorithm 2's per-block
+// base arithmetic) and the sCOO kernels are bodies of their own.
 package core
 
 import "fmt"

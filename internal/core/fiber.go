@@ -1,0 +1,346 @@
+package core
+
+import (
+	"fmt"
+	"sort"
+
+	"repro/internal/gpusim"
+	"repro/internal/parallel"
+	"repro/internal/tensor"
+)
+
+// fiber.go holds the one value computation Ttv and Ttm have. After
+// preprocessing, a COO tensor sorted for the product mode and a gHiCOO
+// tensor with the product mode left uncompressed (§3.4: "bypasses the
+// blocking nature of HiCOO") are the same thing to the kernel: contiguous
+// fibers over a product-index column and a value column. Formats differ
+// only in how Prepare* builds that view and the output skeleton around
+// it; every loop below exists once and serves the COO and HiCOO plans,
+// the multi-GPU shards and the dist ranks.
+
+// fiberKernel is the prepared fiber reduction of one Ttv or Ttm plan. It
+// is built once in Prepare* and lives inside the plan, so Execute* hands
+// the parallel runtime a pointer into an object that already exists
+// instead of allocating a view per call.
+type fiberKernel struct {
+	fptr []int64        // MF+1 fiber start offsets into kInd/vals
+	kInd []tensor.Index // product-mode index of each non-zero
+	vals []tensor.Value // non-zero values, fiber-contiguous
+	out  []tensor.Value // output values: MF×r, one r-row per fiber
+	mode int            // product mode n (operand-check messages)
+	kDim int            // size of the product mode
+	r    int            // output columns: R for Ttm, 1 for Ttv
+}
+
+func (k *fiberKernel) numFibers() int { return len(k.fptr) - 1 }
+
+// planOut is the tail of every delegating Execute*: the plan-owned
+// output on success, nil with the kernel's error otherwise.
+func planOut[T any](out *T, err error) (*T, error) {
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// --- Ttv: y_f = Σ_m x_m · v[k_m] -----------------------------------------
+
+func (k *fiberKernel) checkVec(v tensor.Vector) error {
+	if len(v) != k.kDim {
+		return fmt.Errorf("core: Ttv vector length %d, want mode-%d size %d", len(v), k.mode, k.kDim)
+	}
+	return nil
+}
+
+// ttvFibers reduces fibers [lo, hi), one independent reduction each.
+func (k *fiberKernel) ttvFibers(lo, hi int, v tensor.Vector) {
+	fptr := k.fptr
+	kInd := k.kInd
+	xv := k.vals
+	yv := k.out
+	for f := lo; f < hi; f++ {
+		var acc tensor.Value
+		for m := fptr[f]; m < fptr[f+1]; m++ {
+			acc += xv[m] * v[kInd[m]]
+		}
+		yv[f] = acc
+	}
+}
+
+// ttvNNZ processes non-zeros [lo, hi) as a segmented reduction: each
+// contiguous fiber segment accumulates locally and flushes once, so only
+// fibers split across workers ever contend on yv.
+func (k *fiberKernel) ttvNNZ(lo, hi int, v tensor.Vector, yv []tensor.Value, atomicUpd bool) {
+	fptr := k.fptr
+	kInd := k.kInd
+	xv := k.vals
+	f := sort.Search(len(fptr)-1, func(i int) bool { return fptr[i+1] > int64(lo) })
+	for m := lo; m < hi; {
+		for fptr[f+1] <= int64(m) {
+			f++
+		}
+		end := hi
+		if fptr[f+1] < int64(end) {
+			end = int(fptr[f+1])
+		}
+		var acc tensor.Value
+		for ; m < end; m++ {
+			acc += xv[m] * v[kInd[m]]
+		}
+		if atomicUpd {
+			parallel.AtomicAddFloat32(&yv[f], acc)
+		} else {
+			yv[f] += acc
+		}
+	}
+}
+
+func (k *fiberKernel) ttvSeq(v tensor.Vector) error {
+	if err := k.checkVec(v); err != nil {
+		return err
+	}
+	k.ttvFibers(0, k.numFibers(), v)
+	return nil
+}
+
+// ttvOMP runs the strategy-selected decomposition: owner-computes over
+// independent fibers ("parfor f = 1..MF", race-free but exposed to the
+// fiber-length imbalance the paper highlights), or balanced over
+// non-zeros with the per-fiber reduction protected by atomics or pooled
+// per-worker private outputs. The resolved strategy is stored in *last.
+func (k *fiberKernel) ttvOMP(v tensor.Vector, opt parallel.Options, last *parallel.Strategy) error {
+	if err := k.checkVec(v); err != nil {
+		return err
+	}
+	m := len(k.vals)
+	mf := k.numFibers()
+	st, threads := planReduction(opt, m, mf, m, mf)
+	*last = st
+	switch st {
+	case parallel.Owner:
+		return parallel.For(mf, opt, func(lo, hi, _ int) {
+			k.ttvFibers(lo, hi, v)
+		})
+	case parallel.Privatized:
+		return privatizedReduce(m, threads, opt, k.out, func(lo, hi int, priv []tensor.Value) {
+			k.ttvNNZ(lo, hi, v, priv, false)
+		})
+	default: // Atomic
+		if err := zeroValues(k.out, threads, opt.Ctx); err != nil {
+			return err
+		}
+		opt.Threads = threads
+		atomicUpd := threads > 1
+		return parallel.For(m, opt, func(lo, hi, _ int) {
+			k.ttvNNZ(lo, hi, v, k.out, atomicUpd)
+		})
+	}
+}
+
+// ttvGPU launches the Ttv GPU kernel over fibers [lo, hi): a 1-D grid of
+// 1-D thread blocks with one thread per fiber (§3.2.2), so unbalanced
+// fiber lengths cause the performance drop the paper notes. The whole
+// tensor on one device is the range [0, MF); a multi-GPU shard is a
+// sub-range of it, expressed by re-slicing the fiber offsets and the
+// output so the thread body is the same either way.
+func (k *fiberKernel) ttvGPU(dev *gpusim.Device, lo, hi int, v tensor.Vector) error {
+	if err := k.checkVec(v); err != nil {
+		return err
+	}
+	mf := hi - lo
+	if mf == 0 {
+		return nil
+	}
+	block := gpusim.Dim1(gpusim.DefaultBlockThreads)
+	grid := gpusim.Grid1DFor(mf, block.X)
+	fptr := k.fptr[lo : hi+1]
+	kInd := k.kInd
+	xv := k.vals
+	yv := k.out[lo:hi]
+	_, err := dev.TryLaunch(grid, block, func(ctx gpusim.Ctx) {
+		f := ctx.GlobalX()
+		if f >= mf {
+			return
+		}
+		var acc tensor.Value
+		for m := fptr[f]; m < fptr[f+1]; m++ {
+			acc += xv[m] * v[kInd[m]]
+		}
+		yv[f] = acc
+	})
+	return err
+}
+
+// --- Ttm: Y(f, :) = Σ_m x_m · U(k_m, :) ----------------------------------
+
+func (k *fiberKernel) checkMat(u *tensor.Matrix) error {
+	if u.Rows != k.kDim || u.Cols != k.r {
+		return fmt.Errorf("core: Ttm matrix is %dx%d, want %dx%d", u.Rows, u.Cols, k.kDim, k.r)
+	}
+	return nil
+}
+
+// ttmFibers accumulates the R-length output rows of fibers [lo, hi); the
+// innermost column loop plays the role of the paper's "omp simd".
+func (k *fiberKernel) ttmFibers(lo, hi int, u *tensor.Matrix) {
+	fptr := k.fptr
+	kInd := k.kInd
+	xv := k.vals
+	r := k.r
+	ud := u.Data
+	for f := lo; f < hi; f++ {
+		row := k.out[f*r : (f+1)*r]
+		for c := range row {
+			row[c] = 0
+		}
+		// The fiber end is loaded once, not per non-zero: with it in the
+		// loop condition the compiler runs out of registers and spills
+		// the column counter of the innermost loop (EXPERIMENTS.md,
+		// "Kernel bodies").
+		end := fptr[f+1]
+		for m := fptr[f]; m < end; m++ {
+			v := xv[m]
+			urow := ud[int(kInd[m])*r : int(kInd[m])*r+r]
+			for c, uv := range urow {
+				row[c] += v * uv
+			}
+		}
+	}
+}
+
+// ttmNNZ processes non-zeros [lo, hi) as a segmented reduction over the
+// output's R-length fiber rows. With acc nil the contribution adds
+// directly into out (single writer or private copy); otherwise each
+// contiguous fiber segment accumulates into acc and flushes once with
+// atomic adds.
+func (k *fiberKernel) ttmNNZ(lo, hi int, u *tensor.Matrix, out []tensor.Value, acc []tensor.Value) {
+	fptr := k.fptr
+	kInd := k.kInd
+	xv := k.vals
+	r := k.r
+	ud := u.Data
+	f := sort.Search(len(fptr)-1, func(i int) bool { return fptr[i+1] > int64(lo) })
+	for m := lo; m < hi; {
+		for fptr[f+1] <= int64(m) {
+			f++
+		}
+		end := hi
+		if fptr[f+1] < int64(end) {
+			end = int(fptr[f+1])
+		}
+		if acc != nil {
+			for c := range acc {
+				acc[c] = 0
+			}
+			for ; m < end; m++ {
+				v := xv[m]
+				urow := ud[int(kInd[m])*r : int(kInd[m])*r+r]
+				for c, uv := range urow {
+					acc[c] += v * uv
+				}
+			}
+			row := out[f*r : f*r+r]
+			for c, a := range acc {
+				if a != 0 {
+					parallel.AtomicAddFloat32(&row[c], a)
+				}
+			}
+		} else {
+			row := out[f*r : f*r+r]
+			for ; m < end; m++ {
+				v := xv[m]
+				urow := ud[int(kInd[m])*r : int(kInd[m])*r+r]
+				for c, uv := range urow {
+					row[c] += v * uv
+				}
+			}
+		}
+	}
+}
+
+func (k *fiberKernel) ttmSeq(u *tensor.Matrix) error {
+	if err := k.checkMat(u); err != nil {
+		return err
+	}
+	k.ttmFibers(0, k.numFibers(), u)
+	return nil
+}
+
+// ttmOMP is ttvOMP for R-wide rows: owner-computes over fibers, or
+// balanced over non-zeros with the per-fiber row reduction privatized or
+// flushed atomically once per segment.
+func (k *fiberKernel) ttmOMP(u *tensor.Matrix, opt parallel.Options, last *parallel.Strategy) error {
+	if err := k.checkMat(u); err != nil {
+		return err
+	}
+	m := len(k.vals)
+	mf := k.numFibers()
+	st, threads := planReduction(opt, m, mf*k.r, m*k.r, mf)
+	*last = st
+	switch st {
+	case parallel.Owner:
+		return parallel.For(mf, opt, func(lo, hi, _ int) {
+			k.ttmFibers(lo, hi, u)
+		})
+	case parallel.Privatized:
+		return privatizedReduce(m, threads, opt, k.out, func(lo, hi int, priv []tensor.Value) {
+			k.ttmNNZ(lo, hi, u, priv, nil)
+		})
+	default: // Atomic
+		if err := zeroValues(k.out, threads, opt.Ctx); err != nil {
+			return err
+		}
+		opt.Threads = threads
+		if threads == 1 {
+			return parallel.For(m, opt, func(lo, hi, _ int) {
+				k.ttmNNZ(lo, hi, u, k.out, nil)
+			})
+		}
+		// Per-worker R-wide segment accumulators from the pool: each
+		// contiguous fiber segment flushes its row once, atomically.
+		ws := parallel.SharedWorkspace()
+		acc := ws.Set(threads, k.r)
+		err := parallel.For(m, opt, func(lo, hi, w int) {
+			k.ttmNNZ(lo, hi, u, k.out, acc.Bufs[w])
+		})
+		ws.PutSet(acc)
+		return err
+	}
+}
+
+// ttmGPU launches the Ttm GPU kernel following ParTI: one 2-D thread
+// block per fiber, the x-dimension covering the R matrix columns (memory
+// coalescing) and the y-dimension striding the fiber's non-zeros; the
+// per-column partial products are accumulated with atomicAdd (§3.2.2).
+func (k *fiberKernel) ttmGPU(dev *gpusim.Device, u *tensor.Matrix) error {
+	if err := k.checkMat(u); err != nil {
+		return err
+	}
+	mf := k.numFibers()
+	if mf == 0 {
+		return nil
+	}
+	r := k.r
+	block := gpusim.Dim2(r, max(gpusim.DefaultBlockThreads/r, 1))
+	grid := gpusim.Dim1(mf)
+	fptr := k.fptr
+	kInd := k.kInd
+	xv := k.vals
+	out := k.out
+	ud := u.Data
+	for i := range out {
+		out[i] = 0
+	}
+	_, err := dev.TryLaunch(grid, block, func(ctx gpusim.Ctx) {
+		f := ctx.BlockIdx.X
+		col := ctx.ThreadIdx.X
+		var acc tensor.Value
+		for m := fptr[f] + int64(ctx.ThreadIdx.Y); m < fptr[f+1]; m += int64(ctx.BlockDim.Y) {
+			acc += xv[m] * ud[int(kInd[m])*r+col]
+		}
+		if acc != 0 {
+			gpusim.AtomicAdd(&out[f*r+col], acc)
+		}
+	})
+	return err
+}

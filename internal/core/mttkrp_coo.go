@@ -22,8 +22,23 @@ type MttkrpPlan struct {
 	// Out is the dense output matrix, zeroed at the start of each Execute.
 	Out *tensor.Matrix
 	// LastStrategy records the reduction strategy the most recent
-	// ExecuteOMP* call resolved to (for harness reporting).
+	// ExecuteOMP call resolved to (for harness reporting).
 	LastStrategy parallel.Strategy
+
+	k cooMttkrp // the value computation over (X.Inds, X.Vals)
+}
+
+// cooMttkrp is the COO-Mttkrp value computation over raw per-mode index
+// columns and a value column — a COO tensor's, or one out-of-core tile's.
+// Like fiberKernel it is a view built once (in PrepareMttkrp) and kept in
+// the plan, so the range body and the GPU launch exist once and every
+// executor — sequential, OMP under each strategy, single- and multi-GPU,
+// the tile stream — runs them on a non-zero range.
+type cooMttkrp struct {
+	inds [][]tensor.Index
+	vals []tensor.Value
+	mode int
+	r    int
 }
 
 // PrepareMttkrp validates the mode and allocates the output matrix.
@@ -37,7 +52,8 @@ func PrepareMttkrp(x *tensor.COO, mode, r int) (*MttkrpPlan, error) {
 	if r <= 0 {
 		return nil, fmt.Errorf("core: Mttkrp needs R >= 1, got %d", r)
 	}
-	return &MttkrpPlan{X: x, Mode: mode, R: r, Out: tensor.NewMatrix(int(x.Dims[mode]), r)}, nil
+	return &MttkrpPlan{X: x, Mode: mode, R: r, Out: tensor.NewMatrix(int(x.Dims[mode]), r),
+		k: cooMttkrp{inds: x.Inds, vals: x.Vals, mode: mode, r: r}}, nil
 }
 
 // checkMats validates the factor matrices: one per mode, mats[m] of shape
@@ -69,7 +85,7 @@ func (p *MttkrpPlan) ExecuteSeq(mats []*tensor.Matrix) (*tensor.Matrix, error) {
 		return nil, err
 	}
 	p.Out.Zero()
-	p.executeRange(0, p.X.NNZ(), mats, p.Out.Data, false)
+	p.k.accumulate(0, p.X.NNZ(), mats, p.Out.Data, false)
 	return p.Out, nil
 }
 
@@ -90,7 +106,7 @@ func (p *MttkrpPlan) ExecuteOMP(mats []*tensor.Matrix, opt parallel.Options) (*t
 	opt.Threads = threads
 	if st == parallel.Privatized {
 		if err := privatizedReduce(m, threads, opt, p.Out.Data, func(lo, hi int, priv []tensor.Value) {
-			p.executeRange(lo, hi, mats, priv, false)
+			p.k.accumulate(lo, hi, mats, priv, false)
 		}); err != nil {
 			return nil, err
 		}
@@ -99,18 +115,11 @@ func (p *MttkrpPlan) ExecuteOMP(mats []*tensor.Matrix, opt parallel.Options) (*t
 	p.Out.Zero()
 	atomicUpd := threads > 1
 	if err := parallel.For(m, opt, func(lo, hi, _ int) {
-		p.executeRange(lo, hi, mats, p.Out.Data, atomicUpd)
+		p.k.accumulate(lo, hi, mats, p.Out.Data, atomicUpd)
 	}); err != nil {
 		return nil, err
 	}
 	return p.Out, nil
-}
-
-// ExecuteOMPPrivatized forces the privatized strategy regardless of the
-// adaptive selector (the explicit form benchmarks compare against).
-func (p *MttkrpPlan) ExecuteOMPPrivatized(mats []*tensor.Matrix, opt parallel.Options) (*tensor.Matrix, error) {
-	opt.Strategy = parallel.Privatized
-	return p.ExecuteOMP(mats, opt)
 }
 
 // ExecuteGPU runs COO-Mttkrp-GPU following ParTI: a 1-D grid of 2-D thread
@@ -121,73 +130,89 @@ func (p *MttkrpPlan) ExecuteGPU(dev *gpusim.Device, mats []*tensor.Matrix) (*ten
 		return nil, err
 	}
 	p.Out.Zero()
-	m := p.X.NNZ()
-	if m == 0 {
-		return p.Out, nil
-	}
-	r := p.R
-	ny := gpusim.DefaultBlockThreads / r
-	if ny < 1 {
-		ny = 1
-	}
-	block := gpusim.Dim2(r, ny)
-	grid := gpusim.Grid1DFor(m, ny)
-	out := p.Out.Data
-	nInd := p.X.Inds[p.Mode]
-	xv := p.X.Vals
-	order := p.X.Order()
-
-	if order == 3 {
-		// Specialized third-order path, the shape the paper's Table 1
-		// analyzes: Ã(i,r) += x · C(k,r) · B(j,r).
-		m1, m2 := otherTwoModes(p.Mode)
-		bInd, cInd := p.X.Inds[m1], p.X.Inds[m2]
-		bd, cd := mats[m1].Data, mats[m2].Data
-		if _, err := dev.TryLaunch(grid, block, func(ctx gpusim.Ctx) {
-			x := ctx.BlockIdx.X*ctx.BlockDim.Y + ctx.ThreadIdx.Y
-			if x >= m {
-				return
-			}
-			col := ctx.ThreadIdx.X
-			v := xv[x] * bd[int(bInd[x])*r+col] * cd[int(cInd[x])*r+col]
-			gpusim.AtomicAdd(&out[int(nInd[x])*r+col], v)
-		}); err != nil {
-			return nil, err
-		}
-		return p.Out, nil
-	}
-
-	if _, err := dev.TryLaunch(grid, block, func(ctx gpusim.Ctx) {
-		x := ctx.BlockIdx.X*ctx.BlockDim.Y + ctx.ThreadIdx.Y
-		if x >= m {
-			return
-		}
-		col := ctx.ThreadIdx.X
-		v := xv[x]
-		for mo := 0; mo < order; mo++ {
-			if mo == p.Mode {
-				continue
-			}
-			v *= mats[mo].Data[int(p.X.Inds[mo][x])*r+col]
-		}
-		gpusim.AtomicAdd(&out[int(nInd[x])*r+col], v)
-	}); err != nil {
+	if err := p.k.launchGPU(dev, mats, p.Out.Data, 0, p.X.NNZ()); err != nil {
 		return nil, err
 	}
 	return p.Out, nil
 }
 
-// executeRange processes non-zeros [lo, hi), adding into out (a Dims[n]×R
-// row-major matrix) either plainly (single writer) or atomically (shared
-// writers).
-func (p *MttkrpPlan) executeRange(lo, hi int, mats []*tensor.Matrix, out []tensor.Value, atomicUpd bool) {
-	r := p.R
-	nInd := p.X.Inds[p.Mode]
-	xv := p.X.Vals
-	if p.X.Order() == 3 {
-		m1, m2 := otherTwoModes(p.Mode)
-		bInd, cInd := p.X.Inds[m1], p.X.Inds[m2]
-		bd, cd := mats[m1].Data, mats[m2].Data
+// launchGPU launches the GPU kernel over non-zeros [lo, hi), accumulating
+// atomically into out. The whole tensor on one device is [0, M) into
+// Out.Data; a multi-GPU shard is a sub-range into a device-private copy.
+func (k *cooMttkrp) launchGPU(dev *gpusim.Device, mats []*tensor.Matrix, out []tensor.Value, lo, hi int) error {
+	if hi == lo {
+		return nil
+	}
+	r := k.r
+	ny := max(gpusim.DefaultBlockThreads/r, 1)
+	block := gpusim.Dim2(r, ny)
+	grid := gpusim.Grid1DFor(hi-lo, ny)
+	nInd := k.inds[k.mode]
+	xv := k.vals
+	order := len(k.inds)
+
+	if order == 3 {
+		// Specialized third-order path, the shape the paper's Table 1
+		// analyzes: Ã(i,r) += x · C(k,r) · B(j,r).
+		others := tensor.OtherModes(3, k.mode)
+		bInd, cInd := k.inds[others[0]], k.inds[others[1]]
+		bd, cd := mats[others[0]].Data, mats[others[1]].Data
+		_, err := dev.TryLaunch(grid, block, func(ctx gpusim.Ctx) {
+			x := lo + ctx.BlockIdx.X*ctx.BlockDim.Y + ctx.ThreadIdx.Y
+			if x >= hi {
+				return
+			}
+			col := ctx.ThreadIdx.X
+			v := xv[x] * bd[int(bInd[x])*r+col] * cd[int(cInd[x])*r+col]
+			gpusim.AtomicAdd(&out[int(nInd[x])*r+col], v)
+		})
+		return err
+	}
+
+	_, err := dev.TryLaunch(grid, block, func(ctx gpusim.Ctx) {
+		x := lo + ctx.BlockIdx.X*ctx.BlockDim.Y + ctx.ThreadIdx.Y
+		if x >= hi {
+			return
+		}
+		col := ctx.ThreadIdx.X
+		v := xv[x]
+		for mo := 0; mo < order; mo++ {
+			if mo == k.mode {
+				continue
+			}
+			v *= mats[mo].Data[int(k.inds[mo][x])*r+col]
+		}
+		gpusim.AtomicAdd(&out[int(nInd[x])*r+col], v)
+	})
+	return err
+}
+
+// MttkrpCOORange runs the COO-Mttkrp value computation over non-zeros
+// [lo, hi) of raw per-mode index columns and a value column: every row of
+// out (a Dims[mode]×r row-major matrix) accumulates the non-zero value
+// times the Hadamard product of the other modes' factor rows, plainly
+// (single writer) or atomically (shared writers). It is the range entry
+// point of executors that hold columns rather than a plan — the
+// out-of-core stream calls it per tile — and runs the very body
+// MttkrpPlan does, which is why a deterministic stream reproduces the
+// serial in-core bits.
+func MttkrpCOORange(inds [][]tensor.Index, vals []tensor.Value, mode, r int, mats []*tensor.Matrix, out []tensor.Value, lo, hi int, atomicUpd bool) {
+	k := cooMttkrp{inds: inds, vals: vals, mode: mode, r: r}
+	k.accumulate(lo, hi, mats, out, atomicUpd)
+}
+
+// accumulate processes non-zeros [lo, hi), adding into out either plainly
+// or atomically: the order-3 fast path, the general Hadamard loop
+// otherwise.
+func (k *cooMttkrp) accumulate(lo, hi int, mats []*tensor.Matrix, out []tensor.Value, atomicUpd bool) {
+	r := k.r
+	nInd := k.inds[k.mode]
+	xv := k.vals
+	order := len(k.inds)
+	if order == 3 {
+		others := tensor.OtherModes(3, k.mode)
+		bInd, cInd := k.inds[others[0]], k.inds[others[1]]
+		bd, cd := mats[others[0]].Data, mats[others[1]].Data
 		for x := lo; x < hi; x++ {
 			v := xv[x]
 			bo := int(bInd[x]) * r
@@ -211,11 +236,11 @@ func (p *MttkrpPlan) executeRange(lo, hi int, mats []*tensor.Matrix, out []tenso
 		for c := 0; c < r; c++ {
 			prod[c] = v
 		}
-		for mo := 0; mo < p.X.Order(); mo++ {
-			if mo == p.Mode {
+		for mo := 0; mo < order; mo++ {
+			if mo == k.mode {
 				continue
 			}
-			row := mats[mo].Row(int(p.X.Inds[mo][x]))
+			row := mats[mo].Row(int(k.inds[mo][x]))
 			for c := 0; c < r; c++ {
 				prod[c] *= row[c]
 			}
@@ -230,17 +255,6 @@ func (p *MttkrpPlan) executeRange(lo, hi int, mats []*tensor.Matrix, out []tenso
 				out[oo+c] += prod[c]
 			}
 		}
-	}
-}
-
-func otherTwoModes(mode int) (int, int) {
-	switch mode {
-	case 0:
-		return 1, 2
-	case 1:
-		return 0, 2
-	default:
-		return 0, 1
 	}
 }
 

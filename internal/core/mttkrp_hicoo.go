@@ -166,7 +166,8 @@ func (p *MttkrpHiCOOPlan) executeBlocks(lo, hi int, mats []*tensor.Matrix, out [
 	mode := p.Mode
 
 	if h.Order() == 3 {
-		m1, m2 := otherTwoModes(mode)
+		others := tensor.OtherModes(3, mode)
+		m1, m2 := others[0], others[1]
 		bd, cd := mats[m1].Data, mats[m2].Data
 		for b := lo; b < hi; b++ {
 			// Block matrix bases Ab, Bb, Cb of Algorithm 2 line 3.

@@ -14,139 +14,59 @@ import (
 // across devices, run the single-GPU kernel per shard concurrently, and
 // reduce any shared outputs on the host.
 
-// ExecuteMultiGPU runs the COO Ttv kernel across several devices by
-// sharding fibers: fiber outputs are disjoint, so no reduction is needed.
-func (p *TtvPlan) ExecuteMultiGPU(devs []*gpusim.Device, v tensor.Vector) (*tensor.COO, error) {
-	if len(devs) == 0 {
-		return nil, fmt.Errorf("core: ExecuteMultiGPU needs at least one device")
-	}
-	if err := p.checkVec(v); err != nil {
-		return nil, err
-	}
-	mf := p.NumFibers()
-	if mf == 0 {
-		return p.Out, nil
-	}
-	fptr := p.Fptr
-	kInd := p.X.Inds[p.Mode]
-	xv := p.X.Vals
-	yv := p.Out.Vals
-
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
+// shardDevices splits [0, n) into one contiguous range per device, runs
+// launch(d, lo, hi) for every device concurrently (empty ranges
+// included, so operand checks still run), and returns the error of the
+// lowest-numbered device that failed.
+func shardDevices(devs []*gpusim.Device, n int, launch func(d, lo, hi int) error) error {
 	nd := len(devs)
+	if nd == 0 {
+		return fmt.Errorf("core: ExecuteMultiGPU needs at least one device")
+	}
+	errs := make([]error, nd)
+	var wg sync.WaitGroup
 	wg.Add(nd)
 	for d := 0; d < nd; d++ {
-		lo := d * mf / nd
-		hi := (d + 1) * mf / nd
-		go func(dev *gpusim.Device, lo, hi int) {
+		go func(d int) {
 			defer wg.Done()
-			n := hi - lo
-			if n == 0 {
-				return
-			}
-			block := gpusim.Dim1(gpusim.DefaultBlockThreads)
-			grid := gpusim.Grid1DFor(n, block.X)
-			if _, err := dev.TryLaunch(grid, block, func(ctx gpusim.Ctx) {
-				f := lo + ctx.GlobalX()
-				if f >= hi {
-					return
-				}
-				var acc tensor.Value
-				for m := fptr[f]; m < fptr[f+1]; m++ {
-					acc += xv[m] * v[kInd[m]]
-				}
-				yv[f] = acc
-			}); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-		}(devs[d], lo, hi)
+			errs[d] = launch(d, d*n/nd, (d+1)*n/nd)
+		}(d)
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
-	return p.Out, nil
+	return nil
+}
+
+// ExecuteMultiGPU runs the COO Ttv kernel across several devices by
+// sharding fibers: each device runs the single-GPU launch on its fiber
+// range, and fiber outputs are disjoint, so no reduction is needed.
+func (p *TtvPlan) ExecuteMultiGPU(devs []*gpusim.Device, v tensor.Vector) (*tensor.COO, error) {
+	return planOut(p.Out, shardDevices(devs, p.NumFibers(), func(d, lo, hi int) error {
+		return p.k.ttvGPU(devs[d], lo, hi, v)
+	}))
 }
 
 // ExecuteMultiGPU runs the COO Mttkrp kernel across several devices by
-// sharding non-zeros. Each device accumulates into a private copy of Ã
-// (device-local memory in a real system), and the copies are reduced on
-// the host afterwards — the standard replicate-and-reduce scheme for
-// multi-GPU MTTKRP.
+// sharding non-zeros. Each device runs the single-GPU launch on its range
+// into a private copy of Ã (device-local memory in a real system), and
+// the copies are reduced on the host afterwards — the standard
+// replicate-and-reduce scheme for multi-GPU MTTKRP.
 func (p *MttkrpPlan) ExecuteMultiGPU(devs []*gpusim.Device, mats []*tensor.Matrix) (*tensor.Matrix, error) {
-	if len(devs) == 0 {
-		return nil, fmt.Errorf("core: ExecuteMultiGPU needs at least one device")
-	}
 	if err := p.checkMats(mats); err != nil {
 		return nil, err
 	}
-	m := p.X.NNZ()
-	r := p.R
-	nd := len(devs)
-	priv := make([]*tensor.Matrix, nd)
+	priv := make([]*tensor.Matrix, len(devs))
 	for d := range priv {
 		priv[d] = tensor.NewMatrix(p.Out.Rows, p.Out.Cols)
 	}
-	nInd := p.X.Inds[p.Mode]
-	xv := p.X.Vals
-	order := p.X.Order()
-	mode := p.Mode
-
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	wg.Add(nd)
-	for d := 0; d < nd; d++ {
-		lo := d * m / nd
-		hi := (d + 1) * m / nd
-		go func(dev *gpusim.Device, out []tensor.Value, lo, hi int) {
-			defer wg.Done()
-			n := hi - lo
-			if n == 0 {
-				return
-			}
-			ny := gpusim.DefaultBlockThreads / r
-			if ny < 1 {
-				ny = 1
-			}
-			block := gpusim.Dim2(r, ny)
-			grid := gpusim.Grid1DFor(n, ny)
-			if _, err := dev.TryLaunch(grid, block, func(ctx gpusim.Ctx) {
-				x := lo + ctx.BlockIdx.X*ctx.BlockDim.Y + ctx.ThreadIdx.Y
-				if x >= hi {
-					return
-				}
-				col := ctx.ThreadIdx.X
-				v := xv[x]
-				for mo := 0; mo < order; mo++ {
-					if mo == mode {
-						continue
-					}
-					v *= mats[mo].Data[int(p.X.Inds[mo][x])*r+col]
-				}
-				gpusim.AtomicAdd(&out[int(nInd[x])*r+col], v)
-			}); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-		}(devs[d], priv[d].Data, lo, hi)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	if err := shardDevices(devs, p.X.NNZ(), func(d, lo, hi int) error {
+		return p.k.launchGPU(devs[d], mats, priv[d].Data, lo, hi)
+	}); err != nil {
+		return nil, err
 	}
 
 	// Host-side reduction of the device-private outputs.

@@ -268,7 +268,7 @@ func TestStrategiesUnderThreadChurn(t *testing.T) {
 }
 
 // TestPrivatizedSteadyStateAllocations pins the workspace-pooling
-// contract: after warm-up, ExecuteOMPPrivatized takes all privatization
+// contract: after warm-up, a privatized ExecuteOMP takes all privatization
 // scratch from the pool (zero workspace misses) and its residual per-call
 // allocation — goroutine and closure bookkeeping — is orders of magnitude
 // below one private output copy.
@@ -282,9 +282,9 @@ func TestPrivatizedSteadyStateAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := parallel.Options{Schedule: parallel.Static, Threads: 4}
+	opt := parallel.Options{Schedule: parallel.Static, Threads: 4, Strategy: parallel.Privatized}
 	for i := 0; i < 3; i++ { // warm the pool
-		if _, err := p.ExecuteOMPPrivatized(mats, opt); err != nil {
+		if _, err := p.ExecuteOMP(mats, opt); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -292,7 +292,7 @@ func TestPrivatizedSteadyStateAllocations(t *testing.T) {
 
 	const runs = 50
 	allocs := testing.AllocsPerRun(runs, func() {
-		if _, err := p.ExecuteOMPPrivatized(mats, opt); err != nil {
+		if _, err := p.ExecuteOMP(mats, opt); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -308,7 +308,7 @@ func TestPrivatizedSteadyStateAllocations(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		if _, err := p.ExecuteOMPPrivatized(mats, opt); err != nil {
+		if _, err := p.ExecuteOMP(mats, opt); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -52,11 +52,12 @@ func PrepareTew(x, y *tensor.COO, op Op) (*TewPlan, error) {
 	}
 	// General case: sorted coordinate merge.
 	xs, ys := x, y
-	if !xs.IsSortedBy(naturalPerm(x.Order())) {
+	natural := tensor.OtherModes(x.Order(), -1)
+	if !xs.IsSortedBy(natural) {
 		xs = x.Clone()
 		xs.SortNatural()
 	}
-	if !ys.IsSortedBy(naturalPerm(y.Order())) {
+	if !ys.IsSortedBy(natural) {
 		ys = y.Clone()
 		ys.SortNatural()
 	}
@@ -136,14 +137,6 @@ func samePattern(x, y *tensor.COO) bool {
 	return true
 }
 
-func naturalPerm(order int) []int {
-	p := make([]int, order)
-	for i := range p {
-		p[i] = i
-	}
-	return p
-}
-
 // ExecuteSeq runs the value computation sequentially and returns the
 // (plan-owned) output tensor.
 func (p *TewPlan) ExecuteSeq() *tensor.COO {
@@ -162,24 +155,18 @@ func (p *TewPlan) ExecuteOMP(opt parallel.Options) *tensor.COO {
 // ExecuteGPU runs the COO-Tew-GPU kernel: a 1-D grid of 1-D thread blocks,
 // one thread per non-zero (§3.2.2).
 func (p *TewPlan) ExecuteGPU(dev *gpusim.Device) *tensor.COO {
-	m := p.Out.NNZ()
-	if m == 0 {
-		return p.Out
-	}
-	block := gpusim.Dim1(gpusim.DefaultBlockThreads)
-	grid := gpusim.Grid1DFor(m, block.X)
 	xv, yv, zv := p.X.Vals, p.Y.Vals, p.Out.Vals
 	op := p.Op
 	if p.SamePattern {
-		dev.Launch(grid, block, func(ctx gpusim.Ctx) {
-			i := ctx.GlobalX()
-			if i < m {
-				zv[i] = op.Apply(xv[i], yv[i])
-			}
-		})
+		tewGPU(dev, xv, yv, zv, op)
+		return p.Out
+	}
+	m := len(zv)
+	if m == 0 {
 		return p.Out
 	}
 	xi, yi := p.xi, p.yi
+	grid, block := perNNZLaunch(m)
 	dev.Launch(grid, block, func(ctx gpusim.Ctx) {
 		i := ctx.GlobalX()
 		if i >= m {
@@ -199,30 +186,11 @@ func (p *TewPlan) ExecuteGPU(dev *gpusim.Device) *tensor.COO {
 
 func (p *TewPlan) executeRange(lo, hi int) {
 	xv, yv, zv := p.X.Vals, p.Y.Vals, p.Out.Vals
-	op := p.Op
 	if p.SamePattern {
-		switch op {
-		case Add:
-			for i := lo; i < hi; i++ {
-				zv[i] = xv[i] + yv[i]
-			}
-		case Sub:
-			for i := lo; i < hi; i++ {
-				zv[i] = xv[i] - yv[i]
-			}
-		case Mul:
-			for i := lo; i < hi; i++ {
-				zv[i] = xv[i] * yv[i]
-			}
-		case Div:
-			for i := lo; i < hi; i++ {
-				zv[i] = xv[i] / yv[i]
-			}
-		default:
-			panic(fmt.Sprintf("core: unknown op %v", op))
-		}
+		tewValues(xv, yv, zv, p.Op, lo, hi)
 		return
 	}
+	op := p.Op
 	for i := lo; i < hi; i++ {
 		var a, b tensor.Value
 		if s := p.xi[i]; s >= 0 {
@@ -233,6 +201,54 @@ func (p *TewPlan) executeRange(lo, hi int) {
 		}
 		zv[i] = op.Apply(a, b)
 	}
+}
+
+// tewValues is the same-pattern Tew value computation over non-zeros
+// [lo, hi), z = x op y: the one loop behind the COO and HiCOO plans,
+// whose kernels differ only in preprocessing (§3.4.1).
+func tewValues(xv, yv, zv []tensor.Value, op Op, lo, hi int) {
+	switch op {
+	case Add:
+		for i := lo; i < hi; i++ {
+			zv[i] = xv[i] + yv[i]
+		}
+	case Sub:
+		for i := lo; i < hi; i++ {
+			zv[i] = xv[i] - yv[i]
+		}
+	case Mul:
+		for i := lo; i < hi; i++ {
+			zv[i] = xv[i] * yv[i]
+		}
+	case Div:
+		for i := lo; i < hi; i++ {
+			zv[i] = xv[i] / yv[i]
+		}
+	default:
+		panic(fmt.Sprintf("core: unknown op %v", op))
+	}
+}
+
+// tewGPU is the same-pattern Tew GPU kernel, shared by both formats: one
+// thread per non-zero.
+func tewGPU(dev *gpusim.Device, xv, yv, zv []tensor.Value, op Op) {
+	m := len(zv)
+	if m == 0 {
+		return
+	}
+	grid, block := perNNZLaunch(m)
+	dev.Launch(grid, block, func(ctx gpusim.Ctx) {
+		if i := ctx.GlobalX(); i < m {
+			zv[i] = op.Apply(xv[i], yv[i])
+		}
+	})
+}
+
+// perNNZLaunch is the launch geometry of the element-wise GPU kernels
+// (Tew, Ts): a 1-D grid of 256-thread blocks, one thread per non-zero.
+func perNNZLaunch(m int) (grid, block gpusim.Dim3) {
+	block = gpusim.Dim1(gpusim.DefaultBlockThreads)
+	return gpusim.Grid1DFor(m, block.X), block
 }
 
 // FlopCount returns the floating-point work of one execution (Table 1:

@@ -30,7 +30,14 @@ func PrepareTewHiCOO(x, y *hicoo.HiCOO, op Op) (*TewHiCOOPlan, error) {
 	if err := sameHiCOOStructure(x, y); err != nil {
 		return nil, err
 	}
-	out := &hicoo.HiCOO{
+	return &TewHiCOOPlan{X: x, Y: y, Op: op, Out: samePatternHiCOO(x)}, nil
+}
+
+// samePatternHiCOO preallocates an output with x's non-zero pattern: the
+// block structure aliases x's (read-only to the kernels) around a fresh
+// value array — all the HiCOO-specific preprocessing Tew and Ts need.
+func samePatternHiCOO(x *hicoo.HiCOO) *hicoo.HiCOO {
+	return &hicoo.HiCOO{
 		Dims:      append([]tensor.Index(nil), x.Dims...),
 		BlockBits: x.BlockBits,
 		BPtr:      x.BPtr,
@@ -38,7 +45,6 @@ func PrepareTewHiCOO(x, y *hicoo.HiCOO, op Op) (*TewHiCOOPlan, error) {
 		EInds:     x.EInds,
 		Vals:      make([]tensor.Value, x.NNZ()),
 	}
-	return &TewHiCOOPlan{X: x, Y: y, Op: op, Out: out}, nil
 }
 
 // sameHiCOOStructure checks full structural equality of block and element
@@ -89,47 +95,12 @@ func (p *TewHiCOOPlan) ExecuteOMP(opt parallel.Options) *hicoo.HiCOO {
 // ExecuteGPU runs HiCOO-Tew-GPU, which the paper notes shares its
 // execution code with the COO version: one thread per non-zero.
 func (p *TewHiCOOPlan) ExecuteGPU(dev *gpusim.Device) *hicoo.HiCOO {
-	m := p.X.NNZ()
-	if m == 0 {
-		return p.Out
-	}
-	block := gpusim.Dim1(gpusim.DefaultBlockThreads)
-	grid := gpusim.Grid1DFor(m, block.X)
-	xv, yv, zv := p.X.Vals, p.Y.Vals, p.Out.Vals
-	op := p.Op
-	dev.Launch(grid, block, func(ctx gpusim.Ctx) {
-		if i := ctx.GlobalX(); i < m {
-			zv[i] = op.Apply(xv[i], yv[i])
-		}
-	})
+	tewGPU(dev, p.X.Vals, p.Y.Vals, p.Out.Vals, p.Op)
 	return p.Out
 }
 
 // FlopCount returns the floating-point work of one execution (M flops).
 func (p *TewHiCOOPlan) FlopCount() int64 { return int64(p.X.NNZ()) }
-
-func tewValues(xv, yv, zv []tensor.Value, op Op, lo, hi int) {
-	switch op {
-	case Add:
-		for i := lo; i < hi; i++ {
-			zv[i] = xv[i] + yv[i]
-		}
-	case Sub:
-		for i := lo; i < hi; i++ {
-			zv[i] = xv[i] - yv[i]
-		}
-	case Mul:
-		for i := lo; i < hi; i++ {
-			zv[i] = xv[i] * yv[i]
-		}
-	case Div:
-		for i := lo; i < hi; i++ {
-			zv[i] = xv[i] / yv[i]
-		}
-	default:
-		panic(fmt.Sprintf("core: unknown op %v", op))
-	}
-}
 
 // TsHiCOOPlan is the HiCOO tensor-scalar kernel; like Tew, its value
 // computation matches the COO version with HiCOO output preprocessing.
@@ -147,79 +118,31 @@ type TsHiCOOPlan struct {
 // PrepareTsHiCOO normalizes the operation (Sub→Add, Div→Mul) and
 // preallocates the output.
 func PrepareTsHiCOO(x *hicoo.HiCOO, s tensor.Value, op Op) (*TsHiCOOPlan, error) {
-	switch op {
-	case Add, Mul:
-	case Sub:
-		op, s = Add, -s
-	case Div:
-		if s == 0 {
-			return nil, fmt.Errorf("core: tensor-scalar division by zero")
-		}
-		op, s = Mul, 1/s
-	default:
-		return nil, fmt.Errorf("core: unknown op %v", op)
+	s, op, err := normalizeTs(s, op)
+	if err != nil {
+		return nil, err
 	}
-	out := &hicoo.HiCOO{
-		Dims:      append([]tensor.Index(nil), x.Dims...),
-		BlockBits: x.BlockBits,
-		BPtr:      x.BPtr,
-		BInds:     x.BInds,
-		EInds:     x.EInds,
-		Vals:      make([]tensor.Value, x.NNZ()),
-	}
-	return &TsHiCOOPlan{X: x, S: s, Op: op, Out: out}, nil
+	return &TsHiCOOPlan{X: x, S: s, Op: op, Out: samePatternHiCOO(x)}, nil
 }
 
 // ExecuteSeq runs the value computation sequentially.
 func (p *TsHiCOOPlan) ExecuteSeq() *hicoo.HiCOO {
-	p.executeRange(0, p.X.NNZ())
+	tsValues(p.X.Vals, p.Out.Vals, p.S, p.Op, 0, p.X.NNZ())
 	return p.Out
 }
 
 // ExecuteOMP runs the value computation with the OpenMP-style runtime.
 func (p *TsHiCOOPlan) ExecuteOMP(opt parallel.Options) *hicoo.HiCOO {
 	parallel.For(p.X.NNZ(), opt, func(lo, hi, _ int) {
-		p.executeRange(lo, hi)
+		tsValues(p.X.Vals, p.Out.Vals, p.S, p.Op, lo, hi)
 	})
 	return p.Out
 }
 
 // ExecuteGPU runs HiCOO-Ts-GPU: one thread per non-zero.
 func (p *TsHiCOOPlan) ExecuteGPU(dev *gpusim.Device) *hicoo.HiCOO {
-	m := p.X.NNZ()
-	if m == 0 {
-		return p.Out
-	}
-	block := gpusim.Dim1(gpusim.DefaultBlockThreads)
-	grid := gpusim.Grid1DFor(m, block.X)
-	xv, zv, s := p.X.Vals, p.Out.Vals, p.S
-	if p.Op == Add {
-		dev.Launch(grid, block, func(ctx gpusim.Ctx) {
-			if i := ctx.GlobalX(); i < m {
-				zv[i] = xv[i] + s
-			}
-		})
-	} else {
-		dev.Launch(grid, block, func(ctx gpusim.Ctx) {
-			if i := ctx.GlobalX(); i < m {
-				zv[i] = xv[i] * s
-			}
-		})
-	}
+	tsGPU(dev, p.X.Vals, p.Out.Vals, p.S, p.Op)
 	return p.Out
-}
-
-func (p *TsHiCOOPlan) executeRange(lo, hi int) {
-	xv, zv, s := p.X.Vals, p.Out.Vals, p.S
-	if p.Op == Add {
-		for i := lo; i < hi; i++ {
-			zv[i] = xv[i] + s
-		}
-		return
-	}
-	for i := lo; i < hi; i++ {
-		zv[i] = xv[i] * s
-	}
 }
 
 // FlopCount returns the floating-point work of one execution (M flops).

@@ -28,17 +28,9 @@ type TsPlan struct {
 // Div are normalized to Add/Mul with a transformed scalar, mirroring the
 // paper's "Tsa and Tsm are sufficient to support them all".
 func PrepareTs(x *tensor.COO, s tensor.Value, op Op) (*TsPlan, error) {
-	switch op {
-	case Add, Mul:
-	case Sub:
-		op, s = Add, -s
-	case Div:
-		if s == 0 {
-			return nil, fmt.Errorf("core: tensor-scalar division by zero")
-		}
-		op, s = Mul, 1/s
-	default:
-		return nil, fmt.Errorf("core: unknown op %v", op)
+	s, op, err := normalizeTs(s, op)
+	if err != nil {
+		return nil, err
 	}
 	return &TsPlan{
 		X:  x,
@@ -52,16 +44,33 @@ func PrepareTs(x *tensor.COO, s tensor.Value, op Op) (*TsPlan, error) {
 	}, nil
 }
 
+// normalizeTs reduces the four scalar operations to Tsa/Tsm: Sub becomes
+// Add of the negated scalar, Div becomes Mul by the reciprocal.
+func normalizeTs(s tensor.Value, op Op) (tensor.Value, Op, error) {
+	switch op {
+	case Add, Mul:
+		return s, op, nil
+	case Sub:
+		return -s, Add, nil
+	case Div:
+		if s == 0 {
+			return 0, op, fmt.Errorf("core: tensor-scalar division by zero")
+		}
+		return 1 / s, Mul, nil
+	}
+	return 0, op, fmt.Errorf("core: unknown op %v", op)
+}
+
 // ExecuteSeq runs the value computation sequentially.
 func (p *TsPlan) ExecuteSeq() *tensor.COO {
-	p.executeRange(0, p.X.NNZ())
+	tsValues(p.X.Vals, p.Out.Vals, p.S, p.Op, 0, p.X.NNZ())
 	return p.Out
 }
 
 // ExecuteOMP runs the value computation with the OpenMP-style runtime.
 func (p *TsPlan) ExecuteOMP(opt parallel.Options) *tensor.COO {
 	parallel.For(p.X.NNZ(), opt, func(lo, hi, _ int) {
-		p.executeRange(lo, hi)
+		tsValues(p.X.Vals, p.Out.Vals, p.S, p.Op, lo, hi)
 	})
 	return p.Out
 }
@@ -69,32 +78,15 @@ func (p *TsPlan) ExecuteOMP(opt parallel.Options) *tensor.COO {
 // ExecuteGPU runs the COO-Ts-GPU kernel: one thread per non-zero in a 1-D
 // grid of 256-thread blocks (§3.2.2).
 func (p *TsPlan) ExecuteGPU(dev *gpusim.Device) *tensor.COO {
-	m := p.X.NNZ()
-	if m == 0 {
-		return p.Out
-	}
-	block := gpusim.Dim1(gpusim.DefaultBlockThreads)
-	grid := gpusim.Grid1DFor(m, block.X)
-	xv, zv, s := p.X.Vals, p.Out.Vals, p.S
-	if p.Op == Add {
-		dev.Launch(grid, block, func(ctx gpusim.Ctx) {
-			if i := ctx.GlobalX(); i < m {
-				zv[i] = xv[i] + s
-			}
-		})
-	} else {
-		dev.Launch(grid, block, func(ctx gpusim.Ctx) {
-			if i := ctx.GlobalX(); i < m {
-				zv[i] = xv[i] * s
-			}
-		})
-	}
+	tsGPU(dev, p.X.Vals, p.Out.Vals, p.S, p.Op)
 	return p.Out
 }
 
-func (p *TsPlan) executeRange(lo, hi int) {
-	xv, zv, s := p.X.Vals, p.Out.Vals, p.S
-	if p.Op == Add {
+// tsValues is the Ts value computation over non-zeros [lo, hi), z = x op s
+// with op already normalized to Add or Mul: the one loop behind the COO
+// and HiCOO plans.
+func tsValues(xv, zv []tensor.Value, s tensor.Value, op Op, lo, hi int) {
+	if op == Add {
 		for i := lo; i < hi; i++ {
 			zv[i] = xv[i] + s
 		}
@@ -103,6 +95,28 @@ func (p *TsPlan) executeRange(lo, hi int) {
 	for i := lo; i < hi; i++ {
 		zv[i] = xv[i] * s
 	}
+}
+
+// tsGPU is the Ts GPU kernel, shared by both formats.
+func tsGPU(dev *gpusim.Device, xv, zv []tensor.Value, s tensor.Value, op Op) {
+	m := len(zv)
+	if m == 0 {
+		return
+	}
+	grid, block := perNNZLaunch(m)
+	if op == Add {
+		dev.Launch(grid, block, func(ctx gpusim.Ctx) {
+			if i := ctx.GlobalX(); i < m {
+				zv[i] = xv[i] + s
+			}
+		})
+		return
+	}
+	dev.Launch(grid, block, func(ctx gpusim.Ctx) {
+		if i := ctx.GlobalX(); i < m {
+			zv[i] = xv[i] * s
+		}
+	})
 }
 
 // FlopCount returns the floating-point work of one execution (Table 1:

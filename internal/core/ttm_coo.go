@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/gpusim"
 	"repro/internal/parallel"
@@ -28,6 +27,8 @@ type TtmPlan struct {
 	// LastStrategy records the reduction strategy the most recent
 	// ExecuteOMP call resolved to (for harness reporting).
 	LastStrategy parallel.Strategy
+
+	k fiberKernel // the value computation over (Fptr, X.Inds[Mode], X.Vals)
 }
 
 // PrepareTtm performs the preprocessing stage of Ttm in mode n with R
@@ -50,19 +51,18 @@ func PrepareTtm(x *tensor.COO, mode, r int) (*TtmPlan, error) {
 	outDims := append([]tensor.Index(nil), x.Dims...)
 	outDims[mode] = tensor.Index(r)
 	out := tensor.NewSemiCOO(outDims, []int{mode}, mf)
-	sparseIdx := make([]tensor.Index, x.Order()-1)
+	sparseModes := tensor.OtherModes(x.Order(), mode)
+	sparseIdx := make([]tensor.Index, len(sparseModes))
 	for f := 0; f < mf; f++ {
-		si := 0
-		for n := 0; n < x.Order(); n++ {
-			if n == mode {
-				continue
-			}
+		for si, n := range sparseModes {
 			sparseIdx[si] = xs.Inds[n][fptr[f]]
-			si++
 		}
 		out.AppendFiber(sparseIdx)
 	}
-	return &TtmPlan{X: xs, Mode: mode, R: r, Fptr: fptr, Out: out}, nil
+	return &TtmPlan{X: xs, Mode: mode, R: r, Fptr: fptr, Out: out, k: fiberKernel{
+		fptr: fptr, kInd: xs.Inds[mode], vals: xs.Vals, out: out.Vals,
+		mode: mode, kDim: int(x.Dims[mode]), r: r,
+	}}, nil
 }
 
 // NumFibers returns MF.
@@ -71,186 +71,21 @@ func (p *TtmPlan) NumFibers() int { return len(p.Fptr) - 1 }
 // ExecuteSeq runs the value computation sequentially:
 // Y(f, r) = Σ_m x_m · U(k_m, r) per fiber f.
 func (p *TtmPlan) ExecuteSeq(u *tensor.Matrix) (*tensor.SemiCOO, error) {
-	if err := p.checkMat(u); err != nil {
-		return nil, err
-	}
-	p.executeFibers(0, p.NumFibers(), u)
-	return p.Out, nil
+	return planOut(p.Out, p.k.ttmSeq(u))
 }
 
 // ExecuteOMP runs the value computation with the strategy-selected
-// decomposition: owner-computes over independent fibers (with the
-// innermost column loop playing the role of the paper's "omp simd"
-// vectorization), or balanced over non-zeros with the per-fiber R-row
-// reduction protected by atomics or pooled per-worker private outputs.
+// decomposition (fiberKernel.ttmOMP): owner-computes over independent
+// fibers, or balanced over non-zeros with the per-fiber R-row reduction
+// protected by atomics or pooled per-worker private outputs.
 func (p *TtmPlan) ExecuteOMP(u *tensor.Matrix, opt parallel.Options) (*tensor.SemiCOO, error) {
-	if err := p.checkMat(u); err != nil {
-		return nil, err
-	}
-	m := p.X.NNZ()
-	mf := p.NumFibers()
-	st, threads := planReduction(opt, m, mf*p.R, m*p.R, mf)
-	p.LastStrategy = st
-	switch st {
-	case parallel.Owner:
-		if err := parallel.For(mf, opt, func(lo, hi, _ int) {
-			p.executeFibers(lo, hi, u)
-		}); err != nil {
-			return nil, err
-		}
-	case parallel.Privatized:
-		if err := privatizedReduce(m, threads, opt, p.Out.Vals, func(lo, hi int, priv []tensor.Value) {
-			p.executeNNZ(lo, hi, u, priv, nil)
-		}); err != nil {
-			return nil, err
-		}
-	default: // Atomic
-		if err := zeroValues(p.Out.Vals, threads, opt.Ctx); err != nil {
-			return nil, err
-		}
-		opt.Threads = threads
-		if threads > 1 {
-			// Per-worker R-wide segment accumulators from the pool: each
-			// contiguous fiber segment flushes its row once, atomically.
-			ws := parallel.SharedWorkspace()
-			acc := ws.Set(threads, p.R)
-			err := parallel.For(m, opt, func(lo, hi, w int) {
-				p.executeNNZ(lo, hi, u, p.Out.Vals, acc.Bufs[w])
-			})
-			ws.PutSet(acc)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			if err := parallel.For(m, opt, func(lo, hi, _ int) {
-				p.executeNNZ(lo, hi, u, p.Out.Vals, nil)
-			}); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return p.Out, nil
+	return planOut(p.Out, p.k.ttmOMP(u, opt, &p.LastStrategy))
 }
 
-// executeNNZ processes non-zeros [lo, hi) of the fiber-sorted tensor as
-// a segmented reduction over the output's R-length fiber rows. With acc
-// nil the contribution adds directly into out (single writer or private
-// copy); otherwise each contiguous fiber segment accumulates into acc
-// and flushes once with atomic adds.
-func (p *TtmPlan) executeNNZ(lo, hi int, u *tensor.Matrix, out []tensor.Value, acc []tensor.Value) {
-	fptr := p.Fptr
-	kInd := p.X.Inds[p.Mode]
-	xv := p.X.Vals
-	r := p.R
-	ud := u.Data
-	f := sort.Search(len(fptr)-1, func(i int) bool { return fptr[i+1] > int64(lo) })
-	for m := lo; m < hi; {
-		for fptr[f+1] <= int64(m) {
-			f++
-		}
-		end := hi
-		if fptr[f+1] < int64(end) {
-			end = int(fptr[f+1])
-		}
-		if acc != nil {
-			for c := range acc {
-				acc[c] = 0
-			}
-			for ; m < end; m++ {
-				v := xv[m]
-				urow := ud[int(kInd[m])*r : int(kInd[m])*r+r]
-				for c, uv := range urow {
-					acc[c] += v * uv
-				}
-			}
-			row := out[f*r : f*r+r]
-			for c, a := range acc {
-				if a != 0 {
-					parallel.AtomicAddFloat32(&row[c], a)
-				}
-			}
-		} else {
-			row := out[f*r : f*r+r]
-			for ; m < end; m++ {
-				v := xv[m]
-				urow := ud[int(kInd[m])*r : int(kInd[m])*r+r]
-				for c, uv := range urow {
-					row[c] += v * uv
-				}
-			}
-		}
-	}
-}
-
-// ExecuteGPU runs the COO-Ttm-GPU kernel following ParTI: a 1-D grid of
-// 2-D thread blocks where the x-dimension covers the R matrix columns
-// (memory coalescing) and the y-dimension covers a fiber's non-zeros; the
-// per-column partial products are accumulated with atomicAdd (§3.2.2).
+// ExecuteGPU runs the COO-Ttm-GPU kernel following ParTI: one 2-D thread
+// block per fiber with atomicAdd accumulation (§3.2.2).
 func (p *TtmPlan) ExecuteGPU(dev *gpusim.Device, u *tensor.Matrix) (*tensor.SemiCOO, error) {
-	if err := p.checkMat(u); err != nil {
-		return nil, err
-	}
-	mf := p.NumFibers()
-	if mf == 0 {
-		return p.Out, nil
-	}
-	r := p.R
-	ny := gpusim.DefaultBlockThreads / r
-	if ny < 1 {
-		ny = 1
-	}
-	block := gpusim.Dim2(r, ny)
-	grid := gpusim.Dim1(mf) // one block per fiber
-	fptr := p.Fptr
-	kInd := p.X.Inds[p.Mode]
-	xv := p.X.Vals
-	out := p.Out.Vals
-	ud := u.Data
-	for i := range out {
-		out[i] = 0
-	}
-	if _, err := dev.TryLaunch(grid, block, func(ctx gpusim.Ctx) {
-		f := ctx.BlockIdx.X
-		col := ctx.ThreadIdx.X
-		var acc tensor.Value
-		for m := fptr[f] + int64(ctx.ThreadIdx.Y); m < fptr[f+1]; m += int64(ctx.BlockDim.Y) {
-			acc += xv[m] * ud[int(kInd[m])*r+col]
-		}
-		if acc != 0 {
-			gpusim.AtomicAdd(&out[f*r+col], acc)
-		}
-	}); err != nil {
-		return nil, err
-	}
-	return p.Out, nil
-}
-
-func (p *TtmPlan) executeFibers(lo, hi int, u *tensor.Matrix) {
-	fptr := p.Fptr
-	kInd := p.X.Inds[p.Mode]
-	xv := p.X.Vals
-	r := p.R
-	ud := u.Data
-	for f := lo; f < hi; f++ {
-		row := p.Out.Vals[f*r : (f+1)*r]
-		for c := range row {
-			row[c] = 0
-		}
-		for m := fptr[f]; m < fptr[f+1]; m++ {
-			v := xv[m]
-			urow := ud[int(kInd[m])*r : int(kInd[m])*r+r]
-			for c, uv := range urow {
-				row[c] += v * uv
-			}
-		}
-	}
-}
-
-func (p *TtmPlan) checkMat(u *tensor.Matrix) error {
-	if u.Rows != int(p.X.Dims[p.Mode]) || u.Cols != p.R {
-		return fmt.Errorf("core: Ttm matrix is %dx%d, want %dx%d", u.Rows, u.Cols, p.X.Dims[p.Mode], p.R)
-	}
-	return nil
+	return planOut(p.Out, p.k.ttmGPU(dev, u))
 }
 
 // FlopCount returns the floating-point work of one execution (Table 1:

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/gpusim"
 	"repro/internal/hicoo"
@@ -27,6 +26,8 @@ type TtmHiCOOPlan struct {
 	// LastStrategy records the reduction strategy the most recent
 	// ExecuteOMP call resolved to (for harness reporting).
 	LastStrategy parallel.Strategy
+
+	k fiberKernel // the COO value computation over (Fptr, X.UInds[0], X.Vals)
 }
 
 // PrepareTtmHiCOO converts the tensor to gHiCOO (compressing every mode
@@ -38,39 +39,20 @@ func PrepareTtmHiCOO(x *tensor.COO, mode, r int, blockBits uint8) (*TtmHiCOOPlan
 	if r <= 0 {
 		return nil, fmt.Errorf("core: Ttm needs R >= 1, got %d", r)
 	}
-	g := hicoo.FromCOOExceptMode(x, mode, blockBits)
-	fptr, fiberBlock := g.FiberPointers()
-	mf := len(fptr) - 1
+	g, k, sk := prepareFiberHiCOO(x, mode, r, blockBits)
 
 	outDims := append([]tensor.Index(nil), x.Dims...)
 	outDims[mode] = tensor.Index(r)
-	nc := len(g.CompModes)
 	out := &hicoo.SemiHiCOO{
 		Dims:       outDims,
 		DenseModes: []int{mode},
 		BlockBits:  g.BlockBits,
-		BInds:      make([][]tensor.Index, nc),
-		EInds:      make([][]uint8, nc),
-		Vals:       make([]tensor.Value, mf*r),
+		BPtr:       sk.bptr,
+		BInds:      sk.binds,
+		EInds:      sk.einds,
+		Vals:       k.out,
 	}
-	for ci := 0; ci < nc; ci++ {
-		out.EInds[ci] = make([]uint8, mf)
-	}
-	for f := 0; f < mf; f++ {
-		if f == 0 || fiberBlock[f] != fiberBlock[f-1] {
-			out.BPtr = append(out.BPtr, int64(f))
-			b := int(fiberBlock[f])
-			for ci := 0; ci < nc; ci++ {
-				out.BInds[ci] = append(out.BInds[ci], g.BInds[ci][b])
-			}
-		}
-		head := fptr[f]
-		for ci := 0; ci < nc; ci++ {
-			out.EInds[ci][f] = g.EInds[ci][head]
-		}
-	}
-	out.BPtr = append(out.BPtr, int64(mf))
-	return &TtmHiCOOPlan{X: g, Mode: mode, R: r, Fptr: fptr, Out: out}, nil
+	return &TtmHiCOOPlan{X: g, Mode: mode, R: r, Fptr: k.fptr, Out: out, k: k}, nil
 }
 
 // NumFibers returns MF.
@@ -78,180 +60,20 @@ func (p *TtmHiCOOPlan) NumFibers() int { return len(p.Fptr) - 1 }
 
 // ExecuteSeq runs the value computation sequentially.
 func (p *TtmHiCOOPlan) ExecuteSeq(u *tensor.Matrix) (*hicoo.SemiHiCOO, error) {
-	if err := p.checkMat(u); err != nil {
-		return nil, err
-	}
-	p.executeFibers(0, p.NumFibers(), u)
-	return p.Out, nil
+	return planOut(p.Out, p.k.ttmSeq(u))
 }
 
-// ExecuteOMP runs the value computation with the strategy-selected
-// decomposition, exactly as the COO Ttm kernel: owner-computes over
-// fibers, or balanced over non-zeros with atomic or pooled-privatized
-// per-fiber reduction.
+// ExecuteOMP runs the value computation exactly as the COO Ttm kernel
+// does (fiberKernel.ttmOMP).
 func (p *TtmHiCOOPlan) ExecuteOMP(u *tensor.Matrix, opt parallel.Options) (*hicoo.SemiHiCOO, error) {
-	if err := p.checkMat(u); err != nil {
-		return nil, err
-	}
-	m := p.X.NNZ()
-	mf := p.NumFibers()
-	st, threads := planReduction(opt, m, mf*p.R, m*p.R, mf)
-	p.LastStrategy = st
-	switch st {
-	case parallel.Owner:
-		if err := parallel.For(mf, opt, func(lo, hi, _ int) {
-			p.executeFibers(lo, hi, u)
-		}); err != nil {
-			return nil, err
-		}
-	case parallel.Privatized:
-		if err := privatizedReduce(m, threads, opt, p.Out.Vals, func(lo, hi int, priv []tensor.Value) {
-			p.executeNNZ(lo, hi, u, priv, nil)
-		}); err != nil {
-			return nil, err
-		}
-	default: // Atomic
-		if err := zeroValues(p.Out.Vals, threads, opt.Ctx); err != nil {
-			return nil, err
-		}
-		opt.Threads = threads
-		if threads > 1 {
-			ws := parallel.SharedWorkspace()
-			acc := ws.Set(threads, p.R)
-			err := parallel.For(m, opt, func(lo, hi, w int) {
-				p.executeNNZ(lo, hi, u, p.Out.Vals, acc.Bufs[w])
-			})
-			ws.PutSet(acc)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			if err := parallel.For(m, opt, func(lo, hi, _ int) {
-				p.executeNNZ(lo, hi, u, p.Out.Vals, nil)
-			}); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return p.Out, nil
-}
-
-// executeNNZ is the segmented reduction over non-zeros [lo, hi) (see
-// TtmPlan.executeNNZ): direct adds when acc is nil, per-segment local
-// accumulation with one atomic flush otherwise.
-func (p *TtmHiCOOPlan) executeNNZ(lo, hi int, u *tensor.Matrix, out []tensor.Value, acc []tensor.Value) {
-	fptr := p.Fptr
-	kInd := p.X.UInds[0]
-	xv := p.X.Vals
-	r := p.R
-	ud := u.Data
-	f := sort.Search(len(fptr)-1, func(i int) bool { return fptr[i+1] > int64(lo) })
-	for m := lo; m < hi; {
-		for fptr[f+1] <= int64(m) {
-			f++
-		}
-		end := hi
-		if fptr[f+1] < int64(end) {
-			end = int(fptr[f+1])
-		}
-		if acc != nil {
-			for c := range acc {
-				acc[c] = 0
-			}
-			for ; m < end; m++ {
-				v := xv[m]
-				urow := ud[int(kInd[m])*r : int(kInd[m])*r+r]
-				for c, uv := range urow {
-					acc[c] += v * uv
-				}
-			}
-			row := out[f*r : f*r+r]
-			for c, a := range acc {
-				if a != 0 {
-					parallel.AtomicAddFloat32(&row[c], a)
-				}
-			}
-		} else {
-			row := out[f*r : f*r+r]
-			for ; m < end; m++ {
-				v := xv[m]
-				urow := ud[int(kInd[m])*r : int(kInd[m])*r+r]
-				for c, uv := range urow {
-					row[c] += v * uv
-				}
-			}
-		}
-	}
+	return planOut(p.Out, p.k.ttmOMP(u, opt, &p.LastStrategy))
 }
 
 // ExecuteGPU runs HiCOO-Ttm-GPU with the same geometry as the COO kernel:
 // one block per fiber, x-threads over columns, y-threads over the fiber's
 // non-zeros with atomic accumulation.
 func (p *TtmHiCOOPlan) ExecuteGPU(dev *gpusim.Device, u *tensor.Matrix) (*hicoo.SemiHiCOO, error) {
-	if err := p.checkMat(u); err != nil {
-		return nil, err
-	}
-	mf := p.NumFibers()
-	if mf == 0 {
-		return p.Out, nil
-	}
-	r := p.R
-	ny := gpusim.DefaultBlockThreads / r
-	if ny < 1 {
-		ny = 1
-	}
-	block := gpusim.Dim2(r, ny)
-	grid := gpusim.Dim1(mf)
-	fptr := p.Fptr
-	kInd := p.X.UInds[0]
-	xv := p.X.Vals
-	out := p.Out.Vals
-	ud := u.Data
-	for i := range out {
-		out[i] = 0
-	}
-	if _, err := dev.TryLaunch(grid, block, func(ctx gpusim.Ctx) {
-		f := ctx.BlockIdx.X
-		col := ctx.ThreadIdx.X
-		var acc tensor.Value
-		for m := fptr[f] + int64(ctx.ThreadIdx.Y); m < fptr[f+1]; m += int64(ctx.BlockDim.Y) {
-			acc += xv[m] * ud[int(kInd[m])*r+col]
-		}
-		if acc != 0 {
-			gpusim.AtomicAdd(&out[f*r+col], acc)
-		}
-	}); err != nil {
-		return nil, err
-	}
-	return p.Out, nil
-}
-
-func (p *TtmHiCOOPlan) executeFibers(lo, hi int, u *tensor.Matrix) {
-	fptr := p.Fptr
-	kInd := p.X.UInds[0]
-	xv := p.X.Vals
-	r := p.R
-	ud := u.Data
-	for f := lo; f < hi; f++ {
-		row := p.Out.Vals[f*r : (f+1)*r]
-		for c := range row {
-			row[c] = 0
-		}
-		for m := fptr[f]; m < fptr[f+1]; m++ {
-			v := xv[m]
-			urow := ud[int(kInd[m])*r : int(kInd[m])*r+r]
-			for c, uv := range urow {
-				row[c] += v * uv
-			}
-		}
-	}
-}
-
-func (p *TtmHiCOOPlan) checkMat(u *tensor.Matrix) error {
-	if u.Rows != int(p.X.Dims[p.Mode]) || u.Cols != p.R {
-		return fmt.Errorf("core: Ttm matrix is %dx%d, want %dx%d", u.Rows, u.Cols, p.X.Dims[p.Mode], p.R)
-	}
-	return nil
+	return planOut(p.Out, p.k.ttmGPU(dev, u))
 }
 
 // FlopCount returns the floating-point work of one execution (2MR flops).

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/gpusim"
 	"repro/internal/parallel"
@@ -29,6 +28,8 @@ type TtvPlan struct {
 	// LastStrategy records the reduction strategy the most recent
 	// ExecuteOMP call resolved to (for harness reporting).
 	LastStrategy parallel.Strategy
+
+	k fiberKernel // the value computation over (Fptr, X.Inds[Mode], X.Vals)
 }
 
 // PrepareTtv performs the preprocessing stage of Ttv in mode n.
@@ -47,20 +48,14 @@ func PrepareTtv(x *tensor.COO, mode int) (*TtvPlan, error) {
 	fptr := xs.FiberPointers(mode)
 	mf := len(fptr) - 1
 
-	outDims := make([]tensor.Index, 0, x.Order()-1)
-	otherModes := make([]int, 0, x.Order()-1)
-	for n := 0; n < x.Order(); n++ {
-		if n != mode {
-			outDims = append(outDims, x.Dims[n])
-			otherModes = append(otherModes, n)
-		}
-	}
+	otherModes := tensor.OtherModes(x.Order(), mode)
 	out := &tensor.COO{
-		Dims: outDims,
-		Inds: make([][]tensor.Index, len(outDims)),
+		Dims: make([]tensor.Index, len(otherModes)),
+		Inds: make([][]tensor.Index, len(otherModes)),
 		Vals: make([]tensor.Value, mf),
 	}
 	for on, n := range otherModes {
+		out.Dims[on] = x.Dims[n]
 		ind := make([]tensor.Index, mf)
 		src := xs.Inds[n]
 		for f := 0; f < mf; f++ {
@@ -68,7 +63,10 @@ func PrepareTtv(x *tensor.COO, mode int) (*TtvPlan, error) {
 		}
 		out.Inds[on] = ind
 	}
-	return &TtvPlan{X: xs, Mode: mode, Fptr: fptr, Out: out}, nil
+	return &TtvPlan{X: xs, Mode: mode, Fptr: fptr, Out: out, k: fiberKernel{
+		fptr: fptr, kInd: xs.Inds[mode], vals: xs.Vals, out: out.Vals,
+		mode: mode, kDim: int(x.Dims[mode]), r: 1,
+	}}, nil
 }
 
 // NumFibers returns MF, the number of mode-n fibers.
@@ -77,135 +75,34 @@ func (p *TtvPlan) NumFibers() int { return len(p.Fptr) - 1 }
 // ExecuteSeq runs the value computation sequentially: one reduction per
 // fiber, y_f = Σ_m x_m · v[k_m].
 func (p *TtvPlan) ExecuteSeq(v tensor.Vector) (*tensor.COO, error) {
-	if err := p.checkVec(v); err != nil {
-		return nil, err
-	}
-	p.executeFibers(0, p.NumFibers(), v)
-	return p.Out, nil
+	return planOut(p.Out, p.k.ttvSeq(v))
 }
 
 // ExecuteOMP runs the value computation with the strategy-selected
-// decomposition: owner-computes over independent fibers ("parfor
-// f = 1..MF", race-free but exposed to the fiber-length imbalance the
-// paper highlights), or balanced over non-zeros with the per-fiber
-// reduction protected by atomics or pooled per-worker private outputs.
+// decomposition (fiberKernel.ttvOMP): owner-computes over independent
+// fibers, or balanced over non-zeros with atomic or privatized updates.
 func (p *TtvPlan) ExecuteOMP(v tensor.Vector, opt parallel.Options) (*tensor.COO, error) {
-	if err := p.checkVec(v); err != nil {
-		return nil, err
-	}
-	m := p.X.NNZ()
-	mf := p.NumFibers()
-	st, threads := planReduction(opt, m, mf, m, mf)
-	p.LastStrategy = st
-	switch st {
-	case parallel.Owner:
-		if err := parallel.For(mf, opt, func(lo, hi, _ int) {
-			p.executeFibers(lo, hi, v)
-		}); err != nil {
-			return nil, err
-		}
-	case parallel.Privatized:
-		if err := privatizedReduce(m, threads, opt, p.Out.Vals, func(lo, hi int, priv []tensor.Value) {
-			p.executeNNZ(lo, hi, v, priv, false)
-		}); err != nil {
-			return nil, err
-		}
-	default: // Atomic
-		if err := zeroValues(p.Out.Vals, threads, opt.Ctx); err != nil {
-			return nil, err
-		}
-		opt.Threads = threads
-		atomicUpd := threads > 1
-		if err := parallel.For(m, opt, func(lo, hi, _ int) {
-			p.executeNNZ(lo, hi, v, p.Out.Vals, atomicUpd)
-		}); err != nil {
-			return nil, err
-		}
-	}
-	return p.Out, nil
+	return planOut(p.Out, p.k.ttvOMP(v, opt, &p.LastStrategy))
 }
 
-// executeNNZ processes non-zeros [lo, hi) of the fiber-sorted tensor: a
-// segmented reduction that accumulates each contiguous fiber segment
-// locally and flushes it once per segment, so only fibers split across
-// workers ever contend on yv.
-func (p *TtvPlan) executeNNZ(lo, hi int, v tensor.Vector, yv []tensor.Value, atomicUpd bool) {
-	fptr := p.Fptr
-	kInd := p.X.Inds[p.Mode]
-	xv := p.X.Vals
-	f := sort.Search(len(fptr)-1, func(i int) bool { return fptr[i+1] > int64(lo) })
-	for m := lo; m < hi; {
-		for fptr[f+1] <= int64(m) {
-			f++
-		}
-		end := hi
-		if fptr[f+1] < int64(end) {
-			end = int(fptr[f+1])
-		}
-		var acc tensor.Value
-		for ; m < end; m++ {
-			acc += xv[m] * v[kInd[m]]
-		}
-		if atomicUpd {
-			parallel.AtomicAddFloat32(&yv[f], acc)
-		} else {
-			yv[f] += acc
-		}
-	}
-}
-
-// ExecuteGPU runs the COO-Ttv-GPU kernel: a 1-D grid of 1-D thread blocks
-// with one thread per fiber (§3.2.2), so unbalanced fiber lengths cause
-// the performance drop the paper notes.
+// ExecuteGPU runs the COO-Ttv-GPU kernel: one thread per fiber (§3.2.2).
 func (p *TtvPlan) ExecuteGPU(dev *gpusim.Device, v tensor.Vector) (*tensor.COO, error) {
-	if err := p.checkVec(v); err != nil {
-		return nil, err
-	}
-	mf := p.NumFibers()
-	if mf == 0 {
-		return p.Out, nil
-	}
-	block := gpusim.Dim1(gpusim.DefaultBlockThreads)
-	grid := gpusim.Grid1DFor(mf, block.X)
-	fptr := p.Fptr
-	kInd := p.X.Inds[p.Mode]
-	xv := p.X.Vals
-	yv := p.Out.Vals
-	if _, err := dev.TryLaunch(grid, block, func(ctx gpusim.Ctx) {
-		f := ctx.GlobalX()
-		if f >= mf {
-			return
-		}
-		var acc tensor.Value
-		for m := fptr[f]; m < fptr[f+1]; m++ {
-			acc += xv[m] * v[kInd[m]]
-		}
-		yv[f] = acc
-	}); err != nil {
-		return nil, err
-	}
-	return p.Out, nil
+	return planOut(p.Out, p.k.ttvGPU(dev, 0, p.NumFibers(), v))
 }
 
-func (p *TtvPlan) executeFibers(lo, hi int, v tensor.Vector) {
-	fptr := p.Fptr
-	kInd := p.X.Inds[p.Mode]
-	xv := p.X.Vals
-	yv := p.Out.Vals
-	for f := lo; f < hi; f++ {
-		var acc tensor.Value
-		for m := fptr[f]; m < fptr[f+1]; m++ {
-			acc += xv[m] * v[kInd[m]]
-		}
-		yv[f] = acc
+// ExecuteFibers runs the value computation for fibers [lo, hi) only and
+// returns their output values, Out.Vals[lo:hi] — the range entry point
+// of partitioned executors (dist ranks): fiber outputs are disjoint, so
+// concurrent calls over disjoint ranges need no synchronization.
+func (p *TtvPlan) ExecuteFibers(lo, hi int, v tensor.Vector) ([]tensor.Value, error) {
+	if lo < 0 || hi < lo || hi > p.NumFibers() {
+		return nil, fmt.Errorf("core: Ttv fiber range [%d,%d) outside [0,%d)", lo, hi, p.NumFibers())
 	}
-}
-
-func (p *TtvPlan) checkVec(v tensor.Vector) error {
-	if len(v) != int(p.X.Dims[p.Mode]) {
-		return fmt.Errorf("core: Ttv vector length %d, want mode-%d size %d", len(v), p.Mode, p.X.Dims[p.Mode])
+	if err := p.k.checkVec(v); err != nil {
+		return nil, err
 	}
-	return nil
+	p.k.ttvFibers(lo, hi, v)
+	return p.Out.Vals[lo:hi], nil
 }
 
 // FlopCount returns the floating-point work of one execution (Table 1:

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/gpusim"
 	"repro/internal/hicoo"
@@ -31,6 +30,8 @@ type TtvHiCOOPlan struct {
 	// LastStrategy records the reduction strategy the most recent
 	// ExecuteOMP call resolved to (for harness reporting).
 	LastStrategy parallel.Strategy
+
+	k fiberKernel // the COO value computation over (Fptr, X.UInds[0], X.Vals)
 }
 
 // PrepareTtvHiCOO converts the tensor to gHiCOO (compressing every mode
@@ -42,9 +43,7 @@ func PrepareTtvHiCOO(x *tensor.COO, mode int, blockBits uint8) (*TtvHiCOOPlan, e
 	if x.Order() < 2 {
 		return nil, fmt.Errorf("core: Ttv needs an order >= 2 tensor")
 	}
-	g := hicoo.FromCOOExceptMode(x, mode, blockBits)
-	fptr, fiberBlock := g.FiberPointers()
-	mf := len(fptr) - 1
+	g, k, sk := prepareFiberHiCOO(x, mode, 1, blockBits)
 
 	// Output dims: drop the product mode. The compressed modes of X map
 	// one-to-one onto the output's modes, in order.
@@ -52,34 +51,66 @@ func PrepareTtvHiCOO(x *tensor.COO, mode int, blockBits uint8) (*TtvHiCOOPlan, e
 	for ci, n := range g.CompModes {
 		outDims[ci] = x.Dims[n]
 	}
-	nc := len(g.CompModes)
 	out := &hicoo.HiCOO{
 		Dims:      outDims,
 		BlockBits: blockBits,
-		BInds:     make([][]tensor.Index, nc),
-		EInds:     make([][]uint8, nc),
-		Vals:      make([]tensor.Value, mf),
+		BPtr:      sk.bptr,
+		BInds:     sk.binds,
+		EInds:     sk.einds,
+		Vals:      k.out,
+	}
+	return &TtvHiCOOPlan{X: g, Mode: mode, Fptr: k.fptr, FiberBlock: sk.fiberBlock, Out: out, k: k}, nil
+}
+
+// fiberSkeleton is the block structure a gHiCOO tensor's fibers induce on
+// the output of Ttv (HiCOO) and Ttm (sHiCOO): one output entry per
+// fiber, inheriting the fiber's block and element indices on the
+// compressed modes.
+type fiberSkeleton struct {
+	fiberBlock []int32          // gHiCOO block of each fiber
+	bptr       []int64          // first fiber of each output block
+	binds      [][]tensor.Index // per compressed mode, per output block
+	einds      [][]uint8        // per compressed mode, per fiber
+}
+
+// prepareFiberHiCOO is the preprocessing HiCOO-Ttv and HiCOO-Ttm share:
+// convert to gHiCOO compressing every mode except the product mode,
+// detect the fibers, derive the output's block skeleton and allocate its
+// values, one r-row per fiber. The returned kernel views the gHiCOO
+// arrays and those values.
+func prepareFiberHiCOO(x *tensor.COO, mode, r int, blockBits uint8) (*hicoo.GHiCOO, fiberKernel, fiberSkeleton) {
+	g := hicoo.FromCOOExceptMode(x, mode, blockBits)
+	fptr, fiberBlock := g.FiberPointers()
+	mf := len(fptr) - 1
+	nc := len(g.CompModes)
+	sk := fiberSkeleton{
+		fiberBlock: fiberBlock,
+		binds:      make([][]tensor.Index, nc),
+		einds:      make([][]uint8, nc),
 	}
 	for ci := 0; ci < nc; ci++ {
-		out.EInds[ci] = make([]uint8, mf)
+		sk.einds[ci] = make([]uint8, mf)
 	}
 	// Fibers arrive grouped by block (FiberPointers walks blocks in
-	// order), so output blocks are runs of equal FiberBlock.
+	// order), so output blocks are runs of equal fiberBlock.
 	for f := 0; f < mf; f++ {
 		if f == 0 || fiberBlock[f] != fiberBlock[f-1] {
-			out.BPtr = append(out.BPtr, int64(f))
+			sk.bptr = append(sk.bptr, int64(f))
 			b := int(fiberBlock[f])
 			for ci := 0; ci < nc; ci++ {
-				out.BInds[ci] = append(out.BInds[ci], g.BInds[ci][b])
+				sk.binds[ci] = append(sk.binds[ci], g.BInds[ci][b])
 			}
 		}
 		head := fptr[f]
 		for ci := 0; ci < nc; ci++ {
-			out.EInds[ci][f] = g.EInds[ci][head]
+			sk.einds[ci][f] = g.EInds[ci][head]
 		}
 	}
-	out.BPtr = append(out.BPtr, int64(mf))
-	return &TtvHiCOOPlan{X: g, Mode: mode, Fptr: fptr, FiberBlock: fiberBlock, Out: out}, nil
+	sk.bptr = append(sk.bptr, int64(mf))
+	return g, fiberKernel{
+		fptr: fptr, kInd: g.UInds[0], vals: g.Vals, out: make([]tensor.Value, mf*r),
+		mode: mode, kDim: int(x.Dims[mode]), r: r,
+	}, sk
 }
 
 // NumFibers returns MF.
@@ -87,132 +118,19 @@ func (p *TtvHiCOOPlan) NumFibers() int { return len(p.Fptr) - 1 }
 
 // ExecuteSeq runs the value computation sequentially.
 func (p *TtvHiCOOPlan) ExecuteSeq(v tensor.Vector) (*hicoo.HiCOO, error) {
-	if err := p.checkVec(v); err != nil {
-		return nil, err
-	}
-	p.executeFibers(0, p.NumFibers(), v)
-	return p.Out, nil
+	return planOut(p.Out, p.k.ttvSeq(v))
 }
 
-// ExecuteOMP runs the value computation exactly as the COO kernel does:
-// owner-computes over independent fibers, or — when the strategy
-// selector picks a racy balanced decomposition — over non-zeros with
-// atomic or pooled-privatized per-fiber reduction.
+// ExecuteOMP runs the value computation exactly as the COO kernel does
+// (fiberKernel.ttvOMP).
 func (p *TtvHiCOOPlan) ExecuteOMP(v tensor.Vector, opt parallel.Options) (*hicoo.HiCOO, error) {
-	if err := p.checkVec(v); err != nil {
-		return nil, err
-	}
-	m := p.X.NNZ()
-	mf := p.NumFibers()
-	st, threads := planReduction(opt, m, mf, m, mf)
-	p.LastStrategy = st
-	switch st {
-	case parallel.Owner:
-		if err := parallel.For(mf, opt, func(lo, hi, _ int) {
-			p.executeFibers(lo, hi, v)
-		}); err != nil {
-			return nil, err
-		}
-	case parallel.Privatized:
-		if err := privatizedReduce(m, threads, opt, p.Out.Vals, func(lo, hi int, priv []tensor.Value) {
-			p.executeNNZ(lo, hi, v, priv, false)
-		}); err != nil {
-			return nil, err
-		}
-	default: // Atomic
-		if err := zeroValues(p.Out.Vals, threads, opt.Ctx); err != nil {
-			return nil, err
-		}
-		opt.Threads = threads
-		atomicUpd := threads > 1
-		if err := parallel.For(m, opt, func(lo, hi, _ int) {
-			p.executeNNZ(lo, hi, v, p.Out.Vals, atomicUpd)
-		}); err != nil {
-			return nil, err
-		}
-	}
-	return p.Out, nil
-}
-
-// executeNNZ is the segmented reduction over non-zeros [lo, hi): each
-// contiguous fiber segment accumulates locally and flushes once, so only
-// fibers split across workers contend on yv.
-func (p *TtvHiCOOPlan) executeNNZ(lo, hi int, v tensor.Vector, yv []tensor.Value, atomicUpd bool) {
-	fptr := p.Fptr
-	kInd := p.X.UInds[0]
-	xv := p.X.Vals
-	f := sort.Search(len(fptr)-1, func(i int) bool { return fptr[i+1] > int64(lo) })
-	for m := lo; m < hi; {
-		for fptr[f+1] <= int64(m) {
-			f++
-		}
-		end := hi
-		if fptr[f+1] < int64(end) {
-			end = int(fptr[f+1])
-		}
-		var acc tensor.Value
-		for ; m < end; m++ {
-			acc += xv[m] * v[kInd[m]]
-		}
-		if atomicUpd {
-			parallel.AtomicAddFloat32(&yv[f], acc)
-		} else {
-			yv[f] += acc
-		}
-	}
+	return planOut(p.Out, p.k.ttvOMP(v, opt, &p.LastStrategy))
 }
 
 // ExecuteGPU runs HiCOO-Ttv-GPU (same execution as COO per §3.4.2): one
 // thread per fiber.
 func (p *TtvHiCOOPlan) ExecuteGPU(dev *gpusim.Device, v tensor.Vector) (*hicoo.HiCOO, error) {
-	if err := p.checkVec(v); err != nil {
-		return nil, err
-	}
-	mf := p.NumFibers()
-	if mf == 0 {
-		return p.Out, nil
-	}
-	block := gpusim.Dim1(gpusim.DefaultBlockThreads)
-	grid := gpusim.Grid1DFor(mf, block.X)
-	fptr := p.Fptr
-	kInd := p.X.UInds[0]
-	xv := p.X.Vals
-	yv := p.Out.Vals
-	if _, err := dev.TryLaunch(grid, block, func(ctx gpusim.Ctx) {
-		f := ctx.GlobalX()
-		if f >= mf {
-			return
-		}
-		var acc tensor.Value
-		for m := fptr[f]; m < fptr[f+1]; m++ {
-			acc += xv[m] * v[kInd[m]]
-		}
-		yv[f] = acc
-	}); err != nil {
-		return nil, err
-	}
-	return p.Out, nil
-}
-
-func (p *TtvHiCOOPlan) executeFibers(lo, hi int, v tensor.Vector) {
-	fptr := p.Fptr
-	kInd := p.X.UInds[0]
-	xv := p.X.Vals
-	yv := p.Out.Vals
-	for f := lo; f < hi; f++ {
-		var acc tensor.Value
-		for m := fptr[f]; m < fptr[f+1]; m++ {
-			acc += xv[m] * v[kInd[m]]
-		}
-		yv[f] = acc
-	}
-}
-
-func (p *TtvHiCOOPlan) checkVec(v tensor.Vector) error {
-	if len(v) != int(p.X.Dims[p.Mode]) {
-		return fmt.Errorf("core: Ttv vector length %d, want mode-%d size %d", len(v), p.Mode, p.X.Dims[p.Mode])
-	}
-	return nil
+	return planOut(p.Out, p.k.ttvGPU(dev, 0, p.NumFibers(), v))
 }
 
 // FlopCount returns the floating-point work of one execution (2M flops).

@@ -57,10 +57,7 @@ func (c *CSF) StorageBytes() int64 {
 func FromCOO(t *tensor.COO, modeOrder []int) (*CSF, error) {
 	order := t.Order()
 	if modeOrder == nil {
-		modeOrder = make([]int, order)
-		for i := range modeOrder {
-			modeOrder[i] = i
-		}
+		modeOrder = tensor.OtherModes(order, -1)
 	}
 	if len(modeOrder) != order {
 		return nil, fmt.Errorf("csf: mode order length %d, want %d", len(modeOrder), order)

@@ -420,11 +420,7 @@ func (e *Engine) ttvAttempt(ctx context.Context, workers []int, attempt, mode in
 	stop := c.WatchContext(ctx)
 	defer stop()
 	mf := plan.NumFibers()
-	fptr := plan.Fptr
-	kInd := plan.X.Inds[mode]
-	xv := plan.X.Vals
 	segLens := make([]int, p)
-	var gathered [][]tensor.Value
 	errs := make([]error, p)
 	c.Run(func(rank int) {
 		worker := workers[rank]
@@ -439,42 +435,29 @@ func (e *Engine) ttvAttempt(ctx context.Context, workers []int, attempt, mode in
 		lo := rank * mf / p
 		hi := (rank + 1) * mf / p
 		segLens[rank] = hi - lo
-		seg := make([]tensor.Value, hi-lo)
+		// The rank's segment is its fiber range of the plan's output,
+		// computed in place by the shared kernel body (see Ttv).
+		var seg []tensor.Value
 		err := resilience.Run(e.label("Ttv"), func() error {
 			if e.opt.Inject != nil {
 				if err := e.opt.Inject(attempt, worker); err != nil {
 					return err
 				}
 			}
-			for f := lo; f < hi; f++ {
-				var acc tensor.Value
-				for mIdx := fptr[f]; mIdx < fptr[f+1]; mIdx++ {
-					acc += xv[mIdx] * v[kInd[mIdx]]
-				}
-				seg[f-lo] = acc
-			}
-			return nil
+			var err error
+			seg, err = plan.ExecuteFibers(lo, hi, v)
+			return err
 		})
 		if err != nil {
 			fail(err)
 			return
 		}
-		segs, err := c.Gather(rank, seg)
-		if err != nil {
+		if _, err := c.Gather(rank, seg); err != nil {
 			errs[rank] = err
-			return
-		}
-		if rank == 0 {
-			gathered = segs
 		}
 	})
 	if err := distError(c, errs); err != nil {
 		return nil, err
-	}
-	w := 0
-	for _, seg := range gathered {
-		copy(plan.Out.Vals[w:], seg)
-		w += len(seg)
 	}
 	bytes, msgs := c.Stats()
 	modeled := e.opt.Net.GatherTime(GatherVolume(segLens))

@@ -159,43 +159,30 @@ func Ttv(c *Comm, net NetworkModel, x *tensor.COO, v tensor.Vector, mode int) (*
 	}
 	mf := plan.NumFibers()
 	p := c.Size()
-	fptr := plan.Fptr
-	kInd := plan.X.Inds[mode]
-	xv := plan.X.Vals
 	segLens := make([]int, p)
-	gathered := make([][]tensor.Value, 0, p)
 	errs := make([]error, p)
 	bytes0, msgs0 := c.Stats()
 	c.Run(func(rank int) {
 		lo := rank * mf / p
 		hi := (rank + 1) * mf / p
 		segLens[rank] = hi - lo
-		seg := make([]tensor.Value, hi-lo)
-		for f := lo; f < hi; f++ {
-			var acc tensor.Value
-			for mIdx := fptr[f]; mIdx < fptr[f+1]; mIdx++ {
-				acc += xv[mIdx] * v[kInd[mIdx]]
-			}
-			seg[f-lo] = acc
-		}
-		segs, err := c.Gather(rank, seg)
+		// The rank's segment is its fiber range of the plan's output,
+		// computed in place by the shared kernel body; the gather only
+		// has to account for moving it to rank 0.
+		seg, err := plan.ExecuteFibers(lo, hi, v)
 		if err != nil {
 			errs[rank] = err
+			c.Abort(rank, err)
 			return
 		}
-		if rank == 0 {
-			gathered = segs
+		if _, err := c.Gather(rank, seg); err != nil {
+			errs[rank] = err
 		}
 	})
 	if err := distError(c, errs); err != nil {
 		return nil, err
 	}
 	bytes1, msgs1 := c.Stats()
-	w := 0
-	for _, seg := range gathered {
-		copy(plan.Out.Vals[w:], seg)
-		w += len(seg)
-	}
 	res := &TtvResult{
 		Out:          plan.Out,
 		CommBytes:    bytes1 - bytes0,

@@ -108,7 +108,7 @@ func FromCOO(t *tensor.COO, mode, segSize int) (*FCOO, error) {
 		Vals:    append([]tensor.Value(nil), xs.Vals...),
 		BitFlag: make([]uint64, (m+63)/64+1),
 	}
-	for _, n := range otherModes(t.Order(), mode) {
+	for _, n := range tensor.OtherModes(t.Order(), mode) {
 		ind := make([]tensor.Index, mf)
 		src := xs.Inds[n]
 		for fi := 0; fi < mf; fi++ {
@@ -139,7 +139,7 @@ func FromCOOMttkrp(t *tensor.COO, mode, segSize int) (*FCOO, error) {
 		segSize = DefaultSegSize
 	}
 	// Sort with the output mode outermost.
-	xs := t.SortedBy(append([]int{mode}, otherModes(t.Order(), mode)...))
+	xs := t.SortedBy(append([]int{mode}, tensor.OtherModes(t.Order(), mode)...))
 	m := xs.NNZ()
 	f := &FCOO{
 		Dims:    append([]tensor.Index(nil), t.Dims...),
@@ -149,7 +149,7 @@ func FromCOOMttkrp(t *tensor.COO, mode, segSize int) (*FCOO, error) {
 		Vals:    append([]tensor.Value(nil), xs.Vals...),
 		BitFlag: make([]uint64, (m+63)/64+1),
 	}
-	for _, n := range otherModes(t.Order(), mode) {
+	for _, n := range tensor.OtherModes(t.Order(), mode) {
 		f.OtherInds = append(f.OtherInds, append([]tensor.Index(nil), xs.Inds[n]...))
 	}
 	for x := 0; x < m; x++ {
@@ -187,16 +187,6 @@ func (f *FCOO) buildSegments() {
 			}
 		}
 	}
-}
-
-func otherModes(order, mode int) []int {
-	out := make([]int, 0, order-1)
-	for n := 0; n < order; n++ {
-		if n != mode {
-			out = append(out, n)
-		}
-	}
-	return out
 }
 
 // Validate checks structural invariants.
@@ -245,7 +235,7 @@ func (f *FCOO) TtvGPU(dev *gpusim.Device, v tensor.Vector) (*tensor.COO, error) 
 	}
 	mf := f.NumFibers()
 	outDims := make([]tensor.Index, 0, len(f.Dims)-1)
-	for _, n := range otherModes(len(f.Dims), f.Mode) {
+	for _, n := range tensor.OtherModes(len(f.Dims), f.Mode) {
 		outDims = append(outDims, f.Dims[n])
 	}
 	out := &tensor.COO{
@@ -310,7 +300,7 @@ func (f *FCOO) MttkrpGPU(dev *gpusim.Device, mats []*tensor.Matrix, r int) (*ten
 	if len(mats) != order {
 		return nil, fmt.Errorf("fcoo: got %d factor matrices, want %d", len(mats), order)
 	}
-	others := otherModes(order, f.Mode)
+	others := tensor.OtherModes(order, f.Mode)
 	if len(f.OtherInds) != len(others) {
 		return nil, fmt.Errorf("fcoo: representation lacks other-mode indices (build with FromCOOMttkrp)")
 	}

@@ -34,7 +34,7 @@ func TestGoldenFromCOO(t *testing.T) {
 					t.Fatalf("%s mode %d seg %d: Ttv layout differs from the comparator-sort build", c.Name, mode, seg)
 				}
 
-				outer := append([]int{mode}, otherModes(order, mode)...)
+				outer := append([]int{mode}, tensor.OtherModes(order, mode)...)
 				want, err = FromCOOMttkrp(tensortest.OracleSorted(c.X, outer), mode, seg)
 				if err != nil {
 					t.Fatal(err)

@@ -112,13 +112,7 @@ func FromCOOModes(t *tensor.COO, compModes []int, blockBits uint8) *GHiCOO {
 // FromCOOExceptMode converts to gHiCOO compressing every mode except mode
 // n — the configuration the HiCOO-Ttv and HiCOO-Ttm kernels use.
 func FromCOOExceptMode(t *tensor.COO, n int, blockBits uint8) *GHiCOO {
-	comp := make([]int, 0, t.Order()-1)
-	for mo := 0; mo < t.Order(); mo++ {
-		if mo != n {
-			comp = append(comp, mo)
-		}
-	}
-	return FromCOOModes(t, comp, blockBits)
+	return FromCOOModes(t, tensor.OtherModes(t.Order(), n), blockBits)
 }
 
 // FiberPointers returns the start offsets of the fibers along the single

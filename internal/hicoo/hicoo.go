@@ -69,11 +69,7 @@ func FromCOO(t *tensor.COO, blockBits uint8) *HiCOO {
 	if blockBits == 0 || blockBits > MaxBlockBits {
 		panic(fmt.Sprintf("hicoo: blockBits %d outside [1,%d]", blockBits, MaxBlockBits))
 	}
-	modes := make([]int, t.Order())
-	for n := range modes {
-		modes[n] = n
-	}
-	b := blockModes(t, modes, nil, blockBits)
+	b := blockModes(t, tensor.OtherModes(t.Order(), -1), nil, blockBits)
 	return &HiCOO{
 		Dims:      append([]tensor.Index(nil), t.Dims...),
 		BlockBits: blockBits,

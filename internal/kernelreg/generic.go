@@ -4,9 +4,9 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/levels"
 	"repro/internal/roofline"
+	"repro/internal/tensor"
 )
 
 // Generic variant instantiation: the grid cells no hand-tuned override
@@ -21,9 +21,9 @@ import (
 // the product mode at the leaves.
 func genericModeOrder(k roofline.Kernel, order, mode int) []int {
 	if k == roofline.Mttkrp {
-		return append([]int{mode}, otherModesOf(order, mode)...)
+		return modeFirst(order, mode)
 	}
-	return append(otherModesOf(order, mode), mode)
+	return tensor.ModeOrder(order, mode)
 }
 
 // genericPrep returns the Prepare hook of one generated variant.
@@ -37,77 +37,21 @@ func genericPrep(k roofline.Kernel, f roofline.Format) func(wb *Workbench, mode 
 		if err != nil {
 			return nil, err
 		}
-		nnz := int64(wb.X.NNZ())
-		var cur any
-		inst := &Instance{Plan: plan}
-		inst.out = func() any { return cur }
-		inst.Check = func() error { return checkFinite(cur) }
+		inst, keep, err := serialRef(wb, k, mode)
+		if err != nil {
+			return nil, err
+		}
+		inst.Plan = plan
 		switch k {
 		case roofline.Ttv:
 			v := wb.Vec(mode)
-			inst.Flops = 2 * nnz
-			inst.Run = func(ctx context.Context) error {
-				out, err := levels.Ttv(h, mode, v, wb.Opt(ctx))
-				if err == nil {
-					cur = out
-				}
-				return err
-			}
-			ref, err := core.PrepareTtv(wb.FiberSorted(mode), mode)
-			if err != nil {
-				return nil, err
-			}
-			inst.Serial = func(context.Context) error {
-				_, err := ref.ExecuteSeq(v)
-				if err == nil {
-					cur = ref.Out
-				}
-				return err
-			}
+			inst.Run = func(ctx context.Context) error { return keep(levels.Ttv(h, mode, v, wb.Opt(ctx))) }
 		case roofline.Ttm:
 			u := wb.TtmMat(mode)
-			inst.Flops = 2 * nnz * int64(wb.R())
-			inst.Run = func(ctx context.Context) error {
-				out, err := levels.Ttm(h, mode, u, wb.Opt(ctx))
-				if err == nil {
-					cur = out
-				}
-				return err
-			}
-			ref, err := core.PrepareTtm(wb.FiberSorted(mode), mode, wb.R())
-			if err != nil {
-				return nil, err
-			}
-			inst.Serial = func(context.Context) error {
-				_, err := ref.ExecuteSeq(u)
-				if err == nil {
-					cur = ref.Out
-				}
-				return err
-			}
+			inst.Run = func(ctx context.Context) error { return keep(levels.Ttm(h, mode, u, wb.Opt(ctx))) }
 		case roofline.Mttkrp:
 			mats := wb.Mats()
-			inst.Flops = int64(wb.X.Order()) * nnz * int64(wb.R())
-			inst.Run = func(ctx context.Context) error {
-				out, err := levels.Mttkrp(h, mode, mats, wb.Opt(ctx))
-				if err == nil {
-					cur = out
-				}
-				return err
-			}
-			ref, err := core.PrepareMttkrp(wb.X, mode, wb.R())
-			if err != nil {
-				return nil, err
-			}
-			inst.Serial = func(context.Context) error {
-				_, err := ref.ExecuteSeq(mats)
-				if err == nil {
-					cur = ref.Out
-				}
-				return err
-			}
-		default:
-			return nil, fmt.Errorf("kernelreg: no generic body for %s", k)
+			inst.Run = func(ctx context.Context) error { return keep(levels.Mttkrp(h, mode, mats, wb.Opt(ctx))) }
 		}
 		return inst, nil
 	}

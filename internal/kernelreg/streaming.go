@@ -84,22 +84,16 @@ func prepMttkrpOOC(wb *Workbench, mode int) (*Instance, error) {
 		return nil, err
 	}
 	mats := wb.Mats()
-	out := tensor.NewMatrix(int(tr.Dims[mode]), wb.R())
-	inst := &Instance{Flops: ooc.MttkrpFlops(tr, wb.R())}
-	inst.out = func() any { return out }
-	inst.Check = func() error { return checkFinite(out) }
-	run := func(ctx context.Context, det bool) error {
-		o, _, err := ooc.Mttkrp(ctx, tr, mats, mode, ooc.Options{
-			MemBudget: streamBudget(tr), Deterministic: det, Sched: wb.Opt(ctx),
-		})
-		if err != nil {
-			return err
+	inst, keep := tracked(ooc.MttkrpFlops(tr, wb.R()), tensor.NewMatrix(int(tr.Dims[mode]), wb.R()))
+	run := func(det bool) func(context.Context) error {
+		return func(ctx context.Context) error {
+			out, _, err := ooc.Mttkrp(ctx, tr, mats, mode, ooc.Options{
+				MemBudget: streamBudget(tr), Deterministic: det, Sched: wb.Opt(ctx),
+			})
+			return keep(out, err)
 		}
-		out = o
-		return nil
 	}
-	inst.Run = func(ctx context.Context) error { return run(ctx, false) }
-	inst.Serial = func(ctx context.Context) error { return run(ctx, true) }
+	inst.Run, inst.Serial = run(false), run(true)
 	return inst, nil
 }
 
@@ -110,26 +104,18 @@ func prepTtvOOC(wb *Workbench, mode int) (*Instance, error) {
 	}
 	v := wb.Vec(mode)
 	outDims := make([]tensor.Index, 0, tr.Order()-1)
-	for n, d := range tr.Dims {
-		if n != mode {
-			outDims = append(outDims, d)
+	for _, n := range tensor.OtherModes(tr.Order(), mode) {
+		outDims = append(outDims, tr.Dims[n])
+	}
+	inst, keep := tracked(ooc.TtvFlops(tr), tensor.NewCOO(outDims, 0))
+	run := func(det bool) func(context.Context) error {
+		return func(ctx context.Context) error {
+			out, _, err := ooc.Ttv(ctx, tr, v, mode, ooc.Options{
+				MemBudget: streamBudget(tr), Deterministic: det, Sched: wb.Opt(ctx),
+			})
+			return keep(out, err)
 		}
 	}
-	out := tensor.NewCOO(outDims, 0)
-	inst := &Instance{Flops: ooc.TtvFlops(tr)}
-	inst.out = func() any { return out }
-	inst.Check = func() error { return checkFinite(out) }
-	run := func(ctx context.Context, det bool) error {
-		o, _, err := ooc.Ttv(ctx, tr, v, mode, ooc.Options{
-			MemBudget: streamBudget(tr), Deterministic: det, Sched: wb.Opt(ctx),
-		})
-		if err != nil {
-			return err
-		}
-		out = o
-		return nil
-	}
-	inst.Run = func(ctx context.Context) error { return run(ctx, false) }
-	inst.Serial = func(ctx context.Context) error { return run(ctx, true) }
+	inst.Run, inst.Serial = run(false), run(true)
 	return inst, nil
 }

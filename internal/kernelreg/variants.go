@@ -6,8 +6,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fcoo"
+	"repro/internal/gpusim"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/roofline"
+	"repro/internal/tensor"
 )
 
 // tsScalar is the Ts multiplicand: near-1 so repeated timed executions
@@ -81,19 +84,84 @@ func handTuned() map[regKey]handOverride {
 	return hand
 }
 
-// otherModesOf lists every mode but `mode` in natural order.
-func otherModesOf(order, mode int) []int {
-	out := make([]int, 0, order-1)
-	for n := 0; n < order; n++ {
-		if n != mode {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 func badBackend(what string, b Backend) error {
 	return fmt.Errorf("kernelreg: %s has no %s path", what, b)
+}
+
+// rungs are the executable paths of one prepared core plan, with the
+// plan's operands already bound. The core plans are uniform — a
+// plan-owned output refilled by every execution, a sequential path and
+// one path per backend (elementPlan, operandPlan) — so one helper turns
+// any of them into an Instance.
+type rungs struct {
+	flops int64
+	out   any // the plan-owned output object
+	seq   func() error
+	omp   func(parallel.Options) error
+	gpu   func(*gpusim.Device) error
+	// multi is the multi-device path, nil where core has none.
+	multi func([]*gpusim.Device) error
+	// strategy points at the plan's LastStrategy; nil for kernels with
+	// no shared-output reduction.
+	strategy *parallel.Strategy
+}
+
+// instance assembles the Instance of a core plan on backend b.
+func (wb *Workbench) instance(site string, b Backend, r rungs) (*Instance, error) {
+	inst := &Instance{Flops: r.flops}
+	inst.out = func() any { return r.out }
+	inst.Check = func() error { return checkFinite(r.out) }
+	inst.Serial = func(context.Context) error { return r.seq() }
+	switch {
+	case b == OMP:
+		inst.Run = func(ctx context.Context) error { return r.omp(wb.Opt(ctx)) }
+		if r.strategy != nil {
+			inst.Strategy = func() string { return r.strategy.String() }
+		}
+	case b == GPU:
+		inst.Run = wb.onDevice(func() error { return r.gpu(wb.Device()) })
+	case b == MultiGPU && r.multi != nil:
+		inst.Run = wb.onDevices(func() error { return r.multi(wb.Devices()) })
+	default:
+		return nil, badBackend(site, b)
+	}
+	return inst, nil
+}
+
+// elementPlan is the Execute* shape of the Tew and Ts plans: no operand
+// beyond the prepared ones, no failure mode.
+type elementPlan[O any] interface {
+	ExecuteSeq() O
+	ExecuteOMP(parallel.Options) O
+	ExecuteGPU(*gpusim.Device) O
+	FlopCount() int64
+}
+
+func elementRungs[P elementPlan[O], O any](p P, out any) rungs {
+	return rungs{
+		flops: p.FlopCount(), out: out,
+		seq: func() error { p.ExecuteSeq(); return nil },
+		omp: func(o parallel.Options) error { p.ExecuteOMP(o); return nil },
+		gpu: func(d *gpusim.Device) error { p.ExecuteGPU(d); return nil },
+	}
+}
+
+// operandPlan is the Execute* shape of the Ttv, Ttm and Mttkrp plans: one
+// dense operand A per execution (vector, matrix, factor list).
+type operandPlan[A, O any] interface {
+	ExecuteSeq(A) (O, error)
+	ExecuteOMP(A, parallel.Options) (O, error)
+	ExecuteGPU(*gpusim.Device, A) (O, error)
+	FlopCount() int64
+}
+
+func operandRungs[P operandPlan[A, O], A, O any](p P, a A, out any, last *parallel.Strategy) rungs {
+	return rungs{
+		flops: p.FlopCount(), out: out, strategy: last,
+		seq: func() error { _, err := p.ExecuteSeq(a); return err },
+		omp: func(o parallel.Options) error { _, err := p.ExecuteOMP(a, o); return err },
+		gpu: func(d *gpusim.Device) error { _, err := p.ExecuteGPU(d, a); return err },
+	}
 }
 
 func prepTewCOO(wb *Workbench, _ int, b Backend) (*Instance, error) {
@@ -101,19 +169,7 @@ func prepTewCOO(wb *Workbench, _ int, b Backend) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	inst := &Instance{Flops: p.FlopCount()}
-	inst.out = func() any { return p.Out }
-	inst.Check = func() error { return checkFinite(p.Out) }
-	inst.Serial = func(context.Context) error { p.ExecuteSeq(); return nil }
-	switch b {
-	case OMP:
-		inst.Run = func(ctx context.Context) error { p.ExecuteOMP(wb.Opt(ctx)); return nil }
-	case GPU:
-		inst.Run = wb.onDevice(func() error { p.ExecuteGPU(wb.Device()); return nil })
-	default:
-		return nil, badBackend("Tew/COO", b)
-	}
-	return inst, nil
+	return wb.instance("Tew/COO", b, elementRungs(p, p.Out))
 }
 
 func prepTewHiCOO(wb *Workbench, _ int, b Backend) (*Instance, error) {
@@ -121,19 +177,7 @@ func prepTewHiCOO(wb *Workbench, _ int, b Backend) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	inst := &Instance{Flops: p.FlopCount()}
-	inst.out = func() any { return p.Out }
-	inst.Check = func() error { return checkFinite(p.Out) }
-	inst.Serial = func(context.Context) error { p.ExecuteSeq(); return nil }
-	switch b {
-	case OMP:
-		inst.Run = func(ctx context.Context) error { p.ExecuteOMP(wb.Opt(ctx)); return nil }
-	case GPU:
-		inst.Run = wb.onDevice(func() error { p.ExecuteGPU(wb.Device()); return nil })
-	default:
-		return nil, badBackend("Tew/HiCOO", b)
-	}
-	return inst, nil
+	return wb.instance("Tew/HiCOO", b, elementRungs(p, p.Out))
 }
 
 func prepTsCOO(wb *Workbench, _ int, b Backend) (*Instance, error) {
@@ -141,19 +185,7 @@ func prepTsCOO(wb *Workbench, _ int, b Backend) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	inst := &Instance{Flops: p.FlopCount()}
-	inst.out = func() any { return p.Out }
-	inst.Check = func() error { return checkFinite(p.Out) }
-	inst.Serial = func(context.Context) error { p.ExecuteSeq(); return nil }
-	switch b {
-	case OMP:
-		inst.Run = func(ctx context.Context) error { p.ExecuteOMP(wb.Opt(ctx)); return nil }
-	case GPU:
-		inst.Run = wb.onDevice(func() error { p.ExecuteGPU(wb.Device()); return nil })
-	default:
-		return nil, badBackend("Ts/COO", b)
-	}
-	return inst, nil
+	return wb.instance("Ts/COO", b, elementRungs(p, p.Out))
 }
 
 func prepTsHiCOO(wb *Workbench, _ int, b Backend) (*Instance, error) {
@@ -161,19 +193,7 @@ func prepTsHiCOO(wb *Workbench, _ int, b Backend) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	inst := &Instance{Flops: p.FlopCount()}
-	inst.out = func() any { return p.Out }
-	inst.Check = func() error { return checkFinite(p.Out) }
-	inst.Serial = func(context.Context) error { p.ExecuteSeq(); return nil }
-	switch b {
-	case OMP:
-		inst.Run = func(ctx context.Context) error { p.ExecuteOMP(wb.Opt(ctx)); return nil }
-	case GPU:
-		inst.Run = wb.onDevice(func() error { p.ExecuteGPU(wb.Device()); return nil })
-	default:
-		return nil, badBackend("Ts/HiCOO", b)
-	}
-	return inst, nil
+	return wb.instance("Ts/HiCOO", b, elementRungs(p, p.Out))
 }
 
 func prepTtvCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
@@ -182,20 +202,9 @@ func prepTtvCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
 		return nil, err
 	}
 	v := wb.Vec(mode)
-	inst := &Instance{Flops: p.FlopCount()}
-	inst.out = func() any { return p.Out }
-	inst.Check = func() error { return checkFinite(p.Out) }
-	inst.Serial = func(context.Context) error { _, err := p.ExecuteSeq(v); return err }
-	switch b {
-	case OMP:
-		inst.Run = func(ctx context.Context) error { _, err := p.ExecuteOMP(v, wb.Opt(ctx)); return err }
-		inst.Strategy = func() string { return p.LastStrategy.String() }
-	case GPU:
-		inst.Run = wb.onDevice(func() error { _, err := p.ExecuteGPU(wb.Device(), v); return err })
-	case MultiGPU:
-		inst.Run = wb.onDevices(func() error { _, err := p.ExecuteMultiGPU(wb.Devices(), v); return err })
-	}
-	return inst, nil
+	r := operandRungs(p, v, p.Out, &p.LastStrategy)
+	r.multi = func(ds []*gpusim.Device) error { _, err := p.ExecuteMultiGPU(ds, v); return err }
+	return wb.instance("Ttv/COO", b, r)
 }
 
 func prepTtvHiCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
@@ -203,21 +212,7 @@ func prepTtvHiCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	v := wb.Vec(mode)
-	inst := &Instance{Flops: p.FlopCount()}
-	inst.out = func() any { return p.Out }
-	inst.Check = func() error { return checkFinite(p.Out) }
-	inst.Serial = func(context.Context) error { _, err := p.ExecuteSeq(v); return err }
-	switch b {
-	case OMP:
-		inst.Run = func(ctx context.Context) error { _, err := p.ExecuteOMP(v, wb.Opt(ctx)); return err }
-		inst.Strategy = func() string { return p.LastStrategy.String() }
-	case GPU:
-		inst.Run = wb.onDevice(func() error { _, err := p.ExecuteGPU(wb.Device(), v); return err })
-	default:
-		return nil, badBackend("Ttv/HiCOO", b)
-	}
-	return inst, nil
+	return wb.instance("Ttv/HiCOO", b, operandRungs(p, wb.Vec(mode), p.Out, &p.LastStrategy))
 }
 
 func prepTtmCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
@@ -225,21 +220,7 @@ func prepTtmCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	u := wb.TtmMat(mode)
-	inst := &Instance{Flops: p.FlopCount()}
-	inst.out = func() any { return p.Out }
-	inst.Check = func() error { return checkFinite(p.Out) }
-	inst.Serial = func(context.Context) error { _, err := p.ExecuteSeq(u); return err }
-	switch b {
-	case OMP:
-		inst.Run = func(ctx context.Context) error { _, err := p.ExecuteOMP(u, wb.Opt(ctx)); return err }
-		inst.Strategy = func() string { return p.LastStrategy.String() }
-	case GPU:
-		inst.Run = wb.onDevice(func() error { _, err := p.ExecuteGPU(wb.Device(), u); return err })
-	default:
-		return nil, badBackend("Ttm/COO", b)
-	}
-	return inst, nil
+	return wb.instance("Ttm/COO", b, operandRungs(p, wb.TtmMat(mode), p.Out, &p.LastStrategy))
 }
 
 func prepTtmHiCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
@@ -247,21 +228,7 @@ func prepTtmHiCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	u := wb.TtmMat(mode)
-	inst := &Instance{Flops: p.FlopCount()}
-	inst.out = func() any { return p.Out }
-	inst.Check = func() error { return checkFinite(p.Out) }
-	inst.Serial = func(context.Context) error { _, err := p.ExecuteSeq(u); return err }
-	switch b {
-	case OMP:
-		inst.Run = func(ctx context.Context) error { _, err := p.ExecuteOMP(u, wb.Opt(ctx)); return err }
-		inst.Strategy = func() string { return p.LastStrategy.String() }
-	case GPU:
-		inst.Run = wb.onDevice(func() error { _, err := p.ExecuteGPU(wb.Device(), u); return err })
-	default:
-		return nil, badBackend("Ttm/HiCOO", b)
-	}
-	return inst, nil
+	return wb.instance("Ttm/HiCOO", b, operandRungs(p, wb.TtmMat(mode), p.Out, &p.LastStrategy))
 }
 
 func prepMttkrpCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
@@ -270,20 +237,9 @@ func prepMttkrpCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
 		return nil, err
 	}
 	mats := wb.Mats()
-	inst := &Instance{Flops: p.FlopCount()}
-	inst.out = func() any { return p.Out }
-	inst.Check = func() error { return checkFinite(p.Out) }
-	inst.Serial = func(context.Context) error { _, err := p.ExecuteSeq(mats); return err }
-	switch b {
-	case OMP:
-		inst.Run = func(ctx context.Context) error { _, err := p.ExecuteOMP(mats, wb.Opt(ctx)); return err }
-		inst.Strategy = func() string { return p.LastStrategy.String() }
-	case GPU:
-		inst.Run = wb.onDevice(func() error { _, err := p.ExecuteGPU(wb.Device(), mats); return err })
-	case MultiGPU:
-		inst.Run = wb.onDevices(func() error { _, err := p.ExecuteMultiGPU(wb.Devices(), mats); return err })
-	}
-	return inst, nil
+	r := operandRungs(p, mats, p.Out, &p.LastStrategy)
+	r.multi = func(ds []*gpusim.Device) error { _, err := p.ExecuteMultiGPU(ds, mats); return err }
+	return wb.instance("Mttkrp/COO", b, r)
 }
 
 func prepMttkrpHiCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
@@ -291,100 +247,103 @@ func prepMttkrpHiCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	mats := wb.Mats()
-	inst := &Instance{Flops: p.FlopCount()}
-	inst.out = func() any { return p.Out }
-	inst.Check = func() error { return checkFinite(p.Out) }
-	inst.Serial = func(context.Context) error { _, err := p.ExecuteSeq(mats); return err }
-	switch b {
-	case OMP:
-		inst.Run = func(ctx context.Context) error { _, err := p.ExecuteOMP(mats, wb.Opt(ctx)); return err }
-		inst.Strategy = func() string { return p.LastStrategy.String() }
-	case GPU:
-		inst.Run = wb.onDevice(func() error { _, err := p.ExecuteGPU(wb.Device(), mats); return err })
-	default:
-		return nil, badBackend("Mttkrp/HiCOO", b)
-	}
-	return inst, nil
+	return wb.instance("Mttkrp/HiCOO", b, operandRungs(p, wb.Mats(), p.Out, &p.LastStrategy))
 }
 
-// prepTtvCSF builds a CSF tree with the product mode at the leaf level
-// and reduces leaves per fiber. The serial rung is the COO reference.
-func prepTtvCSF(wb *Workbench, mode int, b Backend) (*Instance, error) {
-	if b != OMP {
-		return nil, badBackend("Ttv/CSF", b)
-	}
-	mo := append(otherModesOf(wb.X.Order(), mode), mode)
-	c, err := wb.CSF(mo, "Ttv-leaf")
-	if err != nil {
-		return nil, err
-	}
-	ref, err := core.PrepareTtv(wb.FiberSorted(mode), mode)
-	if err != nil {
-		return nil, err
-	}
-	v := wb.Vec(mode)
-	var cur any
-	inst := &Instance{Flops: 2 * int64(wb.X.NNZ())}
+// tracked starts an instance for rungs that return their output object
+// instead of refilling a plan-owned one. Every rung must pass its result
+// through keep, which records it as the current output when the rung
+// succeeded — so Check and Output always see whichever rung wrote last.
+// cur is the output before any rung has run.
+func tracked(flops int64, cur any) (inst *Instance, keep func(out any, err error) error) {
+	inst = &Instance{Flops: flops}
 	inst.out = func() any { return cur }
 	inst.Check = func() error { return checkFinite(cur) }
-	inst.Run = func(ctx context.Context) error {
-		out, err := c.TtvLeaf(v, wb.Opt(ctx))
+	return inst, func(out any, err error) error {
 		if err == nil {
 			cur = out
 		}
 		return err
 	}
-	inst.Serial = func(context.Context) error {
-		_, err := ref.ExecuteSeq(v)
-		if err == nil {
-			cur = ref.Out
+}
+
+// serialRef starts the instance of a variant with no native serial path
+// (Caps.SerialRef): a tracked instance whose Serial rung is the serial
+// COO reference of kernel k in mode and whose Flops is that plan's
+// Table 1 work. The caller supplies Run, routed through keep.
+func serialRef(wb *Workbench, k roofline.Kernel, mode int) (inst *Instance, keep func(out any, err error) error, err error) {
+	var flops int64
+	var ref func() (any, error)
+	switch k {
+	case roofline.Ttv:
+		p, err := core.PrepareTtv(wb.FiberSorted(mode), mode)
+		if err != nil {
+			return nil, nil, err
 		}
-		return err
+		v := wb.Vec(mode)
+		flops, ref = p.FlopCount(), func() (any, error) { return p.ExecuteSeq(v) }
+	case roofline.Ttm:
+		p, err := core.PrepareTtm(wb.FiberSorted(mode), mode, wb.R())
+		if err != nil {
+			return nil, nil, err
+		}
+		u := wb.TtmMat(mode)
+		flops, ref = p.FlopCount(), func() (any, error) { return p.ExecuteSeq(u) }
+	case roofline.Mttkrp:
+		p, err := core.PrepareMttkrp(wb.X, mode, wb.R())
+		if err != nil {
+			return nil, nil, err
+		}
+		mats := wb.Mats()
+		flops, ref = p.FlopCount(), func() (any, error) { return p.ExecuteSeq(mats) }
+	default:
+		return nil, nil, fmt.Errorf("kernelreg: no serial COO reference for %s", k)
 	}
+	inst, keep = tracked(flops, nil)
+	inst.Serial = func(context.Context) error { return keep(ref()) }
+	return inst, keep, nil
+}
+
+// prepTtvCSF builds a CSF tree with the product mode at the leaf level
+// and reduces leaves per fiber.
+func prepTtvCSF(wb *Workbench, mode int, b Backend) (*Instance, error) {
+	if b != OMP {
+		return nil, badBackend("Ttv/CSF", b)
+	}
+	c, err := wb.CSF(tensor.ModeOrder(wb.X.Order(), mode), "Ttv-leaf")
+	if err != nil {
+		return nil, err
+	}
+	inst, keep, err := serialRef(wb, roofline.Ttv, mode)
+	if err != nil {
+		return nil, err
+	}
+	v := wb.Vec(mode)
+	inst.Run = func(ctx context.Context) error { return keep(c.TtvLeaf(v, wb.Opt(ctx))) }
 	return inst, nil
 }
 
 // prepMttkrpCSF builds a CSF tree with the output mode at the root:
 // root subtrees own disjoint output rows, so the parallel loop needs no
-// atomics. The serial rung is the COO reference.
+// atomics.
 func prepMttkrpCSF(wb *Workbench, mode int, b Backend) (*Instance, error) {
 	if b != OMP {
 		return nil, badBackend("Mttkrp/CSF", b)
 	}
-	mo := append([]int{mode}, otherModesOf(wb.X.Order(), mode)...)
-	c, err := wb.CSF(mo, "Mttkrp-root")
+	c, err := wb.CSF(modeFirst(wb.X.Order(), mode), "Mttkrp-root")
 	if err != nil {
 		return nil, err
 	}
-	ref, err := core.PrepareMttkrp(wb.X, mode, wb.R())
+	inst, keep, err := serialRef(wb, roofline.Mttkrp, mode)
 	if err != nil {
 		return nil, err
 	}
 	mats := wb.Mats()
-	var cur any
-	inst := &Instance{Flops: int64(wb.X.Order()) * int64(wb.X.NNZ()) * int64(wb.R())}
-	inst.out = func() any { return cur }
-	inst.Check = func() error { return checkFinite(cur) }
-	inst.Run = func(ctx context.Context) error {
-		out, err := c.MttkrpRoot(mats, wb.Opt(ctx))
-		if err == nil {
-			cur = out
-		}
-		return err
-	}
-	inst.Serial = func(context.Context) error {
-		_, err := ref.ExecuteSeq(mats)
-		if err == nil {
-			cur = ref.Out
-		}
-		return err
-	}
+	inst.Run = func(ctx context.Context) error { return keep(c.MttkrpRoot(mats, wb.Opt(ctx))) }
 	return inst, nil
 }
 
 // prepTtvFCOO runs F-COO's segmented-reduction Ttv on the simulated GPU.
-// The serial rung is the COO reference.
 func prepTtvFCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
 	if b != GPU {
 		return nil, badBackend("Ttv/fCOO", b)
@@ -395,66 +354,37 @@ func prepTtvFCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	ref, err := core.PrepareTtv(wb.FiberSorted(mode), mode)
+	inst, keep, err := serialRef(wb, roofline.Ttv, mode)
 	if err != nil {
 		return nil, err
 	}
 	v := wb.Vec(mode)
-	var cur any
-	inst := &Instance{Flops: 2 * int64(wb.X.NNZ())}
-	inst.out = func() any { return cur }
-	inst.Check = func() error { return checkFinite(cur) }
-	inst.Run = wb.onDevice(func() error {
-		out, err := fc.TtvGPU(wb.Device(), v)
-		if err == nil {
-			cur = out
-		}
-		return err
-	})
-	inst.Serial = func(context.Context) error {
-		_, err := ref.ExecuteSeq(v)
-		if err == nil {
-			cur = ref.Out
-		}
-		return err
-	}
+	inst.Run = wb.onDevice(func() error { return keep(fc.TtvGPU(wb.Device(), v)) })
 	return inst, nil
 }
 
 // prepMttkrpFCOO runs F-COO's segmented Mttkrp on the simulated GPU.
-// The serial rung is the COO reference.
 func prepMttkrpFCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
 	if b != GPU {
 		return nil, badBackend("Mttkrp/fCOO", b)
 	}
 	csp := obs.Begin("fcoo.FromCOOMttkrp", "Mttkrp", obs.PhaseConvert, -1)
-	fc, err := fcoo.FromCOOMttkrp(wb.Sorted(append([]int{mode}, otherModesOf(wb.X.Order(), mode)...)), mode, wb.SegSize())
+	fc, err := fcoo.FromCOOMttkrp(wb.Sorted(modeFirst(wb.X.Order(), mode)), mode, wb.SegSize())
 	csp.End()
 	if err != nil {
 		return nil, err
 	}
-	ref, err := core.PrepareMttkrp(wb.X, mode, wb.R())
+	inst, keep, err := serialRef(wb, roofline.Mttkrp, mode)
 	if err != nil {
 		return nil, err
 	}
 	mats := wb.Mats()
-	var cur any
-	inst := &Instance{Flops: int64(wb.X.Order()) * int64(wb.X.NNZ()) * int64(wb.R())}
-	inst.out = func() any { return cur }
-	inst.Check = func() error { return checkFinite(cur) }
-	inst.Run = wb.onDevice(func() error {
-		out, err := fc.MttkrpGPU(wb.Device(), mats, wb.R())
-		if err == nil {
-			cur = out
-		}
-		return err
-	})
-	inst.Serial = func(context.Context) error {
-		_, err := ref.ExecuteSeq(mats)
-		if err == nil {
-			cur = ref.Out
-		}
-		return err
-	}
+	inst.Run = wb.onDevice(func() error { return keep(fc.MttkrpGPU(wb.Device(), mats, wb.R())) })
 	return inst, nil
+}
+
+// modeFirst is the mode permutation with mode outermost and the rest
+// ascending — the order that makes mode the root of a tree format.
+func modeFirst(order, mode int) []int {
+	return append([]int{mode}, tensor.OtherModes(order, mode)...)
 }

@@ -4,16 +4,19 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
 // Mttkrp streams the matricized-tensor-times-Khatri-Rao-product over
 // the tile reader: each tile's non-zeros accumulate into the dense
-// output matrix Ã ∈ R^{Dims[mode] × R} exactly as the in-core COO
-// kernel would, but with only a budgeted window of the tensor
-// resident. mats follows the in-core contract: one factor matrix per
-// mode, mats[mode] participating only via its shape.
+// output matrix Ã ∈ R^{Dims[mode] × R} through the in-core COO kernel's
+// own range body (core.MttkrpCOORange over the tile's raw columns — so
+// the deterministic stream reproduces the serial in-core bits), but
+// with only a budgeted window of the tensor resident. mats follows the
+// in-core contract: one factor matrix per mode, mats[mode]
+// participating only via its shape.
 func Mttkrp(ctx context.Context, tr *tensor.TileReader, mats []*tensor.Matrix, mode int, opt Options) (*tensor.Matrix, Stats, error) {
 	if err := validateReader(tr, mode); err != nil {
 		return nil, Stats{}, err
@@ -52,11 +55,11 @@ func Mttkrp(ctx context.Context, tr *tensor.TileReader, mats []*tensor.Matrix, m
 			return nil
 		}
 		if opt.Deterministic {
-			mttkrpRange(tl, mode, r, mats, out.Data, 0, cnt, false)
+			core.MttkrpCOORange(tl.Inds, tl.Vals, mode, r, mats, out.Data, 0, cnt, false)
 			return nil
 		}
 		return parallel.For(cnt, sched, func(lo, hi, _ int) {
-			mttkrpRange(tl, mode, r, mats, out.Data, lo, hi, true)
+			core.MttkrpCOORange(tl.Inds, tl.Vals, mode, r, mats, out.Data, lo, hi, true)
 		})
 	})
 	if err != nil {
@@ -68,72 +71,4 @@ func Mttkrp(ctx context.Context, tr *tensor.TileReader, mats []*tensor.Matrix, m
 // MttkrpFlops is the Table 1 work of one streamed execution: N·M·R.
 func MttkrpFlops(tr *tensor.TileReader, r int) int64 {
 	return int64(tr.Order()) * int64(tr.NNZ) * int64(r)
-}
-
-// mttkrpRange accumulates tile entries [lo, hi) into out, mirroring
-// the in-core kernel's accumulation order (order-3 fast path, general
-// Hadamard loop otherwise) so the deterministic stream reproduces the
-// serial in-core bits.
-func mttkrpRange(tl *tensor.Tile, mode, r int, mats []*tensor.Matrix, out []tensor.Value, lo, hi int, atomicUpd bool) {
-	nInd := tl.Inds[mode]
-	xv := tl.Vals
-	order := len(tl.Inds)
-	if order == 3 {
-		m1, m2 := otherTwoModes(mode)
-		bInd, cInd := tl.Inds[m1], tl.Inds[m2]
-		bd, cd := mats[m1].Data, mats[m2].Data
-		for x := lo; x < hi; x++ {
-			v := xv[x]
-			bo := int(bInd[x]) * r
-			co := int(cInd[x]) * r
-			oo := int(nInd[x]) * r
-			if atomicUpd {
-				for c := 0; c < r; c++ {
-					parallel.AtomicAddFloat32(&out[oo+c], v*bd[bo+c]*cd[co+c])
-				}
-			} else {
-				for c := 0; c < r; c++ {
-					out[oo+c] += v * bd[bo+c] * cd[co+c]
-				}
-			}
-		}
-		return
-	}
-	prod := make([]tensor.Value, r)
-	for x := lo; x < hi; x++ {
-		v := xv[x]
-		for c := 0; c < r; c++ {
-			prod[c] = v
-		}
-		for mo := 0; mo < order; mo++ {
-			if mo == mode {
-				continue
-			}
-			row := mats[mo].Row(int(tl.Inds[mo][x]))
-			for c := 0; c < r; c++ {
-				prod[c] *= row[c]
-			}
-		}
-		oo := int(nInd[x]) * r
-		if atomicUpd {
-			for c := 0; c < r; c++ {
-				parallel.AtomicAddFloat32(&out[oo+c], prod[c])
-			}
-		} else {
-			for c := 0; c < r; c++ {
-				out[oo+c] += prod[c]
-			}
-		}
-	}
-}
-
-func otherTwoModes(mode int) (int, int) {
-	switch mode {
-	case 0:
-		return 1, 2
-	case 1:
-		return 0, 2
-	default:
-		return 0, 1
-	}
 }

@@ -54,14 +54,10 @@ func Ttv(ctx context.Context, tr *tensor.TileReader, v tensor.Vector, mode int, 
 	if len(v) != int(tr.Dims[mode]) {
 		return nil, Stats{}, fmt.Errorf("ooc: Ttv vector length %d, want mode-%d size %d", len(v), mode, tr.Dims[mode])
 	}
-	order := tr.Order()
-	otherModes := make([]int, 0, order-1)
-	outDims := make([]tensor.Index, 0, order-1)
-	for n := 0; n < order; n++ {
-		if n != mode {
-			otherModes = append(otherModes, n)
-			outDims = append(outDims, tr.Dims[n])
-		}
+	otherModes := tensor.OtherModes(tr.Order(), mode)
+	outDims := make([]tensor.Index, len(otherModes))
+	for i, n := range otherModes {
+		outDims[i] = tr.Dims[n]
 	}
 	acc := &ttvAcc{
 		dict:   make(map[string]int32),

@@ -673,16 +673,18 @@ func parseVariant(req RunRequest) (roofline.Kernel, roofline.Format, kernelreg.B
 	if !found {
 		return 0, 0, 0, bad("format", req.Format)
 	}
-	switch strings.ToLower(strings.TrimSpace(req.Backend)) {
-	case "", "omp":
-		b = kernelreg.OMP
-	case "gpu":
-		b = kernelreg.GPU
-	case "multigpu":
-		b = kernelreg.MultiGPU
-	case "ooc":
-		b = kernelreg.OOC
-	default:
+	name := strings.ToLower(strings.TrimSpace(req.Backend))
+	if name == "" {
+		name = kernelreg.OMP.String()
+	}
+	found = false
+	for _, bb := range kernelreg.Backends {
+		if bb.String() == name {
+			b, found = bb, true
+			break
+		}
+	}
+	if !found {
 		return 0, 0, 0, bad("backend", req.Backend)
 	}
 	return k, f, b, nil
@@ -897,7 +899,7 @@ func (s *Server) runTrial(ctx context.Context, ie *instEntry, opts runOpts) (*Ru
 		Check:   ie.inst.Check,
 	}
 	if opts.fallback && ie.inst.Serial != nil {
-		t.Rungs = append(t.Rungs, resilience.Rung{Backend: "serial", Exec: ie.inst.Serial})
+		t.Rungs = append(t.Rungs, resilience.Rung{Backend: serialRung, Exec: ie.inst.Serial})
 	}
 	sp := obs.Begin("daemon.trial", label.String(), obs.PhaseTrial, -1)
 	start := time.Now()
@@ -960,13 +962,21 @@ func (s *Server) Drain(ctx context.Context) error {
 	return s.gov.AwaitIdle(ctx)
 }
 
-// openBreakers lists the backends whose circuit breaker is open.
+// serialRung is the ladder name of a trial's fallback rung; it has a
+// breaker of its own beside the registered backends'.
+const serialRung = "serial"
+
+// openBreakers lists the ladder rungs whose circuit breaker is open:
+// every backend the registry knows, then the serial fallback.
 func (s *Server) openBreakers() []string {
 	var out []string
-	for _, b := range []string{"omp", "gpu", "multigpu", "serial"} {
-		if s.runner.BreakerOpen(b) {
-			out = append(out, b)
+	for _, b := range kernelreg.Backends {
+		if s.runner.BreakerOpen(b.String()) {
+			out = append(out, b.String())
 		}
+	}
+	if s.runner.BreakerOpen(serialRung) {
+		out = append(out, serialRung)
 	}
 	return out
 }

@@ -450,3 +450,33 @@ func TestCacheFailedBuildRetries(t *testing.T) {
 		t.Fatalf("retry after failed build: %v %v %v", v, hit, err)
 	}
 }
+
+// TestBreakersOpenCoversEveryRegisteredBackend: the breakersOpen field
+// is derived from the registry's backend list, so an open breaker on the
+// streaming backend — registered since the ooc variants landed, but
+// missing from the hard-coded list this replaced — is reported like any
+// other.
+func TestBreakersOpenCoversEveryRegisteredBackend(t *testing.T) {
+	runner := &resilience.Runner{BreakerThreshold: 1}
+	_, ts := newTestDaemon(t, Config{Runner: runner})
+
+	ooc := kernelreg.OOC.String()
+	rep := runner.Do(context.Background(), resilience.Trial{
+		Label: resilience.Label{Kernel: "Ttv", Format: "COO", Backend: ooc},
+		Rungs: []resilience.Rung{{Backend: ooc, Exec: func(context.Context) error {
+			return fmt.Errorf("injected stream failure")
+		}}},
+	})
+	if rep.Err == nil || !runner.BreakerOpen(ooc) {
+		t.Fatalf("failing trial did not trip the %s breaker: %+v", ooc, rep)
+	}
+
+	status, body := postRun(t, ts.URL, RunRequest{Dataset: "nell2", Kernel: "Ts", Format: "COO"}, "breakers")
+	if status != http.StatusOK {
+		t.Fatalf("in-core run beside an open %s breaker: HTTP %d: %s", ooc, status, body)
+	}
+	rr := decodeRun(t, body)
+	if len(rr.BreakersOpen) != 1 || rr.BreakersOpen[0] != ooc {
+		t.Fatalf("breakersOpen = %v, want [%s]", rr.BreakersOpen, ooc)
+	}
+}

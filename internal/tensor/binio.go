@@ -108,45 +108,6 @@ func WriteBinary(w io.Writer, t *COO) error {
 	return bw.Flush()
 }
 
-// WriteBinaryV1 emits the legacy checksum-free PSTB v1 layout. It exists
-// for compatibility testing and for producing inputs older readers
-// accept; new files should use WriteBinary.
-func WriteBinaryV1(w io.Writer, t *COO) error {
-	order := t.Order()
-	if order < 1 || order > 255 {
-		return fmt.Errorf("tensor: order %d outside binary format range [1,255]", order)
-	}
-	scratch, put := acquireScratch(uint64(order+1) * 4 * uint64(t.NNZ()))
-	defer put()
-	bw := bufio.NewWriterSize(w, len(scratch))
-	if _, err := bw.WriteString(binMagic); err != nil {
-		return err
-	}
-	if err := bw.WriteByte(binVersion1); err != nil {
-		return err
-	}
-	if err := bw.WriteByte(byte(order)); err != nil {
-		return err
-	}
-	if err := writeU32Chunked(bw, t.Dims, scratch); err != nil {
-		return err
-	}
-	var nnzBuf [8]byte
-	binary.LittleEndian.PutUint64(nnzBuf[:], uint64(t.NNZ()))
-	if _, err := bw.Write(nnzBuf[:]); err != nil {
-		return err
-	}
-	for n := range t.Inds {
-		if err := writeU32Chunked(bw, t.Inds[n], scratch); err != nil {
-			return err
-		}
-	}
-	if err := writeF32Chunked(bw, t.Vals, scratch); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
 // scratchPool recycles the fixed chunk buffers the chunked encode and
 // decode paths stage through. A streaming consumer reads thousands of
 // tiles per run; without the pool each read (and each write) allocated

@@ -37,7 +37,7 @@ func TestBinaryV1RoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	x := RandomCOO([]Index{50, 40, 30}, 800, rng)
 	var buf bytes.Buffer
-	if err := WriteBinaryV1(&buf, x); err != nil {
+	if err := writeBinaryV1(&buf, x); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Bytes()[4] != binVersion1 {
@@ -57,7 +57,7 @@ func TestBinaryRoundTripUnknownSize(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	x := RandomCOO([]Index{64, 64, 64}, 1500, rng)
 	for name, write := range map[string]func(*bytes.Buffer) error{
-		"v1": func(b *bytes.Buffer) error { return WriteBinaryV1(b, x) },
+		"v1": func(b *bytes.Buffer) error { return writeBinaryV1(b, x) },
 		"v2": func(b *bytes.Buffer) error { return WriteBinary(b, x) },
 	} {
 		var buf bytes.Buffer
@@ -96,7 +96,7 @@ func TestBinaryRejectsCorruptIndices(t *testing.T) {
 	x := NewCOO([]Index{4, 4}, 1)
 	x.Append([]Index{1, 1}, 2)
 	var buf bytes.Buffer
-	if err := WriteBinaryV1(&buf, x); err != nil {
+	if err := writeBinaryV1(&buf, x); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -155,7 +155,7 @@ func TestReadWriteFileDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteBinaryV1(f, x); err != nil {
+	if err := writeBinaryV1(f, x); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -190,7 +190,7 @@ func TestBinaryEmptyTensorRoundTrip(t *testing.T) {
 	// format cannot express it: no lines means no dims).
 	x := NewCOO([]Index{5, 6, 7}, 0)
 	for name, write := range map[string]func(*bytes.Buffer) error{
-		"v1": func(b *bytes.Buffer) error { return WriteBinaryV1(b, x) },
+		"v1": func(b *bytes.Buffer) error { return writeBinaryV1(b, x) },
 		"v2": func(b *bytes.Buffer) error { return WriteBinary(b, x) },
 	} {
 		var buf bytes.Buffer

@@ -33,7 +33,7 @@ func faultImages(t *testing.T) map[string][]byte {
 	t.Helper()
 	x := faultTensor(t)
 	var v1, v2 bytes.Buffer
-	if err := WriteBinaryV1(&v1, x); err != nil {
+	if err := writeBinaryV1(&v1, x); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteBinary(&v2, x); err != nil {

@@ -56,7 +56,7 @@ func FuzzReadBinary(f *testing.F) {
 	small.Append([]Index{0, 1, 2}, 1.5)
 	small.Append([]Index{2, 3, 4}, -0.25)
 	var v1, v2, v3 bytes.Buffer
-	if err := WriteBinaryV1(&v1, small); err != nil {
+	if err := writeBinaryV1(&v1, small); err != nil {
 		f.Fatal(err)
 	}
 	if err := WriteBinary(&v2, small); err != nil {

@@ -6,14 +6,25 @@ import "repro/internal/parallel"
 // and keeps the remaining modes in ascending order. Sorting a tensor with
 // this permutation makes the mode-n fibers contiguous, which is the
 // pre-processing step of the Ttv and Ttm kernels (Algorithm 1).
-func ModeOrder(order, n int) []int {
-	perm := make([]int, 0, order)
+func ModeOrder(order, n int) []int { return append(OtherModes(order, n), n) }
+
+// OtherModes lists every mode of an order-`order` tensor except n, in
+// ascending order. With n outside [0, order) — conventionally -1 —
+// nothing is excluded and the result is the identity (natural) mode
+// permutation.
+//
+// The initial capacity is a constant so that, once OtherModes is inlined
+// into a caller that only reads the result (the kernels' per-chunk range
+// bodies), the backing array lives on that caller's stack; orders above
+// it grow through append as usual.
+func OtherModes(order, n int) []int {
+	modes := make([]int, 0, 8)
 	for m := 0; m < order; m++ {
 		if m != n {
-			perm = append(perm, m)
+			modes = append(modes, m)
 		}
 	}
-	return append(perm, n)
+	return modes
 }
 
 // Sort orders the non-zeros lexicographically by the given mode
@@ -74,13 +85,7 @@ func (t *COO) SortForMode(n int) { t.Sort(ModeOrder(t.Order(), n)) }
 
 // SortNatural sorts by mode 0, 1, ..., N-1, the natural order in which
 // FROSTT files are usually stored.
-func (t *COO) SortNatural() {
-	perm := make([]int, t.Order())
-	for i := range perm {
-		perm[i] = i
-	}
-	t.Sort(perm)
-}
+func (t *COO) SortNatural() { t.Sort(OtherModes(t.Order(), -1)) }
 
 // SortOrder returns the mode permutation of the last sort (outermost
 // first), or nil if the ordering is unknown. The returned slice must not

@@ -126,7 +126,7 @@ func writeBinaryTiled(w io.Writer, t *COO, targetTileNNZ uint32, bounds []uint64
 	if tiles > maxBinTiles {
 		return fmt.Errorf("tensor: %d tiles exceeds sanity limit", tiles)
 	}
-	xs := t.SortedBy(naturalOrder(order))
+	xs := t.SortedBy(OtherModes(order, -1))
 
 	scratch, put := acquireScratch(uint64(order+1) * 4 * nnz)
 	defer put()
@@ -233,15 +233,6 @@ func writeBinaryTiled(w io.Writer, t *COO, targetTileNNZ uint32, bounds []uint64
 		}
 	}
 	return bw.Flush()
-}
-
-// naturalOrder is the identity mode permutation.
-func naturalOrder(order int) []int {
-	perm := make([]int, order)
-	for i := range perm {
-		perm[i] = i
-	}
-	return perm
 }
 
 // tiledMeta is the parsed prologue + header + directory of a v3 input,

@@ -83,7 +83,7 @@ func TestTileReaderStreams(t *testing.T) {
 		t.Fatalf("streamed content diff %v", d)
 	}
 	// The streamed payload is the naturally sorted tensor.
-	if !got.isSorted(naturalOrder(got.Order())) {
+	if !got.isSorted(OtherModes(got.Order(), -1)) {
 		t.Fatal("tile stream is not in natural sort order")
 	}
 }
@@ -329,8 +329,8 @@ func TestReadBinaryAllocsConstant(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	small := mk(40_000)   // ~0.6 MiB payload: one chunk
-	large := mk(400_000)  // ~6 MiB payload: several chunks
+	small := mk(40_000)  // ~0.6 MiB payload: one chunk
+	large := mk(400_000) // ~6 MiB payload: several chunks
 	measure := func(raw []byte) float64 {
 		r := bytes.NewReader(raw)
 		return testing.AllocsPerRun(10, func() {
