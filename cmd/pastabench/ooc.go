@@ -11,7 +11,6 @@ import (
 	"repro/internal/kernelreg"
 	"repro/internal/ooc"
 	"repro/internal/roofline"
-	"repro/internal/tensor"
 )
 
 // runOOCStreaming is the "ooc" experiment: the streaming kernels
@@ -48,42 +47,18 @@ func runOOCStreaming(o options) {
 	}
 	wb := kernelreg.NewWorkbench(x, kernelreg.Config{R: o.r, BlockBits: uint8(o.blockBits)})
 
-	// Spool the tensor to a tiled v3 temp file — the stream reads real
-	// file bytes, not a memory image — and unlink it once open.
-	f, err := os.CreateTemp("", "pastabench-ooc-*.bten")
+	tr, fileBytes, err := ooc.Spool(x)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	defer f.Close()
-	os.Remove(f.Name())
-	tileNNZ := x.NNZ() / 16
-	if tileNNZ < 1 {
-		tileNNZ = 1
-	}
-	if tileNNZ > tensor.DefaultTileNNZ {
-		tileNNZ = tensor.DefaultTileNNZ
-	}
-	if err := tensor.WriteBinaryTiled(f, x, tileNNZ); err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	tr, err := tensor.NewTileReader(f, fi.Size())
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	if min := 4 * tr.MaxTileBytes(); budget < min {
+	defer tr.Close()
+	if min := ooc.SpoolMinBudget(x.Order(), x.NNZ()); budget < min {
 		fmt.Printf("(budget %d below the pipeline's two-lease working set; floored to %d)\n", budget, min)
 		budget = min
 	}
 	fmt.Printf("(%s stand-in: %d nnz, %d tiles of ~%d nnz, %.2f MB spooled, budget %d bytes)\n",
-		entry.Name, x.NNZ(), tr.NumTiles(), tileNNZ, float64(fi.Size())/1e6, budget)
+		entry.Name, x.NNZ(), tr.NumTiles(), tr.TargetTileNNZ, float64(fileBytes)/1e6, budget)
 	fmt.Printf("%-8s %-8s %10s %9s %9s %6s %6s %10s %10s %7s\n",
 		"kernel", "path", "best-ms", "GFLOPS", "ratio", "tiles", "evict", "peak-B", "read-B", "hits")
 

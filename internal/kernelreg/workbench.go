@@ -217,9 +217,17 @@ func (wb *Workbench) Vec(mode int) tensor.Vector {
 	if v, ok := wb.vecs[mode]; ok {
 		return v
 	}
-	v := tensor.RandomVector(int(wb.X.Dims[mode]), rand.New(rand.NewSource(int64(mode))))
+	v := ModeVector(wb.X.Dims, mode)
 	wb.vecs[mode] = v
 	return v
+}
+
+// ModeVector builds the Ttv operand for one mode of a tensor with the
+// given dims, seeded by the mode number: the constructor behind
+// Workbench.Vec, exported so a caller holding only a tensor's shape (the
+// daemon's tile stream) computes on the identical operand.
+func ModeVector(dims []tensor.Index, mode int) tensor.Vector {
+	return tensor.RandomVector(int(dims[mode]), rand.New(rand.NewSource(int64(mode))))
 }
 
 // TtmMat is the dense Ttm matrix for one mode (seed mode+100).
@@ -240,15 +248,23 @@ func (wb *Workbench) Mats() []*tensor.Matrix {
 	wb.mu.Lock()
 	defer wb.mu.Unlock()
 	if wb.mats == nil {
-		rng := rand.New(rand.NewSource(777))
-		mats := make([]*tensor.Matrix, wb.X.Order())
-		for n := range mats {
-			mats[n] = tensor.NewMatrix(int(wb.X.Dims[n]), wb.cfg.R)
-			mats[n].Randomize(rng)
-		}
-		wb.mats = mats
+		wb.mats = FactorMats(wb.X.Dims, wb.cfg.R)
 	}
 	return wb.mats
+}
+
+// FactorMats builds the Mttkrp operands for a tensor with the given
+// dims: one dims[n]×r matrix per mode, drawn in mode order from seed
+// 777. Like ModeVector, it is the one constructor behind Workbench.Mats
+// and the daemon's tile stream.
+func FactorMats(dims []tensor.Index, r int) []*tensor.Matrix {
+	rng := rand.New(rand.NewSource(777))
+	mats := make([]*tensor.Matrix, len(dims))
+	for n := range mats {
+		mats[n] = tensor.NewMatrix(int(dims[n]), r)
+		mats[n].Randomize(rng)
+	}
+	return mats
 }
 
 // Device is the workbench's simulated GPU, created on first use.

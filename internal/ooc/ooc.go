@@ -174,8 +174,8 @@ func tileCost(ti *tensor.TileInfo) int64 { return 2 * int64(ti.Bytes) }
 // each lease (an eviction) when the tile's compute completes. label
 // names the consuming kernel in obs spans.
 func stream(ctx context.Context, tr *tensor.TileReader, label string, opt Options,
-	compute func(idx int, tl *tensor.Tile) error) (Stats, error) {
-	st := Stats{Budget: opt.budget()}
+	compute func(idx int, tl *tensor.Tile) error) (st Stats, err error) {
+	st = Stats{Budget: opt.budget()}
 	led := newLedger(st.Budget)
 
 	sctx, cancel := context.WithCancel(ctx)
@@ -223,7 +223,15 @@ func stream(ctx context.Context, tr *tensor.TileReader, label string, opt Option
 		}
 	}()
 
+	// Whatever ends the loop, the high-water mark is reported.
+	defer func() { st.PeakBytes = led.peakBytes() }()
 	for next := 0; next < len(tr.Tiles); next++ {
+		// A tile boundary always observes the context: a prefetched tile
+		// can win the select below against Done, and the deterministic
+		// compute never looks.
+		if err := ctx.Err(); err != nil {
+			return st, err
+		}
 		var msg tileMsg
 		select {
 		case msg = <-tiles:
@@ -235,12 +243,10 @@ func stream(ctx context.Context, tr *tensor.TileReader, label string, opt Option
 			select {
 			case msg = <-tiles:
 			case <-ctx.Done():
-				st.PeakBytes = led.peakBytes()
 				return st, ctx.Err()
 			}
 		}
 		if msg.err != nil {
-			st.PeakBytes = led.peakBytes()
 			return st, msg.err
 		}
 		st.Tiles++
@@ -256,11 +262,9 @@ func stream(ctx context.Context, tr *tensor.TileReader, label string, opt Option
 		default:
 		}
 		if cerr != nil {
-			st.PeakBytes = led.peakBytes()
 			return st, cerr
 		}
 	}
-	st.PeakBytes = led.peakBytes()
 	return st, nil
 }
 

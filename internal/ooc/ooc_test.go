@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"os"
 	"testing"
 
 	"repro/internal/core"
@@ -265,6 +266,51 @@ func TestEmptyTilesStream(t *testing.T) {
 	for i := range a.Data {
 		if a.Data[i] != b.Data[i] {
 			t.Fatalf("tiling changed deterministic output at %d", i)
+		}
+	}
+}
+
+// TestSpool: the spool streams back the tensor it was given from a file
+// with no directory entry, sliced into ~16 tiles, and SpoolMinBudget —
+// computed from the shape alone — is the window those tiles need.
+func TestSpool(t *testing.T) {
+	dir := t.TempDir()
+	t.Setenv("TMPDIR", dir)
+	x := testTensor(t, 9)
+	tr, size, err := Spool(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+		t.Fatalf("spool left %d directory entries behind (err %v)", len(left), err)
+	}
+	if size <= int64(4*(x.Order()+1)*x.NNZ()) {
+		t.Fatalf("file size %d does not cover the %d-nnz payload", size, x.NNZ())
+	}
+	if int(tr.NNZ) != x.NNZ() || tr.NumTiles() < 16 || tr.NumTiles() > 17 {
+		t.Fatalf("spooled %d nnz in %d tiles, want %d nnz in ~16", tr.NNZ, tr.NumTiles(), x.NNZ())
+	}
+	min := SpoolMinBudget(x.Order(), x.NNZ())
+	if min != 4*tr.MaxTileBytes() {
+		t.Fatalf("SpoolMinBudget = %d, want 4 x the largest tile = %d", min, 4*tr.MaxTileBytes())
+	}
+
+	// The unlinked file is still readable, and streams under the floor.
+	mats := factorMats(x, 4)
+	want := tensor.NewMatrix(int(x.Dims[0]), 4)
+	xs := x.SortedBy(tensor.OtherModes(x.Order(), -1))
+	core.MttkrpCOORange(xs.Inds, xs.Vals, 0, 4, mats, want.Data, 0, xs.NNZ(), false)
+	got, st, err := Mttkrp(context.Background(), tr, mats, 0, Options{MemBudget: min, Deterministic: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.PeakBytes > min {
+		t.Fatalf("peak %d over the floor %d", st.PeakBytes, min)
+	}
+	for i, v := range want.Data {
+		if got.Data[i] != v {
+			t.Fatalf("streamed output differs at %d: %v vs %v", i, got.Data[i], v)
 		}
 	}
 }

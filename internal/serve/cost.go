@@ -2,17 +2,14 @@ package serve
 
 import (
 	"fmt"
-	"net/http"
-	"strings"
 
-	"repro/internal/dataset"
 	"repro/internal/dist"
 	"repro/internal/kernelreg"
 )
 
 // Cache keys are shared between the lookup paths and the cost model so
-// the two can never drift: requestCost peeks the same keys workbench /
-// instance / distEngine fill.
+// the two can never drift: each executor's cost peeks the same keys its
+// load and run fill.
 func wbKey(name string) string { return "wb:" + name }
 
 func instKey(name string, v *kernelreg.Variant, mode int) string {
@@ -23,72 +20,30 @@ func distKey(name string, format dist.Format, ranks int) string {
 	return fmt.Sprintf("dist:%s/%s/p%d", name, format, ranks)
 }
 
-// requestCost predicts the working-set bytes admitting req would add to
-// the daemon, before anything is materialized. Components already
-// resident (the dataset workbench, the prepared instance) are peeked in
-// the cache and skipped, so a warm request is charged only its
-// per-execution transient — the property that lets cheap warm requests
-// keep flowing while one huge cold request waits at the admission gate.
-//
-// Request-level failures (unknown dataset, unparseable variant) surface
-// here with the same typed errors the execution path would produce, so
-// a doomed request is rejected before it is charged.
-func (s *Server) requestCost(req RunRequest) (int64, error) {
-	k, f, b, err := parseVariant(req)
-	if err != nil {
-		return 0, err
-	}
-	e, err := dataset.ByID(strings.TrimSpace(req.Dataset))
-	if err != nil {
-		return 0, &badRequestError{http.StatusNotFound, ErrorBody{
-			Type: "not-found", Message: err.Error()}}
-	}
-	sdims := e.ScaledDims(s.cfg.NNZ)
-	dims := make([]int64, len(sdims))
+// baseCost is what the two in-memory executors are charged alike: the
+// per-execution transient, plus the dataset workbench when it is not
+// yet resident. Skipping resident components is the property that lets
+// cheap warm requests keep flowing while one huge cold request waits at
+// the admission gate. The footprint and the scaled dims are returned
+// for the executor's own component.
+func (s *Server) baseCost(p *plan) (cost int64, fp kernelreg.Footprint, dims []int64) {
+	sdims := p.entry.ScaledDims(s.cfg.NNZ)
+	dims = make([]int64, len(sdims))
 	for i, d := range sdims {
 		dims[i] = int64(d)
 	}
-	nnz := int64(s.cfg.NNZ)
-	fp := kernelreg.EstimateFootprint(k, f, dims, nnz, s.cfg.Bench)
-
-	cost := fp.Run
-	if _, ok := s.cache.peek(wbKey(e.Name)); !ok {
+	fp = kernelreg.EstimateFootprint(p.kernel, p.format, dims, int64(s.cfg.NNZ), s.cfg.Bench)
+	cost = fp.Run
+	if _, ok := s.cache.peek(wbKey(p.entry.Name)); !ok {
 		cost += fp.Workbench
 	}
-	if req.Ranks > 0 {
-		// The distributed engine shards the tensor (one COO copy spread
-		// across workers, charged as one), and each rank holds a partial
-		// of the mode-dims[mode] × R output for the allreduce.
-		mode := req.Mode
-		if mode < 0 || mode >= len(dims) {
-			mode = 0
-		}
-		distCost := fp.Workbench + int64(req.Ranks)*dims[mode]*int64(s.cfg.Bench.R)*4
-		var format dist.Format
-		if strings.EqualFold(req.Format, "HiCOO") {
-			format = dist.FormatHiCOO
-		}
-		if _, ok := s.cache.peek(distKey(e.Name, format, req.Ranks)); !ok {
-			cost += distCost
-		}
-		return cost, nil
-	}
+	return cost, fp, dims
+}
 
-	var v *kernelreg.Variant
-	if strings.TrimSpace(req.Backend) == "" {
-		v, err = kernelreg.HostVariant(k, f)
-	} else {
-		v, err = kernelreg.Lookup(k, f, b)
-	}
-	if err != nil {
-		return 0, err
-	}
-	mode := req.Mode
-	if !v.Caps.ModeDependent {
-		mode = 0
-	}
-	if _, ok := s.cache.peek(instKey(e.Name, v, mode)); !ok {
+func (e *instExec) cost(s *Server, p *plan) int64 {
+	cost, fp, _ := s.baseCost(p)
+	if _, ok := s.cache.peek(instKey(p.entry.Name, e.v, p.mode)); !ok {
 		cost += fp.Instance
 	}
-	return cost, nil
+	return cost
 }

@@ -3,8 +3,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"net/http"
-	"time"
 
 	"repro/internal/dist"
 	"repro/internal/kernelreg"
@@ -17,160 +15,121 @@ import (
 // unbounded value would let one request allocate arbitrarily.
 const maxDistRanks = 64
 
-// distEntry is one cached distributed engine, keyed by
-// (dataset, format, ranks). The engine serializes its own runs and
-// keeps its fault-tolerance state (removed workers stay removed), so
-// repeated requests observe a consistent simulated cluster.
-type distEntry struct {
-	eng *dist.Engine
-	wbe *wbEntry
+// distExec runs a plan on the distributed layer: the tensor sharded
+// mode-wise across ranks simulated workers, Mttkrp combined by ring
+// allreduce, Ttv gathered at the root, worker failures re-sharded
+// around by the engine. The response carries the usual trial fields
+// plus a DistInfo section with measured and alpha-beta-modeled
+// communication.
+type distExec struct {
+	onWorkbench
+	ranks  int
+	format dist.Format
 }
 
-// runDist executes one request on the distributed layer: the tensor
-// sharded mode-wise across req.Ranks simulated workers, Mttkrp combined
-// by ring allreduce, Ttv gathered at the root, worker failures
-// re-sharded around by the engine. The response carries the usual trial
-// fields plus a DistInfo section with measured and alpha-beta-modeled
-// communication.
-func (s *Server) runDist(ctx context.Context, req RunRequest, k roofline.Kernel, f roofline.Format) (*RunResponse, error) {
-	if req.Ranks > maxDistRanks {
-		return nil, &badRequestError{http.StatusBadRequest, ErrorBody{
-			Type: "bad-request", Message: fmt.Sprintf("ranks %d exceeds the maximum %d", req.Ranks, maxDistRanks)}}
+// resolveDist validates a request that asked for ranks and binds it to
+// the distributed executor.
+func resolveDist(p *plan, ranks int) (*distExec, error) {
+	if ranks < 0 {
+		return nil, badRequest("ranks must be >= 0, got %d", ranks)
 	}
-	var format dist.Format
-	switch f {
-	case roofline.COO:
-		format = dist.FormatCOO
-	case roofline.HiCOO:
-		format = dist.FormatHiCOO
-	default:
-		return nil, &badRequestError{http.StatusBadRequest, ErrorBody{
-			Type:    "bad-request",
-			Message: fmt.Sprintf("distributed path supports COO and HiCOO, not %s", f),
-			Kernel:  k.String(), Format: f.String(),
-		}}
+	if ranks > maxDistRanks {
+		return nil, badRequest("ranks %d exceeds the maximum %d", ranks, maxDistRanks)
 	}
-	if k != roofline.Mttkrp && k != roofline.Ttv {
-		return nil, &badRequestError{http.StatusBadRequest, ErrorBody{
-			Type:    "bad-request",
-			Message: fmt.Sprintf("distributed path supports Mttkrp and Ttv, not %s", k),
-			Kernel:  k.String(), Format: f.String(),
-		}}
-	}
-	wbe, wbHit, err := s.workbench(ctx, req.Dataset)
-	if err != nil {
+	okKernel := p.kernel == roofline.Mttkrp || p.kernel == roofline.Ttv
+	okFormat := p.format == roofline.COO || p.format == roofline.HiCOO
+	if !okKernel || !okFormat {
+		err := badRequest("distributed path supports Mttkrp and Ttv on COO and HiCOO, not %s on %s", p.kernel, p.format)
+		err.body.Kernel, err.body.Format = p.kernel.String(), p.format.String()
 		return nil, err
 	}
-	if req.Mode < 0 || req.Mode >= wbe.wb.X.Order() {
-		return nil, &badRequestError{http.StatusBadRequest, ErrorBody{
-			Type:    "bad-request",
-			Message: fmt.Sprintf("mode %d out of range for order-%d tensor %s", req.Mode, wbe.wb.X.Order(), wbe.name),
-		}}
+	d := &distExec{ranks: ranks, format: dist.FormatCOO}
+	if p.format == roofline.HiCOO {
+		d.format = dist.FormatHiCOO
 	}
-	de, engHit, err := s.distEngine(ctx, wbe, format, req.Ranks)
-	if err != nil {
-		return nil, err
-	}
+	return d, nil
+}
 
-	variant := fmt.Sprintf("%s/%s@dist", k, f)
-	sp := obs.Begin("daemon.dist", variant, obs.PhaseTrial, -1)
-	sp.Attr("ranks", fmt.Sprint(req.Ranks))
-	before := de.eng.Stats()
-	start := time.Now()
-	var out any
-	var flops int64
-	var commBytes, commMsgs int64
-	var modeled float64
-	switch k {
-	case roofline.Mttkrp:
-		r := wbe.wb.R()
-		res, kerr := de.eng.Mttkrp(ctx, req.Mode, wbe.wb.Mats(), r)
-		if kerr == nil {
-			out = res.Out
-			commBytes, commMsgs, modeled = res.CommBytes, res.CommMessages, res.ModeledCommSec
-			flops = int64(wbe.wb.X.Order()) * int64(wbe.wb.X.NNZ()) * int64(r)
+// cost adds the engine when it is not cached: the tensor sharded (one
+// COO copy spread across workers, charged as one), and per rank a
+// partial of the dims[mode] × R output for the allreduce.
+func (d *distExec) cost(s *Server, p *plan) int64 {
+	cost, fp, dims := s.baseCost(p)
+	if _, ok := s.cache.peek(distKey(p.entry.Name, d.format, d.ranks)); !ok {
+		mode := p.mode
+		if mode < 0 || mode >= len(dims) {
+			mode = 0 // execute rejects it once the dataset is loaded
 		}
-		err = kerr
-	case roofline.Ttv:
-		res, kerr := de.eng.Ttv(ctx, req.Mode, wbe.wb.Vec(req.Mode))
-		if kerr == nil {
-			out = res.Out
-			commBytes, commMsgs, modeled = res.CommBytes, res.CommMessages, res.ModeledCommSec
-			flops = 2 * int64(wbe.wb.X.NNZ())
-		}
-		err = kerr
+		cost += fp.Workbench + int64(d.ranks)*dims[mode]*int64(s.cfg.Bench.R)*4
 	}
-	elapsed := time.Since(start).Seconds()
-	after := de.eng.Stats()
-	sp.Attr("outcome", outcomeOf(err))
+	return cost
+}
+
+func (d *distExec) run(ctx context.Context, s *Server, p *plan) (*RunResponse, error) {
+	wb := d.wb
+	// Engines are cached per (dataset, format, ranks). An engine
+	// serializes its own runs and keeps its fault-tolerance state
+	// (removed workers stay removed), so repeated requests observe a
+	// consistent simulated cluster.
+	val, engHit, err := s.cache.getOrCreate(ctx, distKey(p.entry.Name, d.format, d.ranks), func() (any, error) {
+		return dist.NewEngine(wb.X, dist.Options{
+			Ranks:     d.ranks,
+			Format:    d.format,
+			BlockBits: s.cfg.Bench.BlockBits,
+		})
+	})
+	if err != nil {
+		return nil, err
+	}
+	eng := val.(*dist.Engine)
+
+	info := &DistInfo{Ranks: d.ranks}
+	resp := &RunResponse{
+		Variant:      fmt.Sprintf("%s/%s@dist", p.kernel, p.format),
+		Outcome:      "ok",
+		Backend:      "dist",
+		CacheHit:     engHit,
+		WorkbenchHit: d.wbHit,
+		Dist:         info,
+	}
+	sp := obs.Begin("daemon.dist", resp.Variant, obs.PhaseTrial, -1)
+	sp.Attr("ranks", fmt.Sprint(d.ranks))
+	before := eng.Stats()
+	var out any
+	elapsed, err := s.timed(ctx, func(ctx context.Context) error {
+		if p.kernel == roofline.Mttkrp {
+			res, err := eng.Mttkrp(ctx, p.mode, wb.Mats(), wb.R())
+			if err != nil {
+				return err
+			}
+			out = res.Out
+			info.CommBytes, info.CommMessages, info.ModeledCommSec = res.CommBytes, res.CommMessages, res.ModeledCommSec
+			resp.Flops = int64(wb.X.Order()) * int64(wb.X.NNZ()) * int64(wb.R())
+			return nil
+		}
+		res, err := eng.Ttv(ctx, p.mode, wb.Vec(p.mode)) // resolveDist admits no third kernel
+		if err != nil {
+			return err
+		}
+		out = res.Out
+		info.CommBytes, info.CommMessages, info.ModeledCommSec = res.CommBytes, res.CommMessages, res.ModeledCommSec
+		resp.Flops = 2 * int64(wb.X.NNZ())
+		return nil
+	})
+	after := eng.Stats()
+	outcome := "ok"
+	if err != nil {
+		outcome = "error"
+	}
+	sp.Attr("outcome", outcome)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-
-	outcome := "ok"
-	reshards := after.Reshards - before.Reshards
-	if reshards > 0 {
-		outcome = "recovered"
+	resp.Attempts = int(after.Attempts - before.Attempts)
+	info.LiveWorkers = after.Workers
+	if info.Reshards = after.Reshards - before.Reshards; info.Reshards > 0 {
+		resp.Outcome = "recovered"
 	}
-	resp := &RunResponse{
-		Dataset:      wbe.name,
-		Variant:      variant,
-		Mode:         req.Mode,
-		Outcome:      outcome,
-		Backend:      "dist",
-		Attempts:     int(after.Attempts - before.Attempts),
-		Flops:        flops,
-		ElapsedSec:   elapsed,
-		CacheHit:     engHit,
-		WorkbenchHit: wbHit,
-		Dist: &DistInfo{
-			Ranks:          req.Ranks,
-			LiveWorkers:    after.Workers,
-			CommBytes:      commBytes,
-			CommMessages:   commMsgs,
-			ModeledCommSec: modeled,
-			Reshards:       reshards,
-		},
-	}
-	if elapsed > 0 {
-		resp.GFLOPS = float64(flops) / elapsed / 1e9
-	}
-	if req.Verify {
-		ref, err := wbe.wb.Reference(ctx, k, req.Mode)
-		if err != nil {
-			return nil, err
-		}
-		dev := kernelreg.Compare(kernelreg.CanonOf(out), ref)
-		resp.Deviation = &dev
-	}
-	return resp, nil
-}
-
-// distEngine returns the cached engine for (dataset, format, ranks),
-// building it on first use.
-func (s *Server) distEngine(ctx context.Context, wbe *wbEntry, format dist.Format, ranks int) (*distEntry, bool, error) {
-	val, hit, err := s.cache.getOrCreate(ctx, distKey(wbe.name, format, ranks), func() (any, error) {
-		eng, err := dist.NewEngine(wbe.wb.X, dist.Options{
-			Ranks:     ranks,
-			Format:    format,
-			BlockBits: s.cfg.Bench.BlockBits,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &distEntry{eng: eng, wbe: wbe}, nil
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	return val.(*distEntry), hit, nil
-}
-
-// outcomeOf renders a trial error for span attributes.
-func outcomeOf(err error) string {
-	if err != nil {
-		return "error"
-	}
-	return "ok"
+	return p.finish(ctx, resp, elapsed, wb, func() kernelreg.Canon { return kernelreg.CanonOf(out) })
 }

@@ -170,7 +170,7 @@ func TestOverBudgetRejected413(t *testing.T) {
 func TestCostAwareShedding(t *testing.T) {
 	// Size the budget from the model itself so the test tracks it:
 	// one Mttkrp/COO fits, two do not.
-	cost, err := New(Config{NNZ: 1500}).requestCost(RunRequest{Dataset: "nell2", Kernel: "Mttkrp", Format: "COO"})
+	cost, err := requestCost(New(Config{NNZ: 1500}), RunRequest{Dataset: "nell2", Kernel: "Mttkrp", Format: "COO"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +417,7 @@ func TestRetryAfterSecondsBoundaries(t *testing.T) {
 // the governor returns to zero bytes in flight, heap stays bounded,
 // and no goroutines leak.
 func TestOverloadSoak(t *testing.T) {
-	cost, err := New(Config{NNZ: 1500}).requestCost(RunRequest{Dataset: "nell2", Kernel: "Mttkrp", Format: "COO"})
+	cost, err := requestCost(New(Config{NNZ: 1500}), RunRequest{Dataset: "nell2", Kernel: "Mttkrp", Format: "COO"})
 	if err != nil {
 		t.Fatal(err)
 	}

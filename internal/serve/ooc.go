@@ -2,14 +2,8 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math/rand"
-	"net/http"
-	"os"
-	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/kernelreg"
@@ -19,98 +13,34 @@ import (
 	"repro/internal/tensor"
 )
 
-// The daemon's out-of-core path: a request whose in-core working set
-// exceeds the memory budget is rerouted here instead of 413ing, when
+// The daemon's out-of-core executor: a plan whose in-core working set
+// exceeds the memory budget is re-resolved here instead of 413ing, when
 // its kernel can stream (Ttv and Mttkrp over a COO tile stream). The
-// dataset is spooled once to a PSTB v3 tile file on disk (unlinked
-// after open, so the space dies with the daemon), and the kernel runs
-// via internal/ooc holding only a budgeted tile window plus its dense
-// operands — the cost the reroute is admitted at.
+// dataset is spooled once to a PSTB v3 tile file (ooc.Spool), and the
+// kernel runs via internal/ooc holding only a budgeted tile window plus
+// its dense operands — the cost the reroute is admitted at.
 
 // ctrOOCReroutes counts over-budget requests the streaming path served.
 var ctrOOCReroutes = obs.GetCounter("daemon.ooc_reroutes")
 
 func oocKey(name string) string { return "ooc:" + name }
 
-// oocTileNNZ slices a spooled dataset into enough tiles that the
-// stream actually cycles its window (at least ~16 on daemon-sized
-// stand-ins), without exceeding the format default.
-func oocTileNNZ(nnz int) int {
-	t := nnz / 16
-	if t < 1 {
-		t = 1
-	}
-	if t > tensor.DefaultTileNNZ {
-		t = tensor.DefaultTileNNZ
-	}
-	return t
+// streamExec runs a plan on the tile stream.
+type streamExec struct {
+	// budget is the tile-residency byte budget, decided once: the
+	// tensor share of the admission charge and the MemBudget the stream
+	// then leases tiles under.
+	budget int64
+	ds     *oocEntry
 }
 
-// oocEntry is one cached spooled dataset: the open tile reader over the
-// unlinked v3 file, plus lazily built dense operands seeded exactly
-// like the Workbench ones (so an ooc response is comparable with an
-// in-core run of the same request on a bigger daemon).
-type oocEntry struct {
-	name      string
-	tr        *tensor.TileReader
-	fileBytes int64
-
-	mu   sync.Mutex
-	mats []*tensor.Matrix
-	vecs map[int]tensor.Vector
-	r    int
-}
-
-func (e *oocEntry) factorMats() []*tensor.Matrix {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.mats == nil {
-		rng := rand.New(rand.NewSource(777))
-		mats := make([]*tensor.Matrix, e.tr.Order())
-		for n := range mats {
-			mats[n] = tensor.NewMatrix(int(e.tr.Dims[n]), e.r)
-			mats[n].Randomize(rng)
-		}
-		e.mats = mats
-	}
-	return e.mats
-}
-
-func (e *oocEntry) vec(mode int) tensor.Vector {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if v, ok := e.vecs[mode]; ok {
-		return v
-	}
-	v := tensor.RandomVector(int(e.tr.Dims[mode]), rand.New(rand.NewSource(int64(mode))))
-	e.vecs[mode] = v
-	return v
-}
-
-// streamableReq reports whether the request can run out of core: a
-// streaming kernel over the COO tile layout, no distributed fan-out,
-// and a backend choice the reroute honors (unset, the host default, or
-// ooc itself — an explicit gpu/multigpu ask is not silently moved).
-func streamableReq(req RunRequest) bool {
-	if req.Ranks != 0 {
-		return false
-	}
-	switch strings.ToLower(strings.TrimSpace(req.Backend)) {
-	case "", "omp", "ooc":
-	default:
-		return false
-	}
-	if !strings.EqualFold(req.Format, roofline.COO.String()) {
-		return false
-	}
-	return strings.EqualFold(req.Kernel, roofline.Ttv.String()) ||
-		strings.EqualFold(req.Kernel, roofline.Mttkrp.String())
-}
-
-// oocStreamBudget is the tile-residency budget rerouted streams run
-// under: a quarter of the daemon budget, capped at the ooc default so
-// one stream cannot monopolize admission headroom.
-func (s *Server) oocStreamBudget() int64 {
+// newStreamExec sizes the stream for a plan: a quarter of the daemon
+// budget, capped at the ooc default so one stream cannot monopolize
+// admission headroom, and floored at what the spool's tiles need — a
+// budget below the pipeline's two-lease working set would fail fast.
+// The floor is charged like the rest: if it no longer fits, admit
+// answers the honest 413.
+func (s *Server) newStreamExec(p *plan) *streamExec {
 	b := s.gov.Budget() / 4
 	if b > ooc.DefaultBudget {
 		b = ooc.DefaultBudget
@@ -118,29 +48,18 @@ func (s *Server) oocStreamBudget() int64 {
 	if b < 1<<16 {
 		b = 1 << 16
 	}
-	return b
+	if min := ooc.SpoolMinBudget(p.entry.Order(), s.cfg.NNZ); b < min {
+		b = min
+	}
+	return &streamExec{budget: b}
 }
 
-// oocCost predicts the admitted working set of a rerouted stream: the
-// tile-window budget plus the dense operands and output. Ttv's sparse
-// output is charged at its worst case (every non-zero its own fiber) —
-// honest, so a Ttv whose output alone cannot fit is still rejected.
-func (s *Server) oocCost(req RunRequest) (int64, error) {
-	k, _, _, err := parseVariant(req)
-	if err != nil {
-		return 0, err
-	}
-	e, err := dataset.ByID(strings.TrimSpace(req.Dataset))
-	if err != nil {
-		return 0, &badRequestError{http.StatusNotFound, ErrorBody{
-			Type: "not-found", Message: err.Error()}}
-	}
-	dims := e.ScaledDims(s.cfg.NNZ)
-	r := int64(s.cfg.Bench.R)
-	if r < 1 {
-		r = int64(kernelreg.DefaultConfig().R)
-	}
-	cost := s.oocStreamBudget()
+// cost is the tile-window budget plus the dense operands and output.
+// Ttv's sparse output is charged at its worst case (every non-zero its
+// own fiber) — honest, so a Ttv whose output alone cannot fit is still
+// rejected.
+func (e *streamExec) cost(s *Server, p *plan) int64 {
+	dims := p.entry.ScaledDims(s.cfg.NNZ)
 	var sumDims, maxDim int64
 	for _, d := range dims {
 		sumDims += int64(d)
@@ -148,190 +67,106 @@ func (s *Server) oocCost(req RunRequest) (int64, error) {
 			maxDim = int64(d)
 		}
 	}
-	switch k {
-	case roofline.Mttkrp:
-		cost += 4 * r * (sumDims + maxDim) // factor matrices + output
-	case roofline.Ttv:
-		cost += 4*maxDim + 4*int64(len(dims))*int64(s.cfg.NNZ)
+	if p.kernel == roofline.Mttkrp {
+		return e.budget + 4*int64(s.cfg.Bench.R)*(sumDims+maxDim) // factor matrices + output
 	}
-	return cost, nil
+	return e.budget + 4*maxDim + 4*int64(len(dims))*int64(s.cfg.NNZ)
 }
 
-// tryStreamOverBudget handles an over-budget request on the streaming
-// path. It returns true when it wrote the response (success or a
-// streaming-specific failure); false hands the request back to the 413.
-func (s *Server) tryStreamOverBudget(ctx context.Context, w http.ResponseWriter, req RunRequest, client string) bool {
-	if !streamableReq(req) {
-		return false
-	}
-	cost, err := s.oocCost(req)
-	if err != nil {
-		return false
-	}
-	lease, err := s.gov.Admit(ctx, cost)
-	if err != nil {
-		// Even the streaming working set does not fit (or the gate is
-		// draining/contended); the original rejection stands.
-		return false
-	}
-	defer lease.Release()
-	select {
-	case s.inflight <- struct{}{}:
-		defer func() { <-s.inflight }()
-	default:
-		ctrOverloadRejects.Inc()
-		w.Header().Set("Retry-After", retryAfterSeconds(s.overloadRetryAfter()))
-		writeError(w, http.StatusServiceUnavailable, ErrorBody{
-			Type: "overload", Message: "daemon at max in-flight requests"})
-		return true
-	}
-	resp, err := s.runOOC(ctx, req)
-	if err != nil {
-		if ctx.Err() != nil {
-			s.finishCancelled(w, client)
-			return true
-		}
-		var br *badRequestError
-		if errors.As(err, &br) {
-			writeError(w, br.status, br.body)
-			return true
-		}
-		writeExecError(w, err)
-		return true
-	}
-	ctrOOCReroutes.Inc()
-	writeJSON(w, http.StatusOK, resp)
-	return true
+// oocEntry is one cached spooled dataset: the open tile reader over the
+// unlinked v3 file, plus lazily built dense operands — the Workbench's
+// own constructors, so an ooc response is comparable with an in-core
+// run of the same request on a bigger daemon.
+type oocEntry struct {
+	tr        *tensor.TileReader
+	fileBytes int64
+
+	mu   sync.Mutex
+	mats []*tensor.Matrix
+	vecs map[int]tensor.Vector
 }
 
-// runOOC executes one request on the tile stream: spool (cached,
-// unlink-after-open), lease-bounded streaming kernel, stats into the
-// response's OOC section.
-func (s *Server) runOOC(ctx context.Context, req RunRequest) (*RunResponse, error) {
-	k, _, _, err := parseVariant(req)
-	if err != nil {
-		return nil, err
+func (e *oocEntry) factorMats(r int) []*tensor.Matrix {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.mats == nil {
+		e.mats = kernelreg.FactorMats(e.tr.Dims, r)
 	}
-	entry, _, err := s.oocDataset(ctx, req.Dataset)
-	if err != nil {
-		return nil, err
-	}
-	tr := entry.tr
-	mode := req.Mode
-	if mode < 0 || mode >= tr.Order() {
-		return nil, &badRequestError{http.StatusBadRequest, ErrorBody{
-			Type:    "bad-request",
-			Message: fmt.Sprintf("mode %d out of range for order-%d tensor %s", mode, tr.Order(), entry.name),
-		}}
-	}
-	budget := s.oocStreamBudget()
-	// A budget below the pipeline's two-lease working set would fail
-	// fast; on a small daemon it is floored to what the tiles need.
-	if min := 4 * tr.MaxTileBytes(); budget < min {
-		budget = min
-	}
-	opt := ooc.Options{MemBudget: budget, Sched: s.cfg.Bench.Sched}
-	opt.Sched.Ctx = ctx
-
-	var (
-		st    ooc.Stats
-		flops int64
-	)
-	start := time.Now()
-	switch k {
-	case roofline.Mttkrp:
-		_, st, err = ooc.Mttkrp(ctx, tr, entry.factorMats(), mode, opt)
-		flops = ooc.MttkrpFlops(tr, entry.r)
-	case roofline.Ttv:
-		_, st, err = ooc.Ttv(ctx, tr, entry.vec(mode), mode, opt)
-		flops = ooc.TtvFlops(tr)
-	default:
-		return nil, &badRequestError{http.StatusBadRequest, ErrorBody{
-			Type: "bad-request", Message: fmt.Sprintf("kernel %s has no streaming path", k)}}
-	}
-	elapsed := time.Since(start)
-	if err != nil {
-		return nil, err
-	}
-	resp := &RunResponse{
-		Dataset:    entry.name,
-		Variant:    fmt.Sprintf("%s/COO@ooc", k),
-		Mode:       mode,
-		Outcome:    "ok",
-		Backend:    "ooc",
-		Attempts:   1,
-		Flops:      flops,
-		ElapsedSec: elapsed.Seconds(),
-		OOC: &OOCInfo{
-			Budget:         st.Budget,
-			PeakBytes:      st.PeakBytes,
-			Tiles:          st.Tiles,
-			BytesRead:      st.BytesRead,
-			Evictions:      st.Evictions,
-			PrefetchHits:   st.PrefetchHits,
-			PrefetchStalls: st.PrefetchStalls,
-			FileBytes:      entry.fileBytes,
-		},
-	}
-	if sec := elapsed.Seconds(); sec > 0 {
-		resp.GFLOPS = float64(flops) / sec / 1e9
-	}
-	return resp, nil
+	return e.mats
 }
 
-// oocDataset returns the cached spooled tile file for a dataset,
-// materializing and spooling it on first use. The temp file is
-// unlinked as soon as the reader holds it open: its blocks are
-// reclaimed when the reader (or the process) goes away, and no
-// directory entry can leak.
-func (s *Server) oocDataset(ctx context.Context, ds string) (*oocEntry, bool, error) {
-	e, err := dataset.ByID(strings.TrimSpace(ds))
-	if err != nil {
-		return nil, false, &badRequestError{http.StatusNotFound, ErrorBody{
-			Type: "not-found", Message: err.Error()}}
+func (e *oocEntry) vec(mode int) tensor.Vector {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	v, ok := e.vecs[mode]
+	if !ok {
+		v = kernelreg.ModeVector(e.tr.Dims, mode)
+		e.vecs[mode] = v
 	}
-	val, hit, err := s.cache.getOrCreate(ctx, oocKey(e.Name), func() (any, error) {
-		sp := obs.Begin("daemon.ooc_spool", e.Name, obs.PhasePrepare, -1)
+	return v
+}
+
+// load returns the cached spooled tile file for the plan's dataset,
+// materializing and spooling it on first use.
+func (e *streamExec) load(ctx context.Context, s *Server, p *plan) (int, error) {
+	name := p.entry.Name
+	val, _, err := s.cache.getOrCreate(ctx, oocKey(name), func() (any, error) {
+		sp := obs.Begin("daemon.ooc_spool", name, obs.PhasePrepare, -1)
 		defer sp.End()
 		// Materialization is transient: the COO exists only while it is
 		// being tiled out to disk, then only the reader's window remains.
-		x, err := dataset.Materialize(e, s.cfg.NNZ, s.cfg.Seed)
+		x, err := dataset.Materialize(p.entry, s.cfg.NNZ, s.cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
-		f, err := os.CreateTemp("", "pastad-ooc-*.bten")
+		tr, size, err := ooc.Spool(x)
 		if err != nil {
 			return nil, err
 		}
-		if err := tensor.WriteBinaryTiled(f, x, oocTileNNZ(x.NNZ())); err != nil {
-			f.Close()
-			os.Remove(f.Name())
-			return nil, err
-		}
-		fi, err := f.Stat()
-		if err != nil {
-			f.Close()
-			os.Remove(f.Name())
-			return nil, err
-		}
-		tr, err := tensor.NewTileReader(f, fi.Size())
-		if err != nil {
-			f.Close()
-			os.Remove(f.Name())
-			return nil, err
-		}
-		os.Remove(f.Name()) // unlink-after-open
-		r := s.cfg.Bench.R
-		if r < 1 {
-			r = kernelreg.DefaultConfig().R
-		}
-		return &oocEntry{
-			name: e.Name, tr: tr, fileBytes: fi.Size(),
-			vecs: make(map[int]tensor.Vector), r: r,
-		}, nil
+		return &oocEntry{tr: tr, fileBytes: size, vecs: make(map[int]tensor.Vector)}, nil
 	})
 	if err != nil {
-		return nil, false, err
+		return 0, err
 	}
-	return val.(*oocEntry), hit, nil
+	e.ds = val.(*oocEntry)
+	return e.ds.tr.Order(), nil
+}
+
+// run streams the kernel under the admitted budget and reports the
+// pipeline's stats in the response's OOC section.
+func (e *streamExec) run(ctx context.Context, s *Server, p *plan) (*RunResponse, error) {
+	tr := e.ds.tr
+	opt := ooc.Options{MemBudget: e.budget, Sched: s.cfg.Bench.Sched}
+	resp := &RunResponse{
+		Variant:  fmt.Sprintf("%s/COO@ooc", p.kernel),
+		Outcome:  "ok",
+		Backend:  "ooc",
+		Attempts: 1,
+	}
+	var st ooc.Stats
+	elapsed, err := s.timed(ctx, func(ctx context.Context) (err error) {
+		if p.kernel == roofline.Mttkrp {
+			resp.Flops = ooc.MttkrpFlops(tr, s.cfg.Bench.R)
+			_, st, err = ooc.Mttkrp(ctx, tr, e.ds.factorMats(s.cfg.Bench.R), p.mode, opt)
+			return err
+		}
+		resp.Flops = ooc.TtvFlops(tr) // resolve marks no third kernel streamable
+		_, st, err = ooc.Ttv(ctx, tr, e.ds.vec(p.mode), p.mode, opt)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	ctrOOCReroutes.Inc()
+	resp.OOC = &OOCInfo{
+		Budget:         st.Budget,
+		PeakBytes:      st.PeakBytes,
+		Tiles:          st.Tiles,
+		BytesRead:      st.BytesRead,
+		Evictions:      st.Evictions,
+		PrefetchHits:   st.PrefetchHits,
+		PrefetchStalls: st.PrefetchStalls,
+		FileBytes:      e.ds.fileBytes,
+	}
+	return p.finish(ctx, resp, elapsed, nil, nil)
 }

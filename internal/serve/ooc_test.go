@@ -15,7 +15,7 @@ func TestOverBudgetStreamsInsteadOf413(t *testing.T) {
 	// Size the budget one byte under the in-core cost so the admission
 	// gate rejects it over-budget, while the (much smaller) streaming
 	// working set still fits.
-	incore, err := New(Config{NNZ: 1500}).requestCost(RunRequest{Dataset: "nell2", Kernel: "Mttkrp", Format: "COO"})
+	incore, err := requestCost(New(Config{NNZ: 1500}), RunRequest{Dataset: "nell2", Kernel: "Mttkrp", Format: "COO"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestOverBudgetStreamsInsteadOf413(t *testing.T) {
 
 	// Ttv's in-core footprint is smaller (no factor matrices), so it
 	// needs its own just-too-small budget to take the streaming path.
-	ttvIncore, err := New(Config{NNZ: 1500}).requestCost(RunRequest{Dataset: "nell2", Kernel: "Ttv", Format: "COO"})
+	ttvIncore, err := requestCost(New(Config{NNZ: 1500}), RunRequest{Dataset: "nell2", Kernel: "Ttv", Format: "COO"})
 	if err != nil {
 		t.Fatal(err)
 	}

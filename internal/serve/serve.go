@@ -19,10 +19,15 @@
 //     /metrics exports in Prometheus text format next to the runtime
 //     counters of every other subsystem.
 //
-// Failures map onto HTTP statuses through the resilience error
-// taxonomy: unregistered variants are 404, open breakers 503, trial
-// deadlines 504, non-finite outputs 422, contained panics 500,
-// exhausted ladders 502, quota exhaustion 429.
+// POST /run is one staged pipeline — decode → gate → resolve → cost →
+// admit → slot → execute → encode (handleRun, Run) — whichever of the
+// three executors the request resolves onto: a prepared instance, the
+// distributed engine, or the out-of-core tile stream.
+//
+// Failures map onto HTTP statuses in one place, encode, through the
+// resilience error taxonomy: unregistered variants are 404, open
+// breakers 503, trial deadlines 504, non-finite outputs 422, contained
+// panics 500, exhausted ladders 502, quota exhaustion 429.
 package serve
 
 import (
@@ -41,6 +46,7 @@ import (
 	"repro/internal/govern"
 	"repro/internal/kernelreg"
 	"repro/internal/obs"
+	"repro/internal/ooc"
 	"repro/internal/resilience"
 	"repro/internal/roofline"
 )
@@ -138,6 +144,9 @@ func New(cfg Config) *Server {
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 30 * time.Second
+	}
+	if cfg.Bench.R < 1 {
+		cfg.Bench.R = kernelreg.DefaultConfig().R
 	}
 	s := &Server{
 		cfg:    cfg,
@@ -334,21 +343,6 @@ func writeError(w http.ResponseWriter, status int, body ErrorBody) {
 	writeJSON(w, status, errorResponse{Error: body})
 }
 
-// writeExecError renders an execution error with the taxonomy mapping
-// and the trial label pulled from the *resilience.KernelError when one
-// is present.
-func writeExecError(w http.ResponseWriter, err error) {
-	status, typ := statusOf(err)
-	body := ErrorBody{Type: typ, Message: err.Error()}
-	var ke *resilience.KernelError
-	if errors.As(err, &ke) {
-		body.Kernel = ke.Label.Kernel
-		body.Format = ke.Label.Format
-		body.Backend = ke.Label.Backend
-	}
-	writeError(w, status, body)
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	status := "ok"
 	if s.gov.Draining() {
@@ -398,6 +392,10 @@ func (s *Server) handleVariants(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
+// handleRun is POST /run, and reads as the stage list (DESIGN.md §19):
+// decode → gate → Run (resolve → cost → admit → slot → execute) →
+// encode. A stage that fails returns a typed error and the rest are
+// skipped; encode renders whichever error came first.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, ErrorBody{Type: "method", Message: "POST /run"})
@@ -407,147 +405,398 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer func() { ctrLatencyUsec.Add(time.Since(start).Microseconds()) }()
 
-	// Decode before any admission decision: the cost model needs the
-	// parsed request, and a malformed body should cost nothing.
-	var req RunRequest
+	client := clientID(r)
+	req, ctx, cancel, err := decode(w, r)
+	defer cancel()
+	if err == nil {
+		err = s.gate(client)
+	}
+	var resp *RunResponse
+	if err == nil {
+		resp, err = s.Run(ctx, req)
+	}
+	s.encode(w, r, client, resp, err)
+}
+
+// Run is the transport-independent middle of POST /run: one request
+// through resolve → cost → admit → slot → execute. ctx carries the
+// caller's cancellation (client disconnect, per-request deadline) all
+// the way into the kernel; nil means no cancellation.
+func (s *Server) Run(ctx context.Context, req RunRequest) (*RunResponse, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	p, err := s.resolve(req)
+	if err != nil {
+		return nil, err
+	}
+	lease, err := s.admit(ctx, p)
+	if err != nil {
+		return nil, err
+	}
+	defer lease.Release()
+	release, err := s.slot()
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	return s.execute(ctx, p)
+}
+
+// badRequestError carries a pre-rendered request-level failure (parse
+// or lookup, not execution).
+type badRequestError struct {
+	status int
+	body   ErrorBody
+}
+
+func (e *badRequestError) Error() string { return e.body.Message }
+
+// badRequest is the 400 a request that fails validation is answered.
+func badRequest(format string, a ...any) *badRequestError {
+	return &badRequestError{http.StatusBadRequest, ErrorBody{Type: "bad-request", Message: fmt.Sprintf(format, a...)}}
+}
+
+// quotaError is the gate's rejection of a client over its quota.
+// retryAfter is how long until the client's window rolls over and
+// capacity returns (zero for a lifetime budget, which never recovers).
+type quotaError struct{ retryAfter time.Duration }
+
+func (*quotaError) Error() string { return "client quota exhausted" }
+
+// errOverload is the slot stage's rejection: every in-flight slot is
+// taken, and excess load is turned away rather than queued into memory.
+var errOverload = errors.New("daemon at max in-flight requests")
+
+// decode is the first stage: the JSON body (unknown fields rejected,
+// 1 MiB cap) and the request's context — the client's disconnect,
+// tightened by an optional X-Pasta-Deadline header. It runs before any
+// admission decision, so a malformed request costs nothing. The
+// returned cancel is never nil.
+func decode(w http.ResponseWriter, r *http.Request) (req RunRequest, ctx context.Context, cancel context.CancelFunc, err error) {
+	ctx, cancel = r.Context(), func() {}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, ErrorBody{Type: "bad-request", Message: err.Error()})
-		return
+		return req, ctx, cancel, badRequest("%s", err)
 	}
-
-	// The request context carries the client's disconnect; an optional
-	// per-request deadline header tightens it further.
-	ctx := r.Context()
 	if h := strings.TrimSpace(r.Header.Get(deadlineHeader)); h != "" {
 		d, err := time.ParseDuration(h)
 		if err != nil || d <= 0 {
-			writeError(w, http.StatusBadRequest, ErrorBody{
-				Type: "bad-request", Message: fmt.Sprintf("invalid %s %q: want a positive Go duration", deadlineHeader, h)})
-			return
+			return req, ctx, cancel, badRequest("invalid %s %q: want a positive Go duration", deadlineHeader, h)
 		}
-		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
 	}
-
-	if s.gov.Draining() {
-		w.Header().Set("Retry-After", retryAfterSeconds(s.gov.DrainGrace()))
-		writeError(w, http.StatusServiceUnavailable, ErrorBody{
-			Type: "draining", Message: "daemon is draining; not admitting new work"})
-		return
-	}
-
-	client := clientID(r)
-	if ok, retry := s.quotas.admit(client); !ok {
-		// Retry-After tracks the client's actual window remainder: the
-		// quota recovers when the window rolls over, not in a fixed
-		// second (a lifetime budget never recovers; 1s is the floor the
-		// header grammar allows us to express either way).
-		w.Header().Set("Retry-After", retryAfterSeconds(retry))
-		writeError(w, http.StatusTooManyRequests, ErrorBody{
-			Type: "quota", Message: "client quota exhausted"})
-		return
-	}
-
-	cost, err := s.requestCost(req)
-	if err != nil {
-		var br *badRequestError
-		if errors.As(err, &br) {
-			writeError(w, br.status, br.body)
-			return
-		}
-		writeExecError(w, err)
-		return
-	}
-	lease, err := s.gov.Admit(ctx, cost)
-	if err != nil {
-		switch {
-		case errors.Is(err, govern.ErrDraining):
-			w.Header().Set("Retry-After", retryAfterSeconds(s.gov.DrainGrace()))
-			writeError(w, http.StatusServiceUnavailable, ErrorBody{
-				Type: "draining", Message: "daemon is draining; not admitting new work"})
-		case errors.Is(err, govern.ErrOverBudget):
-			// A dataset too large to run in core may still be streamable:
-			// the out-of-core path holds only a budgeted tile window plus
-			// dense operands, so it is re-admitted at that (much smaller)
-			// cost and runs instead of 413ing.
-			if s.tryStreamOverBudget(ctx, w, req, client) {
-				return
-			}
-			// No Retry-After: a request larger than the whole budget can
-			// never be admitted, so there is no useful time to suggest.
-			writeError(w, http.StatusRequestEntityTooLarge, ErrorBody{
-				Type: "over-budget",
-				Message: fmt.Sprintf("request working set ~%d bytes exceeds the daemon budget %d",
-					cost, s.gov.Budget())})
-		case errors.Is(err, govern.ErrOverloaded):
-			w.Header().Set("Retry-After", retryAfterSeconds(s.overloadRetryAfter()))
-			writeError(w, http.StatusServiceUnavailable, ErrorBody{
-				Type: "shed",
-				Message: fmt.Sprintf("daemon memory budget exhausted (~%d bytes in flight); request shed",
-					s.gov.BytesInflight())})
-		default:
-			// The client's own context ended while waiting at the gate.
-			s.finishCancelled(w, client)
-		}
-		return
-	}
-	defer lease.Release()
-
-	select {
-	case s.inflight <- struct{}{}:
-		defer func() { <-s.inflight }()
-	default:
-		ctrOverloadRejects.Inc()
-		// A slot frees after roughly one mean request duration; derive
-		// the hint from the measured in-flight state instead of a
-		// hardcoded constant.
-		w.Header().Set("Retry-After", retryAfterSeconds(s.overloadRetryAfter()))
-		writeError(w, http.StatusServiceUnavailable, ErrorBody{
-			Type: "overload", Message: "daemon at max in-flight requests"})
-		return
-	}
-
-	resp, err := s.Run(ctx, req)
-	if err != nil {
-		// A disconnect observed anywhere down the stack lands here; the
-		// 499 is written for the log's benefit (the client is gone) and
-		// the quota charge is refunded — abandoned work must not count.
-		if r.Context().Err() != nil || resilience.IsCancelled(err) {
-			s.finishCancelled(w, client)
-			return
-		}
-		if errors.Is(err, govern.ErrDraining) {
-			// A joiner detached from a shared flight because the daemon
-			// started draining mid-wait.
-			w.Header().Set("Retry-After", retryAfterSeconds(s.gov.DrainGrace()))
-			writeError(w, http.StatusServiceUnavailable, ErrorBody{
-				Type: "draining", Message: "daemon is draining; not admitting new work"})
-			return
-		}
-		var br *badRequestError
-		if errors.As(err, &br) {
-			writeError(w, br.status, br.body)
-			return
-		}
-		writeExecError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return req, ctx, cancel, nil
 }
 
-// finishCancelled closes out a request whose client walked away: the
-// cancellation is counted and traced, the quota charge refunded, and a
-// 499 (nginx's client-closed-request) written for whoever is still
-// listening.
-func (s *Server) finishCancelled(w http.ResponseWriter, client string) {
-	ctrCancelled.Inc()
-	s.quotas.refund(client)
-	obs.Emit("govern.cancelled", client, obs.PhaseTrial, -1)
-	writeError(w, statusClientClosedRequest, ErrorBody{
-		Type: "cancelled", Message: "request cancelled by client"})
+// gate turns a request away before it is looked at: while the daemon
+// drains, and when the client is over its quota. A request that passes
+// has been charged to the client's window.
+func (s *Server) gate(client string) error {
+	if s.gov.Draining() {
+		return govern.ErrDraining
+	}
+	if ok, retry := s.quotas.admit(client); !ok {
+		return &quotaError{retry}
+	}
+	return nil
+}
+
+// plan is one request after resolve: parsed and validated exactly
+// once, and bound to the executor it runs on.
+type plan struct {
+	entry  dataset.Entry
+	kernel roofline.Kernel
+	format roofline.Format
+	// mode is 0 for kernels that compute no per-mode quantity; execute
+	// range-checks it once the loaded tensor's order is known.
+	mode int
+	opts runOpts
+	exec executor
+	// streamable marks an in-core plan whose kernel can also run on the
+	// tile stream, so admit may re-resolve it there instead of 413ing.
+	streamable bool
+}
+
+// executor is where a plan runs; exactly one field is set. Each
+// executor serves one request and has the same three methods:
+//
+//   - cost predicts the working-set bytes admitting the plan adds to
+//     the daemon, before anything is materialized. Components already
+//     resident are peeked in the cache and skipped, so a warm request
+//     is charged only its per-execution transient.
+//   - load is the dataset stage: it fetches (building on first use)
+//     what the kernel reads and reports the tensor's order.
+//   - run executes the kernel once and assembles the response.
+//
+// A closed sum rather than an interface: an interface value whose
+// methods mention *Server marks every type reachable from Server as
+// interface-reachable for the linker, which then keeps otherwise dead
+// exported methods in packages linked ahead of internal/core (one, in
+// internal/obs, sufficed) — and a 32-byte shift of the kernels' text
+// moves the benchmark's kernel ratios by up to 10 % (verify skill).
+type executor struct {
+	inst   *instExec   // a prepared registry instance
+	dist   *distExec   // the sharded distributed engine
+	stream *streamExec // the out-of-core tile stream
+}
+
+func (e *executor) cost(s *Server, p *plan) int64 {
+	switch {
+	case e.dist != nil:
+		return e.dist.cost(s, p)
+	case e.stream != nil:
+		return e.stream.cost(s, p)
+	}
+	return e.inst.cost(s, p)
+}
+
+func (e *executor) load(ctx context.Context, s *Server, p *plan) (order int, err error) {
+	switch {
+	case e.dist != nil:
+		return e.dist.load(ctx, s, p)
+	case e.stream != nil:
+		return e.stream.load(ctx, s, p)
+	}
+	return e.inst.load(ctx, s, p)
+}
+
+func (e *executor) run(ctx context.Context, s *Server, p *plan) (*RunResponse, error) {
+	switch {
+	case e.dist != nil:
+		return e.dist.run(ctx, s, p)
+	case e.stream != nil:
+		return e.stream.run(ctx, s, p)
+	}
+	return e.inst.run(ctx, s, p)
+}
+
+// resolve parses and validates the request into a plan. Every
+// request-level failure (unknown name, unregistered cell, bad ranks)
+// surfaces here, before the request is priced or admitted; only the
+// mode range waits for the dataset (execute).
+func (s *Server) resolve(req RunRequest) (*plan, error) {
+	k, f, b, err := parseVariant(req)
+	if err != nil {
+		return nil, err
+	}
+	e, err := dataset.ByID(strings.TrimSpace(req.Dataset))
+	if err != nil {
+		return nil, &badRequestError{http.StatusNotFound, ErrorBody{
+			Type: "not-found", Message: err.Error()}}
+	}
+	p := &plan{entry: e, kernel: k, format: f, mode: req.Mode,
+		opts: runOpts{verify: req.Verify, fallback: req.Fallback == nil || *req.Fallback}}
+	if req.Ranks != 0 {
+		if p.exec.dist, err = resolveDist(p, req.Ranks); err != nil {
+			return nil, err
+		}
+		return p, nil
+	}
+	var v *kernelreg.Variant
+	if strings.TrimSpace(req.Backend) == "" {
+		v, err = kernelreg.HostVariant(k, f)
+	} else {
+		v, err = kernelreg.Lookup(k, f, b)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if !v.Caps.ModeDependent {
+		p.mode = 0
+	}
+	p.exec.inst = &instExec{v: v}
+	// Streamable: a reduction kernel over the COO tile layout, and a
+	// backend choice the reroute honors (unset, the host default, or
+	// ooc itself — an explicit gpu/multigpu ask is not silently moved).
+	p.streamable = f == roofline.COO && (k == roofline.Ttv || k == roofline.Mttkrp) &&
+		(b == kernelreg.OMP || b == kernelreg.OOC)
+	return p, nil
+}
+
+// parseVariant resolves the request's kernel/format/backend strings.
+func parseVariant(req RunRequest) (roofline.Kernel, roofline.Format, kernelreg.Backend, error) {
+	var (
+		k     roofline.Kernel
+		f     roofline.Format
+		b     kernelreg.Backend
+		found bool
+	)
+	for _, kk := range roofline.Kernels {
+		if strings.EqualFold(kk.String(), req.Kernel) {
+			k, found = kk, true
+			break
+		}
+	}
+	if !found {
+		return 0, 0, 0, badRequest("unknown kernel %q", req.Kernel)
+	}
+	found = false
+	for _, ff := range roofline.Formats {
+		if strings.EqualFold(ff.String(), req.Format) {
+			f, found = ff, true
+			break
+		}
+	}
+	if !found {
+		return 0, 0, 0, badRequest("unknown format %q", req.Format)
+	}
+	name := strings.ToLower(strings.TrimSpace(req.Backend))
+	if name == "" {
+		name = kernelreg.OMP.String()
+	}
+	found = false
+	for _, bb := range kernelreg.Backends {
+		if bb.String() == name {
+			b, found = bb, true
+			break
+		}
+	}
+	if !found {
+		return 0, 0, 0, badRequest("unknown backend %q", req.Backend)
+	}
+	return k, f, b, nil
+}
+
+// admit prices the plan on its executor and takes a lease on the
+// daemon's memory budget. A plan too large to ever run in core may
+// still be streamable — the tile stream holds only a budgeted window
+// plus dense operands — so it is re-resolved onto the stream executor
+// and goes back through this same stage at that (much smaller) cost.
+func (s *Server) admit(ctx context.Context, p *plan) (*govern.Lease, error) {
+	lease, err := s.gov.Admit(ctx, p.exec.cost(s, p))
+	if errors.Is(err, govern.ErrOverBudget) && p.streamable {
+		p.streamable = false
+		p.exec = executor{stream: s.newStreamExec(p)}
+		return s.admit(ctx, p)
+	}
+	return lease, err
+}
+
+// slot takes one of the MaxInflight execution slots, or rejects.
+func (s *Server) slot() (release func(), err error) {
+	select {
+	case s.inflight <- struct{}{}:
+		return func() { <-s.inflight }, nil
+	default:
+		ctrOverloadRejects.Inc()
+		return nil, errOverload
+	}
+}
+
+// execute loads the plan's dataset, checks the mode against it, and
+// runs the plan on its executor.
+func (s *Server) execute(ctx context.Context, p *plan) (*RunResponse, error) {
+	order, err := p.exec.load(ctx, s, p)
+	if err != nil {
+		return nil, err
+	}
+	if p.mode < 0 || p.mode >= order {
+		return nil, badRequest("mode %d out of range for order-%d tensor %s", p.mode, order, p.entry.Name)
+	}
+	resp, err := p.exec.run(ctx, s, p)
+	if err != nil {
+		return nil, err
+	}
+	resp.Dataset, resp.Mode = p.entry.Name, p.mode
+	return resp, nil
+}
+
+// timed runs one kernel execution under Config.Timeout — the one place
+// the per-trial deadline is applied, whichever executor runs — and
+// returns its wall time in seconds.
+func (s *Server) timed(ctx context.Context, kernel func(context.Context) error) (float64, error) {
+	ctx, cancel := context.WithTimeout(ctx, s.cfg.Timeout)
+	defer cancel()
+	start := time.Now()
+	err := kernel(ctx)
+	return time.Since(start).Seconds(), err
+}
+
+// finish completes a response the way every executor reports it: the
+// measured time, the rate it implies and, when the request asked to
+// verify, the worst relative deviation of out from the workbench's
+// serial-COO reference. The tile stream passes no workbench: it runs
+// because the in-memory tensor a reference needs does not fit.
+func (p *plan) finish(ctx context.Context, resp *RunResponse, elapsed float64,
+	wb *kernelreg.Workbench, out func() kernelreg.Canon) (*RunResponse, error) {
+	resp.ElapsedSec = elapsed
+	if elapsed > 0 {
+		resp.GFLOPS = float64(resp.Flops) / elapsed / 1e9
+	}
+	if p.opts.verify && wb != nil {
+		ref, err := wb.Reference(ctx, p.kernel, p.mode)
+		if err != nil {
+			return nil, err
+		}
+		dev := kernelreg.Compare(out(), ref)
+		resp.Deviation = &dev
+	}
+	return resp, nil
+}
+
+// encode is the last stage, and the one place a failure becomes a
+// status, a Retry-After hint and a quota effect.
+func (s *Server) encode(w http.ResponseWriter, r *http.Request, client string, resp *RunResponse, err error) {
+	if err == nil {
+		writeJSON(w, http.StatusOK, resp)
+		return
+	}
+	retryAfter := func(d time.Duration) { w.Header().Set("Retry-After", retryAfterSeconds(d)) }
+	var (
+		br *badRequestError
+		qe *quotaError
+	)
+	switch {
+	case errors.As(err, &br):
+		writeError(w, br.status, br.body)
+	case errors.As(err, &qe):
+		// The quota recovers when the client's window rolls over, not in
+		// a fixed second (a lifetime budget never recovers; 1s is the
+		// floor the header grammar allows us to express either way).
+		retryAfter(qe.retryAfter)
+		writeError(w, http.StatusTooManyRequests, ErrorBody{Type: "quota", Message: err.Error()})
+	case r.Context().Err() != nil || resilience.IsCancelled(err):
+		// The client walked away — at the admission gate or anywhere down
+		// the stack. The 499 (nginx's client-closed-request) is written
+		// for the log's benefit, and the quota charge is refunded:
+		// abandoned work must not count. A deadline is not a disconnect:
+		// it falls through to 504 and stays charged.
+		ctrCancelled.Inc()
+		s.quotas.refund(client)
+		obs.Emit("govern.cancelled", client, obs.PhaseTrial, -1)
+		writeError(w, statusClientClosedRequest, ErrorBody{
+			Type: "cancelled", Message: "request cancelled by client"})
+	case errors.Is(err, govern.ErrDraining):
+		// At the gate, at admission, or a joiner detached from a shared
+		// flight because the daemon started draining mid-wait.
+		retryAfter(s.gov.DrainGrace())
+		writeError(w, http.StatusServiceUnavailable, ErrorBody{
+			Type: "draining", Message: "daemon is draining; not admitting new work"})
+	case errors.Is(err, govern.ErrOverBudget), errors.Is(err, ooc.ErrBudgetTooSmall):
+		// No Retry-After: a request larger than the whole budget can
+		// never be admitted, so there is no useful time to suggest.
+		writeError(w, http.StatusRequestEntityTooLarge, ErrorBody{Type: "over-budget", Message: err.Error()})
+	case errors.Is(err, govern.ErrOverloaded):
+		retryAfter(s.overloadRetryAfter())
+		writeError(w, http.StatusServiceUnavailable, ErrorBody{Type: "shed", Message: err.Error()})
+	case errors.Is(err, errOverload):
+		// A slot frees after roughly one mean request duration; the hint
+		// is derived from the measured state, not a hardcoded constant.
+		retryAfter(s.overloadRetryAfter())
+		writeError(w, http.StatusServiceUnavailable, ErrorBody{Type: "overload", Message: err.Error()})
+	default:
+		// The resilience taxonomy, with the trial label when one is
+		// attached.
+		status, typ := statusOf(err)
+		body := ErrorBody{Type: typ, Message: err.Error()}
+		var ke *resilience.KernelError
+		if errors.As(err, &ke) {
+			body.Kernel, body.Format, body.Backend = ke.Label.Kernel, ke.Label.Format, ke.Label.Backend
+		}
+		writeError(w, status, body)
+	}
 }
 
 // retryAfterSeconds renders a duration as a Retry-After header value:
@@ -577,135 +826,20 @@ func (s *Server) overloadRetryAfter() time.Duration {
 	return time.Duration(ctrLatencyUsec.Value()/reqs) * time.Microsecond
 }
 
-// badRequestError carries a pre-rendered request-level failure (parse
-// or lookup, not execution).
-type badRequestError struct {
-	status int
-	body   ErrorBody
+// onWorkbench is the dataset stage of the two executors that compute on
+// the in-memory tensor: the materialized dataset wrapped in a
+// goroutine-safe Workbench, cached under the canonical dataset name (r2
+// and nell2 share one entry).
+type onWorkbench struct {
+	wb    *kernelreg.Workbench
+	wbHit bool
 }
 
-func (e *badRequestError) Error() string { return e.body.Message }
-
-// Run resolves, caches, batches, and executes one request. It is the
-// transport-independent core of POST /run. ctx carries the caller's
-// cancellation (client disconnect, per-request deadline) all the way
-// into the trial; nil means no cancellation.
-func (s *Server) Run(ctx context.Context, req RunRequest) (*RunResponse, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	k, f, b, err := parseVariant(req)
-	if err != nil {
-		return nil, err
-	}
-	if req.Ranks < 0 {
-		return nil, &badRequestError{http.StatusBadRequest, ErrorBody{
-			Type: "bad-request", Message: fmt.Sprintf("ranks must be >= 0, got %d", req.Ranks)}}
-	}
-	if req.Ranks > 0 {
-		return s.runDist(ctx, req, k, f)
-	}
-	var v *kernelreg.Variant
-	if strings.TrimSpace(req.Backend) == "" {
-		v, err = kernelreg.HostVariant(k, f)
-	} else {
-		v, err = kernelreg.Lookup(k, f, b)
-	}
-	if err != nil {
-		return nil, err
-	}
-	wbe, wbHit, err := s.workbench(ctx, req.Dataset)
-	if err != nil {
-		return nil, err
-	}
-	mode := req.Mode
-	if !v.Caps.ModeDependent {
-		mode = 0 // Tew/Ts compute no per-mode quantity
-	} else if mode < 0 || mode >= wbe.wb.X.Order() {
-		return nil, &badRequestError{http.StatusBadRequest, ErrorBody{
-			Type:    "bad-request",
-			Message: fmt.Sprintf("mode %d out of range for order-%d tensor %s", mode, wbe.wb.X.Order(), wbe.name),
-		}}
-	}
-	ie, instHit, err := s.instance(ctx, wbe, v, mode)
-	if err != nil {
-		return nil, err
-	}
-	resp, batched, err := s.execute(ctx, ie, runOpts{verify: req.Verify, fallback: req.Fallback == nil || *req.Fallback})
-	if err != nil {
-		return nil, err
-	}
-	resp.Dataset = wbe.name
-	resp.CacheHit = instHit
-	resp.WorkbenchHit = wbHit
-	resp.Batched = batched
-	return resp, nil
-}
-
-// parseVariant resolves the request's kernel/format/backend strings.
-func parseVariant(req RunRequest) (roofline.Kernel, roofline.Format, kernelreg.Backend, error) {
-	bad := func(what, got string) error {
-		return &badRequestError{http.StatusBadRequest, ErrorBody{
-			Type: "bad-request", Message: fmt.Sprintf("unknown %s %q", what, got)}}
-	}
-	var (
-		k     roofline.Kernel
-		f     roofline.Format
-		b     kernelreg.Backend
-		found bool
-	)
-	for _, kk := range roofline.Kernels {
-		if strings.EqualFold(kk.String(), req.Kernel) {
-			k, found = kk, true
-			break
-		}
-	}
-	if !found {
-		return 0, 0, 0, bad("kernel", req.Kernel)
-	}
-	found = false
-	for _, ff := range roofline.Formats {
-		if strings.EqualFold(ff.String(), req.Format) {
-			f, found = ff, true
-			break
-		}
-	}
-	if !found {
-		return 0, 0, 0, bad("format", req.Format)
-	}
-	name := strings.ToLower(strings.TrimSpace(req.Backend))
-	if name == "" {
-		name = kernelreg.OMP.String()
-	}
-	found = false
-	for _, bb := range kernelreg.Backends {
-		if bb.String() == name {
-			b, found = bb, true
-			break
-		}
-	}
-	if !found {
-		return 0, 0, 0, bad("backend", req.Backend)
-	}
-	return k, f, b, nil
-}
-
-// wbEntry is one cached dataset: the materialized tensor wrapped in a
-// goroutine-safe Workbench.
-type wbEntry struct {
-	name string // canonical dataset name (r2 and nell2 share one entry)
-	wb   *kernelreg.Workbench
-}
-
-// workbench returns the cached Workbench for a dataset, materializing
-// the tensor on first use (singleflight: a thundering herd generates
-// it once).
-func (s *Server) workbench(ctx context.Context, ds string) (*wbEntry, bool, error) {
-	e, err := dataset.ByID(strings.TrimSpace(ds))
-	if err != nil {
-		return nil, false, &badRequestError{http.StatusNotFound, ErrorBody{
-			Type: "not-found", Message: err.Error()}}
-	}
+// load returns the cached Workbench for the plan's dataset,
+// materializing the tensor on first use (singleflight: a thundering
+// herd generates it once).
+func (o *onWorkbench) load(ctx context.Context, s *Server, p *plan) (int, error) {
+	e := p.entry
 	val, hit, err := s.cache.getOrCreate(ctx, wbKey(e.Name), func() (any, error) {
 		sp := obs.Begin("daemon.materialize", e.Name, obs.PhasePrepare, -1)
 		defer sp.End()
@@ -713,12 +847,42 @@ func (s *Server) workbench(ctx context.Context, ds string) (*wbEntry, bool, erro
 		if err != nil {
 			return nil, err
 		}
-		return &wbEntry{name: e.Name, wb: kernelreg.NewWorkbench(x, s.cfg.Bench)}, nil
+		return kernelreg.NewWorkbench(x, s.cfg.Bench), nil
 	})
 	if err != nil {
-		return nil, false, err
+		return 0, err
 	}
-	return val.(*wbEntry), hit, nil
+	o.wb, o.wbHit = val.(*kernelreg.Workbench), hit
+	return o.wb.X.Order(), nil
+}
+
+// instExec runs a plan on a prepared registry instance: cached per
+// (dataset, variant, mode), identical concurrent requests coalesced
+// onto one trial down the degradation ladder.
+type instExec struct {
+	onWorkbench
+	v *kernelreg.Variant
+}
+
+// run fetches the prepared Instance for (dataset, variant, mode),
+// preparing it on first use, and executes it.
+func (e *instExec) run(ctx context.Context, s *Server, p *plan) (*RunResponse, error) {
+	val, instHit, err := s.cache.getOrCreate(ctx, instKey(p.entry.Name, e.v, p.mode), func() (any, error) {
+		inst, err := e.v.Prepare(e.wb, p.mode)
+		if err != nil {
+			return nil, err
+		}
+		return &instEntry{v: e.v, wb: e.wb, inst: inst, flights: make(map[runOpts]*flight)}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	resp, err := s.coalesce(ctx, val.(*instEntry), p)
+	if err != nil {
+		return nil, err
+	}
+	resp.CacheHit, resp.WorkbenchHit = instHit, e.wbHit
+	return resp, nil
 }
 
 // instEntry is one cached prepared Instance plus its execution state.
@@ -727,30 +891,13 @@ func (s *Server) workbench(ctx context.Context, ds string) (*wbEntry, bool, erro
 // queuing on the lock.
 type instEntry struct {
 	v    *kernelreg.Variant
-	wbe  *wbEntry
-	mode int
+	wb   *kernelreg.Workbench
 	inst *kernelreg.Instance
 
 	mu sync.Mutex // serializes executions of this instance
 
 	fmu     sync.Mutex
 	flights map[runOpts]*flight
-}
-
-// instance returns the cached prepared Instance for (dataset, variant,
-// mode), preparing it on first use.
-func (s *Server) instance(ctx context.Context, wbe *wbEntry, v *kernelreg.Variant, mode int) (*instEntry, bool, error) {
-	val, hit, err := s.cache.getOrCreate(ctx, instKey(wbe.name, v, mode), func() (any, error) {
-		inst, err := v.Prepare(wbe.wb, mode)
-		if err != nil {
-			return nil, err
-		}
-		return &instEntry{v: v, wbe: wbe, mode: mode, inst: inst, flights: make(map[runOpts]*flight)}, nil
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	return val.(*instEntry), hit, nil
 }
 
 // runOpts is the batching key: only requests that would produce the
@@ -802,15 +949,15 @@ func (f *flight) leave() {
 	}
 }
 
-// execute runs the instance, coalescing identical concurrent requests
+// coalesce runs the instance, batching identical concurrent requests
 // onto one trial: the first request becomes the leader and runs; the
 // rest wait on its flight and share the result (and its measured
 // time — the semantics of a benchmark batch, one execution observed by
 // all). Every participant detaches when its own ctx ends (or the
 // daemon starts draining), and the last one out cancels the trial.
-func (s *Server) execute(ctx context.Context, ie *instEntry, opts runOpts) (*RunResponse, bool, error) {
+func (s *Server) coalesce(ctx context.Context, ie *instEntry, p *plan) (*RunResponse, error) {
 	ie.fmu.Lock()
-	if f := ie.flights[opts]; f != nil {
+	if f := ie.flights[p.opts]; f != nil {
 		// join under fmu: the waiter count must be visible before the
 		// leader can observe an abandoned flight.
 		f.join()
@@ -826,33 +973,34 @@ func (s *Server) execute(ctx context.Context, ie *instEntry, opts runOpts) (*Run
 			detach()
 			ctrBatchJoined.Inc()
 			if f.err != nil {
-				return nil, true, f.err
+				return nil, f.err
 			}
 			// Copy so the caller's response mutations (cache-hit flags)
 			// don't race other waiters'.
 			resp := *f.resp
-			return &resp, true, nil
+			resp.Batched = true
+			return &resp, nil
 		case <-s.gov.DrainChan():
 			// Drain: joiners detach immediately (the leader finishes its
 			// trial under the drain grace; waiters would only extend it).
 			detach()
-			return nil, true, fmt.Errorf("serve: joiner detached: %w", govern.ErrDraining)
+			return nil, fmt.Errorf("serve: joiner detached: %w", govern.ErrDraining)
 		case <-ctx.Done():
 			detach()
-			return nil, true, ctxRequestErr(ctx)
+			return nil, ctxRequestErr(ctx)
 		}
 	}
 	f := &flight{done: make(chan struct{})}
 	f.ctx, f.cancel = context.WithCancelCause(context.Background())
 	f.join()
-	ie.flights[opts] = f
+	ie.flights[p.opts] = f
 	ie.fmu.Unlock()
 	stop := context.AfterFunc(ctx, f.leave)
 
 	ctrBatchRuns.Inc()
-	f.resp, f.err = s.runTrial(f.ctx, ie, opts)
+	f.resp, f.err = s.runTrial(f.ctx, ie, p)
 	ie.fmu.Lock()
-	delete(ie.flights, opts)
+	delete(ie.flights, p.opts)
 	ie.fmu.Unlock()
 	close(f.done)
 	if stop() {
@@ -865,12 +1013,12 @@ func (s *Server) execute(ctx context.Context, ie *instEntry, opts runOpts) (*Run
 		// renders 504, only a true disconnect renders 499 (the flight's
 		// cancel cause cannot tell the two apart).
 		if resilience.IsCancelled(f.err) && ctx.Err() != nil {
-			return nil, false, ctxRequestErr(ctx)
+			return nil, ctxRequestErr(ctx)
 		}
-		return nil, false, f.err
+		return nil, f.err
 	}
 	resp := *f.resp
-	return &resp, false, nil
+	return &resp, nil
 }
 
 // ctxRequestErr classifies a request context that ended while its
@@ -886,25 +1034,26 @@ func ctxRequestErr(ctx context.Context) error {
 // runTrial executes one guarded trial of the prepared instance down
 // the degradation ladder and assembles the response. ctx is the
 // flight's trial context: cancelled when every waiter disconnects.
-func (s *Server) runTrial(ctx context.Context, ie *instEntry, opts runOpts) (*RunResponse, error) {
+func (s *Server) runTrial(ctx context.Context, ie *instEntry, p *plan) (*RunResponse, error) {
 	ie.mu.Lock()
 	defer ie.mu.Unlock()
 	label := ie.v.Label()
 	t := resilience.Trial{
 		Label:   label,
-		Timeout: s.cfg.Timeout,
 		Retries: 1,
 		Backoff: time.Millisecond,
 		Rungs:   []resilience.Rung{{Backend: label.Backend, Exec: ie.inst.Run}},
 		Check:   ie.inst.Check,
 	}
-	if opts.fallback && ie.inst.Serial != nil {
+	if p.opts.fallback && ie.inst.Serial != nil {
 		t.Rungs = append(t.Rungs, resilience.Rung{Backend: serialRung, Exec: ie.inst.Serial})
 	}
 	sp := obs.Begin("daemon.trial", label.String(), obs.PhaseTrial, -1)
-	start := time.Now()
-	rep := s.runner.Do(ctx, t)
-	elapsed := time.Since(start).Seconds()
+	var rep resilience.Report
+	elapsed, err := s.timed(ctx, func(ctx context.Context) error {
+		rep = s.runner.Do(ctx, t)
+		return rep.Err
+	})
 	sp.Attr("outcome", rep.String())
 	sp.End()
 	if rep.Settled != nil {
@@ -912,36 +1061,23 @@ func (s *Server) runTrial(ctx context.Context, ie *instEntry, opts runOpts) (*Ru
 		// the next request (or the verify below) touches it.
 		<-rep.Settled
 	}
-	if rep.Err != nil {
-		return nil, rep.Err
+	if err != nil {
+		return nil, err
 	}
 	resp := &RunResponse{
 		Variant:      ie.v.String(),
-		Mode:         ie.mode,
 		Outcome:      rep.String(),
 		Backend:      rep.Backend,
 		FellFrom:     rep.FellFrom,
 		Attempts:     rep.Attempts,
 		Flops:        ie.inst.Flops,
-		ElapsedSec:   elapsed,
 		Plan:         ie.inst.Plan,
 		BreakersOpen: s.openBreakers(),
-	}
-	if elapsed > 0 {
-		resp.GFLOPS = float64(ie.inst.Flops) / elapsed / 1e9
 	}
 	if ie.inst.Strategy != nil && rep.Backend == label.Backend {
 		resp.Strategy = ie.inst.Strategy()
 	}
-	if opts.verify {
-		ref, err := ie.wbe.wb.Reference(ctx, ie.v.Kernel, ie.mode)
-		if err != nil {
-			return nil, err
-		}
-		dev := kernelreg.Compare(ie.inst.Output(), ref)
-		resp.Deviation = &dev
-	}
-	return resp, nil
+	return p.finish(ctx, resp, elapsed, ie.wb, ie.inst.Output)
 }
 
 // Governor exposes the server's resource governor (pastad reads drain

@@ -32,6 +32,16 @@ func newTestDaemon(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
+// requestCost is the in-core admission charge for req on s: the resolve
+// and cost stages, without admitting anything.
+func requestCost(s *Server, req RunRequest) (int64, error) {
+	p, err := s.resolve(req)
+	if err != nil {
+		return 0, err
+	}
+	return p.exec.cost(s, p), nil
+}
+
 // postRun sends one POST /run and decodes the response into out (a
 // *RunResponse on 2xx, *errorResponse otherwise).
 func postRun(t *testing.T, base string, req RunRequest, client string) (int, []byte) {
