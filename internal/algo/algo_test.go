@@ -47,9 +47,15 @@ func lowRankTensor(dims []int, rank int, seed int64) (*tensor.COO, []*tensor.Mat
 	return x, mats
 }
 
+// invertOf runs invertSPD with fresh buffers.
+func invertOf(a []float64, n int) ([]float64, error) {
+	inv := make([]float64, n*n)
+	return inv, invertSPD(a, make([]float64, n*n), inv, n)
+}
+
 func TestGaussJordanInverse(t *testing.T) {
 	a := []float64{4, 1, 0, 1, 3, 1, 0, 1, 2}
-	inv, err := invertSPD(a, 3)
+	inv, err := invertOf(a, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +80,7 @@ func TestGaussJordanInverse(t *testing.T) {
 func TestInvertSingularUsesRidge(t *testing.T) {
 	// Rank-1 matrix is singular; the ridge fallback must still succeed.
 	a := []float64{1, 1, 1, 1}
-	if _, err := invertSPD(a, 2); err != nil {
+	if _, err := invertOf(a, 2); err != nil {
 		t.Fatalf("ridge fallback failed: %v", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/parallel"
@@ -21,6 +22,19 @@ type CPResult struct {
 	Fit float64
 	// Iters is the number of ALS sweeps executed.
 	Iters int
+	// Sweeps holds one record per executed sweep, so the share of a
+	// sweep spent outside Mttkrp stays visible.
+	Sweeps []CPSweep
+}
+
+// CPSweep is the record of one ALS sweep over all modes.
+type CPSweep struct {
+	// Fit is the fit after the sweep.
+	Fit float64 `json:"fit"`
+	// Seconds is the sweep's wall time, MttkrpSeconds the part of it
+	// spent inside the MttkrpFunc calls.
+	Seconds       float64 `json:"seconds"`
+	MttkrpSeconds float64 `json:"mttkrp_seconds"`
 }
 
 // MttkrpFunc computes the mode-n MTTKRP of the (implicit) input tensor
@@ -35,24 +49,26 @@ type MttkrpFunc func(mode int, factors []*tensor.Matrix) (*tensor.Matrix, error)
 // (§2.5). It stops when the fit improves by less than tol between sweeps
 // or after maxIters sweeps.
 func CPALS(x *tensor.COO, rank, maxIters int, tol float64, seed int64, opt parallel.Options) (*CPResult, error) {
-	if rank <= 0 {
-		return nil, fmt.Errorf("algo: CP rank must be positive")
+	mttkrp, err := planMttkrp(x, rank, opt)
+	if err != nil {
+		return nil, err
 	}
-	if x.Order() < 2 {
-		return nil, fmt.Errorf("algo: CP needs an order >= 2 tensor")
-	}
+	return CPALSWith(x, rank, maxIters, tol, seed, mttkrp)
+}
+
+// planMttkrp prepares one COO Mttkrp plan per mode, kept across sweeps,
+// and returns the MttkrpFunc that runs them.
+func planMttkrp(x *tensor.COO, rank int, opt parallel.Options) (MttkrpFunc, error) {
 	plans := make([]*core.MttkrpPlan, x.Order())
 	for n := range plans {
-		p, err := core.PrepareMttkrp(x, n, rank)
-		if err != nil {
+		var err error
+		if plans[n], err = core.PrepareMttkrp(x, n, rank); err != nil {
 			return nil, err
 		}
-		plans[n] = p
 	}
-	return CPALSWith(x, rank, maxIters, tol, seed,
-		func(mode int, factors []*tensor.Matrix) (*tensor.Matrix, error) {
-			return plans[mode].ExecuteOMP(factors, opt)
-		})
+	return func(mode int, factors []*tensor.Matrix) (*tensor.Matrix, error) {
+		return plans[mode].ExecuteOMP(factors, opt)
+	}, nil
 }
 
 // CPALSWith is CPALS with the MTTKRP execution injected: everything but
@@ -61,95 +77,90 @@ func CPALS(x *tensor.COO, rank, maxIters int, tol float64, seed int64, opt paral
 // and the fit stopping rule — stays here, so serial and distributed
 // CP-ALS share one solver and can be cross-checked factor-for-factor.
 func CPALSWith(x *tensor.COO, rank, maxIters int, tol float64, seed int64, mttkrp MttkrpFunc) (*CPResult, error) {
+	return alsSweeps(x, rank, maxIters, tol, seed, mttkrp, (*cpWorkspace).solveMode)
+}
+
+// solveMode is the CP-ALS factor update: A_n = M · V⁻¹ with
+// V = ⊛_{m≠n} gram_m, then column normalization → λ and the new gram_n.
+func (w *cpWorkspace) solveMode(n int, mt, an *tensor.Matrix, lambda []float64) error {
+	w.hadamard(n)
+	if err := invertSPD(w.v, w.elim, w.inv, w.n); err != nil {
+		return err
+	}
+	w.updateFactor(mt, an, lambda, w.grams[n])
+	return nil
+}
+
+// alsSweeps is the driver CP-ALS and NNCP share: seeded uniform factors
+// and their grams in a workspace allocated once, then per sweep one
+// Mttkrp and one update per mode, the fit, the sweep's record and the
+// stopping rule.
+func alsSweeps(x *tensor.COO, rank, maxIters int, tol float64, seed int64, mttkrp MttkrpFunc,
+	update func(w *cpWorkspace, n int, mt, an *tensor.Matrix, lambda []float64) error) (*CPResult, error) {
 	if rank <= 0 {
 		return nil, fmt.Errorf("algo: CP rank must be positive")
 	}
 	if x.Order() < 2 {
 		return nil, fmt.Errorf("algo: CP needs an order >= 2 tensor")
 	}
-	order := x.Order()
-	rng := rand.New(rand.NewSource(seed))
-	res := &CPResult{
-		Factors: make([]*tensor.Matrix, order),
-		Lambda:  make([]float64, rank),
-	}
-	grams := make([][]float64, order) // A_nᵀA_n, R×R float64
-	for n := 0; n < order; n++ {
-		res.Factors[n] = tensor.NewMatrix(int(x.Dims[n]), rank)
-		res.Factors[n].Randomize(rng)
-		grams[n] = gram(res.Factors[n])
-	}
 	normX := frobeniusNorm(x)
 	if normX == 0 {
 		return nil, fmt.Errorf("algo: zero tensor")
 	}
+	rng := rand.New(rand.NewSource(seed))
+	res := &CPResult{
+		Factors: make([]*tensor.Matrix, x.Order()),
+		Lambda:  make([]float64, rank),
+		Sweeps:  make([]CPSweep, 0, max(maxIters, 0)),
+	}
+	for n := range res.Factors {
+		res.Factors[n] = tensor.NewMatrix(int(x.Dims[n]), rank)
+		res.Factors[n].Randomize(rng)
+	}
+	w := newCPWorkspace(res.Factors, rank)
 
-	prevFit := 0.0
-	var lastM *tensor.Matrix
+	var mt *tensor.Matrix
+	var err error
 	for it := 0; it < maxIters; it++ {
-		res.Iters = it + 1
-		for n := 0; n < order; n++ {
-			mt, err := mttkrp(n, res.Factors)
+		start, prevFit := time.Now(), res.Fit
+		var inMttkrp time.Duration
+		for n, an := range res.Factors {
+			t0 := time.Now()
+			mt, err = mttkrp(n, res.Factors)
+			inMttkrp += time.Since(t0)
 			if err != nil {
 				return nil, err
 			}
-			// V = ⊛_{m≠n} gram_m.
-			v := hadamardGrams(grams, n, rank)
-			// A_n = M · V⁻¹ (row-wise solve).
-			an := res.Factors[n]
-			anData := make([]float64, an.Rows*rank)
-			for i := range anData {
-				anData[i] = float64(mt.Data[i])
-			}
-			if err := solveSymmetric(v, rank, anData, an.Rows); err != nil {
+			if err = update(w, n, mt, an, res.Lambda); err != nil {
 				return nil, err
 			}
-			// Column normalization → λ.
-			for r := 0; r < rank; r++ {
-				var s float64
-				for i := 0; i < an.Rows; i++ {
-					val := anData[i*rank+r]
-					s += val * val
-				}
-				norm := math.Sqrt(s)
-				res.Lambda[r] = norm
-				inv := 0.0
-				if norm > 0 {
-					inv = 1 / norm
-				}
-				for i := 0; i < an.Rows; i++ {
-					an.Data[i*rank+r] = tensor.Value(anData[i*rank+r] * inv)
-				}
-			}
-			grams[n] = gram(an)
-			lastM = mt
 		}
-		fit := cpFit(normX, res, grams, lastM, order-1)
-		res.Fit = fit
-		if it > 0 && math.Abs(fit-prevFit) < tol {
+		res.Fit = w.fit(normX, res, mt)
+		res.Sweeps = append(res.Sweeps, CPSweep{Fit: res.Fit, Seconds: time.Since(start).Seconds(), MttkrpSeconds: inMttkrp.Seconds()})
+		res.Iters = it + 1
+		if it > 0 && math.Abs(res.Fit-prevFit) < tol {
 			break
 		}
-		prevFit = fit
 	}
 	return res, nil
 }
 
-// cpFit computes 1 - ‖X-X̂‖/‖X‖ using the standard CP-ALS identity:
+// fit computes 1 - ‖X-X̂‖/‖X‖ using the standard CP-ALS identity:
 // ‖X̂‖² = λᵀ (⊛_n AᵀA) λ and ⟨X, X̂⟩ = Σ_{i,r} M(i,r)·A_n(i,r)·λ_r with M
-// the last Mttkrp result in mode n.
-func cpFit(normX float64, res *CPResult, grams [][]float64, lastM *tensor.Matrix, lastMode int) float64 {
-	rank := len(res.Lambda)
+// the Mttkrp result of the last mode. It overwrites w.v.
+func (w *cpWorkspace) fit(normX float64, res *CPResult, lastM *tensor.Matrix) float64 {
+	rank := w.n
 	// ‖X̂‖².
-	had := hadamardGrams(grams, -1, rank)
+	w.hadamard(-1)
 	var normEst float64
 	for r := 0; r < rank; r++ {
 		for s := 0; s < rank; s++ {
-			normEst += res.Lambda[r] * res.Lambda[s] * had[r*rank+s]
+			normEst += res.Lambda[r] * res.Lambda[s] * w.v[r*rank+s]
 		}
 	}
 	// ⟨X, X̂⟩.
 	var inner float64
-	an := res.Factors[lastMode]
+	an := res.Factors[len(res.Factors)-1]
 	for i := 0; i < an.Rows; i++ {
 		for r := 0; r < rank; r++ {
 			inner += float64(lastM.Data[i*rank+r]) * float64(an.Data[i*rank+r]) * res.Lambda[r]
@@ -160,44 +171,6 @@ func cpFit(normX float64, res *CPResult, grams [][]float64, lastM *tensor.Matrix
 		residual = 0
 	}
 	return 1 - math.Sqrt(residual)/normX
-}
-
-// hadamardGrams returns ⊛_{m≠skip} grams[m] (skip = -1 keeps all).
-func hadamardGrams(grams [][]float64, skip, rank int) []float64 {
-	out := make([]float64, rank*rank)
-	for i := range out {
-		out[i] = 1
-	}
-	for m, g := range grams {
-		if m == skip {
-			continue
-		}
-		for i := range out {
-			out[i] *= g[i]
-		}
-	}
-	return out
-}
-
-// gram computes AᵀA in float64.
-func gram(a *tensor.Matrix) []float64 {
-	r := a.Cols
-	g := make([]float64, r*r)
-	for i := 0; i < a.Rows; i++ {
-		row := a.Row(i)
-		for p := 0; p < r; p++ {
-			vp := float64(row[p])
-			for q := p; q < r; q++ {
-				g[p*r+q] += vp * float64(row[q])
-			}
-		}
-	}
-	for p := 0; p < r; p++ {
-		for q := 0; q < p; q++ {
-			g[p*r+q] = g[q*r+p]
-		}
-	}
-	return g
 }
 
 // frobeniusNorm returns ‖X‖_F of a sparse tensor.

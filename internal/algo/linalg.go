@@ -7,57 +7,92 @@
 package algo
 
 import (
-	"fmt"
+	"errors"
 	"math"
+
+	"repro/internal/tensor"
 )
 
-// solveSymmetric solves A·X = B for X where A is an n×n symmetric
-// positive-semidefinite matrix (row-major float64) and B is m×n row-major
-// (each row an independent right-hand side, i.e. it computes B·A⁻¹ for
-// row-vectors). A tiny ridge is added on pivot breakdown, the standard
-// CP-ALS guard against rank-deficient Gram products.
-func solveSymmetric(a []float64, n int, b []float64, m int) error {
-	// Work on a copy of A with partial pivoting; apply the same row ops to
-	// an identity to build A⁻¹, then multiply.
-	inv, err := invertSPD(a, n)
-	if err != nil {
-		return err
-	}
-	tmp := make([]float64, n)
-	for r := 0; r < m; r++ {
-		row := b[r*n : (r+1)*n]
-		for j := 0; j < n; j++ {
-			var s float64
-			for k := 0; k < n; k++ {
-				s += row[k] * inv[k*n+j]
-			}
-			tmp[j] = s
-		}
-		copy(row, tmp)
-	}
-	return nil
+// ErrSingularGram reports a Hadamard-of-Grams matrix that stays
+// numerically singular under every ridge of the ladder.
+var ErrSingularGram = errors.New("algo: gram matrix numerically singular")
+
+// gramBlock is the row count of the transposed block gramInto works on:
+// R columns of 64 float64 stay in L1 for every rank in use.
+const gramBlock = 64
+
+// cpWorkspace holds every buffer the dense side of a CP sweep needs; it
+// is allocated once per CPALSWith/NNCP call, so a sweep allocates nothing
+// (DESIGN.md §20).
+type cpWorkspace struct {
+	n            int         // rank R
+	grams        [][]float64 // per mode, A_nᵀA_n (R×R)
+	v, inv, elim []float64   // R×R: ⊛ of grams, its inverse, scratch (elimination, then mulSquare's transposed operand)
+	rows         []float64   // I_max×R: the product before it is scaled and rounded
+	row, sumsq   []float64   // R: one input row widened; column sums of squares
+	block        []float64   // R×gramBlock: rounded factor rows, transposed
 }
 
-// invertSPD inverts a symmetric positive-(semi)definite matrix with
-// Gauss-Jordan elimination and partial pivoting, retrying with a ridge on
-// singular input.
-func invertSPD(a []float64, n int) ([]float64, error) {
-	for _, ridge := range []float64{0, 1e-12, 1e-8, 1e-4} {
-		m := make([]float64, n*n)
-		copy(m, a)
+func newCPWorkspace(factors []*tensor.Matrix, rank int) *cpWorkspace {
+	maxRows := 0
+	for _, f := range factors {
+		maxRows = max(maxRows, f.Rows)
+	}
+	sq := rank * rank
+	w := &cpWorkspace{
+		n: rank, grams: make([][]float64, len(factors)),
+		v: make([]float64, sq), inv: make([]float64, sq), elim: make([]float64, sq),
+		rows: make([]float64, maxRows*rank), row: make([]float64, rank), sumsq: make([]float64, rank),
+		block: make([]float64, gramBlock*rank),
+	}
+	for m, f := range factors {
+		w.grams[m] = make([]float64, sq)
+		w.gramInto(w.grams[m], f, nil)
+	}
+	return w
+}
+
+// hadamard sets w.v = ⊛_{m≠skip} grams[m] (skip = -1 keeps all).
+func (w *cpWorkspace) hadamard(skip int) {
+	for i := range w.v {
+		w.v[i] = 1
+	}
+	for m, g := range w.grams {
+		if m == skip {
+			continue
+		}
+		for i, x := range g {
+			w.v[i] *= x
+		}
+	}
+}
+
+// invertSPD sets inv = a⁻¹ for a symmetric positive-(semi)definite n×n a
+// by Gauss-Jordan elimination with partial pivoting in elim. A pivot
+// below n·ε·max|diag| counts as breakdown and retries with the next ridge
+// of a ladder scaled by max|diag| — the standard CP-ALS guard against
+// rank-deficient Gram products.
+func invertSPD(a, elim, inv []float64, n int) error {
+	var scale float64
+	for i := 0; i < n; i++ {
+		scale = math.Max(scale, math.Abs(a[i*n+i]))
+	}
+	for _, ridge := range [...]float64{0, 1e-12, 1e-8, 1e-4} {
+		copy(elim, a)
 		for i := 0; i < n; i++ {
-			m[i*n+i] += ridge
+			elim[i*n+i] += ridge * scale
 		}
-		inv, ok := gaussJordan(m, n)
-		if ok {
-			return inv, nil
+		if gaussJordan(elim, inv, n, float64(n)*0x1p-52*scale) {
+			return nil
 		}
 	}
-	return nil, fmt.Errorf("algo: gram matrix numerically singular")
+	return ErrSingularGram
 }
 
-func gaussJordan(m []float64, n int) ([]float64, bool) {
-	inv := make([]float64, n*n)
+// gaussJordan reduces m to the identity while applying the same row
+// operations to inv; it reports false at the first pivot not above tiny.
+func gaussJordan(m, inv []float64, n int, tiny float64) bool {
+	clear(inv)
 	for i := 0; i < n; i++ {
 		inv[i*n+i] = 1
 	}
@@ -70,8 +105,8 @@ func gaussJordan(m []float64, n int) ([]float64, bool) {
 				best, p = v, r
 			}
 		}
-		if best < 1e-300 {
-			return nil, false
+		if !(best > tiny) {
+			return false
 		}
 		if p != col {
 			swapRows(m, n, p, col)
@@ -96,11 +131,129 @@ func gaussJordan(m []float64, n int) ([]float64, bool) {
 			}
 		}
 	}
-	return inv, true
+	return true
 }
 
 func swapRows(m []float64, n, a, b int) {
 	for j := 0; j < n; j++ {
 		m[a*n+j], m[b*n+j] = m[b*n+j], m[a*n+j]
 	}
+}
+
+// mulSquare sets w.rows = src · sq for a rows×R src and an R×R sq, and
+// w.sumsq to the product's column sums of squares, accumulated in row
+// order (pass 1 of updateFactor). sq is transposed into w.elim and each
+// input row widened once, so dot4 holds four output columns in registers
+// with k innermost: four independent add chains over contiguous
+// operands, every output still summed in ascending k.
+func (w *cpWorkspace) mulSquare(src []tensor.Value, sq []float64, rows int) {
+	n, in, sqT := w.n, w.row, w.elim
+	for k := 0; k < n; k++ {
+		for j := 0; j < n; j++ {
+			sqT[j*n+k] = sq[k*n+j]
+		}
+	}
+	clear(w.sumsq)
+	for i := 0; i < rows; i++ {
+		for k, x := range src[i*n : (i+1)*n] {
+			in[k] = float64(x)
+		}
+		out := w.rows[i*n : (i+1)*n]
+		clear(out)
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			dot4(out[j:j+4], in, sqT[j*n:], n)
+		}
+		for ; j < n; j++ {
+			dot1(out[j:], in, sqT[j*n:])
+		}
+		for r, x := range out {
+			w.sumsq[r] += x * x
+		}
+	}
+}
+
+// gramInto sets g = aᵀa in float64. With scale != nil it first writes a
+// as w.rows · diag(scale) rounded to tensor.Value (pass 2 of
+// updateFactor). Rows are taken gramBlock at a time and transposed, so
+// the upper triangle accumulates four (p, q..q+3) entries in registers
+// over contiguous columns, each entry still summed in ascending row order.
+func (w *cpWorkspace) gramInto(g []float64, a *tensor.Matrix, scale []float64) {
+	n := w.n
+	clear(g)
+	for lo := 0; lo < a.Rows; lo += gramBlock {
+		cnt := min(gramBlock, a.Rows-lo)
+		vals := a.Data[lo*n : (lo+cnt)*n]
+		if scale != nil {
+			for i := 0; i < cnt; i++ {
+				dst := vals[i*n : (i+1)*n]
+				for r, x := range w.rows[(lo+i)*n : (lo+i+1)*n] {
+					dst[r] = tensor.Value(x * scale[r])
+				}
+			}
+		}
+		for i := 0; i < cnt; i++ {
+			for r, x := range vals[i*n : (i+1)*n] {
+				w.block[r*gramBlock+i] = float64(x)
+			}
+		}
+		for p := 0; p < n; p++ {
+			bp := w.block[p*gramBlock:][:cnt]
+			// Groups start at a multiple of four: the entries this puts
+			// below the diagonal cost no extra dot4 and the mirror
+			// overwrites them.
+			q := p &^ 3
+			for ; q+4 <= n; q += 4 {
+				dot4(g[p*n+q:p*n+q+4], bp, w.block[q*gramBlock:], gramBlock)
+			}
+			for q = max(q, p); q < n; q++ {
+				dot1(g[p*n+q:], bp, w.block[q*gramBlock:])
+			}
+		}
+	}
+	for p := 0; p < n; p++ {
+		for q := 0; q < p; q++ {
+			g[p*n+q] = g[q*n+p]
+		}
+	}
+}
+
+// updateFactor finishes one ALS mode: an = mt · w.inv with unit-norm
+// columns, lambda the norms, g = anᵀan. Every sum runs in the order of
+// the three-pass update it replaced (the oracle in update_test.go), so
+// the results are bit-identical to it.
+func (w *cpWorkspace) updateFactor(mt, an *tensor.Matrix, lambda, g []float64) {
+	w.mulSquare(mt.Data, w.inv, an.Rows)
+	for r, s := range w.sumsq { // sumsq becomes the column scales 1/norm
+		norm := math.Sqrt(s)
+		lambda[r] = norm
+		w.sumsq[r] = 0
+		if norm > 0 {
+			w.sumsq[r] = 1 / norm
+		}
+	}
+	w.gramInto(g, an, w.sumsq)
+}
+
+// dot4 adds x·b_c to acc[c] for the four columns b_c = b[c·stride:] of b,
+// each sum running in ascending index order in a register of its own.
+func dot4(acc, x, b []float64, stride int) {
+	b0, b1, b2, b3 := b[:len(x)], b[stride:][:len(x)], b[2*stride:][:len(x)], b[3*stride:][:len(x)]
+	g0, g1, g2, g3 := acc[0], acc[1], acc[2], acc[3]
+	for i, v := range x {
+		g0 += v * b0[i]
+		g1 += v * b1[i]
+		g2 += v * b2[i]
+		g3 += v * b3[i]
+	}
+	acc[0], acc[1], acc[2], acc[3] = g0, g1, g2, g3
+}
+
+// dot1 is dot4 for a single column.
+func dot1(acc, x, b []float64) {
+	s := acc[0]
+	for i, v := range b[:len(x)] {
+		s += x[i] * v
+	}
+	acc[0] = s
 }

@@ -2,10 +2,7 @@ package algo
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 
-	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
@@ -21,104 +18,33 @@ import (
 //
 // Inputs must be nonnegative; the update preserves nonnegativity.
 func NNCP(x *tensor.COO, rank, maxIters int, tol float64, seed int64, opt parallel.Options) (*CPResult, error) {
-	if rank <= 0 {
-		return nil, fmt.Errorf("algo: NNCP rank must be positive")
-	}
-	if x.Order() < 2 {
-		return nil, fmt.Errorf("algo: NNCP needs an order >= 2 tensor")
-	}
 	for _, v := range x.Vals {
 		if v < 0 {
 			return nil, fmt.Errorf("algo: NNCP needs a nonnegative tensor")
 		}
 	}
-	order := x.Order()
-	rng := rand.New(rand.NewSource(seed))
-	res := &CPResult{
-		Factors: make([]*tensor.Matrix, order),
-		Lambda:  make([]float64, rank),
+	mttkrp, err := planMttkrp(x, rank, opt)
+	if err != nil {
+		return nil, err
 	}
-	grams := make([][]float64, order)
-	for n := 0; n < order; n++ {
-		res.Factors[n] = tensor.NewMatrix(int(x.Dims[n]), rank)
-		res.Factors[n].Randomize(rng) // uniform (0,1): nonnegative init
-		grams[n] = gram(res.Factors[n])
-	}
-	plans := make([]*core.MttkrpPlan, order)
-	for n := 0; n < order; n++ {
-		p, err := core.PrepareMttkrp(x, n, rank)
-		if err != nil {
-			return nil, err
-		}
-		plans[n] = p
-	}
-	normX := frobeniusNorm(x)
-	if normX == 0 {
-		return nil, fmt.Errorf("algo: zero tensor")
-	}
-
-	const eps = 1e-12
-	prevFit := 0.0
-	var lastM *tensor.Matrix
-	for it := 0; it < maxIters; it++ {
-		res.Iters = it + 1
-		for n := 0; n < order; n++ {
-			mt, err := plans[n].ExecuteOMP(res.Factors, opt)
-			if err != nil {
-				return nil, err
-			}
-			v := hadamardGrams(grams, n, rank)
-			an := res.Factors[n]
-			// Multiplicative update per element: no solve, no sign flips.
-			for i := 0; i < an.Rows; i++ {
-				row := an.Row(i)
-				for r := 0; r < rank; r++ {
-					var denom float64
-					for s := 0; s < rank; s++ {
-						denom += float64(row[s]) * v[s*rank+r]
-					}
-					num := float64(mt.At(i, r))
-					row[r] = tensor.Value(float64(row[r]) * num / (denom + eps))
-				}
-			}
-			grams[n] = gram(an)
-			lastM = mt
-		}
-		// Factors stay unnormalized (the multiplicative form absorbs the
-		// weights), so the component weights are identically 1 and
-		// ReconstructAt remains exact.
-		for r := 0; r < rank; r++ {
-			res.Lambda[r] = 1
-		}
-		fit := nncpFit(normX, res, grams, lastM, order-1, rank)
-		res.Fit = fit
-		if it > 0 && math.Abs(fit-prevFit) < tol {
-			break
-		}
-		prevFit = fit
-	}
-	return res, nil
+	// The driver's uniform (0,1) factors are a nonnegative init.
+	return alsSweeps(x, rank, maxIters, tol, seed, mttkrp, (*cpWorkspace).multiplyMode)
 }
 
-// nncpFit is the CP fit identity with unnormalized factors (lambda = 1).
-func nncpFit(normX float64, res *CPResult, grams [][]float64, lastM *tensor.Matrix, lastMode, rank int) float64 {
-	had := hadamardGrams(grams, -1, rank)
-	var normEst float64
-	for r := 0; r < rank; r++ {
-		for s := 0; s < rank; s++ {
-			normEst += had[r*rank+s]
-		}
+// multiplyMode is the multiplicative update, per element: no solve, no
+// sign flips. Factors stay unnormalized (the multiplicative form absorbs
+// the weights), so the component weights are identically 1 and
+// ReconstructAt and the CP fit identity remain exact.
+func (w *cpWorkspace) multiplyMode(n int, mt, an *tensor.Matrix, lambda []float64) error {
+	const eps = 1e-12
+	w.hadamard(n)
+	w.mulSquare(an.Data, w.v, an.Rows)
+	for i, denom := range w.rows[:len(an.Data)] {
+		an.Data[i] = tensor.Value(float64(an.Data[i]) * float64(mt.Data[i]) / (denom + eps))
 	}
-	var inner float64
-	an := res.Factors[lastMode]
-	for i := 0; i < an.Rows; i++ {
-		for r := 0; r < rank; r++ {
-			inner += float64(lastM.Data[i*rank+r]) * float64(an.Data[i*rank+r])
-		}
+	w.gramInto(w.grams[n], an, nil)
+	for r := range lambda {
+		lambda[r] = 1
 	}
-	residual := normX*normX - 2*inner + normEst
-	if residual < 0 {
-		residual = 0
-	}
-	return 1 - math.Sqrt(residual)/normX
+	return nil
 }

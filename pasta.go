@@ -293,6 +293,9 @@ var (
 type (
 	// CPResult is a CP decomposition.
 	CPResult = algo.CPResult
+	// CPSweep is the per-sweep record (fit, seconds, seconds in Mttkrp)
+	// of a CP decomposition.
+	CPSweep = algo.CPSweep
 	// RankOneResult is a rank-1 (power method) approximation.
 	RankOneResult = algo.RankOneResult
 	// TuckerResult is a Tucker decomposition (core + orthonormal factors).
