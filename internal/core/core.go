@@ -15,9 +15,11 @@
 // Formats differ in preprocessing only (§3.4): each kernel's value
 // computation exists once and the COO and HiCOO plans both delegate to
 // it — fiber.go for Ttv and Ttm (a fiber reduction over an index column
-// and a value column, whichever format supplied them), tewValues and
-// tsValues for the element-wise kernels, cooMttkrp (exported over raw
-// columns as MttkrpCOORange) for COO Mttkrp.
+// and a value column, whichever format supplied them: FiberView in
+// view.go is the contract, through which the fiber trees of
+// internal/levels and internal/csf prepare the same plans), tewValues
+// and tsValues for the element-wise kernels, cooMttkrp (exported over
+// raw columns as MttkrpCOORange) for COO Mttkrp.
 // The same bodies take a range, so the multi-GPU shards (multigpu.go),
 // the out-of-core tile stream (internal/ooc) and the distributed ranks
 // (internal/dist) run them too. HiCOO Mttkrp (Algorithm 2's per-block

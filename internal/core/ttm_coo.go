@@ -13,7 +13,8 @@ import (
 // becomes dense in the output, so preprocessing allocates a semi-sparse
 // (sCOO) output with one R-length dense row per mode-n fiber.
 type TtmPlan struct {
-	// X is the input, sorted for Mode.
+	// X is the input, sorted for Mode; nil for a plan over another
+	// format's fiber view (NewTtmPlan).
 	X *tensor.COO
 	// Mode is the product mode n.
 	Mode int
@@ -28,7 +29,7 @@ type TtmPlan struct {
 	// ExecuteOMP call resolved to (for harness reporting).
 	LastStrategy parallel.Strategy
 
-	k fiberKernel // the value computation over (Fptr, X.Inds[Mode], X.Vals)
+	k fiberKernel // the value computation over the plan's fiber view
 }
 
 // PrepareTtm performs the preprocessing stage of Ttm in mode n with R
@@ -37,32 +38,13 @@ func PrepareTtm(x *tensor.COO, mode, r int) (*TtmPlan, error) {
 	if mode < 0 || mode >= x.Order() {
 		return nil, fmt.Errorf("core: Ttm mode %d out of range for order-%d tensor", mode, x.Order())
 	}
-	if r <= 0 {
-		return nil, fmt.Errorf("core: Ttm needs R >= 1, got %d", r)
+	xs, view, heads := cooFibers(x, mode)
+	p, err := NewTtmPlan(view, heads, r)
+	if err != nil {
+		return nil, err
 	}
-	xs := x
-	if !xs.IsSortedBy(tensor.ModeOrder(x.Order(), mode)) {
-		xs = x.Clone()
-		xs.SortForMode(mode)
-	}
-	fptr := xs.FiberPointers(mode)
-	mf := len(fptr) - 1
-
-	outDims := append([]tensor.Index(nil), x.Dims...)
-	outDims[mode] = tensor.Index(r)
-	out := tensor.NewSemiCOO(outDims, []int{mode}, mf)
-	sparseModes := tensor.OtherModes(x.Order(), mode)
-	sparseIdx := make([]tensor.Index, len(sparseModes))
-	for f := 0; f < mf; f++ {
-		for si, n := range sparseModes {
-			sparseIdx[si] = xs.Inds[n][fptr[f]]
-		}
-		out.AppendFiber(sparseIdx)
-	}
-	return &TtmPlan{X: xs, Mode: mode, R: r, Fptr: fptr, Out: out, k: fiberKernel{
-		fptr: fptr, kInd: xs.Inds[mode], vals: xs.Vals, out: out.Vals,
-		mode: mode, kDim: int(x.Dims[mode]), r: r,
-	}}, nil
+	p.X = xs
+	return p, nil
 }
 
 // NumFibers returns MF.
@@ -90,7 +72,7 @@ func (p *TtmPlan) ExecuteGPU(dev *gpusim.Device, u *tensor.Matrix) (*tensor.Semi
 
 // FlopCount returns the floating-point work of one execution (Table 1:
 // 2MR flops for Ttm).
-func (p *TtmPlan) FlopCount() int64 { return 2 * int64(p.X.NNZ()) * int64(p.R) }
+func (p *TtmPlan) FlopCount() int64 { return 2 * int64(len(p.k.vals)) * int64(p.R) }
 
 // Ttm is the convenience one-shot form: prepare and execute sequentially.
 func Ttm(x *tensor.COO, u *tensor.Matrix, mode int) (*tensor.SemiCOO, error) {

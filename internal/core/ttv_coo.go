@@ -16,7 +16,8 @@ import (
 // coordinates of the input fibers.
 type TtvPlan struct {
 	// X is the input, sorted for Mode (a sorted clone if the caller's
-	// tensor was not already in fiber order).
+	// tensor was not already in fiber order); nil for a plan over another
+	// format's fiber view (NewTtvPlan).
 	X *tensor.COO
 	// Mode is the product mode n.
 	Mode int
@@ -29,7 +30,7 @@ type TtvPlan struct {
 	// ExecuteOMP call resolved to (for harness reporting).
 	LastStrategy parallel.Strategy
 
-	k fiberKernel // the value computation over (Fptr, X.Inds[Mode], X.Vals)
+	k fiberKernel // the value computation over the plan's fiber view
 }
 
 // PrepareTtv performs the preprocessing stage of Ttv in mode n.
@@ -37,36 +38,13 @@ func PrepareTtv(x *tensor.COO, mode int) (*TtvPlan, error) {
 	if mode < 0 || mode >= x.Order() {
 		return nil, fmt.Errorf("core: Ttv mode %d out of range for order-%d tensor", mode, x.Order())
 	}
-	if x.Order() < 2 {
-		return nil, fmt.Errorf("core: Ttv needs an order >= 2 tensor")
+	xs, view, heads := cooFibers(x, mode)
+	p, err := NewTtvPlan(view, heads)
+	if err != nil {
+		return nil, err
 	}
-	xs := x
-	if !xs.IsSortedBy(tensor.ModeOrder(x.Order(), mode)) {
-		xs = x.Clone()
-		xs.SortForMode(mode)
-	}
-	fptr := xs.FiberPointers(mode)
-	mf := len(fptr) - 1
-
-	otherModes := tensor.OtherModes(x.Order(), mode)
-	out := &tensor.COO{
-		Dims: make([]tensor.Index, len(otherModes)),
-		Inds: make([][]tensor.Index, len(otherModes)),
-		Vals: make([]tensor.Value, mf),
-	}
-	for on, n := range otherModes {
-		out.Dims[on] = x.Dims[n]
-		ind := make([]tensor.Index, mf)
-		src := xs.Inds[n]
-		for f := 0; f < mf; f++ {
-			ind[f] = src[fptr[f]]
-		}
-		out.Inds[on] = ind
-	}
-	return &TtvPlan{X: xs, Mode: mode, Fptr: fptr, Out: out, k: fiberKernel{
-		fptr: fptr, kInd: xs.Inds[mode], vals: xs.Vals, out: out.Vals,
-		mode: mode, kDim: int(x.Dims[mode]), r: 1,
-	}}, nil
+	p.X = xs
+	return p, nil
 }
 
 // NumFibers returns MF, the number of mode-n fibers.
@@ -107,7 +85,7 @@ func (p *TtvPlan) ExecuteFibers(lo, hi int, v tensor.Vector) ([]tensor.Value, er
 
 // FlopCount returns the floating-point work of one execution (Table 1:
 // 2M flops for Ttv).
-func (p *TtvPlan) FlopCount() int64 { return 2 * int64(p.X.NNZ()) }
+func (p *TtvPlan) FlopCount() int64 { return 2 * int64(len(p.k.vals)) }
 
 // Ttv is the convenience one-shot form: prepare and execute sequentially.
 func Ttv(x *tensor.COO, v tensor.Vector, mode int) (*tensor.COO, error) {

@@ -107,10 +107,7 @@ func prepareFiberHiCOO(x *tensor.COO, mode, r int, blockBits uint8) (*hicoo.GHiC
 		}
 	}
 	sk.bptr = append(sk.bptr, int64(mf))
-	return g, fiberKernel{
-		fptr: fptr, kInd: g.UInds[0], vals: g.Vals, out: make([]tensor.Value, mf*r),
-		mode: mode, kDim: int(x.Dims[mode]), r: r,
-	}, sk
+	return g, FiberView{Fptr: fptr, KInd: g.UInds[0], Vals: g.Vals, Dims: x.Dims, Mode: mode}.kernel(r), sk
 }
 
 // NumFibers returns MF.

@@ -7,12 +7,14 @@ import (
 	"repro/internal/tensor"
 )
 
-// Balanced CSF (BCSF, Nisa et al. — cited as [25] in the paper's §7
-// future-work list) fixes the load imbalance of subtree-parallel Mttkrp:
-// power-law tensors concentrate most non-zeros under a few hub roots, so
-// a thread per root idles the rest of the machine. BCSF splits overweight
+// Balanced CSF (Nisa et al. — cited as [25] in the paper's §7 future-work
+// list) fixes the load imbalance of subtree-parallel Mttkrp: power-law
+// tensors concentrate most non-zeros under a few hub roots, so a thread
+// per root idles the rest of the machine. Balancing splits overweight
 // roots into bounded-size tasks; tasks of a shared root combine their
-// partial rows with atomic adds.
+// partial rows with atomic adds. It is a schedule over the plain CSF
+// tree, not a format: the grid's bCSF (roofline.BCSF, levels.BCSFSig) is
+// *blocked* CSF, whose root level is split into coarse and fine bits.
 
 // task is one balanced work unit: children [lo, hi) at level 1 under
 // root. A root light enough to fit the budget yields exactly one task.
@@ -64,34 +66,17 @@ func (c *CSF) buildTasks(maxLeaves int64) []task {
 	return tasks
 }
 
-// MttkrpRootBalanced computes the root-mode Mttkrp with BCSF-style
-// balanced tasks: roots whose subtrees exceed maxLeaves non-zeros are
+// MttkrpRootBalanced computes the root-mode Mttkrp with balanced tasks: roots whose subtrees exceed maxLeaves non-zeros are
 // split, and each task accumulates a private R-vector that is atomically
 // merged into the shared output row. maxLeaves <= 0 selects a heuristic
 // (total non-zeros / 8·workers).
 func (c *CSF) MttkrpRootBalanced(mats []*tensor.Matrix, opt parallel.Options, maxLeaves int64) (*tensor.Matrix, error) {
-	order := c.Order()
-	if order < 2 {
+	if c.Order() < 2 {
 		return nil, fmt.Errorf("csf: Mttkrp needs an order >= 2 tensor")
 	}
-	if len(mats) != order {
-		return nil, fmt.Errorf("csf: got %d factor matrices, want %d", len(mats), order)
-	}
-	rootMode := c.ModeOrder[0]
-	r := 0
-	for l, u := range mats {
-		if l == rootMode {
-			continue
-		}
-		if u == nil {
-			return nil, fmt.Errorf("csf: factor matrix %d is nil", l)
-		}
-		if r == 0 {
-			r = u.Cols
-		}
-		if u.Rows != int(c.Dims[l]) || u.Cols != r {
-			return nil, fmt.Errorf("csf: factor %d is %dx%d, want %dx%d", l, u.Rows, u.Cols, c.Dims[l], r)
-		}
+	rootMode, r, err := c.rootFactors(mats)
+	if err != nil {
+		return nil, err
 	}
 	if maxLeaves <= 0 {
 		workers := opt.Threads
@@ -103,7 +88,7 @@ func (c *CSF) MttkrpRootBalanced(mats []*tensor.Matrix, opt parallel.Options, ma
 	tasks := c.buildTasks(maxLeaves)
 	out := tensor.NewMatrix(int(c.Dims[rootMode]), r)
 
-	parallel.For(len(tasks), opt, func(lo, hi, _ int) {
+	err = parallel.For(len(tasks), opt, func(lo, hi, _ int) {
 		scratch := make([]tensor.Value, (c.Order()-1)*r)
 		local := make([]tensor.Value, r)
 		for ti := lo; ti < hi; ti++ {
@@ -120,11 +105,14 @@ func (c *CSF) MttkrpRootBalanced(mats []*tensor.Matrix, opt parallel.Options, ma
 			}
 		}
 	})
+	if err != nil {
+		return nil, err // cancelled: out holds a partial sum
+	}
 	return out, nil
 }
 
 // TaskStats reports the balance the task decomposition achieved — the
-// quantity BCSF improves over plain subtree parallelism.
+// quantity balancing improves over plain subtree parallelism.
 type TaskStats struct {
 	Roots     int
 	Tasks     int

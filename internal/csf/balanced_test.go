@@ -1,6 +1,8 @@
 package csf
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -116,6 +118,29 @@ func TestMttkrpRootBalancedErrors(t *testing.T) {
 	mats[1] = nil
 	if _, err := c.MttkrpRootBalanced(mats, parallel.Options{}, 0); err == nil {
 		t.Fatal("expected nil-matrix error")
+	}
+}
+
+// TestMttkrpCancelledContext: a cancelled opt.Ctx stops the root loop
+// with partial sums in the output, so both root-mode kernels must hand
+// back parallel.ErrDeadline and no matrix.
+func TestMttkrpCancelledContext(t *testing.T) {
+	x := hubTensor(11)
+	c, err := FromCOO(x, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mats := mttkrpMats(x, 4, 12)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	opt := parallel.Options{Ctx: ctx}
+	for name, run := range map[string]func() (*tensor.Matrix, error){
+		"MttkrpRoot":         func() (*tensor.Matrix, error) { return c.MttkrpRoot(mats, opt) },
+		"MttkrpRootBalanced": func() (*tensor.Matrix, error) { return c.MttkrpRootBalanced(mats, opt, 64) },
+	} {
+		if out, err := run(); !errors.Is(err, parallel.ErrDeadline) || out != nil {
+			t.Errorf("%s under a cancelled context returned (%v, %v), want (nil, ErrDeadline)", name, out != nil, err)
+		}
 	}
 }
 

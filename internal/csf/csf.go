@@ -10,6 +10,7 @@ package csf
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
@@ -90,24 +91,11 @@ func FromCOO(t *tensor.COO, modeOrder []int) (*CSF, error) {
 
 // ToCOO expands the CSF tensor back to coordinate format.
 func (c *CSF) ToCOO() *tensor.COO {
-	out := tensor.NewCOO(c.Dims, c.NNZ())
-	idx := make([]tensor.Index, c.Order())
-	c.walk(0, 0, c.NumNodes(0), idx, &walkState{out: out})
-	return out
-}
-
-type walkState struct{ out *tensor.COO }
-
-// walk traverses nodes [lo, hi) at the given level depth-first.
-func (c *CSF) walk(level int, lo, hi int, idx []tensor.Index, st *walkState) {
-	leaf := c.Order() - 1
-	for node := lo; node < hi; node++ {
-		idx[c.ModeOrder[level]] = c.FIds[level][node]
-		if level == leaf {
-			st.out.Append(idx, c.Vals[node])
-			continue
-		}
-		c.walk(level+1, int(c.FPtr[level][node]), int(c.FPtr[level][node+1]), idx, st)
+	order := c.Order()
+	return &tensor.COO{
+		Dims: append([]tensor.Index(nil), c.Dims...),
+		Inds: tensor.UnfoldTree(c.FIds, c.FPtr, c.ModeOrder, make([]uint8, order), order),
+		Vals: append([]tensor.Value(nil), c.Vals...),
 	}
 }
 
@@ -148,35 +136,47 @@ func (c *CSF) Validate() error {
 // root subtrees own disjoint output rows, so the parallel loop is
 // race-free — the structural advantage over COO-Mttkrp.
 func (c *CSF) MttkrpRoot(mats []*tensor.Matrix, opt parallel.Options) (*tensor.Matrix, error) {
-	order := c.Order()
-	if len(mats) != order {
-		return nil, fmt.Errorf("csf: got %d factor matrices, want %d", len(mats), order)
-	}
-	rootMode := c.ModeOrder[0]
-	r := 0
-	for l, u := range mats {
-		if l == rootMode {
-			continue
-		}
-		if u == nil {
-			return nil, fmt.Errorf("csf: factor matrix %d is nil", l)
-		}
-		if r == 0 {
-			r = u.Cols
-		}
-		if u.Rows != int(c.Dims[l]) || u.Cols != r {
-			return nil, fmt.Errorf("csf: factor %d is %dx%d, want %dx%d", l, u.Rows, u.Cols, c.Dims[l], r)
-		}
+	rootMode, r, err := c.rootFactors(mats)
+	if err != nil {
+		return nil, err
 	}
 	out := tensor.NewMatrix(int(c.Dims[rootMode]), r)
-	parallel.For(c.NumNodes(0), opt, func(lo, hi, _ int) {
+	err = parallel.For(c.NumNodes(0), opt, func(lo, hi, _ int) {
 		scratch := make([]tensor.Value, (c.Order()-1)*r)
 		for root := lo; root < hi; root++ {
 			row := out.Row(int(c.FIds[0][root]))
 			c.accumulate(1, int(c.FPtr[0][root]), int(c.FPtr[0][root+1]), mats, scratch, r, row)
 		}
 	})
+	if err != nil {
+		return nil, err // cancelled: out holds a partial sum
+	}
 	return out, nil
+}
+
+// rootFactors checks the operands of a root-mode Mttkrp — one factor
+// matrix per mode, Dims[n] x R for every mode but the root's, whose
+// entry is ignored — and returns the root mode and R.
+func (c *CSF) rootFactors(mats []*tensor.Matrix) (rootMode, r int, err error) {
+	if len(mats) != c.Order() {
+		return 0, 0, fmt.Errorf("csf: got %d factor matrices, want %d", len(mats), c.Order())
+	}
+	rootMode = c.ModeOrder[0]
+	for l, u := range mats {
+		if l == rootMode {
+			continue
+		}
+		if u == nil {
+			return 0, 0, fmt.Errorf("csf: factor matrix %d is nil", l)
+		}
+		if r == 0 {
+			r = u.Cols
+		}
+		if u.Rows != int(c.Dims[l]) || u.Cols != r {
+			return 0, 0, fmt.Errorf("csf: factor %d is %dx%d, want %dx%d", l, u.Rows, u.Cols, c.Dims[l], r)
+		}
+	}
+	return rootMode, r, nil
 }
 
 // accumulate adds the subtree contribution Σ_child U_l(fid,:) ⊙ g(child)
@@ -210,70 +210,23 @@ func (c *CSF) accumulate(level, lo, hi int, mats []*tensor.Matrix, scratch []ten
 
 // TtvLeaf computes the tensor-times-vector product in the CSF's leaf
 // mode: each level-(N-2) node reduces its leaves to one output non-zero.
-// The output is returned in COO format.
+// The deepest pointer array, the leaf ids and the values are the fiber
+// view of core's Ttv, so this is its prepare-and-execute one-shot; the
+// output is returned in COO format, its coordinates the upper levels
+// unfolded.
 func (c *CSF) TtvLeaf(v tensor.Vector, opt parallel.Options) (*tensor.COO, error) {
 	order := c.Order()
-	leafMode := c.ModeOrder[order-1]
-	if len(v) != int(c.Dims[leafMode]) {
-		return nil, fmt.Errorf("csf: vector length %d, want %d", len(v), c.Dims[leafMode])
+	if order < 2 {
+		return nil, fmt.Errorf("csf: Ttv needs an order >= 2 tensor")
 	}
-	outDims := make([]tensor.Index, 0, order-1)
-	for n := 0; n < order; n++ {
-		if n != leafMode {
-			outDims = append(outDims, c.Dims[n])
-		}
+	cols := tensor.UnfoldTree(c.FIds, c.FPtr, c.ModeOrder[:order-1], make([]uint8, order-1), order)
+	p, err := core.NewTtvPlan(core.FiberView{
+		Fptr: c.FPtr[order-2], KInd: c.FIds[order-1], Vals: c.Vals, Dims: c.Dims, Mode: c.ModeOrder[order-1],
+	}, cols)
+	if err != nil {
+		return nil, err
 	}
-	parents := c.NumNodes(order - 2)
-	out := &tensor.COO{
-		Dims: outDims,
-		Inds: make([][]tensor.Index, order-1),
-		Vals: make([]tensor.Value, parents),
-	}
-	for on := range out.Inds {
-		out.Inds[on] = make([]tensor.Index, parents)
-	}
-	// Map every level < N-1 to its output mode slot.
-	outSlot := make([]int, order) // tensor mode → output mode position
-	pos := 0
-	for n := 0; n < order; n++ {
-		if n != leafMode {
-			outSlot[n] = pos
-			pos++
-		}
-	}
-	// Fill indices by walking the upper levels once (sequential, cheap),
-	// then reduce leaves in parallel.
-	c.fillParentIndices(0, 0, c.NumNodes(0), make([]tensor.Index, order), outSlot, out)
-	fptr := c.FPtr[order-2]
-	leafIds := c.FIds[order-1]
-	parallel.For(parents, opt, func(lo, hi, _ int) {
-		for p := lo; p < hi; p++ {
-			var acc tensor.Value
-			for x := fptr[p]; x < fptr[p+1]; x++ {
-				acc += c.Vals[x] * v[leafIds[x]]
-			}
-			out.Vals[p] = acc
-		}
-	})
-	return out, nil
-}
-
-// fillParentIndices writes the coordinates of every level-(N-2) node into
-// the output index arrays (one output non-zero per node, in node order).
-func (c *CSF) fillParentIndices(level, lo, hi int, idx []tensor.Index, outSlot []int, out *tensor.COO) {
-	parentLevel := c.Order() - 2
-	for node := lo; node < hi; node++ {
-		mode := c.ModeOrder[level]
-		idx[mode] = c.FIds[level][node]
-		if level == parentLevel {
-			for l := 0; l <= parentLevel; l++ {
-				m := c.ModeOrder[l]
-				out.Inds[outSlot[m]][node] = idx[m]
-			}
-			continue
-		}
-		c.fillParentIndices(level+1, int(c.FPtr[level][node]), int(c.FPtr[level][node+1]), idx, outSlot, out)
-	}
+	return p.ExecuteOMP(v, opt)
 }
 
 func (c *CSF) String() string {

@@ -196,6 +196,15 @@ func TestTtvLeafVectorLengthError(t *testing.T) {
 	if _, err := c.TtvLeaf(tensor.NewVector(3), parallel.Options{}); err == nil {
 		t.Fatal("expected length error")
 	}
+	// A single-level tree has no fibers to reduce: an error, not an
+	// index out of range.
+	line, err := FromCOO(randTensor(13, []tensor.Index{50}, 20), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := line.TtvLeaf(tensor.NewVector(50), parallel.Options{}); err == nil {
+		t.Fatal("expected an order error")
+	}
 }
 
 func TestCSFRoundTripProperty(t *testing.T) {

@@ -1,0 +1,171 @@
+package kernelreg
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/roofline"
+	"repro/internal/tensor"
+	"repro/internal/tensortest"
+)
+
+// The tree cells of Ttv and Ttm are core fiber plans on the hierarchy's
+// leaf level (DESIGN.md §21). These tests pin what that buys: the same
+// fibers reduced in the same order as the COO plan, and no output
+// rebuilt per call.
+
+// treeFiberCells are the four cells that are fiber plans.
+func treeFiberCells(t *testing.T) []*Variant {
+	t.Helper()
+	var cells []*Variant
+	for _, f := range []roofline.Format{roofline.CSF, roofline.BCSF} {
+		for _, k := range []roofline.Kernel{roofline.Ttv, roofline.Ttm} {
+			v, err := Lookup(k, f, OMP)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells = append(cells, v)
+		}
+	}
+	return cells
+}
+
+// sameFibers compares an output skeleton and its values array for array:
+// equal coordinates in equal order, values equal bit for bit.
+func sameFibers(t *testing.T, label string, gotInds, wantInds [][]tensor.Index, got, want []tensor.Value) {
+	t.Helper()
+	if len(gotInds) != len(wantInds) || len(got) != len(want) {
+		t.Fatalf("%s: %d index arrays and %d values, want %d and %d", label, len(gotInds), len(got), len(wantInds), len(want))
+	}
+	for n := range wantInds {
+		if len(gotInds[n]) != len(wantInds[n]) {
+			t.Fatalf("%s: output mode %d indexes %d fibers, want %d", label, n, len(gotInds[n]), len(wantInds[n]))
+		}
+		for f, w := range wantInds[n] {
+			if gotInds[n][f] != w {
+				t.Fatalf("%s: fiber %d has index %d in output mode %d, want %d", label, f, gotInds[n][f], n, w)
+			}
+		}
+	}
+	for i, w := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(w) {
+			t.Fatalf("%s: value %d is %v (%08x), want %v (%08x)", label, i, got[i], math.Float32bits(got[i]), w, math.Float32bits(w))
+		}
+	}
+}
+
+// TestTreeFiberPlansBitIdenticalToCOO: on one thread, the Run and Serial
+// rungs of Ttv and Ttm on CSF and bCSF produce the COO plan's sequential
+// output array for array — the tree's mode order puts the same fibers in
+// the same order, and the one value computation sums them the same way.
+func TestTreeFiberPlansBitIdenticalToCOO(t *testing.T) {
+	// Dense operands for the 2^32-range modes of the corpus cannot be
+	// allocated; R = 3 keeps the 2^20-row ones small.
+	const maxDenseOperand = 1 << 22
+	cfg := DefaultConfig()
+	cfg.R = 3
+	cfg.Sched.Threads = 1
+	ctx := context.Background()
+	for _, c := range tensortest.Corpus(t) {
+		x := c.X
+		if x.Order() < 2 {
+			continue
+		}
+		for mode := 0; mode < x.Order(); mode++ {
+			if x.Dims[mode] > maxDenseOperand {
+				continue
+			}
+			// One workbench per mode, so the operands of the wide modes
+			// do not pile up.
+			wb := NewWorkbench(x, cfg)
+			tv, err := core.PrepareTtv(x, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tv.ExecuteSeq(wb.Vec(mode)); err != nil {
+				t.Fatal(err)
+			}
+			tm, err := core.PrepareTtm(x, mode, wb.R())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tm.ExecuteSeq(wb.TtmMat(mode)); err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range treeFiberCells(t) {
+				inst, err := v.Prepare(wb, mode)
+				if err != nil {
+					t.Fatalf("%s %s mode %d: %v", c.Name, v, mode, err)
+				}
+				for rung, run := range map[string]func(context.Context) error{"Run": inst.Run, "Serial": inst.Serial} {
+					label := fmt.Sprintf("%s %s mode %d %s", c.Name, v, mode, rung)
+					if err := run(ctx); err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					switch out := inst.out().(type) {
+					case *tensor.COO:
+						sameFibers(t, label, out.Inds, tv.Out.Inds, out.Vals, tv.Out.Vals)
+					case *tensor.SemiCOO:
+						sameFibers(t, label, out.Inds, tm.Out.Inds, out.Vals, tm.Out.Vals)
+					default:
+						t.Fatalf("%s: output is a %T", label, out)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTreeFiberPlansPrepareErrors: an order-1 tensor has no Ttv, and its
+// CSF tree no level above the leaves to take fibers from; the cells say
+// so when they are prepared, not when they run. (Ttm on bCSF is defined:
+// the coarse root level is a parent level.)
+func TestTreeFiberPlansPrepareErrors(t *testing.T) {
+	x := tensor.RandomCOO([]tensor.Index{500}, 40, rand.New(rand.NewSource(3)))
+	wb := NewWorkbench(x, DefaultConfig())
+	for _, v := range treeFiberCells(t) {
+		if v.Kernel == roofline.Ttm && v.Format == roofline.BCSF {
+			continue
+		}
+		if inst, err := v.Prepare(wb, 0); err == nil {
+			t.Errorf("%s prepared on an order-1 tensor: %+v", v, inst)
+		}
+	}
+}
+
+// TestTreeFiberPlansAllocateNoOutputPerCall: the plan owns the output,
+// so a steady-state Run of a tree cell allocates exactly what the COO
+// cell's does (the parallel runtime's per-loop bookkeeping).
+func TestTreeFiberPlansAllocateNoOutputPerCall(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	x := tensor.RandomCOO([]tensor.Index{200, 150, 100}, 20000, rand.New(rand.NewSource(77)))
+	wb := NewWorkbench(x, DefaultConfig())
+	ctx := context.Background()
+	const mode = 1
+	allocs := func(v *Variant) float64 {
+		inst, err := v.Prepare(wb, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(10, func() {
+			if err := inst.Run(ctx); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, v := range treeFiberCells(t) {
+		coo, err := Lookup(v.Kernel, roofline.COO, OMP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := allocs(v), allocs(coo); got != want {
+			t.Errorf("%s allocates %v times per Run, %s %v", v, got, coo, want)
+		}
+	}
+}

@@ -10,10 +10,12 @@ import (
 )
 
 // Generic variant instantiation: the grid cells no hand-tuned override
-// claims are filled by the level-iterator kernel bodies in
-// internal/levels, prepared on whatever hierarchy the conversion
-// planner deems cheapest. The serial rung is always the COO reference
-// (SerialRef), matching the CSF/fCOO convention.
+// claims are filled from internal/levels, prepared on whatever
+// hierarchy the conversion planner deems cheapest. Ttv and Ttm are
+// core fiber plans on the hierarchy's leaf level, with the plan's own
+// serial rung, output and strategy selection; only Mttkrp runs a
+// level-iterator body and takes the COO reference as its serial rung
+// (SerialRef), matching the CSF/fCOO Mttkrp convention.
 
 // genericModeOrder places the kernel's mode of interest where its
 // generic body wants it: Mttkrp assembles the output mode first (root
@@ -37,22 +39,36 @@ func genericPrep(k roofline.Kernel, f roofline.Format) func(wb *Workbench, mode 
 		if err != nil {
 			return nil, err
 		}
-		inst, keep, err := serialRef(wb, k, mode)
+		inst, err := genericInstance(wb, k, h, mode, site)
 		if err != nil {
 			return nil, err
 		}
 		inst.Plan = plan
-		switch k {
-		case roofline.Ttv:
-			v := wb.Vec(mode)
-			inst.Run = func(ctx context.Context) error { return keep(levels.Ttv(h, mode, v, wb.Opt(ctx))) }
-		case roofline.Ttm:
-			u := wb.TtmMat(mode)
-			inst.Run = func(ctx context.Context) error { return keep(levels.Ttm(h, mode, u, wb.Opt(ctx))) }
-		case roofline.Mttkrp:
-			mats := wb.Mats()
-			inst.Run = func(ctx context.Context) error { return keep(levels.Mttkrp(h, mode, mats, wb.Opt(ctx))) }
-		}
 		return inst, nil
 	}
+}
+
+// genericInstance prepares kernel k on the hierarchy h.
+func genericInstance(wb *Workbench, k roofline.Kernel, h *levels.Hierarchy, mode int, site string) (*Instance, error) {
+	switch k {
+	case roofline.Ttv:
+		p, err := levels.PrepareTtv(h, mode)
+		if err != nil {
+			return nil, err
+		}
+		return wb.instance(site, OMP, operandRungs(p, wb.Vec(mode), p.Out, &p.LastStrategy))
+	case roofline.Ttm:
+		p, err := levels.PrepareTtm(h, mode, wb.R())
+		if err != nil {
+			return nil, err
+		}
+		return wb.instance(site, OMP, operandRungs(p, wb.TtmMat(mode), p.Out, &p.LastStrategy))
+	}
+	inst, keep, err := serialRef(wb, k, mode)
+	if err != nil {
+		return nil, err
+	}
+	mats := wb.Mats()
+	inst.Run = func(ctx context.Context) error { return keep(levels.Mttkrp(h, mode, mats, wb.Opt(ctx))) }
+	return inst, nil
 }

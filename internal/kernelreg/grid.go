@@ -14,7 +14,8 @@ import (
 //  1. A cell claimed by the hand-tuned override table (variants.go)
 //     registers that implementation — the suite's tuned fast paths.
 //  2. An unclaimed cell whose format declares a level signature and
-//     whose kernel has a generic level-iterator body (Ttv, Ttm, Mttkrp
+//     whose kernel instantiates over any hierarchy (Ttv and Ttm as
+//     fiber plans on the leaf level, Mttkrp as a level-iterator body,
 //     on the OMP backend) registers the generic implementation.
 //  3. A cell on the OOC backend whose kernel has a streaming body
 //     (Ttv, Mttkrp over a COO tile stream) registers the out-of-core
@@ -28,7 +29,7 @@ import (
 // rule 2's closure: every declared hierarchy × generic kernel × OMP
 // cell is registered and verifies against the serial-COO reference.
 
-// genericKernels lists the kernels with generic level-iterator bodies.
+// genericKernels lists the kernels that instantiate over any hierarchy.
 var genericKernels = []roofline.Kernel{roofline.Ttv, roofline.Ttm, roofline.Mttkrp}
 
 // streamingKernels lists the kernels with out-of-core streaming bodies
@@ -92,10 +93,14 @@ func init() {
 					continue
 				}
 				if genericCell(k, f, b) {
+					// Ttv and Ttm are fiber plans with a native serial
+					// rung and the strategy selector; the Mttkrp walker's
+					// serial rung is the COO reference.
 					caps := Caps{
 						ModeDependent: true,
 						NeedsFactors:  k == roofline.Ttm || k == roofline.Mttkrp,
-						SerialRef:     true,
+						StrategyAware: k != roofline.Mttkrp,
+						SerialRef:     k == roofline.Mttkrp,
 					}
 					registerCell(k, f, b, caps, true, genericPrep(k, f))
 					continue

@@ -13,8 +13,9 @@ type Instance struct {
 	// Run executes the variant's native backend under ctx (cooperative
 	// cancellation via parallel.Options.Ctx / gpusim.Device.SetContext).
 	Run func(ctx context.Context) error
-	// Serial is the fallback rung: the format's native serial path, or
-	// the serial COO reference when Caps.SerialRef is set.
+	// Serial is the fallback rung: the plan's own sequential execution
+	// (or the deterministic tile stream), or the serial COO reference
+	// when Caps.SerialRef is set.
 	Serial func(ctx context.Context) error
 	// Check scans the current output for non-finite values.
 	Check func() error

@@ -68,8 +68,10 @@ type Caps struct {
 	// StrategyAware: the path resolves a reduction strategy
 	// (owner/atomic/privatized) that Instance.Strategy reports.
 	StrategyAware bool
-	// SerialRef: the format has no native serial path, so the Instance's
-	// Serial rung is the serial COO reference (CSF, fCOO).
+	// SerialRef: the cell has no native serial path, so the Instance's
+	// Serial rung is the serial COO reference: tree Mttkrp (CSF's and the
+	// generated walker's) and fCOO. Tree Ttv/Ttm are fiber plans and fall
+	// back to their own sequential execution.
 	SerialRef bool
 }
 

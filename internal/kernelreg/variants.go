@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fcoo"
 	"repro/internal/gpusim"
+	"repro/internal/levels"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/roofline"
@@ -70,10 +71,16 @@ func handTuned() map[regKey]handOverride {
 	add(roofline.Mttkrp, roofline.COO, MultiGPU,
 		Caps{ModeDependent: true, NeedsFactors: true}, prepMttkrpCOO)
 	// CSF: the mode of interest is placed at the tree position its kernel
-	// wants (leaf for Ttv, root for Mttkrp). No native serial path — the
-	// serial rung is the COO reference.
+	// wants (leaf for Ttv, root for Mttkrp). Ttv is core's fiber plan on
+	// the tree's leaf level. Mttkrp has no native serial path — its
+	// serial rung is the COO reference — and stays an override of the
+	// generic levels.Mttkrp: on the same FromCSF hierarchy the generic
+	// walker takes +10 % / +6 % / +12 % longer than csf.MttkrpRoot on
+	// irrS 300k / regS4d 100k / nell2 40k (all modes, one thread, R = 16;
+	// EXPERIMENTS.md "Tree Ttv/Ttm"), at or past the 10 % bound on two of
+	// three. That is the number a faster generic walker has to beat.
 	add(roofline.Ttv, roofline.CSF, OMP,
-		Caps{ModeDependent: true, SerialRef: true}, prepTtvCSF)
+		Caps{ModeDependent: true, StrategyAware: true}, prepTtvCSF)
 	add(roofline.Mttkrp, roofline.CSF, OMP,
 		Caps{ModeDependent: true, NeedsFactors: true, SerialRef: true}, prepMttkrpCSF)
 	// F-COO: segmented-reduction GPU kernels only.
@@ -251,10 +258,12 @@ func prepMttkrpHiCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
 }
 
 // tracked starts an instance for rungs that return their output object
-// instead of refilling a plan-owned one. Every rung must pass its result
-// through keep, which records it as the current output when the rung
-// succeeded — so Check and Output always see whichever rung wrote last.
-// cur is the output before any rung has run.
+// instead of refilling a plan-owned one — the kernels that genuinely
+// produce a fresh output per call: tree Mttkrp, fCOO's segmented scans
+// and the ooc streams. Every rung must pass its result through keep,
+// which records it as the current output when the rung succeeded — so
+// Check and Output always see whichever rung wrote last. cur is the
+// output before any rung has run.
 func tracked(flops int64, cur any) (inst *Instance, keep func(out any, err error) error) {
 	inst = &Instance{Flops: flops}
 	inst.out = func() any { return cur }
@@ -282,13 +291,6 @@ func serialRef(wb *Workbench, k roofline.Kernel, mode int) (inst *Instance, keep
 		}
 		v := wb.Vec(mode)
 		flops, ref = p.FlopCount(), func() (any, error) { return p.ExecuteSeq(v) }
-	case roofline.Ttm:
-		p, err := core.PrepareTtm(wb.FiberSorted(mode), mode, wb.R())
-		if err != nil {
-			return nil, nil, err
-		}
-		u := wb.TtmMat(mode)
-		flops, ref = p.FlopCount(), func() (any, error) { return p.ExecuteSeq(u) }
 	case roofline.Mttkrp:
 		p, err := core.PrepareMttkrp(wb.X, mode, wb.R())
 		if err != nil {
@@ -304,8 +306,8 @@ func serialRef(wb *Workbench, k roofline.Kernel, mode int) (inst *Instance, keep
 	return inst, keep, nil
 }
 
-// prepTtvCSF builds a CSF tree with the product mode at the leaf level
-// and reduces leaves per fiber.
+// prepTtvCSF builds a CSF tree with the product mode at the leaf level,
+// whose leaf level is the fiber view of core's Ttv plan.
 func prepTtvCSF(wb *Workbench, mode int, b Backend) (*Instance, error) {
 	if b != OMP {
 		return nil, badBackend("Ttv/CSF", b)
@@ -314,13 +316,7 @@ func prepTtvCSF(wb *Workbench, mode int, b Backend) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	inst, keep, err := serialRef(wb, roofline.Ttv, mode)
-	if err != nil {
-		return nil, err
-	}
-	v := wb.Vec(mode)
-	inst.Run = func(ctx context.Context) error { return keep(c.TtvLeaf(v, wb.Opt(ctx))) }
-	return inst, nil
+	return genericInstance(wb, roofline.Ttv, levels.FromCSF(c), mode, "Ttv/CSF")
 }
 
 // prepMttkrpCSF builds a CSF tree with the output mode at the root:

@@ -1,17 +1,19 @@
 package levels
 
 import (
+	"errors"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
-// Generic kernel bodies: one Mttkrp, one Ttv, one Ttm, each
-// instantiating over any hierarchy. They are the composition dividend
-// of the level abstraction — a new format gets all three by declaring
-// its levels — and the registered hand-tuned variants remain the fast
-// paths the agreement tests pin these against.
+// Generic kernels: one Mttkrp body that walks any hierarchy, and Ttv and
+// Ttm, which have no body here at all — a hierarchy with the product
+// mode at the leaves is a fiber view, and core's fiber plans run on it.
+// They are the composition dividend of the level abstraction: a new
+// format gets all three by declaring its levels.
 
 // Mttkrp computes the matricized-tensor-times-Khatri-Rao product for
 // one output mode over any hierarchy whose prefix up to the output
@@ -159,155 +161,81 @@ func (w *mttkrpWalker) gather(level, lo, hi int, dst []tensor.Value) {
 	}
 }
 
-// Ttv computes tensor-times-vector in the product mode over any
-// hierarchy whose leaf level completes the product mode (the mode
-// order the generated grid prepares: product mode last). Every node at
-// the second-deepest level reduces its leaves to one output non-zero,
-// like CSF's TtvLeaf but for arbitrary level structures — including
-// blocked ones, where the leaf coordinate combines with coarse bits
-// collected along the path.
-func Ttv(h *Hierarchy, mode int, v tensor.Vector, opt parallel.Options) (*tensor.COO, error) {
-	if err := checkLeafKernel(h, mode, len(v)); err != nil {
-		return nil, err
-	}
-	order := h.Order()
-	last := h.Depth() - 1
-	parents := h.NumNodes(last - 1)
+// ErrNoParentLevel and ErrLeafMode are the contract errors of Ttv and
+// Ttm, which reduce the leaves under every node of the second-deepest
+// level: there must be one, and the leaves must complete the product mode.
+var (
+	ErrNoParentLevel = errors.New("levels: hierarchy has a single level; Ttv/Ttm need a parent level")
+	ErrLeafMode      = errors.New("levels: leaf level does not complete the product mode")
+)
 
-	outDims := make([]tensor.Index, 0, order-1)
-	outSlot := make([]int, order) // tensor mode → output index position
-	pos := 0
-	for n := 0; n < order; n++ {
-		if n != mode {
-			outDims = append(outDims, h.Dims[n])
-			outSlot[n] = pos
-			pos++
-		}
-	}
-	out := &tensor.COO{
-		Dims: outDims,
-		Inds: make([][]tensor.Index, order-1),
-		Vals: make([]tensor.Value, parents),
-	}
-	for on := range out.Inds {
-		out.Inds[on] = make([]tensor.Index, parents)
-	}
-	// Sequential upper walk fills every parent's output coordinates and
-	// the product mode's coarse bits; the leaf reduction then runs in
-	// parallel over parents.
-	coarse := fillParents(h, mode, func(p int, idx []tensor.Index) {
-		for n := 0; n < order; n++ {
-			if n != mode {
-				out.Inds[outSlot[n]][p] = idx[n]
-			}
-		}
-	})
-	fptr := h.Ptr[last-1]
-	leafCrd := h.Crd[last]
-	shift := h.Sig.Levels[last].Shift
-	err := parallel.For(parents, opt, func(lo, hi, _ int) {
-		for p := lo; p < hi; p++ {
-			var acc tensor.Value
-			hiBits := coarse[p]
-			for x := fptr[p]; x < fptr[p+1]; x++ {
-				acc += h.Vals[x] * v[hiBits|leafCrd[x]<<shift]
-			}
-			out.Vals[p] = acc
-		}
-	})
-	return out, err
-}
-
-// Ttm computes tensor-times-matrix in the product mode: the product
-// mode becomes dense (R values per surviving fiber), so the output is
-// semi-sparse, matching the core kernels' convention (dims[mode] = R,
-// the product mode dense).
-func Ttm(h *Hierarchy, mode int, u *tensor.Matrix, opt parallel.Options) (*tensor.SemiCOO, error) {
-	if err := checkLeafKernel(h, mode, u.Rows); err != nil {
-		return nil, err
-	}
-	order := h.Order()
-	last := h.Depth() - 1
-	parents := h.NumNodes(last - 1)
-	r := u.Cols
-
-	outDims := append([]tensor.Index(nil), h.Dims...)
-	outDims[mode] = tensor.Index(r)
-	out := tensor.NewSemiCOO(outDims, []int{mode}, parents)
-	sparseIdx := make([]tensor.Index, order-1)
-	coarse := fillParents(h, mode, func(_ int, idx []tensor.Index) {
-		s := 0
-		for n := 0; n < order; n++ {
-			if n != mode {
-				sparseIdx[s] = idx[n]
-				s++
-			}
-		}
-		out.AppendFiber(sparseIdx)
-	})
-	fptr := h.Ptr[last-1]
-	leafCrd := h.Crd[last]
-	shift := h.Sig.Levels[last].Shift
-	err := parallel.For(parents, opt, func(lo, hi, _ int) {
-		for p := lo; p < hi; p++ {
-			fib := out.FiberVals(p)
-			hiBits := coarse[p]
-			for x := fptr[p]; x < fptr[p+1]; x++ {
-				v := h.Vals[x]
-				urow := u.Row(int(hiBits | leafCrd[x]<<shift))
-				for i := 0; i < r; i++ {
-					fib[i] += v * urow[i]
-				}
-			}
-		}
-	})
-	return out, err
-}
-
-// checkLeafKernel validates the contract Ttv and Ttm share: the leaf
-// level completes the product mode, every other mode completes above
-// the leaf, and the operand spans the product-mode dimension.
-func checkLeafKernel(h *Hierarchy, mode, operandLen int) error {
+// leafFibers is the preprocessing Ttv and Ttm share on a hierarchy with
+// the product mode at the leaves (the mode order the grid prepares). The
+// leaf level already is core's fiber view — Ptr[last-1] the fiber
+// pointers, Crd[last] the product indices, Vals the values — so it is
+// aliased, not walked; the output skeleton is the upper levels unfolded,
+// one entry per node of the second-deepest level. Only a hierarchy that
+// keeps coarse product-mode bits above the leaf (HiCOOSig) gets a
+// product-index column of its own: the unfolding collects those bits per
+// fiber and one pass ORs them onto the leaf coordinates.
+func leafFibers(h *Hierarchy, mode int) (core.FiberView, [][]tensor.Index, error) {
 	last := h.Depth() - 1
 	if last < 1 {
-		return fmt.Errorf("levels: %s has a single level; need a parent level", h.Sig.Name)
+		return core.FiberView{}, nil, fmt.Errorf("%w (%s)", ErrNoParentLevel, h.Sig.Name)
 	}
 	if h.Mode(last) != mode || h.Sig.Levels[last].Partial {
-		return fmt.Errorf("levels: %s leaf level does not complete mode %d", h.Sig.Name, mode)
+		return core.FiberView{}, nil, fmt.Errorf("%w: %s, mode %d", ErrLeafMode, h.Sig.Name, mode)
 	}
-	if operandLen != int(h.Dims[mode]) {
-		return fmt.Errorf("levels: operand length %d, want %d", operandLen, h.Dims[mode])
+	cols := h.unfold(last - 1)
+	view := core.FiberView{Fptr: h.Ptr[last-1], KInd: h.Crd[last], Vals: h.Vals, Dims: h.Dims, Mode: mode}
+	if coarse := cols[mode]; coarse != nil {
+		kInd := make([]tensor.Index, len(view.KInd))
+		for f, bits := range coarse {
+			for x := view.Fptr[f]; x < view.Fptr[f+1]; x++ {
+				kInd[x] = bits | view.KInd[x]
+			}
+		}
+		view.KInd = kInd
 	}
-	return nil
+	return view, cols, nil
 }
 
-// fillParents walks levels 0..Depth-2 sequentially, invoking yield once
-// per node of the second-deepest level (in node order) with the fully
-// assembled coordinates of every non-product mode, and returns the
-// product mode's partial bits at each such node (blocked hierarchies
-// store the product mode's coarse bits above the leaf).
-func fillParents(h *Hierarchy, mode int, yield func(p int, idx []tensor.Index)) []tensor.Index {
-	last := h.Depth() - 1
-	coarse := make([]tensor.Index, h.NumNodes(last-1))
-	idx := make([]tensor.Index, h.Order())
-	p := 0
-	var walk func(level, lo, hi int)
-	walk = func(level, lo, hi int) {
-		d := h.Sig.Levels[level]
-		m := h.Mode(level)
-		for node := lo; node < hi; node++ {
-			save := idx[m]
-			idx[m] = save | h.Crd[level][node]<<d.Shift
-			if level == last-1 {
-				coarse[p] = idx[mode]
-				yield(p, idx)
-				p++
-			} else {
-				walk(level+1, int(h.Ptr[level][node]), int(h.Ptr[level][node+1]))
-			}
-			idx[m] = save
-		}
+// PrepareTtv prepares tensor-times-vector in the product mode as a core
+// fiber plan: value computation, strategy selection and plan-owned
+// output are the COO kernel's (core/fiber.go), on this hierarchy's fibers.
+func PrepareTtv(h *Hierarchy, mode int) (*core.TtvPlan, error) {
+	view, cols, err := leafFibers(h, mode)
+	if err != nil {
+		return nil, err
 	}
-	walk(0, 0, h.NumNodes(0))
-	return coarse
+	return core.NewTtvPlan(view, cols)
+}
+
+// PrepareTtm prepares tensor-times-matrix with r matrix columns: the
+// product mode becomes dense, so the output is semi-sparse with one
+// r-row per fiber, matching the core kernels' convention.
+func PrepareTtm(h *Hierarchy, mode, r int) (*core.TtmPlan, error) {
+	view, cols, err := leafFibers(h, mode)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewTtmPlan(view, cols, r)
+}
+
+// Ttv is the one-shot form: prepare and execute once.
+func Ttv(h *Hierarchy, mode int, v tensor.Vector, opt parallel.Options) (*tensor.COO, error) {
+	p, err := PrepareTtv(h, mode)
+	if err != nil {
+		return nil, err
+	}
+	return p.ExecuteOMP(v, opt)
+}
+
+// Ttm is the one-shot form: prepare and execute once.
+func Ttm(h *Hierarchy, mode int, u *tensor.Matrix, opt parallel.Options) (*tensor.SemiCOO, error) {
+	p, err := PrepareTtm(h, mode, u.Cols)
+	if err != nil {
+		return nil, err
+	}
+	return p.ExecuteOMP(u, opt)
 }

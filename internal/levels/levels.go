@@ -228,47 +228,34 @@ func (h *Hierarchy) Validate() error {
 	if len(h.Crd[depth-1]) != len(h.Vals) {
 		return fmt.Errorf("levels: leaf count %d != value count %d", len(h.Crd[depth-1]), len(h.Vals))
 	}
-	var walkErr error
-	idx := make([]tensor.Index, h.Order())
-	h.walk(0, 0, h.NumNodes(0), idx, func(idx []tensor.Index, _ tensor.Value) {
-		for n, d := range h.Dims {
-			if idx[n] >= d && walkErr == nil {
-				walkErr = fmt.Errorf("levels: coordinate %d out of range for mode %d (dim %d)", idx[n], n, d)
+	for n, col := range h.unfold(depth - 1) {
+		for _, i := range col {
+			if i >= h.Dims[n] {
+				return fmt.Errorf("levels: coordinate %d out of range for mode %d (dim %d)", i, n, h.Dims[n])
 			}
 		}
-	})
-	return walkErr
+	}
+	return nil
 }
 
 // ToCOO expands the hierarchy back to coordinate format (tests and the
 // conversion planner's round-trip checks).
 func (h *Hierarchy) ToCOO() *tensor.COO {
-	out := tensor.NewCOO(h.Dims, h.NNZ())
-	idx := make([]tensor.Index, h.Order())
-	h.walk(0, 0, h.NumNodes(0), idx, func(idx []tensor.Index, v tensor.Value) {
-		out.Append(idx, v)
-	})
-	return out
+	return &tensor.COO{
+		Dims: append([]tensor.Index(nil), h.Dims...),
+		Inds: h.unfold(h.Depth() - 1),
+		Vals: append([]tensor.Value(nil), h.Vals...),
+	}
 }
 
-// walk traverses nodes [lo, hi) at one level depth-first, reassembling
-// full coordinates and yielding every leaf.
-func (h *Hierarchy) walk(level, lo, hi int, idx []tensor.Index, leaf func([]tensor.Index, tensor.Value)) {
-	last := h.Depth() - 1
-	d := h.Sig.Levels[level]
-	m := h.Mode(level)
-	for node := lo; node < hi; node++ {
-		save := idx[m]
-		if d.Partial {
-			idx[m] = save | h.Crd[level][node]<<d.Shift
-		} else {
-			idx[m] = save | h.Crd[level][node]
-		}
-		if level == last {
-			leaf(idx, h.Vals[node])
-		} else {
-			h.walk(level+1, int(h.Ptr[level][node]), int(h.Ptr[level][node+1]), idx, leaf)
-		}
-		idx[m] = save
+// unfold reassembles the coordinates levels 0..depth store: one column
+// per tensor mode with an entry per level-depth node (nil for a mode
+// those levels hold no bits of).
+func (h *Hierarchy) unfold(depth int) [][]tensor.Index {
+	modes := make([]int, depth+1)
+	shift := make([]uint8, depth+1)
+	for l := range modes {
+		modes[l], shift[l] = h.Mode(l), h.Sig.Levels[l].Shift
 	}
+	return tensor.UnfoldTree(h.Crd, h.Ptr, modes, shift, h.Order())
 }

@@ -192,3 +192,45 @@ func TestFiberTree(t *testing.T) {
 		t.Fatal("no columns must give no levels")
 	}
 }
+
+func TestUnfoldTree(t *testing.T) {
+	// The tree of TestFiberTree, unfolded to every depth: FiberTree's
+	// inverse gives back, per node of the deepest level asked for, the
+	// key columns it was assembled from.
+	cols := [][]Index{
+		{0, 0, 0, 3, 3, 3},
+		{0, 0, 2, 1, 1, 5},
+		{1, 4, 0, 1, 1, 2},
+	}
+	ids, ptr := FiberTree(cols, 2)
+	got := UnfoldTree(ids, ptr, []int{0, 1, 2}, []uint8{0, 0, 0}, 3)
+	for l := range cols {
+		if !slices.Equal(got[l], cols[l]) {
+			t.Fatalf("unfolded to the leaves, column %d = %v, want %v", l, got[l], cols[l])
+		}
+	}
+	// To level 1 (the fibers of the last column), into columns 2 and 0
+	// of four: one entry per level-1 node, unnamed columns stay nil.
+	got = UnfoldTree(ids, ptr, []int{2, 0}, []uint8{0, 0}, 4)
+	if !slices.Equal(got[2], []Index{0, 0, 3, 3}) || !slices.Equal(got[0], []Index{0, 2, 1, 5}) || got[1] != nil || got[3] != nil {
+		t.Fatalf("unfolded to level 1: %v", got)
+	}
+	// Two levels assembling one coordinate from bit ranges.
+	got = UnfoldTree(ids, ptr, []int{0, 0}, []uint8{4, 0}, 1)
+	if !slices.Equal(got[0], []Index{0x00, 0x02, 0x31, 0x35}) {
+		t.Fatalf("levels sharing a column: %#x", got[0])
+	}
+	// A node without children (dense levels have them) owns no entry.
+	ids = [][]Index{{7, 8, 9}, {1, 2, 3}}
+	ptr = [][]int64{{0, 2, 2, 3}}
+	got = UnfoldTree(ids, ptr, []int{0, 1}, []uint8{0, 0}, 2)
+	if !slices.Equal(got[0], []Index{7, 7, 9}) || !slices.Equal(got[1], []Index{1, 2, 3}) {
+		t.Fatalf("childless node: %v", got)
+	}
+	// No entries.
+	ids, ptr = FiberTree([][]Index{{}, {}, {}}, 2)
+	got = UnfoldTree(ids, ptr, []int{0, 1}, []uint8{0, 0}, 2)
+	if len(got) != 2 || len(got[0]) != 0 || len(got[1]) != 0 {
+		t.Fatalf("empty tree: %v", got)
+	}
+}

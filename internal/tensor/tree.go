@@ -87,3 +87,50 @@ func FiberTree(cols [][]Index, flat int) (ids [][]Index, ptr [][]int64) {
 	}
 	return ids, ptr
 }
+
+// UnfoldTree is FiberTree's inverse above the leaves: it expands levels
+// 0..len(col)-1 of a fiber tree back into columns with one entry per
+// node of the deepest of those levels — the coordinates of every fiber,
+// which is the output skeleton of a kernel that reduces the levels below
+// (Ttv, Ttm). Level l belongs to column col[l] of the ncols returned
+// (columns no level names stay nil): the id of node x's level-l ancestor,
+// shifted left by shift[l], is ORed into that column's entry x, so
+// levels storing bit ranges of one coordinate assemble it in one column.
+//
+// Like the assembly it is linear, level by level, into exactly-sized
+// arrays: composing the child pointers downwards gives every node the
+// span of its descendants at the deepest level, which one sweep fills.
+// Nodes without children (dense levels) own empty spans.
+func UnfoldTree(ids [][]Index, ptr [][]int64, col []int, shift []uint8, ncols int) [][]Index {
+	cols := make([][]Index, ncols)
+	depth := len(col) - 1
+	var span []int64 // first level-depth descendant of every node at level l
+	for l := depth; l >= 0; l-- {
+		if cols[col[l]] == nil {
+			cols[col[l]] = make([]Index, len(ids[depth]))
+		}
+		dst, s := cols[col[l]], shift[l]
+		switch l {
+		case depth:
+			for x, id := range ids[l] {
+				dst[x] |= id << s
+			}
+			continue
+		case depth - 1:
+			span = ptr[l]
+		default:
+			below := span
+			span = make([]int64, len(ptr[l]))
+			for i, child := range ptr[l] {
+				span[i] = below[child]
+			}
+		}
+		for i, id := range ids[l] {
+			id <<= s
+			for x := span[i]; x < span[i+1]; x++ {
+				dst[x] |= id
+			}
+		}
+	}
+	return cols
+}
