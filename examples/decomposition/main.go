@@ -62,7 +62,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("rank %2d: fit %.4f in %d sweeps\n", rank, res.Fit, res.Iters)
+		// The dense update visits only the factor rows whose slice holds a
+		// non-zero: OccupiedRows of Dims, per mode.
+		fmt.Printf("rank %2d: fit %.4f in %d sweeps, factor rows updated %v of %v\n",
+			rank, res.Fit, res.Iters, res.OccupiedRows, y.Dims)
 		// The per-sweep record keeps the dense share (everything CP-ALS
 		// does outside Mttkrp) visible next to the fit.
 		for i, sw := range res.Sweeps {

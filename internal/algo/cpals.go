@@ -25,6 +25,10 @@ type CPResult struct {
 	// Sweeps holds one record per executed sweep, so the share of a
 	// sweep spent outside Mttkrp stays visible.
 	Sweeps []CPSweep
+	// OccupiedRows holds, per mode, the number of factor rows whose
+	// slice of X holds a non-zero: the rows a factor update visits (the
+	// others are zero), so its dense cost is OccupiedRows[n]·R², not I_n·R².
+	OccupiedRows []int
 }
 
 // CPSweep is the record of one ALS sweep over all modes.
@@ -87,14 +91,14 @@ func (w *cpWorkspace) solveMode(n int, mt, an *tensor.Matrix, lambda []float64) 
 	if err := invertSPD(w.v, w.elim, w.inv, w.n); err != nil {
 		return err
 	}
-	w.updateFactor(mt, an, lambda, w.grams[n])
+	w.updateFactor(mt, an, lambda, w.grams[n], w.occ[n])
 	return nil
 }
 
-// alsSweeps is the driver CP-ALS and NNCP share: seeded uniform factors
-// and their grams in a workspace allocated once, then per sweep one
-// Mttkrp and one update per mode, the fit, the sweep's record and the
-// stopping rule.
+// alsSweeps is the driver CP-ALS and NNCP share: seeded uniform factors,
+// their grams and the occupied rows of every mode in a workspace
+// allocated once, then per sweep one Mttkrp and one update per mode, the
+// fit, the sweep's record and the stopping rule.
 func alsSweeps(x *tensor.COO, rank, maxIters int, tol float64, seed int64, mttkrp MttkrpFunc,
 	update func(w *cpWorkspace, n int, mt, an *tensor.Matrix, lambda []float64) error) (*CPResult, error) {
 	if rank <= 0 {
@@ -109,15 +113,19 @@ func alsSweeps(x *tensor.COO, rank, maxIters int, tol float64, seed int64, mttkr
 	}
 	rng := rand.New(rand.NewSource(seed))
 	res := &CPResult{
-		Factors: make([]*tensor.Matrix, x.Order()),
-		Lambda:  make([]float64, rank),
-		Sweeps:  make([]CPSweep, 0, max(maxIters, 0)),
+		Factors:      make([]*tensor.Matrix, x.Order()),
+		Lambda:       make([]float64, rank),
+		Sweeps:       make([]CPSweep, 0, max(maxIters, 0)),
+		OccupiedRows: make([]int, x.Order()),
 	}
 	for n := range res.Factors {
 		res.Factors[n] = tensor.NewMatrix(int(x.Dims[n]), rank)
 		res.Factors[n].Randomize(rng)
 	}
-	w := newCPWorkspace(res.Factors, rank)
+	w := newCPWorkspace(res.Factors, rank, occupiedRows(x))
+	for n, occ := range w.occ {
+		res.OccupiedRows[n] = len(occ)
+	}
 
 	var mt *tensor.Matrix
 	var err error
@@ -130,6 +138,9 @@ func alsSweeps(x *tensor.COO, rank, maxIters int, tol float64, seed int64, mttkr
 			inMttkrp += time.Since(t0)
 			if err != nil {
 				return nil, err
+			}
+			if mt == nil || mt.Rows != an.Rows || mt.Cols != rank { // fmt prints a nil mt as <nil>
+				return nil, fmt.Errorf("algo: mode-%d Mttkrp returned %v, the factor is %v", n, mt, an)
 			}
 			if err = update(w, n, mt, an, res.Lambda); err != nil {
 				return nil, err
@@ -160,8 +171,9 @@ func (w *cpWorkspace) fit(normX float64, res *CPResult, lastM *tensor.Matrix) fl
 	}
 	// ⟨X, X̂⟩.
 	var inner float64
-	an := res.Factors[len(res.Factors)-1]
-	for i := 0; i < an.Rows; i++ {
+	last := len(res.Factors) - 1
+	an := res.Factors[last]
+	for _, i := range w.occ[last] {
 		for r := 0; r < rank; r++ {
 			inner += float64(lastM.Data[i*rank+r]) * float64(an.Data[i*rank+r]) * res.Lambda[r]
 		}

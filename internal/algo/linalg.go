@@ -28,28 +28,71 @@ type cpWorkspace struct {
 	n            int         // rank R
 	grams        [][]float64 // per mode, A_nᵀA_n (R×R)
 	v, inv, elim []float64   // R×R: ⊛ of grams, its inverse, scratch (elimination, then mulSquare's transposed operand)
-	rows         []float64   // I_max×R: the product before it is scaled and rounded
+	occ          [][]int     // per mode, ascending: the rows whose slice holds a non-zero
+	rows         []float64   // max|occ|×R: the product before it is scaled and rounded, k-th occupied row at k·R
 	row, sumsq   []float64   // R: one input row widened; column sums of squares
 	block        []float64   // R×gramBlock: rounded factor rows, transposed
 }
 
-func newCPWorkspace(factors []*tensor.Matrix, rank int) *cpWorkspace {
-	maxRows := 0
-	for _, f := range factors {
-		maxRows = max(maxRows, f.Rows)
+// newCPWorkspace takes the initial factors and, per mode, the rows an
+// update visits (occupiedRows). The other rows belong to empty slices:
+// their Mttkrp row is zero, so every update would write +0 to them and
+// add ±0 to each sum. They are cleared here, once, after the initial
+// grams — which the first sweep reads over the full random factors.
+func newCPWorkspace(factors []*tensor.Matrix, rank int, occ [][]int) *cpWorkspace {
+	maxRows, maxOcc := 0, 0
+	for m, f := range factors {
+		maxRows, maxOcc = max(maxRows, f.Rows), max(maxOcc, len(occ[m]))
 	}
 	sq := rank * rank
 	w := &cpWorkspace{
 		n: rank, grams: make([][]float64, len(factors)),
 		v: make([]float64, sq), inv: make([]float64, sq), elim: make([]float64, sq),
-		rows: make([]float64, maxRows*rank), row: make([]float64, rank), sumsq: make([]float64, rank),
+		occ: occ, rows: make([]float64, maxOcc*rank), row: make([]float64, rank), sumsq: make([]float64, rank),
 		block: make([]float64, gramBlock*rank),
+	}
+	all := make([]int, maxRows)
+	for i := range all {
+		all[i] = i
 	}
 	for m, f := range factors {
 		w.grams[m] = make([]float64, sq)
-		w.gramInto(w.grams[m], f, nil)
+		if m > 0 { // mode 0's first update overwrites grams[0] before anything reads it
+			w.gramInto(w.grams[m], f, nil, all[:f.Rows])
+		}
+		next := 0
+		for _, i := range occ[m] {
+			clear(f.Data[next*rank : i*rank])
+			next = i + 1
+		}
+		clear(f.Data[next*rank:])
 	}
 	return w
+}
+
+// occupiedRows lists, per mode and ascending, the indices that occur in
+// x: the rows of a factor whose slice of x holds a non-zero.
+func occupiedRows(x *tensor.COO) [][]int {
+	occ := make([][]int, x.Order())
+	for n, inds := range x.Inds {
+		seen := make([]bool, x.Dims[n])
+		for _, i := range inds {
+			seen[i] = true
+		}
+		cnt := 0
+		for _, s := range seen {
+			if s {
+				cnt++
+			}
+		}
+		occ[n] = make([]int, 0, cnt)
+		for i, s := range seen {
+			if s {
+				occ[n] = append(occ[n], i)
+			}
+		}
+	}
+	return occ
 }
 
 // hadamard sets w.v = ⊛_{m≠skip} grams[m] (skip = -1 keeps all).
@@ -140,13 +183,13 @@ func swapRows(m []float64, n, a, b int) {
 	}
 }
 
-// mulSquare sets w.rows = src · sq for a rows×R src and an R×R sq, and
-// w.sumsq to the product's column sums of squares, accumulated in row
-// order (pass 1 of updateFactor). sq is transposed into w.elim and each
-// input row widened once, so dot4 holds four output columns in registers
-// with k innermost: four independent add chains over contiguous
-// operands, every output still summed in ascending k.
-func (w *cpWorkspace) mulSquare(src []tensor.Value, sq []float64, rows int) {
+// mulSquare sets the k-th row of w.rows to row occ[k] of src times the
+// R×R sq, and w.sumsq to the product's column sums of squares,
+// accumulated in row order (pass 1 of updateFactor). sq is transposed
+// into w.elim and each input row widened once, so dot4 holds four output
+// columns in registers with k innermost: four independent add chains
+// over contiguous operands, every output still summed in ascending k.
+func (w *cpWorkspace) mulSquare(src []tensor.Value, sq []float64, occ []int) {
 	n, in, sqT := w.n, w.row, w.elim
 	for k := 0; k < n; k++ {
 		for j := 0; j < n; j++ {
@@ -154,11 +197,11 @@ func (w *cpWorkspace) mulSquare(src []tensor.Value, sq []float64, rows int) {
 		}
 	}
 	clear(w.sumsq)
-	for i := 0; i < rows; i++ {
+	for at, i := range occ {
 		for k, x := range src[i*n : (i+1)*n] {
 			in[k] = float64(x)
 		}
-		out := w.rows[i*n : (i+1)*n]
+		out := w.rows[at*n : (at+1)*n]
 		clear(out)
 		j := 0
 		for ; j+4 <= n; j += 4 {
@@ -173,27 +216,25 @@ func (w *cpWorkspace) mulSquare(src []tensor.Value, sq []float64, rows int) {
 	}
 }
 
-// gramInto sets g = aᵀa in float64. With scale != nil it first writes a
-// as w.rows · diag(scale) rounded to tensor.Value (pass 2 of
-// updateFactor). Rows are taken gramBlock at a time and transposed, so
-// the upper triangle accumulates four (p, q..q+3) entries in registers
+// gramInto sets g = aᵀa in float64 over the rows occ of a; the others
+// must be zero for g to be the whole gram. With scale != nil it first
+// writes those rows as w.rows · diag(scale) rounded to tensor.Value (pass
+// 2 of updateFactor). Rows are taken gramBlock at a time and transposed,
+// so the upper triangle accumulates four (p, q..q+3) entries in registers
 // over contiguous columns, each entry still summed in ascending row order.
-func (w *cpWorkspace) gramInto(g []float64, a *tensor.Matrix, scale []float64) {
+func (w *cpWorkspace) gramInto(g []float64, a *tensor.Matrix, scale []float64, occ []int) {
 	n := w.n
 	clear(g)
-	for lo := 0; lo < a.Rows; lo += gramBlock {
-		cnt := min(gramBlock, a.Rows-lo)
-		vals := a.Data[lo*n : (lo+cnt)*n]
-		if scale != nil {
-			for i := 0; i < cnt; i++ {
-				dst := vals[i*n : (i+1)*n]
+	for lo := 0; lo < len(occ); lo += gramBlock {
+		cnt := min(gramBlock, len(occ)-lo)
+		for i, row := range occ[lo : lo+cnt] {
+			vals := a.Data[row*n : (row+1)*n]
+			if scale != nil {
 				for r, x := range w.rows[(lo+i)*n : (lo+i+1)*n] {
-					dst[r] = tensor.Value(x * scale[r])
+					vals[r] = tensor.Value(x * scale[r])
 				}
 			}
-		}
-		for i := 0; i < cnt; i++ {
-			for r, x := range vals[i*n : (i+1)*n] {
+			for r, x := range vals {
 				w.block[r*gramBlock+i] = float64(x)
 			}
 		}
@@ -218,12 +259,13 @@ func (w *cpWorkspace) gramInto(g []float64, a *tensor.Matrix, scale []float64) {
 	}
 }
 
-// updateFactor finishes one ALS mode: an = mt · w.inv with unit-norm
-// columns, lambda the norms, g = anᵀan. Every sum runs in the order of
-// the three-pass update it replaced (the oracle in update_test.go), so
-// the results are bit-identical to it.
-func (w *cpWorkspace) updateFactor(mt, an *tensor.Matrix, lambda, g []float64) {
-	w.mulSquare(mt.Data, w.inv, an.Rows)
+// updateFactor finishes one ALS mode over its occupied rows occ: an =
+// mt · w.inv with unit-norm columns, lambda the norms, g = anᵀan. Every
+// sum runs in the order of the three-pass update it replaced (the oracle
+// in update_test.go) less terms that are ±0, so the results are
+// bit-identical to it.
+func (w *cpWorkspace) updateFactor(mt, an *tensor.Matrix, lambda, g []float64, occ []int) {
+	w.mulSquare(mt.Data, w.inv, occ)
 	for r, s := range w.sumsq { // sumsq becomes the column scales 1/norm
 		norm := math.Sqrt(s)
 		lambda[r] = norm
@@ -232,7 +274,7 @@ func (w *cpWorkspace) updateFactor(mt, an *tensor.Matrix, lambda, g []float64) {
 			w.sumsq[r] = 1 / norm
 		}
 	}
-	w.gramInto(g, an, w.sumsq)
+	w.gramInto(g, an, w.sumsq, occ)
 }
 
 // dot4 adds x·b_c to acc[c] for the four columns b_c = b[c·stride:] of b,

@@ -38,11 +38,15 @@ func NNCP(x *tensor.COO, rank, maxIters int, tol float64, seed int64, opt parall
 func (w *cpWorkspace) multiplyMode(n int, mt, an *tensor.Matrix, lambda []float64) error {
 	const eps = 1e-12
 	w.hadamard(n)
-	w.mulSquare(an.Data, w.v, an.Rows)
-	for i, denom := range w.rows[:len(an.Data)] {
-		an.Data[i] = tensor.Value(float64(an.Data[i]) * float64(mt.Data[i]) / (denom + eps))
+	occ, rank := w.occ[n], w.n
+	w.mulSquare(an.Data, w.v, occ)
+	for at, i := range occ {
+		a, m := an.Data[i*rank:(i+1)*rank], mt.Data[i*rank:(i+1)*rank]
+		for r, denom := range w.rows[at*rank : (at+1)*rank] {
+			a[r] = tensor.Value(float64(a[r]) * float64(m[r]) / (denom + eps))
+		}
 	}
-	w.gramInto(w.grams[n], an, nil)
+	w.gramInto(w.grams[n], an, nil, occ)
 	for r := range lambda {
 		lambda[r] = 1
 	}

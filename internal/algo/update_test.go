@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/parallel"
@@ -124,6 +125,15 @@ func updateCase(rows, rank, zeroCol int, seed int64) (*tensor.Matrix, []float64)
 	return mt, v
 }
 
+// allRows is the occupancy list of a mode without an empty slice.
+func allRows(n int) []int {
+	rows := make([]int, n)
+	for i := range rows {
+		rows[i] = i
+	}
+	return rows
+}
+
 func sameBits(a, b []float64) bool {
 	for i := range a {
 		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
@@ -143,13 +153,13 @@ func TestUpdateFactorMatchesOracle(t *testing.T) {
 				wantGram := oracleUpdate(t, mt, want, v, wantLambda)
 
 				got := tensor.NewMatrix(rows, rank)
-				w := newCPWorkspace([]*tensor.Matrix{got}, rank)
+				w := newCPWorkspace([]*tensor.Matrix{got}, rank, [][]int{allRows(rows)})
 				copy(w.v, v)
 				if err := invertSPD(w.v, w.elim, w.inv, rank); err != nil {
 					t.Fatal(err)
 				}
 				lambda := make([]float64, rank)
-				w.updateFactor(mt, got, lambda, w.grams[0])
+				w.updateFactor(mt, got, lambda, w.grams[0], w.occ[0])
 
 				name := fmt.Sprintf("R=%d rows=%d zeroCol=%d", rank, rows, zeroCol)
 				for i := range want.Data {
@@ -221,6 +231,205 @@ func TestCPALSGolden(t *testing.T) {
 	}
 }
 
+// oracleMultiply is NNCP's multiplicative update over every row, each
+// denominator taken from the row as it was; it returns the new gram.
+func oracleMultiply(mt, an *tensor.Matrix, v []float64) []float64 {
+	rank := an.Cols
+	denom := make([]float64, rank)
+	for i := 0; i < an.Rows; i++ {
+		row := an.Row(i)
+		for j := range denom {
+			denom[j] = 0
+			for k, a := range row {
+				denom[j] += float64(a) * v[k*rank+j]
+			}
+		}
+		for j, d := range denom {
+			row[j] = tensor.Value(float64(row[j]) * float64(mt.At(i, j)) / (d + 1e-12))
+		}
+	}
+	return gram(an)
+}
+
+// oracleSweeps is alsSweeps over every row of every factor, rows of empty
+// slices included: the driver's seeded factors, a gram per mode, then the
+// full-row oracle update per mode and the fit identity summed over all
+// rows of the last mode.
+func oracleSweeps(t *testing.T, x *tensor.COO, rank, sweeps int, seed int64, nonneg bool) *CPResult {
+	rng := rand.New(rand.NewSource(seed))
+	res := &CPResult{Factors: make([]*tensor.Matrix, x.Order()), Lambda: make([]float64, rank)}
+	grams := make([][]float64, x.Order())
+	for n := range res.Factors {
+		res.Factors[n] = tensor.NewMatrix(int(x.Dims[n]), rank)
+		res.Factors[n].Randomize(rng)
+		grams[n] = gram(res.Factors[n])
+	}
+	mttkrp, err := planMttkrp(x, rank, parallel.Options{Schedule: parallel.Static, Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hadamard := func(skip int) []float64 {
+		v := make([]float64, rank*rank)
+		for i := range v {
+			v[i] = 1
+			for m, g := range grams {
+				if m != skip {
+					v[i] *= g[i]
+				}
+			}
+		}
+		return v
+	}
+	for it := 0; it < sweeps; it++ {
+		var mt *tensor.Matrix
+		for n, an := range res.Factors {
+			if mt, err = mttkrp(n, res.Factors); err != nil {
+				t.Fatal(err)
+			}
+			if nonneg {
+				grams[n] = oracleMultiply(mt, an, hadamard(n))
+				for r := range res.Lambda {
+					res.Lambda[r] = 1
+				}
+			} else {
+				grams[n] = oracleUpdate(t, mt, an, hadamard(n), res.Lambda)
+			}
+		}
+		var normEst, inner float64
+		v := hadamard(-1)
+		for r := 0; r < rank; r++ {
+			for s := 0; s < rank; s++ {
+				normEst += res.Lambda[r] * res.Lambda[s] * v[r*rank+s]
+			}
+		}
+		an := res.Factors[x.Order()-1]
+		for i := range an.Data {
+			inner += float64(mt.Data[i]) * float64(an.Data[i]) * res.Lambda[i%rank]
+		}
+		normX := frobeniusNorm(x)
+		res.Fit = 1 - math.Sqrt(max(normX*normX-2*inner+normEst, 0))/normX
+	}
+	return res
+}
+
+// TestEmptySliceRowsStayZero holds the occupied-row update to the
+// full-row oracle on tensors with empty slices — two corpus recipes and a
+// hand-made tensor whose first, last and a middle index of every mode
+// never occur — and on a dense one, whose lists are every row: a row of
+// an empty slice is exactly +0 after the first sweep, every other row,
+// λ and the fit carry the oracle's bits.
+func TestEmptySliceRowsStayZero(t *testing.T) {
+	type tcase struct {
+		name  string
+		x     *tensor.COO
+		empty bool // the tensor must have an empty slice
+	}
+	var cases []tcase
+	for _, c := range tensortest.Corpus(t) {
+		if c.Name == "irrS" || c.Name == "regS4d" {
+			cases = append(cases, tcase{c.Name, c.X, true})
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	gaps := tensor.NewCOO([]tensor.Index{9, 70, 8}, 0)
+	dense := tensor.NewCOO([]tensor.Index{6, 5, 4}, 0)
+	for i := tensor.Index(0); i < 9; i++ {
+		for j := tensor.Index(0); j < 70; j++ {
+			for k := tensor.Index(0); k < 8; k++ {
+				v := tensor.Value(0.1 + rng.Float64())
+				if i%4 != 0 && j%69 != 0 && j != 33 && k%7 != 0 && k != 3 && rng.Intn(3) == 0 {
+					gaps.Append([]tensor.Index{i, j, k}, v)
+				}
+				if i < 6 && j < 5 && k < 4 {
+					dense.Append([]tensor.Index{i, j, k}, v)
+				}
+			}
+		}
+	}
+	cases = append(cases, tcase{"gaps", gaps, true}, tcase{"dense", dense, false})
+
+	opt := parallel.Options{Schedule: parallel.Static, Threads: 1}
+	solvers := []struct {
+		name   string
+		run    func(x *tensor.COO, rank, sweeps int, tol float64, seed int64, opt parallel.Options) (*CPResult, error)
+		nonneg bool
+	}{{"CPALS", CPALS, false}, {"NNCP", NNCP, true}}
+	for _, c := range cases {
+		for _, solver := range solvers {
+			for _, sweeps := range []int{1, 3} {
+				name := fmt.Sprintf("%s/%s/%d", c.name, solver.name, sweeps)
+				const rank, seed = 5, 3
+				got, err := solver.run(c.x, rank, sweeps, 0, seed, opt)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				want := oracleSweeps(t, c.x, rank, sweeps, seed, solver.nonneg)
+				empties := 0
+				for n, f := range got.Factors {
+					occupied := make([]bool, f.Rows)
+					for _, i := range c.x.Inds[n] {
+						occupied[i] = true
+					}
+					visited := 0
+					for i, occ := range occupied {
+						for r, v := range f.Row(i) {
+							switch bits := math.Float32bits(v); {
+							case !occ && bits != 0:
+								t.Fatalf("%s: mode %d row %d of an empty slice holds %v (bits %#x)", name, n, i, v, bits)
+							case bits != math.Float32bits(want.Factors[n].At(i, r)):
+								t.Fatalf("%s: mode %d row %d col %d = %v, full-row oracle %v", name, n, i, r, v, want.Factors[n].At(i, r))
+							}
+						}
+						if occ {
+							visited++
+						}
+					}
+					if got.OccupiedRows[n] != visited {
+						t.Fatalf("%s: OccupiedRows[%d] = %d, %d indices occur", name, n, got.OccupiedRows[n], visited)
+					}
+					empties += f.Rows - visited
+				}
+				if c.empty == (empties == 0) {
+					t.Fatalf("%s: %d rows of empty slices", name, empties)
+				}
+				if g, w := cpHash(got), cpHash(want); g != w {
+					t.Fatalf("%s: hash %#x (λ %v fit %v), full-row oracle %#x (λ %v fit %v)", name, g, got.Lambda, got.Fit, w, want.Lambda, want.Fit)
+				}
+			}
+		}
+	}
+}
+
+// TestCPALSWithRejectsWrongShape: the injected executor's result is
+// checked where it is received — a nil or mis-shaped matrix is an algo:
+// error naming the mode, never an index panic inside the update.
+func TestCPALSWithRejectsWrongShape(t *testing.T) {
+	x := tensor.RandomCOO([]tensor.Index{12, 10, 8}, 200, rand.New(rand.NewSource(4)))
+	const rank = 4
+	for name, bad := range map[string]*tensor.Matrix{
+		"nil":       nil,
+		"short":     tensor.NewMatrix(9, rank),
+		"long":      tensor.NewMatrix(11, rank),
+		"narrow":    tensor.NewMatrix(10, rank-1),
+		"wide":      tensor.NewMatrix(10, rank+1),
+		"transpose": tensor.NewMatrix(rank, 10),
+	} {
+		exec, err := planMttkrp(x, rank, parallel.Options{Threads: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = CPALSWith(x, rank, 2, 0, 1, func(mode int, factors []*tensor.Matrix) (*tensor.Matrix, error) {
+			if mode == 1 {
+				return bad, nil
+			}
+			return exec(mode, factors)
+		})
+		if err == nil || !strings.HasPrefix(err.Error(), "algo: mode-1 Mttkrp") || !strings.Contains(err.Error(), "10x4") {
+			t.Fatalf("%s: err = %v, want an algo: error naming mode 1 and the 10x4 factor", name, err)
+		}
+	}
+}
+
 func TestSingularGramInverse(t *testing.T) {
 	for _, a := range [][]float64{
 		{1, 1, 1, 1},
@@ -280,11 +489,13 @@ func TestSingularGramRankAboveDims(t *testing.T) {
 	}
 }
 
-// TestCPALSAllocsIndependentOfSweeps: the workspace is built once, so ten
-// sweeps allocate exactly what one does.
+// TestCPALSAllocsIndependentOfSweeps: the workspace and the occupancy
+// lists (the tensor has empty slices in its first two modes) are built
+// once per call, so ten sweeps allocate exactly what one does — and that
+// is what no sweep does, plus the sweep records.
 func TestCPALSAllocsIndependentOfSweeps(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	x := tensor.RandomCOO([]tensor.Index{70, 50, 9}, 400, rng)
+	x := tensor.RandomCOO([]tensor.Index{700, 500, 9}, 400, rng)
 	const rank = 8
 	ms := make([]*tensor.Matrix, x.Order())
 	for n := range ms {
@@ -299,8 +510,8 @@ func TestCPALSAllocsIndependentOfSweeps(t *testing.T) {
 			}
 		})
 	}
-	if one, ten := allocs(1), allocs(10); one != ten {
-		t.Fatalf("1 sweep allocates %v times, 10 sweeps %v", one, ten)
+	if zero, one, ten := allocs(0), allocs(1), allocs(10); one != ten || zero != one-1 {
+		t.Fatalf("0 sweeps allocate %v times, 1 sweep %v, 10 sweeps %v", zero, one, ten)
 	}
 }
 
@@ -330,25 +541,36 @@ func TestCPSweepsRecordEverySweep(t *testing.T) {
 }
 
 // BenchmarkCPALSUpdate times one updateFactor (product, normalisation,
-// gram) on a 10000-row factor and reports it per row.
+// gram) on a 10000-row factor, every row occupied and every fourth, and
+// reports it per factor row.
 func BenchmarkCPALSUpdate(b *testing.B) {
 	const rows = 10000
 	for _, rank := range []int{16, 32} {
-		b.Run(fmt.Sprintf("R=%d", rank), func(b *testing.B) {
-			mt, v := updateCase(rows, rank, -1, 1)
-			an := tensor.NewMatrix(rows, rank)
-			w := newCPWorkspace([]*tensor.Matrix{an}, rank)
-			copy(w.v, v)
-			if err := invertSPD(w.v, w.elim, w.inv, rank); err != nil {
-				b.Fatal(err)
+		for _, every := range []int{1, 4} {
+			name := fmt.Sprintf("R=%d", rank)
+			if every > 1 {
+				name += fmt.Sprintf("/occupied=%d", rows/every)
 			}
-			lambda := make([]float64, rank)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w.updateFactor(mt, an, lambda, w.grams[0])
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
-		})
+			b.Run(name, func(b *testing.B) {
+				mt, v := updateCase(rows, rank, -1, 1)
+				var occ []int
+				for i := 0; i < rows; i += every {
+					occ = append(occ, i)
+				}
+				an := tensor.NewMatrix(rows, rank)
+				w := newCPWorkspace([]*tensor.Matrix{an}, rank, [][]int{occ})
+				copy(w.v, v)
+				if err := invertSPD(w.v, w.elim, w.inv, rank); err != nil {
+					b.Fatal(err)
+				}
+				lambda := make([]float64, rank)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					w.updateFactor(mt, an, lambda, w.grams[0], occ)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+			})
+		}
 	}
 }

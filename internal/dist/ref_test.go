@@ -90,45 +90,67 @@ func TestEngineTtvMatchesRegistryReference(t *testing.T) {
 // for 1/2/4/7 ranks and checks it lands on the serial solver's
 // trajectory: same deterministic initialization, so fits must agree to
 // the reduction-order tolerance and factors must reconstruct the same
-// model.
+// model. The second tensor leaves three of every four slices of its
+// first two modes empty: the shared solver visits only the occupied
+// rows, so the others must be exactly zero on both sides and every
+// factor entry must agree.
 func TestEngineCPALSMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
-	x := tensor.RandomCOO([]tensor.Index{24, 20, 16}, 1800, rng)
+	full := tensor.RandomCOO([]tensor.Index{24, 20, 16}, 1800, rng)
+	sparse := tensor.RandomCOO([]tensor.Index{24, 20, 16}, 1800, rng)
+	sparse.Dims[0], sparse.Dims[1] = 4*24, 4*20
+	for z := range sparse.Vals {
+		sparse.Inds[0][z] = 4*sparse.Inds[0][z] + 1
+		sparse.Inds[1][z] = 4*sparse.Inds[1][z] + 3
+	}
 	const (
 		rank  = 4
 		iters = 6
 		tol   = 0.0
 		seed  = 99
 	)
-	want, err := algo.CPALS(x, rank, iters, tol, seed, parallel.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range refRanks {
-		for _, format := range []Format{FormatCOO, FormatHiCOO} {
-			e, err := NewEngine(x, Options{Ranks: p, Format: format})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := e.CPALS(context.Background(), rank, iters, tol, seed)
-			if err != nil {
-				t.Fatalf("p=%d %v: %v", p, format, err)
-			}
-			if got.Iters != want.Iters {
-				t.Fatalf("p=%d %v: %d sweeps, serial ran %d", p, format, got.Iters, want.Iters)
-			}
-			if math.Abs(got.Fit-want.Fit) > 1e-3 {
-				t.Fatalf("p=%d %v: fit %v, serial %v", p, format, got.Fit, want.Fit)
-			}
-			// Spot-check the reconstructed model at the tensor's own
-			// non-zeros: both decompositions must predict the same values.
-			idx := make([]tensor.Index, x.Order())
-			for _, z := range []int{0, x.NNZ() / 2, x.NNZ() - 1} {
-				x.Entry(z, idx)
-				g := got.ReconstructAt(idx)
-				w := want.ReconstructAt(idx)
-				if math.Abs(g-w) > 1e-2*math.Max(1, math.Abs(w)) {
-					t.Fatalf("p=%d %v nnz %d: reconstruct %v vs serial %v", p, format, z, g, w)
+	for name, x := range map[string]*tensor.COO{"full": full, "empty-slices": sparse} {
+		want, err := algo.CPALS(x, rank, iters, tol, seed, parallel.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range refRanks {
+			for _, format := range []Format{FormatCOO, FormatHiCOO} {
+				e, err := NewEngine(x, Options{Ranks: p, Format: format})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := e.CPALS(context.Background(), rank, iters, tol, seed)
+				if err != nil {
+					t.Fatalf("%s p=%d %v: %v", name, p, format, err)
+				}
+				if got.Iters != want.Iters {
+					t.Fatalf("%s p=%d %v: %d sweeps, serial ran %d", name, p, format, got.Iters, want.Iters)
+				}
+				if math.Abs(got.Fit-want.Fit) > 1e-3 {
+					t.Fatalf("%s p=%d %v: fit %v, serial %v", name, p, format, got.Fit, want.Fit)
+				}
+				for n, f := range got.Factors {
+					if got.OccupiedRows[n] != want.OccupiedRows[n] {
+						t.Fatalf("%s p=%d %v: mode %d visits %d rows, serial %d", name, p, format, n, got.OccupiedRows[n], want.OccupiedRows[n])
+					}
+					for i, g := range f.Data {
+						w := want.Factors[n].Data[i]
+						if (w == 0) != (g == 0) || math.Abs(float64(g-w)) > 1e-2 {
+							t.Fatalf("%s p=%d %v: factor %d[%d] = %v, serial %v", name, p, format, n, i, g, w)
+						}
+					}
+				}
+				// Spot-check the reconstructed model at the tensor's own
+				// non-zeros: both decompositions must predict the same values.
+				idx := make([]tensor.Index, x.Order())
+				for _, z := range []int{0, x.NNZ() / 2, x.NNZ() - 1} {
+					x.Entry(z, idx)
+					g := got.ReconstructAt(idx)
+					w := want.ReconstructAt(idx)
+					if math.Abs(g-w) > 1e-2*math.Max(1, math.Abs(w)) {
+						t.Fatalf("%s p=%d %v nnz %d: reconstruct %v vs serial %v", name, p, format, z, g, w)
+					}
 				}
 			}
 		}
