@@ -18,12 +18,13 @@
 // and a value column, whichever format supplied them: FiberView in
 // view.go is the contract, through which the fiber trees of
 // internal/levels and internal/csf prepare the same plans), tewValues
-// and tsValues for the element-wise kernels, cooMttkrp (exported over
-// raw columns as MttkrpCOORange) for COO Mttkrp.
+// and tsValues for the element-wise kernels, mttkrpRows for Mttkrp (a
+// rank-blocked row accumulation over one block of non-zeros: COO columns,
+// exported as MttkrpCOORange, are one block with base 0, a HiCOO tensor
+// is its blocks with 8-bit element indices).
 // The same bodies take a range, so the multi-GPU shards (multigpu.go),
 // the out-of-core tile stream (internal/ooc) and the distributed ranks
-// (internal/dist) run them too. HiCOO Mttkrp (Algorithm 2's per-block
-// base arithmetic) and the sCOO kernels are bodies of their own.
+// (internal/dist) run them too. The sCOO kernels are bodies of their own.
 package core
 
 import "fmt"

@@ -150,25 +150,6 @@ func (k *cooMttkrp) launchGPU(dev *gpusim.Device, mats []*tensor.Matrix, out []t
 	nInd := k.inds[k.mode]
 	xv := k.vals
 	order := len(k.inds)
-
-	if order == 3 {
-		// Specialized third-order path, the shape the paper's Table 1
-		// analyzes: Ã(i,r) += x · C(k,r) · B(j,r).
-		others := tensor.OtherModes(3, k.mode)
-		bInd, cInd := k.inds[others[0]], k.inds[others[1]]
-		bd, cd := mats[others[0]].Data, mats[others[1]].Data
-		_, err := dev.TryLaunch(grid, block, func(ctx gpusim.Ctx) {
-			x := lo + ctx.BlockIdx.X*ctx.BlockDim.Y + ctx.ThreadIdx.Y
-			if x >= hi {
-				return
-			}
-			col := ctx.ThreadIdx.X
-			v := xv[x] * bd[int(bInd[x])*r+col] * cd[int(cInd[x])*r+col]
-			gpusim.AtomicAdd(&out[int(nInd[x])*r+col], v)
-		})
-		return err
-	}
-
 	_, err := dev.TryLaunch(grid, block, func(ctx gpusim.Ctx) {
 		x := lo + ctx.BlockIdx.X*ctx.BlockDim.Y + ctx.ThreadIdx.Y
 		if x >= hi {
@@ -201,58 +182,92 @@ func MttkrpCOORange(inds [][]tensor.Index, vals []tensor.Value, mode, r int, mat
 	k.accumulate(lo, hi, mats, out, atomicUpd)
 }
 
-// accumulate processes non-zeros [lo, hi), adding into out either plainly
-// or atomically: the order-3 fast path, the general Hadamard loop
-// otherwise.
+// accumulate adds non-zeros [lo, hi) into out, plainly or atomically: the
+// columns are one block with base row 0 and 32-bit row indices.
 func (k *cooMttkrp) accumulate(lo, hi int, mats []*tensor.Matrix, out []tensor.Value, atomicUpd bool) {
-	r := k.r
-	nInd := k.inds[k.mode]
-	xv := k.vals
-	order := len(k.inds)
-	if order == 3 {
-		others := tensor.OtherModes(3, k.mode)
-		bInd, cInd := k.inds[others[0]], k.inds[others[1]]
-		bd, cd := mats[others[0]].Data, mats[others[1]].Data
-		for x := lo; x < hi; x++ {
-			v := xv[x]
-			bo := int(bInd[x]) * r
-			co := int(cInd[x]) * r
-			oo := int(nInd[x]) * r
-			if atomicUpd {
-				for c := 0; c < r; c++ {
-					parallel.AtomicAddFloat32(&out[oo+c], v*bd[bo+c]*cd[co+c])
-				}
-			} else {
-				for c := 0; c < r; c++ {
-					out[oo+c] += v * bd[bo+c] * cd[co+c]
-				}
-			}
+	var buf [mttkrpStackOperands]mttkrpOperand[tensor.Index]
+	ops := buf[:0]
+	for mo, ind := range k.inds {
+		if mo != k.mode {
+			ops = append(ops, mttkrpOperand[tensor.Index]{ind: ind, data: mats[mo].Data})
 		}
-		return
 	}
-	prod := make([]tensor.Value, r)
+	mttkrpRows(&mttkrpOperand[tensor.Index]{ind: k.inds[k.mode], data: out}, ops, k.vals, k.r, lo, hi, atomicUpd)
+}
+
+// mttkrpOperand is one mode of a Mttkrp block: a row-major R-column
+// matrix (a factor, or the output), the block's first row in it, and the
+// column giving every non-zero's row within the block — 32-bit COO
+// coordinates under base 0, or HiCOO's 8-bit element indices.
+type mttkrpOperand[E uint8 | tensor.Index] struct {
+	ind  []E
+	data []tensor.Value
+	base int
+}
+
+// mttkrpStackOperands is how many input modes an executor gathers on its
+// stack; a tensor of higher order spills the list to the heap (append).
+const mttkrpStackOperands = 8
+
+// mttkrpRows is the Mttkrp value computation (DESIGN.md §22): for every
+// non-zero x of [lo, hi) it adds vals[x] times the Hadamard product of
+// the operands' rows to the row of dst. Eight output columns at a time
+// live in registers across the operands, every row re-sliced to a
+// [8]Value so the multiplies carry no bounds checks; a scalar loop takes
+// the R mod 8 columns left. Operands multiply in slice order (ascending
+// mode) and non-zeros are visited in order, so each output element sees
+// the products and additions of the textbook loop, bit for bit. Plain
+// and atomic differ only in how the finished products are committed.
+func mttkrpRows[E uint8 | tensor.Index](dst *mttkrpOperand[E], ops []mttkrpOperand[E], vals []tensor.Value, r, lo, hi int, atomicUpd bool) {
 	for x := lo; x < hi; x++ {
-		v := xv[x]
-		for c := 0; c < r; c++ {
-			prod[c] = v
-		}
-		for mo := 0; mo < order; mo++ {
-			if mo == k.mode {
+		v := vals[x]
+		o := dst.data[(dst.base+int(dst.ind[x]))*r:][:r]
+		c := 0
+		for ; c+8 <= r; c += 8 {
+			p0, p1, p2, p3, p4, p5, p6, p7 := v, v, v, v, v, v, v, v
+			for i := range ops {
+				op := &ops[i]
+				a := (*[8]tensor.Value)(op.data[(op.base+int(op.ind[x]))*r+c:])
+				p0 *= a[0]
+				p1 *= a[1]
+				p2 *= a[2]
+				p3 *= a[3]
+				p4 *= a[4]
+				p5 *= a[5]
+				p6 *= a[6]
+				p7 *= a[7]
+			}
+			d := (*[8]tensor.Value)(o[c:])
+			if atomicUpd {
+				parallel.AtomicAddFloat32(&d[0], p0)
+				parallel.AtomicAddFloat32(&d[1], p1)
+				parallel.AtomicAddFloat32(&d[2], p2)
+				parallel.AtomicAddFloat32(&d[3], p3)
+				parallel.AtomicAddFloat32(&d[4], p4)
+				parallel.AtomicAddFloat32(&d[5], p5)
+				parallel.AtomicAddFloat32(&d[6], p6)
+				parallel.AtomicAddFloat32(&d[7], p7)
 				continue
 			}
-			row := mats[mo].Row(int(k.inds[mo][x]))
-			for c := 0; c < r; c++ {
-				prod[c] *= row[c]
-			}
+			d[0] += p0
+			d[1] += p1
+			d[2] += p2
+			d[3] += p3
+			d[4] += p4
+			d[5] += p5
+			d[6] += p6
+			d[7] += p7
 		}
-		oo := int(nInd[x]) * r
-		if atomicUpd {
-			for c := 0; c < r; c++ {
-				parallel.AtomicAddFloat32(&out[oo+c], prod[c])
+		for ; c < r; c++ {
+			p := v
+			for i := range ops {
+				op := &ops[i]
+				p *= op.data[(op.base+int(op.ind[x]))*r+c]
 			}
-		} else {
-			for c := 0; c < r; c++ {
-				out[oo+c] += prod[c]
+			if atomicUpd {
+				parallel.AtomicAddFloat32(&o[c], p)
+			} else {
+				o[c] += p
 			}
 		}
 	}

@@ -154,75 +154,33 @@ func (p *MttkrpHiCOOPlan) ExecuteGPU(dev *gpusim.Device, mats []*tensor.Matrix) 
 	return p.Out, nil
 }
 
-// executeBlocks processes tensor blocks [lo, hi) following Algorithm 2:
-// per-block factor bases, 8-bit element indexing, R-wide inner loop,
+// executeBlocks processes tensor blocks [lo, hi) following Algorithm 2,
 // adding into out (the shared output or a worker's private copy) either
-// plainly or atomically.
+// plainly or atomically: each tensor block is one mttkrpRows block whose
+// bases are the block matrix bases Ab, Bb, Cb of line 3 and whose row
+// indices are the 8-bit element indices.
 func (p *MttkrpHiCOOPlan) executeBlocks(lo, hi int, mats []*tensor.Matrix, out []tensor.Value, atomicUpd bool) {
 	h := p.X
-	r := p.R
-	bits := h.BlockBits
-	xv := h.Vals
-	mode := p.Mode
-
-	if h.Order() == 3 {
-		others := tensor.OtherModes(3, mode)
-		m1, m2 := others[0], others[1]
-		bd, cd := mats[m1].Data, mats[m2].Data
-		for b := lo; b < hi; b++ {
-			// Block matrix bases Ab, Bb, Cb of Algorithm 2 line 3.
-			aBase := int(h.BInds[mode][b]) << bits
-			bBase := int(h.BInds[m1][b]) << bits
-			cBase := int(h.BInds[m2][b]) << bits
-			for x := h.BPtr[b]; x < h.BPtr[b+1]; x++ {
-				v := xv[x]
-				bo := (bBase + int(h.EInds[m1][x])) * r
-				co := (cBase + int(h.EInds[m2][x])) * r
-				oo := (aBase + int(h.EInds[mode][x])) * r
-				if atomicUpd {
-					for c := 0; c < r; c++ {
-						parallel.AtomicAddFloat32(&out[oo+c], v*bd[bo+c]*cd[co+c])
-					}
-				} else {
-					for c := 0; c < r; c++ {
-						out[oo+c] += v * bd[bo+c] * cd[co+c]
-					}
-				}
-			}
+	var buf [mttkrpStackOperands]mttkrpOperand[uint8]
+	ops := buf[:0]
+	for mo, ind := range h.EInds {
+		if mo != p.Mode {
+			ops = append(ops, mttkrpOperand[uint8]{ind: ind, data: mats[mo].Data})
 		}
-		return
 	}
-
-	order := h.Order()
-	prod := make([]tensor.Value, r)
+	dst := mttkrpOperand[uint8]{ind: h.EInds[p.Mode], data: out}
 	for b := lo; b < hi; b++ {
-		outBase := int(h.BInds[mode][b]) << bits
-		for x := h.BPtr[b]; x < h.BPtr[b+1]; x++ {
-			v := xv[x]
-			for c := 0; c < r; c++ {
-				prod[c] = v
+		i := 0
+		for mo, bind := range h.BInds {
+			base := int(bind[b]) << h.BlockBits
+			if mo == p.Mode {
+				dst.base = base
+				continue
 			}
-			for mo := 0; mo < order; mo++ {
-				if mo == mode {
-					continue
-				}
-				row := (int(h.BInds[mo][b]) << bits) + int(h.EInds[mo][x])
-				urow := mats[mo].Row(row)
-				for c := 0; c < r; c++ {
-					prod[c] *= urow[c]
-				}
-			}
-			oo := (outBase + int(h.EInds[mode][x])) * r
-			if atomicUpd {
-				for c := 0; c < r; c++ {
-					parallel.AtomicAddFloat32(&out[oo+c], prod[c])
-				}
-			} else {
-				for c := 0; c < r; c++ {
-					out[oo+c] += prod[c]
-				}
-			}
+			ops[i].base = base
+			i++
 		}
+		mttkrpRows(&dst, ops, h.Vals, p.R, int(h.BPtr[b]), int(h.BPtr[b+1]), atomicUpd)
 	}
 }
 

@@ -63,7 +63,10 @@ func Mttkrp(h *Hierarchy, mode int, mats []*tensor.Matrix, opt parallel.Options)
 		}
 		w.descend(0, lo, hi)
 	})
-	return out, err
+	if err != nil {
+		return nil, fmt.Errorf("levels: Mttkrp: %w", err) // cancelled: out holds a partial sum
+	}
+	return out, nil
 }
 
 type mttkrpWalker struct {

@@ -1,6 +1,8 @@
 package levels
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -341,6 +343,27 @@ func TestMttkrpAtomicPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	mapsClose(t, matMap(got), matMap(refMttkrp(x, 0, mats, r)), 2e-3, "atomic Mttkrp")
+}
+
+// TestMttkrpCancelledContext: a cancelled opt.Ctx stops the root loop
+// with partial sums in the output, so Mttkrp must hand back
+// parallel.ErrDeadline and no matrix, like the csf root kernels.
+func TestMttkrpCancelledContext(t *testing.T) {
+	x := testTensor(t, []tensor.Index{10, 12, 14}, 100, 23)
+	h, err := Build(x, CSFSig(3), []int{0, 1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mats := make([]*tensor.Matrix, 3)
+	for n := range mats {
+		mats[n] = tensor.NewMatrix(int(x.Dims[n]), 4)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	out, err := Mttkrp(h, 0, mats, parallel.Options{Ctx: ctx})
+	if !errors.Is(err, parallel.ErrDeadline) || out != nil {
+		t.Fatalf("Mttkrp under a cancelled context returned (%v, %v), want (nil, ErrDeadline)", out != nil, err)
+	}
 }
 
 // TestMttkrpRejectsBadPrefix pins the contract error: a hierarchy that
