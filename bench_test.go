@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	pasta "repro"
+	"repro/internal/csf"
 	"repro/internal/dataset"
 	"repro/internal/hicoo"
 	"repro/internal/metrics"
@@ -444,9 +445,13 @@ func BenchmarkAblationMttkrpStrategy(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	cp, err := csf.PrepareMttkrp(c.Tree(), r)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.Run("csf-root", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := c.MttkrpRoot(mats, opt); err != nil {
+			if _, err := cp.ExecuteOMP(mats, opt); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,8 +1,6 @@
 package csf
 
 import (
-	"fmt"
-
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
@@ -19,7 +17,7 @@ import (
 // task is one balanced work unit: children [lo, hi) at level 1 under
 // root. A root light enough to fit the budget yields exactly one task.
 type task struct {
-	root   int32
+	root   int
 	lo, hi int64
 }
 
@@ -53,62 +51,36 @@ func (c *CSF) buildTasks(maxLeaves int64) []task {
 			cl, chh := c.leafRange(1, ch, ch+1)
 			w := chh - cl
 			if acc > 0 && acc+w > maxLeaves {
-				tasks = append(tasks, task{int32(root), start, ch})
+				tasks = append(tasks, task{root, start, ch})
 				start = ch
 				acc = 0
 			}
 			acc += w
 		}
 		if start < hi {
-			tasks = append(tasks, task{int32(root), start, hi})
+			tasks = append(tasks, task{root, start, hi})
 		}
 	}
 	return tasks
 }
 
-// MttkrpRootBalanced computes the root-mode Mttkrp with balanced tasks: roots whose subtrees exceed maxLeaves non-zeros are
-// split, and each task accumulates a private R-vector that is atomically
-// merged into the shared output row. maxLeaves <= 0 selects a heuristic
-// (total non-zeros / 8·workers).
+// MttkrpRootBalanced computes the root-mode Mttkrp with balanced tasks:
+// roots whose subtrees exceed maxLeaves non-zeros are split, each task
+// sums its share in private scratch, and the tasks of a split root merge
+// into the shared output row atomically (a task that covers its root
+// alone commits plainly). maxLeaves <= 0 selects a heuristic (total
+// non-zeros / 8·workers).
 func (c *CSF) MttkrpRootBalanced(mats []*tensor.Matrix, opt parallel.Options, maxLeaves int64) (*tensor.Matrix, error) {
-	if c.Order() < 2 {
-		return nil, fmt.Errorf("csf: Mttkrp needs an order >= 2 tensor")
-	}
-	rootMode, r, err := c.rootFactors(mats)
+	p, err := PrepareMttkrp(c.Tree(), FactorCols(mats, c.ModeOrder[0]))
 	if err != nil {
 		return nil, err
 	}
 	if maxLeaves <= 0 {
-		workers := opt.Threads
-		if workers <= 0 {
-			workers = parallel.NumThreads()
-		}
-		maxLeaves = int64(c.NNZ())/(8*int64(workers)) + 1
+		maxLeaves = int64(c.NNZ())/(8*int64(parallel.ResolveThreads(0, opt))) + 1
 	}
-	tasks := c.buildTasks(maxLeaves)
-	out := tensor.NewMatrix(int(c.Dims[rootMode]), r)
-
-	err = parallel.For(len(tasks), opt, func(lo, hi, _ int) {
-		scratch := make([]tensor.Value, (c.Order()-1)*r)
-		local := make([]tensor.Value, r)
-		for ti := lo; ti < hi; ti++ {
-			t := tasks[ti]
-			for i := range local {
-				local[i] = 0
-			}
-			c.accumulate(1, int(t.lo), int(t.hi), mats, scratch, r, local)
-			row := out.Row(int(c.FIds[0][t.root]))
-			for i := 0; i < r; i++ {
-				if local[i] != 0 {
-					parallel.AtomicAddFloat32(&row[i], local[i])
-				}
-			}
-		}
-	})
-	if err != nil {
-		return nil, err // cancelled: out holds a partial sum
-	}
-	return out, nil
+	p.tasks = c.buildTasks(maxLeaves)
+	p.units = len(p.tasks)
+	return p.ExecuteOMP(mats, opt)
 }
 
 // TaskStats reports the balance the task decomposition achieved — the

@@ -3,6 +3,7 @@ package csf
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
+	"repro/internal/tensortest"
 )
 
 func hubTensor(seed int64) *tensor.COO {
@@ -54,11 +56,16 @@ func TestMttkrpRootBalancedMatchesPlain(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, budget := range []int64{0, 1, 16, 100, 1 << 30} {
-		got, err := c.MttkrpRootBalanced(mats, parallel.Options{Schedule: parallel.Dynamic}, budget)
+		got, err := c.MttkrpRootBalanced(mats, parallel.Options{Schedule: parallel.Dynamic, Threads: 2}, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
 		matricesClose(t, got, want, "balanced vs plain")
+		// A budget that splits no root leaves one task per root, each
+		// committing plainly into the row it owns: the plain kernel's bits.
+		if st := c.ComputeTaskStats(budget); st.Tasks == st.Roots {
+			tensortest.SameBits(t, fmt.Sprintf("balanced, budget %d, vs plain", budget), got, want)
+		}
 	}
 }
 

@@ -132,80 +132,14 @@ func (c *CSF) Validate() error {
 	return nil
 }
 
-// MttkrpRoot computes the Mttkrp in the CSF's root mode without atomics:
-// root subtrees own disjoint output rows, so the parallel loop is
-// race-free — the structural advantage over COO-Mttkrp.
+// MttkrpRoot computes the Mttkrp in the CSF's root mode: the one-shot
+// form of the prepared tree plan (mttkrp.go), one parallel unit per root.
 func (c *CSF) MttkrpRoot(mats []*tensor.Matrix, opt parallel.Options) (*tensor.Matrix, error) {
-	rootMode, r, err := c.rootFactors(mats)
+	p, err := PrepareMttkrp(c.Tree(), FactorCols(mats, c.ModeOrder[0]))
 	if err != nil {
 		return nil, err
 	}
-	out := tensor.NewMatrix(int(c.Dims[rootMode]), r)
-	err = parallel.For(c.NumNodes(0), opt, func(lo, hi, _ int) {
-		scratch := make([]tensor.Value, (c.Order()-1)*r)
-		for root := lo; root < hi; root++ {
-			row := out.Row(int(c.FIds[0][root]))
-			c.accumulate(1, int(c.FPtr[0][root]), int(c.FPtr[0][root+1]), mats, scratch, r, row)
-		}
-	})
-	if err != nil {
-		return nil, err // cancelled: out holds a partial sum
-	}
-	return out, nil
-}
-
-// rootFactors checks the operands of a root-mode Mttkrp — one factor
-// matrix per mode, Dims[n] x R for every mode but the root's, whose
-// entry is ignored — and returns the root mode and R.
-func (c *CSF) rootFactors(mats []*tensor.Matrix) (rootMode, r int, err error) {
-	if len(mats) != c.Order() {
-		return 0, 0, fmt.Errorf("csf: got %d factor matrices, want %d", len(mats), c.Order())
-	}
-	rootMode = c.ModeOrder[0]
-	for l, u := range mats {
-		if l == rootMode {
-			continue
-		}
-		if u == nil {
-			return 0, 0, fmt.Errorf("csf: factor matrix %d is nil", l)
-		}
-		if r == 0 {
-			r = u.Cols
-		}
-		if u.Rows != int(c.Dims[l]) || u.Cols != r {
-			return 0, 0, fmt.Errorf("csf: factor %d is %dx%d, want %dx%d", l, u.Rows, u.Cols, c.Dims[l], r)
-		}
-	}
-	return rootMode, r, nil
-}
-
-// accumulate adds the subtree contribution Σ_child U_l(fid,:) ⊙ g(child)
-// into dst; scratch provides one r-vector per tree level.
-func (c *CSF) accumulate(level, lo, hi int, mats []*tensor.Matrix, scratch []tensor.Value, r int, dst []tensor.Value) {
-	leaf := c.Order() - 1
-	mode := c.ModeOrder[level]
-	u := mats[mode]
-	if level == leaf {
-		for node := lo; node < hi; node++ {
-			v := c.Vals[node]
-			urow := u.Row(int(c.FIds[level][node]))
-			for i := 0; i < r; i++ {
-				dst[i] += v * urow[i]
-			}
-		}
-		return
-	}
-	buf := scratch[(level-1)*r : level*r]
-	for node := lo; node < hi; node++ {
-		for i := range buf {
-			buf[i] = 0
-		}
-		c.accumulate(level+1, int(c.FPtr[level][node]), int(c.FPtr[level][node+1]), mats, scratch, r, buf)
-		urow := u.Row(int(c.FIds[level][node]))
-		for i := 0; i < r; i++ {
-			dst[i] += urow[i] * buf[i]
-		}
-	}
+	return p.ExecuteOMP(mats, opt)
 }
 
 // TtvLeaf computes the tensor-times-vector product in the CSF's leaf

@@ -1,0 +1,249 @@
+package csf
+
+import (
+	"errors"
+	"fmt"
+
+	"repro/internal/parallel"
+	"repro/internal/tensor"
+)
+
+// Tree is the plain fiber tree root-mode Mttkrp walks (DESIGN.md §23). A
+// CSF tensor is one as it stands — CSF.Tree aliases its arrays — and
+// levels.PrepareMttkrp resolves any other hierarchy into one.
+type Tree struct {
+	Dims  []tensor.Index // size of every tensor mode
+	Modes []int          // tree level → tensor mode; Modes[0] is the output mode
+	// Ids[0][i] is the output row root i sums into, Ids[l][i] the row of
+	// factor Modes[l] that level-l node i multiplies by.
+	Ids [][]tensor.Index
+	// Ptr[l][i], Ptr[l][i+1] bound node i's children in level l+1.
+	Ptr  [][]int64
+	Vals []tensor.Value // parallel to the leaf level
+	// Span, when set, groups the roots into the parallel loop's units:
+	// unit u owns roots [Span[u], Span[u+1]). Nil: every root is a unit.
+	Span []int64
+	// Shared says roots of different units may name the same output row,
+	// so units running concurrently commit atomically.
+	Shared bool
+}
+
+// Tree returns the tensor as Mttkrp's fiber tree, aliasing its arrays.
+func (c *CSF) Tree() Tree {
+	return Tree{Dims: c.Dims, Modes: c.ModeOrder, Ids: c.FIds, Ptr: c.FPtr, Vals: c.Vals}
+}
+
+// ErrMttkrp is the error of a Mttkrp that cannot run on its operands: a
+// tree with no level below the roots, R < 1, a missing or mis-shaped factor.
+var ErrMttkrp = errors.New("csf: cannot run Mttkrp")
+
+// MttkrpPlan is a prepared root-mode Mttkrp over a fiber tree. It owns the
+// output, which every execution rewrites; root subtrees own their rows, so
+// the parallel loop needs no atomics — the advantage over COO-Mttkrp.
+type MttkrpPlan struct {
+	R   int            // factor-matrix column count
+	Out *tensor.Matrix // Dims[Modes[0]] × R
+
+	t     Tree
+	leaf  int              // the deepest level
+	units int              // length of the parallel loop
+	u     [][]tensor.Value // per level, its factor's data; bound by every execution
+	ones  []tensor.Value   // the factor row of a root that holds leaves directly
+	tasks []task           // the units of MttkrpRootBalanced; nil: roots
+}
+
+// PrepareMttkrp checks the tree and R and allocates the output.
+func PrepareMttkrp(t Tree, r int) (*MttkrpPlan, error) {
+	if len(t.Ids) < 2 {
+		return nil, fmt.Errorf("%w: needs an order >= 2 tensor", ErrMttkrp)
+	}
+	if r < 1 {
+		return nil, fmt.Errorf("%w: needs R >= 1, got %d", ErrMttkrp, r)
+	}
+	p := &MttkrpPlan{R: r, Out: tensor.NewMatrix(int(t.Dims[t.Modes[0]]), r), t: t, leaf: len(t.Ids) - 1,
+		units: len(t.Ids[0]), u: make([][]tensor.Value, len(t.Ids)), ones: make([]tensor.Value, r)}
+	for i := range p.ones {
+		p.ones[i] = 1
+	}
+	if t.Span != nil {
+		p.units = len(t.Span) - 1
+	}
+	return p, nil
+}
+
+// FactorCols returns R as a one-shot call's operands give it: the columns
+// of the first factor present other than the output mode's; 0 for none.
+func FactorCols(mats []*tensor.Matrix, mode int) int {
+	for n, u := range mats {
+		if n != mode && u != nil {
+			return u.Cols
+		}
+	}
+	return 0
+}
+
+// FlopCount returns the Table 1 work N·M·R, as the COO kernel counts it.
+func (p *MttkrpPlan) FlopCount() int64 {
+	return int64(len(p.t.Dims)) * int64(len(p.t.Vals)) * int64(p.R)
+}
+
+// begin checks the factor matrices — one per mode, Dims[n] × R, the
+// output mode's entry ignored — binds their data to the tree's levels
+// and clears the output.
+func (p *MttkrpPlan) begin(mats []*tensor.Matrix) error {
+	t := &p.t
+	if len(mats) != len(t.Dims) {
+		return fmt.Errorf("%w: got %d factor matrices, want %d", ErrMttkrp, len(mats), len(t.Dims))
+	}
+	for l := 1; l <= p.leaf; l++ {
+		n := t.Modes[l]
+		if u := mats[n]; u == nil || u.Rows != int(t.Dims[n]) || u.Cols != p.R {
+			return fmt.Errorf("%w: factor %d is %v, want %dx%d", ErrMttkrp, n, u, t.Dims[n], p.R)
+		}
+		p.u[l] = mats[n].Data
+	}
+	p.Out.Zero()
+	return nil
+}
+
+// ExecuteSeq runs the kernel on the calling goroutine.
+func (p *MttkrpPlan) ExecuteSeq(mats []*tensor.Matrix) (*tensor.Matrix, error) {
+	if err := p.begin(mats); err != nil {
+		return nil, err
+	}
+	ws := parallel.SharedWorkspace()
+	set := ws.Set(1, p.leaf*p.R)
+	p.run(0, p.units, set.Bufs[0], false)
+	ws.PutSet(set)
+	return p.Out, nil
+}
+
+// ExecuteOMP runs the kernel as a parallel loop over the tree's units. A
+// cancelled opt.Ctx leaves partial sums in Out and returns no matrix.
+func (p *MttkrpPlan) ExecuteOMP(mats []*tensor.Matrix, opt parallel.Options) (*tensor.Matrix, error) {
+	if err := p.begin(mats); err != nil {
+		return nil, err
+	}
+	opt.Threads = parallel.ResolveThreads(p.units, opt)
+	// Level scratch is per worker and pooled: a warm pool allocates nothing.
+	ws := parallel.SharedWorkspace()
+	set := ws.Set(opt.Threads, p.leaf*p.R)
+	err := parallel.For(p.units, opt, func(lo, hi, w int) { p.run(lo, hi, set.Bufs[w], opt.Threads > 1) })
+	ws.PutSet(set)
+	if err != nil {
+		return nil, err
+	}
+	return p.Out, nil
+}
+
+// run adds units [lo, hi) to the output: a root's children — all, or one
+// balanced task's share — summed in worker-private scratch, then committed
+// to the root's row once. Only a commit that can meet another worker's on
+// the same row is atomic: shared rows, or a task covering part of its root.
+func (p *MttkrpPlan) run(lo, hi int, scratch []tensor.Value, concurrent bool) {
+	t, first, r := &p.t, p.t.Ptr[0], p.R
+	if p.tasks == nil && t.Span != nil {
+		lo, hi = int(t.Span[lo]), int(t.Span[hi])
+	}
+	g := scratch[:r]
+	for i := lo; i < hi; i++ {
+		k := task{root: i}
+		if p.tasks != nil {
+			k = p.tasks[i]
+		} else {
+			k.lo, k.hi = first[i], first[i+1]
+		}
+		atomicUpd := concurrent && (t.Shared || k.lo != first[k.root] || k.hi != first[k.root+1])
+		clear(g)
+		p.walk(1, k.lo, k.hi, g, scratch[r:])
+		row := p.Out.Data[int(t.Ids[0][k.root])*r:][:r]
+		for c, v := range g {
+			if atomicUpd {
+				parallel.AtomicAddFloat32(&row[c], v)
+			} else {
+				row[c] += v
+			}
+		}
+	}
+}
+
+// walk adds Σ_node U(node,:) ⊙ (Σ_child …) over a level's nodes [lo, hi) to
+// dst, in node order; scratch holds an r-vector per level down to the fibers.
+func (p *MttkrpPlan) walk(level int, lo, hi int64, dst, scratch []tensor.Value) {
+	t := &p.t
+	switch level {
+	case p.leaf:
+		// Roots that hold leaves directly: [lo, hi) is one fiber under a
+		// factor row of ones (x·1 is x, bit for bit).
+		span, id := [2]int64{lo, hi}, [1]tensor.Index{}
+		p.fibers(span[:], id[:], p.ones, dst)
+	case p.leaf - 1:
+		p.fibers(t.Ptr[level][lo:hi+1], t.Ids[level][lo:hi], p.u[level], dst)
+	default:
+		r := p.R
+		buf, ptr, u := scratch[:r], t.Ptr[level], p.u[level]
+		for node := lo; node < hi; node++ {
+			clear(buf)
+			p.walk(level+1, ptr[node], ptr[node+1], buf, scratch[r:])
+			mulAdd(dst, u[int(t.Ids[level][node])*r:][:r], buf)
+		}
+	}
+}
+
+// fibers is the Mttkrp value computation of every tree (DESIGN.md §23),
+// the deepest two levels fused: for each fiber f — leaves
+// [fptr[f], fptr[f+1]), row fid[f] of the factor fu — it adds
+// fu(fid[f],:) ⊙ Σ_leaf val·U(leaf,:) into dst. Eight columns of the leaf
+// sum at a time live in registers across the fiber's leaves, the leaf rows
+// re-sliced to [8]Value so the multiplies carry no bounds checks; a scalar
+// loop takes the R mod 8 columns left. The sum starts at zero and takes the
+// leaves in order: the scalar loop over a zeroed level vector, bit for bit.
+func (p *MttkrpPlan) fibers(fptr []int64, fid []tensor.Index, fu, dst []tensor.Value) {
+	r := p.R
+	kid, ku, vals := p.t.Ids[p.leaf], p.u[p.leaf], p.t.Vals
+	dst = dst[:r]
+	for f, id := range fid {
+		lo, hi := fptr[f], fptr[f+1]
+		urow := fu[int(id)*r:][:r]
+		c := 0
+		for ; c+8 <= r; c += 8 {
+			var s0, s1, s2, s3, s4, s5, s6, s7 tensor.Value
+			for x := lo; x < hi; x++ {
+				v := vals[x]
+				a := (*[8]tensor.Value)(ku[int(kid[x])*r+c:])
+				s0 += v * a[0]
+				s1 += v * a[1]
+				s2 += v * a[2]
+				s3 += v * a[3]
+				s4 += v * a[4]
+				s5 += v * a[5]
+				s6 += v * a[6]
+				s7 += v * a[7]
+			}
+			u, d := (*[8]tensor.Value)(urow[c:]), (*[8]tensor.Value)(dst[c:])
+			d[0] += u[0] * s0
+			d[1] += u[1] * s1
+			d[2] += u[2] * s2
+			d[3] += u[3] * s3
+			d[4] += u[4] * s4
+			d[5] += u[5] * s5
+			d[6] += u[6] * s6
+			d[7] += u[7] * s7
+		}
+		for ; c < r; c++ {
+			var s tensor.Value
+			for x := lo; x < hi; x++ {
+				s += vals[x] * ku[int(kid[x])*r+c]
+			}
+			dst[c] += urow[c] * s
+		}
+	}
+}
+
+// mulAdd adds u ⊙ buf into dst.
+func mulAdd(dst, u, buf []tensor.Value) {
+	u, buf = u[:len(dst)], buf[:len(dst)]
+	for c := range dst {
+		dst[c] += u[c] * buf[c]
+	}
+}

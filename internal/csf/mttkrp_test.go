@@ -1,0 +1,198 @@
+package csf
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"testing"
+
+	"repro/internal/parallel"
+	"repro/internal/tensor"
+	"repro/internal/tensortest"
+)
+
+// The recursive scalar loop the tree plan replaced, kept as the oracle:
+// oracleAccumulate is csf.accumulate as it stood, oracleRoot and
+// oracleTasks the bodies of MttkrpRoot and MttkrpRootBalanced around it,
+// on one goroutine.
+
+func oracleAccumulate(c *CSF, level, lo, hi int, mats []*tensor.Matrix, scratch []tensor.Value, r int, dst []tensor.Value) {
+	leaf := c.Order() - 1
+	u := mats[c.ModeOrder[level]]
+	if level == leaf {
+		for node := lo; node < hi; node++ {
+			v := c.Vals[node]
+			urow := u.Row(int(c.FIds[level][node]))
+			for i := 0; i < r; i++ {
+				dst[i] += v * urow[i]
+			}
+		}
+		return
+	}
+	buf := scratch[(level-1)*r : level*r]
+	for node := lo; node < hi; node++ {
+		for i := range buf {
+			buf[i] = 0
+		}
+		oracleAccumulate(c, level+1, int(c.FPtr[level][node]), int(c.FPtr[level][node+1]), mats, scratch, r, buf)
+		urow := u.Row(int(c.FIds[level][node]))
+		for i := 0; i < r; i++ {
+			dst[i] += urow[i] * buf[i]
+		}
+	}
+}
+
+func oracleRoot(c *CSF, mats []*tensor.Matrix, r int) *tensor.Matrix {
+	out := tensor.NewMatrix(int(c.Dims[c.ModeOrder[0]]), r)
+	scratch := make([]tensor.Value, (c.Order()-1)*r)
+	for root := 0; root < c.NumNodes(0); root++ {
+		oracleAccumulate(c, 1, int(c.FPtr[0][root]), int(c.FPtr[0][root+1]), mats, scratch, r, out.Row(int(c.FIds[0][root])))
+	}
+	return out
+}
+
+// oracleTasks sums every task in a private vector and adds it to the
+// root's row, task by task in list order — what one worker does.
+func oracleTasks(c *CSF, tasks []task, mats []*tensor.Matrix, r int) *tensor.Matrix {
+	out := tensor.NewMatrix(int(c.Dims[c.ModeOrder[0]]), r)
+	scratch := make([]tensor.Value, (c.Order()-1)*r)
+	local := make([]tensor.Value, r)
+	for _, k := range tasks {
+		clear(local)
+		oracleAccumulate(c, 1, int(k.lo), int(k.hi), mats, scratch, r, local)
+		row := out.Row(int(c.FIds[0][k.root]))
+		for i := range local {
+			row[i] += local[i]
+		}
+	}
+	return out
+}
+
+var identityRanks = []int{1, 3, 7, 8, 13, 16, 17, 32}
+
+// rootFirst is the mode order with mode at the root, the rest ascending.
+func rootFirst(order, mode int) []int {
+	return append([]int{mode}, tensor.OtherModes(order, mode)...)
+}
+
+// TestTreePlanBitIdenticalToRecursiveLoop: the prepared plan reproduces
+// the recursive scalar loop bit for bit, through both rungs on one thread
+// and — roots own their rows — on two, for every mode at the root, ranks
+// on both sides of the eight-column block, and balanced tasks at budgets
+// that split roots (one thread: the tasks of a root commit in order).
+func TestTreePlanBitIdenticalToRecursiveLoop(t *testing.T) {
+	for _, c := range tensortest.MttkrpCases(t) {
+		x := c.X
+		for mode := 0; mode < x.Order(); mode++ {
+			tree, err := FromCOO(x, rootFirst(x.Order(), mode))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range identityRanks {
+				label := fmt.Sprintf("%s mode %d R %d", c.Name, mode, r)
+				mats := tensortest.SignedFactors(x, r, int64(r))
+				want := oracleRoot(tree, mats, r)
+				p, err := PrepareMttkrp(tree.Tree(), r)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				got, err := p.ExecuteSeq(mats)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				tensortest.SameBits(t, label+" ExecuteSeq", got, want)
+				for _, threads := range []int{1, 2} {
+					got, err := tree.MttkrpRoot(mats, parallel.Options{Threads: threads, Schedule: parallel.Dynamic, Chunk: 3})
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					tensortest.SameBits(t, fmt.Sprintf("%s MttkrpRoot on %d threads", label, threads), got, want)
+				}
+				for _, budget := range []int64{1, 7, 1 << 40} {
+					got, err := tree.MttkrpRootBalanced(mats, parallel.Options{Threads: 1}, budget)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					tensortest.SameBits(t, fmt.Sprintf("%s balanced, budget %d", label, budget), got, oracleTasks(tree, tree.buildTasks(budget), mats, r))
+				}
+			}
+		}
+	}
+}
+
+// TestMttkrpPlanErrors: every operand the plan cannot run on is an
+// ErrMttkrp from prepare or execute — an order-1 tree used to panic in
+// MttkrpRoot's parallel loop.
+func TestMttkrpPlanErrors(t *testing.T) {
+	x := randTensor(31, []tensor.Index{6, 5, 4}, 40)
+	c, _ := FromCOO(x, nil)
+	line, _ := FromCOO(randTensor(32, []tensor.Index{50}, 20), nil)
+	good := tensortest.SignedFactors(x, 4, 1)
+	with := func(n int, u *tensor.Matrix) []*tensor.Matrix {
+		mats := append([]*tensor.Matrix(nil), good...)
+		mats[n] = u
+		return mats
+	}
+	for name, run := range map[string]func() (*tensor.Matrix, error){
+		"order 1, MttkrpRoot": func() (*tensor.Matrix, error) {
+			return line.MttkrpRoot([]*tensor.Matrix{nil}, parallel.Options{})
+		},
+		"order 1, MttkrpRootBalanced": func() (*tensor.Matrix, error) {
+			return line.MttkrpRootBalanced([]*tensor.Matrix{nil}, parallel.Options{}, 0)
+		},
+		"order 1, prepare": func() (*tensor.Matrix, error) { _, err := PrepareMttkrp(line.Tree(), 4); return nil, err },
+		"R = 0":            func() (*tensor.Matrix, error) { _, err := PrepareMttkrp(c.Tree(), 0); return nil, err },
+		"no factors":       func() (*tensor.Matrix, error) { return c.MttkrpRoot(make([]*tensor.Matrix, 3), parallel.Options{}) },
+		"factor count":     func() (*tensor.Matrix, error) { return c.MttkrpRoot(good[:2], parallel.Options{}) },
+		"nil factor":       func() (*tensor.Matrix, error) { return c.MttkrpRoot(with(2, nil), parallel.Options{}) },
+		"factor rows": func() (*tensor.Matrix, error) {
+			return c.MttkrpRoot(with(1, tensor.NewMatrix(9, 4)), parallel.Options{})
+		},
+		"factor columns": func() (*tensor.Matrix, error) {
+			return c.MttkrpRoot(with(2, tensor.NewMatrix(4, 5)), parallel.Options{})
+		},
+	} {
+		if out, err := run(); !errors.Is(err, ErrMttkrp) || out != nil {
+			t.Errorf("%s: returned (%v, %v), want (nil, ErrMttkrp)", name, out != nil, err)
+		}
+	}
+	// The output mode's factor is not an operand: nil or of any shape.
+	for _, u := range []*tensor.Matrix{nil, tensor.NewMatrix(1, 9)} {
+		if _, err := c.MttkrpRoot(with(0, u), parallel.Options{}); err != nil {
+			t.Errorf("output-mode factor %v: %v", u, err)
+		}
+	}
+}
+
+// TestMttkrpPlanSurvivesCancellation: a cancelled context yields no
+// matrix, and the plan's next execution is complete — the partial sums
+// the cancelled one left are cleared, not added to.
+func TestMttkrpPlanSurvivesCancellation(t *testing.T) {
+	x := hubTensor(41)
+	c, err := FromCOO(x, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const r = 13
+	mats := tensortest.SignedFactors(x, r, 2)
+	p, err := PrepareMttkrp(c.Tree(), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := oracleRoot(c, mats, r)
+	for round := 0; round < 2; round++ {
+		// Cancel after the loop has started, so partial sums exist.
+		ctx, cancel := context.WithCancel(context.Background())
+		parallel.SetChunkHook(func(int) { cancel() })
+		out, err := p.ExecuteOMP(mats, parallel.Options{Threads: 1, Chunk: 5, Ctx: ctx})
+		parallel.SetChunkHook(nil)
+		if !errors.Is(err, parallel.ErrDeadline) || out != nil {
+			t.Fatalf("cancelled execution returned (%v, %v), want (nil, ErrDeadline)", out != nil, err)
+		}
+		got, err := p.ExecuteOMP(mats, parallel.Options{Threads: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tensortest.SameBits(t, "execution after a cancelled one", got, want)
+	}
+}

@@ -1,7 +1,6 @@
 package kernelreg
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/levels"
@@ -12,10 +11,10 @@ import (
 // Generic variant instantiation: the grid cells no hand-tuned override
 // claims are filled from internal/levels, prepared on whatever
 // hierarchy the conversion planner deems cheapest. Ttv and Ttm are
-// core fiber plans on the hierarchy's leaf level, with the plan's own
-// serial rung, output and strategy selection; only Mttkrp runs a
-// level-iterator body and takes the COO reference as its serial rung
-// (SerialRef), matching the CSF/fCOO Mttkrp convention.
+// core fiber plans on the hierarchy's leaf level, Mttkrp is csf's tree
+// plan on the hierarchy resolved from its root; each has the plan's own
+// serial rung and output, the fiber plans the strategy selection too
+// (tree Mttkrp commits whole rows, so it resolves none).
 
 // genericModeOrder places the kernel's mode of interest where its
 // generic body wants it: Mttkrp assembles the output mode first (root
@@ -64,11 +63,9 @@ func genericInstance(wb *Workbench, k roofline.Kernel, h *levels.Hierarchy, mode
 		}
 		return wb.instance(site, OMP, operandRungs(p, wb.TtmMat(mode), p.Out, &p.LastStrategy))
 	}
-	inst, keep, err := serialRef(wb, k, mode)
+	p, err := levels.PrepareMttkrp(h, mode, wb.R())
 	if err != nil {
 		return nil, err
 	}
-	mats := wb.Mats()
-	inst.Run = func(ctx context.Context) error { return keep(levels.Mttkrp(h, mode, mats, wb.Opt(ctx))) }
-	return inst, nil
+	return wb.instance(site, OMP, operandRungs(p, wb.Mats(), p.Out, nil))
 }

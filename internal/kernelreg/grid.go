@@ -15,8 +15,8 @@ import (
 //     registers that implementation — the suite's tuned fast paths.
 //  2. An unclaimed cell whose format declares a level signature and
 //     whose kernel instantiates over any hierarchy (Ttv and Ttm as
-//     fiber plans on the leaf level, Mttkrp as a level-iterator body,
-//     on the OMP backend) registers the generic implementation.
+//     fiber plans on the leaf level, Mttkrp as the tree plan from the
+//     root, on the OMP backend) registers the generic implementation.
 //  3. A cell on the OOC backend whose kernel has a streaming body
 //     (Ttv, Mttkrp over a COO tile stream) registers the out-of-core
 //     implementation (streaming.go) — so the streamed kernels are
@@ -93,14 +93,13 @@ func init() {
 					continue
 				}
 				if genericCell(k, f, b) {
-					// Ttv and Ttm are fiber plans with a native serial
-					// rung and the strategy selector; the Mttkrp walker's
-					// serial rung is the COO reference.
+					// All three are prepared plans with a native serial
+					// rung; the fiber plans of Ttv and Ttm also resolve a
+					// reduction strategy.
 					caps := Caps{
 						ModeDependent: true,
 						NeedsFactors:  k == roofline.Ttm || k == roofline.Mttkrp,
 						StrategyAware: k != roofline.Mttkrp,
-						SerialRef:     k == roofline.Mttkrp,
 					}
 					registerCell(k, f, b, caps, true, genericPrep(k, f))
 					continue

@@ -67,12 +67,11 @@ func TestGridGeneration(t *testing.T) {
 		if v.Caps.NeedsFactors != wantFactors {
 			t.Errorf("%s: NeedsFactors = %v, want %v", v, v.Caps.NeedsFactors, wantFactors)
 		}
-		// Ttv and Ttm are fiber plans (native serial rung, strategy
-		// selector); the Mttkrp walker falls back to the COO reference
-		// and resolves no strategy.
-		walker := v.Kernel == roofline.Mttkrp
-		if v.Caps.SerialRef != walker || v.Caps.StrategyAware == walker {
-			t.Errorf("%s: generated variant caps %+v, want SerialRef = %v and StrategyAware = %v", v, v.Caps, walker, !walker)
+		// All three are prepared plans with a native serial rung; only the
+		// fiber plans of Ttv and Ttm resolve a reduction strategy (tree
+		// Mttkrp commits whole rows).
+		if wantStrategy := v.Kernel != roofline.Mttkrp; v.Caps.SerialRef || v.Caps.StrategyAware != wantStrategy {
+			t.Errorf("%s: generated variant caps %+v, want no SerialRef and StrategyAware = %v", v, v.Caps, wantStrategy)
 		}
 		if v.Levels == "" {
 			t.Errorf("%s: generated variant has no level signature", v)

@@ -69,9 +69,7 @@ type Caps struct {
 	// (owner/atomic/privatized) that Instance.Strategy reports.
 	StrategyAware bool
 	// SerialRef: the cell has no native serial path, so the Instance's
-	// Serial rung is the serial COO reference: tree Mttkrp (CSF's and the
-	// generated walker's) and fCOO. Tree Ttv/Ttm are fiber plans and fall
-	// back to their own sequential execution.
+	// Serial rung is the serial COO reference: fCOO's GPU-only kernels.
 	SerialRef bool
 }
 

@@ -1,0 +1,97 @@
+package kernelreg
+
+import (
+	"context"
+	"math/rand"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/roofline"
+	"repro/internal/tensor"
+)
+
+// BenchmarkTreeMttkrp times the sequential rung of the Mttkrp cells on
+// CSF and bCSF (csf's tree plan, DESIGN.md §23) beside the COO row body
+// on the three benchmark recipes at the benchmark's sizes: one iteration
+// is one Mttkrp per mode, reported per non-zero per mode. Run it with
+// -cpu 1; every row must read 0 B/op.
+func BenchmarkTreeMttkrp(b *testing.B) {
+	ctx := context.Background()
+	for _, w := range []struct {
+		name string
+		nnz  int
+	}{{"irrS", 300000}, {"regS4d", 100000}, {"nell2", 40000}} {
+		e, err := dataset.ByID(w.name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		x, err := dataset.Materialize(e, w.nnz, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		wb := NewWorkbench(x, DefaultConfig())
+		for _, f := range []roofline.Format{roofline.COO, roofline.CSF, roofline.BCSF} {
+			v, err := Lookup(roofline.Mttkrp, f, OMP)
+			if err != nil {
+				b.Fatal(err)
+			}
+			insts := make([]*Instance, x.Order())
+			for mode := range insts {
+				if insts[mode], err = v.Prepare(wb, mode); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.Run(w.name+"/"+f.String(), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					for _, inst := range insts {
+						if err := inst.Serial(ctx); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(insts)*x.NNZ()), "ns/nnz")
+			})
+		}
+	}
+}
+
+// TestTreeMttkrpAllocatesNothingPerCall: the tree plan owns its output
+// and draws pooled level scratch, so a steady-state sequential rung
+// allocates nothing and a one-thread Run only what parallel.For's own
+// bookkeeping costs every kernel (the COO cell's count).
+func TestTreeMttkrpAllocatesNothingPerCall(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	x := tensor.RandomCOO([]tensor.Index{200, 150, 100, 30}, 20000, rand.New(rand.NewSource(78)))
+	cfg := DefaultConfig()
+	cfg.Sched.Threads = 1
+	wb := NewWorkbench(x, cfg)
+	ctx := context.Background()
+	const mode = 1
+	allocs := func(f roofline.Format) (serial, run float64) {
+		v, err := Lookup(roofline.Mttkrp, f, OMP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := v.Prepare(wb, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rung := func(run func(context.Context) error) float64 {
+			return testing.AllocsPerRun(10, func() {
+				if err := run(ctx); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		return rung(inst.Serial), rung(inst.Run)
+	}
+	_, loop := allocs(roofline.COO)
+	for _, f := range []roofline.Format{roofline.CSF, roofline.BCSF} {
+		if serial, run := allocs(f); serial != 0 || run > loop {
+			t.Errorf("Mttkrp/%s allocates %v times per Serial and %v per one-thread Run, want 0 and at most the COO cell's %v", f, serial, run, loop)
+		}
+	}
+}

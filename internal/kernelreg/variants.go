@@ -71,18 +71,14 @@ func handTuned() map[regKey]handOverride {
 	add(roofline.Mttkrp, roofline.COO, MultiGPU,
 		Caps{ModeDependent: true, NeedsFactors: true}, prepMttkrpCOO)
 	// CSF: the mode of interest is placed at the tree position its kernel
-	// wants (leaf for Ttv, root for Mttkrp). Ttv is core's fiber plan on
-	// the tree's leaf level. Mttkrp has no native serial path — its
-	// serial rung is the COO reference — and stays an override of the
-	// generic levels.Mttkrp: on the same FromCSF hierarchy the generic
-	// walker takes +10 % / +6 % / +12 % longer than csf.MttkrpRoot on
-	// irrS 300k / regS4d 100k / nell2 40k (all modes, one thread, R = 16;
-	// EXPERIMENTS.md "Tree Ttv/Ttm"), at or past the 10 % bound on two of
-	// three. That is the number a faster generic walker has to beat.
+	// wants (leaf for Ttv, root for Mttkrp), and the cell is the generic
+	// instance on the tree's level view: core's fiber plan on the leaf
+	// level, csf's tree plan from the root. They stay overrides so the
+	// tree is the workbench's cached CSF and the cells keep their names.
 	add(roofline.Ttv, roofline.CSF, OMP,
-		Caps{ModeDependent: true, StrategyAware: true}, prepTtvCSF)
+		Caps{ModeDependent: true, StrategyAware: true}, prepCSF(roofline.Ttv, "Ttv-leaf"))
 	add(roofline.Mttkrp, roofline.CSF, OMP,
-		Caps{ModeDependent: true, NeedsFactors: true, SerialRef: true}, prepMttkrpCSF)
+		Caps{ModeDependent: true, NeedsFactors: true}, prepCSF(roofline.Mttkrp, "Mttkrp-root"))
 	// F-COO: segmented-reduction GPU kernels only.
 	add(roofline.Ttv, roofline.FCOO, GPU,
 		Caps{ModeDependent: true, SerialRef: true}, prepTtvFCOO)
@@ -158,7 +154,6 @@ func elementRungs[P elementPlan[O], O any](p P, out any) rungs {
 type operandPlan[A, O any] interface {
 	ExecuteSeq(A) (O, error)
 	ExecuteOMP(A, parallel.Options) (O, error)
-	ExecuteGPU(*gpusim.Device, A) (O, error)
 	FlopCount() int64
 }
 
@@ -167,8 +162,17 @@ func operandRungs[P operandPlan[A, O], A, O any](p P, a A, out any, last *parall
 		flops: p.FlopCount(), out: out, strategy: last,
 		seq: func() error { _, err := p.ExecuteSeq(a); return err },
 		omp: func(o parallel.Options) error { _, err := p.ExecuteOMP(a, o); return err },
-		gpu: func(d *gpusim.Device) error { _, err := p.ExecuteGPU(d, a); return err },
 	}
+}
+
+// deviceRungs adds the single-device rung of the core COO/HiCOO plans.
+func deviceRungs[P interface {
+	operandPlan[A, O]
+	ExecuteGPU(*gpusim.Device, A) (O, error)
+}, A, O any](p P, a A, out any, last *parallel.Strategy) rungs {
+	r := operandRungs(p, a, out, last)
+	r.gpu = func(d *gpusim.Device) error { _, err := p.ExecuteGPU(d, a); return err }
+	return r
 }
 
 func prepTewCOO(wb *Workbench, _ int, b Backend) (*Instance, error) {
@@ -209,7 +213,7 @@ func prepTtvCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
 		return nil, err
 	}
 	v := wb.Vec(mode)
-	r := operandRungs(p, v, p.Out, &p.LastStrategy)
+	r := deviceRungs(p, v, p.Out, &p.LastStrategy)
 	r.multi = func(ds []*gpusim.Device) error { _, err := p.ExecuteMultiGPU(ds, v); return err }
 	return wb.instance("Ttv/COO", b, r)
 }
@@ -219,7 +223,7 @@ func prepTtvHiCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	return wb.instance("Ttv/HiCOO", b, operandRungs(p, wb.Vec(mode), p.Out, &p.LastStrategy))
+	return wb.instance("Ttv/HiCOO", b, deviceRungs(p, wb.Vec(mode), p.Out, &p.LastStrategy))
 }
 
 func prepTtmCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
@@ -227,7 +231,7 @@ func prepTtmCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	return wb.instance("Ttm/COO", b, operandRungs(p, wb.TtmMat(mode), p.Out, &p.LastStrategy))
+	return wb.instance("Ttm/COO", b, deviceRungs(p, wb.TtmMat(mode), p.Out, &p.LastStrategy))
 }
 
 func prepTtmHiCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
@@ -235,7 +239,7 @@ func prepTtmHiCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	return wb.instance("Ttm/HiCOO", b, operandRungs(p, wb.TtmMat(mode), p.Out, &p.LastStrategy))
+	return wb.instance("Ttm/HiCOO", b, deviceRungs(p, wb.TtmMat(mode), p.Out, &p.LastStrategy))
 }
 
 func prepMttkrpCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
@@ -244,7 +248,7 @@ func prepMttkrpCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
 		return nil, err
 	}
 	mats := wb.Mats()
-	r := operandRungs(p, mats, p.Out, &p.LastStrategy)
+	r := deviceRungs(p, mats, p.Out, &p.LastStrategy)
 	r.multi = func(ds []*gpusim.Device) error { _, err := p.ExecuteMultiGPU(ds, mats); return err }
 	return wb.instance("Mttkrp/COO", b, r)
 }
@@ -254,13 +258,13 @@ func prepMttkrpHiCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	return wb.instance("Mttkrp/HiCOO", b, operandRungs(p, wb.Mats(), p.Out, &p.LastStrategy))
+	return wb.instance("Mttkrp/HiCOO", b, deviceRungs(p, wb.Mats(), p.Out, &p.LastStrategy))
 }
 
 // tracked starts an instance for rungs that return their output object
 // instead of refilling a plan-owned one — the kernels that genuinely
-// produce a fresh output per call: tree Mttkrp, fCOO's segmented scans
-// and the ooc streams. Every rung must pass its result through keep,
+// produce a fresh output per call: fCOO's segmented scans and the ooc
+// streams. Every rung must pass its result through keep,
 // which records it as the current output when the rung succeeded — so
 // Check and Output always see whichever rung wrote last. cur is the
 // output before any rung has run.
@@ -306,37 +310,23 @@ func serialRef(wb *Workbench, k roofline.Kernel, mode int) (inst *Instance, keep
 	return inst, keep, nil
 }
 
-// prepTtvCSF builds a CSF tree with the product mode at the leaf level,
-// whose leaf level is the fiber view of core's Ttv plan.
-func prepTtvCSF(wb *Workbench, mode int, b Backend) (*Instance, error) {
-	if b != OMP {
-		return nil, badBackend("Ttv/CSF", b)
+// prepCSF returns the CSF cell of kernel k: the workbench's cached tree
+// with the mode where the kernel wants it (the leaf for Ttv's fibers; the
+// root for Mttkrp, whose subtrees then own disjoint output rows), and on
+// its level view the generic instance.
+func prepCSF(k roofline.Kernel, label string) func(wb *Workbench, mode int, b Backend) (*Instance, error) {
+	site := k.String() + "/CSF"
+	return func(wb *Workbench, mode int, b Backend) (*Instance, error) {
+		if b != OMP {
+			return nil, badBackend(site, b)
+		}
+		// len(Dims): Order() is not inlined here and its symbol would shift core.
+		c, err := wb.CSF(genericModeOrder(k, len(wb.X.Dims), mode), label)
+		if err != nil {
+			return nil, err
+		}
+		return genericInstance(wb, k, levels.FromCSF(c), mode, site)
 	}
-	c, err := wb.CSF(tensor.ModeOrder(wb.X.Order(), mode), "Ttv-leaf")
-	if err != nil {
-		return nil, err
-	}
-	return genericInstance(wb, roofline.Ttv, levels.FromCSF(c), mode, "Ttv/CSF")
-}
-
-// prepMttkrpCSF builds a CSF tree with the output mode at the root:
-// root subtrees own disjoint output rows, so the parallel loop needs no
-// atomics.
-func prepMttkrpCSF(wb *Workbench, mode int, b Backend) (*Instance, error) {
-	if b != OMP {
-		return nil, badBackend("Mttkrp/CSF", b)
-	}
-	c, err := wb.CSF(modeFirst(wb.X.Order(), mode), "Mttkrp-root")
-	if err != nil {
-		return nil, err
-	}
-	inst, keep, err := serialRef(wb, roofline.Mttkrp, mode)
-	if err != nil {
-		return nil, err
-	}
-	mats := wb.Mats()
-	inst.Run = func(ctx context.Context) error { return keep(c.MttkrpRoot(mats, wb.Opt(ctx))) }
-	return inst, nil
 }
 
 // prepTtvFCOO runs F-COO's segmented-reduction Ttv on the simulated GPU.

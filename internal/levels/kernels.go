@@ -5,171 +5,92 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/csf"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
-// Generic kernels: one Mttkrp body that walks any hierarchy, and Ttv and
-// Ttm, which have no body here at all — a hierarchy with the product
-// mode at the leaves is a fiber view, and core's fiber plans run on it.
-// They are the composition dividend of the level abstraction: a new
-// format gets all three by declaring its levels.
+// Generic kernels, none with a body here: a hierarchy with the product
+// mode at the leaves is a fiber view that core's Ttv and Ttm plans run
+// on, and one that assembles the output mode first resolves into the
+// plain tree csf's Mttkrp plan walks. They are the composition dividend
+// of the level abstraction: a format gets all three by declaring its levels.
 
-// Mttkrp computes the matricized-tensor-times-Khatri-Rao product for
-// one output mode over any hierarchy whose prefix up to the output
-// mode's completion contains only output-mode levels and partial
-// levels of other modes (the mode orders the generated grid prepares).
-// Parallelism is over root nodes; when the root level belongs to the
-// output mode (every declared signature, slot 0), distinct roots
-// contribute distinct output-row bits, so the updates are race-free
+// PrepareMttkrp prepares the matricized-tensor-times-Khatri-Rao product
+// for one output mode as csf's tree plan (DESIGN.md §23). The nodes of
+// the level completing the output mode become the roots, each with its
+// assembled row; below them only complete levels remain, with full
+// coordinates — a partial level adds its children's sums straight into
+// its parent's, so composing the pointers across it changes no sum — and
+// a level with no coarse bits above it is aliased, not copied. Parallel
+// units are the level-0 nodes: when they belong to the output mode
+// (every declared signature, slot 0) units own their rows and commit
 // without atomics — CSF's structural advantage, inherited generically.
-func Mttkrp(h *Hierarchy, mode int, mats []*tensor.Matrix, opt parallel.Options) (*tensor.Matrix, error) {
-	order := h.Order()
-	if len(mats) != order {
-		return nil, fmt.Errorf("levels: got %d factor matrices, want %d", len(mats), order)
-	}
-	r := 0
-	for n, u := range mats {
-		if n == mode {
-			continue
-		}
-		if u == nil {
-			return nil, fmt.Errorf("levels: factor matrix %d is nil", n)
-		}
-		if r == 0 {
-			r = u.Cols
-		}
-		if u.Rows != int(h.Dims[n]) || u.Cols != r {
-			return nil, fmt.Errorf("levels: factor %d is %dx%d, want %dx%d", n, u.Rows, u.Cols, h.Dims[n], r)
-		}
-	}
+func PrepareMttkrp(h *Hierarchy, mode, r int) (*csf.MttkrpPlan, error) {
 	complete := h.CompletionLevel(mode)
 	if complete < 0 || complete >= h.Depth()-1 {
-		return nil, fmt.Errorf("levels: %s cannot instantiate Mttkrp for mode %d (completes at level %d)", h.Sig.Name, mode, complete)
+		return nil, fmt.Errorf("%w: %s completes mode %d at level %d of %d", ErrMttkrpPrefix, h.Sig.Name, mode, complete, h.Depth())
 	}
-	for l := 0; l < complete; l++ {
-		if h.Mode(l) != mode && !h.Sig.Levels[l].Partial {
-			return nil, fmt.Errorf("levels: %s level %d completes mode %d before output mode %d", h.Sig.Name, l, h.Mode(l), mode)
+	t := csf.Tree{Dims: h.Dims, Vals: h.Vals, Shared: h.Mode(0) != mode}
+	var ptr []int64 // children of the last level kept, in the level being visited
+	for l, d := range h.Sig.Levels {
+		switch {
+		case l < complete && !d.Partial:
+			return nil, fmt.Errorf("%w: %s level %d completes mode %d before output mode %d", ErrMttkrpPrefix, h.Sig.Name, l, h.Mode(l), mode)
+		case l < complete:
+			t.Span = compose(t.Span, h.Ptr[l])
+		case d.Partial:
+			ptr = compose(ptr, h.Ptr[l])
+		default:
+			if l > complete {
+				t.Ptr = append(t.Ptr, ptr)
+			}
+			ids := h.Crd[l]
+			if levelMask(h.Sig, l) != ^tensor.Index(0) { // coarser levels hold the upper bits
+				ids = h.unfold(l)[h.Mode(l)]
+			}
+			t.Modes, t.Ids = append(t.Modes, h.Mode(l)), append(t.Ids, ids)
+			if l < h.Depth()-1 {
+				ptr = h.Ptr[l]
+			}
 		}
 	}
-	atomic := h.Mode(0) != mode
-	out := tensor.NewMatrix(int(h.Dims[mode]), r)
-	err := parallel.For(h.NumNodes(0), opt, func(lo, hi, _ int) {
-		w := &mttkrpWalker{
-			h: h, mode: mode, mats: mats, r: r, out: out, atomic: atomic,
-			complete: complete,
-			idx:      make([]tensor.Index, h.Order()),
-			scratch:  make([]tensor.Value, h.Depth()*r),
-		}
-		w.descend(0, lo, hi)
-	})
+	return csf.PrepareMttkrp(t, r)
+}
+
+// compose returns the pointers outer composed with inner — for every
+// outer node, the span of its grandchildren — or inner itself under no
+// outer level.
+func compose(outer, inner []int64) []int64 {
+	if outer == nil {
+		return inner
+	}
+	span := make([]int64, len(outer))
+	for i, child := range outer {
+		span[i] = inner[child]
+	}
+	return span
+}
+
+// Mttkrp is the one-shot form: prepare and execute once.
+func Mttkrp(h *Hierarchy, mode int, mats []*tensor.Matrix, opt parallel.Options) (*tensor.Matrix, error) {
+	p, err := PrepareMttkrp(h, mode, csf.FactorCols(mats, mode))
 	if err != nil {
-		return nil, fmt.Errorf("levels: Mttkrp: %w", err) // cancelled: out holds a partial sum
+		return nil, err
 	}
-	return out, nil
-}
-
-type mttkrpWalker struct {
-	h        *Hierarchy
-	mode     int
-	mats     []*tensor.Matrix
-	r        int
-	out      *tensor.Matrix
-	atomic   bool
-	complete int
-	idx      []tensor.Index // partial coordinate bits per tensor mode
-	scratch  []tensor.Value // one r-vector per level
-}
-
-// descend walks levels 0..complete, assembling coordinate bits; at the
-// output mode's completion it switches to the factor-accumulating
-// gather over the subtree and flushes the r-vector into the output row.
-func (w *mttkrpWalker) descend(level, lo, hi int) {
-	h := w.h
-	d := h.Sig.Levels[level]
-	m := h.Mode(level)
-	for node := lo; node < hi; node++ {
-		save := w.idx[m]
-		w.idx[m] = save | h.Crd[level][node]<<d.Shift
-		clo, chi := int(h.Ptr[level][node]), int(h.Ptr[level][node+1])
-		if level == w.complete {
-			g := w.scratch[level*w.r : (level+1)*w.r]
-			for i := range g {
-				g[i] = 0
-			}
-			w.gather(level+1, clo, chi, g)
-			row := w.out.Row(int(w.idx[w.mode]))
-			if w.atomic {
-				for i := 0; i < w.r; i++ {
-					parallel.AtomicAddFloat32(&row[i], g[i])
-				}
-			} else {
-				for i := 0; i < w.r; i++ {
-					row[i] += g[i]
-				}
-			}
-		} else {
-			w.descend(level+1, clo, chi)
-		}
-		w.idx[m] = save
-	}
-}
-
-// gather accumulates the subtree's Hadamard product of factor rows into
-// dst: Σ_leaf val · ∏_{n≠mode} U_n(i_n,:), factored CSF-style so a
-// factor row multiplies once per node, not once per leaf.
-func (w *mttkrpWalker) gather(level, lo, hi int, dst []tensor.Value) {
-	h := w.h
-	d := h.Sig.Levels[level]
-	m := h.Mode(level)
-	last := h.Depth() - 1
-	if level == last {
-		u := w.mats[m]
-		for node := lo; node < hi; node++ {
-			full := w.idx[m] | h.Crd[level][node]<<d.Shift
-			v := h.Vals[node]
-			urow := u.Row(int(full))
-			for i := 0; i < w.r; i++ {
-				dst[i] += v * urow[i]
-			}
-		}
-		return
-	}
-	if d.Partial {
-		// Coarse bits only: stash and recurse; the factor applies at the
-		// mode's completion level.
-		for node := lo; node < hi; node++ {
-			save := w.idx[m]
-			w.idx[m] = save | h.Crd[level][node]<<d.Shift
-			w.gather(level+1, int(h.Ptr[level][node]), int(h.Ptr[level][node+1]), dst)
-			w.idx[m] = save
-		}
-		return
-	}
-	u := w.mats[m]
-	buf := w.scratch[level*w.r : (level+1)*w.r]
-	for node := lo; node < hi; node++ {
-		full := w.idx[m] | h.Crd[level][node]
-		for i := range buf {
-			buf[i] = 0
-		}
-		save := w.idx[m]
-		w.idx[m] = full
-		w.gather(level+1, int(h.Ptr[level][node]), int(h.Ptr[level][node+1]), buf)
-		w.idx[m] = save
-		urow := u.Row(int(full))
-		for i := 0; i < w.r; i++ {
-			dst[i] += urow[i] * buf[i]
-		}
-	}
+	return p.ExecuteOMP(mats, opt)
 }
 
 // ErrNoParentLevel and ErrLeafMode are the contract errors of Ttv and
 // Ttm, which reduce the leaves under every node of the second-deepest
 // level: there must be one, and the leaves must complete the product mode.
+// ErrMttkrpPrefix is Mttkrp's: the levels above the output mode's
+// completion may hold only partial coordinates, and a level must be left
+// below it to reduce.
 var (
 	ErrNoParentLevel = errors.New("levels: hierarchy has a single level; Ttv/Ttm need a parent level")
 	ErrLeafMode      = errors.New("levels: leaf level does not complete the product mode")
+	ErrMttkrpPrefix  = errors.New("levels: hierarchy does not assemble the Mttkrp output mode first")
 )
 
 // leafFibers is the preprocessing Ttv and Ttm share on a hierarchy with

@@ -4,8 +4,11 @@
 package tensortest
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -148,4 +151,70 @@ func ModeOrders(n int) [][]int {
 	}
 	rec(nil, 0)
 	return out
+}
+
+// MttkrpCases returns the tensors the tree-Mttkrp identity tests sweep:
+// the corpus cases of order >= 2 whose dense factor matrices fit in
+// memory (shuffled copies aside — a tree does not see the input order),
+// random tensors of orders 2 to 6, and the tree shapes a walk treats
+// specially beyond the corpus's empty tensor and single root: every
+// fiber a singleton, and one long fiber.
+func MttkrpCases(tb testing.TB) []Case {
+	tb.Helper()
+	var cases []Case
+	for _, c := range Corpus(tb) {
+		skip := c.X.Order() < 2 || strings.HasSuffix(c.Name, "/shuffled")
+		for _, d := range c.X.Dims {
+			skip = skip || d > 1<<16
+		}
+		if !skip {
+			cases = append(cases, c)
+		}
+	}
+	rng := rand.New(rand.NewSource(29))
+	for order := 2; order <= 6; order++ {
+		dims := make([]tensor.Index, order)
+		for n := range dims {
+			dims[n] = tensor.Index(5 + rng.Intn(12))
+		}
+		cases = append(cases, Case{fmt.Sprintf("random-order-%d", order), tensor.RandomCOO(dims, 600, rng)})
+	}
+	diag := tensor.NewCOO([]tensor.Index{300, 300, 300, 300}, 300)
+	for i := 0; i < 300; i++ {
+		k := tensor.Index(i)
+		diag.Append([]tensor.Index{k, 299 - k, k, k / 2}, tensor.Value(i%7)-3)
+	}
+	line := tensor.NewCOO([]tensor.Index{4, 6, 900}, 900)
+	for i := 0; i < 900; i++ {
+		line.Append([]tensor.Index{2, 5, tensor.Index(i)}, tensor.Value(rng.NormFloat64()))
+	}
+	return append(cases, Case{"singleton-fibers", diag}, Case{"long-fiber", line})
+}
+
+// SignedFactors returns one Dims[n] × r factor matrix per mode of x with
+// entries in (-1, 1).
+func SignedFactors(x *tensor.COO, r int, seed int64) []*tensor.Matrix {
+	rng := rand.New(rand.NewSource(seed))
+	mats := make([]*tensor.Matrix, x.Order())
+	for n := range mats {
+		mats[n] = tensor.NewMatrix(int(x.Dims[n]), r)
+		for i := range mats[n].Data {
+			mats[n].Data[i] = tensor.Value(2*rng.Float64() - 1)
+		}
+	}
+	return mats
+}
+
+// SameBits fails the test unless got equals want element for element, bit
+// for bit.
+func SameBits(tb testing.TB, label string, got, want *tensor.Matrix) {
+	tb.Helper()
+	if got.Rows != want.Rows || got.Cols != want.Cols {
+		tb.Fatalf("%s: output is %dx%d, want %dx%d", label, got.Rows, got.Cols, want.Rows, want.Cols)
+	}
+	for i, w := range want.Data {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(w) {
+			tb.Fatalf("%s: element %d is %v (%08x), want %v (%08x)", label, i, got.Data[i], math.Float32bits(got.Data[i]), w, math.Float32bits(w))
+		}
+	}
 }
