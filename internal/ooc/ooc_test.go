@@ -3,7 +3,10 @@ package ooc
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"testing"
@@ -227,6 +230,58 @@ func TestCorruptTileSurfacesError(t *testing.T) {
 	raw[mid.Offset+uint64(mid.Bytes)/2] ^= 0x20
 	if _, _, err = Mttkrp(context.Background(), tr, mats, 0, Options{Deterministic: true}); err == nil {
 		t.Fatal("corrupt tile streamed without error")
+	}
+}
+
+// TestNonFiniteTileSurfacesError: a NaN inside a tile whose checksum is
+// valid used to stream straight into the kernels (ReadTile checked
+// indices only, the in-core reader rejected the same image). The stream
+// must stop at that tile with the reader's error, having released the
+// lease of every tile it delivered, under both schedules and kernels.
+func TestNonFiniteTileSurfacesError(t *testing.T) {
+	x := testTensor(t, 9)
+	mats := factorMats(x, 16)
+	var buf bytes.Buffer
+	if err := tensor.WriteBinaryTiled(&buf, x, 512); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	tr, err := tensor.NewTileReader(bytes.NewReader(raw), int64(len(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Plant the NaN as value 7 of a middle tile, then re-seal the tile's
+	// checksum in its directory entry and the directory's own.
+	order, bad := tr.Order(), tr.NumTiles()/2
+	ti := tr.Tiles[bad]
+	binary.LittleEndian.PutUint32(raw[int(ti.Offset)+4*(order*int(ti.Count)+7):], 0x7FC00000)
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	entryLen := 28 + 8*order
+	dirStart := 12 + 24 + 4*order + 4
+	dirEnd := dirStart + tr.NumTiles()*entryLen
+	binary.LittleEndian.PutUint32(raw[dirStart+bad*entryLen+24:], crc32.Checksum(raw[ti.Offset:ti.Offset+uint64(ti.Bytes)], castagnoli))
+	binary.LittleEndian.PutUint32(raw[dirEnd:], crc32.Checksum(raw[dirStart:dirEnd], castagnoli))
+	if tr, err = tensor.NewTileReader(bytes.NewReader(raw), int64(len(raw))); err != nil {
+		t.Fatalf("re-sealed image does not open: %v", err)
+	}
+
+	want := fmt.Sprintf("tensor: tile %d entry 7 has non-finite value NaN", bad)
+	budget := streamBudget(t, tr)
+	for _, det := range []bool{true, false} {
+		opt := Options{MemBudget: budget, Deterministic: det}
+		_, mst, merr := Mttkrp(context.Background(), tr, mats, 0, opt)
+		_, tst, terr := Ttv(context.Background(), tr, make(tensor.Vector, x.Dims[1]), 1, opt)
+		for kernel, r := range map[string]struct {
+			st  Stats
+			err error
+		}{"Mttkrp": {mst, merr}, "Ttv": {tst, terr}} {
+			if r.err == nil || r.err.Error() != want {
+				t.Fatalf("%s (deterministic=%v): err = %v, want %q", kernel, det, r.err, want)
+			}
+			if r.st.Tiles != int64(bad) || r.st.Evictions != r.st.Tiles || r.st.PeakBytes > budget {
+				t.Fatalf("%s (deterministic=%v): stats %+v, want %d tiles delivered and as many evicted, peak within %d", kernel, det, r.st, bad, budget)
+			}
+		}
 	}
 }
 

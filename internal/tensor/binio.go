@@ -6,11 +6,11 @@ import (
 	"compress/gzip"
 	"encoding/binary"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -37,11 +37,12 @@ import (
 //	payload (payloadLen = 4*(order+1)*nnz bytes): u32 inds[order][nnz] | f32 vals[nnz]
 //	u32 payloadCRC  — CRC32C over payload
 //
-// Both readers are bounded-memory: declared sizes are validated against
+// Every reader is bounded-memory: declared sizes are validated against
 // the remaining input size when it is known (files, byte readers), and
-// the payload is read in fixed-size chunks, so a truncated or malicious
-// nnz/order field fails fast with a descriptive error instead of
-// allocating tens of gigabytes up front.
+// the payload arrives through one fixed-size read-ahead buffer
+// (binReader), so a truncated or malicious nnz/order field fails fast
+// with a descriptive error instead of allocating tens of gigabytes up
+// front.
 const (
 	binMagic    = "PSTB"
 	binVersion1 = 1
@@ -108,13 +109,12 @@ func WriteBinary(w io.Writer, t *COO) error {
 	return bw.Flush()
 }
 
-// scratchPool recycles the fixed chunk buffers the chunked encode and
-// decode paths stage through. A streaming consumer reads thousands of
-// tiles per run; without the pool each read (and each write) allocated
-// up to a megabyte of scratch, which is pure GC churn on buffers with
-// identical lifetimes. Buffers are always full-size; acquireScratch
-// returns a shorter view for small payloads so the chunking behavior
-// is unchanged.
+// scratchPool recycles the fixed chunk buffers the chunked encode path
+// stages through and the readers read ahead into. Without the pool
+// each read (and each write) allocated up to a megabyte of scratch,
+// which is pure GC churn on buffers with identical lifetimes. Buffers
+// are always full-size; acquireScratch returns a shorter view for small
+// payloads so the writers' chunking behavior is unchanged.
 var scratchPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, binChunkBytes)
@@ -181,7 +181,7 @@ func writeF32Chunked(w io.Writer, src []float32, scratch []byte) error {
 	return nil
 }
 
-// ReadBinary parses either PSTB binary version. The remaining input size
+// ReadBinary parses any PSTB binary version. The remaining input size
 // is auto-detected when r exposes it (os.File, bytes.Reader/Buffer, any
 // io.Seeker); use ReadBinarySized to supply it for plain streams.
 func ReadBinary(r io.Reader) (*COO, error) {
@@ -197,272 +197,384 @@ func ReadBinarySized(r io.Reader, size int64) (*COO, error) {
 	return t, err
 }
 
-// binReader wraps a reader with the remaining-size bookkeeping the
-// bounded-memory contract needs: every declared section length is
-// checked against rem before a single byte of it is read or allocated.
+// readLabel names what a read was for: a value, not a string, because
+// a v3 read has one per tile and column and the text is only wanted
+// when the read fails.
+type readLabel struct {
+	ver  byte   // named in the text from v2 on
+	name string // a header section's name; "" for a payload column
+	tile int    // of a column: the v3 tile, or -1 in a flat payload
+	mode int    // of a column: its mode, or -1 for the values
+}
+
+func (l readLabel) String() string {
+	s := "binary "
+	if l.ver > binVersion1 {
+		s += fmt.Sprintf("v%d ", l.ver)
+	}
+	if l.name != "" {
+		return s + l.name
+	}
+	if l.tile >= 0 {
+		s += fmt.Sprintf("tile %d ", l.tile)
+	}
+	if l.mode < 0 {
+		return s + "values"
+	}
+	return s + fmt.Sprintf("mode-%d indices", l.mode)
+}
+
+// binReader is the one way PSTB bytes reach a decoder: a pooled
+// read-ahead buffer plus the bounded-memory contract's bookkeeping.
+// Every declared section length is checked against rem before a byte of
+// it is read or allocated, and no fetch goes past what the image has
+// declared of itself (ahead), so what follows it in a stream stays unread.
 type binReader struct {
-	r   io.Reader
-	rem int64 // remaining input bytes, or -1 when unknown
+	r        io.Reader
+	rem      int64 // input bytes not yet handed out, or -1 when unknown
+	page     *[]byte
+	buf      []byte // buf[pos:end] is fetched and not yet handed out
+	pos, end int
+	ahead    uint64 // declared bytes not yet fetched
+	sum      uint32 // CRC32C of everything handed out since the last checksum
+}
+
+// newBinReader leases the buffer; the caller puts b.page back. No image
+// is shorter than the 12-byte v2/v3 prologue (v1: 18 bytes), so that
+// much is declared from the start.
+func newBinReader(r io.Reader, size int64) *binReader {
+	page := scratchPool.Get().(*[]byte)
+	return &binReader{r: r, rem: size, page: page, buf: *page, ahead: 12}
 }
 
 // need verifies that n more bytes can exist in the input.
-func (b *binReader) need(n uint64, what string) error {
+func (b *binReader) need(n uint64, what readLabel) error {
 	if b.rem >= 0 && (n > math.MaxInt64 || int64(n) > b.rem) {
 		return fmt.Errorf("tensor: truncated or corrupt input: %s declares %d bytes but only %d remain", what, n, b.rem)
 	}
 	return nil
 }
 
-// full reads exactly len(p) bytes, mapping any shortfall to a
-// descriptive truncation error.
-func (b *binReader) full(p []byte, what string) error {
-	if err := b.need(uint64(len(p)), what); err != nil {
+// declare records that a validated header field promises n more bytes
+// of this image, which a later fetch may therefore read ahead into.
+func (b *binReader) declare(n uint64, what readLabel) error {
+	if err := b.need(n, what); err != nil {
 		return err
 	}
-	if _, err := io.ReadFull(b.r, p); err != nil {
-		return fmt.Errorf("tensor: %s: %v", what, err)
-	}
-	if b.rem >= 0 {
-		b.rem -= int64(len(p))
+	if have := uint64(b.end - b.pos); n > have && n-have > b.ahead {
+		b.ahead = n - have
 	}
 	return nil
 }
 
-func readBinary(r io.Reader, size int64) (*COO, int, error) {
-	// No bufio wrapper: every read below is a bulk io.ReadFull, and the
-	// corrupt-input sweeps parse tiny images by the tens of thousands —
-	// a megabyte of buffer per call would be pure churn.
-	b := &binReader{r: r, rem: size}
-	head := make([]byte, 5)
-	if err := b.full(head, "binary magic"); err != nil {
-		return nil, 0, err
+// take hands out the next whole units of the input — at least one, at
+// most n bytes (unit divides n and fits the buffer) — as a view into
+// the buffer that stays valid until the next take. A fetch reads just
+// the missing part of one unit unless more has been declared; a
+// shortfall is a descriptive truncation error.
+func (b *binReader) take(n uint64, unit int, what readLabel) ([]byte, error) {
+	if err := b.need(n, what); err != nil {
+		return nil, err
 	}
-	if string(head[:4]) != binMagic {
-		return nil, 0, fmt.Errorf("tensor: bad magic %q, want %q", head[:4], binMagic)
+	if have := b.end - b.pos; have < unit {
+		copy(b.buf, b.buf[b.pos:b.end])
+		lim := max(unit-have, int(min(b.ahead, uint64(len(b.buf)-have))))
+		got, err := io.ReadAtLeast(b.r, b.buf[have:have+lim], unit-have)
+		b.pos, b.end, b.ahead = 0, have+got, b.ahead-min(b.ahead, uint64(got))
+		if err != nil {
+			if err == io.EOF && have > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, fmt.Errorf("tensor: %s: %v", what, err)
+		}
 	}
-	switch head[4] {
-	case binVersion1:
-		t, err := readBinaryV1(b)
-		return t, binVersion1, err
-	case binVersion2:
-		t, err := readBinaryV2(b)
-		return t, binVersion2, err
-	case binVersion3:
-		t, err := readBinaryV3(b)
-		return t, binVersion3, err
+	k := int(min(n, uint64(b.end-b.pos)))
+	v := b.buf[b.pos : b.pos+k-k%unit]
+	b.pos += len(v)
+	if b.rem >= 0 {
+		b.rem -= int64(len(v))
 	}
-	return nil, 0, fmt.Errorf("tensor: unsupported binary version %d", head[4])
+	b.sum = crc32.Update(b.sum, castagnoli, v)
+	return v, nil
 }
 
-func readBinaryV1(b *binReader) (*COO, error) {
-	var orderB [1]byte
-	if err := b.full(orderB[:], "binary order"); err != nil {
-		return nil, err
+// checksum reads a stored CRC32C and holds it against the one computed
+// over everything handed out since the previous checksum.
+func (b *binReader) checksum(what readLabel, corrupt string) error {
+	sum := b.sum
+	v, err := b.take(4, 4, what)
+	if err != nil {
+		return err
 	}
-	order := int(orderB[0])
-	if order == 0 {
-		return nil, fmt.Errorf("tensor: binary tensor with zero order")
+	b.sum = 0
+	if stored := binary.LittleEndian.Uint32(v); stored != sum {
+		return fmt.Errorf("tensor: %s mismatch (stored %#08x, computed %#08x): corrupt %s", what, stored, sum, corrupt)
 	}
-	dimsRaw := make([]byte, 4*order+8)
-	if err := b.full(dimsRaw, "binary dims"); err != nil {
-		return nil, err
+	return nil
+}
+
+// magic consumes the 5-byte prefix of an image and returns its version.
+func (b *binReader) magic() (byte, error) {
+	head, err := b.take(5, 5, readLabel{name: "magic"})
+	if err != nil {
+		return 0, err
 	}
+	if string(head[:4]) != binMagic {
+		return 0, fmt.Errorf("tensor: bad magic %q, want %q", head[:4], binMagic)
+	}
+	return head[4], nil
+}
+
+func readBinary(r io.Reader, size int64) (*COO, int, error) {
+	b := newBinReader(r, size)
+	defer scratchPool.Put(b.page)
+	ver, err := b.magic()
+	if err != nil {
+		return nil, 0, err
+	}
+	var t *COO
+	switch ver {
+	case binVersion1:
+		t, err = readBinaryV1(b)
+	case binVersion2:
+		t, err = readBinaryV2(b)
+	case binVersion3:
+		t, err = readBinaryV3(b) // tileio.go
+	default:
+		err = fmt.Errorf("tensor: unsupported binary version %d", ver)
+	}
+	return t, int(ver), err
+}
+
+// binMeta is the parsed header of an input: the checksummed prologue +
+// header v2 and v3 share and, for v3, the tile directory.
+type binMeta struct {
+	dims          []Index
+	nnz           uint64
+	payloadLen    uint64
+	targetTileNNZ uint32
+	tiles         []TileInfo
+}
+
+// decodeDims decodes the mode sizes and rejects an empty mode.
+func decodeDims(src []byte, order int) ([]Index, error) {
 	dims := make([]Index, order)
-	for n := range dims {
-		dims[n] = binary.LittleEndian.Uint32(dimsRaw[4*n:])
-		if dims[n] == 0 {
+	decodeU32(dims, src)
+	for n, d := range dims {
+		if d == 0 {
 			return nil, fmt.Errorf("tensor: binary mode %d has zero size", n)
 		}
 	}
-	nnz := binary.LittleEndian.Uint64(dimsRaw[4*order:])
-	if nnz > maxBinNNZ {
-		return nil, fmt.Errorf("tensor: binary nnz %d exceeds sanity limit", nnz)
-	}
-	payloadLen := uint64(order+1) * 4 * nnz
-	if err := b.need(payloadLen, "binary payload"); err != nil {
-		return nil, err
-	}
-	t := &COO{Dims: dims, Inds: make([][]Index, order)}
-	scratch, put := acquireScratch(payloadLen)
-	defer put()
-	prealloc := b.rem >= 0
-	for n := 0; n < order; n++ {
-		ind, err := readU32Chunked(b, nnz, prealloc, nil, scratch, fmt.Sprintf("binary mode-%d indices", n))
-		if err != nil {
-			return nil, err
-		}
-		t.Inds[n] = ind
-	}
-	vals, err := readF32Chunked(b, nnz, prealloc, nil, scratch, "binary values")
-	if err != nil {
-		return nil, err
-	}
-	t.Vals = vals
-	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("tensor: binary content invalid: %v", err)
-	}
-	return t, nil
+	return dims, nil
 }
 
-func readBinaryV2(b *binReader) (*COO, error) {
-	crc := crc32.New(castagnoli)
-	crc.Write([]byte{'P', 'S', 'T', 'B', binVersion2}) // already consumed by dispatch
-	pro := make([]byte, 7)
-	if err := b.full(pro, "binary v2 prologue"); err != nil {
-		return nil, err
+// readHeader consumes the v2/v3 prologue, header and header checksum
+// that follow the magic, and returns v3's tile count (0 for v2). Lengths
+// are cross-checked before they are read, fields believed only after
+// the checksum holds.
+func readHeader(b *binReader, ver byte, m *binMeta) (tileCount uint32, err error) {
+	pro, err := b.take(7, 7, readLabel{ver: ver, name: "prologue"})
+	if err != nil {
+		return 0, err
 	}
-	crc.Write(pro)
 	order := int(pro[0])
 	flags := binary.LittleEndian.Uint16(pro[1:3])
 	headerLen := binary.LittleEndian.Uint32(pro[3:7])
 	if order == 0 {
-		return nil, fmt.Errorf("tensor: binary tensor with zero order")
+		return 0, fmt.Errorf("tensor: binary tensor with zero order")
 	}
 	if flags != 0 {
-		return nil, fmt.Errorf("tensor: binary v2 reserved flags %#x are non-zero", flags)
+		return 0, fmt.Errorf("tensor: binary v%d reserved flags %#x are non-zero", ver, flags)
 	}
-	if want := uint32(16 + 4*order); headerLen != want {
-		return nil, fmt.Errorf("tensor: binary v2 header length %d, want %d for order %d", headerLen, want, order)
+	want := uint32(16 + 4*order + 8*int(ver-binVersion2)) // v3 adds two u32 fields
+	if headerLen != want {
+		return 0, fmt.Errorf("tensor: binary v%d header length %d, want %d for order %d", ver, headerLen, want, order)
 	}
-	hdr := make([]byte, headerLen)
-	if err := b.full(hdr, "binary v2 header"); err != nil {
-		return nil, err
+	what := readLabel{ver: ver, name: "header"}
+	if err := b.declare(uint64(headerLen)+4, what); err != nil {
+		return 0, err
 	}
-	crc.Write(hdr)
-	var got [4]byte
-	if err := b.full(got[:], "binary v2 header checksum"); err != nil {
-		return nil, err
+	hdr, err := b.take(uint64(headerLen), int(headerLen), what)
+	if err != nil {
+		return 0, err
 	}
-	if sum := binary.LittleEndian.Uint32(got[:]); sum != crc.Sum32() {
-		return nil, fmt.Errorf("tensor: binary v2 header checksum mismatch (stored %#08x, computed %#08x): corrupt header", sum, crc.Sum32())
+	m.nnz = binary.LittleEndian.Uint64(hdr[0:8])
+	dims, dimErr := decodeDims(hdr[8:], order)
+	m.payloadLen = binary.LittleEndian.Uint64(hdr[8+4*order:])
+	if ver == binVersion3 {
+		tileCount = binary.LittleEndian.Uint32(hdr[16+4*order:])
+		m.targetTileNNZ = binary.LittleEndian.Uint32(hdr[20+4*order:])
 	}
+	if err := b.checksum(readLabel{ver: ver, name: "header checksum"}, "header"); err != nil {
+		return 0, err
+	}
+	if dimErr != nil {
+		return 0, dimErr
+	}
+	m.dims = dims
+	if m.nnz > maxBinNNZ {
+		return 0, fmt.Errorf("tensor: binary nnz %d exceeds sanity limit", m.nnz)
+	}
+	if want := uint64(order+1) * 4 * m.nnz; m.payloadLen != want {
+		return 0, fmt.Errorf("tensor: binary v%d payload length %d inconsistent with order %d × nnz %d (want %d)", ver, m.payloadLen, order, m.nnz, want)
+	}
+	return tileCount, nil
+}
 
-	nnz := binary.LittleEndian.Uint64(hdr[0:8])
-	dims := make([]Index, order)
-	for n := range dims {
-		dims[n] = binary.LittleEndian.Uint32(hdr[8+4*n:])
-		if dims[n] == 0 {
-			return nil, fmt.Errorf("tensor: binary mode %d has zero size", n)
+// result allocates what a read returns: full-size arrays when the input
+// size has vouched for nnz, else empty ones that grow with the data
+// actually read, so a lying header cannot force a huge allocation.
+func (b *binReader) result(dims []Index, nnz uint64) *COO {
+	if b.rem < 0 {
+		nnz = 0
+	}
+	t := &COO{Dims: dims, Inds: make([][]Index, len(dims)), Vals: make([]Value, 0, nnz)}
+	for n := range t.Inds {
+		t.Inds[n] = make([]Index, 0, nnz)
+	}
+	return t
+}
+
+// section decodes one payload section — every index column, then the
+// values, cnt entries each — onto t's arrays. ok is what the decoder's
+// reductions found: every index inside its dim (and ti's box, for a v3
+// tile), every value finite; only a false ok sends the caller to the
+// entry-by-entry scan that says which.
+func (b *binReader) section(t *COO, cnt uint64, what readLabel, ti *TileInfo) (ok bool, err error) {
+	ok = true
+	for n := 0; n <= len(t.Inds); n++ {
+		if what.mode = n; n == len(t.Inds) {
+			what.mode = -1
+		}
+		for left := cnt; left > 0; {
+			v, err := b.take(4*left, 4, what)
+			if err != nil {
+				return false, err
+			}
+			k := len(v) / 4
+			left -= uint64(k)
+			if n == len(t.Inds) {
+				at := len(t.Vals)
+				t.Vals = slices.Grow(t.Vals, k)[:at+k]
+				ok = decodeF32(t.Vals[at:], v) && ok
+				continue
+			}
+			at := len(t.Inds[n])
+			t.Inds[n] = slices.Grow(t.Inds[n], k)[:at+k]
+			lo, hi := decodeU32(t.Inds[n][at:], v)
+			ok = ok && hi < t.Dims[n] && (ti == nil || lo >= ti.BoxLo[n] && hi <= ti.BoxHi[n])
 		}
 	}
-	payloadLen := binary.LittleEndian.Uint64(hdr[8+4*order:])
-	if nnz > maxBinNNZ {
-		return nil, fmt.Errorf("tensor: binary nnz %d exceeds sanity limit", nnz)
-	}
-	if want := uint64(order+1) * 4 * nnz; payloadLen != want {
-		return nil, fmt.Errorf("tensor: binary v2 payload length %d inconsistent with order %d × nnz %d (want %d)", payloadLen, order, nnz, want)
-	}
-	if err := b.need(payloadLen+4, "binary v2 payload"); err != nil {
-		return nil, err
-	}
+	return ok, nil
+}
 
-	pcrc := crc32.New(castagnoli)
-	t := &COO{Dims: dims, Inds: make([][]Index, order)}
-	scratch, put := acquireScratch(payloadLen)
-	defer put()
-	prealloc := b.rem >= 0
-	for n := 0; n < order; n++ {
-		ind, err := readU32Chunked(b, nnz, prealloc, pcrc, scratch, fmt.Sprintf("binary mode-%d indices", n))
-		if err != nil {
-			return nil, err
-		}
-		t.Inds[n] = ind
+// contentError is the error path of a read whose reductions failed:
+// Validate's entry-by-entry scan names the first offending entry.
+func contentError(t *COO) error {
+	if err := t.Validate(); err != nil {
+		return fmt.Errorf("tensor: binary content invalid: %v", err)
 	}
-	vals, err := readF32Chunked(b, nnz, prealloc, pcrc, scratch, "binary values")
+	return nil
+}
+
+func readBinaryV1(b *binReader) (*COO, error) {
+	ob, err := b.take(1, 1, readLabel{name: "order"})
 	if err != nil {
 		return nil, err
 	}
-	t.Vals = vals
-	if err := b.full(got[:], "binary v2 payload checksum"); err != nil {
+	order := int(ob[0])
+	if order == 0 {
+		return nil, fmt.Errorf("tensor: binary tensor with zero order")
+	}
+	raw, err := b.take(uint64(4*order+8), 4*order+8, readLabel{name: "dims"})
+	if err != nil {
 		return nil, err
 	}
-	if sum := binary.LittleEndian.Uint32(got[:]); sum != pcrc.Sum32() {
-		return nil, fmt.Errorf("tensor: binary v2 payload checksum mismatch (stored %#08x, computed %#08x): corrupt payload", sum, pcrc.Sum32())
+	dims, err := decodeDims(raw, order)
+	if err != nil {
+		return nil, err
 	}
-	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("tensor: binary content invalid: %v", err)
+	nnz := binary.LittleEndian.Uint64(raw[4*order:])
+	if nnz > maxBinNNZ {
+		return nil, fmt.Errorf("tensor: binary nnz %d exceeds sanity limit", nnz)
+	}
+	return readFlat(b, binVersion1, dims, nnz)
+}
+
+func readBinaryV2(b *binReader) (*COO, error) {
+	var m binMeta
+	if _, err := readHeader(b, binVersion2, &m); err != nil {
+		return nil, err
+	}
+	return readFlat(b, binVersion2, m.dims, m.nnz)
+}
+
+// readFlat reads the single payload section of a v1 or v2 image and,
+// for v2, the checksum that follows it.
+func readFlat(b *binReader, ver byte, dims []Index, nnz uint64) (*COO, error) {
+	n := uint64(len(dims)+1) * 4 * nnz
+	if ver == binVersion2 {
+		n += 4
+	}
+	if err := b.declare(n, readLabel{ver: ver, name: "payload"}); err != nil {
+		return nil, err
+	}
+	t := b.result(dims, nnz)
+	ok, err := b.section(t, nnz, readLabel{tile: -1}, nil)
+	if err == nil && ver == binVersion2 {
+		err = b.checksum(readLabel{ver: ver, name: "payload checksum"}, "payload")
+	}
+	if err == nil && !ok {
+		err = contentError(t)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }
 
-// readU32Chunked reads n little-endian u32s in fixed-size chunks. When
-// the input size was pre-validated (prealloc) the result is allocated
-// once; otherwise it grows with the data actually read, so a lying
-// header cannot force a huge up-front allocation.
-func readU32Chunked(b *binReader, n uint64, prealloc bool, crc hash.Hash32, scratch []byte, what string) ([]Index, error) {
-	var out []Index
-	if prealloc {
-		out = make([]Index, 0, n)
+// decodeU32 copies len(dst) little-endian u32s out of src and returns
+// their minimum and maximum (^0 and 0 when there are none): the copy
+// and the range check of a column are one pass.
+func decodeU32(dst []Index, src []byte) (lo, hi Index) {
+	lo = ^Index(0)
+	for src = src[:4*len(dst)]; len(dst) >= 4; src, dst = src[16:], dst[4:] {
+		s := src[:16]
+		a, b := binary.LittleEndian.Uint32(s), binary.LittleEndian.Uint32(s[4:])
+		c, d := binary.LittleEndian.Uint32(s[8:]), binary.LittleEndian.Uint32(s[12:])
+		dst[0], dst[1], dst[2], dst[3] = a, b, c, d
+		lo, hi = min(lo, min(a, b), min(c, d)), max(hi, max(a, b), max(c, d))
 	}
-	out, err := appendU32Chunked(b, out, n, crc, scratch, what)
-	if err != nil {
-		return nil, err
+	for i := range dst {
+		v := binary.LittleEndian.Uint32(src[4*i:])
+		dst[i] = v
+		lo, hi = min(lo, v), max(hi, v)
 	}
-	if out == nil {
-		out = []Index{}
-	}
-	return out, nil
+	return lo, hi
 }
 
-// appendU32Chunked decodes n u32s onto dst (the v3 reader appends every
-// tile into one array; the v1/v2 readers pass a fresh slice).
-func appendU32Chunked(b *binReader, dst []Index, n uint64, crc hash.Hash32, scratch []byte, what string) ([]Index, error) {
-	for done := uint64(0); done < n; {
-		c := n - done
-		if m := uint64(len(scratch) / 4); c > m {
-			c = m
-		}
-		buf := scratch[:c*4]
-		if err := b.full(buf, what); err != nil {
-			return nil, err
-		}
-		if crc != nil {
-			crc.Write(buf)
-		}
-		for i := uint64(0); i < c; i++ {
-			dst = append(dst, binary.LittleEndian.Uint32(buf[i*4:]))
-		}
-		done += c
-	}
-	return dst, nil
-}
+// f32NonFinite is the smallest float32 bit pattern, shifted left by one
+// to drop the sign, whose exponent is all ones: a NaN or an infinity.
+const f32NonFinite = 0xFF000000
 
-func readF32Chunked(b *binReader, n uint64, prealloc bool, crc hash.Hash32, scratch []byte, what string) ([]Value, error) {
-	var out []Value
-	if prealloc {
-		out = make([]Value, 0, n)
+// decodeF32 copies len(dst) little-endian f32s out of src and reports
+// whether all are finite, from the maximum of their sign-less patterns.
+func decodeF32(dst []Value, src []byte) (finite bool) {
+	var top uint32
+	for src = src[:4*len(dst)]; len(dst) >= 4; src, dst = src[16:], dst[4:] {
+		s := src[:16]
+		a, b := binary.LittleEndian.Uint32(s), binary.LittleEndian.Uint32(s[4:])
+		c, d := binary.LittleEndian.Uint32(s[8:]), binary.LittleEndian.Uint32(s[12:])
+		dst[0], dst[1] = math.Float32frombits(a), math.Float32frombits(b)
+		dst[2], dst[3] = math.Float32frombits(c), math.Float32frombits(d)
+		top = max(top, max(a<<1, b<<1), max(c<<1, d<<1))
 	}
-	out, err := appendF32Chunked(b, out, n, crc, scratch, what)
-	if err != nil {
-		return nil, err
+	for i := range dst {
+		v := binary.LittleEndian.Uint32(src[4*i:])
+		dst[i] = math.Float32frombits(v)
+		top = max(top, v<<1)
 	}
-	if out == nil {
-		out = []Value{}
-	}
-	return out, nil
-}
-
-// appendF32Chunked decodes n f32s onto dst, the value-array analog of
-// appendU32Chunked.
-func appendF32Chunked(b *binReader, dst []Value, n uint64, crc hash.Hash32, scratch []byte, what string) ([]Value, error) {
-	for done := uint64(0); done < n; {
-		c := n - done
-		if m := uint64(len(scratch) / 4); c > m {
-			c = m
-		}
-		buf := scratch[:c*4]
-		if err := b.full(buf, what); err != nil {
-			return nil, err
-		}
-		if crc != nil {
-			crc.Write(buf)
-		}
-		for i := uint64(0); i < c; i++ {
-			dst = append(dst, math.Float32frombits(binary.LittleEndian.Uint32(buf[i*4:])))
-		}
-		done += c
-	}
-	return dst, nil
+	return top < f32NonFinite
 }
 
 // inputSize reports how many bytes remain in r, or -1 when that cannot

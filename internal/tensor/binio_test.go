@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"bytes"
+	"encoding/hex"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -230,6 +231,45 @@ func TestOrder1RoundTripBothFormats(t *testing.T) {
 		}
 		if d := AbsDiff(x, y); d != 0 {
 			t.Fatalf("%s: diff %v (order-1 values must round-trip exactly)", name, d)
+		}
+	}
+}
+
+// TestWritersGoldenBytes pins the three on-disk forms byte for byte on
+// one small unsorted tensor (v3 in two tiles), as the writers produced
+// them before the readers were rebuilt: a reader-side change must leave
+// every written byte where it was.
+func TestWritersGoldenBytes(t *testing.T) {
+	x := NewCOO([]Index{3, 4, 5}, 3)
+	x.Append([]Index{2, 3, 4}, -0.25)
+	x.Append([]Index{0, 1, 2}, 1.5)
+	x.Append([]Index{1, 0, 3}, 0.30000001)
+	var v2, v3, tns bytes.Buffer
+	if err := WriteBinary(&v2, x); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteBinaryTiled(&v3, x, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteTNS(&tns, x); err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]struct{ got, want string }{
+		"v2": {hex.EncodeToString(v2.Bytes()), "50535442020300001c000000" + // prologue
+			"0300000000000000" + "030000000400000005000000" + "3000000000000000" + "e7f80be7" + // header, checksum
+			"020000000000000001000000" + "030000000100000000000000" + "040000000200000003000000" + // indices, mode-major
+			"000080be0000c03f9a99993e" + "f754fd5a"}, // values, checksum
+		"v3": {hex.EncodeToString(v3.Bytes()), "505354420303000024000000" +
+			"0300000000000000" + "030000000400000005000000" + "3000000000000000" + "0200000002000000" + "cb199912" +
+			"0000000000000000" + "02000000" + "a000000000000000" + "20000000" + "176b6389" + "000000000000000002000000" + "010000000100000003000000" + // tile 0
+			"0200000000000000" + "01000000" + "c000000000000000" + "10000000" + "cd3ea534" + "020000000300000004000000" + "020000000300000004000000" + // tile 1
+			"266f9192" + // directory checksum
+			"0000000001000000" + "0100000000000000" + "0200000003000000" + "0000c03f9a99993e" + // tile 0: sorted entries 0, 1
+			"02000000" + "03000000" + "04000000" + "000080be"}, // tile 1: entry 2
+		"tns": {tns.String(), "3 4 5 -0.25\n1 2 3 1.5\n2 1 4 0.3\n"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s bytes changed:\n got %s\nwant %s", name, c.got, c.want)
 		}
 	}
 }

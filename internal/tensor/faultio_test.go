@@ -11,7 +11,8 @@ import (
 
 // This file is the corrupt-input fault-injection harness for the PSTB
 // binary formats: it programmatically truncates, bit-flips, and garbles
-// v1 and v2 images and asserts that every corruption yields an error —
+// v1 and v2 images (v3: truncation here, the rest in tileio_test.go) and
+// asserts that every corruption yields an error —
 // never a panic, an OOM-sized allocation, or (for v2) silently wrong
 // data. v1 carries no checksums, so for payload corruption it can only
 // promise "error or visibly different tensor", which is exactly the gap
@@ -32,14 +33,17 @@ func faultTensor(t *testing.T) *COO {
 func faultImages(t *testing.T) map[string][]byte {
 	t.Helper()
 	x := faultTensor(t)
-	var v1, v2 bytes.Buffer
+	var v1, v2, v3 bytes.Buffer
 	if err := writeBinaryV1(&v1, x); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteBinary(&v2, x); err != nil {
 		t.Fatal(err)
 	}
-	return map[string][]byte{"v1": v1.Bytes(), "v2": v2.Bytes()}
+	if err := WriteBinaryTiled(&v3, x, 64); err != nil {
+		t.Fatal(err)
+	}
+	return map[string][]byte{"v1": v1.Bytes(), "v2": v2.Bytes(), "v3": v3.Bytes()}
 }
 
 // identicalCOO reports exact equality of dims, index order, and value
@@ -70,19 +74,33 @@ func identicalCOO(a, b *COO) bool {
 
 // readBoth parses raw through both the sized (bytes.Reader) and
 // unknown-size (opaque) paths and requires them to agree on
-// success/failure; it returns the sized result.
+// success/failure and on content; it returns the sized result.
 func readBoth(t *testing.T, raw []byte) (*COO, error) {
 	t.Helper()
+	return readThrough(t, raw, map[string]func(io.Reader) io.Reader{"chunked": awkwardReaders["chunked"]})
+}
+
+// readEvery is readBoth plus every awkward reader of readahead_test.go,
+// so that each refill boundary of the read-ahead buffer falls everywhere.
+func readEvery(t *testing.T, raw []byte) (*COO, error) {
+	t.Helper()
+	return readThrough(t, raw, awkwardReaders)
+}
+
+func readThrough(t *testing.T, raw []byte, wrappers map[string]func(io.Reader) io.Reader) (*COO, error) {
+	t.Helper()
 	got, err := ReadBinary(bytes.NewReader(raw))
-	gotU, errU := ReadBinary(opaqueReader{bytes.NewReader(raw)})
-	// The sized path validates declared lengths up front; the chunked
-	// path discovers the same truncations at read time. They must agree
-	// on accept/reject — an asymmetry either way is a validation hole.
-	if (err == nil) != (errU == nil) {
-		t.Fatalf("sized/chunked paths disagree: sized err=%v, chunked err=%v", err, errU)
-	}
-	if err == nil && errU == nil && !identicalCOO(got, gotU) {
-		t.Fatal("sized and chunked paths disagree on content")
+	for name, wrap := range wrappers {
+		gotU, errU := ReadBinary(wrap(bytes.NewReader(raw)))
+		// The sized path validates declared lengths up front; the others
+		// discover the same truncations at read time. They must agree
+		// on accept/reject — an asymmetry either way is a validation hole.
+		if (err == nil) != (errU == nil) {
+			t.Fatalf("sized/%s paths disagree: sized err=%v, %s err=%v", name, err, name, errU)
+		}
+		if err == nil && !identicalCOO(got, gotU) {
+			t.Fatalf("sized and %s paths disagree on content", name)
+		}
 	}
 	return got, err
 }
@@ -92,7 +110,7 @@ func readBoth(t *testing.T, raw []byte) (*COO, error) {
 func TestFaultTruncationEveryByte(t *testing.T) {
 	for name, raw := range faultImages(t) {
 		for cut := 0; cut < len(raw); cut++ {
-			if _, err := readBoth(t, raw[:cut]); err == nil {
+			if _, err := readEvery(t, raw[:cut]); err == nil {
 				t.Fatalf("%s: truncation at byte %d/%d accepted", name, cut, len(raw))
 			}
 		}
@@ -121,12 +139,12 @@ func TestFaultTruncationSectionBoundaries(t *testing.T) {
 			if cut >= len(raw) {
 				t.Fatalf("%s: boundary %d outside image of %d bytes", name, cut, len(raw))
 			}
-			if _, err := readBoth(t, raw[:cut]); err == nil {
+			if _, err := readEvery(t, raw[:cut]); err == nil {
 				t.Errorf("%s: truncation at section boundary %d accepted", name, cut)
 			}
 		}
 		// The full image still parses: the harness itself is sound.
-		if _, err := readBoth(t, raw); err != nil {
+		if _, err := readEvery(t, raw); err != nil {
 			t.Fatalf("%s: uncorrupted image rejected: %v", name, err)
 		}
 	}
@@ -141,7 +159,11 @@ func TestFaultBitFlipsV2(t *testing.T) {
 		for bit := 0; bit < 8; bit++ {
 			copy(flipped, raw)
 			flipped[pos] ^= 1 << bit
-			if _, err := readBoth(t, flipped); err == nil {
+			read := readBoth
+			if bit == pos%8 { // the awkward readers see every byte flipped, not every bit
+				read = readEvery
+			}
+			if _, err := read(t, flipped); err == nil {
 				t.Fatalf("v2: bit flip at byte %d bit %d accepted silently", pos, bit)
 			}
 		}
@@ -202,20 +224,20 @@ func TestFaultOversizedHeaderFields(t *testing.T) {
 	huge := make([]byte, len(raw))
 	copy(huge, raw)
 	binary.LittleEndian.PutUint64(huge[6+4*order:], 1<<62)
-	if _, err := readBoth(t, huge); err == nil {
+	if _, err := readEvery(t, huge); err == nil {
 		t.Fatal("v1: nnz=2^62 accepted")
 	}
 	// Below the sanity cap but far beyond the input: the size hint must
 	// reject it, and the chunked path must fail after at most one chunk.
 	binary.LittleEndian.PutUint64(huge[6+4*order:], 1<<30)
-	if _, err := readBoth(t, huge); err == nil {
+	if _, err := readEvery(t, huge); err == nil {
 		t.Fatal("v1: nnz=2^30 with tiny payload accepted")
 	}
 
 	// v2: forge a big-nnz header with a *valid* CRC; the payload-length
 	// cross-check and size validation must still reject it.
 	forged := forgeV2Header(t, 255, 1<<30)
-	if _, err := readBoth(t, forged); err == nil {
+	if _, err := readEvery(t, forged); err == nil {
 		t.Fatal("v2: forged huge header accepted")
 	}
 }
@@ -254,7 +276,7 @@ func TestFaultGarbledStreams(t *testing.T) {
 			copy(raw, binMagic)
 			raw[4] = byte(1 + rng.Intn(2)) // valid version byte
 		}
-		got, err := readBoth(t, raw)
+		got, err := readEvery(t, raw)
 		if err == nil {
 			// Vanishingly unlikely, but if garbage parses it must at
 			// least be structurally valid.

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -46,12 +47,10 @@ func FuzzReadTNS(f *testing.F) {
 	})
 }
 
-// FuzzReadBinary exercises the PSTB reader (all three versions, both
-// the sized and unknown-size paths) against arbitrary bytes: it must
-// never panic or over-allocate, any tensor it accepts must be
-// structurally valid, and accepted tensors must round-trip through the
-// v2 writer.
-func FuzzReadBinary(f *testing.F) {
+// addBinarySeeds gives a fuzz target the PSTB corpus: a small tensor in
+// all three versions, whole, truncated and bit-flipped, and headers
+// that promise more than follows.
+func addBinarySeeds(f *testing.F) {
 	small := NewCOO([]Index{3, 4, 5}, 4)
 	small.Append([]Index{0, 1, 2}, 1.5)
 	small.Append([]Index{2, 3, 4}, -0.25)
@@ -85,6 +84,15 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add([]byte("PSTB\x02\x02\x00\x00\x18\x00\x00\x00"))                 // v2 prologue only
 	f.Add([]byte("PSTB\x03\x02\x00\x00\x20\x00\x00\x00"))                 // v3 prologue only
 	f.Add([]byte("PSTB\x01\x01\x02\x00\x00\x00\xff\xff\xff\xff\xff\xff")) // absurd nnz
+}
+
+// FuzzReadBinary exercises the PSTB reader (all three versions, both
+// the sized and unknown-size paths) against arbitrary bytes: it must
+// never panic or over-allocate, any tensor it accepts must be
+// structurally valid, and accepted tensors must round-trip through the
+// v2 writer.
+func FuzzReadBinary(f *testing.F) {
+	addBinarySeeds(f)
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		x, err := ReadBinary(bytes.NewReader(raw))
 		xu, erru := ReadBinary(opaqueReader{bytes.NewReader(raw)})
@@ -110,6 +118,54 @@ func FuzzReadBinary(f *testing.F) {
 		}
 		if !identicalCOO(x, y) {
 			t.Fatal("v2 round trip changed content")
+		}
+	})
+}
+
+// FuzzTiledAgree holds the two v3 readers to one verdict: on any bytes,
+// either NewTileReader + ReadTile over every tile succeed with exactly
+// the entries ReadBinary returns, or both fail. A streamed kernel
+// therefore never sees content the in-core path would have refused.
+func FuzzTiledAgree(f *testing.F) {
+	addBinarySeeds(f)
+	// A well-formed image whose content is bad: an index outside its
+	// tile's box, a NaN.
+	x := RandomCOO([]Index{6, 7, 8}, 40, rand.New(rand.NewSource(1)))
+	var v3 bytes.Buffer
+	if err := WriteBinaryTiled(&v3, x, 16); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v3.Bytes())
+	f.Add(patchTile(f, v3.Bytes(), 1, 3, 0, 0))
+	f.Add(patchTile(f, v3.Bytes(), 2, 1, 3, 0x7FC00000))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		want, err := ReadBinary(bytes.NewReader(raw))
+		tr, terr := NewTileReader(bytes.NewReader(raw), int64(len(raw)))
+		var got *COO
+		if terr == nil {
+			got = &COO{Dims: tr.Dims, Inds: make([][]Index, tr.Order()), Vals: []Value{}}
+			var tl Tile
+			for i := 0; i < tr.NumTiles(); i++ {
+				if terr = tr.ReadTile(i, &tl); terr != nil {
+					break
+				}
+				for n := range got.Inds {
+					got.Inds[n] = append(got.Inds[n], tl.Inds[n]...)
+				}
+				got.Vals = append(got.Vals, tl.Vals...)
+			}
+		}
+		if len(raw) < 5 || raw[4] != binVersion3 {
+			if terr == nil {
+				t.Fatal("a TileReader opened an image that is not v3")
+			}
+			return
+		}
+		if (err == nil) != (terr == nil) {
+			t.Fatalf("the v3 readers disagree: in-core err=%v, streamed err=%v", err, terr)
+		}
+		if err == nil && !identicalCOO(want, got) {
+			t.Fatal("the v3 readers returned different entries")
 		}
 	})
 }

@@ -140,16 +140,23 @@ func (t *COO) Clone() *COO {
 }
 
 // Validate checks structural invariants: matching array lengths, in-range
-// coordinates, and finite values.
+// coordinates, and finite values. A well-formed tensor is recognised from
+// one reduction per array; the entry scan only names the offending entry.
 func (t *COO) Validate() error {
 	if len(t.Inds) != len(t.Dims) {
 		return fmt.Errorf("tensor: %d index arrays for order-%d tensor", len(t.Inds), len(t.Dims))
 	}
-	m := len(t.Vals)
+	m, ok := len(t.Vals), true
 	for n, ind := range t.Inds {
 		if len(ind) != m {
 			return fmt.Errorf("tensor: mode-%d index array has %d entries, want %d", n, len(ind), m)
 		}
+		ok = ok && maxIndex(ind) < t.Dims[n]
+	}
+	if ok && allFinite(t.Vals) {
+		return nil
+	}
+	for n, ind := range t.Inds {
 		d := t.Dims[n]
 		for x, i := range ind {
 			if i >= d {
@@ -163,6 +170,31 @@ func (t *COO) Validate() error {
 		}
 	}
 	return nil
+}
+
+// maxIndex returns the largest entry of ind, 0 when it is empty.
+func maxIndex(ind []Index) Index {
+	var a, b, c, d Index
+	for ; len(ind) >= 4; ind = ind[4:] {
+		a, b, c, d = max(a, ind[0]), max(b, ind[1]), max(c, ind[2]), max(d, ind[3])
+	}
+	for _, i := range ind {
+		a = max(a, i)
+	}
+	return max(a, b, c, d)
+}
+
+// allFinite reports whether no value is a NaN or an infinity: v·0 is ±0
+// for a finite v and NaN for any other, so the products sum to zero.
+func allFinite(vals []Value) bool {
+	var a, b, c, d Value
+	for ; len(vals) >= 4; vals = vals[4:] {
+		a, b, c, d = a+vals[0]*0, b+vals[1]*0, c+vals[2]*0, d+vals[3]*0
+	}
+	for _, v := range vals {
+		a += v * 0
+	}
+	return a+b+c+d == 0
 }
 
 // ErrShapeMismatch is returned by operations whose operands must share

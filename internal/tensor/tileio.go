@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strings"
 )
 
@@ -235,125 +236,62 @@ func writeBinaryTiled(w io.Writer, t *COO, targetTileNNZ uint32, bounds []uint64
 	return bw.Flush()
 }
 
-// tiledMeta is the parsed prologue + header + directory of a v3 input,
-// shared by the streaming TileReader and the in-core v3 reader.
-type tiledMeta struct {
-	dims          []Index
-	nnz           uint64
-	payloadLen    uint64
-	targetTileNNZ uint32
-	tiles         []TileInfo
-	dataStart     uint64
-}
-
 // parseTiledHeader consumes the v3 header and directory from b, which
 // must be positioned just past the 5-byte magic+version prefix. Every
 // declared size is validated against the remaining input before
 // allocation, and both section checksums are verified.
-func parseTiledHeader(b *binReader) (*tiledMeta, error) {
-	crc := crc32.New(castagnoli)
-	crc.Write([]byte{'P', 'S', 'T', 'B', binVersion3}) // consumed by dispatch
-	pro := make([]byte, 7)
-	if err := b.full(pro, "binary v3 prologue"); err != nil {
+func parseTiledHeader(b *binReader) (*binMeta, error) {
+	m := &binMeta{}
+	tileCount, err := readHeader(b, binVersion3, m)
+	if err != nil {
 		return nil, err
-	}
-	crc.Write(pro)
-	order := int(pro[0])
-	flags := binary.LittleEndian.Uint16(pro[1:3])
-	headerLen := binary.LittleEndian.Uint32(pro[3:7])
-	if order == 0 {
-		return nil, fmt.Errorf("tensor: binary tensor with zero order")
-	}
-	if flags != 0 {
-		return nil, fmt.Errorf("tensor: binary v3 reserved flags %#x are non-zero", flags)
-	}
-	if want := uint32(24 + 4*order); headerLen != want {
-		return nil, fmt.Errorf("tensor: binary v3 header length %d, want %d for order %d", headerLen, want, order)
-	}
-	hdr := make([]byte, headerLen)
-	if err := b.full(hdr, "binary v3 header"); err != nil {
-		return nil, err
-	}
-	crc.Write(hdr)
-	var got [4]byte
-	if err := b.full(got[:], "binary v3 header checksum"); err != nil {
-		return nil, err
-	}
-	if sum := binary.LittleEndian.Uint32(got[:]); sum != crc.Sum32() {
-		return nil, fmt.Errorf("tensor: binary v3 header checksum mismatch (stored %#08x, computed %#08x): corrupt header", sum, crc.Sum32())
-	}
-
-	m := &tiledMeta{dims: make([]Index, order)}
-	m.nnz = binary.LittleEndian.Uint64(hdr[0:8])
-	for n := range m.dims {
-		m.dims[n] = binary.LittleEndian.Uint32(hdr[8+4*n:])
-		if m.dims[n] == 0 {
-			return nil, fmt.Errorf("tensor: binary mode %d has zero size", n)
-		}
-	}
-	m.payloadLen = binary.LittleEndian.Uint64(hdr[8+4*order:])
-	tileCount := binary.LittleEndian.Uint32(hdr[16+4*order:])
-	m.targetTileNNZ = binary.LittleEndian.Uint32(hdr[20+4*order:])
-	if m.nnz > maxBinNNZ {
-		return nil, fmt.Errorf("tensor: binary nnz %d exceeds sanity limit", m.nnz)
-	}
-	if want := uint64(order+1) * 4 * m.nnz; m.payloadLen != want {
-		return nil, fmt.Errorf("tensor: binary v3 payload length %d inconsistent with order %d × nnz %d (want %d)", m.payloadLen, order, m.nnz, want)
 	}
 	if tileCount > maxBinTiles {
 		return nil, fmt.Errorf("tensor: binary v3 tile count %d exceeds sanity limit", tileCount)
 	}
-
+	order := len(m.dims)
 	entryLen := tileDirEntryLen(order)
 	dirLen := uint64(tileCount) * uint64(entryLen)
-	if err := b.need(dirLen+4, "binary v3 tile directory"); err != nil {
+	what := readLabel{ver: 3, name: "tile directory"}
+	if err := b.declare(dirLen+4, what); err != nil {
 		return nil, err
 	}
-	// The directory is read in chunks like the payload: when the input
-	// size is unknown a lying tileCount then fails at the first short
-	// read instead of forcing a gigabyte allocation up front.
-	var dir []byte
+	// Entries are collected as they arrive, preallocated only when the
+	// input size vouches for tileCount: on a stream a lying count fails
+	// at the first short read, not after a gigabyte allocation. All
+	// boxes share one backing array.
+	var boxes []Index
 	if b.rem >= 0 {
-		dir = make([]byte, 0, dirLen)
+		m.tiles = make([]TileInfo, 0, tileCount)
+		boxes = make([]Index, 0, 2*order*int(tileCount))
 	}
-	scratch, put := acquireScratch(dirLen)
-	for got := uint64(0); got < dirLen; {
-		c := dirLen - got
-		if m := uint64(len(scratch)); c > m {
-			c = m
-		}
-		if err := b.full(scratch[:c], "binary v3 tile directory"); err != nil {
-			put()
+	for left := dirLen; left > 0; {
+		v, err := b.take(left, entryLen, what)
+		if err != nil {
 			return nil, err
 		}
-		dir = append(dir, scratch[:c]...)
-		got += c
+		left -= uint64(len(v))
+		for ; len(v) > 0; v = v[entryLen:] {
+			m.tiles = append(m.tiles, TileInfo{
+				Start:  binary.LittleEndian.Uint64(v[0:8]),
+				Count:  binary.LittleEndian.Uint32(v[8:12]),
+				Offset: binary.LittleEndian.Uint64(v[12:20]),
+				Bytes:  binary.LittleEndian.Uint32(v[20:24]),
+				CRC:    binary.LittleEndian.Uint32(v[24:28]),
+			})
+			boxes = slices.Grow(boxes, 2*order)[:len(boxes)+2*order]
+			decodeU32(boxes[len(boxes)-2*order:], v[28:])
+		}
 	}
-	put()
-	if err := b.full(got[:], "binary v3 directory checksum"); err != nil {
+	if err := b.checksum(readLabel{ver: 3, name: "directory checksum"}, "tile directory"); err != nil {
 		return nil, err
 	}
-	if sum, want := binary.LittleEndian.Uint32(got[:]), crc32.Checksum(dir, castagnoli); sum != want {
-		return nil, fmt.Errorf("tensor: binary v3 directory checksum mismatch (stored %#08x, computed %#08x): corrupt tile directory", sum, want)
-	}
 
-	m.dataStart = 12 + uint64(headerLen) + 4 + dirLen + 4
-	m.tiles = make([]TileInfo, tileCount)
-	pos, at := m.dataStart, uint64(0)
+	pos, at := 12+uint64(24+4*order)+4+dirLen+4, uint64(0) // where the first tile starts
 	for i := range m.tiles {
-		e := dir[uint64(i)*uint64(entryLen):]
 		ti := &m.tiles[i]
-		ti.Start = binary.LittleEndian.Uint64(e[0:8])
-		ti.Count = binary.LittleEndian.Uint32(e[8:12])
-		ti.Offset = binary.LittleEndian.Uint64(e[12:20])
-		ti.Bytes = binary.LittleEndian.Uint32(e[20:24])
-		ti.CRC = binary.LittleEndian.Uint32(e[24:28])
-		ti.BoxLo = make([]Index, order)
-		ti.BoxHi = make([]Index, order)
-		for n := 0; n < order; n++ {
-			ti.BoxLo[n] = binary.LittleEndian.Uint32(e[28+4*n:])
-			ti.BoxHi[n] = binary.LittleEndian.Uint32(e[28+4*order+4*n:])
-		}
+		box := boxes[2*order*i : 2*order*(i+1) : 2*order*(i+1)]
+		ti.BoxLo, ti.BoxHi = box[:order:order], box[order:]
 		if ti.Start != at {
 			return nil, fmt.Errorf("tensor: binary v3 tile %d starts at non-zero %d, want %d: directory does not partition the payload", i, ti.Start, at)
 		}
@@ -428,16 +366,14 @@ func OpenTiled(path string) (*TileReader, error) {
 // NewTileReader parses the v3 header and directory from r (size is the
 // total input length) and returns a reader positioned to serve tiles.
 func NewTileReader(r io.ReaderAt, size int64) (*TileReader, error) {
-	b := &binReader{r: io.NewSectionReader(r, 0, size), rem: size}
-	head := make([]byte, 5)
-	if err := b.full(head, "binary magic"); err != nil {
+	b := newBinReader(io.NewSectionReader(r, 0, size), size)
+	defer scratchPool.Put(b.page)
+	ver, err := b.magic()
+	if err != nil {
 		return nil, err
 	}
-	if string(head[:4]) != binMagic {
-		return nil, fmt.Errorf("tensor: bad magic %q, want %q", head[:4], binMagic)
-	}
-	if head[4] != binVersion3 {
-		return nil, fmt.Errorf("tensor: binary version %d is not tiled (want v3; rewrite with WriteBinaryTiled)", head[4])
+	if ver != binVersion3 {
+		return nil, fmt.Errorf("tensor: binary version %d is not tiled (want v3; rewrite with WriteBinaryTiled)", ver)
 	}
 	m, err := parseTiledHeader(b)
 	if err != nil {
@@ -495,10 +431,8 @@ func (tr *TileReader) ReadTile(i int, tl *Tile) error {
 	}
 	ti := &tr.Tiles[i]
 	order := tr.Order()
-	if cap(tl.raw) < int(ti.Bytes) {
-		tl.raw = make([]byte, ti.Bytes)
-	}
-	raw := tl.raw[:ti.Bytes]
+	tl.raw = slices.Grow(tl.raw[:0], int(ti.Bytes))[:ti.Bytes]
+	raw := tl.raw
 	if ti.Bytes > 0 {
 		if _, err := tr.r.ReadAt(raw, int64(ti.Offset)); err != nil {
 			return fmt.Errorf("tensor: tile %d read: %v", i, err)
@@ -508,94 +442,78 @@ func (tr *TileReader) ReadTile(i int, tl *Tile) error {
 		return fmt.Errorf("tensor: tile %d checksum mismatch (stored %#08x, computed %#08x): corrupt tile", i, ti.CRC, sum)
 	}
 	cnt := int(ti.Count)
-	if cap(tl.Inds) < order {
-		tl.Inds = make([][]Index, order)
+	tl.Inds = slices.Grow(tl.Inds[:0], order)[:order]
+	ok := true
+	for n := range tl.Inds {
+		tl.Inds[n] = slices.Grow(tl.Inds[n][:0], cnt)[:cnt]
+		lo, hi := decodeU32(tl.Inds[n], raw[4*n*cnt:])
+		ok = ok && hi < tr.Dims[n] && lo >= ti.BoxLo[n] && hi <= ti.BoxHi[n]
 	}
-	tl.Inds = tl.Inds[:order]
-	for n := 0; n < order; n++ {
-		if cap(tl.Inds[n]) < cnt {
-			tl.Inds[n] = make([]Index, cnt)
-		}
-		ind := tl.Inds[n][:cnt]
-		base := n * cnt * 4
-		for x := 0; x < cnt; x++ {
-			ix := binary.LittleEndian.Uint32(raw[base+4*x:])
-			if ix >= tr.Dims[n] {
-				return fmt.Errorf("tensor: tile %d entry %d mode %d index %d outside dim %d: corrupt tile", i, x, n, ix, tr.Dims[n])
+	tl.Vals = slices.Grow(tl.Vals[:0], cnt)[:cnt]
+	if finite := decodeF32(tl.Vals, raw[4*order*cnt:]); !ok || !finite {
+		return explainTile(i, ti, tr.Dims, tl.Inds, tl.Vals, 0)
+	}
+	return nil
+}
+
+// explainTile is the error path of a tile whose reductions failed: the
+// scan of its entries (from position at of the arrays) names the first
+// index outside its dim or directory box, else the first non-finite value.
+func explainTile(i int, ti *TileInfo, dims []Index, inds [][]Index, vals []Value, at int) error {
+	for n, ind := range inds {
+		for x, ix := range ind[at : at+int(ti.Count)] {
+			if ix >= dims[n] {
+				return fmt.Errorf("tensor: tile %d entry %d mode %d index %d outside dim %d: corrupt tile", i, x, n, ix, dims[n])
 			}
 			if ix < ti.BoxLo[n] || ix > ti.BoxHi[n] {
 				return fmt.Errorf("tensor: tile %d entry %d mode %d index %d outside directory box [%d,%d]", i, x, n, ix, ti.BoxLo[n], ti.BoxHi[n])
 			}
-			ind[x] = ix
 		}
-		tl.Inds[n] = ind
 	}
-	if cap(tl.Vals) < cnt {
-		tl.Vals = make([]Value, cnt)
-	}
-	tl.Vals = tl.Vals[:cnt]
-	base := order * cnt * 4
-	for x := 0; x < cnt; x++ {
-		tl.Vals[x] = math.Float32frombits(binary.LittleEndian.Uint32(raw[base+4*x:]))
+	for x, v := range vals[at : at+int(ti.Count)] {
+		if math.Float32bits(v)<<1 >= f32NonFinite {
+			return fmt.Errorf("tensor: tile %d entry %d has non-finite value %v", i, x, v)
+		}
 	}
 	return nil
 }
 
 // readBinaryV3 is the in-core v3 path ReadBinary/ReadFile dispatch to:
-// the whole tiled payload is assembled into one COO, with both section
-// checksums and every per-tile checksum verified. Streaming consumers
-// use TileReader instead.
+// the whole tiled payload is assembled into one COO, every checksum
+// verified, accepting exactly the images a TileReader streams without
+// error. Streaming consumers use TileReader instead.
 func readBinaryV3(b *binReader) (*COO, error) {
 	m, err := parseTiledHeader(b)
 	if err != nil {
 		return nil, err
 	}
-	order := len(m.dims)
-	if err := b.need(m.payloadLen, "binary v3 payload"); err != nil {
+	if err := b.declare(m.payloadLen, readLabel{ver: 3, name: "payload"}); err != nil {
 		return nil, err
 	}
-	t := &COO{Dims: m.dims, Inds: make([][]Index, order)}
-	prealloc := b.rem >= 0
-	if prealloc {
-		for n := range t.Inds {
-			t.Inds[n] = make([]Index, 0, m.nnz)
-		}
-		t.Vals = make([]Value, 0, m.nnz)
-	}
-	scratch, put := acquireScratch(m.payloadLen)
-	defer put()
+	t := b.result(m.dims, m.nnz)
+	ok := true
 	for i := range m.tiles {
 		ti := &m.tiles[i]
-		cnt := uint64(ti.Count)
-		crc := crc32.New(castagnoli)
-		for n := 0; n < order; n++ {
-			ind, err := appendU32Chunked(b, t.Inds[n], cnt, crc, scratch,
-				fmt.Sprintf("binary v3 tile %d mode-%d indices", i, n))
-			if err != nil {
-				return nil, err
-			}
-			t.Inds[n] = ind
-		}
-		vals, err := appendF32Chunked(b, t.Vals, cnt, crc, scratch,
-			fmt.Sprintf("binary v3 tile %d values", i))
+		tileOK, err := b.section(t, uint64(ti.Count), readLabel{ver: 3, tile: i}, ti)
 		if err != nil {
 			return nil, err
 		}
-		t.Vals = vals
-		if sum := crc.Sum32(); sum != ti.CRC {
-			return nil, fmt.Errorf("tensor: tile %d checksum mismatch (stored %#08x, computed %#08x): corrupt tile", i, ti.CRC, sum)
+		if b.sum != ti.CRC {
+			return nil, fmt.Errorf("tensor: tile %d checksum mismatch (stored %#08x, computed %#08x): corrupt tile", i, ti.CRC, b.sum)
 		}
+		b.sum = 0
+		ok = ok && tileOK
 	}
-	for n := range t.Inds {
-		if t.Inds[n] == nil {
-			t.Inds[n] = []Index{}
+	if !ok {
+		if err := contentError(t); err != nil {
+			return nil, err
 		}
-	}
-	if t.Vals == nil {
-		t.Vals = []Value{}
-	}
-	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("tensor: binary content invalid: %v", err)
+		// In range and finite, so an index left its tile's box.
+		for i := range m.tiles {
+			if err := explainTile(i, &m.tiles[i], t.Dims, t.Inds, t.Vals, int(m.tiles[i].Start)); err != nil {
+				return nil, err
+			}
+		}
 	}
 	return t, nil
 }

@@ -2,6 +2,8 @@ package tensor
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -203,7 +205,7 @@ func TestTiledCorruption(t *testing.T) {
 				if err := btr.ReadTile(i, &tl); err == nil {
 					t.Fatalf("tile %d: corrupt payload at %d read without error", i, at)
 				}
-				if _, err := ReadBinary(bytes.NewReader(bad)); err == nil {
+				if _, err := readEvery(t, bad); err == nil {
 					t.Fatalf("tile %d: in-core read accepted corrupt payload at %d", i, at)
 				}
 			}
@@ -221,7 +223,7 @@ func TestTiledCorruption(t *testing.T) {
 			if _, err := NewTileReader(bytes.NewReader(bad), int64(len(bad))); err == nil {
 				t.Fatalf("directory corruption at %d parsed without error", at)
 			}
-			if _, err := ReadBinary(bytes.NewReader(bad)); err == nil {
+			if _, err := readEvery(t, bad); err == nil {
 				t.Fatalf("in-core read accepted directory corruption at %d", at)
 			}
 		}
@@ -233,7 +235,7 @@ func TestTiledCorruption(t *testing.T) {
 			if _, err := NewTileReader(bytes.NewReader(trunc), int64(len(trunc))); err == nil {
 				t.Fatalf("truncation at %d parsed a TileReader without error", cut)
 			}
-			if _, err := ReadBinary(bytes.NewReader(trunc)); err == nil {
+			if _, err := readEvery(t, trunc); err == nil {
 				t.Fatalf("in-core read accepted truncation at %d", cut)
 			}
 		}
@@ -313,65 +315,138 @@ func TestOpenTiledFile(t *testing.T) {
 	}
 }
 
-// TestReadBinaryAllocsConstant is the satellite-1 regression gate: the
-// chunked read path stages through a pooled scratch buffer, so the
-// allocation count of a read must not grow with the number of chunks a
-// payload spans. A multi-chunk read may cost at most a couple more
-// allocations than a single-chunk read (pool warm-up), never one per
-// chunk.
+// TestReadBinaryAllocsConstant pins what a sized read allocates, per
+// version and absolutely: the result (the COO, its Inds header, dims,
+// one array per column) and, for v3, the directory (meta, entries, one
+// array for every box) — 7, 7 and 10 for an order-3 tensor, whatever the
+// payload size, chunk count or tile count. The read-ahead buffer is
+// pooled, header sections are views into it, labels are values.
 func TestReadBinaryAllocsConstant(t *testing.T) {
-	rng := rand.New(rand.NewSource(18))
-	mk := func(nnz int) []byte {
-		x := RandomCOO([]Index{1 << 12, 1 << 12, 1 << 12}, nnz, rng)
-		var buf bytes.Buffer
-		if err := WriteBinary(&buf, x); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+	if raceDetector {
+		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	small := mk(40_000)  // ~0.6 MiB payload: one chunk
-	large := mk(400_000) // ~6 MiB payload: several chunks
-	measure := func(raw []byte) float64 {
-		r := bytes.NewReader(raw)
-		return testing.AllocsPerRun(10, func() {
-			r.Reset(raw)
-			if _, err := ReadBinarySized(r, int64(len(raw))); err != nil {
+	rng := rand.New(rand.NewSource(18))
+	for _, nnz := range []int{40_000, 400_000} { // one buffer-full and several
+		x := RandomCOO([]Index{1 << 12, 1 << 12, 1 << 12}, nnz, rng)
+		for _, c := range []struct {
+			name  string
+			write func(*bytes.Buffer) error
+			want  float64
+		}{
+			{"v1", func(b *bytes.Buffer) error { return writeBinaryV1(b, x) }, 7},
+			{"v2", func(b *bytes.Buffer) error { return WriteBinary(b, x) }, 7},
+			{"v3/8-tiles", func(b *bytes.Buffer) error { return WriteBinaryTiled(b, x, nnz/8+1) }, 10},
+			{"v3/64-tiles", func(b *bytes.Buffer) error { return WriteBinaryTiled(b, x, nnz/64+1) }, 10},
+		} {
+			var buf bytes.Buffer
+			if err := c.write(&buf); err != nil {
 				t.Fatal(err)
 			}
-		})
+			raw := buf.Bytes()
+			r := bytes.NewReader(raw)
+			got := testing.AllocsPerRun(10, func() {
+				r.Reset(raw)
+				if _, err := ReadBinarySized(r, int64(len(raw))); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got != c.want {
+				t.Errorf("%s, %d non-zeros: %.0f allocations per read, want %.0f", c.name, nnz, got, c.want)
+			}
+		}
 	}
-	aSmall, aLarge := measure(small), measure(large)
-	if aLarge > aSmall+4 {
-		t.Fatalf("multi-chunk read costs %.0f allocs vs %.0f single-chunk: scratch is being reallocated per chunk", aLarge, aSmall)
+}
+
+// TestReadTileSteadyStateAllocatesNothing: once a Tile's buffers have
+// grown to the largest tile, streaming every tile through it allocates
+// nothing at all.
+func TestReadTileSteadyStateAllocatesNothing(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	// Streaming tile reads into a reused buffer settle to near-zero
-	// allocations once the buffers have grown.
-	x, _ := ReadBinarySized(bytes.NewReader(large), int64(len(large)))
-	var tbuf bytes.Buffer
-	if err := WriteBinaryTiled(&tbuf, x, 50_000); err != nil {
-		t.Fatal(err)
-	}
-	traw := tbuf.Bytes()
-	tr, err := NewTileReader(bytes.NewReader(traw), int64(len(traw)))
+	rng := rand.New(rand.NewSource(19))
+	x := RandomCOO([]Index{1 << 12, 1 << 12, 1 << 12}, 100_000, rng)
+	raw := tiledImage(t, x, 7_001) // uneven: the last tile is the short one
+	tr, err := NewTileReader(bytes.NewReader(raw), int64(len(raw)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var tl Tile
-	for i := 0; i < tr.NumTiles(); i++ { // warm the buffers
-		if err := tr.ReadTile(i, &tl); err != nil {
-			t.Fatal(err)
-		}
-	}
-	perTile := testing.AllocsPerRun(10, func() {
+	pass := func() {
 		for i := 0; i < tr.NumTiles(); i++ {
 			if err := tr.ReadTile(i, &tl); err != nil {
 				t.Fatal(err)
 			}
 		}
-	})
-	if perTile > 1 {
-		t.Fatalf("warmed tile reads cost %.1f allocs per pass, want ~0", perTile)
 	}
+	pass() // warm the buffers
+	if got := testing.AllocsPerRun(10, pass); got != 0 {
+		t.Fatalf("a warmed pass over %d tiles allocates %.1f times, want 0", tr.NumTiles(), got)
+	}
+}
+
+// patchTile overwrites one u32 of a v3 image — column col (order for the
+// value column) of entry x of tile i — and re-seals the tile and the
+// directory checksums, so the image is valid in form and only its
+// content is wrong.
+func patchTile(t testing.TB, raw []byte, i, x, col int, bits uint32) []byte {
+	t.Helper()
+	tr, err := NewTileReader(bytes.NewReader(raw), int64(len(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := append([]byte(nil), raw...)
+	order, ti := tr.Order(), tr.Tiles[i]
+	binary.LittleEndian.PutUint32(out[int(ti.Offset)+4*(col*int(ti.Count)+x):], bits)
+	dirStart := 12 + 24 + 4*order + 4
+	dirEnd := dirStart + tr.NumTiles()*tileDirEntryLen(order)
+	payload := out[ti.Offset : ti.Offset+uint64(ti.Bytes)]
+	binary.LittleEndian.PutUint32(out[dirStart+i*tileDirEntryLen(order)+24:], crc32.Checksum(payload, castagnoli))
+	binary.LittleEndian.PutUint32(out[dirEnd:], crc32.Checksum(out[dirStart:dirEnd], castagnoli))
+	return out
+}
+
+// TestReadTileRejectsNonFinite is the regression test for the streamed
+// and in-core readers disagreeing: a NaN or an infinity inside a tile
+// whose checksum is valid was rejected by ReadBinary and handed to the
+// streaming kernels by ReadTile.
+func TestReadTileRejectsNonFinite(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	x := RandomCOO([]Index{30, 30, 30}, 400, rng)
+	raw := tiledImage(t, x, 64)
+	for _, c := range []struct {
+		bits uint32
+		text string
+	}{
+		{0x7FC00000, "NaN"}, {0x7F800000, "+Inf"}, {0xFF800000, "-Inf"},
+	} {
+		bad := patchTile(t, raw, 3, 17, x.Order(), c.bits)
+		tr, err := NewTileReader(bytes.NewReader(bad), int64(len(bad)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tl Tile
+		for i := 0; i < tr.NumTiles(); i++ {
+			err := tr.ReadTile(i, &tl)
+			want := ""
+			if i == 3 {
+				want = "tensor: tile 3 entry 17 has non-finite value " + c.text
+			}
+			if got := errText(err); got != want {
+				t.Errorf("%s: ReadTile(%d) = %q, want %q", c.text, i, got, want)
+			}
+		}
+		if _, err := ReadBinary(bytes.NewReader(bad)); err == nil {
+			t.Errorf("%s: in-core read accepted it", c.text)
+		}
+	}
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }
 
 // TestTiledFileUnreadable pins the error path when the file vanishes.

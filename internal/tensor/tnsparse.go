@@ -178,15 +178,18 @@ func parseTNSShard(data []byte, order int, sh *tnsShard) {
 			ln, data = data, nil
 		}
 		sh.lines++
-		ln = trimTNSSpace(ln)
-		if len(ln) == 0 || ln[0] == '#' {
-			continue
-		}
-		v, err := parseTNSDataLine(ln, order, coords)
-		if err != nil {
-			sh.err = err
-			sh.errLine = sh.lines
-			return
+		v, ok := scanTNSLine(ln, coords)
+		if !ok {
+			// Blank, comment or malformed: the field-by-field parser
+			// decides which, and words the error.
+			ln = trimTNSSpace(ln)
+			if len(ln) == 0 || ln[0] == '#' {
+				continue
+			}
+			if v, sh.err = parseTNSDataLine(ln, order, coords); sh.err != nil {
+				sh.errLine = sh.lines
+				return
+			}
 		}
 		for n := 0; n < order; n++ {
 			i := coords[n]
@@ -197,6 +200,38 @@ func parseTNSShard(data []byte, order int, sh *tnsShard) {
 		}
 		sh.vals = append(sh.vals, v)
 	}
+}
+
+// scanTNSLine parses a regular data line — len(coords) runs of digits
+// and one value token between TNS spaces — in one pass, accumulating
+// each coordinate while it looks for the token's end. Anything else (a
+// blank or comment line, a sign, a zero or overflowing coordinate, a
+// wrong field count, a bad value) is !ok and left to parseTNSDataLine.
+func scanTNSLine(ln []byte, coords []Index) (Value, bool) {
+	i := 0
+	for n := range coords {
+		for i < len(ln) && isTNSSpace(ln[i]) {
+			i++
+		}
+		var u uint64 // stays 0 when there is no digit, which a coordinate may not be either
+		for ; i < len(ln) && ln[i]-'0' <= 9; i++ {
+			if u = u*10 + uint64(ln[i]-'0'); u > math.MaxUint32 {
+				return 0, false
+			}
+		}
+		if u == 0 || i == len(ln) || !isTNSSpace(ln[i]) {
+			return 0, false
+		}
+		coords[n] = Index(u - 1)
+	}
+	tok := trimTNSSpace(ln[i:])
+	for _, c := range tok {
+		if isTNSSpace(c) {
+			return 0, false // more than one field is left
+		}
+	}
+	v, err := strconv.ParseFloat(bstr(tok), 32)
+	return Value(v), err == nil
 }
 
 // parseTNSDataLine parses "c1 c2 ... cN value" into coords (0-based) and

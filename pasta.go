@@ -143,7 +143,8 @@ var (
 	WriteTNS = tensor.WriteTNS
 	// WriteTNSFile writes a .tns file.
 	WriteTNSFile = tensor.WriteTNSFile
-	// ReadBinary parses the PSTB binary format (v1 or v2).
+	// ReadBinary parses the PSTB binary format (v1, v2, or the tiled v3,
+	// which it assembles in core).
 	ReadBinary = tensor.ReadBinary
 	// WriteBinary emits the checksummed PSTB v2 binary format.
 	WriteBinary = tensor.WriteBinary
