@@ -50,6 +50,9 @@ type MttkrpPlan struct {
 	u     [][]tensor.Value // per level, its factor's data; bound by every execution
 	ones  []tensor.Value   // the factor row of a root that holds leaves directly
 	tasks []task           // the units of MttkrpRootBalanced; nil: roots
+	// empty is 1 if a fiber holds no leaf (a dense level's absent coordinate),
+	// -1 if none does — chains' test needs that — and 0 before the first begin.
+	empty int8
 }
 
 // PrepareMttkrp checks the tree and R and allocates the output.
@@ -89,7 +92,7 @@ func (p *MttkrpPlan) FlopCount() int64 {
 
 // begin checks the factor matrices — one per mode, Dims[n] × R, the
 // output mode's entry ignored — binds their data to the tree's levels
-// and clears the output.
+// and clears the output. The first one also looks for an empty fiber.
 func (p *MttkrpPlan) begin(mats []*tensor.Matrix) error {
 	t := &p.t
 	if len(mats) != len(t.Dims) {
@@ -101,6 +104,14 @@ func (p *MttkrpPlan) begin(mats []*tensor.Matrix) error {
 			return fmt.Errorf("%w: factor %d is %v, want %dx%d", ErrMttkrp, n, u, t.Dims[n], p.R)
 		}
 		p.u[l] = mats[n].Data
+	}
+	if p.empty == 0 {
+		p.empty = -1
+		for f, fptr := 1, t.Ptr[p.leaf-1]; f < len(fptr) && p.empty < 0; f++ {
+			if fptr[f] == fptr[f-1] {
+				p.empty = 1
+			}
+		}
 	}
 	p.Out.Zero()
 	return nil
@@ -169,6 +180,9 @@ func (p *MttkrpPlan) run(lo, hi int, scratch []tensor.Value, concurrent bool) {
 
 // walk adds Σ_node U(node,:) ⊙ (Σ_child …) over a level's nodes [lo, hi) to
 // dst, in node order; scratch holds an r-vector per level down to the fibers.
+// Fibers [f0, f1) holding one leaf each — on a tree without empty fibers,
+// fptr[f1] − fptr[f0] == f1 − f0 — go to chains, tested per node right above
+// the fibers and per range handed to the fiber level (whose dst is +0).
 func (p *MttkrpPlan) walk(level int, lo, hi int64, dst, scratch []tensor.Value) {
 	t := &p.t
 	switch level {
@@ -178,15 +192,70 @@ func (p *MttkrpPlan) walk(level int, lo, hi int64, dst, scratch []tensor.Value) 
 		span, id := [2]int64{lo, hi}, [1]tensor.Index{}
 		p.fibers(span[:], id[:], p.ones, dst)
 	case p.leaf - 1:
-		p.fibers(t.Ptr[level][lo:hi+1], t.Ids[level][lo:hi], p.u[level], dst)
+		if fptr := t.Ptr[level]; p.empty < 0 && fptr[hi]-fptr[lo] == hi-lo {
+			p.chains(lo, hi, p.ones, dst)
+		} else {
+			p.fibers(fptr[lo:hi+1], t.Ids[level][lo:hi], p.u[level], dst)
+		}
 	default:
 		r := p.R
-		buf, ptr, u := scratch[:r], t.Ptr[level], p.u[level]
+		buf, ptr, u, fptr := scratch[:r], t.Ptr[level], p.u[level], t.Ptr[p.leaf-1]
+		fused := level == p.leaf-2 && p.empty < 0
 		for node := lo; node < hi; node++ {
+			f0, f1, urow := ptr[node], ptr[node+1], u[int(t.Ids[level][node])*r:][:r]
+			if fused && fptr[f1]-fptr[f0] == f1-f0 {
+				p.chains(f0, f1, urow, dst)
+				continue
+			}
 			clear(buf)
-			p.walk(level+1, ptr[node], ptr[node+1], buf, scratch[r:])
-			mulAdd(dst, u[int(t.Ids[level][node])*r:][:r], buf)
+			p.walk(level+1, f0, f1, buf, scratch[r:])
+			mulAdd(dst, urow, buf)
 		}
+	}
+}
+
+// chains adds urow ⊙ Σ_f fu(fid[f],:) ⊙ val·U(leaf,:) over fibers [lo, hi)
+// of one leaf each (DESIGN.md §23, "Single-leaf fibers"): node, fibers and
+// leaves in one loop, eight columns of the node's sum in registers. Products
+// and additions are those of fibers and mulAdd, in their order; the leaf sum
+// 0 + val·a is val·a up to a zero's sign, which a sum started at +0 absorbs.
+// At the fiber level urow is the row of ones and dst is +0.
+func (p *MttkrpPlan) chains(lo, hi int64, urow, dst []tensor.Value) {
+	r, t := p.R, &p.t
+	fid, fu, x := t.Ids[p.leaf-1][lo:hi], p.u[p.leaf-1], t.Ptr[p.leaf-1][lo]
+	kid, ku, vals := t.Ids[p.leaf][x:][:len(fid)], p.u[p.leaf], t.Vals[x:][:len(fid)]
+	urow, dst = urow[:r], dst[:r]
+	c := 0
+	for ; c+8 <= r; c += 8 {
+		var s0, s1, s2, s3, s4, s5, s6, s7 tensor.Value
+		for f, id := range fid {
+			v := vals[f]
+			a, w := (*[8]tensor.Value)(ku[int(kid[f])*r+c:]), (*[8]tensor.Value)(fu[int(id)*r+c:])
+			s0 += w[0] * (v * a[0])
+			s1 += w[1] * (v * a[1])
+			s2 += w[2] * (v * a[2])
+			s3 += w[3] * (v * a[3])
+			s4 += w[4] * (v * a[4])
+			s5 += w[5] * (v * a[5])
+			s6 += w[6] * (v * a[6])
+			s7 += w[7] * (v * a[7])
+		}
+		u, d := (*[8]tensor.Value)(urow[c:]), (*[8]tensor.Value)(dst[c:])
+		d[0] += u[0] * s0
+		d[1] += u[1] * s1
+		d[2] += u[2] * s2
+		d[3] += u[3] * s3
+		d[4] += u[4] * s4
+		d[5] += u[5] * s5
+		d[6] += u[6] * s6
+		d[7] += u[7] * s7
+	}
+	for ; c < r; c++ {
+		var s tensor.Value
+		for f, id := range fid {
+			s += fu[int(id)*r+c] * (vals[f] * ku[int(kid[f])*r+c])
+		}
+		dst[c] += urow[c] * s
 	}
 }
 

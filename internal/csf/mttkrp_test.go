@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/parallel"
@@ -66,6 +67,77 @@ func oracleTasks(c *CSF, tasks []task, mats []*tensor.Matrix, r int) *tensor.Mat
 		}
 	}
 	return out
+}
+
+// walkPaths counts the entries the plan's walk hands to chains and to
+// fibers, unit by unit as run visits them, by walk's own tests.
+func walkPaths(p *MttkrpPlan) (chains, fibers int) {
+	t := &p.t
+	fptr := t.Ptr[p.leaf-1]
+	single := func(f0, f1 int64) bool { return p.empty < 0 && fptr[f1]-fptr[f0] == f1-f0 }
+	var visit func(level int, lo, hi int64)
+	visit = func(level int, lo, hi int64) {
+		switch {
+		case level == p.leaf:
+			fibers++
+		case level == p.leaf-1 && single(lo, hi):
+			chains++
+		case level == p.leaf-1:
+			fibers++
+		default:
+			for node := lo; node < hi; node++ {
+				if f0, f1 := t.Ptr[level][node], t.Ptr[level][node+1]; level == p.leaf-2 && single(f0, f1) {
+					chains++
+				} else {
+					visit(level+1, f0, f1)
+				}
+			}
+		}
+	}
+	for i := 0; i < p.units; i++ {
+		if p.tasks != nil {
+			visit(1, p.tasks[i].lo, p.tasks[i].hi)
+		} else {
+			visit(1, t.Ptr[0][i], t.Ptr[0][i+1])
+		}
+	}
+	return chains, fibers
+}
+
+// TestMixedChainsTakeBothPaths: on the mixed-chain trees at their natural
+// mode order, walk sends some entries to chains and some to fibers — at
+// order 3 per root, at order 4 and 5 per node above the fibers — also when
+// balanced tasks split every root into single children.
+func TestMixedChainsTakeBothPaths(t *testing.T) {
+	seen := 0
+	for _, tc := range tensortest.MttkrpCases(t) {
+		if !strings.HasPrefix(tc.Name, "mixed-chains-") {
+			continue
+		}
+		seen++
+		c, err := FromCOO(tc.X, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := PrepareMttkrp(c.Tree(), 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.ExecuteSeq(tensortest.SignedFactors(tc.X, 8, 1)); err != nil || p.empty >= 0 {
+			t.Fatalf("%s: execution returned %v and left empty = %d; a CSF tree has no empty fiber", tc.Name, err, p.empty)
+		}
+		if chains, fibers := walkPaths(p); chains == 0 || fibers == 0 {
+			t.Errorf("%s: %d entries to chains, %d to fibers; want both", tc.Name, chains, fibers)
+		}
+		p.tasks = c.buildTasks(1)
+		p.units = len(p.tasks)
+		if chains, fibers := walkPaths(p); chains == 0 || fibers == 0 {
+			t.Errorf("%s, budget 1: %d entries to chains, %d to fibers; want both", tc.Name, chains, fibers)
+		}
+	}
+	if seen != 3 {
+		t.Fatalf("found %d mixed-chain cases, want orders 3, 4 and 5", seen)
+	}
 }
 
 var identityRanks = []int{1, 3, 7, 8, 13, 16, 17, 32}

@@ -14,23 +14,36 @@ import (
 // CSF and bCSF (csf's tree plan, DESIGN.md §23) beside the COO row body
 // on the three benchmark recipes at the benchmark's sizes: one iteration
 // is one Mttkrp per mode, reported per non-zero per mode. Run it with
-// -cpu 1; every row must read 0 B/op.
+// -cpu 1; every row must read 0 B/op. long4d is the guard no benchmark
+// workload provides: an order-4 tree with ≈ 9 non-zeros per fiber, where
+// a shape that helps regular4d's chains of one-leaf fibers can cost.
 func BenchmarkTreeMttkrp(b *testing.B) {
 	ctx := context.Background()
+	recipe := func(name string, nnz int) *tensor.COO {
+		e, err := dataset.ByID(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		x, err := dataset.Materialize(e, nnz, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return x
+	}
+	tree := []roofline.Format{roofline.COO, roofline.CSF, roofline.BCSF}
 	for _, w := range []struct {
-		name string
-		nnz  int
-	}{{"irrS", 300000}, {"regS4d", 100000}, {"nell2", 40000}} {
-		e, err := dataset.ByID(w.name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		x, err := dataset.Materialize(e, w.nnz, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
+		name    string
+		x       *tensor.COO
+		formats []roofline.Format
+	}{
+		{"irrS", recipe("irrS", 300000), tree},
+		{"regS4d", recipe("regS4d", 100000), tree},
+		{"nell2", recipe("nell2", 40000), tree},
+		{"long4d", tensor.RandomCOO([]tensor.Index{32, 32, 32, 32}, 300000, rand.New(rand.NewSource(5))), tree[:2]},
+	} {
+		x := w.x
 		wb := NewWorkbench(x, DefaultConfig())
-		for _, f := range []roofline.Format{roofline.COO, roofline.CSF, roofline.BCSF} {
+		for _, f := range w.formats {
 			v, err := Lookup(roofline.Mttkrp, f, OMP)
 			if err != nil {
 				b.Fatal(err)

@@ -49,7 +49,7 @@ func Mttkrp(ctx context.Context, tr *tensor.TileReader, mats []*tensor.Matrix, m
 
 	sched := opt.Sched
 	sched.Ctx = ctx
-	st, err := stream(ctx, tr, "Mttkrp/COO@ooc", opt, func(_ int, tl *tensor.Tile) error {
+	st, err := newLedger(opt.budget()).stream(ctx, tr, "Mttkrp/COO@ooc", func(_ int, tl *tensor.Tile) error {
 		cnt := tl.NNZ()
 		if cnt == 0 {
 			return nil

@@ -148,12 +148,6 @@ func (l *ledger) release(n int64) {
 	l.cond.Broadcast()
 }
 
-func (l *ledger) peakBytes() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.peak
-}
-
 // tileMsg is one prefetched tile handed from the reader goroutine to
 // the compute loop.
 type tileMsg struct {
@@ -172,14 +166,12 @@ func tileCost(ti *tensor.TileInfo) int64 { return 2 * int64(ti.Bytes) }
 // goroutine leases budget, fetches and decodes tiles ahead of the
 // compute loop, and the compute loop consumes them in order, releasing
 // each lease (an eviction) when the tile's compute completes. label
-// names the consuming kernel in obs spans.
-func stream(ctx context.Context, tr *tensor.TileReader, label string, opt Options,
+// names the consuming kernel in obs spans. However it ends, it returns
+// only once the reader goroutine has exited and every lease is released.
+func (led *ledger) stream(ctx context.Context, tr *tensor.TileReader, label string,
 	compute func(idx int, tl *tensor.Tile) error) (st Stats, err error) {
-	st = Stats{Budget: opt.budget()}
-	led := newLedger(st.Budget)
-
+	st = Stats{Budget: led.budget}
 	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 
 	// Two recycled buffers: one computing, one prefetching. The tiles
 	// channel is unbuffered, so a non-blocking receive succeeding means
@@ -189,7 +181,9 @@ func stream(ctx context.Context, tr *tensor.TileReader, label string, opt Option
 	free <- &tensor.Tile{}
 	tiles := make(chan tileMsg)
 
+	done := make(chan struct{})
 	go func() {
+		defer close(done)
 		for i := range tr.Tiles {
 			var tl *tensor.Tile
 			select {
@@ -212,9 +206,7 @@ func stream(ctx context.Context, tr *tensor.TileReader, label string, opt Option
 			select {
 			case tiles <- msg:
 			case <-sctx.Done():
-				if msg.lease > 0 {
-					led.release(msg.lease)
-				}
+				led.release(msg.lease)
 				return
 			}
 			if msg.err != nil {
@@ -223,8 +215,14 @@ func stream(ctx context.Context, tr *tensor.TileReader, label string, opt Option
 		}
 	}()
 
-	// Whatever ends the loop, the high-water mark is reported.
-	defer func() { st.PeakBytes = led.peakBytes() }()
+	// Whatever ends the loop, the prefetcher is stopped and waited for;
+	// then the ledger is this goroutine's alone and its high-water mark is
+	// reported.
+	defer func() {
+		cancel()
+		<-done
+		st.PeakBytes = led.peak
+	}()
 	for next := 0; next < len(tr.Tiles); next++ {
 		// A tile boundary always observes the context: a prefetched tile
 		// can win the select below against Done, and the deterministic
@@ -247,6 +245,7 @@ func stream(ctx context.Context, tr *tensor.TileReader, label string, opt Option
 			}
 		}
 		if msg.err != nil {
+			led.release(msg.lease)
 			return st, msg.err
 		}
 		st.Tiles++

@@ -67,7 +67,7 @@ func Ttv(ctx context.Context, tr *tensor.TileReader, v tensor.Vector, mode int, 
 
 	sched := opt.Sched
 	sched.Ctx = ctx
-	st, err := stream(ctx, tr, "Ttv/COO@ooc", opt, func(_ int, tl *tensor.Tile) error {
+	st, err := newLedger(opt.budget()).stream(ctx, tr, "Ttv/COO@ooc", func(_ int, tl *tensor.Tile) error {
 		cnt := tl.NNZ()
 		if cnt == 0 {
 			return nil

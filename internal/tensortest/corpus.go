@@ -158,7 +158,9 @@ func ModeOrders(n int) [][]int {
 // memory (shuffled copies aside — a tree does not see the input order),
 // random tensors of orders 2 to 6, and the tree shapes a walk treats
 // specially beyond the corpus's empty tensor and single root: every
-// fiber a singleton, and one long fiber.
+// fiber a singleton, one long fiber, empty fibers beside two-leaf ones
+// (under a dense level), and mixed chains of one-leaf fibers
+// ("mixed-chains-order-n", n = 3, 4, 5).
 func MttkrpCases(tb testing.TB) []Case {
 	tb.Helper()
 	var cases []Case
@@ -188,7 +190,56 @@ func MttkrpCases(tb testing.TB) []Case {
 	for i := 0; i < 900; i++ {
 		line.Append([]tensor.Index{2, 5, tensor.Index(i)}, tensor.Value(rng.NormFloat64()))
 	}
-	return append(cases, Case{"singleton-fibers", diag}, Case{"long-fiber", line})
+	// Under a dense level 1 the three roots' fibers hold {0, 2}, {1, 1} and
+	// {2, 0} leaves: every root as many leaves as fibers, only the middle
+	// one a leaf per fiber.
+	pairs := tensor.NewCOO([]tensor.Index{3, 2, 4}, 6)
+	for _, e := range [][]tensor.Index{{0, 1, 0}, {0, 1, 2}, {1, 0, 1}, {1, 1, 3}, {2, 0, 0}, {2, 0, 3}} {
+		pairs.Append(e, tensor.Value(e[2])-1.5)
+	}
+	cases = append(cases, Case{"singleton-fibers", diag}, Case{"long-fiber", line}, Case{"fiber-pairs", pairs})
+	for order := 3; order <= 5; order++ {
+		cases = append(cases, Case{fmt.Sprintf("mixed-chains-order-%d", order), mixedChains(order)})
+	}
+	return cases
+}
+
+// mixedChains returns an order-n (n >= 3) tensor whose natural-order tree
+// mixes, under one parent, nodes directly above the fibers whose fibers
+// each hold one leaf (a chain) with nodes that hold a two-leaf fiber, alone
+// or beside one-leaf fibers; at order 3 those nodes are the roots. Values
+// include +0 and −0.
+func mixedChains(order int) *tensor.COO {
+	nodes := [][][]tensor.Index{ // node → its fibers → fiber index, leaf indices
+		{{0, 0}, {1, 2}, {3, 1}},
+		{{0, 0, 1}},
+		{{2, 3}, {4, 0, 4}},
+		{{5, 5}},
+	}
+	parents := [][]int{{0, 1, 2, 3}, {0, 3}, {1}, {2, 0}} // the nodes under each parent
+	vals := []tensor.Value{1.5, 0, tensor.Value(math.Copysign(0, -1)), -2.25, 3, -1, 0.5}
+	dims := make([]tensor.Index, order)
+	for n := range dims {
+		dims[n] = 16
+	}
+	x := tensor.NewCOO(dims, 0)
+	idx := make([]tensor.Index, order)
+	for p, under := range parents {
+		for m := 0; m < order-3; m++ {
+			idx[m] = tensor.Index(p >> (order - 4 - m)) // order 5: parents 0, 1 share a root
+		}
+		for k, node := range under {
+			idx[order-3] = tensor.Index(4*p + k)
+			for _, f := range nodes[node] {
+				idx[order-2] = f[0]
+				for _, leaf := range f[1:] {
+					idx[order-1] = leaf
+					x.Append(idx, vals[x.NNZ()%len(vals)])
+				}
+			}
+		}
+	}
+	return x
 }
 
 // SignedFactors returns one Dims[n] × r factor matrix per mode of x with
