@@ -17,9 +17,13 @@ import (
 // numerically singular under every ridge of the ladder.
 var ErrSingularGram = errors.New("algo: gram matrix numerically singular")
 
-// gramBlock is the row count of the transposed block gramInto works on:
-// R columns of 64 float64 stay in L1 for every rank in use.
+// gramBlock is the row count of the block gramInto works on: R columns
+// of 64 float64 stay in L1 for every rank in use.
 const gramBlock = 64
+
+// useAVX2 selects the assembly bodies of mulSquare and gramInto
+// (linalg_amd64.s); the Go loops stay the fallback and the tests' oracle.
+var useAVX2 = hasAVX2()
 
 // cpWorkspace holds every buffer the dense side of a CP sweep needs; it
 // is allocated once per CPALSWith/NNCP call, so a sweep allocates nothing
@@ -27,11 +31,11 @@ const gramBlock = 64
 type cpWorkspace struct {
 	n            int         // rank R
 	grams        [][]float64 // per mode, A_nᵀA_n (R×R)
-	v, inv, elim []float64   // R×R: ⊛ of grams, its inverse, scratch (elimination, then mulSquare's transposed operand)
+	v, inv, elim []float64   // R×R: ⊛ of grams, its inverse, scratch (elimination, then the Go product's transposed operand)
 	occ          [][]int     // per mode, ascending: the rows whose slice holds a non-zero
 	rows         []float64   // max|occ|×R: the product before it is scaled and rounded, k-th occupied row at k·R
 	row, sumsq   []float64   // R: one input row widened; column sums of squares
-	block        []float64   // R×gramBlock: rounded factor rows, transposed
+	block        []float64   // R×gramBlock: rounded factor rows, transposed (row-major for gramAVX2)
 }
 
 // newCPWorkspace takes the initial factors and, per mode, the rows an
@@ -185,33 +189,45 @@ func swapRows(m []float64, n, a, b int) {
 
 // mulSquare sets the k-th row of w.rows to row occ[k] of src times the
 // R×R sq, and w.sumsq to the product's column sums of squares,
-// accumulated in row order (pass 1 of updateFactor). sq is transposed
-// into w.elim and each input row widened once, so dot4 holds four output
-// columns in registers with k innermost: four independent add chains
-// over contiguous operands, every output still summed in ascending k.
+// accumulated in row order (pass 1 of updateFactor). With AVX2 one
+// assembly call computes the first R&^3 columns and the loop below the
+// others. The loop transposes sq into w.elim and widens each input row
+// once, so dot4 holds four output columns in registers with k innermost:
+// four independent add chains over contiguous operands, every output
+// still summed in ascending k.
 func (w *cpWorkspace) mulSquare(src []tensor.Value, sq []float64, occ []int) {
 	n, in, sqT := w.n, w.row, w.elim
+	j0 := 0 // the first column the loop computes
+	if useAVX2 && n >= 4 {
+		for _, i := range occ {
+			_ = src[i*n : (i+1)*n] // the assembly does not check its rows
+		}
+		mulSquareAVX2(w.rows[:len(occ)*n], w.sumsq[:n], src, sq[:n*n], occ, n)
+		if j0 = n &^ 3; j0 == n {
+			return
+		}
+	}
 	for k := 0; k < n; k++ {
-		for j := 0; j < n; j++ {
+		for j := j0; j < n; j++ {
 			sqT[j*n+k] = sq[k*n+j]
 		}
 	}
-	clear(w.sumsq)
+	clear(w.sumsq[j0:])
 	for at, i := range occ {
 		for k, x := range src[i*n : (i+1)*n] {
 			in[k] = float64(x)
 		}
 		out := w.rows[at*n : (at+1)*n]
-		clear(out)
-		j := 0
+		clear(out[j0:])
+		j := j0
 		for ; j+4 <= n; j += 4 {
 			dot4(out[j:j+4], in, sqT[j*n:], n)
 		}
 		for ; j < n; j++ {
 			dot1(out[j:], in, sqT[j*n:])
 		}
-		for r, x := range out {
-			w.sumsq[r] += x * x
+		for r := j0; r < n; r++ {
+			w.sumsq[r] += out[r] * out[r]
 		}
 	}
 }
@@ -222,11 +238,21 @@ func (w *cpWorkspace) mulSquare(src []tensor.Value, sq []float64, occ []int) {
 // 2 of updateFactor). Rows are taken gramBlock at a time and transposed,
 // so the upper triangle accumulates four (p, q..q+3) entries in registers
 // over contiguous columns, each entry still summed in ascending row order.
+// With AVX2, gramRowMajor takes each block instead.
 func (w *cpWorkspace) gramInto(g []float64, a *tensor.Matrix, scale []float64, occ []int) {
 	n := w.n
+	simd := useAVX2 && n >= 4
 	clear(g)
 	for lo := 0; lo < len(occ); lo += gramBlock {
 		cnt := min(gramBlock, len(occ)-lo)
+		if simd {
+			var prod []float64
+			if scale != nil { // sliced to the lengths the assembly reads
+				prod, scale = w.rows[lo*n:(lo+cnt)*n], scale[:n]
+			}
+			w.gramRowMajor(g, a.Data, prod, scale, occ[lo:lo+cnt])
+			continue
+		}
 		for i, row := range occ[lo : lo+cnt] {
 			vals := a.Data[row*n : (row+1)*n]
 			if scale != nil {
@@ -255,6 +281,36 @@ func (w *cpWorkspace) gramInto(g []float64, a *tensor.Matrix, scale []float64, o
 	for p := 0; p < n; p++ {
 		for q := 0; q < p; q++ {
 			g[p*n+q] = g[q*n+p]
+		}
+	}
+}
+
+// gramRowMajor is one block of gramInto on the AVX2 path: the rows occ of
+// a (with scale, first set to prod · diag(scale) rounded) are widened into
+// w.block row-major and their gram added to g. The assembly takes the
+// first R&^3 columns, the loops here the others; every entry is summed in
+// ascending row order, as in gramInto's loops.
+func (w *cpWorkspace) gramRowMajor(g []float64, a []tensor.Value, prod, scale []float64, occ []int) {
+	n, c4 := w.n, w.n&^3
+	blk := w.block[:len(occ)*n]
+	for i, row := range occ {
+		vals := a[row*n : (row+1)*n] // also the assembly's bounds check
+		for r := c4; r < n; r++ {
+			if scale != nil {
+				vals[r] = tensor.Value(prod[i*n+r] * scale[r])
+			}
+			blk[i*n+r] = float64(vals[r])
+		}
+	}
+	roundRowsAVX2(blk, prod, scale, a, occ, n)
+	gramAVX2(g[:n*n], blk, n, len(occ))
+	for q := c4; q < n; q++ {
+		for p := 0; p <= q; p++ {
+			s := g[p*n+q]
+			for i := 0; i < len(blk); i += n {
+				s += blk[i+p] * blk[i+q]
+			}
+			g[p*n+q] = s
 		}
 	}
 }

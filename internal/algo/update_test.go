@@ -8,9 +8,11 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 	"repro/internal/tensortest"
@@ -144,7 +146,7 @@ func sameBits(a, b []float64) bool {
 }
 
 func TestUpdateFactorMatchesOracle(t *testing.T) {
-	for _, rank := range []int{1, 3, 4, 5, 16, 17, 32} {
+	for _, rank := range []int{1, 3, 4, 5, 8, 12, 16, 17, 20, 32} {
 		for _, rows := range []int{0, 1, 63, 64, 65, 1000} {
 			for _, zeroCol := range []int{-1, rank / 2} {
 				mt, v := updateCase(rows, rank, zeroCol, int64(rank*10000+rows))
@@ -175,6 +177,90 @@ func TestUpdateFactorMatchesOracle(t *testing.T) {
 				}
 				if zeroCol >= 0 && rows > 0 && lambda[zeroCol] != 0 {
 					t.Fatalf("%s: zero column has norm %v", name, lambda[zeroCol])
+				}
+			}
+		}
+	}
+}
+
+// withBody runs f on the assembly bodies (asm) or the Go loops.
+func withBody(asm bool, f func()) {
+	defer func(on bool) { useAVX2 = on }(useAVX2)
+	useAVX2 = asm
+	f()
+}
+
+// TestDenseBodiesMatchGo holds the assembly product and gram to the Go
+// loops bit for bit: every rank from 1 to 40 (each residue mod 4 and 16),
+// occupancy lists with gaps of 0 to 200 rows, and operands either plain
+// or salted with ±0, subnormals and values whose products overflow.
+func TestDenseBodiesMatchGo(t *testing.T) {
+	if !hasAVX2() {
+		t.Skip("no AVX2 body on this CPU or port")
+	}
+	rng := rand.New(rand.NewSource(26))
+	negZero := math.Copysign(0, -1)
+	salted := false
+	salt := func(normal float64, special []float64) float64 {
+		if salted && rng.Intn(4) == 0 {
+			return special[rng.Intn(len(special))]
+		}
+		return normal
+	}
+	wide := []float64{0, negZero, 5e-324, -2.5e-320, 1e300, -1e300}
+	narrow := []float64{0, negZero, 1e-45, -3e-39, 3e38, -3e38}
+	for rank := 1; rank <= 40; rank++ {
+		for _, nocc := range []int{0, 1, 63, 64, 65, 200} {
+			for _, salted = range []bool{false, true} {
+				factorRows := 2*nocc + 3
+				occ := rng.Perm(factorRows)[:nocc]
+				slices.Sort(occ)
+				src := make([]tensor.Value, factorRows*rank)
+				for i := range src {
+					src[i] = tensor.Value(salt(rng.NormFloat64(), narrow))
+				}
+				init := tensor.NewMatrix(factorRows, rank)
+				for i := range init.Data {
+					init.Data[i] = tensor.Value(salt(rng.Float64(), narrow))
+				}
+				sq, scale := make([]float64, rank*rank), make([]float64, rank)
+				for i := range sq {
+					sq[i] = salt(rng.NormFloat64(), wide)
+				}
+				for i := range scale {
+					scale[i] = salt(rng.Float64(), wide)
+				}
+				type result struct {
+					rows, sumsq, gram, scaledGram []float64
+					factor                        []tensor.Value
+				}
+				run := func(asm bool) (r result) {
+					withBody(asm, func() {
+						an := &tensor.Matrix{Rows: factorRows, Cols: rank, Data: slices.Clone(init.Data)}
+						w := newCPWorkspace([]*tensor.Matrix{tensor.NewMatrix(factorRows, rank)}, rank, [][]int{occ})
+						w.mulSquare(src, sq, occ)
+						r.rows, r.sumsq = slices.Clone(w.rows[:nocc*rank]), slices.Clone(w.sumsq)
+						r.gram, r.scaledGram = make([]float64, rank*rank), make([]float64, rank*rank)
+						w.gramInto(r.gram, an, nil, occ)
+						w.gramInto(r.scaledGram, an, scale, occ)
+						r.factor = an.Data
+					})
+					return r
+				}
+				got, want := run(true), run(false)
+				name := fmt.Sprintf("R=%d rows=%d salted=%v", rank, nocc, salted)
+				for what, pair := range map[string][2][]float64{
+					"product": {got.rows, want.rows}, "sumsq": {got.sumsq, want.sumsq},
+					"gram": {got.gram, want.gram}, "scaled gram": {got.scaledGram, want.scaledGram},
+				} {
+					if !sameBits(pair[0], pair[1]) {
+						t.Fatalf("%s: %s differs from the Go loop:\n%v\n%v", name, what, pair[0], pair[1])
+					}
+				}
+				for i := range got.factor {
+					if math.Float32bits(got.factor[i]) != math.Float32bits(want.factor[i]) {
+						t.Fatalf("%s: factor[%d] = %v, Go loop %v", name, i, got.factor[i], want.factor[i])
+					}
 				}
 			}
 		}
@@ -541,36 +627,81 @@ func TestCPSweepsRecordEverySweep(t *testing.T) {
 }
 
 // BenchmarkCPALSUpdate times one updateFactor (product, normalisation,
-// gram) on a 10000-row factor, every row occupied and every fourth, and
-// reports it per factor row.
+// gram) on a 10000-row factor, every row occupied and every fourth, on
+// the Go loops and on the assembly bodies, and reports it per factor row.
+// R = 20 adds the assembly's four-column remainder loops to its
+// sixteen-column ones.
 func BenchmarkCPALSUpdate(b *testing.B) {
 	const rows = 10000
-	for _, rank := range []int{16, 32} {
+	for _, rank := range []int{16, 20, 32} {
 		for _, every := range []int{1, 4} {
-			name := fmt.Sprintf("R=%d", rank)
-			if every > 1 {
-				name += fmt.Sprintf("/occupied=%d", rows/every)
-			}
-			b.Run(name, func(b *testing.B) {
-				mt, v := updateCase(rows, rank, -1, 1)
-				var occ []int
-				for i := 0; i < rows; i += every {
-					occ = append(occ, i)
+			for _, body := range []string{"go", "asm"} {
+				asm := body == "asm"
+				name := fmt.Sprintf("R=%d", rank)
+				if every > 1 {
+					name += fmt.Sprintf("/occupied=%d", rows/every)
 				}
-				an := tensor.NewMatrix(rows, rank)
-				w := newCPWorkspace([]*tensor.Matrix{an}, rank, [][]int{occ})
-				copy(w.v, v)
-				if err := invertSPD(w.v, w.elim, w.inv, rank); err != nil {
+				b.Run(name+"/body="+body, func(b *testing.B) {
+					if asm && !hasAVX2() {
+						b.Skip("no AVX2 body on this CPU or port")
+					}
+					mt, v := updateCase(rows, rank, -1, 1)
+					var occ []int
+					for i := 0; i < rows; i += every {
+						occ = append(occ, i)
+					}
+					an := tensor.NewMatrix(rows, rank)
+					w := newCPWorkspace([]*tensor.Matrix{an}, rank, [][]int{occ})
+					copy(w.v, v)
+					if err := invertSPD(w.v, w.elim, w.inv, rank); err != nil {
+						b.Fatal(err)
+					}
+					lambda := make([]float64, rank)
+					withBody(asm, func() {
+						b.ReportAllocs()
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							w.updateFactor(mt, an, lambda, w.grams[0], occ)
+						}
+					})
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkCPALS times whole CP-ALS calls as the benchmark's cpals_x cell
+// makes them — rank 16, three sweeps — on one thread, over the service
+// tensors of its three workloads (the recipes at 1/8 of the main tensor's
+// non-zeros), and reports the dense side: milliseconds per call outside
+// Mttkrp, from CPResult.Sweeps.
+func BenchmarkCPALS(b *testing.B) {
+	for _, c := range []struct {
+		recipe string
+		nnz    int
+	}{{"irrS", 37500}, {"regS4d", 12500}, {"nell2", 5000}} {
+		e, err := dataset.ByID(c.recipe)
+		if err != nil {
+			b.Fatal(err)
+		}
+		x, err := dataset.Materialize(e, c.nnz, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.recipe, func(b *testing.B) {
+			var dense float64
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := CPALS(x, 16, 3, 0, 1, parallel.Options{Schedule: parallel.Static, Threads: 1})
+				if err != nil {
 					b.Fatal(err)
 				}
-				lambda := make([]float64, rank)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					w.updateFactor(mt, an, lambda, w.grams[0], occ)
+				for _, s := range res.Sweeps {
+					dense += s.Seconds - s.MttkrpSeconds
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
-			})
-		}
+			}
+			b.ReportMetric(dense*1e3/float64(b.N), "dense-ms/op")
+		})
 	}
 }

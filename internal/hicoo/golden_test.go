@@ -204,7 +204,7 @@ func TestPackKeyOrdersLikeMortonLess(t *testing.T) {
 			for n := range idx {
 				// Narrow some modes and tie others so every branch of the
 				// comparison is taken.
-				idx[n] = tensor.Index(rng.Uint32()) >> uint(rng.Intn(3)*11) &^ tensor.Index(rng.Intn(2)*0xFFFFFF80)
+				idx[n] = tensor.Index(rng.Uint32()) >> uint(rng.Intn(3)*11) &^ (tensor.Index(rng.Intn(2)) * 0xFFFFFF80)
 			}
 			x.Append(idx, 1)
 		}

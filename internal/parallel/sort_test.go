@@ -120,7 +120,7 @@ func TestSortInt32sThreadCounts(t *testing.T) {
 
 func TestSortInt32sProperty(t *testing.T) {
 	f := func(seed int64, nRaw uint32, ncolsRaw, dupRaw uint8) bool {
-		n := int(nRaw) % (1 << 16)
+		n := int(nRaw % (1 << 16))
 		rng := rand.New(rand.NewSource(seed))
 		cols := make([][]uint32, int(ncolsRaw)%4+1)
 		for c := range cols {

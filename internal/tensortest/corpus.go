@@ -79,7 +79,7 @@ func Corpus(tb testing.TB) []Case {
 		if mode == 1 {
 			return tensor.Index(rng.Intn(2))
 		}
-		return top - 1 - tensor.Index(rng.Intn(3))*tensor.Index(rng.Intn(1<<31))
+		return top - 1 - tensor.Index(rng.Intn(3))*tensor.Index(rng.Int63n(1<<31))
 	})
 	return cases
 }
