@@ -111,9 +111,6 @@ func NewComm(p int) (*Comm, error) {
 	return c, nil
 }
 
-// Size returns the number of ranks.
-func (c *Comm) Size() int { return c.size }
-
 // Stats reports the cumulative communication volume.
 func (c *Comm) Stats() (bytes, messages int64) {
 	return c.bytesSent.Load(), c.messages.Load()

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -196,64 +197,98 @@ func TestNewCommError(t *testing.T) {
 	}
 }
 
-func TestDistributedMttkrpMatchesLocal(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	x := tensor.RandomCOO([]tensor.Index{40, 35, 30}, 3000, rng)
-	r := 8
-	mats := make([]*tensor.Matrix, 3)
+// testMats returns order-many randomized factor matrices of rank r.
+func testMats(x *tensor.COO, r int, rng *rand.Rand) []*tensor.Matrix {
+	mats := make([]*tensor.Matrix, x.Order())
 	for n := range mats {
 		mats[n] = tensor.NewMatrix(int(x.Dims[n]), r)
 		mats[n].Randomize(rng)
 	}
+	return mats
+}
+
+// TestDistributedMttkrpMatchesLocal checks the Engine's Mttkrp against
+// the single-node kernel and pins its traffic exactly: the allreduce
+// moves rows·R values across p ranks (AllReduceVolume), is charged
+// AllReduceTime of that volume, and moves nothing at p = 1.
+func TestDistributedMttkrpMatchesLocal(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	x := tensor.RandomCOO([]tensor.Index{40, 35, 30}, 3000, rng)
+	r := 8
+	mats := testMats(x, r, rng)
 	want, err := core.Mttkrp(x, mats, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []int{1, 2, 5} {
-		c, err := NewComm(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Mttkrp(c, DefaultNetwork, x, mats, 0, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want.Data {
-			g, w := float64(res.Out.Data[i]), float64(want.Data[i])
-			if math.Abs(g-w) > 2e-3*math.Max(1, math.Abs(w)) {
-				t.Fatalf("p=%d element %d: %v vs %v", p, i, g, w)
+		for _, format := range []Format{FormatCOO, FormatHiCOO} {
+			e, err := NewEngine(x, Options{Ranks: p, Format: format})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		// The measured traffic must match the alpha-beta model's assumed
-		// volume exactly: the allreduce moves rows·r values across p ranks.
-		wantBytes, wantMsgs := AllReduceVolume(int(x.Dims[0])*r, p)
-		if res.CommBytes != wantBytes || res.CommMessages != wantMsgs {
-			t.Fatalf("p=%d: measured (%d bytes, %d msgs), model assumes (%d, %d)",
-				p, res.CommBytes, res.CommMessages, wantBytes, wantMsgs)
-		}
-		if gb, gm := c.Stats(); gb != wantBytes || gm != wantMsgs {
-			t.Fatalf("p=%d: Comm.Stats()=(%d,%d), want (%d,%d)", p, gb, gm, wantBytes, wantMsgs)
-		}
-		if p > 1 && res.ModeledCommSec <= 0 {
-			t.Fatal("modeled communication time missing")
-		}
-		if p == 1 && res.CommBytes != 0 {
-			t.Fatal("single rank should not communicate")
+			res, err := e.Mttkrp(context.Background(), 0, mats, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want.Data {
+				g, w := float64(res.Out.Data[i]), float64(want.Data[i])
+				if math.Abs(g-w) > 2e-3*math.Max(1, math.Abs(w)) {
+					t.Fatalf("p=%d %v element %d: %v vs %v", p, format, i, g, w)
+				}
+			}
+			n := int(x.Dims[0]) * r
+			wantBytes, wantMsgs := AllReduceVolume(n, p)
+			if res.CommBytes != wantBytes || res.CommMessages != wantMsgs {
+				t.Fatalf("p=%d %v: measured (%d bytes, %d msgs), model assumes (%d, %d)",
+					p, format, res.CommBytes, res.CommMessages, wantBytes, wantMsgs)
+			}
+			if want := DefaultNetwork.AllReduceTime(ValueBytes*int64(n), p); res.ModeledCommSec != want {
+				t.Fatalf("p=%d %v: modeled %v, want %v", p, format, res.ModeledCommSec, want)
+			}
+			st := e.Stats()
+			if st.CommBytes != wantBytes || st.CommMessages != wantMsgs || st.ModeledCommSec != res.ModeledCommSec {
+				t.Fatalf("p=%d %v: Stats() %+v disagrees with the result %+v", p, format, st, *res)
+			}
+			if p == 1 && (res.CommBytes != 0 || res.CommMessages != 0 || res.ModeledCommSec != 0) {
+				t.Fatalf("single rank should not communicate: %+v", *res)
+			}
+			if p > 1 && res.ModeledCommSec <= 0 {
+				t.Fatal("modeled communication time missing")
+			}
 		}
 	}
 }
 
+// TestDistributedMttkrpErrors pins the argument errors of both kernels:
+// a mode out of range, a nil factor, a vector of the wrong length.
 func TestDistributedMttkrpErrors(t *testing.T) {
 	x := tensor.RandomCOO([]tensor.Index{5, 5, 5}, 20, rand.New(rand.NewSource(2)))
-	c, _ := NewComm(2)
-	if _, err := Mttkrp(c, DefaultNetwork, x, nil, 9, 4); err == nil {
-		t.Fatal("expected mode error")
+	ctx := context.Background()
+	e, err := NewEngine(x, Options{Ranks: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Mttkrp(c, DefaultNetwork, x, []*tensor.Matrix{nil}, 0, 4); err == nil {
+	if _, err := e.Mttkrp(ctx, 9, nil, 4); err == nil {
+		t.Fatal("expected Mttkrp mode error")
+	}
+	if _, err := e.Ttv(ctx, -1, tensor.NewVector(5)); err == nil {
+		t.Fatal("expected Ttv mode error")
+	}
+	if _, err := e.Ttv(ctx, 1, tensor.NewVector(3)); err == nil {
+		t.Fatal("expected vector-length error")
+	}
+	withDeadline(t, "engine Mttkrp with a nil factor", func() {
+		_, err = e.Mttkrp(ctx, 0, []*tensor.Matrix{nil}, 4)
+	})
+	if err == nil {
 		t.Fatal("expected matrices error")
 	}
 }
 
+// TestDistributedTtvMatchesLocal checks the Engine's Ttv against the
+// single-node kernel and pins its gather traffic exactly: one message
+// per non-root, non-empty fiber range (GatherVolume), charged
+// GatherTime of those counts, nothing at p = 1.
 func TestDistributedTtvMatchesLocal(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	x := tensor.RandomCOO([]tensor.Index{30, 40, 25}, 2000, rng)
@@ -263,17 +298,17 @@ func TestDistributedTtvMatchesLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range []int{1, 3, 6} {
-		c, _ := NewComm(p)
-		res, err := Ttv(c, DefaultNetwork, x, v, 1)
+		e, err := NewEngine(x, Options{Ranks: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Ttv(context.Background(), 1, v)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if d := tensor.AbsDiff(res.Out, want); d > 1e-3 {
 			t.Fatalf("p=%d: diff %v", p, d)
 		}
-		// The gather traffic must hit the communicator's counters (the
-		// seed code summed bytes locally: Stats() stayed zero) and match
-		// the model's assumed volume exactly.
 		mf := res.Out.NNZ()
 		segLens := make([]int, p)
 		for rank := 0; rank < p; rank++ {
@@ -284,23 +319,19 @@ func TestDistributedTtvMatchesLocal(t *testing.T) {
 			t.Fatalf("p=%d: measured (%d bytes, %d msgs), model assumes (%d, %d)",
 				p, res.CommBytes, res.CommMessages, wantBytes, wantMsgs)
 		}
-		if gb, gm := c.Stats(); gb != wantBytes || gm != wantMsgs {
-			t.Fatalf("p=%d: Comm.Stats()=(%d,%d), want (%d,%d)", p, gb, gm, wantBytes, wantMsgs)
+		if want := DefaultNetwork.GatherTime(wantBytes, wantMsgs); res.ModeledCommSec != want {
+			t.Fatalf("p=%d: modeled %v, want %v", p, res.ModeledCommSec, want)
 		}
-		if p > 1 {
-			if res.CommBytes <= 0 || res.CommMessages <= 0 {
-				t.Fatal("gather not accounted on the communicator")
-			}
-			if res.ModeledCommSec <= 0 {
-				t.Fatal("modeled gather time missing")
-			}
-			if want := DefaultNetwork.GatherTime(wantBytes, wantMsgs); res.ModeledCommSec != want {
-				t.Fatalf("p=%d: modeled %v, want %v", p, res.ModeledCommSec, want)
-			}
+		st := e.Stats()
+		if st.CommBytes != wantBytes || st.CommMessages != wantMsgs || st.ModeledCommSec != res.ModeledCommSec {
+			t.Fatalf("p=%d: Stats() %+v disagrees with the result %+v", p, st, *res)
 		}
-	}
-	if _, err := Ttv(NewCommMust(2), DefaultNetwork, x, tensor.NewVector(3), 1); err == nil {
-		t.Fatal("expected vector-length error")
+		if p == 1 && (res.CommBytes != 0 || res.CommMessages != 0 || res.ModeledCommSec != 0) {
+			t.Fatalf("single rank should not communicate: %+v", *res)
+		}
+		if p > 1 && (res.CommBytes <= 0 || res.CommMessages <= 0 || res.ModeledCommSec <= 0) {
+			t.Fatalf("p=%d: gather not accounted: %+v", p, *res)
+		}
 	}
 }
 

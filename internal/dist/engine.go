@@ -172,38 +172,92 @@ func (e *Engine) removeWorker(id int) bool {
 	return false
 }
 
+// MttkrpResult carries a distributed Mttkrp's output and its measured
+// communication, plus the alpha-beta modeled time.
+type MttkrpResult struct {
+	// Out is the reduced output matrix (identical on every rank).
+	Out *tensor.Matrix
+	// CommBytes and CommMessages are the measured allreduce traffic.
+	CommBytes    int64
+	CommMessages int64
+	// ModeledCommSec is the alpha-beta time of the allreduce.
+	ModeledCommSec float64
+}
+
+// TtvResult carries a distributed Ttv's gathered output.
+type TtvResult struct {
+	// Out is the complete output tensor (gathered at rank 0's shard
+	// order, which equals the fiber order of the sorted input).
+	Out *tensor.COO
+	// CommBytes and CommMessages are the measured gather traffic —
+	// recorded by the communicator itself, so they match GatherVolume.
+	CommBytes    int64
+	CommMessages int64
+	// ModeledCommSec is the alpha-beta time of the gather.
+	ModeledCommSec float64
+}
+
+// step is one kernel's side of a distributed attempt over p ranks: the
+// part each rank computes and the collective that combines the parts.
+// Everything else — communicator, cancellation, spans, panic
+// containment, fault injection, the abort and the accounting — belongs
+// to the rank loop.
+type step struct {
+	// local computes rank's part.
+	local func(rank int) ([]tensor.Value, error)
+	// combine is rank's side of the collective over its part.
+	combine func(c *Comm, rank int, part []tensor.Value) error
+	// modeled is the alpha-beta time the collective is charged.
+	modeled float64
+}
+
+// traffic is one successful attempt's record: rank 0's part after the
+// collective, and the communication it measured and was charged.
+type traffic struct {
+	root    []tensor.Value
+	bytes   int64
+	msgs    int64
+	modeled float64
+}
+
 // runWithReshard drives one distributed call through the re-shard retry
-// loop: attemptFn errors that carry a *RankError remove the failed
-// worker and retry on the survivors (counted as a resilience retry);
-// any other error is final. The retry budget exhausting — or the last
-// worker dying — reports resilience.ErrExhausted with the root cause
-// attached. A cancelled ctx is final immediately: nobody is waiting for
-// the result, and the unwound collective must not be booked as a rank
-// failure (the workers did nothing wrong).
-func (e *Engine) runWithReshard(ctx context.Context, kernel string, attemptFn func(workers []int, attempt int) error) error {
+// loop: each attempt asks prepare for the kernel's step over the live
+// workers and runs it through rankLoop. Errors that carry a *RankError
+// remove the failed worker and retry on the survivors (counted as a
+// resilience retry); any other error is final. The retry budget
+// exhausting — or the last worker dying — reports
+// resilience.ErrExhausted with the root cause attached. A cancelled ctx
+// is final immediately: nobody is waiting for the result, and the
+// unwound collective must not be booked as a rank failure (the workers
+// did nothing wrong).
+func (e *Engine) runWithReshard(ctx context.Context, kernel string, mode int, prepare func(p int) (step, error)) (traffic, error) {
 	e.runMu.Lock()
 	defer e.runMu.Unlock()
 	for attempt := 0; ; attempt++ {
 		workers := e.liveWorkers()
 		if len(workers) == 0 {
-			return fmt.Errorf("dist: %s: no live workers: %w", kernel, resilience.ErrExhausted)
+			return traffic{}, fmt.Errorf("dist: %s: no live workers: %w", kernel, resilience.ErrExhausted)
 		}
 		if ctx != nil && ctx.Err() != nil {
-			return fmt.Errorf("dist: %s cancelled: %w", kernel, context.Cause(ctx))
+			return traffic{}, fmt.Errorf("dist: %s cancelled: %w", kernel, context.Cause(ctx))
 		}
 		e.mu.Lock()
 		e.stats.Attempts++
 		e.mu.Unlock()
-		err := attemptFn(workers, attempt)
+		s, err := prepare(len(workers))
+		if err != nil {
+			return traffic{}, err
+		}
+		t, err := e.rankLoop(ctx, kernel, mode, workers, attempt, s)
 		if err == nil {
-			return nil
+			return t, nil
 		}
 		if ctx != nil && ctx.Err() != nil {
-			return fmt.Errorf("dist: %s cancelled: %w", kernel, context.Cause(ctx))
+			return traffic{}, fmt.Errorf("dist: %s cancelled: %w", kernel, context.Cause(ctx))
 		}
 		var re *RankError
 		if !errors.As(err, &re) {
-			return err
+			return traffic{}, err
 		}
 		e.mu.Lock()
 		e.stats.RankFailures++
@@ -212,10 +266,10 @@ func (e *Engine) runWithReshard(ctx context.Context, kernel string, attemptFn fu
 		if !e.removeWorker(re.Rank) {
 			// A failure attributed to an unknown worker cannot be
 			// re-sharded around; treat it as final.
-			return re
+			return traffic{}, re
 		}
 		if attempt >= e.opt.MaxReshards || len(e.liveWorkers()) == 0 {
-			return fmt.Errorf("dist: %s gave up after %d re-shard retries (last failure: %w): %w",
+			return traffic{}, fmt.Errorf("dist: %s gave up after %d re-shard retries (last failure: %w): %w",
 				kernel, attempt, re, resilience.ErrExhausted)
 		}
 		e.mu.Lock()
@@ -251,18 +305,82 @@ func (e *Engine) shardsFor(mode, p int) ([]*shard, error) {
 	return ss, nil
 }
 
-// addComm folds one successful attempt's traffic into the stats.
-func (e *Engine) addComm(bytes, msgs int64, modeled float64) {
+// rankLoop runs one attempt of s over the given workers — the one rank
+// loop every distributed kernel shares. Each rank computes its part
+// inside resilience.Run (Options.Inject consulted first), so a crashing
+// or injected-faulty worker becomes a typed abort rather than a process
+// unwind with peers mid-collective: the *RankError names the worker's
+// stable id, and Abort unwinds every peer blocked in the collective.
+// A successful attempt's traffic is folded into the engine's stats.
+func (e *Engine) rankLoop(ctx context.Context, kernel string, mode int, workers []int, attempt int, s step) (traffic, error) {
+	p := len(workers)
+	c, err := NewComm(p)
+	if err != nil {
+		return traffic{}, err
+	}
+	stop := c.WatchContext(ctx)
+	defer stop()
+	site := fmt.Sprintf("%s/m%d", kernel, mode)
+	var root []tensor.Value
+	errs := make([]error, p)
+	c.Run(func(rank int) {
+		worker := workers[rank]
+		sp := obs.Begin("dist.rank", site, obs.PhaseChunk, worker)
+		sp.Attr("attempt", strconv.Itoa(attempt))
+		defer sp.End()
+		var part []tensor.Value
+		label := resilience.Label{Kernel: kernel, Format: e.opt.Format.String(), Backend: "dist"}
+		err := resilience.Run(label, func() error {
+			if e.opt.Inject != nil {
+				if err := e.opt.Inject(attempt, worker); err != nil {
+					return err
+				}
+			}
+			var err error
+			part, err = s.local(rank)
+			return err
+		})
+		if err != nil {
+			re := &RankError{Rank: worker, Err: err}
+			errs[rank] = re
+			c.Abort(worker, re)
+			return
+		}
+		if err := s.combine(c, rank, part); err != nil {
+			errs[rank] = err
+			return
+		}
+		if rank == 0 {
+			root = part
+		}
+	})
+	if err := distError(c, errs); err != nil {
+		return traffic{}, err
+	}
+	t := traffic{root: root, modeled: s.modeled}
+	t.bytes, t.msgs = c.Stats()
 	e.mu.Lock()
-	e.stats.CommBytes += bytes
-	e.stats.CommMessages += msgs
-	e.stats.ModeledCommSec += modeled
+	e.stats.CommBytes += t.bytes
+	e.stats.CommMessages += t.msgs
+	e.stats.ModeledCommSec += t.modeled
 	e.mu.Unlock()
+	return t, nil
 }
 
-// label names the engine's trials in the resilience taxonomy.
-func (e *Engine) label(kernel string) resilience.Label {
-	return resilience.Label{Kernel: kernel, Format: e.opt.Format.String(), Backend: "dist"}
+// distError reduces an attempt's per-rank errors to the root cause: the
+// aborting rank's *RankError when the communicator was aborted (peer
+// ErrAborted unwinds are symptoms, not causes), otherwise the first
+// per-rank error.
+func distError(c *Comm, errs []error) error {
+	if err := c.Err(); err != nil {
+		return err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Mttkrp runs the mode-n MTTKRP across the live workers: mode-wise
@@ -273,73 +391,34 @@ func (e *Engine) Mttkrp(ctx context.Context, mode int, mats []*tensor.Matrix, r 
 	if mode < 0 || mode >= e.x.Order() {
 		return nil, fmt.Errorf("dist: mode %d out of range", mode)
 	}
-	var res *MttkrpResult
-	err := e.runWithReshard(ctx, "Mttkrp", func(workers []int, attempt int) error {
-		var err error
-		res, err = e.mttkrpAttempt(ctx, workers, attempt, mode, mats, r)
-		return err
-	})
+	t, err := e.runWithReshard(ctx, "Mttkrp", mode, e.mttkrpStep(mode, mats, r))
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	out := &tensor.Matrix{Rows: int(e.x.Dims[mode]), Cols: r, Data: t.root}
+	return &MttkrpResult{Out: out, CommBytes: t.bytes, CommMessages: t.msgs, ModeledCommSec: t.modeled}, nil
 }
 
-func (e *Engine) mttkrpAttempt(ctx context.Context, workers []int, attempt, mode int, mats []*tensor.Matrix, r int) (*MttkrpResult, error) {
-	p := len(workers)
-	shards, err := e.shardsFor(mode, p)
-	if err != nil {
-		return nil, err
-	}
-	c, err := NewComm(p)
-	if err != nil {
-		return nil, err
-	}
-	stop := c.WatchContext(ctx)
-	defer stop()
-	partials := make([]*tensor.Matrix, p)
-	errs := make([]error, p)
-	c.Run(func(rank int) {
-		worker := workers[rank]
-		sp := obs.Begin("dist.rank", fmt.Sprintf("Mttkrp/m%d", mode), obs.PhaseChunk, worker)
-		sp.Attr("attempt", strconv.Itoa(attempt))
-		defer sp.End()
-		fail := func(err error) {
-			re := &RankError{Rank: worker, Err: err}
-			errs[rank] = re
-			c.Abort(worker, re)
-		}
-		var out *tensor.Matrix
-		// Panic containment per worker: a crashing shard kernel (or an
-		// injected panic) becomes a typed abort, not a process unwind
-		// with peers mid-collective.
-		err := resilience.Run(e.label("Mttkrp"), func() error {
-			if e.opt.Inject != nil {
-				if err := e.opt.Inject(attempt, worker); err != nil {
-					return err
-				}
-			}
-			var err error
-			out, err = e.localMttkrp(shards[rank], mode, mats, r)
-			return err
-		})
+// mttkrpStep is Mttkrp's side of an attempt over p ranks: each rank's
+// partial over its mode slab, summed by the ring allreduce.
+func (e *Engine) mttkrpStep(mode int, mats []*tensor.Matrix, r int) func(p int) (step, error) {
+	return func(p int) (step, error) {
+		shards, err := e.shardsFor(mode, p)
 		if err != nil {
-			fail(err)
-			return
+			return step{}, err
 		}
-		if err := c.AllReduceSum(rank, out.Data); err != nil {
-			errs[rank] = err
-			return
-		}
-		partials[rank] = out
-	})
-	if err := distError(c, errs); err != nil {
-		return nil, err
+		return step{
+			local: func(rank int) ([]tensor.Value, error) {
+				out, err := e.localMttkrp(shards[rank], mode, mats, r)
+				if err != nil {
+					return nil, err
+				}
+				return out.Data, nil
+			},
+			combine: func(c *Comm, rank int, part []tensor.Value) error { return c.AllReduceSum(rank, part) },
+			modeled: e.opt.Net.AllReduceTime(ValueBytes*int64(e.x.Dims[mode])*int64(r), p),
+		}, nil
 	}
-	bytes, msgs := c.Stats()
-	modeled := e.opt.Net.AllReduceTime(ValueBytes*int64(e.x.Dims[mode])*int64(r), p)
-	e.addComm(bytes, msgs, modeled)
-	return &MttkrpResult{Out: partials[0], CommBytes: bytes, CommMessages: msgs, ModeledCommSec: modeled}, nil
 }
 
 // localMttkrp computes one worker's partial over its shard. Empty
@@ -381,16 +460,35 @@ func (e *Engine) Ttv(ctx context.Context, mode int, v tensor.Vector) (*TtvResult
 	if len(v) != int(e.x.Dims[mode]) {
 		return nil, fmt.Errorf("dist: vector length %d, want %d", len(v), e.x.Dims[mode])
 	}
-	var res *TtvResult
-	err := e.runWithReshard(ctx, "Ttv", func(workers []int, attempt int) error {
+	var plan *core.TtvPlan
+	t, err := e.runWithReshard(ctx, "Ttv", mode, func(p int) (step, error) {
 		var err error
-		res, err = e.ttvAttempt(ctx, workers, attempt, mode, v)
-		return err
+		if plan, err = e.ttvPlanFor(mode); err != nil {
+			return step{}, err
+		}
+		mf := plan.NumFibers()
+		segLens := make([]int, p)
+		for rank := range segLens {
+			segLens[rank] = (rank+1)*mf/p - rank*mf/p
+		}
+		return step{
+			// The rank's segment is its fiber range of the plan's output,
+			// reduced in place by the shared kernel body; the gather only
+			// has to account for moving it to rank 0.
+			local: func(rank int) ([]tensor.Value, error) {
+				return plan.ExecuteFibers(rank*mf/p, (rank+1)*mf/p, v)
+			},
+			combine: func(c *Comm, rank int, seg []tensor.Value) error {
+				_, err := c.Gather(rank, seg)
+				return err
+			},
+			modeled: e.opt.Net.GatherTime(GatherVolume(segLens)),
+		}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	return &TtvResult{Out: plan.Out, CommBytes: t.bytes, CommMessages: t.msgs, ModeledCommSec: t.modeled}, nil
 }
 
 func (e *Engine) ttvPlanFor(mode int) (*core.TtvPlan, error) {
@@ -405,64 +503,6 @@ func (e *Engine) ttvPlanFor(mode int) (*core.TtvPlan, error) {
 	}
 	e.ttvPlans[mode] = plan
 	return plan, nil
-}
-
-func (e *Engine) ttvAttempt(ctx context.Context, workers []int, attempt, mode int, v tensor.Vector) (*TtvResult, error) {
-	plan, err := e.ttvPlanFor(mode)
-	if err != nil {
-		return nil, err
-	}
-	p := len(workers)
-	c, err := NewComm(p)
-	if err != nil {
-		return nil, err
-	}
-	stop := c.WatchContext(ctx)
-	defer stop()
-	mf := plan.NumFibers()
-	segLens := make([]int, p)
-	errs := make([]error, p)
-	c.Run(func(rank int) {
-		worker := workers[rank]
-		sp := obs.Begin("dist.rank", fmt.Sprintf("Ttv/m%d", mode), obs.PhaseChunk, worker)
-		sp.Attr("attempt", strconv.Itoa(attempt))
-		defer sp.End()
-		fail := func(err error) {
-			re := &RankError{Rank: worker, Err: err}
-			errs[rank] = re
-			c.Abort(worker, re)
-		}
-		lo := rank * mf / p
-		hi := (rank + 1) * mf / p
-		segLens[rank] = hi - lo
-		// The rank's segment is its fiber range of the plan's output,
-		// computed in place by the shared kernel body (see Ttv).
-		var seg []tensor.Value
-		err := resilience.Run(e.label("Ttv"), func() error {
-			if e.opt.Inject != nil {
-				if err := e.opt.Inject(attempt, worker); err != nil {
-					return err
-				}
-			}
-			var err error
-			seg, err = plan.ExecuteFibers(lo, hi, v)
-			return err
-		})
-		if err != nil {
-			fail(err)
-			return
-		}
-		if _, err := c.Gather(rank, seg); err != nil {
-			errs[rank] = err
-		}
-	})
-	if err := distError(c, errs); err != nil {
-		return nil, err
-	}
-	bytes, msgs := c.Stats()
-	modeled := e.opt.Net.GatherTime(GatherVolume(segLens))
-	e.addComm(bytes, msgs, modeled)
-	return &TtvResult{Out: plan.Out, CommBytes: bytes, CommMessages: msgs, ModeledCommSec: modeled}, nil
 }
 
 // CPALS runs the CP-ALS sweep with every per-mode MTTKRP executed

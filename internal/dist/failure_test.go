@@ -39,43 +39,47 @@ func withDeadline(t *testing.T, what string, fn func()) {
 }
 
 // TestMttkrpRankFailureReturnsTypedError is the deadlock regression
-// test: one rank fails mid-Mttkrp and the call must return a typed
-// *RankError promptly. On the seed code the failing rank returned
-// before AllReduceSum, every peer blocked forever on a ring receive,
-// and Comm.Run's WaitGroup never drained.
+// test: one worker fails its Mttkrp part through Options.Inject and the
+// rank loop must return promptly with a typed *RankError naming that
+// worker's stable id (not its ring position) and wrapping the cause.
+// Before the abort protocol the failing rank returned before
+// AllReduceSum, every peer blocked forever on a ring receive, and
+// Comm.Run's WaitGroup never drained.
 func TestMttkrpRankFailureReturnsTypedError(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	x := tensor.RandomCOO([]tensor.Index{30, 25, 20}, 2000, rng)
 	r := 8
-	mats := make([]*tensor.Matrix, 3)
-	for n := range mats {
-		mats[n] = tensor.NewMatrix(int(x.Dims[n]), r)
-		mats[n].Randomize(rng)
-	}
+	mats := testMats(x, r, rng)
 	boom := errors.New("injected rank fault")
-	var res *MttkrpResult
-	var err error
-	withDeadline(t, "dist.Mttkrp with a failing rank", func() {
-		c := NewCommMust(4)
-		res, err = mttkrpInject(c, DefaultNetwork, x, mats, 0, r, func(rank int) error {
-			if rank == 2 {
-				return boom
-			}
-			return nil
-		})
-	})
-	if res != nil || err == nil {
-		t.Fatalf("want typed error, got res=%v err=%v", res, err)
+	e, err := NewEngine(x, Options{Ranks: 4, Inject: func(attempt, worker int) error {
+		if worker == 6 {
+			return boom
+		}
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
 	}
+	workers := []int{0, 1, 6, 3} // worker 6 sits at ring rank 2
+	s, err := e.mttkrpStep(0, mats, r)(len(workers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	withDeadline(t, "the rank loop with a failing worker", func() {
+		_, err = e.rankLoop(context.Background(), "Mttkrp", 0, workers, 0, s)
+	})
 	var re *RankError
 	if !errors.As(err, &re) {
 		t.Fatalf("want *RankError, got %T: %v", err, err)
 	}
-	if re.Rank != 2 {
-		t.Fatalf("failure attributed to rank %d, want 2", re.Rank)
+	if re.Rank != 6 {
+		t.Fatalf("failure attributed to worker %d, want 6", re.Rank)
 	}
 	if !errors.Is(err, boom) {
 		t.Fatalf("root cause lost: %v", err)
+	}
+	if st := e.Stats(); st.CommBytes != 0 || st.CommMessages != 0 {
+		t.Fatalf("a failed attempt's traffic was booked: %+v", st)
 	}
 }
 
@@ -138,31 +142,45 @@ func TestAbortIsIdempotent(t *testing.T) {
 	}
 }
 
-// TestMttkrpDegenerateShards pins the m < p case: with more ranks than
-// non-zeros some shards are empty, and those ranks must contribute a
-// zero partial (joining the allreduce) instead of erroring.
+// TestMttkrpDegenerateShards pins the p > nnz case: with more workers
+// than non-zeros some shards and fiber ranges are empty, and those ranks
+// must contribute a zero partial or an empty segment (still joining the
+// collective) instead of erroring.
 func TestMttkrpDegenerateShards(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	x := tensor.RandomCOO([]tensor.Index{12, 10, 8}, 3, rng) // 3 nnz
 	r := 4
-	mats := make([]*tensor.Matrix, 3)
-	for n := range mats {
-		mats[n] = tensor.NewMatrix(int(x.Dims[n]), r)
-		mats[n].Randomize(rng)
-	}
+	mats := testMats(x, r, rng)
+	v := tensor.RandomVector(int(x.Dims[0]), rng)
 	want, err := core.Mttkrp(x, mats, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantTtv, err := core.Ttv(x, v, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, p := range []int{4, 7} { // both > nnz
-		c := NewCommMust(p)
-		res, err := Mttkrp(c, DefaultNetwork, x, mats, 0, r)
-		if err != nil {
-			t.Fatalf("p=%d (> nnz=%d): %v", p, x.NNZ(), err)
-		}
-		for i := range want.Data {
-			if math.Abs(float64(res.Out.Data[i]-want.Data[i])) > 1e-3 {
-				t.Fatalf("p=%d element %d: %v vs %v", p, i, res.Out.Data[i], want.Data[i])
+		for _, format := range []Format{FormatCOO, FormatHiCOO} {
+			e, err := NewEngine(x, Options{Ranks: p, Format: format})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := e.Mttkrp(context.Background(), 0, mats, r)
+			if err != nil {
+				t.Fatalf("p=%d (> nnz=%d) %v: %v", p, x.NNZ(), format, err)
+			}
+			for i := range want.Data {
+				if math.Abs(float64(res.Out.Data[i]-want.Data[i])) > 1e-3 {
+					t.Fatalf("p=%d %v element %d: %v vs %v", p, format, i, res.Out.Data[i], want.Data[i])
+				}
+			}
+			tr, err := e.Ttv(context.Background(), 0, v)
+			if err != nil {
+				t.Fatalf("p=%d (> nnz=%d) %v Ttv: %v", p, x.NNZ(), format, err)
+			}
+			if d := tensor.AbsDiff(tr.Out, wantTtv); d > 1e-3 {
+				t.Fatalf("p=%d %v Ttv: diff %v", p, format, d)
 			}
 		}
 	}

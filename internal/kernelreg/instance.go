@@ -1,6 +1,11 @@
 package kernelreg
 
-import "context"
+import (
+	"context"
+	"time"
+
+	"repro/internal/resilience"
+)
 
 // Instance is one prepared, executable unit of a variant on a workbench
 // mode. Run and Serial are alternative rungs over the same logical
@@ -32,3 +37,26 @@ type Instance struct {
 
 // Output returns the canonical form of the instance's current output.
 func (i *Instance) Output() Canon { return canonOf(i.out()) }
+
+// SerialRung is the ladder name of a trial's fallback rung; it has a
+// circuit breaker of its own beside the registered backends'.
+const SerialRung = "serial"
+
+// Trial is the guarded trial of the instance under label: the native
+// rung on label's backend, then — when fallback is set and the instance
+// has one — the serial rung; one retry after 1 ms, Check validating
+// whichever rung wrote last, timeout bounding the whole trial (0: none).
+func (i *Instance) Trial(label resilience.Label, timeout time.Duration, fallback bool) resilience.Trial {
+	t := resilience.Trial{
+		Label:   label,
+		Timeout: timeout,
+		Retries: 1,
+		Backoff: time.Millisecond,
+		Rungs:   []resilience.Rung{{Backend: label.Backend, Exec: i.Run}},
+		Check:   i.Check,
+	}
+	if fallback && i.Serial != nil {
+		t.Rungs = append(t.Rungs, resilience.Rung{Backend: SerialRung, Exec: i.Serial})
+	}
+	return t
+}

@@ -56,17 +56,7 @@ func (g *guard) stallFor() time.Duration {
 // trial's outcome, and returns the mean seconds of the successful timed
 // trials plus each such trial's individual wall-clock seconds.
 func (g *guard) measure(inst *kernelreg.Instance, label resilience.Label, runs int) (float64, []float64, error) {
-	t := resilience.Trial{
-		Label:   label,
-		Timeout: g.cfg.Timeout,
-		Retries: 1,
-		Backoff: time.Millisecond,
-		Rungs:   []resilience.Rung{{Backend: label.Backend, Exec: inst.Run}},
-		Check:   inst.Check,
-	}
-	if g.cfg.Fallback && inst.Serial != nil {
-		t.Rungs = append(t.Rungs, resilience.Rung{Backend: "serial", Exec: inst.Serial})
-	}
+	t := inst.Trial(label, g.cfg.Timeout, g.cfg.Fallback)
 	var (
 		total   float64
 		trials  []float64

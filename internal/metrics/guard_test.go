@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/platform"
+	"repro/internal/resilience"
 	"repro/internal/roofline"
 )
 
@@ -36,14 +37,18 @@ func TestMeasureHostGuardedClean(t *testing.T) {
 // TestMeasureHostChaosSurvives injects random faults into host
 // measurement: whatever the injector does, MeasureHost must neither
 // crash nor hang, and any completed result must carry outcome counts.
+// An injected stall outlives the trial deadline (2 × Timeout), so the
+// short deadline keeps the test fast and the seeded fault sequence
+// must reach the deadline path at least once.
 func TestMeasureHostChaosSurvives(t *testing.T) {
 	host := platform.Host()
 	x := testTensor(8)
 	cfg := quickConfig()
 	cfg.Runs = 3
-	cfg.Timeout = 5 * time.Second
+	cfg.Timeout = 50 * time.Millisecond
 	cfg.Fallback = true
 	cfg.ChaosSeed = 42
+	timeouts := 0
 	for _, f := range []roofline.Format{roofline.COO, roofline.HiCOO} {
 		r, err := MeasureHost(&host, x, roofline.Mttkrp, f, cfg)
 		if err != nil {
@@ -55,6 +60,10 @@ func TestMeasureHostChaosSurvives(t *testing.T) {
 		if len(r.Outcomes) == 0 || r.Outcome == "" {
 			t.Fatalf("Mttkrp/%v: guarded chaos run reported no outcomes: %+v", f, r)
 		}
+		timeouts += r.Outcomes[resilience.OutcomeTimeout.String()]
+	}
+	if timeouts == 0 {
+		t.Fatal("no trial reached the deadline: the chaos run no longer exercises the timeout path")
 	}
 }
 

@@ -1038,16 +1038,7 @@ func (s *Server) runTrial(ctx context.Context, ie *instEntry, p *plan) (*RunResp
 	ie.mu.Lock()
 	defer ie.mu.Unlock()
 	label := ie.v.Label()
-	t := resilience.Trial{
-		Label:   label,
-		Retries: 1,
-		Backoff: time.Millisecond,
-		Rungs:   []resilience.Rung{{Backend: label.Backend, Exec: ie.inst.Run}},
-		Check:   ie.inst.Check,
-	}
-	if p.opts.fallback && ie.inst.Serial != nil {
-		t.Rungs = append(t.Rungs, resilience.Rung{Backend: serialRung, Exec: ie.inst.Serial})
-	}
+	t := ie.inst.Trial(label, 0, p.opts.fallback)
 	sp := obs.Begin("daemon.trial", label.String(), obs.PhaseTrial, -1)
 	var rep resilience.Report
 	elapsed, err := s.timed(ctx, func(ctx context.Context) error {
@@ -1098,10 +1089,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	return s.gov.AwaitIdle(ctx)
 }
 
-// serialRung is the ladder name of a trial's fallback rung; it has a
-// breaker of its own beside the registered backends'.
-const serialRung = "serial"
-
 // openBreakers lists the ladder rungs whose circuit breaker is open:
 // every backend the registry knows, then the serial fallback.
 func (s *Server) openBreakers() []string {
@@ -1111,8 +1098,8 @@ func (s *Server) openBreakers() []string {
 			out = append(out, b.String())
 		}
 	}
-	if s.runner.BreakerOpen(serialRung) {
-		out = append(out, serialRung)
+	if s.runner.BreakerOpen(kernelreg.SerialRung) {
+		out = append(out, kernelreg.SerialRung)
 	}
 	return out
 }

@@ -238,8 +238,6 @@ var NewDevice = gpusim.NewDevice
 
 // Distributed-memory execution (extension; §7 "distributed systems").
 type (
-	// Comm is a simulated message-passing communicator over P ranks.
-	Comm = dist.Comm
 	// NetworkModel is the alpha-beta communication cost model.
 	NetworkModel = dist.NetworkModel
 	// DistEngine shards a tensor across simulated workers and runs
@@ -254,15 +252,8 @@ type (
 )
 
 var (
-	// NewComm builds a communicator over p ranks.
-	NewComm = dist.NewComm
 	// NewDistEngine builds a fault-tolerant sharded execution engine.
 	NewDistEngine = dist.NewEngine
-	// DistMttkrp runs Mttkrp with sharded non-zeros + ring allreduce.
-	DistMttkrp = dist.Mttkrp
-	// DistTtv runs Ttv with sharded fibers + gather, comm routed through
-	// the communicator and costed by the network model.
-	DistTtv = dist.Ttv
 	// DefaultNetwork approximates a 100 Gb/s interconnect.
 	DefaultNetwork = dist.DefaultNetwork
 )
