@@ -10,6 +10,7 @@ import (
 	"errors"
 	"math"
 
+	"repro/internal/cpu"
 	"repro/internal/tensor"
 )
 
@@ -20,10 +21,6 @@ var ErrSingularGram = errors.New("algo: gram matrix numerically singular")
 // gramBlock is the row count of the block gramInto works on: R columns
 // of 64 float64 stay in L1 for every rank in use.
 const gramBlock = 64
-
-// useAVX2 selects the assembly bodies of mulSquare and gramInto
-// (linalg_amd64.s); the Go loops stay the fallback and the tests' oracle.
-var useAVX2 = hasAVX2()
 
 // cpWorkspace holds every buffer the dense side of a CP sweep needs; it
 // is allocated once per CPALSWith/NNCP call, so a sweep allocates nothing
@@ -198,7 +195,7 @@ func swapRows(m []float64, n, a, b int) {
 func (w *cpWorkspace) mulSquare(src []tensor.Value, sq []float64, occ []int) {
 	n, in, sqT := w.n, w.row, w.elim
 	j0 := 0 // the first column the loop computes
-	if useAVX2 && n >= 4 {
+	if cpu.AVX2 && n >= 4 {
 		for _, i := range occ {
 			_ = src[i*n : (i+1)*n] // the assembly does not check its rows
 		}
@@ -241,7 +238,7 @@ func (w *cpWorkspace) mulSquare(src []tensor.Value, sq []float64, occ []int) {
 // With AVX2, gramRowMajor takes each block instead.
 func (w *cpWorkspace) gramInto(g []float64, a *tensor.Matrix, scale []float64, occ []int) {
 	n := w.n
-	simd := useAVX2 && n >= 4
+	simd := cpu.AVX2 && n >= 4
 	clear(g)
 	for lo := 0; lo < len(occ); lo += gramBlock {
 		cnt := min(gramBlock, len(occ)-lo)

@@ -1,9 +1,5 @@
 package algo
 
-// hasAVX2 reports whether the CPU has AVX2 and the OS saves YMM state
-// (CPUID and XGETBV).
-func hasAVX2() bool
-
 // mulSquareAVX2 is mulSquare's product for the first n&^3 columns; it
 // indexes without bounds checks.
 //

@@ -8,127 +8,6 @@
 // sum (VADDPD), as Go rounds. No FMA: it rounds once. Y14 is scratch.
 #define MULADD(a, b, acc) VMULPD a, b, Y14; VADDPD Y14, acc, acc
 
-// func mulSquareAVX2(rows, sumsq []float64, src []float32, sq []float64, occ []int, n int)
-// For j < n&^3: rows[at·n+j] = Σ_k float64(src[occ[at]·n+k])·sq[k·n+j]
-// from +0 in ascending k; sumsq[j] = Σ_at rows[at·n+j]² from +0 in
-// ascending at. Columns go sixteen at a time (four accumulators), then
-// four, each block over all rows, so its sums of squares stay in registers.
-// SI src, DX sq, R10 n·4, R11 n·8, CX the block's first column ·8, DI its
-// output row, R8/R9 occ cursor/end, R12/R13 src row cursor/end, AX sq cursor.
-TEXT ·mulSquareAVX2(SB), NOSPLIT, $0-128
-	MOVQ src_base+48(FP), SI
-	MOVQ sq_base+72(FP), DX
-	MOVQ n+120(FP), R10
-	SHLQ $2, R10
-	LEAQ (R10)(R10*1), R11
-	XORQ CX, CX
-	PCALIGN $64
-block16:
-	MOVQ R11, BX
-	ANDQ $-32, BX
-	SUBQ $128, BX        // the last start of a whole sixteen-column block
-	CMPQ CX, BX
-	JGT  block4
-	VXORPD Y9, Y9, Y9
-	VXORPD Y10, Y10, Y10
-	VXORPD Y11, Y11, Y11
-	VXORPD Y12, Y12, Y12
-	MOVQ rows_base+0(FP), DI
-	ADDQ CX, DI
-	MOVQ occ_base+96(FP), R8
-	MOVQ occ_len+104(FP), R9
-	LEAQ (R8)(R9*8), R9
-	CMPQ R8, R9
-	JEQ  sums16
-	PCALIGN $64
-row16:
-	MOVQ  (R8), R12
-	IMULQ R10, R12
-	ADDQ  SI, R12
-	LEAQ  (R12)(R10*1), R13
-	LEAQ  (DX)(CX*1), AX
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	PCALIGN $64
-k16:
-	VBROADCASTSS (R12), X0
-	VCVTPS2PD    X0, Y0
-	MULADD((AX), Y0, Y1)
-	MULADD(32(AX), Y0, Y2)
-	MULADD(64(AX), Y0, Y3)
-	MULADD(96(AX), Y0, Y4)
-	ADDQ R11, AX
-	ADDQ $4, R12
-	CMPQ R12, R13
-	JNE  k16
-	VMOVUPD Y1, (DI)
-	VMOVUPD Y2, 32(DI)
-	VMOVUPD Y3, 64(DI)
-	VMOVUPD Y4, 96(DI)
-	MULADD(Y1, Y1, Y9)
-	MULADD(Y2, Y2, Y10)
-	MULADD(Y3, Y3, Y11)
-	MULADD(Y4, Y4, Y12)
-	ADDQ R11, DI
-	ADDQ $8, R8
-	CMPQ R8, R9
-	JNE  row16
-sums16:
-	MOVQ    sumsq_base+24(FP), BX
-	VMOVUPD Y9, (BX)(CX*1)
-	VMOVUPD Y10, 32(BX)(CX*1)
-	VMOVUPD Y11, 64(BX)(CX*1)
-	VMOVUPD Y12, 96(BX)(CX*1)
-	ADDQ    $128, CX
-	JMP     block16
-	PCALIGN $64
-block4:
-	MOVQ R11, BX
-	ANDQ $-32, BX
-	CMPQ CX, BX
-	JGE  done
-	VXORPD Y9, Y9, Y9
-	MOVQ rows_base+0(FP), DI
-	ADDQ CX, DI
-	MOVQ occ_base+96(FP), R8
-	MOVQ occ_len+104(FP), R9
-	LEAQ (R8)(R9*8), R9
-	CMPQ R8, R9
-	JEQ  sums4
-	PCALIGN $64
-row4:
-	MOVQ  (R8), R12
-	IMULQ R10, R12
-	ADDQ  SI, R12
-	LEAQ  (R12)(R10*1), R13
-	LEAQ  (DX)(CX*1), AX
-	VXORPD Y1, Y1, Y1
-	PCALIGN $64
-k4:
-	VBROADCASTSS (R12), X0
-	VCVTPS2PD    X0, Y0
-	MULADD((AX), Y0, Y1)
-	ADDQ R11, AX
-	ADDQ $4, R12
-	CMPQ R12, R13
-	JNE  k4
-	VMOVUPD Y1, (DI)
-	MULADD(Y1, Y1, Y9)
-	ADDQ R11, DI
-	ADDQ $8, R8
-	CMPQ R8, R9
-	JNE  row4
-sums4:
-	MOVQ    sumsq_base+24(FP), BX
-	VMOVUPD Y9, (BX)(CX*1)
-	ADDQ    $32, CX
-	JMP     block4
-done:
-	VZEROUPPER
-	RET
-
 // func roundRowsAVX2(block, prod, scale []float64, factor []float32, occ []int, n int)
 // For r < n&^3 and every row i of occ: with scale, factor[occ[i]·n+r] =
 // float32(prod[i·n+r]·scale[r]); then block[i·n+r] = that value widened.
@@ -271,30 +150,123 @@ done:
 	VZEROUPPER
 	RET
 
-// func hasAVX2() bool
-TEXT ·hasAVX2(SB), NOSPLIT, $0-1
-	XORL AX, AX
-	CPUID                // EAX: the highest standard leaf
-	CMPL AX, $7
-	JLT  no
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x18000000, CX // OSXSAVE (bit 27) and AVX (bit 28)
-	CMPL CX, $0x18000000
-	JNE  no
-	XORL CX, CX
-	XGETBV               // XCR0: the OS saves XMM (bit 1) and YMM (bit 2) state
-	ANDL $6, AX
-	CMPL AX, $6
-	JNE  no
-	MOVL $7, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x20, BX       // AVX2: leaf 7, EBX bit 5
-	JZ   no
-	MOVB $1, ret+0(FP)
-	RET
-no:
-	MOVB $0, ret+0(FP)
+// func mulSquareAVX2(rows, sumsq []float64, src []float32, sq []float64, occ []int, n int)
+// For j < n&^3: rows[at·n+j] = Σ_k float64(src[occ[at]·n+k])·sq[k·n+j]
+// from +0 in ascending k; sumsq[j] = Σ_at rows[at·n+j]² from +0 in
+// ascending at. Columns go sixteen at a time (four accumulators), then
+// four, each block over all rows, so its sums of squares stay in registers.
+// SI src, DX sq, R10 n·4, R11 n·8, CX the block's first column ·8, DI its
+// output row, R8/R9 occ cursor/end, R12/R13 src row cursor/end, AX sq cursor.
+TEXT ·mulSquareAVX2(SB), NOSPLIT, $0-128
+	MOVQ src_base+48(FP), SI
+	MOVQ sq_base+72(FP), DX
+	MOVQ n+120(FP), R10
+	SHLQ $2, R10
+	LEAQ (R10)(R10*1), R11
+	XORQ CX, CX
+	PCALIGN $64
+block16:
+	MOVQ R11, BX
+	ANDQ $-32, BX
+	SUBQ $128, BX        // the last start of a whole sixteen-column block
+	CMPQ CX, BX
+	JGT  block4
+	VXORPD Y9, Y9, Y9
+	VXORPD Y10, Y10, Y10
+	VXORPD Y11, Y11, Y11
+	VXORPD Y12, Y12, Y12
+	MOVQ rows_base+0(FP), DI
+	ADDQ CX, DI
+	MOVQ occ_base+96(FP), R8
+	MOVQ occ_len+104(FP), R9
+	LEAQ (R8)(R9*8), R9
+	CMPQ R8, R9
+	JEQ  sums16
+	PCALIGN $64
+row16:
+	MOVQ  (R8), R12
+	IMULQ R10, R12
+	ADDQ  SI, R12
+	LEAQ  (R12)(R10*1), R13
+	LEAQ  (DX)(CX*1), AX
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	PCALIGN $64
+k16:
+	VBROADCASTSS (R12), X0
+	VCVTPS2PD    X0, Y0
+	MULADD((AX), Y0, Y1)
+	MULADD(32(AX), Y0, Y2)
+	MULADD(64(AX), Y0, Y3)
+	MULADD(96(AX), Y0, Y4)
+	ADDQ R11, AX
+	ADDQ $4, R12
+	CMPQ R12, R13
+	JNE  k16
+	VMOVUPD Y1, (DI)
+	VMOVUPD Y2, 32(DI)
+	VMOVUPD Y3, 64(DI)
+	VMOVUPD Y4, 96(DI)
+	MULADD(Y1, Y1, Y9)
+	MULADD(Y2, Y2, Y10)
+	MULADD(Y3, Y3, Y11)
+	MULADD(Y4, Y4, Y12)
+	ADDQ R11, DI
+	ADDQ $8, R8
+	CMPQ R8, R9
+	JNE  row16
+sums16:
+	MOVQ    sumsq_base+24(FP), BX
+	VMOVUPD Y9, (BX)(CX*1)
+	VMOVUPD Y10, 32(BX)(CX*1)
+	VMOVUPD Y11, 64(BX)(CX*1)
+	VMOVUPD Y12, 96(BX)(CX*1)
+	ADDQ    $128, CX
+	JMP     block16
+	PCALIGN $64
+block4:
+	MOVQ R11, BX
+	ANDQ $-32, BX
+	CMPQ CX, BX
+	JGE  done
+	VXORPD Y9, Y9, Y9
+	MOVQ rows_base+0(FP), DI
+	ADDQ CX, DI
+	MOVQ occ_base+96(FP), R8
+	MOVQ occ_len+104(FP), R9
+	LEAQ (R8)(R9*8), R9
+	CMPQ R8, R9
+	JEQ  sums4
+	PCALIGN $64
+row4:
+	MOVQ  (R8), R12
+	IMULQ R10, R12
+	ADDQ  SI, R12
+	LEAQ  (R12)(R10*1), R13
+	LEAQ  (DX)(CX*1), AX
+	VXORPD Y1, Y1, Y1
+	PCALIGN $64
+k4:
+	VBROADCASTSS (R12), X0
+	VCVTPS2PD    X0, Y0
+	MULADD((AX), Y0, Y1)
+	ADDQ R11, AX
+	ADDQ $4, R12
+	CMPQ R12, R13
+	JNE  k4
+	VMOVUPD Y1, (DI)
+	MULADD(Y1, Y1, Y9)
+	ADDQ R11, DI
+	ADDQ $8, R8
+	CMPQ R8, R9
+	JNE  row4
+sums4:
+	MOVQ    sumsq_base+24(FP), BX
+	VMOVUPD Y9, (BX)(CX*1)
+	ADDQ    $32, CX
+	JMP     block4
+done:
+	VZEROUPPER
 	RET

@@ -2,10 +2,8 @@
 
 package algo
 
-// The dense bodies have no assembly on this port: useAVX2 stays false and
+// The dense bodies have no assembly on this port: cpu.AVX2 stays false and
 // mulSquare and gramInto run their Go loops.
-
-func hasAVX2() bool { return false }
 
 func mulSquareAVX2(rows, sumsq []float64, src []float32, sq []float64, occ []int, n int) {
 	panic("algo: no assembly body on this port")

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/dataset"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
@@ -185,8 +186,8 @@ func TestUpdateFactorMatchesOracle(t *testing.T) {
 
 // withBody runs f on the assembly bodies (asm) or the Go loops.
 func withBody(asm bool, f func()) {
-	defer func(on bool) { useAVX2 = on }(useAVX2)
-	useAVX2 = asm
+	defer func(on bool) { cpu.AVX2 = on }(cpu.AVX2)
+	cpu.AVX2 = asm
 	f()
 }
 
@@ -195,7 +196,7 @@ func withBody(asm bool, f func()) {
 // occupancy lists with gaps of 0 to 200 rows, and operands either plain
 // or salted with ±0, subnormals and values whose products overflow.
 func TestDenseBodiesMatchGo(t *testing.T) {
-	if !hasAVX2() {
+	if !cpu.AVX2 {
 		t.Skip("no AVX2 body on this CPU or port")
 	}
 	rng := rand.New(rand.NewSource(26))
@@ -642,7 +643,7 @@ func BenchmarkCPALSUpdate(b *testing.B) {
 					name += fmt.Sprintf("/occupied=%d", rows/every)
 				}
 				b.Run(name+"/body="+body, func(b *testing.B) {
-					if asm && !hasAVX2() {
+					if asm && !cpu.AVX2 {
 						b.Skip("no AVX2 body on this CPU or port")
 					}
 					mt, v := updateCase(rows, rank, -1, 1)

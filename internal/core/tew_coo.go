@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/cpu"
 	"repro/internal/gpusim"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
@@ -205,8 +206,14 @@ func (p *TewPlan) executeRange(lo, hi int) {
 
 // tewValues is the same-pattern Tew value computation over non-zeros
 // [lo, hi), z = x op y: the one loop behind the COO and HiCOO plans,
-// whose kernels differ only in preprocessing (§3.4.1).
+// whose kernels differ only in preprocessing (§3.4.1). With AVX2 one
+// assembly call computes the first (hi−lo)&^31 values and the loops below
+// the others.
 func tewValues(xv, yv, zv []tensor.Value, op Op, lo, hi int) {
+	if n := (hi - lo) &^ 31; cpu.AVX2 && n > 0 {
+		tewAVX2(zv[lo:hi], xv[lo:hi], yv[lo:hi], op) // an unknown op panics below
+		lo += n
+	}
 	switch op {
 	case Add:
 		for i := lo; i < hi; i++ {

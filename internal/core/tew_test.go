@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/cpu"
 	"repro/internal/hicoo"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
@@ -268,6 +269,27 @@ func TestOpString(t *testing.T) {
 }
 
 func TestOpApplyPanicsOnUnknown(t *testing.T) {
+	// tewValues panics before it writes a value, on either body.
+	xv, yv := make([]tensor.Value, 100), make([]tensor.Value, 100)
+	for i := range xv {
+		xv[i], yv[i] = 1, 2 // every op gives a non-zero
+	}
+	for _, asm := range []bool{false, cpu.AVX2} {
+		zv := make([]tensor.Value, 100)
+		withBody(asm, func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("asm %v: tewValues did not panic on an unknown op", asm)
+				}
+			}()
+			tewValues(xv, yv, zv, Op(42), 3, 100)
+		})
+		for i, v := range zv {
+			if v != 0 {
+				t.Fatalf("asm %v: value %d written before the panic", asm, i)
+			}
+		}
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/cpu"
 	"repro/internal/gpusim"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
@@ -84,8 +85,13 @@ func (p *TsPlan) ExecuteGPU(dev *gpusim.Device) *tensor.COO {
 
 // tsValues is the Ts value computation over non-zeros [lo, hi), z = x op s
 // with op already normalized to Add or Mul: the one loop behind the COO
-// and HiCOO plans.
+// and HiCOO plans. With AVX2 one assembly call computes the first
+// (hi−lo)&^31 values and the loops below the others.
 func tsValues(xv, zv []tensor.Value, s tensor.Value, op Op, lo, hi int) {
+	if n := (hi - lo) &^ 31; cpu.AVX2 && n > 0 {
+		tsAVX2(zv[lo:hi], xv[lo:hi], s, op)
+		lo += n
+	}
 	if op == Add {
 		for i := lo; i < hi; i++ {
 			zv[i] = xv[i] + s
