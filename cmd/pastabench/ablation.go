@@ -2,22 +2,29 @@ package main
 
 import (
 	"fmt"
-	"time"
+	"math/rand"
 
 	"repro/internal/core"
+	"repro/internal/csf"
 	"repro/internal/dataset"
+	"repro/internal/fcoo"
+	"repro/internal/gpusim"
 	"repro/internal/hicoo"
 	"repro/internal/metrics"
 	"repro/internal/parallel"
 	"repro/internal/perfmodel"
 	"repro/internal/platform"
+	"repro/internal/reorder"
 	"repro/internal/roofline"
 	"repro/internal/tensor"
 )
 
-// runAblations exercises the design choices DESIGN.md calls out: HiCOO
+// runAblations exercises the design choices DESIGN.md §6 calls out: HiCOO
 // block size, gHiCOO compressed-mode choice, Mttkrp parallelization
-// strategy, and OpenMP scheduling policy.
+// strategy (CSF root and balanced tasks included), OpenMP scheduling
+// policy, GPU block imbalance, index reordering, multi-GPU scaling, and
+// F-COO segment size. Host rows are the mean of the timed runs of
+// metrics.Time.
 func runAblations(o options) {
 	header("Ablations")
 	cfg := benchConfig(o)
@@ -29,6 +36,17 @@ func runAblations(o options) {
 		return
 	}
 	fmt.Printf("workload: irrS stand-in, %d nnz\n", x.NNZ())
+
+	// row times run through metrics' one timing loop and prints its mean,
+	// or the kernel's error in its place.
+	row := func(name string, flops int64, run func() error) {
+		mean, _, err := metrics.Time("ablation/"+name, cfg.Runs, run)
+		if err != nil {
+			fmt.Printf("  %-36s error: %v\n", name, err)
+			return
+		}
+		fmt.Printf("  %-36s %10.4fms %10.3f GFLOPS\n", name, mean*1e3, float64(flops)/mean/1e9)
+	}
 
 	// --- Block size B for HiCOO ------------------------------------------
 	fmt.Println("\n(a) HiCOO block size (storage + modeled Bluesky HiCOO-Mttkrp):")
@@ -64,39 +82,40 @@ func runAblations(o options) {
 		fmt.Println("error:", err)
 		return
 	}
-	timeIt := func(name string, run func()) {
-		run() // warm-up
-		start := time.Now()
-		for i := 0; i < cfg.Runs; i++ {
-			run()
-		}
-		el := time.Since(start).Seconds() / float64(cfg.Runs)
-		gflops := float64(p.FlopCount()) / el / 1e9
-		fmt.Printf("  %-28s %10.4fms %10.3f GFLOPS\n", name, el*1e3, gflops)
-	}
-	atomicOpt := cfg.Sched
-	atomicOpt.Strategy = parallel.Atomic
-	privOpt := cfg.Sched
-	privOpt.Strategy = parallel.Privatized
-	timeIt("sequential", func() { _, _ = p.ExecuteSeq(mats) })
-	timeIt("nnz-parallel + atomics", func() { _, _ = p.ExecuteOMP(mats, atomicOpt) })
-	timeIt("nnz-parallel + privatization", func() { _, _ = p.ExecuteOMP(mats, privOpt) })
-	// The zero-value (Auto) strategy lets the runtime's selector pick;
-	// report what it resolved to for this shape and thread count.
-	_, _ = p.ExecuteOMP(mats, cfg.Sched)
-	timeIt(fmt.Sprintf("adaptive (chose %s)", p.LastStrategy), func() { _, _ = p.ExecuteOMP(mats, cfg.Sched) })
-	h := hicoo.FromCOO(x, cfg.BlockBits)
-	hp, err := core.PrepareMttkrpHiCOO(h, 0, cfg.R)
+	hp, err := core.PrepareMttkrpHiCOO(full, 0, cfg.R)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	timeIt("block-parallel HiCOO+atomics", func() { _, _ = hp.ExecuteOMP(mats, atomicOpt) })
-	_, _ = hp.ExecuteOMP(mats, cfg.Sched)
-	timeIt(fmt.Sprintf("block-parallel HiCOO adaptive (chose %s)", hp.LastStrategy), func() { _, _ = hp.ExecuteOMP(mats, cfg.Sched) })
+	c, err := csf.FromCOO(x, nil)
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	cp, err := csf.PrepareMttkrp(c.Tree(), cfg.R)
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	flops := p.FlopCount()
+	atomicOpt := cfg.Sched
+	atomicOpt.Strategy = parallel.Atomic
+	privOpt := cfg.Sched
+	privOpt.Strategy = parallel.Privatized
+	row("sequential", flops, func() error { _, err := p.ExecuteSeq(mats); return err })
+	row("nnz-parallel + atomics", flops, func() error { _, err := p.ExecuteOMP(mats, atomicOpt); return err })
+	row("nnz-parallel + privatization", flops, func() error { _, err := p.ExecuteOMP(mats, privOpt); return err })
+	// The zero-value (Auto) strategy lets the runtime's selector pick.
+	row("nnz-parallel adaptive", flops, func() error { _, err := p.ExecuteOMP(mats, cfg.Sched); return err })
+	row("block-parallel HiCOO + atomics", flops, func() error { _, err := hp.ExecuteOMP(mats, atomicOpt); return err })
+	row("block-parallel HiCOO adaptive", flops, func() error { _, err := hp.ExecuteOMP(mats, cfg.Sched); return err })
+	row("CSF root subtrees", flops, func() error { _, err := cp.ExecuteOMP(mats, cfg.Sched); return err })
+	row(fmt.Sprintf("CSF root, %d balanced tasks", c.ComputeTaskStats(0).Tasks), flops,
+		func() error { _, err := c.MttkrpRootBalanced(mats, cfg.Sched, 0); return err })
+	fmt.Printf("  (adaptive chose %s for COO, %s for HiCOO)\n", p.LastStrategy, hp.LastStrategy)
 
 	// --- Scheduling policy for skewed fibers (host-measured Ttv) -----------
-	fmt.Println("\n(d) OpenMP scheduling policy for Ttv on skewed fibers (host wall-clock):")
+	fmt.Println("\n(d) OpenMP scheduling policy for Ttv on skewed fibers (host wall-clock, mode 0):")
 	tp, err := core.PrepareTtv(x, 0)
 	if err != nil {
 		fmt.Println("error:", err)
@@ -110,13 +129,7 @@ func runAblations(o options) {
 	}
 	for _, sched := range []parallel.Schedule{parallel.Static, parallel.Dynamic, parallel.Guided} {
 		opt := parallel.Options{Schedule: sched}
-		tp.ExecuteOMP(v, opt)
-		start := time.Now()
-		for i := 0; i < cfg.Runs; i++ {
-			tp.ExecuteOMP(v, opt)
-		}
-		el := time.Since(start).Seconds() / float64(cfg.Runs)
-		fmt.Printf("  schedule(%-7s) %10.4fms %10.3f GFLOPS\n", sched, el*1e3, float64(tp.FlopCount())/el/1e9)
+		row(fmt.Sprintf("schedule(%s)", sched), tp.FlopCount(), func() error { _, err := tp.ExecuteOMP(v, opt); return err })
 	}
 
 	// --- Modeled GPU block-imbalance sensitivity ---------------------------
@@ -130,5 +143,55 @@ func runAblations(o options) {
 		}
 		r := metrics.ModelFromWorkloads(&platform.DGX1P, w2, roofline.Mttkrp, roofline.HiCOO)
 		fmt.Printf("  block imbalance %5.0fx -> %8.3f GFLOPS\n", imb, r.GFLOPS)
+	}
+
+	// --- Index reordering (§3.2.1) -----------------------------------------
+	fmt.Println("\n(f) Index reordering: HiCOO blocks and host Ttv (mode 0):")
+	rng := rand.New(rand.NewSource(o.seed))
+	for _, re := range []struct {
+		name string
+		perm *reorder.Perm
+	}{
+		{"original", reorder.Identity(x.Dims)},
+		{"random", reorder.Random(x.Dims, rng)},
+		{"by degree", reorder.ByDegree(x)},
+		{"first touch", reorder.FirstTouch(x)},
+	} {
+		y, err := re.perm.Apply(x)
+		if err != nil {
+			fmt.Printf("  %-36s error: %v\n", re.name, err)
+			continue
+		}
+		yp, err := core.PrepareTtv(y, 0)
+		if err != nil {
+			fmt.Printf("  %-36s error: %v\n", re.name, err)
+			continue
+		}
+		name := fmt.Sprintf("%s (%d blocks)", re.name, hicoo.FromCOO(y, cfg.BlockBits).NumBlocks())
+		row(name, yp.FlopCount(), func() error { _, err := yp.ExecuteOMP(v, cfg.Sched); return err })
+	}
+
+	// --- Multi-GPU scaling (§7) --------------------------------------------
+	fmt.Println("\n(g) Multi-GPU Mttkrp across simulated devices (mode 0):")
+	for _, nd := range []int{1, 2, 4} {
+		devs := make([]*gpusim.Device, nd)
+		for i := range devs {
+			devs[i] = gpusim.NewDevice("multi", 4)
+		}
+		row(fmt.Sprintf("%d device(s)", nd), flops, func() error { _, err := p.ExecuteMultiGPU(devs, mats); return err })
+	}
+
+	// --- F-COO segment size vs thread-per-fiber GPU Ttv -------------------
+	fmt.Println("\n(h) F-COO segment size vs thread-per-fiber COO Ttv (simulated GPU, mode 0):")
+	dev := gpusim.NewDevice("fcoo", 0)
+	row("COO thread-per-fiber", tp.FlopCount(), func() error { _, err := tp.ExecuteGPU(dev, v); return err })
+	for _, seg := range []int{64, 256, 1024} {
+		name := fmt.Sprintf("F-COO segment %d", seg)
+		f, err := fcoo.FromCOO(x, 0, seg)
+		if err != nil {
+			fmt.Printf("  %-36s error: %v\n", name, err)
+			continue
+		}
+		row(name, tp.FlopCount(), func() error { _, err := f.TtvGPU(dev, v); return err })
 	}
 }

@@ -6,11 +6,11 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/dist"
 	"repro/internal/kernelreg"
+	"repro/internal/metrics"
 )
 
 // parseRanks turns the -ranks flag ("1,2,4,8") into worker counts.
@@ -38,8 +38,9 @@ func parseRanks(s string) ([]int, error) {
 // measured communication volume checked against the alpha-beta model.
 // The GFLOPS column divides the kernel's flops by measured compute time
 // plus modeled comm time, so scaling rolls off the way a real cluster's
-// would once communication dominates. Rows land in the "dist" figure
-// series and are gated by -baseline/-check like any other figure.
+// would once communication dominates; the compute time is the mean of
+// metrics.Time's timed runs. -json writes the rows, every trial
+// included, as figure "dist".
 func runDistScaling(o options) {
 	ranks, err := parseRanks(o.ranks)
 	if err != nil {
@@ -66,7 +67,7 @@ func runDistScaling(o options) {
 	fmt.Printf("(%s stand-in: %d nnz, R=%d, mode-0 shards, alpha-beta net %.1fus/%.1fGB/s)\n",
 		entry.Name, x.NNZ(), o.r, dist.DefaultNetwork.LatencySec*1e6, dist.DefaultNetwork.BandwidthGBs)
 	fmt.Printf("%-6s %-6s %10s %10s %10s %12s %9s %8s\n",
-		"ranks", "fmt", "best-ms", "comm-B", "comm-msg", "comm-model", "GFLOPS", "speedup")
+		"ranks", "fmt", "mean-ms", "comm-B", "comm-msg", "comm-model", "GFLOPS", "speedup")
 
 	doc := jsonFigure{Figure: "dist", Platform: "host", PaperScale: false, StandInNNZ: o.nnz}
 	base := map[dist.Format]float64{}
@@ -79,34 +80,28 @@ func runDistScaling(o options) {
 				fmt.Println("error:", err)
 				return
 			}
-			var best time.Duration
+			backend := fmt.Sprintf("dist-p%d", p)
 			var res *dist.MttkrpResult
-			for run := 0; run < o.runs; run++ {
-				start := time.Now()
-				r, err := eng.Mttkrp(context.Background(), 0, mats, o.r)
-				elapsed := time.Since(start)
-				if err != nil {
-					fmt.Printf("%-6d %-6s error: %v\n", p, format, err)
-					return
-				}
-				if run == 0 || elapsed < best {
-					best, res = elapsed, r
-				}
+			mean, secs, err := metrics.Time("Mttkrp/"+format.String()+"@"+backend, o.runs, func() (err error) {
+				res, err = eng.Mttkrp(context.Background(), 0, mats, o.r)
+				return err
+			})
+			if err != nil {
+				fmt.Printf("%-6d %-6s error: %v\n", p, format, err)
+				continue
 			}
-			total := best.Seconds() + res.ModeledCommSec
+			total := mean + res.ModeledCommSec
 			gflops := float64(flops) / total / 1e9
 			if _, ok := base[format]; !ok {
 				base[format] = total
 			}
 			fmt.Printf("%-6d %-6s %10.3f %10d %10d %10.1fus %9.2f %7.2fx\n",
-				p, format, best.Seconds()*1e3, res.CommBytes, res.CommMessages,
+				p, format, mean*1e3, res.CommBytes, res.CommMessages,
 				res.ModeledCommSec*1e6, gflops, base[format]/total)
 			doc.Rows = append(doc.Rows, jsonRow{
 				Tensor: entry.ID, Name: entry.Name, Dataset: "real",
 				Kernel: "Mttkrp", Format: format.String(),
-				Backend: fmt.Sprintf("dist-p%d", p),
-				GFLOPS:  gflops, Source: "measured",
-				TrialSec: []float64{best.Seconds()},
+				Backend: backend, GFLOPS: gflops, Source: "measured", TrialSec: secs,
 			})
 		}
 	}
@@ -131,6 +126,5 @@ func runDistScaling(o options) {
 		fmt.Printf("%-6d %-10.6f %8d %10d\n", p, res.Fit, res.Iters, st.CommBytes)
 	}
 
-	recordBaselineRows(doc)
 	writeFigureJSON(o, "dist", doc)
 }

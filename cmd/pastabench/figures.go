@@ -49,6 +49,23 @@ type jsonFigure struct {
 	Rows       []jsonRow `json:"rows"`
 }
 
+// seriesRow is the -json row of one figure point of tensor e; the
+// measured-only fields stay empty on modeled results.
+func seriesRow(e dataset.Entry, r metrics.Result) jsonRow {
+	ds := "real"
+	if e.ID[0] == 's' {
+		ds = "synthetic"
+	}
+	return jsonRow{
+		Tensor: e.ID, Name: e.Name, Dataset: ds,
+		Kernel: r.Kernel.String(), Format: r.Format.String(),
+		GFLOPS: r.GFLOPS, Roofline: r.Roofline,
+		Efficiency: r.Efficiency, Source: r.Source.String(),
+		Strategy: r.Strategy, Plan: r.Plan, Outcome: r.Outcome,
+		TrialSec: r.TrialSec, Counters: r.Counters,
+	}
+}
+
 func writeFigureJSON(o options, fig string, doc jsonFigure) {
 	if o.jsonDir == "" {
 		return
@@ -206,10 +223,6 @@ func runFigure(o options, fig, platName string) {
 				fmt.Printf("%-5s %-9s error: %v\n", e.ID, e.Name, err)
 				continue
 			}
-			dsName := "real"
-			if e.ID[0] == 's' {
-				dsName = "synthetic"
-			}
 			ws := scaleWorkloads(metrics.Workloads(x, cfg), e, o)
 			fmt.Printf("%-5s %-9s", e.ID, e.Name)
 			var roofs []float64
@@ -224,12 +237,7 @@ func runFigure(o options, fig, platName string) {
 					if f == roofline.COO {
 						kroof = r.Roofline
 					}
-					doc.Rows = append(doc.Rows, jsonRow{
-						Tensor: e.ID, Name: e.Name, Dataset: dsName,
-						Kernel: k.String(), Format: r.Format.String(),
-						GFLOPS: r.GFLOPS, Roofline: r.Roofline,
-						Efficiency: r.Efficiency, Source: r.Source.String(),
-					})
+					doc.Rows = append(doc.Rows, seriesRow(e, r))
 				}
 				roofs = append(roofs, kroof)
 				charts[k].add(e.ID+" "+e.Name, kroof, kvals)
@@ -255,18 +263,11 @@ func runFigure(o options, fig, platName string) {
 							continue
 						}
 						fmt.Printf(" %9.2f", m.GFLOPS)
-						backend := ""
+						row := seriesRow(e, m)
 						if v, verr := kernelreg.HostVariant(k, f); verr == nil {
-							backend = v.Backend.String()
+							row.Backend = v.Backend.String()
 						}
-						doc.Rows = append(doc.Rows, jsonRow{
-							Tensor: e.ID, Name: e.Name, Dataset: dsName,
-							Kernel: k.String(), Format: m.Format.String(), Backend: backend,
-							GFLOPS: m.GFLOPS, Roofline: m.Roofline,
-							Efficiency: m.Efficiency, Source: m.Source.String(),
-							Strategy: m.Strategy, Plan: m.Plan, Outcome: m.Outcome,
-							TrialSec: m.TrialSec, Counters: m.Counters,
-						})
+						doc.Rows = append(doc.Rows, row)
 						if m.Strategy != "" {
 							strs = append(strs, m.Strategy)
 							anyStrategy = true
@@ -293,7 +294,6 @@ func runFigure(o options, fig, platName string) {
 	}
 	fmt.Println("\nColumns per kernel (registered formats): -C = COO, -H = HiCOO, -S = CSF, -B = bCSF, -F = fCOO; Roofline = per-tensor attainable bound (COO OI).")
 	writeFigureJSON(o, fig, doc)
-	recordBaselineRows(doc)
 	if o.plot {
 		for _, k := range roofline.Kernels {
 			fmt.Println()

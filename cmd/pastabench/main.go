@@ -50,9 +50,6 @@ type options struct {
 	counters    bool
 	profile     string
 	pprofAddr   string
-	baselineDir string
-	check       bool
-	checkTol    float64
 }
 
 func main() {
@@ -80,9 +77,6 @@ func main() {
 	flag.BoolVar(&o.counters, "counters", false, "enable runtime counters and print their summary after the experiments")
 	flag.StringVar(&o.profile, "profile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	flag.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the run's duration")
-	flag.StringVar(&o.baselineDir, "baseline", "", "directory of per-variant GFLOPS baselines (results/series or pstb-baseline files)")
-	flag.BoolVar(&o.check, "check", false, "with -baseline: compare this run's figure rows against the baselines; exit non-zero on regression")
-	flag.Float64Var(&o.checkTol, "check-tol", 0.5, "relative tolerance band for -check (0.5 = flag drops below 50% of baseline)")
 	flag.Parse()
 
 	if o.r < 1 {

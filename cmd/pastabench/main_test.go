@@ -7,6 +7,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/metrics"
 	"repro/internal/perfmodel"
+	"repro/internal/roofline"
 	"repro/internal/tensor"
 )
 
@@ -76,7 +77,7 @@ func TestScaleToDegenerate(t *testing.T) {
 	if out.M != w.M {
 		t.Fatal("zero-M workload should not scale")
 	}
-	w2 := perfmodel.Workload{M: 10, MF: 5, Nb: 2, Dims: []int64{4, 4}}
+	w2 := perfmodel.Workload{Params: roofline.Params{M: 10, MF: 5, Nb: 2}, Dims: []int64{4, 4}}
 	out2 := w2.ScaleTo(1000, []int64{400, 400})
 	if out2.M != 1000 || out2.MF != 500 || out2.Nb != 200 {
 		t.Fatalf("scaled = %+v", out2)

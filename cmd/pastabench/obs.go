@@ -12,29 +12,25 @@ import (
 
 // obsSession owns the observability side of one pastabench invocation:
 // the tracer feeding -trace, the counter registry feeding -counters,
-// the CPU profile behind -profile, the net/http/pprof server behind
-// -pprof, and the baseline records -check compares. It is created
-// before the first experiment runs and finished after the last.
+// the CPU profile behind -profile and the net/http/pprof server behind
+// -pprof. It is created before the first experiment runs and finished
+// after the last.
 type obsSession struct {
-	o       options
-	tracer  *obs.Tracer
-	cpuOut  *os.File
-	pprof   *serve.HTTPServer
-	current []obs.BaselineRecord
+	o      options
+	tracer *obs.Tracer
+	cpuOut *os.File
+	pprof  *serve.HTTPServer
 }
 
 // session is the process-wide observability state; nil until -trace,
-// -counters, -profile, -pprof, or -check asks for one.
+// -counters, -profile or -pprof asks for one.
 var session *obsSession
 
 // startObs validates the observability flags and arms whatever they
 // request. It returns an error instead of exiting so main owns the
 // usage message.
 func startObs(o options) error {
-	if o.check && o.baselineDir == "" {
-		return fmt.Errorf("-check requires -baseline <dir>")
-	}
-	if o.trace == "" && !o.counters && o.profile == "" && o.pprofAddr == "" && !o.check {
+	if o.trace == "" && !o.counters && o.profile == "" && o.pprofAddr == "" {
 		return nil
 	}
 	s := &obsSession{o: o}
@@ -79,24 +75,8 @@ func startObs(o options) error {
 	return nil
 }
 
-// recordBaselineRows feeds one figure's series rows into the baseline
-// check. Harmless no-op when no session or no -check.
-func recordBaselineRows(doc jsonFigure) {
-	if session == nil || !session.o.check {
-		return
-	}
-	for _, row := range doc.Rows {
-		session.current = append(session.current, obs.BaselineRecord{
-			Figure: doc.Figure, Tensor: row.Tensor,
-			Kernel: row.Kernel, Format: row.Format, Backend: row.Backend,
-			Source: row.Source, GFLOPS: row.GFLOPS,
-		})
-	}
-}
-
 // finishObs flushes every armed sink and returns the process exit code
-// contribution: non-zero when the baseline check found regressions or a
-// sink could not be written.
+// contribution: non-zero when a sink could not be written.
 func finishObs() int {
 	if session == nil {
 		return 0
@@ -104,6 +84,10 @@ func finishObs() int {
 	code := 0
 	if session.pprof != nil {
 		session.pprof.Close()
+		// Close can win the race against the serve loop's start, which then
+		// closes the listener on its way out: wait for that exit.
+		for range session.pprof.Err() {
+		}
 	}
 	if session.cpuOut != nil {
 		pprof.StopCPUProfile()
@@ -126,36 +110,5 @@ func finishObs() int {
 		fmt.Println("================")
 		obs.WriteCounterSummary(os.Stdout, obs.CounterSnapshot(), true)
 	}
-	if session.o.check {
-		if c := checkBaselines(); c != 0 {
-			code = c
-		}
-	}
 	return code
-}
-
-// checkBaselines compares the rows collected this run against the
-// committed per-variant GFLOPS baselines.
-func checkBaselines() int {
-	base, err := obs.LoadBaselineDir(session.o.baselineDir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pastabench: -baseline:", err)
-		return 1
-	}
-	if len(session.current) == 0 {
-		fmt.Fprintln(os.Stderr, "pastabench: -check: selected experiments produced no figure rows to compare (run a fig4-7 experiment)")
-		return 1
-	}
-	regs, matched := base.Check(session.current, session.o.checkTol)
-	fmt.Printf("\nBaseline check: %d of %d rows matched against %s (tolerance %.0f%%)\n",
-		matched, len(session.current), session.o.baselineDir, session.o.checkTol*100)
-	if len(regs) == 0 {
-		fmt.Println("no regressions")
-		return 0
-	}
-	fmt.Printf("%d REGRESSIONS:\n", len(regs))
-	for _, r := range regs {
-		fmt.Println("  " + r.String())
-	}
-	return 1
 }

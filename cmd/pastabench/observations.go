@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/metrics"
-	"repro/internal/perfmodel"
 	"repro/internal/platform"
 	"repro/internal/roofline"
 )
@@ -24,7 +23,6 @@ func runObservations(o options) {
 		f    roofline.Format
 	}
 	results := make(map[key][]metrics.Result)
-	var workloads []([]perfmodel.Workload)
 	small := make([]bool, 0, len(entries))
 	for _, e := range entries {
 		x, err := dataset.Materialize(e, o.nnz, o.seed)
@@ -33,7 +31,6 @@ func runObservations(o options) {
 			return
 		}
 		ws := scaleWorkloads(metrics.Workloads(x, cfg), e, o)
-		workloads = append(workloads, ws)
 		// "Small" in the paper's sense: the paper-scale Tew working set
 		// (three value arrays) fits Bluesky's LLC.
 		small = append(small, 12*ws[0].M < platform.Bluesky.LLCBytes)
@@ -46,7 +43,6 @@ func runObservations(o options) {
 			}
 		}
 	}
-	_ = workloads
 
 	mean := func(plat string, k roofline.Kernel, f roofline.Format, sel func(metrics.Result) float64) float64 {
 		rs := results[key{plat, k, f}]

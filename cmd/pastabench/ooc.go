@@ -4,11 +4,11 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/govern"
 	"repro/internal/kernelreg"
+	"repro/internal/metrics"
 	"repro/internal/ooc"
 	"repro/internal/roofline"
 )
@@ -19,8 +19,8 @@ import (
 // same tensor and operands. The column of interest is the streamed /
 // in-core GFLOPS ratio — the price of bounding residency — next to the
 // pipeline's own accounting (tiles cycled, evictions, peak leased
-// bytes, prefetch hit rate). Rows land in the "ooc" figure series and
-// are gated by -baseline/-check like any other figure.
+// bytes, prefetch hit rate). Both paths report the mean of metrics.Time's
+// timed runs; -json writes the rows, every trial included, as figure "ooc".
 func runOOCStreaming(o options) {
 	budget := int64(ooc.DefaultBudget)
 	if o.memBudget != "" {
@@ -60,7 +60,7 @@ func runOOCStreaming(o options) {
 	fmt.Printf("(%s stand-in: %d nnz, %d tiles of ~%d nnz, %.2f MB spooled, budget %d bytes)\n",
 		entry.Name, x.NNZ(), tr.NumTiles(), tr.TargetTileNNZ, float64(fileBytes)/1e6, budget)
 	fmt.Printf("%-8s %-8s %10s %9s %9s %6s %6s %10s %10s %7s\n",
-		"kernel", "path", "best-ms", "GFLOPS", "ratio", "tiles", "evict", "peak-B", "read-B", "hits")
+		"kernel", "path", "mean-ms", "GFLOPS", "ratio", "tiles", "evict", "peak-B", "read-B", "hits")
 
 	ctx := context.Background()
 	doc := jsonFigure{Figure: "ooc", Platform: "host", PaperScale: false, StandInNNZ: o.nnz}
@@ -75,64 +75,50 @@ func runOOCStreaming(o options) {
 			fmt.Println("error:", err)
 			return
 		}
-		var bestIn time.Duration
-		for run := 0; run < o.runs; run++ {
-			start := time.Now()
-			if err := inst.Run(ctx); err != nil {
-				fmt.Printf("%-8s in-core error: %v\n", k, err)
-				return
-			}
-			if elapsed := time.Since(start); run == 0 || elapsed < bestIn {
-				bestIn = elapsed
-			}
+		inMean, inSec, err := metrics.Time(v.String(), o.runs, func() error { return inst.Run(ctx) })
+		if err != nil {
+			fmt.Printf("%-8s %-8s error: %v\n", k, "in-core", err)
+			continue
 		}
-		incore := float64(inst.Flops) / bestIn.Seconds() / 1e9
+		incore := float64(inst.Flops) / inMean / 1e9
 		fmt.Printf("%-8s %-8s %10.3f %9.2f %9s %6s %6s %10s %10s %7s\n",
-			k, "in-core", bestIn.Seconds()*1e3, incore, "1.00", "-", "-", "-", "-", "-")
+			k, "in-core", inMean*1e3, incore, "1.00", "-", "-", "-", "-", "-")
 		doc.Rows = append(doc.Rows, jsonRow{
 			Tensor: entry.ID, Name: entry.Name, Dataset: "real",
 			Kernel: k.String(), Format: "COO", Backend: "omp",
-			GFLOPS: incore, Source: "measured",
-			TrialSec: []float64{bestIn.Seconds()},
+			GFLOPS: incore, Source: "measured", TrialSec: inSec,
 		})
 
 		opt := ooc.Options{MemBudget: budget, Sched: wb.Opt(ctx)}
-		var (
-			bestOut time.Duration
-			st      ooc.Stats
-			flops   int64
-		)
-		for run := 0; run < o.runs; run++ {
-			start := time.Now()
+		var st ooc.Stats
+		outMean, outSec, err := metrics.Time(k.String()+"/COO@ooc", o.runs, func() (err error) {
 			switch k {
 			case roofline.Mttkrp:
 				_, st, err = ooc.Mttkrp(ctx, tr, wb.Mats(), 0, opt)
-				flops = ooc.MttkrpFlops(tr, o.r)
 			case roofline.Ttv:
 				_, st, err = ooc.Ttv(ctx, tr, wb.Vec(0), 0, opt)
-				flops = ooc.TtvFlops(tr)
 			}
-			if err != nil {
-				fmt.Printf("%-8s streamed error: %v\n", k, err)
-				return
-			}
-			if elapsed := time.Since(start); run == 0 || elapsed < bestOut {
-				bestOut = elapsed
-			}
+			return err
+		})
+		if err != nil {
+			fmt.Printf("%-8s %-8s error: %v\n", k, "streamed", err)
+			continue
 		}
-		streamed := float64(flops) / bestOut.Seconds() / 1e9
+		flops := ooc.TtvFlops(tr)
+		if k == roofline.Mttkrp {
+			flops = ooc.MttkrpFlops(tr, o.r)
+		}
+		streamed := float64(flops) / outMean / 1e9
 		fmt.Printf("%-8s %-8s %10.3f %9.2f %8.2fx %6d %6d %10d %10d %6.0f%%\n",
-			k, "streamed", bestOut.Seconds()*1e3, streamed, streamed/incore,
+			k, "streamed", outMean*1e3, streamed, streamed/incore,
 			st.Tiles, st.Evictions, st.PeakBytes, st.BytesRead,
 			100*float64(st.PrefetchHits)/float64(max(1, st.Tiles)))
 		doc.Rows = append(doc.Rows, jsonRow{
 			Tensor: entry.ID, Name: entry.Name, Dataset: "real",
 			Kernel: k.String(), Format: "COO", Backend: "ooc",
-			GFLOPS: streamed, Source: "measured",
-			TrialSec: []float64{bestOut.Seconds()},
+			GFLOPS: streamed, Source: "measured", TrialSec: outSec,
 		})
 	}
 
-	recordBaselineRows(doc)
 	writeFigureJSON(o, "ooc", doc)
 }

@@ -37,9 +37,7 @@ func runTable1(o options) {
 		return
 	}
 	cfg := benchConfig(o)
-	ws := metrics.Workloads(x, cfg)
-	w0 := ws[0]
-	rp := roofline.Params{Order: w0.Order, M: w0.M, MF: w0.MF, Nb: w0.Nb, R: w0.R, BlockSize: w0.BlockSize}
+	rp := metrics.Workloads(x, cfg)[0].Params
 	fmt.Printf("\nConcrete instance (regS stand-in): M=%d MF=%d nb=%d R=%d B=%d\n", rp.M, rp.MF, rp.Nb, rp.R, rp.BlockSize)
 	fmt.Println("One row per registered (kernel, format) pair, evaluated via the variant's model hook:")
 	fmt.Printf("%-8s %-7s %12s %14s %10s %10s\n", "Kernel", "Format", "Flops", "Bytes", "OI", "OI(tab.)")

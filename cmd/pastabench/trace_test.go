@@ -90,32 +90,3 @@ func TestTraceExportAcceptance(t *testing.T) {
 		}
 	}
 }
-
-// TestCheckAgainstCommittedSeries runs the modeled fig4 sweep and
-// checks it against the repo's committed results/series baselines —
-// the same comparison CI performs via `pastabench -baseline -check`.
-func TestCheckAgainstCommittedSeries(t *testing.T) {
-	seriesDir := filepath.Join("..", "..", "results", "series")
-	if _, err := os.Stat(filepath.Join(seriesDir, "fig4.json")); err != nil {
-		t.Skipf("no committed series baseline: %v", err)
-	}
-	o := options{
-		nnz: 2000, seed: 20200222, runs: 1, r: 16, blockBits: 7,
-		paperScale: true, baselineDir: seriesDir, check: true, checkTol: 0.5,
-	}
-	if err := startObs(o); err != nil {
-		t.Fatal(err)
-	}
-	defer func() { session = nil }()
-	runFigure(o, "fig4", "Bluesky")
-	if code := finishObs(); code != 0 {
-		t.Fatalf("baseline check failed with exit code %d", code)
-	}
-}
-
-// TestCheckRequiresBaseline pins the flag contract.
-func TestCheckRequiresBaseline(t *testing.T) {
-	if err := startObs(options{check: true}); err == nil {
-		t.Fatal("-check without -baseline must error")
-	}
-}

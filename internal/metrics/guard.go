@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/kernelreg"
-	"repro/internal/obs"
 	"repro/internal/resilience"
 )
 
@@ -51,28 +50,18 @@ func (g *guard) stallFor() time.Duration {
 	return 200 * time.Millisecond
 }
 
-// measure runs one warm-up trial plus `runs` timed trials of a prepared
-// registry instance through the degradation ladder, recording each
-// trial's outcome, and returns the mean seconds of the successful timed
-// trials plus each such trial's individual wall-clock seconds.
-func (g *guard) measure(inst *kernelreg.Instance, label resilience.Label, runs int) (float64, []float64, error) {
+// trial returns one guarded trial of a prepared registry instance for
+// the timing loop: it arms the injector, runs the instance through the
+// degradation ladder, waits for any abandoned attempt to settle, and
+// counts the outcome, which it reports with the trial's error.
+func (g *guard) trial(inst *kernelreg.Instance, label resilience.Label) func() (string, error) {
 	t := inst.Trial(label, g.cfg.Timeout, g.cfg.Fallback)
-	var (
-		total   float64
-		trials  []float64
-		lastErr error
-	)
-	for i := 0; i <= runs; i++ {
+	return func() (string, error) {
 		armCtx, cancel := context.WithCancel(context.Background())
 		if g.inj != nil {
 			g.inj.ArmRandom(armCtx, 32, g.stallFor())
 		}
-		sp := obs.Begin("metrics.trial", label.String(), obs.PhaseTrial, -1)
-		start := time.Now()
 		rep := g.runner.Do(context.Background(), t)
-		elapsed := time.Since(start).Seconds()
-		sp.Attr("outcome", rep.String())
-		sp.End()
 		cancel() // unblocks any injected stall the trial abandoned
 		if rep.Settled != nil {
 			// The straggler must stop touching the plan's output buffer
@@ -80,22 +69,8 @@ func (g *guard) measure(inst *kernelreg.Instance, label resilience.Label, runs i
 			<-rep.Settled
 		}
 		g.outcomes[rep.String()]++
-		if rep.Err != nil {
-			lastErr = rep.Err
-			continue
-		}
-		if i > 0 { // the warm-up stays out of the average, like the plain path
-			total += elapsed
-			trials = append(trials, elapsed)
-		}
+		return rep.String(), rep.Err
 	}
-	if len(trials) == 0 {
-		if lastErr == nil {
-			lastErr = fmt.Errorf("metrics: no timed run of %s succeeded", label)
-		}
-		return 0, nil, lastErr
-	}
-	return total / float64(len(trials)), trials, nil
 }
 
 // joinOutcomes renders the per-outcome trial counts for harness tables:

@@ -9,6 +9,7 @@ package metrics
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"time"
 
@@ -156,7 +157,6 @@ func MeasureHost(host *platform.Platform, x *tensor.COO, k roofline.Kernel, f ro
 	wb := kernelreg.NewWorkbench(x, regConfig(cfg))
 	g := newGuard(cfg)
 	defer g.close()
-	label := v.Label()
 	variant := v.String()
 	counting := obs.Counting()
 	var ctrBefore map[string]int64
@@ -177,32 +177,16 @@ func MeasureHost(host *platform.Platform, x *tensor.COO, k roofline.Kernel, f ro
 		if inst.Plan != "" {
 			plans = append(plans, inst.Plan)
 		}
-		if g == nil {
-			if err := inst.Run(context.Background()); err != nil { // warm-up, also verifies the path once
-				return res, err
-			}
-			var modeTotal float64
-			for i := 0; i < cfg.Runs; i++ {
-				sp := obs.Begin("metrics.trial", variant, obs.PhaseTrial, -1)
-				start := time.Now()
-				err := inst.Run(context.Background())
-				elapsed := time.Since(start).Seconds()
-				sp.End()
-				if err != nil {
-					return res, err
-				}
-				modeTotal += elapsed
-				res.TrialSec = append(res.TrialSec, elapsed)
-			}
-			totalTime += modeTotal / float64(cfg.Runs)
-		} else {
-			sec, trials, err := g.measure(inst, label, cfg.Runs)
-			if err != nil {
-				return res, err
-			}
-			totalTime += sec
-			res.TrialSec = append(res.TrialSec, trials...)
+		trial := func() (string, error) { return "", inst.Run(context.Background()) }
+		if g != nil {
+			trial = g.trial(inst, v.Label())
 		}
+		mean, secs, err := timeTrials(variant, cfg.Runs, trial)
+		if err != nil {
+			return res, err
+		}
+		totalTime += mean
+		res.TrialSec = append(res.TrialSec, secs...)
 		totalFlops += inst.Flops
 		execs++
 		if inst.Strategy != nil {
@@ -226,6 +210,54 @@ func MeasureHost(host *platform.Platform, x *tensor.COO, k roofline.Kernel, f ro
 		res.Counters = obs.DiffSnapshot(ctrBefore, obs.CounterSnapshot())
 	}
 	return res, nil
+}
+
+// Time is the suite's one timing loop, the protocol of §5.1.2: one
+// warm-up run, then runs timed runs, each inside one "metrics.trial" span
+// labelled variant. It returns the mean seconds of the timed runs and
+// each one's wall-clock seconds in execution order. An error aborts the
+// loop and is returned.
+func Time(variant string, runs int, run func() error) (mean float64, trialSec []float64, err error) {
+	return timeTrials(variant, runs, func() (string, error) { return "", run() })
+}
+
+// timeTrials is the loop behind Time and MeasureHost. A trial reports its
+// outcome and error. An unguarded trial names no outcome, and its error
+// aborts the loop. A guarded trial names its outcome (attached to the
+// span and already counted by the guard), and a failed one is left out
+// of the mean: the loop fails only when no timed trial succeeded.
+func timeTrials(variant string, runs int, trial func() (string, error)) (float64, []float64, error) {
+	var (
+		total   float64
+		secs    []float64
+		lastErr error
+	)
+	for i := 0; i <= runs; i++ {
+		sp := obs.Begin("metrics.trial", variant, obs.PhaseTrial, -1)
+		start := time.Now()
+		outcome, err := trial()
+		elapsed := time.Since(start).Seconds()
+		if outcome != "" {
+			sp.Attr("outcome", outcome)
+		}
+		sp.End()
+		switch {
+		case err != nil && outcome == "":
+			return 0, nil, err
+		case err != nil:
+			lastErr = err
+		case i > 0: // the warm-up stays out of the mean
+			total += elapsed
+			secs = append(secs, elapsed)
+		}
+	}
+	if len(secs) == 0 {
+		if lastErr == nil {
+			lastErr = fmt.Errorf("metrics: no timed run of %s succeeded", variant)
+		}
+		return 0, nil, lastErr
+	}
+	return total / float64(len(secs)), secs, nil
 }
 
 // joinStrategies collapses per-mode strategies for display: the single
@@ -289,11 +321,11 @@ func ModelFromWorkloads(p *platform.Platform, ws []perfmodel.Workload, k rooflin
 // the variant's model hook, averaging the OI across modes for the
 // mode-dependent kernels.
 func rooflineBound(p *platform.Platform, x *tensor.COO, v *kernelreg.Variant, cfg Config, gflops float64) (bound, eff float64) {
+	ws := Workloads(x, cfg)
 	modes := v.Modes(x)
 	var oiSum float64
 	for mode := 0; mode < modes; mode++ {
-		rp := paramsFor(x, mode, cfg)
-		oiSum += v.OI(rp)
+		oiSum += v.OI(ws[mode].Params)
 	}
 	oi := oiSum / float64(modes)
 	bound = roofline.Attainable(p, oi)
@@ -301,17 +333,4 @@ func rooflineBound(p *platform.Platform, x *tensor.COO, v *kernelreg.Variant, cf
 		eff = gflops / bound
 	}
 	return bound, eff
-}
-
-// paramsFor measures the Table 1 quantities of one (tensor, mode).
-func paramsFor(x *tensor.COO, mode int, cfg Config) roofline.Params {
-	rp := roofline.Params{
-		Order: x.Order(), M: int64(x.NNZ()),
-		R: int64(cfg.R), BlockSize: 1 << cfg.BlockBits,
-	}
-	fs := tensor.ComputeFiberStats(x, mode)
-	rp.MF = int64(fs.NumFibers)
-	h := hicoo.FromCOO(x, cfg.BlockBits)
-	rp.Nb = int64(h.NumBlocks())
-	return rp
 }

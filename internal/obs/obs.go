@@ -1,6 +1,5 @@
 // Package obs is the suite's zero-dependency observability layer:
-// execution tracing, runtime counters, trace exporters, and
-// perf-baseline tracking. The paper's evaluation (§5) explains *why* a
+// execution tracing, runtime counters and trace exporters. The paper's evaluation (§5) explains *why* a
 // kernel is slow by decomposing execution into phases — format
 // conversion, sorting, kernel launch, per-thread chunks, reduction —
 // and attributing time to each; this package gives every harness in
@@ -25,8 +24,7 @@
 //
 // Exporters render recorded spans as Chrome trace_event JSON (loads
 // directly in about:tracing or Perfetto), as a JSONL event log, or as
-// an aggregated text summary; Baseline reads/writes per-variant GFLOPS
-// records and flags regressions against a tolerance band.
+// an aggregated text summary.
 package obs
 
 import (

@@ -35,13 +35,8 @@ import (
 // Workload carries the statistics of one (tensor, mode, R) benchmark
 // configuration consumed by Predict.
 type Workload struct {
-	// Order, M, MF, Nb, R, BlockSize feed the Table 1 formulas.
-	Order     int
-	M         int64
-	MF        int64
-	Nb        int64
-	R         int64
-	BlockSize int64
+	// Params holds the Table 1 quantities (Order, M, MF, Nb, R, BlockSize).
+	roofline.Params
 	// Dims holds the mode sizes (for gather working-set estimation).
 	Dims []int64
 	// Mode is the kernel mode n.
@@ -82,12 +77,10 @@ func FromTensorAllModes(x *tensor.COO, r int, blockBits uint8) []Workload {
 	for mode := range out {
 		fs := tensor.ComputeFiberStats(x, mode)
 		out[mode] = Workload{
-			Order:          x.Order(),
-			M:              int64(x.NNZ()),
-			MF:             int64(fs.NumFibers),
-			Nb:             nb,
-			R:              int64(r),
-			BlockSize:      1 << blockBits,
+			Params: roofline.Params{
+				Order: x.Order(), M: int64(x.NNZ()), MF: int64(fs.NumFibers),
+				Nb: nb, R: int64(r), BlockSize: 1 << blockBits,
+			},
 			Dims:           dims,
 			Mode:           mode,
 			FiberImbalance: fs.Imbalance,
@@ -198,18 +191,17 @@ const (
 
 // Predict estimates one kernel execution on a platform.
 func Predict(p *platform.Platform, k roofline.Kernel, f roofline.Format, w Workload) Breakdown {
-	rp := roofline.Params{Order: w.Order, M: w.M, MF: w.MF, Nb: w.Nb, R: w.R, BlockSize: w.BlockSize}
-	flops := roofline.Work(k, rp)
-	baseBytes := roofline.Bytes(k, f, rp)
+	flops := roofline.Work(k, w.Params)
+	baseBytes := roofline.Bytes(k, f, w.Params)
 
 	var b Breakdown
 	b.Flops = flops
 	b.Bytes = baseBytes
-	b.OI = roofline.OI(k, f, rp)
+	b.OI = roofline.OI(k, f, w.Params)
 	b.RooflineGFLOPS = roofline.Attainable(p, b.OI)
 
 	// --- Memory term -----------------------------------------------------
-	ws := workingSet(k, f, rp, w)
+	ws := workingSet(k, f, w)
 	bw := effectiveBandwidth(p, ws)
 	if p.Kind == platform.CPU && f == roofline.HiCOO && (k == roofline.Tew || k == roofline.Ts || k == roofline.Ttv) {
 		bw *= hicooStreamBonus
@@ -251,8 +243,8 @@ func Predict(p *platform.Platform, k roofline.Kernel, f roofline.Format, w Workl
 
 // workingSet estimates the bytes touched repeatedly across the averaged
 // runs — when it fits the LLC the kernel streams from cache.
-func workingSet(k roofline.Kernel, f roofline.Format, rp roofline.Params, w Workload) float64 {
-	base := float64(roofline.Bytes(k, f, rp))
+func workingSet(k roofline.Kernel, f roofline.Format, w Workload) float64 {
+	base := float64(roofline.Bytes(k, f, w.Params))
 	switch k {
 	case roofline.Ttv:
 		base += 4 * float64(w.Dims[w.Mode])

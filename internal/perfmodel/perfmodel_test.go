@@ -14,8 +14,8 @@ import (
 // (27M non-zeros, 712K × 10K × 767) without generating it.
 func largeWorkload() Workload {
 	return Workload{
-		Order: 3, M: 27e6, MF: 9e6, Nb: 2.5e6, R: 16, BlockSize: 128,
-		Dims: []int64{712000, 10000, 767}, Mode: 0,
+		Params: roofline.Params{Order: 3, M: 27e6, MF: 9e6, Nb: 2.5e6, R: 16, BlockSize: 128},
+		Dims:   []int64{712000, 10000, 767}, Mode: 0,
 		FiberImbalance: 40, BlockImbalance: 25, Collisions: 38,
 	}
 }
@@ -24,8 +24,8 @@ func largeWorkload() Workload {
 // working set fits Bluesky's 19MB LLC.
 func smallWorkload() Workload {
 	return Workload{
-		Order: 3, M: 1.1e6, MF: 6e5, Nb: 4e5, R: 16, BlockSize: 128,
-		Dims: []int64{65536, 65536, 65536}, Mode: 0,
+		Params: roofline.Params{Order: 3, M: 1.1e6, MF: 6e5, Nb: 4e5, R: 16, BlockSize: 128},
+		Dims:   []int64{65536, 65536, 65536}, Mode: 0,
 		FiberImbalance: 12, BlockImbalance: 8, Collisions: 4,
 	}
 }
