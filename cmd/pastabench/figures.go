@@ -31,7 +31,6 @@ type jsonRow struct {
 	Efficiency float64 `json:"efficiency"`
 	Source     string  `json:"source"`             // "modeled" | "measured"
 	Strategy   string  `json:"strategy,omitempty"` // reduction strategy of measured reduction kernels
-	Plan       string  `json:"plan,omitempty"`     // conversion path the planner chose while preparing
 	Outcome    string  `json:"outcome,omitempty"`  // resilience outcome summary of guarded measured rows
 	// TrialSec and Counters only appear on measured rows (and Counters
 	// only when -counters armed the registry), so pre-existing series
@@ -61,7 +60,7 @@ func seriesRow(e dataset.Entry, r metrics.Result) jsonRow {
 		Kernel: r.Kernel.String(), Format: r.Format.String(),
 		GFLOPS: r.GFLOPS, Roofline: r.Roofline,
 		Efficiency: r.Efficiency, Source: r.Source.String(),
-		Strategy: r.Strategy, Plan: r.Plan, Outcome: r.Outcome,
+		Strategy: r.Strategy, Outcome: r.Outcome,
 		TrialSec: r.TrialSec, Counters: r.Counters,
 	}
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // Generic variant instantiation: the grid cells no hand-tuned override
-// claims are filled from internal/levels, prepared on whatever
-// hierarchy the conversion planner deems cheapest. Ttv and Ttm are
+// claims are filled from internal/levels, prepared on the workbench's
+// hierarchy of the cell's format (Workbench.Hier). Ttv and Ttm are
 // core fiber plans on the hierarchy's leaf level, Mttkrp is csf's tree
 // plan on the hierarchy resolved from its root; each has the plan's own
 // serial rung and output, the fiber plans the strategy selection too
@@ -34,16 +34,11 @@ func genericPrep(k roofline.Kernel, f roofline.Format) func(wb *Workbench, mode 
 		if b != OMP {
 			return nil, badBackend(site, b)
 		}
-		h, plan, err := wb.Hier(f, genericModeOrder(k, wb.X.Order(), mode), site)
+		h, err := wb.Hier(f, genericModeOrder(k, wb.X.Order(), mode), site)
 		if err != nil {
 			return nil, err
 		}
-		inst, err := genericInstance(wb, k, h, mode, site)
-		if err != nil {
-			return nil, err
-		}
-		inst.Plan = plan
-		return inst, nil
+		return genericInstance(wb, k, h, mode, site)
 	}
 }
 

@@ -27,10 +27,6 @@ type Instance struct {
 	// Strategy reports the reduction strategy the last Run resolved
 	// (StrategyAware variants); nil otherwise.
 	Strategy func() string
-	// Plan names the conversion path the planner chose while preparing
-	// this instance (e.g. "reuse-csf:levels.BlockRoot"); empty when no
-	// planned conversion happened.
-	Plan string
 	// out yields the current output object for Output()/Check.
 	out func() any
 }

@@ -52,7 +52,30 @@ func (wb *Workbench) MemBytes() int64 {
 		b += c.StorageBytes()
 	}
 	for _, h := range wb.hiers {
+		// A hierarchy over a cached CSF tree shares the tree's arrays (a
+		// wrap all of them, a root split all below the root); only the
+		// arrays it does not share are charged.
 		b += h.StorageBytes()
+		if c := wb.csfs[moKey(h.ModeOrder)]; c != nil {
+			b -= shared(h.Ptr, c.FPtr, 8) + shared(h.Crd, c.FIds, indexBytes) +
+				shared([][]tensor.Value{h.Vals}, [][]tensor.Value{c.Vals}, valueBytes)
+		}
+	}
+	return b
+}
+
+// shared sums size bytes per element over the arrays of hs that are
+// also arrays of cs. The same first element is the same array: the rule
+// the views above apply to X's arrays.
+func shared[E any](hs, cs [][]E, size int64) int64 {
+	var b int64
+	for _, h := range hs {
+		for _, c := range cs {
+			if len(h) > 0 && len(c) > 0 && &h[0] == &c[0] {
+				b += size * int64(len(h))
+				break
+			}
+		}
 	}
 	return b
 }

@@ -112,3 +112,40 @@ func TestWorkbenchSortedViews(t *testing.T) {
 		t.Fatalf("%d sorted views after preparing four mode-0 variants, want 2", len(wb.views))
 	}
 }
+
+// TestMemBytesChargesSharedTreeOnce pins the accounting of hierarchies
+// over a cached CSF tree: a CSF wrap shares every array of the tree and
+// adds nothing, and a bCSF root split adds only its split root arrays.
+// Ttv/CSF, Ttm/CSF and Ttm/bCSF of one mode all order that mode at the
+// leaves, so they stand on one tree.
+func TestMemBytesChargesSharedTreeOnce(t *testing.T) {
+	x := tensor.RandomCOO([]tensor.Index{50, 60, 70}, 5000, rand.New(rand.NewSource(3)))
+	for mode := 0; mode < x.Order(); mode++ {
+		wb := NewWorkbench(x, DefaultConfig())
+		prep := func(k roofline.Kernel, f roofline.Format) int64 {
+			t.Helper()
+			v, err := Lookup(k, f, OMP)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := v.Prepare(wb, mode); err != nil {
+				t.Fatalf("%s mode %d: %v", v, mode, err)
+			}
+			return wb.MemBytes()
+		}
+		afterTtv := prep(roofline.Ttv, roofline.CSF)
+		afterWrap := prep(roofline.Ttm, roofline.CSF)
+		if got, want := afterWrap-afterTtv, valueBytes*int64(len(wb.TtmMat(mode).Data)); got != want {
+			t.Errorf("mode %d: Ttm/CSF after Ttv/CSF added %d bytes, want only the Ttm matrix's %d", mode, got, want)
+		}
+		afterSplit := prep(roofline.Ttm, roofline.BCSF)
+		h := wb.hiers[roofline.BCSF.String()+moKey(tensor.ModeOrder(x.Order(), mode))]
+		if h == nil {
+			t.Fatalf("mode %d: no cached bCSF hierarchy", mode)
+		}
+		split := indexBytes*int64(len(h.Crd[0])+len(h.Crd[1])) + 8*int64(len(h.Ptr[0]))
+		if got := afterSplit - afterWrap; got != split {
+			t.Errorf("mode %d: Ttm/bCSF added %d bytes, want only its split root's %d", mode, got, split)
+		}
+	}
+}

@@ -16,9 +16,9 @@ import (
 // sliced into several tiles and streams it under a budget a small
 // multiple of the largest tile, so pastaverify and the chaos matrix
 // exercise the real pipeline — leasing, prefetch, eviction — even on
-// lint-sized tensors. The Run rung is the parallel stream; the Serial
-// rung is the deterministic stream, whose output is bit-exact against
-// the serial in-core kernels.
+// lint-sized tensors. The Run rung streams on the workbench's schedule;
+// the Serial rung streams on one worker, whose output is bit-exact
+// against the serial in-core kernels.
 
 // streamTiles is the minimum tile count the workbench image is cut into.
 const streamTiles = 8
@@ -78,18 +78,27 @@ func streamBudget(tr *tensor.TileReader) int64 {
 	return b
 }
 
+// streamOpt configures one rung's stream: the workbench's schedule for
+// Run; one worker for Serial, whose file-order accumulation is bit-exact
+// against the serial in-core kernels.
+func streamOpt(ctx context.Context, wb *Workbench, budget int64, serial bool) ooc.Options {
+	opt := ooc.Options{MemBudget: budget, Sched: wb.Opt(ctx)}
+	if serial {
+		opt.Sched.Threads = 1
+	}
+	return opt
+}
+
 func prepMttkrpOOC(wb *Workbench, mode int) (*Instance, error) {
 	tr, err := wb.TileReader()
 	if err != nil {
 		return nil, err
 	}
-	mats := wb.Mats()
+	mats, budget := wb.Mats(), streamBudget(tr)
 	inst, keep := tracked(ooc.MttkrpFlops(tr, wb.R()), tensor.NewMatrix(int(tr.Dims[mode]), wb.R()))
-	run := func(det bool) func(context.Context) error {
+	run := func(serial bool) func(context.Context) error {
 		return func(ctx context.Context) error {
-			out, _, err := ooc.Mttkrp(ctx, tr, mats, mode, ooc.Options{
-				MemBudget: streamBudget(tr), Deterministic: det, Sched: wb.Opt(ctx),
-			})
+			out, _, err := ooc.Mttkrp(ctx, tr, mats, mode, streamOpt(ctx, wb, budget, serial))
 			return keep(out, err)
 		}
 	}
@@ -102,17 +111,15 @@ func prepTtvOOC(wb *Workbench, mode int) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	v := wb.Vec(mode)
+	v, budget := wb.Vec(mode), streamBudget(tr)
 	outDims := make([]tensor.Index, 0, tr.Order()-1)
 	for _, n := range tensor.OtherModes(tr.Order(), mode) {
 		outDims = append(outDims, tr.Dims[n])
 	}
 	inst, keep := tracked(ooc.TtvFlops(tr), tensor.NewCOO(outDims, 0))
-	run := func(det bool) func(context.Context) error {
+	run := func(serial bool) func(context.Context) error {
 		return func(ctx context.Context) error {
-			out, _, err := ooc.Ttv(ctx, tr, v, mode, ooc.Options{
-				MemBudget: streamBudget(tr), Deterministic: det, Sched: wb.Opt(ctx),
-			})
+			out, _, err := ooc.Ttv(ctx, tr, v, mode, streamOpt(ctx, wb, budget, serial))
 			return keep(out, err)
 		}
 	}

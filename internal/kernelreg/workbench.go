@@ -76,8 +76,8 @@ type Workbench struct {
 	devs  []*gpusim.Device
 	tiled *tensor.TileReader // v3 tile view of X for the OOC variants
 
-	// costs is the per-dataset conversion cost table the planner reads
-	// and every observed conversion feeds (see planner.go).
+	// costs records the measured cost of every conversion this
+	// workbench ran (see convert.go).
 	costs *ConvCosts
 
 	// refMu guards refs. References are computed outside the lock (the

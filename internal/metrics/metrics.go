@@ -111,12 +111,6 @@ type Result struct {
 	// ablation output must not pretend the last mode's choice covered
 	// the whole measurement.
 	Strategies []string
-	// Plan names the conversion path the planner chose while preparing
-	// the variant ("direct:levels.Build:bCSF",
-	// "reuse-csf:levels.BlockRoot", ...): the single value when every
-	// mode agreed, otherwise the comma-joined per-mode list; empty for
-	// variants with no planned conversion.
-	Plan string `json:"Plan,omitempty"`
 	// Outcome summarizes how the guarded trials ended ("ok", or e.g.
 	// "fell-back:serial=2,ok=10"); empty when resilience guarding is
 	// off (no Timeout, Fallback, or ChaosSeed configured).
@@ -167,15 +161,11 @@ func MeasureHost(host *platform.Platform, x *tensor.COO, k roofline.Kernel, f ro
 		totalTime  float64
 		totalFlops int64
 		execs      int
-		plans      []string
 	)
 	for mode := 0; mode < v.Modes(x); mode++ {
 		inst, err := v.Prepare(wb, mode)
 		if err != nil {
 			return res, err
-		}
-		if inst.Plan != "" {
-			plans = append(plans, inst.Plan)
 		}
 		trial := func() (string, error) { return "", inst.Run(context.Background()) }
 		if g != nil {
@@ -204,7 +194,6 @@ func MeasureHost(host *platform.Platform, x *tensor.COO, k roofline.Kernel, f ro
 		res.GFLOPS = float64(res.Flops) / res.TimeSec / 1e9
 	}
 	res.Strategy = joinStrategies(res.Strategies)
-	res.Plan = joinStrategies(plans)
 	res.Roofline, res.Efficiency = rooflineBound(host, x, v, cfg, res.GFLOPS)
 	if counting {
 		res.Counters = obs.DiffSnapshot(ctrBefore, obs.CounterSnapshot())

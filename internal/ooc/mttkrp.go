@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -13,8 +12,8 @@ import (
 // the tile reader: each tile's non-zeros accumulate into the dense
 // output matrix Ã ∈ R^{Dims[mode] × R} through the in-core COO kernel's
 // own range body (core.MttkrpCOORange over the tile's raw columns — so
-// the deterministic stream reproduces the serial in-core bits), but
-// with only a budgeted window of the tensor resident. mats follows the
+// a one-worker stream reproduces the serial in-core bits), but with
+// only a budgeted window of the tensor resident. mats follows the
 // in-core contract: one factor matrix per mode, mats[mode]
 // participating only via its shape.
 func Mttkrp(ctx context.Context, tr *tensor.TileReader, mats []*tensor.Matrix, mode int, opt Options) (*tensor.Matrix, Stats, error) {
@@ -54,12 +53,8 @@ func Mttkrp(ctx context.Context, tr *tensor.TileReader, mats []*tensor.Matrix, m
 		if cnt == 0 {
 			return nil
 		}
-		if opt.Deterministic {
-			core.MttkrpCOORange(tl.Inds, tl.Vals, mode, r, mats, out.Data, 0, cnt, false)
-			return nil
-		}
-		return parallel.For(cnt, sched, func(lo, hi, _ int) {
-			core.MttkrpCOORange(tl.Inds, tl.Vals, mode, r, mats, out.Data, lo, hi, true)
+		return forTile(cnt, sched, func(lo, hi int, shared bool) {
+			core.MttkrpCOORange(tl.Inds, tl.Vals, mode, r, mats, out.Data, lo, hi, shared)
 		})
 	})
 	if err != nil {

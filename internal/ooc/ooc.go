@@ -12,14 +12,15 @@
 // in-core working state charged to the caller; the budget governs the
 // tensor-resident bytes, which is what scales with the dataset.
 //
-// Determinism: with Options.Deterministic the per-tile compute is
-// serial and accumulates in file order. Because tiles partition the
-// naturally sorted tensor, the floating-point addition order is
-// identical to a serial in-core execution over the same sorted data,
-// so streamed outputs are bit-exact against the in-core serial kernels
-// — the property the CI smoke job asserts. The parallel mode trades
-// that for speed and verifies within the suite tolerance like every
-// other parallel variant.
+// Determinism: each kernel has one per-tile body that adds every entry
+// into its output slot — plainly when Options.Sched resolves to one
+// worker, atomically under parallel.For otherwise. With one worker the
+// entries accumulate in file order, and because tiles partition the
+// naturally sorted tensor, the floating-point addition order is that of
+// a serial in-core execution over the same sorted data: streamed
+// outputs are bit-exact against the in-core serial kernels, the
+// property the tests pin. More workers trade that for speed and verify
+// within the suite tolerance like every other parallel variant.
 //
 // Every run feeds the shared obs registry: ooc.tiles, ooc.bytes_read,
 // ooc.prefetch_hits, ooc.prefetch_stalls, and ooc.evictions surface in
@@ -59,11 +60,9 @@ type Options struct {
 	// MemBudget is the hard byte budget for tile-resident bytes (raw +
 	// decoded); 0 selects DefaultBudget.
 	MemBudget int64
-	// Deterministic selects the serial, file-order accumulation mode
-	// whose output is bit-exact against the in-core serial kernels.
-	Deterministic bool
-	// Sched is the scheduling policy the parallel per-tile compute
-	// runs with (ignored when Deterministic).
+	// Sched is the scheduling policy the per-tile compute runs with;
+	// Threads: 1 gives the file-order accumulation whose output is
+	// bit-exact against the in-core serial kernels.
 	Sched parallel.Options
 }
 
@@ -225,8 +224,7 @@ func (led *ledger) stream(ctx context.Context, tr *tensor.TileReader, label stri
 	}()
 	for next := 0; next < len(tr.Tiles); next++ {
 		// A tile boundary always observes the context: a prefetched tile
-		// can win the select below against Done, and the deterministic
-		// compute never looks.
+		// can win the select below against Done.
 		if err := ctx.Err(); err != nil {
 			return st, err
 		}
@@ -265,6 +263,20 @@ func (led *ledger) stream(ctx context.Context, tr *tensor.TileReader, label stri
 		}
 	}
 	return st, nil
+}
+
+// forTile runs a tile's one body over its cnt entries. When sched
+// resolves to one worker the body runs directly, in file order and with
+// plain adds, outside parallel.For and its chunk hooks, so it is the
+// serial path a degradation ladder can fall back to. Otherwise it runs
+// on parallel.For, and shared tells it that workers write the same
+// output slots, so its adds must be atomic.
+func forTile(cnt int, sched parallel.Options, body func(lo, hi int, shared bool)) error {
+	if parallel.ResolveThreads(cnt, sched) == 1 {
+		body(0, cnt, false)
+		return nil
+	}
+	return parallel.For(cnt, sched, func(lo, hi, _ int) { body(lo, hi, true) })
 }
 
 // validateReader rejects streams the reduction kernels cannot run on.

@@ -7,11 +7,13 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -30,6 +32,10 @@ func tiledReader(t *testing.T, x *tensor.COO, tileNNZ int) *tensor.TileReader {
 	}
 	return tr
 }
+
+// serial is the one-worker schedule whose stream accumulates in file
+// order, bit-exact against the serial in-core kernels.
+var serial = parallel.Options{Threads: 1}
 
 func testTensor(t *testing.T, seed int64) *tensor.COO {
 	t.Helper()
@@ -61,9 +67,9 @@ func streamBudget(t *testing.T, tr *tensor.TileReader) int64 {
 }
 
 // TestStreamingMttkrpBitExact is the core determinism contract: the
-// deterministic streamed MTTKRP must be bit-identical to the serial
-// in-core kernel on the same (naturally sorted) data, with peak leased
-// bytes under a budget far below the tensor size.
+// one-worker streamed MTTKRP must be bit-identical to the serial in-core
+// kernel on the same (naturally sorted) data, with peak leased bytes
+// under a budget far below the tensor size.
 func TestStreamingMttkrpBitExact(t *testing.T) {
 	x := testTensor(t, 1)
 	mats := factorMats(x, 16)
@@ -84,12 +90,12 @@ func TestStreamingMttkrpBitExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, st, err := Mttkrp(context.Background(), tr, mats, mode, Options{MemBudget: budget, Deterministic: true})
+		got, st, err := Mttkrp(context.Background(), tr, mats, mode, Options{MemBudget: budget, Sched: serial})
 		if err != nil {
 			t.Fatalf("mode %d: %v", mode, err)
 		}
 		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
+			if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
 				t.Fatalf("mode %d: output[%d] = %x, in-core %x: not bit-exact", mode, i, got.Data[i], want.Data[i])
 			}
 		}
@@ -110,7 +116,7 @@ func TestStreamingMttkrpBitExact(t *testing.T) {
 
 // TestStreamingTtvBitExact is the Ttv leg: natural tile order delivers
 // each fiber's entries in ascending product-mode order — the same
-// order the in-core fiber sort produces — so the deterministic stream
+// order the in-core fiber sort produces — so the one-worker stream
 // reproduces the in-core serial bits fiber by fiber.
 func TestStreamingTtvBitExact(t *testing.T) {
 	x := testTensor(t, 2)
@@ -123,7 +129,7 @@ func TestStreamingTtvBitExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, st, err := Ttv(context.Background(), tr, v, mode, Options{MemBudget: budget, Deterministic: true})
+		got, st, err := Ttv(context.Background(), tr, v, mode, Options{MemBudget: budget, Sched: serial})
 		if err != nil {
 			t.Fatalf("mode %d: %v", mode, err)
 		}
@@ -132,7 +138,7 @@ func TestStreamingTtvBitExact(t *testing.T) {
 		}
 		wm, gm := want.ToMap(), got.ToMap()
 		for k, wv := range wm {
-			if gv, ok := gm[k]; !ok || gv != wv {
+			if gv, ok := gm[k]; !ok || math.Float32bits(gv) != math.Float32bits(wv) {
 				t.Fatalf("mode %d: fiber %v = %x, in-core %x: not bit-exact", mode, k, gm[k], wv)
 			}
 		}
@@ -142,8 +148,9 @@ func TestStreamingTtvBitExact(t *testing.T) {
 	}
 }
 
-// TestStreamingParallelAgrees runs the parallel mode and checks both
-// kernels against the in-core reference within the suite tolerance.
+// TestStreamingParallelAgrees runs both kernels on four workers, whose
+// adds are atomic, against the in-core reference within the suite
+// tolerance.
 func TestStreamingParallelAgrees(t *testing.T) {
 	const tol = 2e-3
 	x := testTensor(t, 3)
@@ -159,7 +166,7 @@ func TestStreamingParallelAgrees(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := Mttkrp(context.Background(), tr, mats, mode, Options{MemBudget: budget})
+		got, _, err := Mttkrp(context.Background(), tr, mats, mode, Options{MemBudget: budget, Sched: parallel.Options{Threads: 4}})
 		if err != nil {
 			t.Fatalf("mode %d: %v", mode, err)
 		}
@@ -175,7 +182,7 @@ func TestStreamingParallelAgrees(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotY, _, err := Ttv(context.Background(), tr, v, mode, Options{MemBudget: budget})
+		gotY, _, err := Ttv(context.Background(), tr, v, mode, Options{MemBudget: budget, Sched: parallel.Options{Threads: 4}})
 		if err != nil {
 			t.Fatalf("mode %d: %v", mode, err)
 		}
@@ -191,7 +198,7 @@ func TestBudgetTooSmall(t *testing.T) {
 	x := testTensor(t, 4)
 	mats := factorMats(x, 16)
 	tr := tiledReader(t, x, 1024)
-	_, _, err := Mttkrp(context.Background(), tr, mats, 0, Options{MemBudget: 64, Deterministic: true})
+	_, _, err := Mttkrp(context.Background(), tr, mats, 0, Options{MemBudget: 64, Sched: serial})
 	if !errors.Is(err, ErrBudgetTooSmall) {
 		t.Fatalf("err = %v, want ErrBudgetTooSmall", err)
 	}
@@ -206,7 +213,7 @@ func TestCancellation(t *testing.T) {
 	tr := tiledReader(t, x, 64)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := Mttkrp(ctx, tr, mats, 0, Options{Deterministic: true})
+	_, _, err := Mttkrp(ctx, tr, mats, 0, Options{Sched: serial})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -228,7 +235,7 @@ func TestCorruptTileSurfacesError(t *testing.T) {
 	}
 	mid := tr.Tiles[tr.NumTiles()/2]
 	raw[mid.Offset+uint64(mid.Bytes)/2] ^= 0x20
-	if _, _, err = Mttkrp(context.Background(), tr, mats, 0, Options{Deterministic: true}); err == nil {
+	if _, _, err = Mttkrp(context.Background(), tr, mats, 0, Options{Sched: serial}); err == nil {
 		t.Fatal("corrupt tile streamed without error")
 	}
 }
@@ -237,7 +244,8 @@ func TestCorruptTileSurfacesError(t *testing.T) {
 // valid used to stream straight into the kernels (ReadTile checked
 // indices only, the in-core reader rejected the same image). The stream
 // must stop at that tile with the reader's error, having released the
-// lease of every tile it delivered, under both schedules and kernels.
+// lease of every tile it delivered, on one worker and two, for both
+// kernels.
 func TestNonFiniteTileSurfacesError(t *testing.T) {
 	x := testTensor(t, 9)
 	mats := factorMats(x, 16)
@@ -267,8 +275,8 @@ func TestNonFiniteTileSurfacesError(t *testing.T) {
 
 	want := fmt.Sprintf("tensor: tile %d entry 7 has non-finite value NaN", bad)
 	budget := streamBudget(t, tr)
-	for _, det := range []bool{true, false} {
-		opt := Options{MemBudget: budget, Deterministic: det}
+	for _, threads := range []int{1, 2} {
+		opt := Options{MemBudget: budget, Sched: parallel.Options{Threads: threads}}
 		_, mst, merr := Mttkrp(context.Background(), tr, mats, 0, opt)
 		_, tst, terr := Ttv(context.Background(), tr, make(tensor.Vector, x.Dims[1]), 1, opt)
 		for kernel, r := range map[string]struct {
@@ -276,10 +284,10 @@ func TestNonFiniteTileSurfacesError(t *testing.T) {
 			err error
 		}{"Mttkrp": {mst, merr}, "Ttv": {tst, terr}} {
 			if r.err == nil || r.err.Error() != want {
-				t.Fatalf("%s (deterministic=%v): err = %v, want %q", kernel, det, r.err, want)
+				t.Fatalf("%s (threads=%d): err = %v, want %q", kernel, threads, r.err, want)
 			}
 			if r.st.Tiles != int64(bad) || r.st.Evictions != r.st.Tiles || r.st.PeakBytes > budget {
-				t.Fatalf("%s (deterministic=%v): stats %+v, want %d tiles delivered and as many evicted, peak within %d", kernel, det, r.st, bad, budget)
+				t.Fatalf("%s (threads=%d): stats %+v, want %d tiles delivered and as many evicted, peak within %d", kernel, threads, r.st, bad, budget)
 			}
 		}
 	}
@@ -310,17 +318,17 @@ func TestEmptyTilesStream(t *testing.T) {
 	// shrink until several tiles exist, then compare against one tile.
 	trMany := tiledReader(t, x, 512)
 	trOne := tiledReader(t, x, 1<<30)
-	a, _, err := Mttkrp(context.Background(), trMany, mats, 1, Options{Deterministic: true})
+	a, _, err := Mttkrp(context.Background(), trMany, mats, 1, Options{Sched: serial})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := Mttkrp(context.Background(), trOne, mats, 1, Options{Deterministic: true})
+	b, _, err := Mttkrp(context.Background(), trOne, mats, 1, Options{Sched: serial})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range a.Data {
 		if a.Data[i] != b.Data[i] {
-			t.Fatalf("tiling changed deterministic output at %d", i)
+			t.Fatalf("tiling changed one-worker output at %d", i)
 		}
 	}
 }
@@ -356,7 +364,7 @@ func TestSpool(t *testing.T) {
 	want := tensor.NewMatrix(int(x.Dims[0]), 4)
 	xs := x.SortedBy(tensor.OtherModes(x.Order(), -1))
 	core.MttkrpCOORange(xs.Inds, xs.Vals, 0, 4, mats, want.Data, 0, xs.NNZ(), false)
-	got, st, err := Mttkrp(context.Background(), tr, mats, 0, Options{MemBudget: min, Deterministic: true})
+	got, st, err := Mttkrp(context.Background(), tr, mats, 0, Options{MemBudget: min, Sched: serial})
 	if err != nil {
 		t.Fatal(err)
 	}

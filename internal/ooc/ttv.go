@@ -45,7 +45,7 @@ func (a *ttvAcc) resolve(tl *tensor.Tile, otherModes []int, x int) int32 {
 // per-fiber reductions y_f = Σ x·v[k] accumulated across tiles. The
 // tile stream is naturally sorted, so each fiber's entries arrive in
 // ascending mode-index order — the same order the in-core kernel's
-// fiber sort produces — which makes the deterministic mode bit-exact
+// fiber sort produces — which makes a one-worker stream bit-exact
 // against the serial in-core Ttv.
 func Ttv(ctx context.Context, tr *tensor.TileReader, v tensor.Vector, mode int, opt Options) (*tensor.COO, Stats, error) {
 	if err := validateReader(tr, mode); err != nil {
@@ -72,18 +72,8 @@ func Ttv(ctx context.Context, tr *tensor.TileReader, v tensor.Vector, mode int, 
 		if cnt == 0 {
 			return nil
 		}
-		kInd := tl.Inds[mode]
-		xv := tl.Vals
-		if opt.Deterministic {
-			for x := 0; x < cnt; x++ {
-				acc.vals[acc.resolve(tl, otherModes, x)] += xv[x] * v[kInd[x]]
-			}
-			return nil
-		}
 		// Fiber-id resolution mutates the dictionary and is serial; the
-		// reduction over resolved ids then parallelizes with run-local
-		// accumulation and one atomic flush per run, like the in-core
-		// segmented kernel.
+		// products then add into their fibers' slots in one loop.
 		if cap(acc.fids) < cnt {
 			acc.fids = make([]int32, cnt)
 		}
@@ -91,15 +81,14 @@ func Ttv(ctx context.Context, tr *tensor.TileReader, v tensor.Vector, mode int, 
 		for x := 0; x < cnt; x++ {
 			fids[x] = acc.resolve(tl, otherModes, x)
 		}
-		vals := acc.vals
-		return parallel.For(cnt, sched, func(lo, hi, _ int) {
-			for m := lo; m < hi; {
-				f := fids[m]
-				var run tensor.Value
-				for ; m < hi && fids[m] == f; m++ {
-					run += xv[m] * v[kInd[m]]
+		kInd, xv, vals := tl.Inds[mode], tl.Vals, acc.vals
+		return forTile(cnt, sched, func(lo, hi int, shared bool) {
+			for x := lo; x < hi; x++ {
+				if shared {
+					parallel.AtomicAddFloat32(&vals[fids[x]], xv[x]*v[kInd[x]])
+				} else {
+					vals[fids[x]] += xv[x] * v[kInd[x]]
 				}
-				parallel.AtomicAddFloat32(&vals[f], run)
 			}
 		})
 	})

@@ -219,10 +219,6 @@ type RunResponse struct {
 	FellFrom string `json:"fellFrom,omitempty"`
 	Attempts int    `json:"attempts"`
 	Strategy string `json:"strategy,omitempty"`
-	// Plan names the conversion path the planner chose while preparing
-	// this variant's instance (e.g. "reuse-csf:levels.BlockRoot"); empty
-	// when no planned conversion happened or the instance was cached.
-	Plan string `json:"plan,omitempty"`
 	// Flops is the Table 1 work of one execution; GFLOPS divides it by
 	// the measured wall time.
 	Flops      int64   `json:"flops"`
@@ -1062,7 +1058,6 @@ func (s *Server) runTrial(ctx context.Context, ie *instEntry, p *plan) (*RunResp
 		FellFrom:     rep.FellFrom,
 		Attempts:     rep.Attempts,
 		Flops:        ie.inst.Flops,
-		Plan:         ie.inst.Plan,
 		BreakersOpen: s.openBreakers(),
 	}
 	if ie.inst.Strategy != nil && rep.Backend == label.Backend {
