@@ -12,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -21,29 +23,43 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command behind main: parse args, inspect every file,
+// and return the process exit code — 2 for a usage error, 1 when a file
+// is unreadable or malformed, 0 otherwise.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pastatrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		validate = flag.Bool("validate", false, "check each file's structural invariants; exit 1 on the first violation")
-		summary  = flag.Bool("summary", false, "print a per-(category, name) duration table for each file")
+		validate = fs.Bool("validate", false, "check each file's structural invariants; exit 1 on the first violation")
+		summary  = fs.Bool("summary", false, "print a per-(category, name) duration table for each file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0 // -h is not a usage error
+		}
+		return 2
+	}
 	if !*validate && !*summary {
 		*validate = true // bare invocation validates
 	}
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: pastatrace [-validate] [-summary] trace.json...")
-		os.Exit(2)
+	if fs.NArg() == 0 {
+		fmt.Fprintln(stderr, "usage: pastatrace [-validate] [-summary] trace.json...")
+		return 2
 	}
 	code := 0
-	for _, path := range flag.Args() {
-		if err := inspect(path, *validate, *summary); err != nil {
-			fmt.Fprintf(os.Stderr, "pastatrace: %s: %v\n", path, err)
+	for _, path := range fs.Args() {
+		if err := inspect(stdout, path, *validate, *summary); err != nil {
+			fmt.Fprintf(stderr, "pastatrace: %s: %v\n", path, err)
 			code = 1
 		}
 	}
-	os.Exit(code)
+	return code
 }
 
-func inspect(path string, validate, summary bool) error {
+func inspect(w io.Writer, path string, validate, summary bool) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -56,10 +72,10 @@ func inspect(path string, validate, summary bool) error {
 		if err := obs.ValidateChromeTrace(data); err != nil {
 			return err
 		}
-		fmt.Printf("%s: %d events, valid\n", path, len(evs))
+		fmt.Fprintf(w, "%s: %d events, valid\n", path, len(evs))
 	}
 	if summary {
-		printSummary(path, evs)
+		printSummary(w, path, evs)
 	}
 	return nil
 }
@@ -73,7 +89,7 @@ type eventAgg struct {
 	firstIndex int
 }
 
-func printSummary(path string, evs []obs.TraceEvent) {
+func printSummary(w io.Writer, path string, evs []obs.TraceEvent) {
 	agg := map[[2]string]*eventAgg{}
 	instants := 0
 	for i, ev := range evs {
@@ -107,10 +123,10 @@ func printSummary(path string, evs []obs.TraceEvent) {
 		}
 		return rows[i].firstIndex < rows[j].firstIndex
 	})
-	fmt.Printf("%s: %d events (%d instants)\n", path, len(evs), instants)
-	fmt.Printf("%-10s %-26s %8s %14s %14s %14s\n", "category", "name", "count", "total(ms)", "mean(us)", "max(us)")
+	fmt.Fprintf(w, "%s: %d events (%d instants)\n", path, len(evs), instants)
+	fmt.Fprintf(w, "%-10s %-26s %8s %14s %14s %14s\n", "category", "name", "count", "total(ms)", "mean(us)", "max(us)")
 	for _, a := range rows {
-		fmt.Printf("%-10s %-26s %8d %14.3f %14.1f %14.1f\n",
+		fmt.Fprintf(w, "%-10s %-26s %8d %14.3f %14.1f %14.1f\n",
 			a.cat, a.name, a.count, a.totalUs/1e3, a.totalUs/float64(a.count), a.maxUs)
 	}
 }

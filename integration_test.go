@@ -110,7 +110,11 @@ func TestKernelChainConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := float64(y.Dot(v0))
+	var dot pasta.Value
+	for i := range y {
+		dot += y[i] * v0[i]
+	}
+	want := float64(dot)
 
 	// Route 2: Ttm with the vectors as R=1 matrices, summing the final
 	// semi-sparse scalar field.

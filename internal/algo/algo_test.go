@@ -9,6 +9,20 @@ import (
 	"repro/internal/tensor"
 )
 
+// ReconstructAt evaluates the CP model X̂ at one coordinate.
+func (res *CPResult) ReconstructAt(idx []tensor.Index) float64 {
+	rank := len(res.Lambda)
+	var s float64
+	for r := 0; r < rank; r++ {
+		p := res.Lambda[r]
+		for n, f := range res.Factors {
+			p *= float64(f.At(int(idx[n]), r))
+		}
+		s += p
+	}
+	return s
+}
+
 // lowRankTensor builds a dense tensor (as COO) from known rank-R factors
 // so decomposition quality is verifiable.
 func lowRankTensor(dims []int, rank int, seed int64) (*tensor.COO, []*tensor.Matrix) {
@@ -307,7 +321,7 @@ func TestFrobeniusNorm(t *testing.T) {
 	x := tensor.NewCOO([]tensor.Index{3, 3}, 2)
 	x.Append([]tensor.Index{0, 0}, 3)
 	x.Append([]tensor.Index{1, 2}, 4)
-	if n := FrobeniusNorm(x); n != 5 {
+	if n := frobeniusNorm(x); n != 5 {
 		t.Fatalf("norm %v, want 5", n)
 	}
 }

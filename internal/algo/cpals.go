@@ -193,21 +193,3 @@ func frobeniusNorm(x *tensor.COO) float64 {
 	}
 	return math.Sqrt(s)
 }
-
-// FrobeniusNorm returns ‖X‖_F of a sparse tensor.
-func FrobeniusNorm(x *tensor.COO) float64 { return frobeniusNorm(x) }
-
-// ReconstructAt evaluates the CP model X̂ at one coordinate — a testing
-// and verification aid.
-func (res *CPResult) ReconstructAt(idx []tensor.Index) float64 {
-	rank := len(res.Lambda)
-	var s float64
-	for r := 0; r < rank; r++ {
-		p := res.Lambda[r]
-		for n, f := range res.Factors {
-			p *= float64(f.At(int(idx[n]), r))
-		}
-		s += p
-	}
-	return s
-}

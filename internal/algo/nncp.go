@@ -33,8 +33,8 @@ func NNCP(x *tensor.COO, rank, maxIters int, tol float64, seed int64, opt parall
 
 // multiplyMode is the multiplicative update, per element: no solve, no
 // sign flips. Factors stay unnormalized (the multiplicative form absorbs
-// the weights), so the component weights are identically 1 and
-// ReconstructAt and the CP fit identity remain exact.
+// the weights), so the component weights are identically 1 and the CP
+// model and its fit identity remain exact.
 func (w *cpWorkspace) multiplyMode(n int, mt, an *tensor.Matrix, lambda []float64) error {
 	const eps = 1e-12
 	w.hadamard(n)

@@ -8,6 +8,31 @@ import (
 	"repro/internal/tensor"
 )
 
+// ReconstructAt evaluates the Tucker model X̂ at one coordinate.
+func (res *TuckerResult) ReconstructAt(idx []tensor.Index) float64 {
+	dims := res.Core.Dims
+	order := len(dims)
+	var s float64
+	coord := make([]int, order)
+	var walk func(level int, prod float64)
+	walk = func(level int, prod float64) {
+		if level == order {
+			off := 0
+			for n, c := range coord {
+				off = off*dims[n] + c
+			}
+			s += prod * float64(res.Core.Data[off])
+			return
+		}
+		for r := 0; r < dims[level]; r++ {
+			coord[level] = r
+			walk(level+1, prod*float64(res.Factors[level].At(int(idx[level]), r)))
+		}
+	}
+	walk(0, 1)
+	return s
+}
+
 func TestJacobiEigenKnownMatrix(t *testing.T) {
 	// Symmetric 2x2 with eigenvalues 3 and 1.
 	a := []float64{2, 1, 1, 2}

@@ -559,7 +559,7 @@ func TestSingularGramRankAboveDims(t *testing.T) {
 		d := res.ReconstructAt([]tensor.Index{x.Inds[0][i], x.Inds[1][i]}) - float64(v)
 		miss += d * d
 	}
-	if rel := math.Sqrt(miss) / FrobeniusNorm(x); rel > 0.05 {
+	if rel := math.Sqrt(miss) / frobeniusNorm(x); rel > 0.05 {
 		t.Fatalf("model misses X by %.3g of its norm", rel)
 	}
 	for n, f := range res.Factors {

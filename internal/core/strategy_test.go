@@ -325,8 +325,7 @@ func TestPrivatizedSteadyStateAllocations(t *testing.T) {
 func TestReduceWorkspaceStatsExposed(t *testing.T) {
 	ws := parallel.SharedWorkspace()
 	before := ws.Stats()
-	buf := ws.Float32(48)
-	ws.PutFloat32(buf)
+	ws.PutSet(ws.Set(2, 48))
 	after := ws.Stats()
 	if after.Hits+after.Misses <= before.Hits+before.Misses {
 		t.Fatal("workspace stats did not advance")

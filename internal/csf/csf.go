@@ -10,8 +10,6 @@ package csf
 import (
 	"fmt"
 
-	"repro/internal/core"
-	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -130,37 +128,6 @@ func (c *CSF) Validate() error {
 		}
 	}
 	return nil
-}
-
-// MttkrpRoot computes the Mttkrp in the CSF's root mode: the one-shot
-// form of the prepared tree plan (mttkrp.go), one parallel unit per root.
-func (c *CSF) MttkrpRoot(mats []*tensor.Matrix, opt parallel.Options) (*tensor.Matrix, error) {
-	p, err := PrepareMttkrp(c.Tree(), FactorCols(mats, c.ModeOrder[0]))
-	if err != nil {
-		return nil, err
-	}
-	return p.ExecuteOMP(mats, opt)
-}
-
-// TtvLeaf computes the tensor-times-vector product in the CSF's leaf
-// mode: each level-(N-2) node reduces its leaves to one output non-zero.
-// The deepest pointer array, the leaf ids and the values are the fiber
-// view of core's Ttv, so this is its prepare-and-execute one-shot; the
-// output is returned in COO format, its coordinates the upper levels
-// unfolded.
-func (c *CSF) TtvLeaf(v tensor.Vector, opt parallel.Options) (*tensor.COO, error) {
-	order := c.Order()
-	if order < 2 {
-		return nil, fmt.Errorf("csf: Ttv needs an order >= 2 tensor")
-	}
-	cols := tensor.UnfoldTree(c.FIds, c.FPtr, c.ModeOrder[:order-1], make([]uint8, order-1), order)
-	p, err := core.NewTtvPlan(core.FiberView{
-		Fptr: c.FPtr[order-2], KInd: c.FIds[order-1], Vals: c.Vals, Dims: c.Dims, Mode: c.ModeOrder[order-1],
-	}, cols)
-	if err != nil {
-		return nil, err
-	}
-	return p.ExecuteOMP(v, opt)
 }
 
 func (c *CSF) String() string {

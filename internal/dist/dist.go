@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"repro/internal/obs"
 	"repro/internal/tensor"
@@ -45,11 +44,6 @@ var (
 	// surfaces in the existing resilience counter row.
 	ctrRetries = obs.GetCounter("resilience.retries")
 )
-
-// ValueBytes is the wire size of one tensor.Value, derived from the
-// actual type so the accounting (and the alpha-beta model fed from it)
-// tracks a future change of value precision instead of assuming float32.
-const ValueBytes = int64(unsafe.Sizeof(tensor.Value(0)))
 
 // ErrAborted marks a collective unwound because a peer rank failed: the
 // caller's own work was fine, somebody else died. The communicator's
@@ -173,9 +167,9 @@ func (c *Comm) abortedErr() error {
 // Stats() and the alpha-beta latency term modeled from it.
 func (c *Comm) sendRight(rank int, data []tensor.Value) error {
 	if len(data) > 0 {
-		c.bytesSent.Add(ValueBytes * int64(len(data)))
+		c.bytesSent.Add(tensor.ValueBytes * int64(len(data)))
 		c.messages.Add(1)
-		ctrCommBytes.Add(ValueBytes * int64(len(data)))
+		ctrCommBytes.Add(tensor.ValueBytes * int64(len(data)))
 		ctrCommMsgs.Inc()
 	}
 	select {
@@ -260,9 +254,9 @@ func (c *Comm) Gather(rank int, seg []tensor.Value) ([][]tensor.Value, error) {
 	}
 	if rank != 0 {
 		if len(seg) > 0 {
-			c.bytesSent.Add(ValueBytes * int64(len(seg)))
+			c.bytesSent.Add(tensor.ValueBytes * int64(len(seg)))
 			c.messages.Add(1)
-			ctrCommBytes.Add(ValueBytes * int64(len(seg)))
+			ctrCommBytes.Add(tensor.ValueBytes * int64(len(seg)))
 			ctrCommMsgs.Inc()
 		}
 		select {
@@ -312,7 +306,7 @@ func AllReduceVolume(n, p int) (bytes, messages int64) {
 		nonEmpty = p
 	}
 	messages = int64(2 * (p - 1) * nonEmpty)
-	bytes = int64(2*(p-1)) * int64(n) * ValueBytes
+	bytes = int64(2*(p-1)) * int64(n) * tensor.ValueBytes
 	return bytes, messages
 }
 
@@ -325,7 +319,7 @@ func GatherVolume(segLens []int) (bytes, messages int64) {
 		if r == 0 || l <= 0 {
 			continue
 		}
-		bytes += ValueBytes * int64(l)
+		bytes += tensor.ValueBytes * int64(l)
 		messages++
 	}
 	return bytes, messages
@@ -351,7 +345,7 @@ func (nm NetworkModel) AllReduceTime(nBytes int64, p int) float64 {
 	if p <= 1 {
 		return 0
 	}
-	n := nBytes / ValueBytes
+	n := nBytes / tensor.ValueBytes
 	nonEmpty := n
 	if nonEmpty > int64(p) {
 		nonEmpty = int64(p)

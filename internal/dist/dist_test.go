@@ -135,9 +135,9 @@ func TestAllReduceSumShortBuffer(t *testing.T) {
 		if msgs != wantMsgs {
 			t.Fatalf("n=%d p=%d: %d messages, want %d", tc.n, tc.p, msgs, wantMsgs)
 		}
-		if bytes != wantMsgs*ValueBytes {
-			t.Fatalf("n=%d p=%d: %d bytes, want %d (ValueBytes=%d per message)",
-				tc.n, tc.p, bytes, wantMsgs*ValueBytes, ValueBytes)
+		if bytes != wantMsgs*tensor.ValueBytes {
+			t.Fatalf("n=%d p=%d: %d bytes, want %d (tensor.ValueBytes=%d per message)",
+				tc.n, tc.p, bytes, wantMsgs*tensor.ValueBytes, tensor.ValueBytes)
 		}
 		if wb, wm := AllReduceVolume(tc.n, tc.p); wb != bytes || wm != msgs {
 			t.Fatalf("n=%d p=%d: AllReduceVolume=(%d,%d) disagrees with measured (%d,%d)",
@@ -147,8 +147,8 @@ func TestAllReduceSumShortBuffer(t *testing.T) {
 }
 
 // TestValueBytesDerived pins the byte accounting to the real value size:
-// a full-segment allreduce must charge exactly ValueBytes per value
-// moved, with ValueBytes derived from tensor.Value rather than a
+// a full-segment allreduce must charge exactly tensor.ValueBytes per value
+// moved, with tensor.ValueBytes derived from tensor.Value rather than a
 // hardcoded 4.
 func TestValueBytesDerived(t *testing.T) {
 	p, n := 4, 32 // n divisible by p: every segment has n/p values
@@ -170,7 +170,7 @@ func TestValueBytesDerived(t *testing.T) {
 	if msgs != wantMsgs {
 		t.Fatalf("%d messages, want %d", msgs, wantMsgs)
 	}
-	if want := wantMsgs * int64(n/p) * ValueBytes; bytes != want {
+	if want := wantMsgs * int64(n/p) * tensor.ValueBytes; bytes != want {
 		t.Fatalf("%d bytes, want %d", bytes, want)
 	}
 }
@@ -181,8 +181,8 @@ func TestValueBytesDerived(t *testing.T) {
 func TestAllReduceTimeShortBuffer(t *testing.T) {
 	nm := DefaultNetwork
 	p := 8
-	short := nm.AllReduceTime(2*ValueBytes, p)       // n=2 < p
-	full := nm.AllReduceTime(ValueBytes*int64(p), p) // n=p
+	short := nm.AllReduceTime(2*tensor.ValueBytes, p)       // n=2 < p
+	full := nm.AllReduceTime(tensor.ValueBytes*int64(p), p) // n=p
 	if short <= 0 {
 		t.Fatal("short-buffer allreduce should still cost time")
 	}
@@ -242,7 +242,7 @@ func TestDistributedMttkrpMatchesLocal(t *testing.T) {
 				t.Fatalf("p=%d %v: measured (%d bytes, %d msgs), model assumes (%d, %d)",
 					p, format, res.CommBytes, res.CommMessages, wantBytes, wantMsgs)
 			}
-			if want := DefaultNetwork.AllReduceTime(ValueBytes*int64(n), p); res.ModeledCommSec != want {
+			if want := DefaultNetwork.AllReduceTime(tensor.ValueBytes*int64(n), p); res.ModeledCommSec != want {
 				t.Fatalf("p=%d %v: modeled %v, want %v", p, format, res.ModeledCommSec, want)
 			}
 			st := e.Stats()

@@ -416,7 +416,7 @@ func (e *Engine) mttkrpStep(mode int, mats []*tensor.Matrix, r int) func(p int) 
 				return out.Data, nil
 			},
 			combine: func(c *Comm, rank int, part []tensor.Value) error { return c.AllReduceSum(rank, part) },
-			modeled: e.opt.Net.AllReduceTime(ValueBytes*int64(e.x.Dims[mode])*int64(r), p),
+			modeled: e.opt.Net.AllReduceTime(tensor.ValueBytes*int64(e.x.Dims[mode])*int64(r), p),
 		}, nil
 	}
 }

@@ -67,14 +67,17 @@ func (f *FCOO) NumFibers() int {
 func (f *FCOO) NumSegments() int { return (f.NNZ() + f.SegSize - 1) / f.SegSize }
 
 // StorageBytes returns the F-COO footprint: values, product-mode indices,
-// one bit per non-zero, per-segment metadata, and the fiber output
-// indices.
+// one bit per non-zero, per-segment metadata, and either layout's other
+// indices — per fiber for Ttv, per non-zero for Mttkrp.
 func (f *FCOO) StorageBytes() int64 {
 	m := int64(f.NNZ())
 	segs := int64(f.NumSegments())
-	b := 4*m + 4*m + (m+7)/8 + segs/8 + 4*segs
+	b := (tensor.ValueBytes+tensor.IndexBytes)*m + (m+7)/8 + segs/8 + 4*segs
 	for range f.OutInds {
-		b += 4 * int64(f.NumFibers())
+		b += tensor.IndexBytes * int64(f.NumFibers())
+	}
+	for _, inds := range f.OtherInds {
+		b += tensor.IndexBytes * int64(len(inds))
 	}
 	return b
 }

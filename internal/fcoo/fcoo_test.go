@@ -222,6 +222,26 @@ func TestFCOOStorageCompetitive(t *testing.T) {
 	}
 }
 
+// TestMttkrpLayoutStorageCountsEveryIndex: the Mttkrp layout keeps
+// every non-zero's index in every mode (output rows in KInd, the others
+// in OtherInds) plus its value, so it is never smaller than the COO
+// tensor's 4·M·(N+1) bytes.
+func TestMttkrpLayoutStorageCountsEveryIndex(t *testing.T) {
+	for _, dims := range [][]tensor.Index{{40, 30, 20}, {12, 10, 8, 6}} {
+		x := randTensor(12, dims, 2000)
+		for mode := range dims {
+			f, err := FromCOOMttkrp(x, mode, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, n := int64(x.NNZ()), int64(len(dims))
+			if got, floor := f.StorageBytes(), 4*m*(n+1); got < floor {
+				t.Fatalf("order %d, mode %d: %d bytes, below the %d its indices and values occupy", n, mode, got, floor)
+			}
+		}
+	}
+}
+
 func TestFCOOProperty(t *testing.T) {
 	f := func(seed int64, modeRaw, segRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -130,13 +130,6 @@ func (g *Governor) BytesInflight() int64 {
 	return g.inflight
 }
 
-// Leases returns the number of outstanding leases.
-func (g *Governor) Leases() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.leases
-}
-
 // Lease is one admitted request's charge against the budget. Release
 // must be called exactly when the request's working set is gone
 // (request completed, failed, or was cancelled); it is idempotent.

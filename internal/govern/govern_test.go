@@ -8,6 +8,13 @@ import (
 	"time"
 )
 
+// Leases returns the number of outstanding leases.
+func (g *Governor) Leases() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.leases
+}
+
 func newTestGov(budget int64, wait time.Duration) *Governor {
 	return New(Config{BudgetBytes: budget, AdmitWait: wait})
 }

@@ -71,9 +71,6 @@ type Ctx struct {
 // 1-D global thread index.
 func (c Ctx) GlobalX() int { return c.BlockIdx.X*c.BlockDim.X + c.ThreadIdx.X }
 
-// GlobalY returns blockIdx.y*blockDim.y + threadIdx.y.
-func (c Ctx) GlobalY() int { return c.BlockIdx.Y*c.BlockDim.Y + c.ThreadIdx.Y }
-
 // Kernel is the body executed once per thread.
 type Kernel func(ctx Ctx)
 

@@ -19,7 +19,7 @@ type keyBit struct {
 // blockKeyLayout lists, most significant first, the index bits that
 // order non-zeros the HiCOO way over the given modes: the block indices
 // (index >> blockBits) bit-interleaved mode-major — the Morton order
-// MortonLess defines — and then each mode's in-block element index in
+// the tests' MortonLess defines — and then each mode's in-block index in
 // turn. A bit no index of its mode has set cannot decide a comparison
 // and is left out, so the key is as wide as the data, not as the
 // declared dimensions.

@@ -1,3 +1,10 @@
+// Package hicoo implements the Hierarchical COOrdinate (HiCOO) sparse
+// tensor format of Li et al. (SC'18) and the two variants this benchmark
+// paper introduces: gHiCOO (per-mode selective compression) and sHiCOO
+// (semi-sparse tensors with dense modes). Tensor indices are compressed in
+// units of B×…×B sparse blocks: block indices keep 32 bits while element
+// indices within a block need only 8 bits, and blocks are laid out in
+// Morton (Z-curve) order to improve locality.
 package hicoo
 
 import (

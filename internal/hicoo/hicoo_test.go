@@ -8,6 +8,47 @@ import (
 	"repro/internal/tensor"
 )
 
+// MortonLess reports whether block-index tuple a precedes b on the
+// N-dimensional Morton (Z-order) curve, i.e. when their coordinate bits
+// are interleaved mode-major. It uses Chan's most-significant-differing-
+// bit comparison, avoiding explicit interleaving (which would need 128
+// bits for a 4th-order tensor). The conversions do not call it — they
+// radix-sort on the packed interleaved key (blocksort.go) — it defines
+// the order they must produce, and the tests compare against it.
+func MortonLess(a, b []tensor.Index) bool {
+	msd := 0
+	var x tensor.Index
+	for n := range a {
+		y := a[n] ^ b[n]
+		if lessMSB(x, y) {
+			msd = n
+			x = y
+		}
+	}
+	return a[msd] < b[msd]
+}
+
+// lessMSB reports whether the most significant set bit of x is strictly
+// below that of y (treating 0 as having no set bit).
+func lessMSB(x, y tensor.Index) bool {
+	return x < y && x < x^y
+}
+
+// MortonEncodeBits returns the bit-interleaved Morton key of idx as a
+// big-endian bit slice (one byte per bit, value 0 or 1): bit 31 of mode 0,
+// bit 31 of mode 1, …, bit 0 of mode N-1: an independently verifiable
+// reference for MortonLess. The conversions pack the same bits, minus
+// those no index has set, into 32-bit key columns.
+func MortonEncodeBits(idx []tensor.Index) []byte {
+	bits := make([]byte, 0, 32*len(idx))
+	for b := 31; b >= 0; b-- {
+		for n := range idx {
+			bits = append(bits, byte((idx[n]>>uint(b))&1))
+		}
+	}
+	return bits
+}
+
 func randomTensor(seed int64, order, maxDim, nnz int) *tensor.COO {
 	rng := rand.New(rand.NewSource(seed))
 	dims := make([]tensor.Index, order)

@@ -11,6 +11,19 @@ import (
 	"repro/internal/tensor"
 )
 
+// convSites is the static table of (span label, operand) pairs the
+// registry's conversion call sites emit, pinned by the obs-label lint:
+// two sites sharing a (label, operand) pair would merge into one trace
+// lane and one cost sample stream.
+var convSites = [][2]string{
+	{EdgeCSFFromCOO, "Ttv-leaf"},
+	{EdgeCSFFromCOO, "Mttkrp-root"},
+	{"fcoo.FromCOO", "Ttv"},
+	{"fcoo.FromCOOMttkrp", "Mttkrp"},
+	{"hicoo.FromCOO", "X"},
+	{"hicoo.FromCOO", "Y"},
+}
+
 func lintTensor() *tensor.COO {
 	return tensor.RandomCOO([]tensor.Index{8, 9, 10}, 60, rand.New(rand.NewSource(7)))
 }

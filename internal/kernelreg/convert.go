@@ -198,16 +198,3 @@ func (wb *Workbench) hierViaCSF(modeOrder []int, site string, bits uint8) (*leve
 	wb.costs.Observe(EdgeBlockRoot, wb.X.NNZ(), time.Since(start))
 	return h, nil
 }
-
-// convSites is the static table of (span label, operand) pairs the
-// registry's conversion call sites emit, pinned by the obs-label lint:
-// two sites sharing a (label, operand) pair would merge into one trace
-// lane and one cost sample stream.
-var convSites = [][2]string{
-	{EdgeCSFFromCOO, "Ttv-leaf"},
-	{EdgeCSFFromCOO, "Mttkrp-root"},
-	{"fcoo.FromCOO", "Ttv"},
-	{"fcoo.FromCOOMttkrp", "Mttkrp"},
-	{"hicoo.FromCOO", "X"},
-	{"hicoo.FromCOO", "Y"},
-}

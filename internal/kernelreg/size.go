@@ -2,18 +2,10 @@ package kernelreg
 
 import (
 	"runtime"
-	"unsafe"
 
 	"repro/internal/roofline"
 	"repro/internal/tensor"
 )
-
-// valueBytes is the in-memory size of one tensor.Value, derived from
-// the type so the accounting tracks a precision change.
-const valueBytes = int64(unsafe.Sizeof(tensor.Value(0)))
-
-// indexBytes is the in-memory size of one tensor.Index.
-const indexBytes = int64(unsafe.Sizeof(tensor.Index(0)))
 
 // MemBytes reports the workbench's measured resident footprint: the
 // input tensor plus every lazily built operand and format conversion.
@@ -40,13 +32,13 @@ func (wb *Workbench) MemBytes() int64 {
 		b += wb.hy.StorageBytes()
 	}
 	for _, v := range wb.vecs {
-		b += valueBytes * int64(len(v))
+		b += tensor.ValueBytes * int64(len(v))
 	}
 	for _, m := range wb.ttm {
-		b += valueBytes * int64(len(m.Data))
+		b += tensor.ValueBytes * int64(len(m.Data))
 	}
 	for _, m := range wb.mats {
-		b += valueBytes * int64(len(m.Data))
+		b += tensor.ValueBytes * int64(len(m.Data))
 	}
 	for _, c := range wb.csfs {
 		b += c.StorageBytes()
@@ -57,8 +49,8 @@ func (wb *Workbench) MemBytes() int64 {
 		// arrays it does not share are charged.
 		b += h.StorageBytes()
 		if c := wb.csfs[moKey(h.ModeOrder)]; c != nil {
-			b -= shared(h.Ptr, c.FPtr, 8) + shared(h.Crd, c.FIds, indexBytes) +
-				shared([][]tensor.Value{h.Vals}, [][]tensor.Value{c.Vals}, valueBytes)
+			b -= shared(h.Ptr, c.FPtr, 8) + shared(h.Crd, c.FIds, tensor.IndexBytes) +
+				shared([][]tensor.Value{h.Vals}, [][]tensor.Value{c.Vals}, tensor.ValueBytes)
 		}
 	}
 	return b
@@ -99,9 +91,6 @@ type Footprint struct {
 	Run int64
 }
 
-// Total is the full admission charge for a cold request.
-func (f Footprint) Total() int64 { return f.Workbench + f.Instance + f.Run }
-
 // EstimateFootprint predicts the working-set bytes of one execution
 // before anything is materialized, from the dataset shape alone. The
 // estimate leans conservative (fiber and block counts are proxied by
@@ -127,18 +116,18 @@ func EstimateFootprint(k roofline.Kernel, f roofline.Format, dims []int64, nnz i
 			maxDim = d
 		}
 	}
-	coo := (order + 1) * indexBytes * nnz // index arrays + values
+	coo := (order + 1) * tensor.IndexBytes * nnz // index arrays + values
 
 	fp := Footprint{Workbench: coo}
 	switch k {
 	case roofline.Tew:
 		fp.Workbench += coo // the second operand Y shares X's pattern
 	case roofline.Ttv:
-		fp.Workbench += valueBytes * maxDim
+		fp.Workbench += tensor.ValueBytes * maxDim
 	case roofline.Ttm:
-		fp.Workbench += valueBytes * maxDim * r
+		fp.Workbench += tensor.ValueBytes * maxDim * r
 	case roofline.Mttkrp:
-		fp.Workbench += valueBytes * sumDims * r // one factor matrix per mode
+		fp.Workbench += tensor.ValueBytes * sumDims * r // one factor matrix per mode
 	}
 
 	// Prepare converts from a sorted copy of the COO (the workbench's
@@ -149,15 +138,15 @@ func EstimateFootprint(k roofline.Kernel, f roofline.Format, dims []int64, nnz i
 	case roofline.HiCOO:
 		// Block pointers + block indices + 8-bit element indices + values.
 		nb := nnz/blockSize + 1
-		conv += (8+4*order)*nb + (valueBytes+order)*nnz
+		conv += (8+tensor.IndexBytes*order)*nb + (tensor.ValueBytes+order)*nnz
 	case roofline.CSF:
-		conv += 8*nnz + 4*order*nnz // fiber pointers + per-level ids (nnz upper bound)
+		conv += 8*nnz + tensor.IndexBytes*order*nnz // fiber pointers + per-level ids (nnz upper bound)
 	case roofline.BCSF:
 		// CSF storage plus the root split: one coarse blocked level
 		// (crd + ptr, ≤ root-node count ≤ nnz) and the refined root crds.
-		conv += 8*nnz + 4*order*nnz + (8+4+4)*nnz
+		conv += 8*nnz + tensor.IndexBytes*order*nnz + (8+2*tensor.IndexBytes)*nnz
 	case roofline.FCOO:
-		conv += 2*4*nnz + nnz/8 + 4*nnz // inds + vals + flag bitmaps
+		conv += 2*tensor.IndexBytes*nnz + nnz/8 + tensor.ValueBytes*nnz // inds + vals + flag bitmaps
 	}
 	out := outputBytes(k, order, nnz, maxDim, r)
 	fp.Instance = conv + out
@@ -173,7 +162,7 @@ func EstimateFootprint(k roofline.Kernel, f roofline.Format, dims []int64, nnz i
 		run = resident
 	}
 	// Per-worker privatized reduction scratch (cache-line padded rows).
-	run += int64(runtime.GOMAXPROCS(0)) * 64 * valueBytes
+	run += int64(runtime.GOMAXPROCS(0)) * 64 * tensor.ValueBytes
 	fp.Run = run
 	return fp
 }
@@ -182,15 +171,15 @@ func EstimateFootprint(k roofline.Kernel, f roofline.Format, dims []int64, nnz i
 func outputBytes(k roofline.Kernel, order, nnz, maxDim, r int64) int64 {
 	switch k {
 	case roofline.Tew, roofline.Ts:
-		return (order + 1) * indexBytes * nnz // same-pattern COO output
+		return (order + 1) * tensor.IndexBytes * nnz // same-pattern COO output
 	case roofline.Ttv:
 		// One value per fiber plus N-1 index arrays; fibers ≤ nnz.
-		return order * indexBytes * nnz
+		return order * tensor.IndexBytes * nnz
 	case roofline.Ttm:
 		// Semi-sparse output: R values per fiber (fibers ≤ nnz).
-		return valueBytes*nnz*r + (order-1)*indexBytes*nnz
+		return tensor.ValueBytes*nnz*r + (order-1)*tensor.IndexBytes*nnz
 	case roofline.Mttkrp:
-		return valueBytes * maxDim * r
+		return tensor.ValueBytes * maxDim * r
 	}
-	return valueBytes * nnz
+	return tensor.ValueBytes * nnz
 }

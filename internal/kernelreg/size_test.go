@@ -8,6 +8,9 @@ import (
 	"repro/internal/tensor"
 )
 
+// Total is the full admission charge for a cold request.
+func (f Footprint) Total() int64 { return f.Workbench + f.Instance + f.Run }
+
 func TestMemBytesGrowsWithOperands(t *testing.T) {
 	x := tensor.RandomCOO([]tensor.Index{40, 40, 40}, 2000, rand.New(rand.NewSource(7)))
 	wb := NewWorkbench(x, Config{})
@@ -135,7 +138,7 @@ func TestMemBytesChargesSharedTreeOnce(t *testing.T) {
 		}
 		afterTtv := prep(roofline.Ttv, roofline.CSF)
 		afterWrap := prep(roofline.Ttm, roofline.CSF)
-		if got, want := afterWrap-afterTtv, valueBytes*int64(len(wb.TtmMat(mode).Data)); got != want {
+		if got, want := afterWrap-afterTtv, tensor.ValueBytes*int64(len(wb.TtmMat(mode).Data)); got != want {
 			t.Errorf("mode %d: Ttm/CSF after Ttv/CSF added %d bytes, want only the Ttm matrix's %d", mode, got, want)
 		}
 		afterSplit := prep(roofline.Ttm, roofline.BCSF)
@@ -143,7 +146,7 @@ func TestMemBytesChargesSharedTreeOnce(t *testing.T) {
 		if h == nil {
 			t.Fatalf("mode %d: no cached bCSF hierarchy", mode)
 		}
-		split := indexBytes*int64(len(h.Crd[0])+len(h.Crd[1])) + 8*int64(len(h.Ptr[0]))
+		split := tensor.IndexBytes*int64(len(h.Crd[0])+len(h.Crd[1])) + 8*int64(len(h.Ptr[0]))
 		if got := afterSplit - afterWrap; got != split {
 			t.Errorf("mode %d: Ttm/bCSF added %d bytes, want only its split root's %d", mode, got, split)
 		}

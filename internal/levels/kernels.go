@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/csf"
-	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -72,15 +71,6 @@ func compose(outer, inner []int64) []int64 {
 	return span
 }
 
-// Mttkrp is the one-shot form: prepare and execute once.
-func Mttkrp(h *Hierarchy, mode int, mats []*tensor.Matrix, opt parallel.Options) (*tensor.Matrix, error) {
-	p, err := PrepareMttkrp(h, mode, csf.FactorCols(mats, mode))
-	if err != nil {
-		return nil, err
-	}
-	return p.ExecuteOMP(mats, opt)
-}
-
 // ErrNoParentLevel and ErrLeafMode are the contract errors of Ttv and
 // Ttm, which reduce the leaves under every node of the second-deepest
 // level: there must be one, and the leaves must complete the product mode.
@@ -144,22 +134,4 @@ func PrepareTtm(h *Hierarchy, mode, r int) (*core.TtmPlan, error) {
 		return nil, err
 	}
 	return core.NewTtmPlan(view, cols, r)
-}
-
-// Ttv is the one-shot form: prepare and execute once.
-func Ttv(h *Hierarchy, mode int, v tensor.Vector, opt parallel.Options) (*tensor.COO, error) {
-	p, err := PrepareTtv(h, mode)
-	if err != nil {
-		return nil, err
-	}
-	return p.ExecuteOMP(v, opt)
-}
-
-// Ttm is the one-shot form: prepare and execute once.
-func Ttm(h *Hierarchy, mode int, u *tensor.Matrix, opt parallel.Options) (*tensor.SemiCOO, error) {
-	p, err := PrepareTtm(h, mode, u.Cols)
-	if err != nil {
-		return nil, err
-	}
-	return p.ExecuteOMP(u, opt)
 }

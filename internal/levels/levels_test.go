@@ -13,6 +13,33 @@ import (
 	"repro/internal/tensor"
 )
 
+// Mttkrp is the one-shot form: prepare and execute once.
+func Mttkrp(h *Hierarchy, mode int, mats []*tensor.Matrix, opt parallel.Options) (*tensor.Matrix, error) {
+	p, err := PrepareMttkrp(h, mode, csf.FactorCols(mats, mode))
+	if err != nil {
+		return nil, err
+	}
+	return p.ExecuteOMP(mats, opt)
+}
+
+// Ttv is the one-shot form: prepare and execute once.
+func Ttv(h *Hierarchy, mode int, v tensor.Vector, opt parallel.Options) (*tensor.COO, error) {
+	p, err := PrepareTtv(h, mode)
+	if err != nil {
+		return nil, err
+	}
+	return p.ExecuteOMP(v, opt)
+}
+
+// Ttm is the one-shot form: prepare and execute once.
+func Ttm(h *Hierarchy, mode int, u *tensor.Matrix, opt parallel.Options) (*tensor.SemiCOO, error) {
+	p, err := PrepareTtm(h, mode, u.Cols)
+	if err != nil {
+		return nil, err
+	}
+	return p.ExecuteOMP(u, opt)
+}
+
 func testTensor(t *testing.T, dims []tensor.Index, nnz int, seed int64) *tensor.COO {
 	t.Helper()
 	x := tensor.RandomCOO(dims, nnz, rand.New(rand.NewSource(seed)))

@@ -300,9 +300,7 @@ func ModelFromWorkloads(p *platform.Platform, ws []perfmodel.Workload, k rooflin
 	}
 	oi := oiSum / float64(modes)
 	res.Roofline = roofline.Attainable(p, oi)
-	if res.Roofline > 0 {
-		res.Efficiency = res.GFLOPS / res.Roofline
-	}
+	res.Efficiency = roofline.Efficiency(p, oi, res.GFLOPS)
 	return res
 }
 
@@ -317,9 +315,5 @@ func rooflineBound(p *platform.Platform, x *tensor.COO, v *kernelreg.Variant, cf
 		oiSum += v.OI(ws[mode].Params)
 	}
 	oi := oiSum / float64(modes)
-	bound = roofline.Attainable(p, oi)
-	if bound > 0 {
-		eff = gflops / bound
-	}
-	return bound, eff
+	return roofline.Attainable(p, oi), roofline.Efficiency(p, oi, gflops)
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -55,18 +54,6 @@ func GetCounter(name string) *Counter {
 	return c
 }
 
-// CounterNames lists every registered counter name, sorted.
-func CounterNames() []string {
-	counterReg.mu.RLock()
-	defer counterReg.mu.RUnlock()
-	out := make([]string, 0, len(counterReg.m))
-	for k := range counterReg.m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // CounterSnapshot captures every registered counter's current value.
 func CounterSnapshot() map[string]int64 {
 	counterReg.mu.RLock()
@@ -89,16 +76,6 @@ func DiffSnapshot(before, after map[string]int64) map[string]int64 {
 		}
 	}
 	return out
-}
-
-// ResetCounters zeroes every registered counter (test isolation; the
-// harnesses use snapshot deltas and never need this).
-func ResetCounters() {
-	counterReg.mu.RLock()
-	defer counterReg.mu.RUnlock()
-	for _, c := range counterReg.m {
-		c.v.Store(0)
-	}
 }
 
 // counting gates the per-operation hot-path counters.

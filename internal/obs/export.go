@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -97,112 +96,6 @@ func WriteChromeTraceFile(path string, spans []Span) error {
 		return fmt.Errorf("obs: refusing to write malformed trace: %w", err)
 	}
 	return os.WriteFile(path, data, 0o644)
-}
-
-// jsonlSpan is the JSONL event-log record for one span.
-type jsonlSpan struct {
-	Name    string            `json:"name"`
-	Variant string            `json:"variant,omitempty"`
-	Phase   string            `json:"phase"`
-	Worker  int32             `json:"worker"`
-	Instant bool              `json:"instant,omitempty"`
-	StartUs float64           `json:"start_us"`
-	DurUs   float64           `json:"dur_us"`
-	Attrs   map[string]string `json:"attrs,omitempty"`
-}
-
-// WriteJSONL renders spans as a JSON-Lines event log, one span per
-// line, for downstream tools that stream rather than load a document.
-func WriteJSONL(w io.Writer, spans []Span) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, s := range spans {
-		var attrs map[string]string
-		if len(s.Attrs) > 0 {
-			attrs = make(map[string]string, len(s.Attrs))
-			for _, a := range s.Attrs {
-				attrs[a.Key] = a.Val
-			}
-		}
-		rec := jsonlSpan{
-			Name: s.Name, Variant: s.Variant, Phase: s.Phase.String(),
-			Worker: s.Worker, Instant: s.Instant,
-			StartUs: float64(s.Start) / float64(time.Microsecond),
-			DurUs:   float64(s.Dur) / float64(time.Microsecond),
-			Attrs:   attrs,
-		}
-		if err := enc.Encode(rec); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// PhaseSummary aggregates the spans of one (phase, name) pair.
-type PhaseSummary struct {
-	Phase Phase
-	Name  string
-	Count int
-	Total time.Duration
-	Max   time.Duration
-}
-
-// Mean is the average span duration.
-func (p PhaseSummary) Mean() time.Duration {
-	if p.Count == 0 {
-		return 0
-	}
-	return p.Total / time.Duration(p.Count)
-}
-
-// Summarize aggregates spans by (phase, name), sorted by descending
-// total time — the "where did the time go" table.
-func Summarize(spans []Span) []PhaseSummary {
-	type key struct {
-		p Phase
-		n string
-	}
-	agg := make(map[key]*PhaseSummary)
-	var order []key
-	for _, s := range spans {
-		if s.Instant {
-			continue
-		}
-		k := key{s.Phase, s.Name}
-		ps := agg[k]
-		if ps == nil {
-			ps = &PhaseSummary{Phase: s.Phase, Name: s.Name}
-			agg[k] = ps
-			order = append(order, k)
-		}
-		ps.Count++
-		ps.Total += s.Dur
-		if s.Dur > ps.Max {
-			ps.Max = s.Dur
-		}
-	}
-	out := make([]PhaseSummary, 0, len(order))
-	for _, k := range order {
-		out = append(out, *agg[k])
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Total > out[j].Total })
-	return out
-}
-
-// WriteSummary prints the aggregated span table.
-func WriteSummary(w io.Writer, spans []Span) {
-	sums := Summarize(spans)
-	if len(sums) == 0 {
-		fmt.Fprintln(w, "(no spans recorded)")
-		return
-	}
-	fmt.Fprintf(w, "%-10s %-24s %8s %14s %14s %14s\n",
-		"phase", "name", "count", "total", "mean", "max")
-	for _, s := range sums {
-		fmt.Fprintf(w, "%-10s %-24s %8d %14v %14v %14v\n",
-			s.Phase, s.Name, s.Count, s.Total.Round(time.Microsecond),
-			s.Mean().Round(time.Microsecond), s.Max.Round(time.Microsecond))
-	}
 }
 
 // WriteCounterSummary prints a name-sorted counter table; when

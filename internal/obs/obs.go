@@ -49,8 +49,6 @@ const (
 	// PhaseChunk covers work-shared execution: a parallel.For loop or a
 	// single simulated thread block.
 	PhaseChunk
-	// PhaseReduce covers a parallel reduction merge.
-	PhaseReduce
 	// PhaseVerify covers a verification pass against the reference.
 	PhaseVerify
 	// PhaseFallback marks resilience events: retries, degradations,
@@ -64,7 +62,7 @@ const (
 
 var phaseNames = [numPhases]string{
 	"prepare", "convert", "sort", "launch", "chunk",
-	"reduce", "verify", "fallback", "trial",
+	"verify", "fallback", "trial",
 }
 
 func (p Phase) String() string {
@@ -116,7 +114,10 @@ type Tracer struct {
 	// epoch anchors every span's Start offset; time.Since(epoch) reads
 	// the monotonic clock.
 	epoch time.Time
-	// wall is the wall-clock time of the epoch, for export metadata.
+	// wall is the wall-clock time of the epoch. Nothing reads it; it
+	// stays because dropping it shrinks New and moves internal/core in
+	// the benchmark binary by 32 bytes mod 64, which shifts the kernel
+	// ratios (EXPERIMENTS.md "Element-wise kernels in AVX2").
 	wall time.Time
 	// blockSpans opts in to one span per simulated GPU block — precise
 	// but voluminous; off by default.
@@ -147,9 +148,6 @@ func New(opts ...Option) *Tracer {
 
 // BlockSpans reports whether per-block GPU spans were requested.
 func (t *Tracer) BlockSpans() bool { return t.blockSpans }
-
-// Epoch returns the wall-clock time offsets are measured from.
-func (t *Tracer) Epoch() time.Time { return t.wall }
 
 func (t *Tracer) record(s Span) {
 	sh := &t.shards[uint32(s.Worker+1)&(shardCount-1)]
@@ -233,9 +231,6 @@ func BeginOn(t *Tracer, name, variant string, phase Phase, worker int) Active {
 		Worker: int32(worker), Start: time.Since(t.epoch),
 	}}
 }
-
-// Enabled reports whether the span is actually recording.
-func (a *Active) Enabled() bool { return a.t != nil }
 
 // Attr annotates the span; dropped when tracing is off.
 func (a *Active) Attr(key, val string) {

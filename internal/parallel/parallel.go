@@ -29,7 +29,6 @@ var (
 	ctrChunks     = obs.GetCounter("parallel.chunks")
 	ctrAtomicAdds = obs.GetCounter("parallel.atomic_adds")
 	ctrCASRetries = obs.GetCounter("parallel.cas_retries")
-	ctrReductions = obs.GetCounter("parallel.reductions")
 )
 
 // Schedule selects the OpenMP loop-scheduling policy.
@@ -485,37 +484,4 @@ func AtomicAddFloat64(addr *float64, delta float64) {
 		}
 		ctrCASRetries.Inc()
 	}
-}
-
-// reducePad spaces per-worker partials one 64-byte cache line apart so
-// the workers' accumulator stores do not false-share.
-const reducePad = 8
-
-// ReduceFloat64 runs body over [0, n) and returns the sum of all per-call
-// partial results — the equivalent of "omp parallel for reduction(+)".
-//
-// The worker count is resolved exactly once and pinned through
-// opt.Threads: sizing the partial array from one NumThreads read while
-// For re-reads it would let a concurrent SetNumThreads hand out worker
-// ids beyond the array. The partials come from the shared workspace, so
-// steady-state calls do not allocate them.
-func ReduceFloat64(n int, opt Options, body func(lo, hi, worker int) float64) float64 {
-	sp := obs.Begin("parallel.Reduce", "", obs.PhaseReduce, -1)
-	if obs.Counting() {
-		ctrReductions.Inc()
-	}
-	threads := ResolveThreads(n, opt)
-	opt.Threads = threads
-	ws := SharedWorkspace()
-	partial := ws.Float64(threads * reducePad)
-	For(n, opt, func(lo, hi, w int) {
-		partial[w*reducePad] += body(lo, hi, w)
-	})
-	var sum float64
-	for w := 0; w < threads; w++ {
-		sum += partial[w*reducePad]
-	}
-	ws.PutFloat64(partial)
-	sp.End()
-	return sum
 }

@@ -15,7 +15,7 @@ var (
 	ctrWSMisses = obs.GetCounter("workspace.misses")
 )
 
-// Workspace is a pool of reduction scratch buffers keyed by size, reused
+// Workspace is a pool of reduction scratch sets keyed by shape, reused
 // across kernel invocations. The privatized reduction strategy needs
 // threads × output elements of scratch per call; allocating that anew on
 // every Execute poisons benchmark loops with allocator and GC traffic, so
@@ -25,8 +25,6 @@ var (
 // fully zeroed.
 type Workspace struct {
 	mu   sync.Mutex
-	f32  map[int][][]float32
-	f64  map[int][][]float64
 	sets map[setKey][]*PrivateSet
 
 	hits     uint64
@@ -38,11 +36,7 @@ type setKey struct{ workers, elems int }
 
 // NewWorkspace returns an empty workspace.
 func NewWorkspace() *Workspace {
-	return &Workspace{
-		f32:  make(map[int][][]float32),
-		f64:  make(map[int][][]float64),
-		sets: make(map[setKey][]*PrivateSet),
-	}
+	return &Workspace{sets: make(map[setKey][]*PrivateSet)}
 }
 
 var sharedWorkspace = NewWorkspace()
@@ -67,93 +61,6 @@ func (ws *Workspace) Stats() WorkspaceStats {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	return WorkspaceStats{Hits: ws.hits, Misses: ws.misses, RetainedBytes: ws.retained}
-}
-
-// Drop releases every buffer parked in the pool back to the garbage
-// collector (the counters survive).
-func (ws *Workspace) Drop() {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	ws.f32 = make(map[int][][]float32)
-	ws.f64 = make(map[int][][]float64)
-	ws.sets = make(map[setKey][]*PrivateSet)
-	ws.retained = 0
-}
-
-// Float32 hands out a zeroed []float32 of length n.
-func (ws *Workspace) Float32(n int) []float32 {
-	if n <= 0 {
-		return nil
-	}
-	ws.mu.Lock()
-	var buf []float32
-	if l := ws.f32[n]; len(l) > 0 {
-		buf = l[len(l)-1]
-		ws.f32[n] = l[:len(l)-1]
-		ws.hits++
-		ctrWSReuses.Inc()
-		ws.retained -= 4 * int64(n)
-	} else {
-		ws.misses++
-		ctrWSMisses.Inc()
-	}
-	ws.mu.Unlock()
-	if buf == nil {
-		return make([]float32, n)
-	}
-	for i := range buf {
-		buf[i] = 0
-	}
-	return buf
-}
-
-// PutFloat32 returns a buffer acquired with Float32 to the pool.
-func (ws *Workspace) PutFloat32(buf []float32) {
-	if len(buf) == 0 {
-		return
-	}
-	ws.mu.Lock()
-	ws.f32[len(buf)] = append(ws.f32[len(buf)], buf)
-	ws.retained += 4 * int64(len(buf))
-	ws.mu.Unlock()
-}
-
-// Float64 hands out a zeroed []float64 of length n.
-func (ws *Workspace) Float64(n int) []float64 {
-	if n <= 0 {
-		return nil
-	}
-	ws.mu.Lock()
-	var buf []float64
-	if l := ws.f64[n]; len(l) > 0 {
-		buf = l[len(l)-1]
-		ws.f64[n] = l[:len(l)-1]
-		ws.hits++
-		ctrWSReuses.Inc()
-		ws.retained -= 8 * int64(n)
-	} else {
-		ws.misses++
-		ctrWSMisses.Inc()
-	}
-	ws.mu.Unlock()
-	if buf == nil {
-		return make([]float64, n)
-	}
-	for i := range buf {
-		buf[i] = 0
-	}
-	return buf
-}
-
-// PutFloat64 returns a buffer acquired with Float64 to the pool.
-func (ws *Workspace) PutFloat64(buf []float64) {
-	if len(buf) == 0 {
-		return
-	}
-	ws.mu.Lock()
-	ws.f64[len(buf)] = append(ws.f64[len(buf)], buf)
-	ws.retained += 8 * int64(len(buf))
-	ws.mu.Unlock()
 }
 
 // PrivateSet is one worker-count's worth of private output copies for a

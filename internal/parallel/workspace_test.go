@@ -5,53 +5,13 @@ import (
 	"testing"
 )
 
-func TestWorkspaceFloat32ReuseAndZeroing(t *testing.T) {
-	ws := NewWorkspace()
-	a := ws.Float32(64)
-	if len(a) != 64 {
-		t.Fatalf("len = %d, want 64", len(a))
-	}
-	for i := range a {
-		a[i] = float32(i + 1)
-	}
-	ws.PutFloat32(a)
-	b := ws.Float32(64)
-	for i, v := range b {
-		if v != 0 {
-			t.Fatalf("reused buffer not zeroed at %d: %v", i, v)
-		}
-	}
-	st := ws.Stats()
-	if st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("stats = %+v, want 1 hit / 1 miss", st)
-	}
-}
-
-func TestWorkspaceFloat64ReuseAndZeroing(t *testing.T) {
-	ws := NewWorkspace()
-	a := ws.Float64(32)
-	for i := range a {
-		a[i] = 3.5
-	}
-	ws.PutFloat64(a)
-	b := ws.Float64(32)
-	for i, v := range b {
-		if v != 0 {
-			t.Fatalf("reused buffer not zeroed at %d: %v", i, v)
-		}
-	}
-	if st := ws.Stats(); st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("stats = %+v, want 1 hit / 1 miss", st)
-	}
-}
-
 func TestWorkspaceSizeKeying(t *testing.T) {
 	ws := NewWorkspace()
-	ws.PutFloat32(ws.Float32(100))
-	// Different size must miss, not truncate or regrow the pooled buffer.
-	b := ws.Float32(200)
-	if len(b) != 200 {
-		t.Fatalf("len = %d, want 200", len(b))
+	ws.PutSet(ws.Set(2, 100))
+	// Different size must miss, not truncate or regrow the pooled buffers.
+	b := ws.Set(2, 200)
+	if len(b.Bufs[0]) != 200 {
+		t.Fatalf("len = %d, want 200", len(b.Bufs[0]))
 	}
 	if st := ws.Stats(); st.Hits != 0 {
 		t.Fatalf("different size hit the pool: %+v", st)
@@ -94,24 +54,6 @@ func TestWorkspacePrivateSetReuse(t *testing.T) {
 	}
 }
 
-func TestWorkspaceDrop(t *testing.T) {
-	ws := NewWorkspace()
-	ws.PutFloat32(ws.Float32(1024))
-	ws.PutFloat64(ws.Float64(1024))
-	ws.PutSet(ws.Set(2, 512))
-	if st := ws.Stats(); st.RetainedBytes == 0 {
-		t.Fatal("retained bytes = 0 after returning buffers")
-	}
-	ws.Drop()
-	if st := ws.Stats(); st.RetainedBytes != 0 {
-		t.Fatalf("retained bytes = %d after Drop, want 0", st.RetainedBytes)
-	}
-	// Pool still usable after Drop.
-	if b := ws.Float32(16); len(b) != 16 {
-		t.Fatal("workspace unusable after Drop")
-	}
-}
-
 // TestWorkspaceConcurrent hammers one workspace from many goroutines; run
 // under -race it proves the pool's locking. Each goroutine checks that the
 // buffer it got is zeroed and exclusively owned.
@@ -123,7 +65,8 @@ func TestWorkspaceConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for it := 0; it < 200; it++ {
-				buf := ws.Float32(256)
+				s := ws.Set(3, 256)
+				buf := s.Bufs[g%3]
 				for i, v := range buf {
 					if v != 0 {
 						t.Errorf("goroutine %d: dirty buffer at %d: %v", g, i, v)
@@ -139,10 +82,6 @@ func TestWorkspaceConcurrent(t *testing.T) {
 						return
 					}
 				}
-				ws.PutFloat32(buf)
-
-				s := ws.Set(3, 64)
-				s.Bufs[0][0] = float32(g)
 				ws.PutSet(s)
 			}
 		}(g)
@@ -157,19 +96,15 @@ func TestWorkspaceConcurrent(t *testing.T) {
 func TestWorkspaceSteadyStateNoMisses(t *testing.T) {
 	ws := NewWorkspace()
 	ws.PutSet(ws.Set(4, 1024))
-	ws.PutFloat64(ws.Float64(64))
 	warm := ws.Stats()
 	for i := 0; i < 100; i++ {
-		s := ws.Set(4, 1024)
-		b := ws.Float64(64)
-		ws.PutFloat64(b)
-		ws.PutSet(s)
+		ws.PutSet(ws.Set(4, 1024))
 	}
 	st := ws.Stats()
 	if st.Misses != warm.Misses {
 		t.Fatalf("steady state missed: warm %d misses, now %d", warm.Misses, st.Misses)
 	}
-	if st.Hits != warm.Hits+200 {
-		t.Fatalf("hits = %d, want %d", st.Hits, warm.Hits+200)
+	if st.Hits != warm.Hits+100 {
+		t.Fatalf("hits = %d, want %d", st.Hits, warm.Hits+100)
 	}
 }

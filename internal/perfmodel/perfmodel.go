@@ -50,14 +50,6 @@ type Workload struct {
 	Collisions float64
 }
 
-// FromTensor measures a Workload from a tensor for the given mode, factor
-// count, and HiCOO block bits. It is preprocessing-stage work (sorting a
-// clone) and should be cached per (tensor, mode); use FromTensorAllModes
-// to amortize the HiCOO conversion across modes.
-func FromTensor(x *tensor.COO, mode, r int, blockBits uint8) Workload {
-	return FromTensorAllModes(x, r, blockBits)[mode]
-}
-
 // FromTensorAllModes measures the Workload of every mode at once,
 // converting to HiCOO (whose block statistics are mode-independent) a
 // single time.
@@ -154,7 +146,6 @@ type Breakdown struct {
 // Model constants (calibration documented in DESIGN.md §2 and verified
 // relationally by the package tests).
 const (
-	cacheLine = 64.0
 	// gatherOverfetchTtv: Ttv reads 4-byte vector entries through an
 	// irregular index, so a missing line delivers 64 bytes for 4 useful.
 	gatherOverfetchTtv = 8.0

@@ -164,7 +164,7 @@ func TestFromTensorMeasuresStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := FromTensor(x, 0, 16, 7)
+	w := FromTensorAllModes(x, 16, 7)[0]
 	if w.M != int64(x.NNZ()) || w.Order != 3 || w.R != 16 || w.BlockSize != 128 {
 		t.Fatalf("workload basics wrong: %+v", w)
 	}

@@ -59,14 +59,6 @@ type Platform struct {
 	Compiler  string
 }
 
-// EfficiencyDRAM returns the obtainable fraction of theoretical bandwidth.
-func (p *Platform) EfficiencyDRAM() float64 {
-	if p.MemBWGBs == 0 {
-		return 0
-	}
-	return p.ERTDRAMGBs / p.MemBWGBs
-}
-
 func (p *Platform) String() string {
 	return fmt.Sprintf("%s (%s, %s, %.1f GFLOPS peak, %.0f GB/s DRAM)",
 		p.Name, p.Kind, p.Processor, p.PeakSPGFLOPS, p.MemBWGBs)

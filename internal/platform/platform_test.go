@@ -39,14 +39,10 @@ func TestKinds(t *testing.T) {
 
 func TestEfficiencyDRAM(t *testing.T) {
 	for _, p := range All() {
-		e := p.EfficiencyDRAM()
+		e := p.ERTDRAMGBs / p.MemBWGBs
 		if e <= 0 || e >= 1 {
 			t.Fatalf("%s: ERT fraction %v out of (0,1)", p.Name, e)
 		}
-	}
-	var zero Platform
-	if zero.EfficiencyDRAM() != 0 {
-		t.Fatal("zero platform efficiency should be 0")
 	}
 }
 

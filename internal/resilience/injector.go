@@ -90,7 +90,7 @@ func (in *Injector) ArmRandom(ctx context.Context, maxNth int64, stall time.Dura
 		maxNth = 1
 	}
 	in.mu.Lock()
-	f := Fault(1 + in.rng.Intn(3))
+	f := FaultPanic + Fault(in.rng.Intn(int(FaultLaunchFail-FaultPanic+1)))
 	nth := 1 + in.rng.Int63n(maxNth)
 	in.mu.Unlock()
 	in.Arm(ctx, f, nth, stall)

@@ -224,7 +224,7 @@ func TestPlatformTable4Values(t *testing.T) {
 		if p.ERTDRAMGBs >= p.MemBWGBs {
 			t.Errorf("%s: obtainable BW above theoretical", p.Name)
 		}
-		if e := p.EfficiencyDRAM(); e < 0.6 || e > 0.95 {
+		if e := p.ERTDRAMGBs / p.MemBWGBs; e < 0.6 || e > 0.95 {
 			t.Errorf("%s: ERT fraction %v outside typical range", p.Name, e)
 		}
 	}

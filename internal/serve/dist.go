@@ -8,6 +8,7 @@ import (
 	"repro/internal/kernelreg"
 	"repro/internal/obs"
 	"repro/internal/roofline"
+	"repro/internal/tensor"
 )
 
 // maxDistRanks bounds the simulated worker count one request may ask
@@ -60,7 +61,7 @@ func (d *distExec) cost(s *Server, p *plan) int64 {
 		if mode < 0 || mode >= len(dims) {
 			mode = 0 // execute rejects it once the dataset is loaded
 		}
-		cost += fp.Workbench + int64(d.ranks)*dims[mode]*int64(s.cfg.Bench.R)*4
+		cost += fp.Workbench + int64(d.ranks)*dims[mode]*int64(s.cfg.Bench.R)*tensor.ValueBytes
 	}
 	return cost
 }

@@ -68,9 +68,10 @@ func (e *streamExec) cost(s *Server, p *plan) int64 {
 		}
 	}
 	if p.kernel == roofline.Mttkrp {
-		return e.budget + 4*int64(s.cfg.Bench.R)*(sumDims+maxDim) // factor matrices + output
+		return e.budget + tensor.ValueBytes*int64(s.cfg.Bench.R)*(sumDims+maxDim) // factor matrices + output
 	}
-	return e.budget + 4*maxDim + 4*int64(len(dims))*int64(s.cfg.NNZ)
+	nnz := int64(s.cfg.NNZ) // the vector, then the output's index columns and values
+	return e.budget + tensor.ValueBytes*maxDim + (int64(len(dims)-1)*tensor.IndexBytes+tensor.ValueBytes)*nnz
 }
 
 // oocEntry is one cached spooled dataset: the open tile reader over the

@@ -183,17 +183,9 @@ func writeF32Chunked(w io.Writer, src []float32, scratch []byte) error {
 
 // ReadBinary parses any PSTB binary version. The remaining input size
 // is auto-detected when r exposes it (os.File, bytes.Reader/Buffer, any
-// io.Seeker); use ReadBinarySized to supply it for plain streams.
+// io.Seeker); a plain stream's is unknown.
 func ReadBinary(r io.Reader) (*COO, error) {
 	t, _, err := readBinary(r, inputSize(r))
-	return t, err
-}
-
-// ReadBinarySized parses a PSTB stream whose remaining length is known
-// to be size bytes, letting the reader reject oversized nnz/order/dims
-// declarations before allocating anything. size < 0 means unknown.
-func ReadBinarySized(r io.Reader, size int64) (*COO, error) {
-	t, _, err := readBinary(r, size)
 	return t, err
 }
 

@@ -75,18 +75,6 @@ func RandomVector(n int, rng *rand.Rand) Vector {
 // Clone returns a copy of the vector.
 func (v Vector) Clone() Vector { return append(Vector(nil), v...) }
 
-// Dot returns the inner product of two equal-length vectors.
-func (v Vector) Dot(w Vector) Value {
-	if len(v) != len(w) {
-		panic("tensor: Dot with mismatched lengths")
-	}
-	var s Value
-	for i := range v {
-		s += v[i] * w[i]
-	}
-	return s
-}
-
 // Norm2 returns the Euclidean norm computed in float64 for stability.
 func (v Vector) Norm2() float64 {
 	var s float64
@@ -94,11 +82,4 @@ func (v Vector) Norm2() float64 {
 		s += float64(x) * float64(x)
 	}
 	return math.Sqrt(s)
-}
-
-// Scale multiplies every element by s in place.
-func (v Vector) Scale(s Value) {
-	for i := range v {
-		v[i] *= s
-	}
 }

@@ -109,7 +109,7 @@ func TestStatsFiber(t *testing.T) {
 		t.Fatalf("Imbalance = %v, want 1.5", st.Imbalance)
 	}
 	// ComputeFiberStats must not disturb the input ordering metadata.
-	if x.SortOrder() != nil {
+	if x.sortOrder != nil {
 		t.Fatal("ComputeFiberStats modified input sort state")
 	}
 }

@@ -44,7 +44,7 @@ func TestReadAheadFewReads(t *testing.T) {
 		want *COO
 	}{"v3, 32 tiles": {v3.Bytes(), small}, "v2, 250 KB": {v2.Bytes(), flat}} {
 		cr := &countingReader{r: bytes.NewReader(c.raw)}
-		got, err := ReadBinarySized(cr, int64(len(c.raw)))
+		got, _, err := readBinary(cr, int64(len(c.raw)))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

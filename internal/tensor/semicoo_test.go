@@ -143,26 +143,16 @@ func TestMatrixBasics(t *testing.T) {
 
 func TestVectorOps(t *testing.T) {
 	v := Vector{1, 2, 3}
-	w := Vector{4, 5, 6}
-	if d := v.Dot(w); d != 32 {
-		t.Fatalf("Dot = %v, want 32", d)
-	}
 	if n := (Vector{3, 4}).Norm2(); n != 5 {
 		t.Fatalf("Norm2 = %v, want 5", n)
 	}
 	c := v.Clone()
-	c.Scale(2)
-	if c[0] != 2 || v[0] != 1 {
-		t.Fatal("Scale/Clone interaction wrong")
+	c[0] = 2
+	if v[0] != 1 {
+		t.Fatal("Clone shares storage with the original")
 	}
 	rv := RandomVector(10, rand.New(rand.NewSource(2)))
 	if len(rv) != 10 {
 		t.Fatal("RandomVector length wrong")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Dot with mismatched lengths should panic")
-		}
-	}()
-	v.Dot(Vector{1})
 }

@@ -87,11 +87,6 @@ func (t *COO) SortForMode(n int) { t.Sort(ModeOrder(t.Order(), n)) }
 // FROSTT files are usually stored.
 func (t *COO) SortNatural() { t.Sort(OtherModes(t.Order(), -1)) }
 
-// SortOrder returns the mode permutation of the last sort (outermost
-// first), or nil if the ordering is unknown. The returned slice must not
-// be modified.
-func (t *COO) SortOrder() []int { return t.sortOrder }
-
 // IsSortedBy reports whether the tensor is known to be sorted by perm.
 func (t *COO) IsSortedBy(perm []int) bool {
 	if len(t.sortOrder) != len(perm) {

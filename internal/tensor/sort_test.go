@@ -94,7 +94,7 @@ func TestSortedBy(t *testing.T) {
 	// Unordered data: a sorted copy, the receiver untouched.
 	before := x.Clone()
 	s := x.SortedBy(other)
-	if !sameEntries(x, before) || x.SortOrder() != nil {
+	if !sameEntries(x, before) || x.sortOrder != nil {
 		t.Fatal("SortedBy modified its receiver")
 	}
 	if !s.IsSortedBy(other) || !sameEntries(s, comparatorSorted(x, other)) {
@@ -112,7 +112,7 @@ func TestSortedBy(t *testing.T) {
 	// Ordered data that does not know it (a tensor read from a file): a
 	// view sharing the arrays, the receiver still untouched.
 	file := comparatorSorted(x, natural)
-	if file.SortOrder() != nil {
+	if file.sortOrder != nil {
 		t.Fatal("test setup: the unordered clone must not claim an order")
 	}
 	v := file.SortedBy(natural)
@@ -122,7 +122,7 @@ func TestSortedBy(t *testing.T) {
 	if &v.Vals[0] != &file.Vals[0] || &v.Inds[2][0] != &file.Inds[2][0] {
 		t.Fatal("view of ordered data must share the receiver's arrays")
 	}
-	if file.SortOrder() != nil {
+	if file.sortOrder != nil {
 		t.Fatal("SortedBy recorded the order on its receiver")
 	}
 

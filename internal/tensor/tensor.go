@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // Value is the scalar element type of all tensors in the suite. The paper
@@ -21,9 +22,17 @@ type Value = float32
 // Index is the 32-bit coordinate type used by COO and block indices.
 type Index = uint32
 
+// ValueBytes and IndexBytes are the in-memory sizes of one Value and one
+// Index, derived from the types: every byte count of a tensor, an operand
+// or a message is built from them.
+const (
+	ValueBytes = int64(unsafe.Sizeof(Value(0)))
+	IndexBytes = int64(unsafe.Sizeof(Index(0)))
+)
+
 // COO is a sparse tensor in coordinate format: one index array per mode and
 // a flat value array. It makes no ordering guarantee unless a Sort* method
-// has been called; SortOrder reports the active ordering.
+// has been called; IsSortedBy reports the active ordering.
 type COO struct {
 	// Dims holds the size of each mode; len(Dims) is the tensor order.
 	Dims []Index

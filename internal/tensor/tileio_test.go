@@ -346,7 +346,7 @@ func TestReadBinaryAllocsConstant(t *testing.T) {
 			r := bytes.NewReader(raw)
 			got := testing.AllocsPerRun(10, func() {
 				r.Reset(raw)
-				if _, err := ReadBinarySized(r, int64(len(raw))); err != nil {
+				if _, _, err := readBinary(r, int64(len(raw))); err != nil {
 					t.Fatal(err)
 				}
 			})
