@@ -1,4 +1,4 @@
-// Command pastainfo inspects a sparse tensor — a .tns file or a Table 2/3
+// Command pastainfo inspects a sparse tensor — a tensor file or a Table 2/3
 // dataset entry — reporting its shape, density, per-mode fiber statistics,
 // and storage footprint in every format the suite implements (COO, HiCOO,
 // gHiCOO, CSF).
@@ -12,10 +12,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
+	"strings"
 
 	"repro/internal/csf"
 	"repro/internal/dataset"
@@ -32,7 +35,7 @@ import (
 // capability flags consumers dispatch on. This is the live registry —
 // the same enumeration metrics, pastaverify, pastabench, and the chaos
 // matrix iterate — so the grid always reflects what a build can run.
-func printVariants() {
+func printVariants(w io.Writer) {
 	all := kernelreg.All()
 	generated := 0
 	for _, v := range all {
@@ -40,9 +43,9 @@ func printVariants() {
 			generated++
 		}
 	}
-	fmt.Printf("kernel-variant registry: %d variants across %d (kernel, format) pairs (%d hand-tuned, %d generated)\n\n",
+	fmt.Fprintf(w, "kernel-variant registry: %d variants across %d (kernel, format) pairs (%d hand-tuned, %d generated)\n\n",
 		len(all), len(kernelreg.Grid()), len(all)-generated, generated)
-	fmt.Printf("%-8s %-7s %-4s %-4s %-9s %-4s %-5s %s\n", "Kernel", "Format", "omp", "gpu", "multigpu", "ooc", "impl", "caps")
+	fmt.Fprintf(w, "%-8s %-7s %-4s %-4s %-9s %-4s %-5s %s\n", "Kernel", "Format", "omp", "gpu", "multigpu", "ooc", "impl", "caps")
 	for _, pr := range kernelreg.Grid() {
 		marks := make(map[kernelreg.Backend]string, len(kernelreg.Backends))
 		for _, b := range kernelreg.Backends {
@@ -71,7 +74,7 @@ func printVariants() {
 		}
 		capCol := "-"
 		if len(caps) > 0 {
-			capCol = joinComma(caps)
+			capCol = strings.Join(caps, ",")
 		}
 		impl := "hand"
 		switch {
@@ -80,29 +83,29 @@ func printVariants() {
 		case anyGen:
 			impl = "gen"
 		}
-		fmt.Printf("%-8s %-7s %-4s %-4s %-9s %-4s %-5s %s\n",
+		fmt.Fprintf(w, "%-8s %-7s %-4s %-4s %-9s %-4s %-5s %s\n",
 			pr.Kernel, pr.Format,
 			marks[kernelreg.OMP], marks[kernelreg.GPU], marks[kernelreg.MultiGPU],
 			marks[kernelreg.OOC], impl, capCol)
 	}
-	fmt.Println("\nimpl: hand = hand-tuned registered override; gen = instantiated from the")
-	fmt.Println("format's level declaration by the generic level-iterator kernels (internal/levels).")
-	fmt.Println("\nformat level signatures:")
+	fmt.Fprintln(w, "\nimpl: hand = hand-tuned registered override; gen = instantiated from the")
+	fmt.Fprintln(w, "format's level declaration by the generic level-iterator kernels (internal/levels).")
+	fmt.Fprintln(w, "\nformat level signatures:")
 	for _, f := range roofline.Formats {
 		for _, v := range all {
 			if v.Format == f {
 				if v.Levels != "" {
-					fmt.Printf("  %-7s %s\n", f, v.Levels)
+					fmt.Fprintf(w, "  %-7s %s\n", f, v.Levels)
 				} else {
-					fmt.Printf("  %-7s (no level view)\n", f)
+					fmt.Fprintf(w, "  %-7s (no level view)\n", f)
 				}
 				break
 			}
 		}
 	}
-	fmt.Println("\ncaps: mode-sweep = averaged over every tensor mode; factors = consumes dense")
-	fmt.Println("factor matrices (R columns); strategy = OMP path reports its reduction strategy;")
-	fmt.Println("serial-ref = fallback rung is the serial COO reference (no native serial path).")
+	fmt.Fprintln(w, "\ncaps: mode-sweep = averaged over every tensor mode; factors = consumes dense")
+	fmt.Fprintln(w, "factor matrices (R columns); strategy = OMP path reports its reduction strategy;")
+	fmt.Fprintln(w, "serial-ref = fallback rung is the serial COO reference (no native serial path).")
 }
 
 // capFlags renders capability metadata as short flags.
@@ -126,14 +129,14 @@ func capFlags(c kernelreg.Caps) []string {
 // printTileDirectory renders a PSTB v3 tile directory: one row per
 // tile with its non-zero range, payload extent, and per-mode bounding
 // box — the layout the out-of-core executor streams tile-at-a-time.
-func printTileDirectory(tr *tensor.TileReader) {
-	fmt.Printf("\ntile directory (PSTB v3, target %d nnz/tile, %d tiles, max tile %d bytes):\n",
+func printTileDirectory(w io.Writer, tr *tensor.TileReader) {
+	fmt.Fprintf(w, "\ntile directory (PSTB v3, target %d nnz/tile, %d tiles, max tile %d bytes):\n",
 		tr.TargetTileNNZ, tr.NumTiles(), tr.MaxTileBytes())
-	fmt.Printf("%6s %12s %10s %12s %10s  %s\n", "tile", "start", "nnz", "offset", "bytes", "bounding box")
+	fmt.Fprintf(w, "%6s %12s %10s %12s %10s  %s\n", "tile", "start", "nnz", "offset", "bytes", "bounding box")
 	const maxRows = 32
 	for i := range tr.Tiles {
 		if i == maxRows {
-			fmt.Printf("%6s (%d more tiles)\n", "...", len(tr.Tiles)-maxRows)
+			fmt.Fprintf(w, "%6s (%d more tiles)\n", "...", len(tr.Tiles)-maxRows)
 			break
 		}
 		ti := &tr.Tiles[i]
@@ -143,43 +146,46 @@ func printTileDirectory(tr *tensor.TileReader) {
 			for n := range ti.BoxLo {
 				parts[n] = fmt.Sprintf("%d..%d", ti.BoxLo[n], ti.BoxHi[n])
 			}
-			box = joinComma(parts)
+			box = strings.Join(parts, ",")
 		}
-		fmt.Printf("%6d %12d %10d %12d %10d  %s\n", i, ti.Start, ti.Count, ti.Offset, ti.Bytes, box)
+		fmt.Fprintf(w, "%6d %12d %10d %12d %10d  %s\n", i, ti.Start, ti.Count, ti.Offset, ti.Bytes, box)
 	}
-}
-
-func joinComma(parts []string) string {
-	s := ""
-	for i, p := range parts {
-		if i > 0 {
-			s += ","
-		}
-		s += p
-	}
-	return s
 }
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command behind main: parse args, load or generate the
+// tensor, print its report to w, and return the process exit code — 2
+// for a usage error, 1 when the tensor cannot be loaded, 0 otherwise.
+func run(args []string, w, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pastainfo", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		file       = flag.String("f", "", "path to a .tns file")
-		id         = flag.String("id", "", "dataset entry ID or name (Table 2/3)")
-		nnz        = flag.Int("nnz", 100000, "stand-in non-zero target when using -id")
-		seed       = flag.Int64("seed", 1, "stand-in seed")
-		blockBits  = flag.Uint("blockbits", uint(hicoo.DefaultBlockBits), "log2 HiCOO block size")
-		reorderCmp = flag.Bool("reorder", false, "compare index orderings (identity/random/degree/first-touch) by HiCOO block count")
-		variants   = flag.Bool("variants", false, "print the kernel-variant registry grid and exit")
+		file       = fs.String("f", "", "path to a tensor file (.tns, .tns.gz, or .bten)")
+		id         = fs.String("id", "", "dataset entry ID or name (Table 2/3)")
+		nnz        = fs.Int("nnz", 100000, "stand-in non-zero target when using -id")
+		seed       = fs.Int64("seed", 1, "stand-in seed")
+		blockBits  = fs.Uint("blockbits", uint(hicoo.DefaultBlockBits), "log2 HiCOO block size")
+		reorderCmp = fs.Bool("reorder", false, "compare index orderings (identity/random/degree/first-touch) by HiCOO block count")
+		variants   = fs.Bool("variants", false, "print the kernel-variant registry grid and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0 // -h is not a usage error
+		}
+		return 2
+	}
 
 	if *variants {
-		printVariants()
-		return
+		printVariants(w)
+		return 0
 	}
 
 	if *blockBits < 1 || *blockBits > hicoo.MaxBlockBits {
-		fmt.Fprintf(os.Stderr, "pastainfo: -blockbits must be in [1,%d] (got %d)\n", hicoo.MaxBlockBits, *blockBits)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "pastainfo: -blockbits must be in [1,%d] (got %d)\n", hicoo.MaxBlockBits, *blockBits)
+		return 2
 	}
 
 	var (
@@ -200,28 +206,28 @@ func main() {
 			x, err = dataset.Materialize(e, *nnz, *seed)
 		}
 	default:
-		fmt.Fprintln(os.Stderr, "pastainfo: need -f <file.tns> or -id <dataset entry>")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "pastainfo: need -f <tensor file> or -id <dataset entry>")
+		return 2
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "pastainfo:", err)
+		return 1
 	}
 
 	if stats.Path != "" {
-		fmt.Printf("load:    %v\n", stats)
+		fmt.Fprintf(w, "load:    %v\n", stats)
 	}
-	fmt.Printf("tensor:  %v\n", x)
-	fmt.Printf("order:   %d\n", x.Order())
-	fmt.Printf("dims:    %v\n", x.Dims)
-	fmt.Printf("nnz:     %d\n", x.NNZ())
-	fmt.Printf("density: %.3g\n\n", x.Density())
+	fmt.Fprintf(w, "tensor:  %v\n", x)
+	fmt.Fprintf(w, "order:   %d\n", x.Order())
+	fmt.Fprintf(w, "dims:    %v\n", x.Dims)
+	fmt.Fprintf(w, "nnz:     %d\n", x.NNZ())
+	fmt.Fprintf(w, "density: %.3g\n\n", x.Density())
 
-	fmt.Println("per-mode structure:")
-	fmt.Printf("%6s %12s %10s %10s %12s %12s %10s\n", "mode", "fibers", "min len", "max len", "imbalance", "collisions", "skew")
+	fmt.Fprintln(w, "per-mode structure:")
+	fmt.Fprintf(w, "%6s %12s %10s %10s %12s %12s %10s\n", "mode", "fibers", "min len", "max len", "imbalance", "collisions", "skew")
 	for n := 0; n < x.Order(); n++ {
 		fs := tensor.ComputeFiberStats(x, n)
-		fmt.Printf("%6d %12d %10d %10d %12.2f %12.2f %10.2f\n",
+		fmt.Fprintf(w, "%6d %12d %10d %10d %12.2f %12.2f %10.2f\n",
 			n, fs.NumFibers, fs.MinLen, fs.MaxLen, fs.Imbalance,
 			tensor.ModeCollisions(x, n), gen.DegreeSkew(x, n))
 	}
@@ -231,29 +237,29 @@ func main() {
 	st := h.ComputeStats()
 	c, cerr := csf.FromCOO(x, nil)
 
-	fmt.Println("\nformat storage:")
-	fmt.Printf("%-28s %14d bytes\n", "COO  4(N+1)M", x.StorageBytes())
-	fmt.Printf("%-28s %14d bytes  (%.2fx vs COO, %d blocks, %.1f%% singleton)\n",
+	fmt.Fprintln(w, "\nformat storage:")
+	fmt.Fprintf(w, "%-28s %14d bytes\n", "COO  4(N+1)M", x.StorageBytes())
+	fmt.Fprintf(w, "%-28s %14d bytes  (%.2fx vs COO, %d blocks, %.1f%% singleton)\n",
 		fmt.Sprintf("HiCOO B=%d", 1<<bits), st.StorageBytes, st.CompressionVsCOO,
 		st.NumBlocks, 100*float64(st.SingletonBlocks)/float64(max(1, st.NumBlocks)))
 	for mode := 0; mode < x.Order(); mode++ {
 		g := hicoo.FromCOOExceptMode(x, mode, bits)
-		fmt.Printf("%-28s %14d bytes\n", fmt.Sprintf("gHiCOO (mode %d uncomp.)", mode), g.StorageBytes())
+		fmt.Fprintf(w, "%-28s %14d bytes\n", fmt.Sprintf("gHiCOO (mode %d uncomp.)", mode), g.StorageBytes())
 	}
 	if cerr == nil {
-		fmt.Printf("%-28s %14d bytes\n", "CSF (natural order)", c.StorageBytes())
+		fmt.Fprintf(w, "%-28s %14d bytes\n", "CSF (natural order)", c.StorageBytes())
 	}
 
 	// A tiled v3 file additionally carries the directory an out-of-core
 	// stream iterates; v1/v2 files simply lack one and print nothing.
 	if *file != "" {
 		if tr, ok, derr := tensor.ReadTileDirectory(*file); derr == nil && ok {
-			printTileDirectory(tr)
+			printTileDirectory(w, tr)
 		}
 	}
 
 	if *reorderCmp {
-		fmt.Println("\nindex-reordering comparison (HiCOO block count, fewer = better locality):")
+		fmt.Fprintln(w, "\nindex-reordering comparison (HiCOO block count, fewer = better locality):")
 		rng := rand.New(rand.NewSource(int64(*seed)))
 		orderings := []struct {
 			name string
@@ -267,12 +273,13 @@ func main() {
 		for _, o := range orderings {
 			y, err := o.p.Apply(x)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				fmt.Fprintln(stderr, "pastainfo:", err)
+				return 1
 			}
 			st2 := hicoo.FromCOO(y, bits).ComputeStats()
-			fmt.Printf("  %-12s %8d blocks, mean occupancy %7.2f, storage %10d bytes\n",
+			fmt.Fprintf(w, "  %-12s %8d blocks, mean occupancy %7.2f, storage %10d bytes\n",
 				o.name, st2.NumBlocks, st2.MeanNNZPerBlock, st2.StorageBytes)
 		}
 	}
+	return 0
 }

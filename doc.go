@@ -8,11 +8,12 @@
 // tensor generators, datasets, Roofline models, and a harness that
 // regenerates every table and figure of the evaluation.
 //
-// This root package is a facade re-exporting the stable public API; the
-// implementation lives under internal/. A typical session:
+// This root package is the public API: it re-exports the names its
+// runnable Examples show, and the implementation lives under internal/.
+// Typical use:
 //
 //	x, _ := pasta.Kronecker([]pasta.Index{1 << 16, 1 << 16, 1 << 16}, 1_000_000, nil, rng)
-//	v := pasta.RandomVector(1<<16, rng)
+//	v := pasta.NewVector(1 << 16)
 //	plan, _ := pasta.PrepareTtv(x, 2)           // preprocessing (sort, fptr, output alloc)
 //	y, _ := plan.ExecuteOMP(v, pasta.Dynamic()) // the timed kernel
 //

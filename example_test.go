@@ -49,6 +49,40 @@ func ExampleTs() {
 	// Output: [20 30]
 }
 
+// ExampleTew adds two tensors element-wise; a coordinate stored in only
+// one operand keeps its value.
+func ExampleTew() {
+	x := pasta.NewCOO([]pasta.Index{2, 2}, 2)
+	x.Append([]pasta.Index{0, 0}, 1)
+	x.Append([]pasta.Index{1, 1}, 2)
+	y := pasta.NewCOO([]pasta.Index{2, 2}, 2)
+	y.Append([]pasta.Index{0, 0}, 10)
+	y.Append([]pasta.Index{0, 1}, 20)
+	z, err := pasta.Tew(x, y, pasta.OpAdd)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(z.Vals)
+	// Output: [11 20 2]
+}
+
+// ExampleTtm multiplies mode 1 of a tensor by a dense matrix; the result
+// is semi-sparse, its mode 1 dense and R wide.
+func ExampleTtm() {
+	x := pasta.NewCOO([]pasta.Index{2, 3, 2}, 2)
+	x.Append([]pasta.Index{0, 1, 0}, 2)
+	x.Append([]pasta.Index{0, 2, 0}, 3)
+	u := pasta.NewMatrix(3, 2)
+	u.Set(1, 0, 1)
+	u.Set(2, 1, 1)
+	y, err := pasta.Ttm(x, u, 1)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("dims:", y.Dims, "values:", y.Vals)
+	// Output: dims: [2 2 2] values: [2 3]
+}
+
 // ExampleToHiCOO shows HiCOO conversion and its compression statistics.
 func ExampleToHiCOO() {
 	rng := pasta.GenerateSeeded(2)
@@ -76,6 +110,36 @@ func ExampleMttkrp() {
 	}
 	fmt.Println(a.At(0, 0)) // 2 * 5 * 7
 	// Output: 70
+}
+
+// ExamplePrepareMttkrpHiCOO runs the paper's HiCOO Mttkrp (Algorithm 2)
+// on the multicore runtime and checks it against the COO kernel.
+func ExamplePrepareMttkrpHiCOO() {
+	rng := pasta.GenerateSeeded(6)
+	x := pasta.RandomCOO([]pasta.Index{300, 200, 100}, 5000, rng)
+	mats := make([]*pasta.Matrix, 3)
+	for n := range mats {
+		mats[n] = pasta.NewMatrix(int(x.Dim(n)), pasta.DefaultR)
+		mats[n].Randomize(rng)
+	}
+	want, err := pasta.Mttkrp(x, mats, 0)
+	if err != nil {
+		panic(err)
+	}
+	plan, err := pasta.PrepareMttkrpHiCOO(pasta.ToHiCOO(x, pasta.DefaultBlockBits), 0, pasta.DefaultR)
+	if err != nil {
+		panic(err)
+	}
+	got, err := plan.ExecuteOMP(mats, pasta.Dynamic())
+	if err != nil {
+		panic(err)
+	}
+	var worst float64
+	for i, w := range want.Data {
+		worst = max(worst, math.Abs(float64(got.Data[i]-w)))
+	}
+	fmt.Println("HiCOO matches COO:", worst < 1e-3)
+	// Output: HiCOO matches COO: true
 }
 
 // ExampleContract multiplies two sparse matrices as a tensor contraction.
@@ -131,7 +195,8 @@ func ExampleTuckerHOOI() {
 	// exact at full ranks: true
 }
 
-// ExampleDevice runs a kernel on the simulated GPU.
+// ExampleDevice runs kernels on simulated GPUs: Ts on one device of four
+// SMs, then Ttv with its fibers split across two devices.
 func ExampleDevice() {
 	rng := pasta.GenerateSeeded(3)
 	x := pasta.RandomCOO([]pasta.Index{32, 32, 32}, 500, rng)
@@ -142,7 +207,33 @@ func ExampleDevice() {
 	dev := pasta.NewDevice("example-gpu", 4)
 	out := plan.ExecuteGPU(dev)
 	fmt.Println("scaled:", out.Vals[0] == 2*x.Vals[0])
-	// Output: scaled: true
+
+	ttv, err := pasta.PrepareTtv(x, 2)
+	if err != nil {
+		panic(err)
+	}
+	v := pasta.NewVector(32)
+	for i := range v {
+		v[i] = 1
+	}
+	seq, err := ttv.ExecuteSeq(v)
+	if err != nil {
+		panic(err)
+	}
+	want := append([]pasta.Value(nil), seq.Vals...)
+	devs := []*pasta.Device{dev, pasta.NewDevice("example-gpu-2", 4)}
+	y, err := ttv.ExecuteMultiGPU(devs, v)
+	if err != nil {
+		panic(err)
+	}
+	same := len(y.Vals) == len(want)
+	for i := 0; same && i < len(want); i++ {
+		same = y.Vals[i] == want[i]
+	}
+	fmt.Println("two devices match one core:", same)
+	// Output:
+	// scaled: true
+	// two devices match one core: true
 }
 
 // ExamplePowerMethod extracts the dominant rank-1 component of a sparse

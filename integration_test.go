@@ -5,55 +5,15 @@ import (
 	"testing"
 
 	pasta "repro"
+	"repro/internal/algo"
 	"repro/internal/dataset"
+	"repro/internal/fcoo"
+	"repro/internal/gen"
 	"repro/internal/tensor"
 )
 
-// TestAllDatasetEntriesThroughAllFormats materializes every Table 2/3
-// entry at small scale and round-trips it through every format the suite
-// implements, checking content equality — the whole-system structural
-// invariant.
-func TestAllDatasetEntriesThroughAllFormats(t *testing.T) {
-	for _, e := range append(pasta.RealTensors(), pasta.SyntheticTensors()...) {
-		x, err := pasta.Materialize(e, 1200, 11)
-		if err != nil {
-			t.Fatalf("%s: %v", e.ID, err)
-		}
-		h := pasta.ToHiCOO(x, pasta.DefaultBlockBits)
-		if err := h.Validate(); err != nil {
-			t.Fatalf("%s HiCOO: %v", e.ID, err)
-		}
-		if d := tensor.AbsDiff(x, h.ToCOO()); d != 0 {
-			t.Fatalf("%s HiCOO roundtrip diff %v", e.ID, d)
-		}
-		g := pasta.ToGHiCOOExceptMode(x, x.Order()-1, pasta.DefaultBlockBits)
-		if err := g.Validate(); err != nil {
-			t.Fatalf("%s gHiCOO: %v", e.ID, err)
-		}
-		if d := tensor.AbsDiff(x, g.ToCOO()); d != 0 {
-			t.Fatalf("%s gHiCOO roundtrip diff %v", e.ID, d)
-		}
-		c, err := pasta.ToCSF(x, nil)
-		if err != nil {
-			t.Fatalf("%s CSF: %v", e.ID, err)
-		}
-		if err := c.Validate(); err != nil {
-			t.Fatalf("%s CSF validate: %v", e.ID, err)
-		}
-		if d := tensor.AbsDiff(x, c.ToCOO()); d != 0 {
-			t.Fatalf("%s CSF roundtrip diff %v", e.ID, d)
-		}
-		f, err := pasta.ToFCOO(x, 0, 0)
-		if err != nil {
-			t.Fatalf("%s F-COO: %v", e.ID, err)
-		}
-		if err := f.Validate(); err != nil {
-			t.Fatalf("%s F-COO validate: %v", e.ID, err)
-		}
-	}
-}
-
-// TestDecompositionPipelineOnStandIn runs the three tensor methods
+// TestDecompositionPipelineOnStandIn runs CP-ALS at two ranks and the
+// power method
 // end-to-end on a dataset stand-in and checks their fits are sane and
 // ordered (more expressive models fit at least as well).
 func TestDecompositionPipelineOnStandIn(t *testing.T) {
@@ -79,13 +39,6 @@ func TestDecompositionPipelineOnStandIn(t *testing.T) {
 	if cp8.Fit < cp2.Fit-0.02 {
 		t.Fatalf("rank-8 fit %v noticeably below rank-2 fit %v", cp8.Fit, cp2.Fit)
 	}
-	nn, err := pasta.NNCP(x, 4, 25, 1e-6, 2, pasta.Dynamic())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nn.Fit <= 0 || nn.Fit > 1 {
-		t.Fatalf("NNCP fit %v", nn.Fit)
-	}
 	pm, err := pasta.PowerMethod(x, 25, 1e-6, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -101,12 +54,12 @@ func TestDecompositionPipelineOnStandIn(t *testing.T) {
 func TestKernelChainConsistency(t *testing.T) {
 	rng := pasta.GenerateSeeded(17)
 	x := pasta.RandomCOO([]pasta.Index{25, 20, 15}, 600, rng)
-	v0 := pasta.RandomVector(25, rng)
-	v1 := pasta.RandomVector(20, rng)
-	v2 := pasta.RandomVector(15, rng)
+	v0 := tensor.RandomVector(25, rng)
+	v1 := tensor.RandomVector(20, rng)
+	v2 := tensor.RandomVector(15, rng)
 
 	// Route 1: TtvChain to a vector in mode 0, then dot.
-	y, err := pasta.TtvChain(x, []pasta.Vector{nil, v1, v2}, 0)
+	y, err := algo.TtvChain(x, []tensor.Vector{nil, v1, v2}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,25 +69,22 @@ func TestKernelChainConsistency(t *testing.T) {
 	}
 	want := float64(dot)
 
-	// Route 2: Ttm with the vectors as R=1 matrices, summing the final
-	// semi-sparse scalar field.
+	// Route 2: Ttm with v0 as an R=1 matrix, then the semi-sparse result's
+	// fibers weighted by v1 and v2 at their sparse coordinates.
 	m0 := pasta.NewMatrix(25, 1)
 	copy(m0.Data, v0)
 	s, err := pasta.Ttm(x, m0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := pasta.TtvSemi(s, v1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s3, err := pasta.TtvSemi(s2, v2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	vecs := []tensor.Vector{v0, v1, v2}
 	var got float64
-	for _, v := range s3.Vals {
-		got += float64(v)
+	for f := 0; f < s.NumFibers(); f++ {
+		w := float64(s.FiberVals(f)[0])
+		for i, n := range s.SparseModes() {
+			w *= float64(vecs[n][s.Inds[i][f]])
+		}
+		got += w
 	}
 	if math.Abs(got-want) > 1e-3*math.Max(1, math.Abs(want)) {
 		t.Fatalf("routes disagree: %v vs %v", got, want)
@@ -146,13 +96,13 @@ func TestKernelChainConsistency(t *testing.T) {
 // Mttkrp must agree.
 func TestVerifyStyleSweep(t *testing.T) {
 	rng := pasta.GenerateSeeded(19)
-	tensors := map[string]*pasta.COO{}
+	tensors := map[string]*tensor.COO{}
 	kr, err := pasta.Kronecker([]pasta.Index{512, 512, 512}, 3000, nil, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tensors["kron"] = kr
-	pl, err := pasta.PowerLaw(pasta.PowerLawConfig{
+	pl, err := gen.PowerLaw(gen.PowerLawConfig{
 		Dims: []pasta.Index{4000, 4000, 20}, SparseModes: []int{0, 1}, NNZ: 3000,
 	}, rng)
 	if err != nil {
@@ -162,7 +112,7 @@ func TestVerifyStyleSweep(t *testing.T) {
 
 	dev := pasta.NewDevice("sweep", 4)
 	for name, x := range tensors {
-		v := pasta.RandomVector(int(x.Dim(0)), rng)
+		v := tensor.RandomVector(int(x.Dim(0)), rng)
 		p, err := pasta.PrepareTtv(x, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -180,7 +130,7 @@ func TestVerifyStyleSweep(t *testing.T) {
 				t.Fatalf("%s: GPU Ttv diverges at %d", name, i)
 			}
 		}
-		fc, err := pasta.ToFCOO(x, 0, 128)
+		fc, err := fcoo.FromCOO(x, 0, 128)
 		if err != nil {
 			t.Fatal(err)
 		}

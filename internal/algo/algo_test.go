@@ -265,7 +265,7 @@ func TestTTMChainComputesCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if core.NumEl() != 1 || core.At(0, 0) != 7 {
+	if len(core.Data) != 1 || core.At(0, 0) != 7 {
 		t.Fatalf("core = %+v, want single 7", core)
 	}
 }
@@ -324,4 +324,23 @@ func TestFrobeniusNorm(t *testing.T) {
 	if n := frobeniusNorm(x); n != 5 {
 		t.Fatalf("norm %v, want 5", n)
 	}
+}
+
+// At returns the element at the given coordinates.
+func (d *DenseTensor) At(idx ...int) tensor.Value {
+	return d.Data[d.offset(idx)]
+}
+
+func (d *DenseTensor) offset(idx []int) int {
+	if len(idx) != len(d.Dims) {
+		panic("algo: DenseTensor index arity mismatch")
+	}
+	off := 0
+	for n, i := range idx {
+		if i < 0 || i >= d.Dims[n] {
+			panic("algo: DenseTensor index out of range")
+		}
+		off = off*d.Dims[n] + i
+	}
+	return off
 }

@@ -95,7 +95,7 @@ func (w *cpWorkspace) solveMode(n int, mt, an *tensor.Matrix, lambda []float64) 
 	return nil
 }
 
-// alsSweeps is the driver CP-ALS and NNCP share: seeded uniform factors,
+// alsSweeps is the CP-ALS sweep loop: seeded uniform factors,
 // their grams and the occupied rows of every mode in a workspace
 // allocated once, then per sweep one Mttkrp and one update per mode, the
 // fit, the sweep's record and the stopping rule.

@@ -23,7 +23,7 @@ var ErrSingularGram = errors.New("algo: gram matrix numerically singular")
 const gramBlock = 64
 
 // cpWorkspace holds every buffer the dense side of a CP sweep needs; it
-// is allocated once per CPALSWith/NNCP call, so a sweep allocates nothing
+// is allocated once per CPALSWith call, so a sweep allocates nothing
 // (DESIGN.md §20).
 type cpWorkspace struct {
 	n            int         // rank R

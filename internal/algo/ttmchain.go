@@ -16,28 +16,6 @@ type DenseTensor struct {
 	Data []tensor.Value
 }
 
-// At returns the element at the given coordinates.
-func (d *DenseTensor) At(idx ...int) tensor.Value {
-	return d.Data[d.offset(idx)]
-}
-
-func (d *DenseTensor) offset(idx []int) int {
-	if len(idx) != len(d.Dims) {
-		panic("algo: DenseTensor index arity mismatch")
-	}
-	off := 0
-	for n, i := range idx {
-		if i < 0 || i >= d.Dims[n] {
-			panic("algo: DenseTensor index out of range")
-		}
-		off = off*d.Dims[n] + i
-	}
-	return off
-}
-
-// NumEl returns the element count.
-func (d *DenseTensor) NumEl() int { return len(d.Data) }
-
 // TTMChain computes Y = X ×₁ U₁ ×₂ U₂ … ×_N U_N, the Tucker-core style
 // TTM-chain the paper's §7 lists as the next operation for the suite.
 // Each U_n is an I_n × R_n matrix in the suite's transposed convention.

@@ -318,31 +318,11 @@ func TestCPALSGolden(t *testing.T) {
 	}
 }
 
-// oracleMultiply is NNCP's multiplicative update over every row, each
-// denominator taken from the row as it was; it returns the new gram.
-func oracleMultiply(mt, an *tensor.Matrix, v []float64) []float64 {
-	rank := an.Cols
-	denom := make([]float64, rank)
-	for i := 0; i < an.Rows; i++ {
-		row := an.Row(i)
-		for j := range denom {
-			denom[j] = 0
-			for k, a := range row {
-				denom[j] += float64(a) * v[k*rank+j]
-			}
-		}
-		for j, d := range denom {
-			row[j] = tensor.Value(float64(row[j]) * float64(mt.At(i, j)) / (d + 1e-12))
-		}
-	}
-	return gram(an)
-}
-
 // oracleSweeps is alsSweeps over every row of every factor, rows of empty
 // slices included: the driver's seeded factors, a gram per mode, then the
 // full-row oracle update per mode and the fit identity summed over all
 // rows of the last mode.
-func oracleSweeps(t *testing.T, x *tensor.COO, rank, sweeps int, seed int64, nonneg bool) *CPResult {
+func oracleSweeps(t *testing.T, x *tensor.COO, rank, sweeps int, seed int64) *CPResult {
 	rng := rand.New(rand.NewSource(seed))
 	res := &CPResult{Factors: make([]*tensor.Matrix, x.Order()), Lambda: make([]float64, rank)}
 	grams := make([][]float64, x.Order())
@@ -373,14 +353,7 @@ func oracleSweeps(t *testing.T, x *tensor.COO, rank, sweeps int, seed int64, non
 			if mt, err = mttkrp(n, res.Factors); err != nil {
 				t.Fatal(err)
 			}
-			if nonneg {
-				grams[n] = oracleMultiply(mt, an, hadamard(n))
-				for r := range res.Lambda {
-					res.Lambda[r] = 1
-				}
-			} else {
-				grams[n] = oracleUpdate(t, mt, an, hadamard(n), res.Lambda)
-			}
+			grams[n] = oracleUpdate(t, mt, an, hadamard(n), res.Lambda)
 		}
 		var normEst, inner float64
 		v := hadamard(-1)
@@ -436,52 +409,45 @@ func TestEmptySliceRowsStayZero(t *testing.T) {
 	cases = append(cases, tcase{"gaps", gaps, true}, tcase{"dense", dense, false})
 
 	opt := parallel.Options{Schedule: parallel.Static, Threads: 1}
-	solvers := []struct {
-		name   string
-		run    func(x *tensor.COO, rank, sweeps int, tol float64, seed int64, opt parallel.Options) (*CPResult, error)
-		nonneg bool
-	}{{"CPALS", CPALS, false}, {"NNCP", NNCP, true}}
 	for _, c := range cases {
-		for _, solver := range solvers {
-			for _, sweeps := range []int{1, 3} {
-				name := fmt.Sprintf("%s/%s/%d", c.name, solver.name, sweeps)
-				const rank, seed = 5, 3
-				got, err := solver.run(c.x, rank, sweeps, 0, seed, opt)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
+		for _, sweeps := range []int{1, 3} {
+			name := fmt.Sprintf("%s/%d", c.name, sweeps)
+			const rank, seed = 5, 3
+			got, err := CPALS(c.x, rank, sweeps, 0, seed, opt)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			want := oracleSweeps(t, c.x, rank, sweeps, seed)
+			empties := 0
+			for n, f := range got.Factors {
+				occupied := make([]bool, f.Rows)
+				for _, i := range c.x.Inds[n] {
+					occupied[i] = true
 				}
-				want := oracleSweeps(t, c.x, rank, sweeps, seed, solver.nonneg)
-				empties := 0
-				for n, f := range got.Factors {
-					occupied := make([]bool, f.Rows)
-					for _, i := range c.x.Inds[n] {
-						occupied[i] = true
-					}
-					visited := 0
-					for i, occ := range occupied {
-						for r, v := range f.Row(i) {
-							switch bits := math.Float32bits(v); {
-							case !occ && bits != 0:
-								t.Fatalf("%s: mode %d row %d of an empty slice holds %v (bits %#x)", name, n, i, v, bits)
-							case bits != math.Float32bits(want.Factors[n].At(i, r)):
-								t.Fatalf("%s: mode %d row %d col %d = %v, full-row oracle %v", name, n, i, r, v, want.Factors[n].At(i, r))
-							}
-						}
-						if occ {
-							visited++
+				visited := 0
+				for i, occ := range occupied {
+					for r, v := range f.Row(i) {
+						switch bits := math.Float32bits(v); {
+						case !occ && bits != 0:
+							t.Fatalf("%s: mode %d row %d of an empty slice holds %v (bits %#x)", name, n, i, v, bits)
+						case bits != math.Float32bits(want.Factors[n].At(i, r)):
+							t.Fatalf("%s: mode %d row %d col %d = %v, full-row oracle %v", name, n, i, r, v, want.Factors[n].At(i, r))
 						}
 					}
-					if got.OccupiedRows[n] != visited {
-						t.Fatalf("%s: OccupiedRows[%d] = %d, %d indices occur", name, n, got.OccupiedRows[n], visited)
+					if occ {
+						visited++
 					}
-					empties += f.Rows - visited
 				}
-				if c.empty == (empties == 0) {
-					t.Fatalf("%s: %d rows of empty slices", name, empties)
+				if got.OccupiedRows[n] != visited {
+					t.Fatalf("%s: OccupiedRows[%d] = %d, %d indices occur", name, n, got.OccupiedRows[n], visited)
 				}
-				if g, w := cpHash(got), cpHash(want); g != w {
-					t.Fatalf("%s: hash %#x (λ %v fit %v), full-row oracle %#x (λ %v fit %v)", name, g, got.Lambda, got.Fit, w, want.Lambda, want.Fit)
-				}
+				empties += f.Rows - visited
+			}
+			if c.empty == (empties == 0) {
+				t.Fatalf("%s: %d rows of empty slices", name, empties)
+			}
+			if g, w := cpHash(got), cpHash(want); g != w {
+				t.Fatalf("%s: hash %#x (λ %v fit %v), full-row oracle %#x (λ %v fit %v)", name, g, got.Lambda, got.Fit, w, want.Lambda, want.Fit)
 			}
 		}
 	}
@@ -604,26 +570,20 @@ func TestCPALSAllocsIndependentOfSweeps(t *testing.T) {
 
 func TestCPSweepsRecordEverySweep(t *testing.T) {
 	x := tensor.RandomCOO([]tensor.Index{30, 25, 20}, 700, rand.New(rand.NewSource(33)))
-	cp, err := CPALS(x, 4, 6, 0, 1, parallel.Options{})
+	res, err := CPALS(x, 4, 6, 0, 1, parallel.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nn, err := NNCP(x, 4, 6, 0, 1, parallel.Options{})
-	if err != nil {
-		t.Fatal(err)
+	if res.Iters != 6 || len(res.Sweeps) != res.Iters {
+		t.Fatalf("%d sweep records for %d sweeps", len(res.Sweeps), res.Iters)
 	}
-	for name, res := range map[string]*CPResult{"CPALS": cp, "NNCP": nn} {
-		if res.Iters != 6 || len(res.Sweeps) != res.Iters {
-			t.Fatalf("%s: %d sweep records for %d sweeps", name, len(res.Sweeps), res.Iters)
+	for i, s := range res.Sweeps {
+		if s.MttkrpSeconds <= 0 || s.MttkrpSeconds > s.Seconds {
+			t.Fatalf("sweep %d: %v s in Mttkrp of %v s", i, s.MttkrpSeconds, s.Seconds)
 		}
-		for i, s := range res.Sweeps {
-			if s.MttkrpSeconds <= 0 || s.MttkrpSeconds > s.Seconds {
-				t.Fatalf("%s sweep %d: %v s in Mttkrp of %v s", name, i, s.MttkrpSeconds, s.Seconds)
-			}
-		}
-		if last := res.Sweeps[len(res.Sweeps)-1]; last.Fit != res.Fit {
-			t.Fatalf("%s: last sweep fit %v, result fit %v", name, last.Fit, res.Fit)
-		}
+	}
+	if last := res.Sweeps[len(res.Sweeps)-1]; last.Fit != res.Fit {
+		t.Fatalf("last sweep fit %v, result fit %v", last.Fit, res.Fit)
 	}
 }
 

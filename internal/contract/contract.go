@@ -1,9 +1,8 @@
-// Package contract implements sparse × sparse tensor operations from the
-// paper's future-work list (§7): general tensor contraction between two
-// sparse tensors along arbitrary mode pairs, and the tensor-times-sparse-
-// vector product. Ttm is the dense special case of contraction (§2.4);
-// these are the fully sparse generalizations, implemented with a hash
-// join over the contracted coordinates.
+// Package contract implements the sparse × sparse tensor contraction of
+// the paper's future-work list (§7): two sparse tensors contracted along
+// arbitrary mode pairs. Ttm is the dense special case (§2.4); this is the
+// fully sparse generalization, implemented with a hash join over the
+// contracted coordinates.
 package contract
 
 import (
@@ -43,7 +42,7 @@ func Contract(x, y *tensor.COO, xModes, yModes []int) (*tensor.COO, error) {
 	yFree := freeModes(y.Order(), yModes)
 	outOrder := len(xFree) + len(yFree)
 	if outOrder == 0 {
-		return nil, fmt.Errorf("contract: full contraction yields a scalar; use InnerProduct")
+		return nil, fmt.Errorf("contract: full contraction yields a scalar, not a tensor")
 	}
 
 	// Bucket Y by contracted coordinates.
@@ -98,86 +97,6 @@ func Contract(x, y *tensor.COO, xModes, yModes []int) (*tensor.COO, error) {
 	}
 	out := tensor.NewCOO(outDims, len(acc))
 	idx := make([]tensor.Index, outOrder)
-	for k, v := range acc {
-		if v == 0 {
-			continue
-		}
-		for i := range idx {
-			idx[i] = getIndex([]byte(k), i)
-		}
-		out.Append(idx, v)
-	}
-	out.SortNatural()
-	return out, nil
-}
-
-// InnerProduct contracts every mode of both tensors (which must share
-// their shape), returning the scalar Σ x∘y — the fully sparse dot
-// product, accumulated in float64.
-func InnerProduct(x, y *tensor.COO) (float64, error) {
-	if !tensor.SameShape(x, y) {
-		return 0, tensor.ErrShapeMismatch
-	}
-	ym := make(map[string]float64, y.NNZ())
-	key := make([]byte, 4*y.Order())
-	for m := 0; m < y.NNZ(); m++ {
-		for n := 0; n < y.Order(); n++ {
-			putIndex(key, n, y.Inds[n][m])
-		}
-		ym[string(key)] += float64(y.Vals[m])
-	}
-	var s float64
-	for m := 0; m < x.NNZ(); m++ {
-		for n := 0; n < x.Order(); n++ {
-			putIndex(key, n, x.Inds[n][m])
-		}
-		if yv, ok := ym[string(key)]; ok {
-			s += float64(x.Vals[m]) * yv
-		}
-	}
-	return s, nil
-}
-
-// SpTtv is the tensor-times-SPARSE-vector product in mode n: like Ttv
-// (§2.3) but the vector itself is sparse, so only non-zeros of X whose
-// mode-n coordinate hits a stored vector entry contribute. The sparse
-// vector is given as parallel index/value slices.
-func SpTtv(x *tensor.COO, vIdx []tensor.Index, vVal []tensor.Value, mode int) (*tensor.COO, error) {
-	if mode < 0 || mode >= x.Order() {
-		return nil, fmt.Errorf("contract: SpTtv mode %d out of range", mode)
-	}
-	if x.Order() < 2 {
-		return nil, fmt.Errorf("contract: SpTtv needs an order >= 2 tensor")
-	}
-	if len(vIdx) != len(vVal) {
-		return nil, fmt.Errorf("contract: sparse vector has %d indices, %d values", len(vIdx), len(vVal))
-	}
-	lookup := make(map[tensor.Index]tensor.Value, len(vIdx))
-	for i, ix := range vIdx {
-		if ix >= x.Dims[mode] {
-			return nil, fmt.Errorf("contract: sparse vector index %d out of range [0,%d)", ix, x.Dims[mode])
-		}
-		lookup[ix] += vVal[i]
-	}
-	outDims := make([]tensor.Index, 0, x.Order()-1)
-	free := freeModes(x.Order(), []int{mode})
-	for _, n := range free {
-		outDims = append(outDims, x.Dims[n])
-	}
-	acc := make(map[string]tensor.Value)
-	key := make([]byte, 4*len(free))
-	for m := 0; m < x.NNZ(); m++ {
-		vv, ok := lookup[x.Inds[mode][m]]
-		if !ok {
-			continue
-		}
-		for i, n := range free {
-			putIndex(key, i, x.Inds[n][m])
-		}
-		acc[string(key)] += x.Vals[m] * vv
-	}
-	out := tensor.NewCOO(outDims, len(acc))
-	idx := make([]tensor.Index, len(free))
 	for k, v := range acc {
 		if v == 0 {
 			continue

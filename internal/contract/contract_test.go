@@ -169,83 +169,6 @@ func TestContractErrors(t *testing.T) {
 	}
 }
 
-func TestInnerProduct(t *testing.T) {
-	x := tensor.NewCOO([]tensor.Index{3, 3}, 2)
-	x.Append([]tensor.Index{0, 0}, 2)
-	x.Append([]tensor.Index{1, 2}, 3)
-	y := tensor.NewCOO([]tensor.Index{3, 3}, 2)
-	y.Append([]tensor.Index{1, 2}, 5)
-	y.Append([]tensor.Index{2, 2}, 7)
-	got, err := InnerProduct(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 15 {
-		t.Fatalf("inner product %v, want 15", got)
-	}
-	bad := tensor.NewCOO([]tensor.Index{2, 2}, 0)
-	if _, err := InnerProduct(x, bad); err == nil {
-		t.Fatal("expected shape error")
-	}
-}
-
-func TestSpTtvMatchesDenseTtv(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	x := tensor.RandomCOO([]tensor.Index{15, 20, 12}, 300, rng)
-	for mode := 0; mode < 3; mode++ {
-		// A sparse vector with ~1/3 of entries set.
-		d := int(x.Dims[mode])
-		var vIdx []tensor.Index
-		var vVal []tensor.Value
-		dense := tensor.NewVector(d)
-		for i := 0; i < d; i++ {
-			if rng.Intn(3) == 0 {
-				v := tensor.Value(rng.Float64() + 0.1)
-				vIdx = append(vIdx, tensor.Index(i))
-				vVal = append(vVal, v)
-				dense[i] = v
-			}
-		}
-		got, err := SpTtv(x, vIdx, vVal, mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := core.Ttv(x, dense, mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// SpTtv drops exact-zero outputs; compare as maps.
-		gm, wm := got.ToMap(), want.ToMap()
-		for k, wv := range wm {
-			if math.Abs(float64(gm[k]-wv)) > 1e-3 {
-				t.Fatalf("mode %d: SpTtv differs at %q: %v vs %v", mode, k, gm[k], wv)
-			}
-		}
-		for k, gv := range gm {
-			if _, ok := wm[k]; !ok && math.Abs(float64(gv)) > 1e-6 {
-				t.Fatalf("mode %d: SpTtv extra entry", mode)
-			}
-		}
-	}
-}
-
-func TestSpTtvErrors(t *testing.T) {
-	x := tensor.RandomCOO([]tensor.Index{5, 5, 5}, 20, rand.New(rand.NewSource(6)))
-	if _, err := SpTtv(x, []tensor.Index{0}, nil, 0); err == nil {
-		t.Fatal("expected arity error")
-	}
-	if _, err := SpTtv(x, []tensor.Index{9}, []tensor.Value{1}, 0); err == nil {
-		t.Fatal("expected range error")
-	}
-	if _, err := SpTtv(x, nil, nil, 5); err == nil {
-		t.Fatal("expected mode error")
-	}
-	vec := tensor.NewCOO([]tensor.Index{5}, 0)
-	if _, err := SpTtv(vec, nil, nil, 0); err == nil {
-		t.Fatal("expected order error")
-	}
-}
-
 func TestContractProperty(t *testing.T) {
 	// Σ Z must equal Σ over matching pairs for random inputs, and the
 	// operation must be symmetric under swapping operands (with permuted

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/hicoo"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
@@ -38,7 +39,6 @@ func strategyKernels(t *testing.T) []strategyKernel {
 	u.Randomize(rng)
 	h := hicoo.FromCOO(x, hicoo.DefaultBlockBits)
 	s := semiFromTtm(t, 903, []tensor.Index{40, 30, 25}, 4000, 2, 6)
-	sv := tensor.RandomVector(40, rng)
 	su := tensor.NewMatrix(40, 5)
 	su.Randomize(rng)
 
@@ -55,10 +55,6 @@ func strategyKernels(t *testing.T) []strategyKernel {
 		t.Fatal(err)
 	}
 	tvhp, err := PrepareTtvHiCOO(x, 0, hicoo.DefaultBlockBits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tvsp, err := PrepareTtvSemi(s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,16 +108,6 @@ func strategyKernels(t *testing.T) []strategyKernel {
 				return tvhp.LastStrategy, err
 			},
 			out:      func() []tensor.Value { return tvhp.Out.Vals },
-			hasOwner: true,
-		},
-		{
-			name:   "TtvSemi",
-			runSeq: func() error { _, err := tvsp.ExecuteSeq(sv); return err },
-			runOMP: func(opt parallel.Options) (parallel.Strategy, error) {
-				_, err := tvsp.ExecuteOMP(sv, opt)
-				return tvsp.LastStrategy, err
-			},
-			out:      func() []tensor.Value { return tvsp.Out.Vals },
 			hasOwner: true,
 		},
 		{
@@ -288,7 +274,8 @@ func TestPrivatizedSteadyStateAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	warm := parallel.SharedWorkspace().Stats()
+	misses := obs.GetCounter("workspace.misses")
+	warm := misses.Value()
 
 	const runs = 50
 	allocs := testing.AllocsPerRun(runs, func() {
@@ -296,9 +283,8 @@ func TestPrivatizedSteadyStateAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	st := parallel.SharedWorkspace().Stats()
-	if st.Misses != warm.Misses {
-		t.Fatalf("steady state missed the workspace pool: %d -> %d misses", warm.Misses, st.Misses)
+	if st := misses.Value(); st != warm {
+		t.Fatalf("steady state missed the workspace pool: %d -> %d misses", warm, st)
 	}
 	// Scheduling scaffolding only: a handful of fixed-size allocations,
 	// never the O(threads × OutElems) private buffers.
@@ -321,13 +307,14 @@ func TestPrivatizedSteadyStateAllocations(t *testing.T) {
 }
 
 // TestReduceWorkspaceStatsExposed sanity-checks the shared workspace's
-// observability hook used by the harness.
+// observability hook used by the harness: the workspace.reuses and
+// workspace.misses counters.
 func TestReduceWorkspaceStatsExposed(t *testing.T) {
 	ws := parallel.SharedWorkspace()
-	before := ws.Stats()
+	before := obs.CounterSnapshot()
 	ws.PutSet(ws.Set(2, 48))
-	after := ws.Stats()
-	if after.Hits+after.Misses <= before.Hits+before.Misses {
-		t.Fatal("workspace stats did not advance")
+	d := obs.DiffSnapshot(before, obs.CounterSnapshot())
+	if d["workspace.reuses"]+d["workspace.misses"] != 1 {
+		t.Fatalf("workspace counters did not advance by one acquisition: %v", d)
 	}
 }

@@ -47,9 +47,6 @@ func PrepareTtm(x *tensor.COO, mode, r int) (*TtmPlan, error) {
 	return p, nil
 }
 
-// NumFibers returns MF.
-func (p *TtmPlan) NumFibers() int { return len(p.Fptr) - 1 }
-
 // ExecuteSeq runs the value computation sequentially:
 // Y(f, r) = Σ_m x_m · U(k_m, r) per fiber f.
 func (p *TtmPlan) ExecuteSeq(u *tensor.Matrix) (*tensor.SemiCOO, error) {

@@ -55,9 +55,6 @@ func PrepareTtmHiCOO(x *tensor.COO, mode, r int, blockBits uint8) (*TtmHiCOOPlan
 	return &TtmHiCOOPlan{X: g, Mode: mode, R: r, Fptr: k.fptr, Out: out, k: k}, nil
 }
 
-// NumFibers returns MF.
-func (p *TtmHiCOOPlan) NumFibers() int { return len(p.Fptr) - 1 }
-
 // ExecuteSeq runs the value computation sequentially.
 func (p *TtmHiCOOPlan) ExecuteSeq(u *tensor.Matrix) (*hicoo.SemiHiCOO, error) {
 	return planOut(p.Out, p.k.ttmSeq(u))

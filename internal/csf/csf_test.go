@@ -258,3 +258,46 @@ func TestCSFRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// ToCOO expands the CSF tensor back to coordinate format.
+func (c *CSF) ToCOO() *tensor.COO {
+	order := c.Order()
+	return &tensor.COO{
+		Dims: append([]tensor.Index(nil), c.Dims...),
+		Inds: tensor.UnfoldTree(c.FIds, c.FPtr, c.ModeOrder, make([]uint8, order), order),
+		Vals: append([]tensor.Value(nil), c.Vals...),
+	}
+}
+
+// Validate checks structural invariants.
+func (c *CSF) Validate() error {
+	order := c.Order()
+	if len(c.FIds) != order || len(c.FPtr) != order-1 {
+		return fmt.Errorf("csf: level arrays malformed")
+	}
+	for l := 0; l < order-1; l++ {
+		if len(c.FPtr[l]) != len(c.FIds[l])+1 {
+			return fmt.Errorf("csf: level %d has %d pointers for %d nodes", l, len(c.FPtr[l]), len(c.FIds[l]))
+		}
+		if c.FPtr[l][0] != 0 || c.FPtr[l][len(c.FPtr[l])-1] != int64(len(c.FIds[l+1])) {
+			return fmt.Errorf("csf: level %d pointers do not span children", l)
+		}
+		for i := 0; i+1 < len(c.FPtr[l]); i++ {
+			if c.FPtr[l][i+1] <= c.FPtr[l][i] {
+				return fmt.Errorf("csf: level %d node %d has no children", l, i)
+			}
+		}
+	}
+	if len(c.FIds[order-1]) != len(c.Vals) {
+		return fmt.Errorf("csf: leaf count %d != value count %d", len(c.FIds[order-1]), len(c.Vals))
+	}
+	for l := 0; l < order; l++ {
+		d := c.Dims[c.ModeOrder[l]]
+		for _, i := range c.FIds[l] {
+			if i >= d {
+				return fmt.Errorf("csf: level %d index %d out of range", l, i)
+			}
+		}
+	}
+	return nil
+}

@@ -291,25 +291,6 @@ func (c *Comm) Run(fn func(rank int)) {
 	wg.Wait()
 }
 
-// AllReduceVolume returns the exact aggregate traffic a P-rank ring
-// allreduce of n values moves — the counts Comm.Stats() reports after
-// AllReduceSum. Each of the 2(P-1) steps circulates every segment once
-// (n values total per step); only non-empty segments are messages, and
-// with the [s·n/P, (s+1)·n/P) segmentation exactly min(n, P) of the P
-// segments are non-empty.
-func AllReduceVolume(n, p int) (bytes, messages int64) {
-	if p <= 1 || n <= 0 {
-		return 0, 0
-	}
-	nonEmpty := n
-	if nonEmpty > p {
-		nonEmpty = p
-	}
-	messages = int64(2 * (p - 1) * nonEmpty)
-	bytes = int64(2*(p-1)) * int64(n) * tensor.ValueBytes
-	return bytes, messages
-}
-
 // GatherVolume returns the exact traffic of gathering the per-rank
 // segments (segLens[r] values from rank r) at rank 0 — the counts
 // Comm.Stats() reports after Gather: one message per non-root, non-empty

@@ -142,13 +142,6 @@ func (e *Engine) Stats() Stats {
 	return e.stats
 }
 
-// Workers returns the live worker count.
-func (e *Engine) Workers() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.workers)
-}
-
 // liveWorkers snapshots the stable ids of the surviving workers.
 func (e *Engine) liveWorkers() []int {
 	e.mu.Lock()

@@ -66,22 +66,6 @@ func (f *FCOO) NumFibers() int {
 // NumSegments returns the number of fixed-size segments.
 func (f *FCOO) NumSegments() int { return (f.NNZ() + f.SegSize - 1) / f.SegSize }
 
-// StorageBytes returns the F-COO footprint: values, product-mode indices,
-// one bit per non-zero, per-segment metadata, and either layout's other
-// indices — per fiber for Ttv, per non-zero for Mttkrp.
-func (f *FCOO) StorageBytes() int64 {
-	m := int64(f.NNZ())
-	segs := int64(f.NumSegments())
-	b := (tensor.ValueBytes+tensor.IndexBytes)*m + (m+7)/8 + segs/8 + 4*segs
-	for range f.OutInds {
-		b += tensor.IndexBytes * int64(f.NumFibers())
-	}
-	for _, inds := range f.OtherInds {
-		b += tensor.IndexBytes * int64(len(inds))
-	}
-	return b
-}
-
 func bitGet(set []uint64, i int64) bool { return set[i>>6]>>(uint(i)&63)&1 == 1 }
 func bitSet(set []uint64, i int64)      { set[i>>6] |= 1 << (uint(i) & 63) }
 
@@ -190,40 +174,6 @@ func (f *FCOO) buildSegments() {
 			}
 		}
 	}
-}
-
-// Validate checks structural invariants.
-func (f *FCOO) Validate() error {
-	m := int64(f.NNZ())
-	if m == 0 {
-		return nil
-	}
-	if !bitGet(f.BitFlag, 0) {
-		return fmt.Errorf("fcoo: first non-zero must start a fiber")
-	}
-	flags := int64(0)
-	for x := int64(0); x < m; x++ {
-		if bitGet(f.BitFlag, x) {
-			flags++
-		}
-	}
-	if flags != int64(f.NumFibers()) {
-		return fmt.Errorf("fcoo: %d fiber flags for %d output fibers", flags, f.NumFibers())
-	}
-	for s := 0; s < f.NumSegments(); s++ {
-		start := int64(s) * int64(f.SegSize)
-		carries := !bitGet(f.BitFlag, start)
-		if carries != bitGet(f.StartFlag, int64(s)) {
-			return fmt.Errorf("fcoo: segment %d start flag inconsistent", s)
-		}
-	}
-	d := f.Dims[f.Mode]
-	for _, k := range f.KInd {
-		if k >= d {
-			return fmt.Errorf("fcoo: product index %d out of range", k)
-		}
-	}
-	return nil
 }
 
 // TtvGPU computes Y = X ×ₙ v with a segmented reduction: one thread block

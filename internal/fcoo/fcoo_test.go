@@ -1,6 +1,7 @@
 package fcoo
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -271,4 +272,54 @@ func TestFCOOProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// StorageBytes returns the F-COO footprint: values, product-mode indices,
+// one bit per non-zero, per-segment metadata, and either layout's other
+// indices — per fiber for Ttv, per non-zero for Mttkrp.
+func (f *FCOO) StorageBytes() int64 {
+	m := int64(f.NNZ())
+	segs := int64(f.NumSegments())
+	b := (tensor.ValueBytes+tensor.IndexBytes)*m + (m+7)/8 + segs/8 + 4*segs
+	for range f.OutInds {
+		b += tensor.IndexBytes * int64(f.NumFibers())
+	}
+	for _, inds := range f.OtherInds {
+		b += tensor.IndexBytes * int64(len(inds))
+	}
+	return b
+}
+
+// Validate checks structural invariants.
+func (f *FCOO) Validate() error {
+	m := int64(f.NNZ())
+	if m == 0 {
+		return nil
+	}
+	if !bitGet(f.BitFlag, 0) {
+		return fmt.Errorf("fcoo: first non-zero must start a fiber")
+	}
+	flags := int64(0)
+	for x := int64(0); x < m; x++ {
+		if bitGet(f.BitFlag, x) {
+			flags++
+		}
+	}
+	if flags != int64(f.NumFibers()) {
+		return fmt.Errorf("fcoo: %d fiber flags for %d output fibers", flags, f.NumFibers())
+	}
+	for s := 0; s < f.NumSegments(); s++ {
+		start := int64(s) * int64(f.SegSize)
+		carries := !bitGet(f.BitFlag, start)
+		if carries != bitGet(f.StartFlag, int64(s)) {
+			return fmt.Errorf("fcoo: segment %d start flag inconsistent", s)
+		}
+	}
+	d := f.Dims[f.Mode]
+	for _, k := range f.KInd {
+		if k >= d {
+			return fmt.Errorf("fcoo: product index %d out of range", k)
+		}
+	}
+	return nil
 }

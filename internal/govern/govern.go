@@ -139,9 +139,6 @@ type Lease struct {
 	once  sync.Once
 }
 
-// Bytes returns the charged cost.
-func (l *Lease) Bytes() int64 { return l.bytes }
-
 // Release refunds the lease and wakes admission waiters.
 func (l *Lease) Release() {
 	l.once.Do(func() {

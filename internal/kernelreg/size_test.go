@@ -152,3 +152,74 @@ func TestMemBytesChargesSharedTreeOnce(t *testing.T) {
 		}
 	}
 }
+
+// MemBytes reports the workbench's measured resident footprint: the
+// input tensor plus every lazily built operand and format conversion.
+// It walks only what has actually been materialized, so the number
+// grows as variants touch the workbench — the measured complement to
+// EstimateFootprint's pre-admission prediction.
+func (wb *Workbench) MemBytes() int64 {
+	wb.mu.Lock()
+	defer wb.mu.Unlock()
+	b := wb.X.StorageBytes()
+	if wb.y != nil {
+		b += wb.y.StorageBytes()
+	}
+	for _, s := range wb.views {
+		// A view of already-ordered data shares X's arrays.
+		if s.NNZ() > 0 && &s.Vals[0] != &wb.X.Vals[0] {
+			b += s.StorageBytes()
+		}
+	}
+	if wb.hx != nil {
+		b += wb.hx.StorageBytes()
+	}
+	if wb.hy != nil {
+		b += wb.hy.StorageBytes()
+	}
+	for _, v := range wb.vecs {
+		b += tensor.ValueBytes * int64(len(v))
+	}
+	for _, m := range wb.ttm {
+		b += tensor.ValueBytes * int64(len(m.Data))
+	}
+	for _, m := range wb.mats {
+		b += tensor.ValueBytes * int64(len(m.Data))
+	}
+	for _, c := range wb.csfs {
+		b += c.StorageBytes()
+	}
+	for _, h := range wb.hiers {
+		// A hierarchy over a cached CSF tree shares the tree's arrays (a
+		// wrap all of them, a root split all below the root); only the
+		// arrays it does not share are charged.
+		for _, p := range h.Ptr {
+			b += 8 * int64(len(p))
+		}
+		for _, c := range h.Crd {
+			b += tensor.IndexBytes * int64(len(c))
+		}
+		b += tensor.ValueBytes * int64(len(h.Vals))
+		if c := wb.csfs[moKey(h.ModeOrder)]; c != nil {
+			b -= shared(h.Ptr, c.FPtr, 8) + shared(h.Crd, c.FIds, tensor.IndexBytes) +
+				shared([][]tensor.Value{h.Vals}, [][]tensor.Value{c.Vals}, tensor.ValueBytes)
+		}
+	}
+	return b
+}
+
+// shared sums size bytes per element over the arrays of hs that are
+// also arrays of cs. The same first element is the same array: the rule
+// the views above apply to X's arrays.
+func shared[E any](hs, cs [][]E, size int64) int64 {
+	var b int64
+	for _, h := range hs {
+		for _, c := range cs {
+			if len(h) > 0 && len(c) > 0 && &h[0] == &c[0] {
+				b += size * int64(len(h))
+				break
+			}
+		}
+	}
+	return b
+}

@@ -162,9 +162,6 @@ func (h *Hierarchy) Order() int { return len(h.Dims) }
 // Depth returns the number of levels.
 func (h *Hierarchy) Depth() int { return len(h.Crd) }
 
-// NNZ returns the stored non-zero count.
-func (h *Hierarchy) NNZ() int { return len(h.Vals) }
-
 // NumNodes returns the node count at one level.
 func (h *Hierarchy) NumNodes(level int) int { return len(h.Crd[level]) }
 
@@ -180,19 +177,6 @@ func (h *Hierarchy) CompletionLevel(mode int) int {
 		}
 	}
 	return -1
-}
-
-// StorageBytes returns the hierarchy footprint: 64-bit child pointers,
-// 32-bit coordinates, 32-bit values.
-func (h *Hierarchy) StorageBytes() int64 {
-	var b int64
-	for _, p := range h.Ptr {
-		b += 8 * int64(len(p))
-	}
-	for _, c := range h.Crd {
-		b += 4 * int64(len(c))
-	}
-	return b + 4*int64(len(h.Vals))
 }
 
 // Validate checks the structural invariants every kernel body assumes:
@@ -236,16 +220,6 @@ func (h *Hierarchy) Validate() error {
 		}
 	}
 	return nil
-}
-
-// ToCOO expands the hierarchy back to coordinate format (tests and the
-// conversion planner's round-trip checks).
-func (h *Hierarchy) ToCOO() *tensor.COO {
-	return &tensor.COO{
-		Dims: append([]tensor.Index(nil), h.Dims...),
-		Inds: h.unfold(h.Depth() - 1),
-		Vals: append([]tensor.Value(nil), h.Vals...),
-	}
 }
 
 // unfold reassembles the coordinates levels 0..depth store: one column

@@ -410,3 +410,16 @@ func TestMttkrpRejectsBadPrefix(t *testing.T) {
 		t.Fatal("Ttv accepted a hierarchy whose leaf is another mode")
 	}
 }
+
+// NNZ returns the stored non-zero count.
+func (h *Hierarchy) NNZ() int { return len(h.Vals) }
+
+// ToCOO expands the hierarchy back to coordinate format (tests and the
+// conversion planner's round-trip checks).
+func (h *Hierarchy) ToCOO() *tensor.COO {
+	return &tensor.COO{
+		Dims: append([]tensor.Index(nil), h.Dims...),
+		Inds: h.unfold(h.Depth() - 1),
+		Vals: append([]tensor.Value(nil), h.Vals...),
+	}
+}

@@ -270,13 +270,9 @@ func Workloads(x *tensor.COO, cfg Config) []perfmodel.Workload {
 	return perfmodel.FromTensorAllModes(x, cfg.R, cfg.BlockBits)
 }
 
-// Model evaluates the analytic model for one kernel × format on a
-// platform, averaging the per-mode predictions like the measurement path.
-func Model(p *platform.Platform, x *tensor.COO, k roofline.Kernel, f roofline.Format, cfg Config) Result {
-	return ModelFromWorkloads(p, Workloads(x, cfg), k, f)
-}
-
-// ModelFromWorkloads is Model with precomputed per-mode workloads.
+// ModelFromWorkloads evaluates the analytic model for one kernel × format
+// on a platform from a tensor's per-mode workloads (Workloads), averaging
+// the per-mode predictions like the measurement path.
 func ModelFromWorkloads(p *platform.Platform, ws []perfmodel.Workload, k roofline.Kernel, f roofline.Format) Result {
 	res := Result{
 		Kernel: k, Format: f, Platform: p.Name, Source: Modeled,

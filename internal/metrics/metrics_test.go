@@ -71,7 +71,7 @@ func TestModelAllPlatforms(t *testing.T) {
 	for _, p := range platform.All() {
 		for _, k := range roofline.Kernels {
 			for _, f := range []roofline.Format{roofline.COO, roofline.HiCOO} {
-				r := Model(p, x, k, f, cfg)
+				r := ModelFromWorkloads(p, Workloads(x, cfg), k, f)
 				if r.GFLOPS <= 0 || r.TimeSec <= 0 {
 					t.Fatalf("%s/%v/%v: degenerate %+v", p.Name, k, f, r)
 				}
@@ -93,11 +93,11 @@ func TestModelSmallTensorOverheadBound(t *testing.T) {
 	// small-tensor behavior.
 	x := testTensor(4)
 	cfg := quickConfig()
-	rv := Model(&platform.DGX1V, x, roofline.Ts, roofline.COO, cfg)
+	rv := ModelFromWorkloads(&platform.DGX1V, Workloads(x, cfg), roofline.Ts, roofline.COO)
 	if rv.TimeSec < 10e-6 {
 		t.Fatalf("V100 small-tensor time %v below launch overhead", rv.TimeSec)
 	}
-	gb := Model(&platform.Bluesky, x, roofline.Ts, roofline.COO, cfg).GFLOPS
+	gb := ModelFromWorkloads(&platform.Bluesky, Workloads(x, cfg), roofline.Ts, roofline.COO).GFLOPS
 	if gb <= rv.GFLOPS {
 		t.Fatalf("overhead-bound GPU (%v) should lose to CPU (%v) at this size", rv.GFLOPS, gb)
 	}

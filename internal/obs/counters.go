@@ -15,9 +15,6 @@ type Counter struct {
 	v    atomic.Int64
 }
 
-// Name returns the counter's registry key.
-func (c *Counter) Name() string { return c.name }
-
 // Add increments the counter by n.
 func (c *Counter) Add(n int64) { c.v.Add(n) }
 

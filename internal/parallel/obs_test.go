@@ -89,8 +89,7 @@ func TestAtomicAddCounters(t *testing.T) {
 	obs.EnableCounters(true)
 	defer obs.EnableCounters(false)
 	AtomicAddFloat32(&x, 1)
-	var y float64
-	AtomicAddFloat64(&y, 1)
+	AtomicAddFloat32(&x, 1)
 	after := obs.CounterSnapshot()
 	if d := obs.DiffSnapshot(mid, after); d["parallel.atomic_adds"] != 2 {
 		t.Fatalf("atomic_adds delta = %v, want 2", d["parallel.atomic_adds"])

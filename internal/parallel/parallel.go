@@ -428,16 +428,6 @@ func forSerial(n int, opt Options, ctl *loopCtl, body func(lo, hi, worker int)) 
 	return nil
 }
 
-// ForEach is For with a per-index body, for loops whose iterations are too
-// coarse to benefit from manual range handling.
-func ForEach(n int, opt Options, body func(i, worker int)) error {
-	return For(n, opt, func(lo, hi, w int) {
-		for i := lo; i < hi; i++ {
-			body(i, w)
-		}
-	})
-}
-
 func heuristicChunk(n, threads int) int {
 	c := n / (threads * 16)
 	if c < 1 {
@@ -460,23 +450,6 @@ func AtomicAddFloat32(addr *float32, delta float32) {
 		cur := math.Float32frombits(old)
 		nxt := math.Float32bits(cur + delta)
 		if atomic.CompareAndSwapUint32(p, old, nxt) {
-			if obs.Counting() {
-				ctrAtomicAdds.Inc()
-			}
-			return
-		}
-		ctrCASRetries.Inc()
-	}
-}
-
-// AtomicAddFloat64 atomically adds delta to *addr.
-func AtomicAddFloat64(addr *float64, delta float64) {
-	p := (*uint64)(unsafe.Pointer(addr))
-	for {
-		old := atomic.LoadUint64(p)
-		cur := math.Float64frombits(old)
-		nxt := math.Float64bits(cur + delta)
-		if atomic.CompareAndSwapUint64(p, old, nxt) {
 			if obs.Counting() {
 				ctrAtomicAdds.Inc()
 			}

@@ -85,18 +85,6 @@ func TestForSingleThreadRunsInline(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	n := 500
-	var sum atomic.Int64
-	ForEach(n, Options{Schedule: Dynamic}, func(i, w int) {
-		sum.Add(int64(i))
-	})
-	want := int64(n * (n - 1) / 2)
-	if sum.Load() != want {
-		t.Fatalf("sum = %d, want %d", sum.Load(), want)
-	}
-}
-
 func TestForUnknownSchedulePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -129,19 +117,6 @@ func TestAtomicAddFloat32(t *testing.T) {
 	})
 	if x != float32(n)*0.5 {
 		t.Fatalf("x = %v, want %v", x, float32(n)*0.5)
-	}
-}
-
-func TestAtomicAddFloat64(t *testing.T) {
-	var x float64
-	n := 10000
-	For(n, Options{Schedule: Static, Threads: 8}, func(lo, hi, w int) {
-		for i := lo; i < hi; i++ {
-			AtomicAddFloat64(&x, 0.25)
-		}
-	})
-	if x != float64(n)*0.25 {
-		t.Fatalf("x = %v, want %v", x, float64(n)*0.25)
 	}
 }
 

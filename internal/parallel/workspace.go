@@ -27,6 +27,8 @@ type Workspace struct {
 	mu   sync.Mutex
 	sets map[setKey][]*PrivateSet
 
+	// Nothing reads hits, misses and retained: the workspace.reuses and
+	// workspace.misses counters report the pool.
 	hits     uint64
 	misses   uint64
 	retained int64
@@ -44,24 +46,6 @@ var sharedWorkspace = NewWorkspace()
 // SharedWorkspace returns the process-wide workspace the reduction
 // kernels draw their privatization scratch from.
 func SharedWorkspace() *Workspace { return sharedWorkspace }
-
-// WorkspaceStats reports pool effectiveness: in steady state every
-// acquisition is a hit and Misses stays constant.
-type WorkspaceStats struct {
-	// Hits counts acquisitions served from the pool.
-	Hits uint64
-	// Misses counts acquisitions that had to allocate.
-	Misses uint64
-	// RetainedBytes is the memory currently parked in the pool.
-	RetainedBytes int64
-}
-
-// Stats returns a snapshot of the pool counters.
-func (ws *Workspace) Stats() WorkspaceStats {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	return WorkspaceStats{Hits: ws.hits, Misses: ws.misses, RetainedBytes: ws.retained}
-}
 
 // PrivateSet is one worker-count's worth of private output copies for a
 // privatized reduction: Bufs[w] is worker w's zeroed accumulation buffer.

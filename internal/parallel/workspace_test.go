@@ -5,21 +5,37 @@ import (
 	"testing"
 )
 
+// poolCounts is a snapshot of the workspace.reuses and workspace.misses
+// counters. The counters are process-wide; the tests in this package do
+// not run in parallel, so a delta between two snapshots is the calls made
+// in between.
+type poolCounts struct{ hits, misses int64 }
+
+func readPool() poolCounts {
+	return poolCounts{hits: ctrWSReuses.Value(), misses: ctrWSMisses.Value()}
+}
+
+func (c poolCounts) since(before poolCounts) poolCounts {
+	return poolCounts{hits: c.hits - before.hits, misses: c.misses - before.misses}
+}
+
 func TestWorkspaceSizeKeying(t *testing.T) {
 	ws := NewWorkspace()
+	start := readPool()
 	ws.PutSet(ws.Set(2, 100))
 	// Different size must miss, not truncate or regrow the pooled buffers.
 	b := ws.Set(2, 200)
 	if len(b.Bufs[0]) != 200 {
 		t.Fatalf("len = %d, want 200", len(b.Bufs[0]))
 	}
-	if st := ws.Stats(); st.Hits != 0 {
+	if st := readPool().since(start); st.hits != 0 {
 		t.Fatalf("different size hit the pool: %+v", st)
 	}
 }
 
 func TestWorkspacePrivateSetReuse(t *testing.T) {
 	ws := NewWorkspace()
+	start := readPool()
 	s := ws.Set(4, 128)
 	if len(s.Bufs) != 4 {
 		t.Fatalf("workers = %d, want 4", len(s.Bufs))
@@ -41,7 +57,7 @@ func TestWorkspacePrivateSetReuse(t *testing.T) {
 			}
 		}
 	}
-	if st := ws.Stats(); st.Hits != 1 || st.Misses != 1 {
+	if st := readPool().since(start); st.hits != 1 || st.misses != 1 {
 		t.Fatalf("stats = %+v, want 1 hit / 1 miss", st)
 	}
 	// A different shape is a distinct pool key.
@@ -49,7 +65,7 @@ func TestWorkspacePrivateSetReuse(t *testing.T) {
 	if len(s3.Bufs) != 2 {
 		t.Fatalf("workers = %d, want 2", len(s3.Bufs))
 	}
-	if st := ws.Stats(); st.Hits != 1 {
+	if st := readPool().since(start); st.hits != 1 {
 		t.Fatalf("different shape hit the pool: %+v", st)
 	}
 }
@@ -96,15 +112,15 @@ func TestWorkspaceConcurrent(t *testing.T) {
 func TestWorkspaceSteadyStateNoMisses(t *testing.T) {
 	ws := NewWorkspace()
 	ws.PutSet(ws.Set(4, 1024))
-	warm := ws.Stats()
+	warm := readPool()
 	for i := 0; i < 100; i++ {
 		ws.PutSet(ws.Set(4, 1024))
 	}
-	st := ws.Stats()
-	if st.Misses != warm.Misses {
-		t.Fatalf("steady state missed: warm %d misses, now %d", warm.Misses, st.Misses)
+	st := readPool().since(warm)
+	if st.misses != 0 {
+		t.Fatalf("steady state missed %d times", st.misses)
 	}
-	if st.Hits != warm.Hits+100 {
-		t.Fatalf("hits = %d, want %d", st.Hits, warm.Hits+100)
+	if st.hits != 100 {
+		t.Fatalf("hits = %d, want 100", st.hits)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/gpusim"
 	"repro/internal/parallel"
 )
 
@@ -110,19 +109,6 @@ func (in *Injector) Install() { parallel.SetChunkHook(in.chunkFault) }
 // Uninstall detaches the chunk hook.
 func (in *Injector) Uninstall() { parallel.SetChunkHook(nil) }
 
-// InstallDevice attaches the injector to a device's launch and block
-// hooks (the GPU-side injection points).
-func (in *Injector) InstallDevice(d *gpusim.Device) {
-	d.SetLaunchHook(in.launchFault)
-	d.SetBlockHook(in.blockFault)
-}
-
-// UninstallDevice detaches both device hooks.
-func (in *Injector) UninstallDevice(d *gpusim.Device) {
-	d.SetLaunchHook(nil)
-	d.SetBlockHook(nil)
-}
-
 // snapshot reads the armed configuration consistently.
 func (in *Injector) snapshot() (Fault, int64, time.Duration, context.Context) {
 	in.mu.Lock()
@@ -148,26 +134,6 @@ func (in *Injector) chunkFault(worker int) {
 	case FaultStall:
 		in.block(ctx, stall)
 	}
-}
-
-// blockFault is the gpusim per-block hook; it shares the chunk
-// counter so "the nth parallel unit" means the same thing on either
-// backend.
-func (in *Injector) blockFault(block int) { in.chunkFault(block) }
-
-// launchFault is the gpusim launch hook: it fails the armed ordinal's
-// launch before any block runs.
-func (in *Injector) launchFault() error {
-	f, nth, _, _ := in.snapshot()
-	if f != FaultLaunchFail {
-		return nil
-	}
-	n := in.launches.Add(1)
-	if nth != 0 && n != nth {
-		return nil
-	}
-	in.injected.Add(1)
-	return fmt.Errorf("resilience: injected launch failure (launch %d)", n)
 }
 
 // block stalls for d but never outlives ctx, so a worker stalled past

@@ -3,11 +3,13 @@ package resilience
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/gpusim"
 	"repro/internal/parallel"
 )
 
@@ -360,4 +362,37 @@ func TestInjectorStallBoundedByContext(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("stall ran %v past cancel", elapsed)
 	}
+}
+
+// InstallDevice attaches the injector to a device's launch and block
+// hooks (the GPU-side injection points).
+func (in *Injector) InstallDevice(d *gpusim.Device) {
+	d.SetLaunchHook(in.launchFault)
+	d.SetBlockHook(in.blockFault)
+}
+
+// UninstallDevice detaches both device hooks.
+func (in *Injector) UninstallDevice(d *gpusim.Device) {
+	d.SetLaunchHook(nil)
+	d.SetBlockHook(nil)
+}
+
+// blockFault is the gpusim per-block hook; it shares the chunk
+// counter so "the nth parallel unit" means the same thing on either
+// backend.
+func (in *Injector) blockFault(block int) { in.chunkFault(block) }
+
+// launchFault is the gpusim launch hook: it fails the armed ordinal's
+// launch before any block runs.
+func (in *Injector) launchFault() error {
+	f, nth, _, _ := in.snapshot()
+	if f != FaultLaunchFail {
+		return nil
+	}
+	n := in.launches.Add(1)
+	if nth != 0 && n != nth {
+		return nil
+	}
+	in.injected.Add(1)
+	return fmt.Errorf("resilience: injected launch failure (launch %d)", n)
 }

@@ -181,14 +181,6 @@ func writeF32Chunked(w io.Writer, src []float32, scratch []byte) error {
 	return nil
 }
 
-// ReadBinary parses any PSTB binary version. The remaining input size
-// is auto-detected when r exposes it (os.File, bytes.Reader/Buffer, any
-// io.Seeker); a plain stream's is unknown.
-func ReadBinary(r io.Reader) (*COO, error) {
-	t, _, err := readBinary(r, inputSize(r))
-	return t, err
-}
-
 // readLabel names what a read was for: a value, not a string, because
 // a v3 read has one per tile and column and the text is only wanted
 // when the read fails.

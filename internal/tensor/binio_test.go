@@ -3,12 +3,20 @@ package tensor
 import (
 	"bytes"
 	"encoding/hex"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// readBinaryAll parses any PSTB binary version from r, its remaining
+// size auto-detected as ReadFile does.
+func readBinaryAll(r io.Reader) (*COO, error) {
+	t, _, err := readBinary(r, inputSize(r))
+	return t, err
+}
 
 func TestBinaryRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -17,7 +25,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if err := WriteBinary(&buf, x); err != nil {
 		t.Fatal(err)
 	}
-	y, err := ReadBinary(&buf)
+	y, err := readBinaryAll(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +52,7 @@ func TestBinaryV1RoundTrip(t *testing.T) {
 	if buf.Bytes()[4] != binVersion1 {
 		t.Fatalf("version byte %d, want %d", buf.Bytes()[4], binVersion1)
 	}
-	y, err := ReadBinary(&buf)
+	y, err := readBinaryAll(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +73,7 @@ func TestBinaryRoundTripUnknownSize(t *testing.T) {
 		if err := write(&buf); err != nil {
 			t.Fatal(err)
 		}
-		y, err := ReadBinary(opaqueReader{bytes.NewReader(buf.Bytes())})
+		y, err := readBinaryAll(opaqueReader{bytes.NewReader(buf.Bytes())})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -85,7 +93,7 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 		"zero order":   []byte("PSTB\x01\x00"),
 	}
 	for name, raw := range cases {
-		if _, err := ReadBinary(bytes.NewReader(raw)); err == nil {
+		if _, err := readBinaryAll(bytes.NewReader(raw)); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
@@ -102,7 +110,7 @@ func TestBinaryRejectsCorruptIndices(t *testing.T) {
 	}
 	raw := buf.Bytes()
 	raw[4+1+1+8+8] = 0xFF
-	if _, err := ReadBinary(bytes.NewReader(raw)); err == nil {
+	if _, err := readBinaryAll(bytes.NewReader(raw)); err == nil {
 		t.Fatal("expected validation error")
 	}
 }
@@ -117,7 +125,7 @@ func TestBinaryV2RejectsCorruptPayload(t *testing.T) {
 	raw := buf.Bytes()
 	// Payload starts after prologue (12) + header (16+4*2) + header CRC (4).
 	raw[12+24+4] ^= 0x01
-	_, err := ReadBinary(bytes.NewReader(raw))
+	_, err := readBinaryAll(bytes.NewReader(raw))
 	if err == nil {
 		t.Fatal("expected checksum error")
 	}
@@ -198,7 +206,7 @@ func TestBinaryEmptyTensorRoundTrip(t *testing.T) {
 		if err := write(&buf); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		y, err := ReadBinary(&buf)
+		y, err := readBinaryAll(&buf)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

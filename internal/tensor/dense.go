@@ -40,20 +40,12 @@ func (m *Matrix) Fill(v Value) {
 // Zero clears the matrix.
 func (m *Matrix) Zero() { m.Fill(0) }
 
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	return &Matrix{Rows: m.Rows, Cols: m.Cols, Data: append([]Value(nil), m.Data...)}
-}
-
 // Randomize fills the matrix with uniform values in [0, 1) from rng.
 func (m *Matrix) Randomize(rng *rand.Rand) {
 	for i := range m.Data {
 		m.Data[i] = Value(rng.Float64())
 	}
 }
-
-// StorageBytes returns the dense footprint in bytes.
-func (m *Matrix) StorageBytes() int64 { return 4 * int64(len(m.Data)) }
 
 func (m *Matrix) String() string { return fmt.Sprintf("Matrix(%dx%d)", m.Rows, m.Cols) }
 
@@ -71,9 +63,6 @@ func RandomVector(n int, rng *rand.Rand) Vector {
 	}
 	return v
 }
-
-// Clone returns a copy of the vector.
-func (v Vector) Clone() Vector { return append(Vector(nil), v...) }
 
 // Norm2 returns the Euclidean norm computed in float64 for stability.
 func (v Vector) Norm2() float64 {

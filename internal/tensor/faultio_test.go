@@ -89,9 +89,9 @@ func readEvery(t *testing.T, raw []byte) (*COO, error) {
 
 func readThrough(t *testing.T, raw []byte, wrappers map[string]func(io.Reader) io.Reader) (*COO, error) {
 	t.Helper()
-	got, err := ReadBinary(bytes.NewReader(raw))
+	got, err := readBinaryAll(bytes.NewReader(raw))
 	for name, wrap := range wrappers {
-		gotU, errU := ReadBinary(wrap(bytes.NewReader(raw)))
+		gotU, errU := readBinaryAll(wrap(bytes.NewReader(raw)))
 		// The sized path validates declared lengths up front; the others
 		// discover the same truncations at read time. They must agree
 		// on accept/reject — an asymmetry either way is a validation hole.
@@ -184,7 +184,7 @@ func TestFaultBitFlipsV1(t *testing.T) {
 		for bit := 0; bit < 8; bit++ {
 			copy(flipped, raw)
 			flipped[pos] ^= 1 << bit
-			got, err := ReadBinary(bytes.NewReader(flipped))
+			got, err := readBinaryAll(bytes.NewReader(flipped))
 			if err != nil {
 				continue
 			}
@@ -205,7 +205,7 @@ func TestFaultBitFlipsV1(t *testing.T) {
 		}
 		copy(flipped, raw)
 		flipped[nnzOff+bit/8] ^= 1 << (bit % 8)
-		if _, err := ReadBinary(bytes.NewReader(flipped)); err == nil {
+		if _, err := readBinaryAll(bytes.NewReader(flipped)); err == nil {
 			t.Fatalf("v1: nnz-growing bit flip %d accepted with size hint", bit)
 		}
 	}

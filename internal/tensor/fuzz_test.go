@@ -20,7 +20,7 @@ func FuzzReadTNS(f *testing.F) {
 	f.Add("4294967295 1 1 1\n")
 	f.Add("1 1 1 1\n1 1 2\n")
 	f.Fuzz(func(t *testing.T, in string) {
-		x, err := ReadTNS(strings.NewReader(in))
+		x, err := ParseTNS([]byte(in))
 		if err != nil {
 			return
 		}
@@ -37,7 +37,7 @@ func FuzzReadTNS(f *testing.F) {
 		if err := WriteTNS(&buf, x); err != nil {
 			t.Fatalf("writer failed on parsed tensor: %v", err)
 		}
-		y, err := ReadTNS(&buf)
+		y, err := ParseTNS(buf.Bytes())
 		if err != nil {
 			t.Fatalf("re-parse failed: %v", err)
 		}
@@ -94,8 +94,8 @@ func addBinarySeeds(f *testing.F) {
 func FuzzReadBinary(f *testing.F) {
 	addBinarySeeds(f)
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		x, err := ReadBinary(bytes.NewReader(raw))
-		xu, erru := ReadBinary(opaqueReader{bytes.NewReader(raw)})
+		x, err := readBinaryAll(bytes.NewReader(raw))
+		xu, erru := readBinaryAll(opaqueReader{bytes.NewReader(raw)})
 		if (err == nil) != (erru == nil) {
 			t.Fatalf("sized/chunked disagree: %v vs %v", err, erru)
 		}
@@ -112,7 +112,7 @@ func FuzzReadBinary(f *testing.F) {
 		if werr := WriteBinary(&buf, x); werr != nil {
 			t.Fatalf("writer failed on accepted tensor: %v", werr)
 		}
-		y, rerr := ReadBinary(&buf)
+		y, rerr := readBinaryAll(&buf)
 		if rerr != nil {
 			t.Fatalf("re-read of rewritten tensor failed: %v", rerr)
 		}
@@ -139,7 +139,7 @@ func FuzzTiledAgree(f *testing.F) {
 	f.Add(patchTile(f, v3.Bytes(), 1, 3, 0, 0))
 	f.Add(patchTile(f, v3.Bytes(), 2, 1, 3, 0x7FC00000))
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		want, err := ReadBinary(bytes.NewReader(raw))
+		want, err := readBinaryAll(bytes.NewReader(raw))
 		tr, terr := NewTileReader(bytes.NewReader(raw), int64(len(raw)))
 		var got *COO
 		if terr == nil {

@@ -23,7 +23,7 @@ func TestTNSGzipRoundTrip(t *testing.T) {
 	if len(raw) < 2 || raw[0] != 0x1f || raw[1] != 0x8b {
 		t.Fatal("output is not gzip-compressed")
 	}
-	y, err := ReadTNSFile(path)
+	y, err := ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestReadTNSFileRejectsCorruptGzip(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not gzip at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadTNSFile(path); err == nil {
+	if _, err := ReadFile(path); err == nil {
 		t.Fatal("expected gzip error")
 	}
 }

@@ -2,53 +2,12 @@ package tensor
 
 import (
 	"bufio"
-	"bytes"
 	"compress/gzip"
-	"fmt"
 	"io"
 	"os"
 	"strconv"
 	"strings"
 )
-
-// ReadTNS parses the FROSTT ".tns" text format: one non-zero per line as
-// whitespace-separated 1-based coordinates followed by the value. Lines
-// that are empty or start with '#' are skipped. Mode sizes are inferred
-// as the maximum coordinate per mode (FROSTT files carry no header).
-//
-// The whole stream is buffered in memory so large inputs can be parsed
-// chunk-parallel; see ParseTNS.
-func ReadTNS(r io.Reader) (*COO, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("tns: %v", err)
-	}
-	return ParseTNS(data)
-}
-
-// ReadTNSFile reads a .tns file from disk; files ending in ".gz" (the
-// form FROSTT distributes) are decompressed transparently.
-func ReadTNSFile(path string) (*COO, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if strings.HasSuffix(path, ".gz") {
-		gz, err := gzip.NewReader(bytes.NewReader(data))
-		if err != nil {
-			return nil, fmt.Errorf("tns: %s: %v", path, err)
-		}
-		text, err := io.ReadAll(gz)
-		if err != nil {
-			return nil, fmt.Errorf("tns: %s: %v", path, err)
-		}
-		if err := gz.Close(); err != nil {
-			return nil, fmt.Errorf("tns: %s: %v", path, err)
-		}
-		return ParseTNS(text)
-	}
-	return ParseTNS(data)
-}
 
 // WriteTNS emits the tensor in FROSTT .tns text format with 1-based
 // coordinates. Values are formatted with the shortest decimal string

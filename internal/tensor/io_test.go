@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -15,7 +14,7 @@ func TestReadTNS(t *testing.T) {
 2 3 4 -2.0
 1 2 1 0.25
 `
-	x, err := ReadTNS(strings.NewReader(in))
+	x, err := ParseTNS([]byte(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +47,7 @@ func TestReadTNSErrors(t *testing.T) {
 		"negative coord": "-1 1 1.0\n",
 	}
 	for name, in := range cases {
-		if _, err := ReadTNS(strings.NewReader(in)); err == nil {
+		if _, err := ParseTNS([]byte(in)); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
@@ -61,7 +60,7 @@ func TestTNSRoundTrip(t *testing.T) {
 	if err := WriteTNS(&buf, x); err != nil {
 		t.Fatal(err)
 	}
-	y, err := ReadTNS(&buf)
+	y, err := ParseTNS(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,14 +81,14 @@ func TestTNSFileRoundTrip(t *testing.T) {
 	if err := WriteTNSFile(path, x); err != nil {
 		t.Fatal(err)
 	}
-	y, err := ReadTNSFile(path)
+	y, err := ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := AbsDiff(x, y); d > 1e-6 {
 		t.Fatalf("file roundtrip diff %v", d)
 	}
-	if _, err := ReadTNSFile(filepath.Join(dir, "missing.tns")); err == nil {
+	if _, err := ReadFile(filepath.Join(dir, "missing.tns")); err == nil {
 		t.Fatal("expected error for missing file")
 	}
 }

@@ -104,16 +104,16 @@ func TestContentRejectionParity(t *testing.T) {
 					"v2": patchFlat(v2, order, nnz, g, f.col, f.bits),
 					"v3": patchTile(t, v3, tile, local, f.col, f.bits),
 				} {
-					got, err := ReadBinary(bytes.NewReader(raw))
+					got, err := readBinaryAll(bytes.NewReader(raw))
 					if errText(err) != read {
-						t.Errorf("%s: ReadBinary(%s) = %q, want %q", where, ver, errText(err), read)
+						t.Errorf("%s: readBinaryAll(%s) = %q, want %q", where, ver, errText(err), read)
 					}
-					_, errU := ReadBinary(opaqueReader{bytes.NewReader(raw)})
+					_, errU := readBinaryAll(opaqueReader{bytes.NewReader(raw)})
 					if errText(errU) != read {
-						t.Errorf("%s: unsized ReadBinary(%s) = %q, want %q", where, ver, errText(errU), read)
+						t.Errorf("%s: unsized readBinaryAll(%s) = %q, want %q", where, ver, errText(errU), read)
 					}
 					if f.ok && err == nil && !identicalBits(got, y) {
-						t.Errorf("%s: ReadBinary(%s) changed the content", where, ver)
+						t.Errorf("%s: readBinaryAll(%s) changed the content", where, ver)
 					}
 				}
 

@@ -93,7 +93,7 @@ func TestReadAheadStopsAtImageEnd(t *testing.T) {
 	check := func(name string, r io.Reader) {
 		t.Helper()
 		for i, x := range xs {
-			got, err := ReadBinary(r)
+			got, err := readBinaryAll(r)
 			if err != nil {
 				t.Fatalf("%s: image %d: %v", name, i, err)
 			}
@@ -159,7 +159,7 @@ func TestForgedHeaderCostsOneBuffer(t *testing.T) {
 	for name, raw := range map[string][]byte{"v2": forgeV2Header(t, 3, 1<<30), "v3": v3} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := ReadBinary(opaqueReader{bytes.NewReader(raw)})
+		_, err := readBinaryAll(opaqueReader{bytes.NewReader(raw)})
 		runtime.ReadMemStats(&after)
 		if err == nil || !strings.HasSuffix(err.Error(), "EOF") {
 			t.Fatalf("%s: err = %v, want the stream's end", name, err)

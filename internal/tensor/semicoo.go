@@ -111,12 +111,6 @@ func (t *SemiCOO) AppendFiber(sparseIdx []Index) int {
 	return t.NumFibers() - 1
 }
 
-// StorageBytes returns the sCOO footprint: 32-bit indices for the sparse
-// modes of each fiber plus 32-bit values for the dense blocks.
-func (t *SemiCOO) StorageBytes() int64 {
-	return 4*int64(len(t.Inds))*int64(t.NumFibers()) + 4*int64(len(t.Vals))
-}
-
 // ToCOO expands the semi-sparse tensor to coordinate format, dropping
 // exact zeros. Intended for tests and small tensors.
 func (t *SemiCOO) ToCOO() *COO {

@@ -478,7 +478,7 @@ func explainTile(i int, ti *TileInfo, dims []Index, inds [][]Index, vals []Value
 	return nil
 }
 
-// readBinaryV3 is the in-core v3 path ReadBinary/ReadFile dispatch to:
+// readBinaryV3 is the in-core v3 path readBinary (under ReadFile) takes:
 // the whole tiled payload is assembled into one COO, every checksum
 // verified, accepting exactly the images a TileReader streams without
 // error. Streaming consumers use TileReader instead.

@@ -28,7 +28,7 @@ func TestTiledRoundTrip(t *testing.T) {
 		t.Fatalf("version byte %d, want %d", raw[4], binVersion3)
 	}
 	// The in-core dispatch path assembles the full tensor.
-	y, err := ReadBinary(bytes.NewReader(raw))
+	y, err := readBinaryAll(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestTiledRoundTrip(t *testing.T) {
 		t.Fatalf("content diff %v", d)
 	}
 	// The unknown-size path agrees.
-	yu, err := ReadBinary(opaqueReader{bytes.NewReader(raw)})
+	yu, err := readBinaryAll(opaqueReader{bytes.NewReader(raw)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestTiledEmptyTiles(t *testing.T) {
 		t.Fatalf("tiles held %d entries, want %d", gotNNZ, x.NNZ())
 	}
 	// The in-core path tolerates empty tiles too.
-	y, err := ReadBinary(bytes.NewReader(raw))
+	y, err := readBinaryAll(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestTiledEmptyTensor(t *testing.T) {
 	if tr.NumTiles() != 0 || tr.NNZ != 0 {
 		t.Fatalf("empty tensor parsed as %d tiles, %d nnz", tr.NumTiles(), tr.NNZ)
 	}
-	if _, err := ReadBinary(bytes.NewReader(raw)); err != nil {
+	if _, err := readBinaryAll(bytes.NewReader(raw)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -436,7 +436,7 @@ func TestReadTileRejectsNonFinite(t *testing.T) {
 				t.Errorf("%s: ReadTile(%d) = %q, want %q", c.text, i, got, want)
 			}
 		}
-		if _, err := ReadBinary(bytes.NewReader(bad)); err == nil {
+		if _, err := readBinaryAll(bytes.NewReader(bad)); err == nil {
 			t.Errorf("%s: in-core read accepted it", c.text)
 		}
 	}

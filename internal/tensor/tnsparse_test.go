@@ -162,7 +162,7 @@ func TestWriteTNSFloat32RoundTrip(t *testing.T) {
 	if err := WriteTNS(&buf, x); err != nil {
 		t.Fatal(err)
 	}
-	y, err := ReadTNS(&buf)
+	y, err := ParseTNS(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,11 +5,18 @@ import (
 	"testing"
 
 	pasta "repro"
+	"repro/internal/algo"
+	"repro/internal/core"
+	"repro/internal/dataset"
+	"repro/internal/metrics"
+	"repro/internal/parallel"
+	"repro/internal/platform"
+	"repro/internal/roofline"
+	"repro/internal/tensor"
 )
 
-// TestPublicAPIEndToEnd drives the whole public surface the way the
-// README shows: generate, convert, run every kernel on CPU and the
-// simulated GPU, and decompose.
+// TestPublicAPIEndToEnd drives the kernels the way the README shows:
+// generate, convert, run on CPU and the simulated GPU, and compare.
 func TestPublicAPIEndToEnd(t *testing.T) {
 	rng := pasta.GenerateSeeded(1)
 	x, err := pasta.Kronecker([]pasta.Index{256, 256, 256}, 5000, nil, rng)
@@ -25,19 +32,8 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err := h.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	g := pasta.ToGHiCOOExceptMode(x, 2, pasta.DefaultBlockBits)
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	c, err := pasta.ToCSF(x, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if h.NNZ() != x.NNZ() || g.NNZ() != x.NNZ() || c.NNZ() != x.NNZ() {
-		t.Fatal("formats disagree on nnz")
+	if h.NNZ() != x.NNZ() {
+		t.Fatal("HiCOO and COO disagree on nnz")
 	}
 
 	dev := pasta.NewDevice("t", 0)
@@ -47,7 +43,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	for i := range y.Vals {
 		y.Vals[i] = 1
 	}
-	tew, err := pasta.PrepareTew(x, y, pasta.OpAdd)
+	tew, err := core.PrepareTew(x, y, pasta.OpAdd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,16 +59,16 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 
 	// Ttv in each mode, COO vs HiCOO.
 	for mode := 0; mode < 3; mode++ {
-		v := pasta.RandomVector(int(x.Dim(mode)), rng)
+		v := tensor.RandomVector(int(x.Dim(mode)), rng)
 		pc, err := pasta.PrepareTtv(x, mode)
 		if err != nil {
 			t.Fatal(err)
 		}
-		yc, err := pc.ExecuteOMP(v, pasta.Guided())
+		yc, err := pc.ExecuteOMP(v, parallel.Options{Schedule: parallel.Guided})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ph, err := pasta.PrepareTtvHiCOO(x, mode, pasta.DefaultBlockBits)
+		ph, err := core.PrepareTtvHiCOO(x, mode, pasta.DefaultBlockBits)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +94,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		mats[n] = pasta.NewMatrix(int(x.Dim(n)), 8)
 		mats[n].Randomize(rng)
 	}
-	mk, err := pasta.PrepareMttkrp(x, 1, 8)
+	mk, err := core.PrepareMttkrp(x, 1, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,14 +126,14 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 }
 
 func TestFacadeDatasets(t *testing.T) {
-	if len(pasta.RealTensors()) != 15 || len(pasta.SyntheticTensors()) != 15 {
+	if len(dataset.RealTensors()) != 15 || len(dataset.Synthetic()) != 15 {
 		t.Fatal("dataset registries wrong size")
 	}
-	e, err := pasta.DatasetByID("irrS")
+	e, err := dataset.ByID("irrS")
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := pasta.Materialize(e, 1500, 3)
+	x, err := dataset.Materialize(e, 1500, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,23 +143,23 @@ func TestFacadeDatasets(t *testing.T) {
 }
 
 func TestFacadePlatformsAndRoofline(t *testing.T) {
-	if len(pasta.Platforms()) != 4 {
+	if len(platform.All()) != 4 {
 		t.Fatal("want 4 platforms")
 	}
-	p, err := pasta.PlatformByName("DGX-1V")
+	p, err := platform.ByName("DGX-1V")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := pasta.RooflineAttainable(p, 0.125); math.Abs(got-0.125*p.ERTDRAMGBs) > 1e-9 {
+	if got := roofline.Attainable(p, 0.125); math.Abs(got-0.125*p.ERTDRAMGBs) > 1e-9 {
 		t.Fatalf("roofline = %v", got)
 	}
-	cfg := pasta.DefaultBenchConfig()
+	cfg := metrics.DefaultConfig()
 	if cfg.R != pasta.DefaultR {
 		t.Fatal("config R mismatch")
 	}
 	rng := pasta.GenerateSeeded(9)
 	x := pasta.RandomCOO([]pasta.Index{40, 40, 40}, 2000, rng)
-	r := pasta.ModelKernel(p, x, 0 /* Tew */, 0 /* COO */, cfg)
+	r := metrics.ModelFromWorkloads(p, metrics.Workloads(x, cfg), roofline.Tew, roofline.COO)
 	if r.GFLOPS <= 0 {
 		t.Fatal("model returned nothing")
 	}
@@ -190,18 +186,18 @@ func TestFacadeAlgorithms(t *testing.T) {
 	for _, m := range mats {
 		m.Randomize(rng)
 	}
-	core, err := pasta.TTMChain(x, mats)
+	core, err := algo.TTMChain(x, mats)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if core.NumEl() != 8 {
-		t.Fatalf("core size %d, want 8", core.NumEl())
+	if len(core.Data) != 8 {
+		t.Fatalf("core size %d, want 8", len(core.Data))
 	}
 }
 
 func TestFacadeThreadsControl(t *testing.T) {
-	pasta.SetNumThreads(2)
-	defer pasta.SetNumThreads(0)
+	parallel.SetNumThreads(2)
+	defer parallel.SetNumThreads(0)
 	rng := pasta.GenerateSeeded(12)
 	x := pasta.RandomCOO([]pasta.Index{30, 30, 30}, 900, rng)
 	p, err := pasta.PrepareTs(x, 2, pasta.OpMul)
