@@ -75,15 +75,6 @@ func planMttkrp(x *tensor.COO, rank int, opt parallel.Options) (MttkrpFunc, erro
 	}, nil
 }
 
-// CPALSWith is CPALS with the MTTKRP execution injected: everything but
-// the sweep's dominant kernel — factor initialization (deterministic in
-// seed), the Hadamard-of-Grams normal equations, column normalization,
-// and the fit stopping rule — stays here, so serial and distributed
-// CP-ALS share one solver and can be cross-checked factor-for-factor.
-func CPALSWith(x *tensor.COO, rank, maxIters int, tol float64, seed int64, mttkrp MttkrpFunc) (*CPResult, error) {
-	return alsSweeps(x, rank, maxIters, tol, seed, mttkrp, (*cpWorkspace).solveMode)
-}
-
 // solveMode is the CP-ALS factor update: A_n = M · V⁻¹ with
 // V = ⊛_{m≠n} gram_m, then column normalization → λ and the new gram_n.
 func (w *cpWorkspace) solveMode(n int, mt, an *tensor.Matrix, lambda []float64) error {
@@ -95,12 +86,16 @@ func (w *cpWorkspace) solveMode(n int, mt, an *tensor.Matrix, lambda []float64) 
 	return nil
 }
 
-// alsSweeps is the CP-ALS sweep loop: seeded uniform factors,
-// their grams and the occupied rows of every mode in a workspace
-// allocated once, then per sweep one Mttkrp and one update per mode, the
-// fit, the sweep's record and the stopping rule.
-func alsSweeps(x *tensor.COO, rank, maxIters int, tol float64, seed int64, mttkrp MttkrpFunc,
-	update func(w *cpWorkspace, n int, mt, an *tensor.Matrix, lambda []float64) error) (*CPResult, error) {
+// CPALSWith is CPALS with the MTTKRP execution injected: everything but
+// the sweep's dominant kernel — factor initialization (deterministic in
+// seed), the Hadamard-of-Grams normal equations, column normalization,
+// and the fit stopping rule — stays here, so serial and distributed
+// CP-ALS share one solver and can be cross-checked factor-for-factor.
+// The sweep loop: seeded uniform factors, their grams and the occupied
+// rows of every mode in a workspace allocated once, then per sweep one
+// Mttkrp and one solveMode per mode, the fit, the sweep's record and the
+// stopping rule.
+func CPALSWith(x *tensor.COO, rank, maxIters int, tol float64, seed int64, mttkrp MttkrpFunc) (*CPResult, error) {
 	if rank <= 0 {
 		return nil, fmt.Errorf("algo: CP rank must be positive")
 	}
@@ -142,7 +137,7 @@ func alsSweeps(x *tensor.COO, rank, maxIters int, tol float64, seed int64, mttkr
 			if mt == nil || mt.Rows != an.Rows || mt.Cols != rank { // fmt prints a nil mt as <nil>
 				return nil, fmt.Errorf("algo: mode-%d Mttkrp returned %v, the factor is %v", n, mt, an)
 			}
-			if err = update(w, n, mt, an, res.Lambda); err != nil {
+			if err = w.solveMode(n, mt, an, res.Lambda); err != nil {
 				return nil, err
 			}
 		}

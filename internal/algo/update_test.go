@@ -318,7 +318,7 @@ func TestCPALSGolden(t *testing.T) {
 	}
 }
 
-// oracleSweeps is alsSweeps over every row of every factor, rows of empty
+// oracleSweeps is CPALSWith's sweep loop over every row of every factor, rows of empty
 // slices included: the driver's seeded factors, a gram per mode, then the
 // full-row oracle update per mode and the fit identity summed over all
 // rows of the last mode.

@@ -21,7 +21,8 @@
 // and tsValues for the element-wise kernels, mttkrpRows for Mttkrp (a
 // rank-blocked row accumulation over one block of non-zeros: COO columns,
 // exported as MttkrpCOORange, are one block with base 0, a HiCOO tensor
-// is its blocks with 8-bit element indices).
+// is its blocks with 8-bit element indices; on amd64 with AVX2 its plain
+// arm is one assembly body, mttkrp_amd64.s).
 // The same bodies take a range, so the multi-GPU shards (multigpu.go),
 // the out-of-core tile stream (internal/ooc) and the distributed ranks
 // (internal/dist) run them too. The sCOO kernels are bodies of their own.

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/hicoo"
 	"repro/internal/tensor"
 )
@@ -74,46 +76,145 @@ func sameBits(t *testing.T, label string, got, want []tensor.Value) {
 }
 
 // TestMttkrpBodyBitIdentical holds mttkrpRows to the scalar loop bit for
-// bit through both of its callers: COO over the sub-ranges a tile or a
-// rank passes, HiCOO over block sub-ranges against the same loop run in
+// bit through both of its callers, on the assembly body and on the Go
+// loop: COO over the sub-ranges a tile or a rank passes (lo > 0
+// included), HiCOO over block sub-ranges against the same loop run in
 // HiCOO's own storage order, plain and (on the one goroutine of the
-// test) atomic. Order 10 has more operands than mttkrpStackOperands.
+// test) atomic. The ranks cover no sixteen-column pass, one, several,
+// an eight-column pass and every tail length the body leaves to Go;
+// order 10 has more operands than mttkrpStackOperands.
 func TestMttkrpBodyBitIdentical(t *testing.T) {
-	for _, order := range []int{2, 3, 4, 5, 6, 10} {
-		for _, r := range []int{1, 3, 7, 8, 12, 16, 17, 32} {
-			mode := (order + r) % order
-			x, mats := bodyCase(int64(100*order+r), order, 600, r, mode)
-			m := x.NNZ()
-			size := int(x.Dims[mode]) * r
-			label := fmt.Sprintf("order %d R %d mode %d", order, r, mode)
-
-			for _, rg := range [][2]int{{0, m}, {0, 0}, {m, m}, {m / 3, m / 3}, {0, m / 3}, {m / 3, 2*m/3 + 1}, {m - 1, m}} {
-				want := make([]tensor.Value, size)
-				scalarMttkrp(x.Inds, x.Vals, mode, r, mats, want, rg[0], rg[1])
-				for _, atomicUpd := range []bool{false, true} {
-					got := make([]tensor.Value, size)
-					MttkrpCOORange(x.Inds, x.Vals, mode, r, mats, got, rg[0], rg[1], atomicUpd)
-					sameBits(t, fmt.Sprintf("COO %s range %v atomic %v", label, rg, atomicUpd), got, want)
+	for _, asm := range []bool{false, true} {
+		if asm && !cpu.AVX2 {
+			t.Log("no AVX2 on this host: the Go loop only")
+			continue
+		}
+		withBody(asm, func() {
+			for _, order := range []int{2, 3, 4, 5, 6, 10} {
+				for _, r := range []int{1, 3, 7, 8, 9, 15, 16, 17, 24, 33} {
+					mttkrpBitIdentical(t, fmt.Sprintf("asm %v order %d R %d", asm, order, r), order, r)
 				}
 			}
+		})
+	}
+}
+
+// mttkrpBitIdentical is one (order, R) case of TestMttkrpBodyBitIdentical,
+// on whichever body cpu.AVX2 selects.
+func mttkrpBitIdentical(t *testing.T, label string, order, r int) {
+	t.Helper()
+	mode := (order + r) % order
+	x, mats := bodyCase(int64(100*order+r), order, 600, r, mode)
+	m := x.NNZ()
+	size := int(x.Dims[mode]) * r
+	label += fmt.Sprintf(" mode %d", mode)
+
+	for _, rg := range [][2]int{{0, m}, {0, 0}, {m, m}, {m / 3, m / 3}, {0, m / 3}, {m / 3, 2*m/3 + 1}, {m - 1, m}} {
+		want := make([]tensor.Value, size)
+		scalarMttkrp(x.Inds, x.Vals, mode, r, mats, want, rg[0], rg[1])
+		for _, atomicUpd := range []bool{false, true} {
+			got := make([]tensor.Value, size)
+			MttkrpCOORange(x.Inds, x.Vals, mode, r, mats, got, rg[0], rg[1], atomicUpd)
+			sameBits(t, fmt.Sprintf("COO %s range %v atomic %v", label, rg, atomicUpd), got, want)
+		}
+	}
+
+	h := hicoo.FromCOO(x, hicoo.DefaultBlockBits)
+	stored := h.ToCOO() // the non-zeros in block order
+	hp, err := PrepareMttkrpHiCOO(h, mode, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nb := h.NumBlocks()
+	for _, rg := range [][2]int{{0, nb}, {0, 0}, {nb / 2, nb / 2}, {0, nb / 2}, {nb / 2, nb}, {1, nb - 1}} {
+		want := make([]tensor.Value, size)
+		scalarMttkrp(stored.Inds, stored.Vals, mode, r, mats, want, int(h.BPtr[rg[0]]), int(h.BPtr[rg[1]]))
+		for _, atomicUpd := range []bool{false, true} {
+			got := make([]tensor.Value, size)
+			hp.executeBlocks(rg[0], rg[1], mats, got, atomicUpd)
+			sameBits(t, fmt.Sprintf("HiCOO %s blocks %v atomic %v", label, rg, atomicUpd), got, want)
+		}
+	}
+}
+
+// TestMttkrpOutOfRangePanicsAtSameNonZero puts one row index past the
+// end of a factor or of the output and runs the body on and off the
+// assembly: both must panic at that non-zero with the same message and
+// the same writes before it — those of the non-zeros in front of it —
+// and neither may write the guard values behind the output's rows. COO
+// gets a 32-bit index one row past the end; HiCOO gets a block moved to
+// the last block row with an 8-bit element index of 255 in it.
+func TestMttkrpOutOfRangePanicsAtSameNonZero(t *testing.T) {
+	const order, mode = 3, 1
+	for _, r := range []int{8, 16, 17, 33} {
+		for _, bad := range []int{mode, 0, 2} {
+			x, mats := bodyCase(int64(7*r+bad), order, 400, r, mode)
+			inds := make([][]tensor.Index, order)
+			for n := range inds {
+				inds[n] = append([]tensor.Index(nil), x.Inds[n]...)
+			}
+			const lo, at = 20, 250
+			inds[bad][at] = x.Dims[bad] // one row past the end
+			size := int(x.Dims[mode]) * r
+			want := make([]tensor.Value, size)
+			scalarMttkrp(inds, x.Vals, mode, r, mats, want, lo, at)
+			samePanic(t, fmt.Sprintf("COO R %d bad mode %d", r, bad), size, want, func(out []tensor.Value) {
+				MttkrpCOORange(inds, x.Vals, mode, r, mats, out, lo, x.NNZ(), false)
+			})
 
 			h := hicoo.FromCOO(x, hicoo.DefaultBlockBits)
-			stored := h.ToCOO() // the non-zeros in block order
 			hp, err := PrepareMttkrpHiCOO(h, mode, r)
 			if err != nil {
 				t.Fatal(err)
 			}
-			nb := h.NumBlocks()
-			for _, rg := range [][2]int{{0, nb}, {0, 0}, {nb / 2, nb / 2}, {0, nb / 2}, {nb / 2, nb}} {
-				want := make([]tensor.Value, size)
-				scalarMttkrp(stored.Inds, stored.Vals, mode, r, mats, want, int(h.BPtr[rg[0]]), int(h.BPtr[rg[1]]))
-				for _, atomicUpd := range []bool{false, true} {
-					got := make([]tensor.Value, size)
-					hp.executeBlocks(rg[0], rg[1], mats, got, atomicUpd)
-					sameBits(t, fmt.Sprintf("HiCOO %s blocks %v atomic %v", label, rg, atomicUpd), got, want)
-				}
+			b := h.NumBlocks() / 2
+			h.BInds[bad][b] = (x.Dims[bad] - 1) >> h.BlockBits
+			h.EInds[bad][h.BPtr[b+1]-1] = 255
+			samePanic(t, fmt.Sprintf("HiCOO R %d bad mode %d", r, bad), size, nil, func(out []tensor.Value) {
+				hp.executeBlocks(0, h.NumBlocks(), mats, out, false)
+			})
+		}
+	}
+}
+
+// samePanic runs run on an output of size values plus a guard tail, on
+// the Go loop and on the assembly body. Both must panic with the same
+// runtime error after the same writes (want's, when given), and leave
+// the guard alone.
+func samePanic(t *testing.T, label string, size int, want []tensor.Value, run func(out []tensor.Value)) {
+	t.Helper()
+	const guard = 5
+	var msgs []string
+	for _, asm := range []bool{false, true} {
+		if asm && !cpu.AVX2 {
+			continue
+		}
+		label := fmt.Sprintf("%s asm %v", label, asm)
+		out := make([]tensor.Value, size+guard)
+		for i := size; i < len(out); i++ {
+			out[i] = -7
+		}
+		err := func() (err runtime.Error) {
+			defer func() { err, _ = recover().(runtime.Error) }()
+			withBody(asm, func() { run(out) })
+			return nil
+		}()
+		if err == nil {
+			t.Fatalf("%s: no runtime error panic", label)
+		}
+		msgs = append(msgs, err.Error())
+		if want == nil {
+			want = out[:size] // the Go loop's writes
+		}
+		sameBits(t, label, out[:size], want)
+		for i := size; i < len(out); i++ {
+			if out[i] != -7 {
+				t.Fatalf("%s: guard value %d past the output is %v", label, i-size, out[i])
 			}
 		}
+	}
+	if len(msgs) == 2 && msgs[0] != msgs[1] {
+		t.Fatalf("%s: the Go loop panics with %q, the assembly path with %q", label, msgs[0], msgs[1])
 	}
 }
 
@@ -158,7 +259,8 @@ func TestMttkrpExecuteAllocatesNothing(t *testing.T) {
 }
 
 // BenchmarkMttkrpBody times one sequential Mttkrp (mode 0) through the
-// COO and the HiCOO plan and reports it per non-zero. Run it with -cpu 1.
+// COO and the HiCOO plan, on the Go loop and on the assembly body, and
+// reports it per non-zero. Run it with -cpu 1.
 func BenchmarkMttkrpBody(b *testing.B) {
 	for _, dims := range [][]tensor.Index{
 		{3000, 2000, 1000},
@@ -181,16 +283,26 @@ func BenchmarkMttkrpBody(b *testing.B) {
 				name string
 				exec func([]*tensor.Matrix) (*tensor.Matrix, error)
 			}{{"COO", p.ExecuteSeq}, {"HiCOO", hp.ExecuteSeq}} {
-				b.Run(fmt.Sprintf("order=%d/R=%d/%s", len(dims), r, f.name), func(b *testing.B) {
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if _, err := f.exec(mats); err != nil {
-							b.Fatal(err)
+				for _, body := range []struct {
+					name string
+					asm  bool
+				}{{"go", false}, {"avx2", true}} {
+					b.Run(fmt.Sprintf("order=%d/R=%d/%s/%s", len(dims), r, f.name, body.name), func(b *testing.B) {
+						if body.asm && !cpu.AVX2 {
+							b.Skip("no AVX2 on this host")
 						}
-					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(x.NNZ()), "ns/nnz")
-				})
+						withBody(body.asm, func() {
+							b.ReportAllocs()
+							b.ResetTimer()
+							for i := 0; i < b.N; i++ {
+								if _, err := f.exec(mats); err != nil {
+									b.Fatal(err)
+								}
+							}
+						})
+						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(x.NNZ()), "ns/nnz")
+					})
+				}
 			}
 		}
 	}

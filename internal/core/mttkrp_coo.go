@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/cpu"
 	"repro/internal/gpusim"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
@@ -211,18 +212,62 @@ const mttkrpStackOperands = 8
 
 // mttkrpRows is the Mttkrp value computation (DESIGN.md §22): for every
 // non-zero x of [lo, hi) it adds vals[x] times the Hadamard product of
-// the operands' rows to the row of dst. Eight output columns at a time
-// live in registers across the operands, every row re-sliced to a
-// [8]Value so the multiplies carry no bounds checks; a scalar loop takes
-// the R mod 8 columns left. Operands multiply in slice order (ascending
-// mode) and non-zeros are visited in order, so each output element sees
-// the products and additions of the textbook loop, bit for bit. Plain
-// and atomic differ only in how the finished products are committed.
+// the operands' rows to the row of dst. On amd64 with AVX2 the plain arm
+// runs one assembly body over columns [0, r&^7) (mttkrp_amd64.s); the Go
+// loop computes the columns left, the atomic arm and, on other hosts,
+// everything. The body stops before the first non-zero with a row out of
+// range, and the Go loop resumes there, so such an index panics where
+// the Go loop alone panics, after the same writes. Operands multiply in
+// slice order (ascending mode) and non-zeros are visited in order, so
+// each output element sees the products and additions of the textbook
+// loop, bit for bit, on either path.
 func mttkrpRows[E uint8 | tensor.Index](dst *mttkrpOperand[E], ops []mttkrpOperand[E], vals []tensor.Value, r, lo, hi int, atomicUpd bool) {
+	if c := r &^ 7; c > 0 && cpu.AVX2 && !atomicUpd && mttkrpFits(dst, ops, vals, r, lo, hi) {
+		var stop int
+		switch d := any(dst).(type) {
+		case *mttkrpOperand[tensor.Index]:
+			stop = mttkrpRows32(d, any(ops).([]mttkrpOperand[tensor.Index]), vals, r, lo, hi)
+		case *mttkrpOperand[uint8]:
+			stop = mttkrpRows8(d, any(ops).([]mttkrpOperand[uint8]), vals, r, lo, hi)
+		}
+		if c < r {
+			mttkrpCols(dst, ops, vals, r, c, lo, stop, false)
+		}
+		if stop == hi {
+			return
+		}
+		lo = stop
+	}
+	mttkrpCols(dst, ops, vals, r, 0, lo, hi, atomicUpd)
+}
+
+// mttkrpFits is the assembly body's precondition, O(order): the index
+// and value columns cover [lo, hi), and every base lies in
+// [0, len(data)]. With r ≤ 2^16 a row index stays below 2^32 + 2^46 (a
+// []float32 holds fewer than 2^46 values), so the body's (base+ind)·r + r
+// cannot wrap.
+func mttkrpFits[E uint8 | tensor.Index](dst *mttkrpOperand[E], ops []mttkrpOperand[E], vals []tensor.Value, r, lo, hi int) bool {
+	if lo < 0 || lo > hi || hi > len(vals) || r > 1<<16 || len(dst.ind) < hi || uint(dst.base) > uint(len(dst.data)) {
+		return false
+	}
+	for i := range ops {
+		if op := &ops[i]; len(op.ind) < hi || uint(op.base) > uint(len(op.data)) {
+			return false
+		}
+	}
+	return true
+}
+
+// mttkrpCols is mttkrpRows' Go loop over columns [c0, r): eight output
+// columns at a time live in registers across the operands, every row
+// re-sliced to a [8]Value so the multiplies carry no bounds checks; a
+// scalar loop takes the columns left. Plain and atomic differ only in
+// how the finished products are committed.
+func mttkrpCols[E uint8 | tensor.Index](dst *mttkrpOperand[E], ops []mttkrpOperand[E], vals []tensor.Value, r, c0, lo, hi int, atomicUpd bool) {
 	for x := lo; x < hi; x++ {
 		v := vals[x]
 		o := dst.data[(dst.base+int(dst.ind[x]))*r:][:r]
-		c := 0
+		c := c0
 		for ; c+8 <= r; c += 8 {
 			p0, p1, p2, p3, p4, p5, p6, p7 := v, v, v, v, v, v, v, v
 			for i := range ops {

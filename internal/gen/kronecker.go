@@ -131,10 +131,9 @@ func Kronecker(dims []tensor.Index, nnz int, init *Initiator, rng *rand.Rand) (*
 
 	order := len(dims)
 	t := tensor.NewCOO(dims, nnz)
-	seen := make(map[string]struct{}, nnz)
+	seen := newCoordSet(dims, nnz)
 	idx := make([]tensor.Index, order)
 	cc := make([]int, order)
-	key := make([]byte, 4*order)
 
 	maxAttempts := 50*nnz + 1000
 	for attempts := 0; t.NNZ() < nnz && attempts < maxAttempts; attempts++ {
@@ -158,15 +157,9 @@ func Kronecker(dims []tensor.Index, nnz int, init *Initiator, rng *rand.Rand) (*
 		if !inRange {
 			continue // strip: coordinate outside the requested size
 		}
-		for n := 0; n < order; n++ {
-			k := 4 * n
-			i := idx[n]
-			key[k], key[k+1], key[k+2], key[k+3] = byte(i), byte(i>>8), byte(i>>16), byte(i>>24)
-		}
-		if _, dup := seen[string(key)]; dup {
+		if !seen.add(idx) {
 			continue
 		}
-		seen[string(key)] = struct{}{}
 		t.Append(idx, tensor.Value(1-rng.Float64()))
 	}
 	t.SortNatural()

@@ -75,9 +75,8 @@ func PowerLaw(cfg PowerLawConfig, rng *rand.Rand) (*tensor.COO, error) {
 	}
 
 	t := tensor.NewCOO(cfg.Dims, cfg.NNZ)
-	seen := make(map[string]struct{}, cfg.NNZ)
+	seen := newCoordSet(cfg.Dims, cfg.NNZ)
 	idx := make([]tensor.Index, order)
-	key := make([]byte, 4*order)
 	maxAttempts := 50*cfg.NNZ + 1000
 	for attempts := 0; t.NNZ() < cfg.NNZ && attempts < maxAttempts; attempts++ {
 		for n := 0; n < order; n++ {
@@ -87,15 +86,9 @@ func PowerLaw(cfg PowerLawConfig, rng *rand.Rand) (*tensor.COO, error) {
 				idx[n] = tensor.Index(rng.Intn(int(cfg.Dims[n])))
 			}
 		}
-		for n := 0; n < order; n++ {
-			k := 4 * n
-			i := idx[n]
-			key[k], key[k+1], key[k+2], key[k+3] = byte(i), byte(i>>8), byte(i>>16), byte(i>>24)
-		}
-		if _, dup := seen[string(key)]; dup {
+		if !seen.add(idx) {
 			continue
 		}
-		seen[string(key)] = struct{}{}
 		t.Append(idx, tensor.Value(1-rng.Float64()))
 	}
 	t.SortNatural()

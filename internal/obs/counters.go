@@ -5,14 +5,13 @@ import (
 	"sync/atomic"
 )
 
-// Counter is one named atomic event counter. Counters are cheap enough
+// Counter is one atomic event counter, registered under a name. Counters are cheap enough
 // to bump unconditionally at coarse granularity (per kernel launch,
 // per pool acquisition, per resilience event); per-operation hot paths
 // (atomic float adds, chunk claims) additionally gate on Counting() so
 // a process with counting off pays only an atomic bool load.
 type Counter struct {
-	name string
-	v    atomic.Int64
+	v atomic.Int64
 }
 
 // Add increments the counter by n.
@@ -45,7 +44,7 @@ func GetCounter(name string) *Counter {
 		counterReg.m = make(map[string]*Counter)
 	}
 	if c = counterReg.m[name]; c == nil {
-		c = &Counter{name: name}
+		c = &Counter{}
 		counterReg.m[name] = c
 	}
 	return c

@@ -26,12 +26,6 @@ var (
 type Workspace struct {
 	mu   sync.Mutex
 	sets map[setKey][]*PrivateSet
-
-	// Nothing reads hits, misses and retained: the workspace.reuses and
-	// workspace.misses counters report the pool.
-	hits     uint64
-	misses   uint64
-	retained int64
 }
 
 type setKey struct{ workers, elems int }
@@ -70,11 +64,8 @@ func (ws *Workspace) Set(workers, elems int) *PrivateSet {
 	if l := ws.sets[k]; len(l) > 0 {
 		s = l[len(l)-1]
 		ws.sets[k] = l[:len(l)-1]
-		ws.hits++
 		ctrWSReuses.Inc()
-		ws.retained -= 4 * int64(workers) * int64(elems)
 	} else {
-		ws.misses++
 		ctrWSMisses.Inc()
 	}
 	ws.mu.Unlock()
@@ -100,6 +91,5 @@ func (ws *Workspace) PutSet(s *PrivateSet) {
 	}
 	ws.mu.Lock()
 	ws.sets[s.key] = append(ws.sets[s.key], s)
-	ws.retained += 4 * int64(s.key.workers) * int64(s.key.elems)
 	ws.mu.Unlock()
 }
