@@ -17,7 +17,8 @@
 // it — fiber.go for Ttv and Ttm (a fiber reduction over an index column
 // and a value column, whichever format supplied them: FiberView in
 // view.go is the contract, through which the fiber trees of
-// internal/levels and internal/csf prepare the same plans), tewValues
+// internal/levels and internal/csf prepare the same plans; on amd64 with
+// AVX2 Ttm's owner arm is one assembly body, ttm_amd64.s), tewValues
 // and tsValues for the element-wise kernels, mttkrpRows for Mttkrp (a
 // rank-blocked row accumulation over one block of non-zeros: COO columns,
 // exported as MttkrpCOORange, are one block with base 0, a HiCOO tensor

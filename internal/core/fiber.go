@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/cpu"
 	"repro/internal/gpusim"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
@@ -180,16 +181,60 @@ func (k *fiberKernel) checkMat(u *tensor.Matrix) error {
 	return nil
 }
 
-// ttmFibers accumulates the R-length output rows of fibers [lo, hi); the
-// innermost column loop plays the role of the paper's "omp simd".
+// ttmFibers writes the R-length output rows of fibers [lo, hi); the
+// column loop plays the role of the paper's "omp simd". On amd64 with
+// AVX2 one assembly body (ttm_amd64.s, DESIGN.md §25) computes columns
+// [0, r&^7), in calls of at most asmCallNNZ non-zeros cut at fiber
+// boundaries (fiberCut), and ttmCols the columns left; elsewhere ttmCols
+// computes everything. The body stops before the first fiber with a row,
+// range or index out of bounds and ttmCols resumes there, so such a
+// fiber panics where the Go loop alone panics, after the same writes.
+// Each output element sees 0 + v₀u₀ + v₁u₁ + … in non-zero order on
+// either path, bit for bit.
 func (k *fiberKernel) ttmFibers(lo, hi int, u *tensor.Matrix) {
+	r := k.r
+	if c := r &^ 7; c > 0 && cpu.AVX2 && k.ttmFits(lo, hi) {
+		for lo < hi {
+			end := fiberCut(k.fptr, lo, hi)
+			stop := ttmRows(k.out, k.fptr, k.kInd, k.vals, u.Data, r, lo, end)
+			if c < r {
+				k.ttmCols(lo, stop, u, c)
+			}
+			lo = stop
+			if stop < end {
+				break
+			}
+		}
+	}
+	k.ttmCols(lo, hi, u, 0)
+}
+
+// ttmFits is the assembly body's precondition, O(1): the fiber offsets
+// cover [lo, hi], the index and value columns are one length and
+// r ≤ 2^16, so that with a []float32 shorter than 2^46 values no row
+// offset the body computes wraps.
+func (k *fiberKernel) ttmFits(lo, hi int) bool {
+	return 0 <= lo && lo <= hi && hi < len(k.fptr) && len(k.kInd) == len(k.vals) && k.r <= 1<<16
+}
+
+// fiberCut returns the end of the next assembly call over fibers
+// [lo, hi): the last fiber boundary at most asmCallNNZ non-zeros past
+// fptr[lo], or lo+1 when fiber lo alone holds more.
+func fiberCut(fptr []int64, lo, hi int) int {
+	limit := fptr[lo] + asmCallNNZ
+	n := sort.Search(hi-lo, func(i int) bool { return fptr[lo+1+i] > limit })
+	return lo + max(n, 1)
+}
+
+// ttmCols is ttmFibers' Go loop over columns [c0, r) of fibers [lo, hi).
+func (k *fiberKernel) ttmCols(lo, hi int, u *tensor.Matrix, c0 int) {
 	fptr := k.fptr
 	kInd := k.kInd
 	xv := k.vals
 	r := k.r
 	ud := u.Data
 	for f := lo; f < hi; f++ {
-		row := k.out[f*r : (f+1)*r]
+		row := k.out[f*r+c0 : (f+1)*r]
 		for c := range row {
 			row[c] = 0
 		}
@@ -200,7 +245,8 @@ func (k *fiberKernel) ttmFibers(lo, hi int, u *tensor.Matrix) {
 		end := fptr[f+1]
 		for m := fptr[f]; m < end; m++ {
 			v := xv[m]
-			urow := ud[int(kInd[m])*r : int(kInd[m])*r+r]
+			kr := int(kInd[m]) * r
+			urow := ud[kr+c0 : kr+r]
 			for c, uv := range urow {
 				row[c] += v * uv
 			}

@@ -99,6 +99,31 @@ func TestMttkrpBodyBitIdentical(t *testing.T) {
 	}
 }
 
+// TestMttkrpBodyAcrossCalls holds a COO range of more than two calls'
+// worth of non-zeros (asmCallNNZ each), entered at lo > 0, to the scalar
+// loop bit for bit, on the Go loop and on the assembly body.
+func TestMttkrpBodyAcrossCalls(t *testing.T) {
+	const order, r, mode = 3, 17, 1
+	x, mats := bodyCase(11, order, 2*asmCallNNZ+1000, r, mode)
+	m := x.NNZ()
+	if m <= 2*asmCallNNZ {
+		t.Fatalf("%d non-zeros fit in two calls", m)
+	}
+	size := int(x.Dims[mode]) * r
+	for _, rg := range [][2]int{{0, m}, {5, m - 3}} {
+		want := make([]tensor.Value, size)
+		scalarMttkrp(x.Inds, x.Vals, mode, r, mats, want, rg[0], rg[1])
+		for _, asm := range []bool{false, true} {
+			if asm && !cpu.AVX2 {
+				continue
+			}
+			got := make([]tensor.Value, size)
+			withBody(asm, func() { MttkrpCOORange(x.Inds, x.Vals, mode, r, mats, got, rg[0], rg[1], false) })
+			sameBits(t, fmt.Sprintf("asm %v range %v", asm, rg), got, want)
+		}
+	}
+}
+
 // mttkrpBitIdentical is one (order, R) case of TestMttkrpBodyBitIdentical,
 // on whichever body cpu.AVX2 selects.
 func mttkrpBitIdentical(t *testing.T, label string, order, r int) {
