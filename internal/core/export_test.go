@@ -12,6 +12,9 @@ const RaceDetector = raceDetector
 // FiberCut is fiberCut.
 var FiberCut = fiberCut
 
+// TtmStreamValues is ttmStreamValues.
+const TtmStreamValues = ttmStreamValues
+
 // TtmBody is a Ttm plan's fiber view and its owner arm.
 type TtmBody struct {
 	Fptr []int64

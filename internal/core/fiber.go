@@ -190,13 +190,15 @@ func (k *fiberKernel) checkMat(u *tensor.Matrix) error {
 // range or index out of bounds and ttmCols resumes there, so such a
 // fiber panics where the Go loop alone panics, after the same writes.
 // Each output element sees 0 + v₀u₀ + v₁u₁ + … in non-zero order on
-// either path, bit for bit.
+// either path, bit for bit. An output of at least ttmStreamValues values
+// is written with streaming stores.
 func (k *fiberKernel) ttmFibers(lo, hi int, u *tensor.Matrix) {
 	r := k.r
 	if c := r &^ 7; c > 0 && cpu.AVX2 && k.ttmFits(lo, hi) {
+		stream := len(k.out) >= ttmStreamValues
 		for lo < hi {
 			end := fiberCut(k.fptr, lo, hi)
-			stop := ttmRows(k.out, k.fptr, k.kInd, k.vals, u.Data, r, lo, end)
+			stop := ttmRows(k.out, k.fptr, k.kInd, k.vals, u.Data, r, lo, end, stream)
 			if c < r {
 				k.ttmCols(lo, stop, u, c)
 			}
@@ -208,6 +210,18 @@ func (k *fiberKernel) ttmFibers(lo, hi int, u *tensor.Matrix) {
 	}
 	k.ttmCols(lo, hi, u, 0)
 }
+
+// ttmStreamValues is the output size, in values (1 MiB), from which the
+// Ttm body writes rows with streaming stores. A call writes each row once
+// and reads none, and an output this large does not stay in a core's L2
+// (1–2 MiB on current x86 server cores) next to the non-zeros and U until
+// the next call. With ordinary stores every row first fetches its line
+// from L3 or DRAM, wherever other work left it: a call whose output lines
+// sat in DRAM took twice as long as one whose lines sat in L3. Streaming
+// stores skip that fetch, so the output costs a call the same whatever
+// the caches hold (DESIGN.md §25). Smaller outputs keep ordinary stores,
+// so that whoever reads them next finds them in cache.
+const ttmStreamValues = 1 << 18
 
 // ttmFits is the assembly body's precondition, O(1): the fiber offsets
 // cover [lo, hi], the index and value columns are one length and

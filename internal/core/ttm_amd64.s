@@ -20,13 +20,27 @@
 // 0 ≤ lo ≤ hi < len(fptr), len(kInd) = len(vals) and 8 ≤ r ≤ 2^16, so
 // no product wraps.
 //
+// With stream set the rows are written with streaming stores (VMOVNTPS),
+// which skip the read for ownership of the output's lines and leave them
+// out of the caches, and the body ends with SFENCE so that the caller's
+// next store is ordered after them. VMOVNTPS faults on an address that is
+// not 32-byte aligned, so the body clears stream itself unless out's base
+// and the row length r·4 both are.
+//
 // SI fptr, DX kInd, R11 vals, BX ud, DI the rows of U, R8 r, R9 the
 // fiber f, R12 (r&^15)·4, R13 the column in bytes, CX the non-zero
 // cursor, R10 the fiber's end, AX scratch.
 
-// func ttmRows(out []float32, fptr []int64, kInd []uint32, vals, ud []float32, r, lo, hi int) int
-TEXT ·ttmRows(SB), NOSPLIT, $0-152
+// func ttmRows(out []float32, fptr []int64, kInd []uint32, vals, ud []float32, r, lo, hi int, stream bool) int
+TEXT ·ttmRows(SB), NOSPLIT, $0-160
 	MOVQ  r+120(FP), R8
+	LEAQ  (R8*4), AX
+	ORQ   out_base+0(FP), AX
+	TESTQ $31, AX
+	JEQ   aligned
+	MOVB  $0, stream+144(FP)
+
+aligned:
 	MOVQ  ud_len+104(FP), AX
 	XORQ  DX, DX
 	DIVQ  R8
@@ -89,8 +103,17 @@ store16:
 	IMULQ R8, AX
 	SHLQ  $2, AX
 	ADDQ  out_base+0(FP), AX
+	CMPB  stream+144(FP), $0
+	JNE   stream16
 	VMOVUPS Y0, (AX)(R13*1)
 	VMOVUPS Y1, 32(AX)(R13*1)
+	JMP   stored16
+
+stream16:
+	VMOVNTPS Y0, (AX)(R13*1)
+	VMOVNTPS Y1, 32(AX)(R13*1)
+
+stored16:
 	ADDQ  $64, R13
 	CMPQ  R13, R12
 	JNE   sixteen
@@ -121,13 +144,24 @@ store8:
 	IMULQ R8, AX
 	SHLQ  $2, AX
 	ADDQ  out_base+0(FP), AX
+	CMPB  stream+144(FP), $0
+	JNE   stream8
 	VMOVUPS Y0, (AX)(R13*1)
+	JMP   next
+
+stream8:
+	VMOVNTPS Y0, (AX)(R13*1)
 
 next:
 	INCQ  R9
 	JMP   fiber
 
 done:
-	MOVQ  R9, ret+144(FP)
+	MOVQ  R9, ret+152(FP)
+	CMPB  stream+144(FP), $0
+	JEQ   return
+	SFENCE
+
+return:
 	VZEROUPPER
 	RET

@@ -154,7 +154,11 @@ func ttmPlans(t *testing.T, x *tensor.COO, mode, r int) []ttmPlan {
 // sixteen-column pass, one, several, an eight-column pass and every
 // tail length the body leaves to Go. Two larger tensors take more than
 // one assembly call: one cut between fibers, one whose fibers each hold
-// more than a call's budget and take a call each.
+// more than a call's budget and take a call each. Two hypersparse ones
+// have outputs past core.TtmStreamValues, so the body writes them with
+// streaming stores, and write them once more into an output one value
+// off the 32-byte alignment those stores need, which the body must fall
+// back from.
 func TestTtmBodyBitIdentical(t *testing.T) {
 	for _, asm := range bodySides() {
 		withAVX2(asm, func() {
@@ -187,12 +191,19 @@ func TestTtmBodyBitIdentical(t *testing.T) {
 					}
 				}
 			}
+			hyper := tensor.RandomCOO([]tensor.Index{500, 700, 900}, 90_000, rng)
 			for _, c := range []struct {
 				name      string
 				x         *tensor.COO
 				mode, r   int
-				firstCall int // fibers of the first call; 0: several, within the budget
-			}{{"cut between fibers", cut, 1, 17, 0}, {"longer fibers", long, 1, 16, 1}} {
+				firstCall int  // fibers of the first call; 0: several, within the budget
+				streamed  bool // the output is past core.TtmStreamValues
+			}{
+				{"cut between fibers", cut, 1, 17, 0, true},
+				{"longer fibers", long, 1, 16, 1, false},
+				{"streamed R 16", hyper, 0, 16, 0, true},
+				{"streamed R 24", hyper, 2, 24, 0, true},
+			} {
 				p, err := core.PrepareTtm(c.x, c.mode, c.r)
 				pl := ttmPlanOf(t, c.name, p, err)
 				fptr := pl.body.Fptr
@@ -201,7 +212,19 @@ func TestTtmBodyBitIdentical(t *testing.T) {
 				if n := fptr[end]; end == mf || c.firstCall == 0 && (end < 2 || n > 1<<16) || c.firstCall == 1 && (end != 1 || n <= 1<<16) {
 					t.Fatalf("%s: the first call takes %d of %d fibers, %d non-zeros", c.name, end, mf, n)
 				}
-				ttmBitIdentical(t, fmt.Sprintf("asm %v %s", asm, c.name), pl, signedMatrix(int(c.x.Dims[c.mode]), c.r, 9))
+				if size := mf * c.r; size >= core.TtmStreamValues != c.streamed {
+					t.Fatalf("%s: an output of %d values, streamed from %d", c.name, size, core.TtmStreamValues)
+				}
+				label := fmt.Sprintf("asm %v %s", asm, c.name)
+				u := signedMatrix(int(c.x.Dims[c.mode]), c.r, 9)
+				ttmBitIdentical(t, label, pl, u)
+				if c.streamed {
+					want := make([]tensor.Value, mf*c.r)
+					scalarTtm(pl.body, u, want, 0, mf)
+					got := make([]tensor.Value, 1+mf*c.r)[1:]
+					pl.body.Run(got, 0, mf, u)
+					sameValues(t, label+" unaligned output", got, want)
+				}
 			}
 		})
 	}
