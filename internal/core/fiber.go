@@ -184,7 +184,7 @@ func (k *fiberKernel) checkMat(u *tensor.Matrix) error {
 // ttmFibers writes the R-length output rows of fibers [lo, hi); the
 // column loop plays the role of the paper's "omp simd". On amd64 with
 // AVX2 one assembly body (ttm_amd64.s, DESIGN.md §25) computes columns
-// [0, r&^7), in calls of at most asmCallNNZ non-zeros cut at fiber
+// [0, r&^7), in calls of at most cpu.CallNNZ non-zeros cut at fiber
 // boundaries (fiberCut), and ttmCols the columns left; elsewhere ttmCols
 // computes everything. The body stops before the first fiber with a row,
 // range or index out of bounds and ttmCols resumes there, so such a
@@ -232,10 +232,10 @@ func (k *fiberKernel) ttmFits(lo, hi int) bool {
 }
 
 // fiberCut returns the end of the next assembly call over fibers
-// [lo, hi): the last fiber boundary at most asmCallNNZ non-zeros past
+// [lo, hi): the last fiber boundary at most cpu.CallNNZ non-zeros past
 // fptr[lo], or lo+1 when fiber lo alone holds more.
 func fiberCut(fptr []int64, lo, hi int) int {
-	limit := fptr[lo] + asmCallNNZ
+	limit := fptr[lo] + cpu.CallNNZ
 	n := sort.Search(hi-lo, func(i int) bool { return fptr[lo+1+i] > limit })
 	return lo + max(n, 1)
 }

@@ -100,13 +100,13 @@ func TestMttkrpBodyBitIdentical(t *testing.T) {
 }
 
 // TestMttkrpBodyAcrossCalls holds a COO range of more than two calls'
-// worth of non-zeros (asmCallNNZ each), entered at lo > 0, to the scalar
+// worth of non-zeros (cpu.CallNNZ each), entered at lo > 0, to the scalar
 // loop bit for bit, on the Go loop and on the assembly body.
 func TestMttkrpBodyAcrossCalls(t *testing.T) {
 	const order, r, mode = 3, 17, 1
-	x, mats := bodyCase(11, order, 2*asmCallNNZ+1000, r, mode)
+	x, mats := bodyCase(11, order, 2*cpu.CallNNZ+1000, r, mode)
 	m := x.NNZ()
-	if m <= 2*asmCallNNZ {
+	if m <= 2*cpu.CallNNZ {
 		t.Fatalf("%d non-zeros fit in two calls", m)
 	}
 	size := int(x.Dims[mode]) * r

@@ -214,7 +214,7 @@ const mttkrpStackOperands = 8
 // non-zero x of [lo, hi) it adds vals[x] times the Hadamard product of
 // the operands' rows to the row of dst. On amd64 with AVX2 the plain arm
 // runs one assembly body over columns [0, r&^7) (mttkrp_amd64.s), one
-// call per asmCallNNZ non-zeros; the Go loop computes the columns left,
+// call per cpu.CallNNZ non-zeros; the Go loop computes the columns left,
 // the atomic arm and, on other hosts, everything. The body stops before the first non-zero with a row out of
 // range, and the Go loop resumes there, so such an index panics where
 // the Go loop alone panics, after the same writes. Operands multiply in
@@ -224,7 +224,7 @@ const mttkrpStackOperands = 8
 func mttkrpRows[E uint8 | tensor.Index](dst *mttkrpOperand[E], ops []mttkrpOperand[E], vals []tensor.Value, r, lo, hi int, atomicUpd bool) {
 	if c := r &^ 7; c > 0 && cpu.AVX2 && !atomicUpd && mttkrpFits(dst, ops, vals, r, lo, hi) {
 		for lo < hi {
-			end := min(hi, lo+asmCallNNZ)
+			end := min(hi, lo+cpu.CallNNZ)
 			var stop int
 			switch d := any(dst).(type) {
 			case *mttkrpOperand[tensor.Index]:
@@ -243,14 +243,6 @@ func mttkrpRows[E uint8 | tensor.Index](dst *mttkrpOperand[E], ops []mttkrpOpera
 	}
 	mttkrpCols(dst, ops, vals, r, 0, lo, hi, atomicUpd)
 }
-
-// asmCallNNZ bounds the non-zeros one call of an assembly row body
-// covers. The runtime cannot preempt assembly, so a stop-the-world waits
-// for the running call to return; cutting a range into calls of at most
-// 2^16 non-zeros (about 0.5 ms of Mttkrp at 7 ns per non-zero on a 2-vCPU
-// x86-64 host) bounds that wait whatever the tensor's size. Each column
-// still sees the non-zeros in order.
-const asmCallNNZ = 1 << 16
 
 // mttkrpFits is the assembly body's precondition, O(order): the index
 // and value columns cover [lo, hi), and every base lies in

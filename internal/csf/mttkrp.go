@@ -3,7 +3,9 @@ package csf
 import (
 	"errors"
 	"fmt"
+	"sort"
 
+	"repro/internal/cpu"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
@@ -48,7 +50,10 @@ type MttkrpPlan struct {
 	leaf  int              // the deepest level
 	units int              // length of the parallel loop
 	u     [][]tensor.Value // per level, its factor's data; bound by every execution
+	rows  []int            // per level, the rows its factor's data holds; ditto
 	ones  []tensor.Value   // the factor row of a root that holds leaves directly
+	body  treeBody         // the deepest two levels as the AVX2 bodies read them
+	asm   bool             // this execution runs the AVX2 bodies
 	tasks []task           // the units of MttkrpRootBalanced; nil: roots
 	// empty is 1 if a fiber holds no leaf (a dense level's absent coordinate),
 	// -1 if none does — chains' test needs that — and 0 before the first begin.
@@ -64,7 +69,7 @@ func PrepareMttkrp(t Tree, r int) (*MttkrpPlan, error) {
 		return nil, fmt.Errorf("%w: needs R >= 1, got %d", ErrMttkrp, r)
 	}
 	p := &MttkrpPlan{R: r, Out: tensor.NewMatrix(int(t.Dims[t.Modes[0]]), r), t: t, leaf: len(t.Ids) - 1,
-		units: len(t.Ids[0]), u: make([][]tensor.Value, len(t.Ids)), ones: make([]tensor.Value, r)}
+		units: len(t.Ids[0]), u: make([][]tensor.Value, len(t.Ids)), rows: make([]int, len(t.Ids)), ones: make([]tensor.Value, r)}
 	for i := range p.ones {
 		p.ones[i] = 1
 	}
@@ -91,8 +96,9 @@ func (p *MttkrpPlan) FlopCount() int64 {
 }
 
 // begin checks the factor matrices — one per mode, Dims[n] × R, the
-// output mode's entry ignored — binds their data to the tree's levels
-// and clears the output. The first one also looks for an empty fiber.
+// output mode's entry ignored — binds their data and row counts to the
+// tree's levels and the AVX2 bodies, and clears the output. The first
+// one also looks for an empty fiber.
 func (p *MttkrpPlan) begin(mats []*tensor.Matrix) error {
 	t := &p.t
 	if len(mats) != len(t.Dims) {
@@ -103,8 +109,13 @@ func (p *MttkrpPlan) begin(mats []*tensor.Matrix) error {
 		if u := mats[n]; u == nil || u.Rows != int(t.Dims[n]) || u.Cols != p.R {
 			return fmt.Errorf("%w: factor %d is %v, want %dx%d", ErrMttkrp, n, u, t.Dims[n], p.R)
 		}
-		p.u[l] = mats[n].Data
+		// Dims[n] rows, unless the matrix holds less data than its shape.
+		p.u[l], p.rows[l] = mats[n].Data, min(int(t.Dims[n]), len(mats[n].Data)/p.R)
 	}
+	f := p.leaf - 1
+	p.body = treeBody{kid: t.Ids[p.leaf], vals: t.Vals, ku: p.u[p.leaf], kuRows: p.rows[p.leaf],
+		fptr: t.Ptr[f], fid: t.Ids[f], fu: p.u[f], fuRows: p.rows[f]}
+	p.asm = cpu.AVX2 && 8 <= p.R && p.R <= 1<<16 && len(t.Ids[p.leaf]) == len(t.Vals)
 	if p.empty == 0 {
 		p.empty = -1
 		for f, fptr := 1, t.Ptr[p.leaf-1]; f < len(fptr) && p.empty < 0; f++ {
@@ -183,6 +194,8 @@ func (p *MttkrpPlan) run(lo, hi int, scratch []tensor.Value, concurrent bool) {
 // Fibers [f0, f1) holding one leaf each — on a tree without empty fibers,
 // fptr[f1] − fptr[f0] == f1 − f0 — go to chains, tested per node right above
 // the fibers and per range handed to the fiber level (whose dst is +0).
+// With the AVX2 bodies, chainNodes sums runs of such nodes and hands back
+// the first it does not sum, which the node loop sums as before.
 func (p *MttkrpPlan) walk(level int, lo, hi int64, dst, scratch []tensor.Value) {
 	t := &p.t
 	switch level {
@@ -190,21 +203,30 @@ func (p *MttkrpPlan) walk(level int, lo, hi int64, dst, scratch []tensor.Value) 
 		// Roots that hold leaves directly: [lo, hi) is one fiber under a
 		// factor row of ones (x·1 is x, bit for bit).
 		span, id := [2]int64{lo, hi}, [1]tensor.Index{}
-		p.fibers(span[:], id[:], p.ones, dst)
+		p.sumFibers(span[:], id[:], p.ones, 1, dst)
 	case p.leaf - 1:
 		if fptr := t.Ptr[level]; p.empty < 0 && fptr[hi]-fptr[lo] == hi-lo {
-			p.chains(lo, hi, p.ones, dst)
+			// One node over the fibers, its row the row of ones.
+			span, id := [2]int64{lo, hi}, [1]tensor.Index{}
+			if p.chainNodes(span[:], id[:], p.ones, 1, 0, 1, dst) == 0 {
+				p.chains(lo, hi, p.ones, dst, 0)
+			}
 		} else {
-			p.fibers(fptr[lo:hi+1], t.Ids[level][lo:hi], p.u[level], dst)
+			p.sumFibers(fptr[lo:hi+1], t.Ids[level][lo:hi], p.u[level], p.rows[level], dst)
 		}
 	default:
 		r := p.R
-		buf, ptr, u, fptr := scratch[:r], t.Ptr[level], p.u[level], t.Ptr[p.leaf-1]
+		buf, ptr, ids, u, fptr := scratch[:r], t.Ptr[level], t.Ids[level], p.u[level], t.Ptr[p.leaf-1]
 		fused := level == p.leaf-2 && p.empty < 0
 		for node := lo; node < hi; node++ {
-			f0, f1, urow := ptr[node], ptr[node+1], u[int(t.Ids[level][node])*r:][:r]
+			if fused && p.asm {
+				if node = p.chainNodes(ptr, ids, u, p.rows[level], node, hi, dst); node == hi {
+					break
+				}
+			}
+			f0, f1, urow := ptr[node], ptr[node+1], u[int(ids[node])*r:][:r]
 			if fused && fptr[f1]-fptr[f0] == f1-f0 {
-				p.chains(f0, f1, urow, dst)
+				p.chains(f0, f1, urow, dst, 0)
 				continue
 			}
 			clear(buf)
@@ -214,18 +236,104 @@ func (p *MttkrpPlan) walk(level int, lo, hi int64, dst, scratch []tensor.Value) 
 	}
 }
 
+// treeBody is the deepest two levels of the tree as the AVX2 bodies read
+// them, by offset (mttkrp_amd64.s; TestTreeBodyLayout pins the offsets):
+// the leaves' factor rows kid, their values and the leaf factor with its
+// row count, then the fiber level's pointers into the leaves, factor rows
+// and factor with its row count. begin binds it per execution.
+type treeBody struct {
+	kid    []tensor.Index
+	vals   []tensor.Value
+	ku     []tensor.Value
+	kuRows int
+	fptr   []int64
+	fid    []tensor.Index
+	fu     []tensor.Value
+	fuRows int
+}
+
+// chainNodes sums nodes [lo, hi) of the level above the fibers (ptr their
+// fiber ranges, ids their rows of u, which holds rows rows) into dst as
+// chains does, as long as they pass the single-leaf test, and returns the
+// first node it did not sum: hi, a node that fails the test, or one with a
+// pointer or row out of range, of which it writes nothing. The AVX2 body
+// (chainsAVX2) computes columns [0, r&^7) in calls of at most cpu.CallNNZ
+// leaves cut at node boundaries, and chains the columns left. Without the
+// body — no AVX2, R < 8, a range the O(1) precondition rejects — it sums
+// nothing and returns lo.
+func (p *MttkrpPlan) chainNodes(ptr []int64, ids []tensor.Index, u []tensor.Value, rows int, lo, hi int64, dst []tensor.Value) int64 {
+	r := p.R
+	if !p.asm || lo < 0 || lo > hi || hi >= int64(len(ptr)) || hi > int64(len(ids)) || len(dst) < r {
+		return lo
+	}
+	c := r &^ 7
+	for lo < hi {
+		// A node the body sums has one leaf per fiber: its leaves are
+		// ptr[node+1] − ptr[node].
+		end := int64(callCut(ptr, int(lo), int(hi)))
+		stop := int64(chainsAVX2(&p.body, ptr, ids, u, rows, dst, r, int(lo), int(end)))
+		if c < r {
+			for node := lo; node < stop; node++ {
+				p.chains(ptr[node], ptr[node+1], u[int(ids[node])*r:][:r], dst, c)
+			}
+		}
+		lo = stop
+		if stop < end {
+			break
+		}
+	}
+	return lo
+}
+
+// sumFibers adds fu(fid[f],:) ⊙ Σ_leaf val·U(leaf,:) over fibers f — leaves
+// [fptr[f], fptr[f+1]), rows rows in fu — into dst. The AVX2 body
+// (fibersAVX2) computes columns [0, r&^7) in calls of at most cpu.CallNNZ
+// leaves cut at fiber boundaries; it stops before the first fiber with a
+// row or leaf range out of range, and fibers resumes there, so such a
+// fiber panics where the Go loop alone panics, after the same writes.
+func (p *MttkrpPlan) sumFibers(fptr []int64, fid []tensor.Index, fu []tensor.Value, rows int, dst []tensor.Value) {
+	r, lo, hi := p.R, 0, len(fid)
+	if c := r &^ 7; p.asm && len(fptr) > hi && len(dst) >= r {
+		for lo < hi {
+			end := callCut(fptr, lo, hi)
+			stop := fibersAVX2(&p.body, fptr, fid, fu, rows, dst, r, lo, end)
+			if c < r {
+				p.fibers(fptr[lo:], fid[lo:stop], fu, dst, c)
+			}
+			lo = stop
+			if stop < end {
+				break
+			}
+		}
+	}
+	p.fibers(fptr[lo:], fid[lo:], fu, dst, 0)
+}
+
+// callCut returns the end of the next assembly call over units [lo, hi)
+// whose leaves ptr bounds: the last boundary at most cpu.CallNNZ leaves
+// past ptr[lo], or lo+1 when unit lo alone holds more.
+func callCut(ptr []int64, lo, hi int) int {
+	limit := ptr[lo] + cpu.CallNNZ
+	if ptr[hi] <= limit {
+		return hi
+	}
+	n := sort.Search(hi-lo, func(i int) bool { return ptr[lo+1+i] > limit })
+	return lo + max(n, 1)
+}
+
 // chains adds urow ⊙ Σ_f fu(fid[f],:) ⊙ val·U(leaf,:) over fibers [lo, hi)
 // of one leaf each (DESIGN.md §23, "Single-leaf fibers"): node, fibers and
 // leaves in one loop, eight columns of the node's sum in registers. Products
 // and additions are those of fibers and mulAdd, in their order; the leaf sum
 // 0 + val·a is val·a up to a zero's sign, which a sum started at +0 absorbs.
-// At the fiber level urow is the row of ones and dst is +0.
-func (p *MttkrpPlan) chains(lo, hi int64, urow, dst []tensor.Value) {
+// At the fiber level urow is the row of ones and dst is +0. It computes
+// columns [c0, r).
+func (p *MttkrpPlan) chains(lo, hi int64, urow, dst []tensor.Value, c0 int) {
 	r, t := p.R, &p.t
 	fid, fu, x := t.Ids[p.leaf-1][lo:hi], p.u[p.leaf-1], t.Ptr[p.leaf-1][lo]
 	kid, ku, vals := t.Ids[p.leaf][x:][:len(fid)], p.u[p.leaf], t.Vals[x:][:len(fid)]
 	urow, dst = urow[:r], dst[:r]
-	c := 0
+	c := c0
 	for ; c+8 <= r; c += 8 {
 		var s0, s1, s2, s3, s4, s5, s6, s7 tensor.Value
 		for f, id := range fid {
@@ -267,14 +375,15 @@ func (p *MttkrpPlan) chains(lo, hi int64, urow, dst []tensor.Value) {
 // re-sliced to [8]Value so the multiplies carry no bounds checks; a scalar
 // loop takes the R mod 8 columns left. The sum starts at zero and takes the
 // leaves in order: the scalar loop over a zeroed level vector, bit for bit.
-func (p *MttkrpPlan) fibers(fptr []int64, fid []tensor.Index, fu, dst []tensor.Value) {
+// It computes columns [c0, r).
+func (p *MttkrpPlan) fibers(fptr []int64, fid []tensor.Index, fu, dst []tensor.Value, c0 int) {
 	r := p.R
 	kid, ku, vals := p.t.Ids[p.leaf], p.u[p.leaf], p.t.Vals
 	dst = dst[:r]
 	for f, id := range fid {
 		lo, hi := fptr[f], fptr[f+1]
 		urow := fu[int(id)*r:][:r]
-		c := 0
+		c := c0
 		for ; c+8 <= r; c += 8 {
 			var s0, s1, s2, s3, s4, s5, s6, s7 tensor.Value
 			for x := lo; x < hi; x++ {

@@ -140,55 +140,39 @@ func TestMixedChainsTakeBothPaths(t *testing.T) {
 	}
 }
 
-var identityRanks = []int{1, 3, 7, 8, 13, 16, 17, 32}
-
 // rootFirst is the mode order with mode at the root, the rest ascending.
 func rootFirst(order, mode int) []int {
 	return append([]int{mode}, tensor.OtherModes(order, mode)...)
 }
 
-// TestTreePlanBitIdenticalToRecursiveLoop: the prepared plan reproduces
-// the recursive scalar loop bit for bit, through both rungs on one thread
-// and — roots own their rows — on two, for every mode at the root, ranks
-// on both sides of the eight-column block, and balanced tasks at budgets
-// that split roots (one thread: the tasks of a root commit in order).
-func TestTreePlanBitIdenticalToRecursiveLoop(t *testing.T) {
-	for _, c := range tensortest.MttkrpCases(t) {
-		x := c.X
-		for mode := 0; mode < x.Order(); mode++ {
-			tree, err := FromCOO(x, rootFirst(x.Order(), mode))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range identityRanks {
-				label := fmt.Sprintf("%s mode %d R %d", c.Name, mode, r)
-				mats := tensortest.SignedFactors(x, r, int64(r))
-				want := oracleRoot(tree, mats, r)
-				p, err := PrepareMttkrp(tree.Tree(), r)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				got, err := p.ExecuteSeq(mats)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				tensortest.SameBits(t, label+" ExecuteSeq", got, want)
-				for _, threads := range []int{1, 2} {
-					got, err := tree.MttkrpRoot(mats, parallel.Options{Threads: threads, Schedule: parallel.Dynamic, Chunk: 3})
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					tensortest.SameBits(t, fmt.Sprintf("%s MttkrpRoot on %d threads", label, threads), got, want)
-				}
-				for _, budget := range []int64{1, 7, 1 << 40} {
-					got, err := tree.MttkrpRootBalanced(mats, parallel.Options{Threads: 1}, budget)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					tensortest.SameBits(t, fmt.Sprintf("%s balanced, budget %d", label, budget), got, oracleTasks(tree, tree.buildTasks(budget), mats, r))
-				}
-			}
+// sameAsOracle runs the tree plan on tree through ExecuteSeq, MttkrpRoot
+// on one and two threads and MttkrpRootBalanced at budgets 1, 7 and
+// 1<<40, and requires each output to equal the recursive loop's bits.
+func sameAsOracle(t *testing.T, label string, tree *CSF, mats []*tensor.Matrix, r int) {
+	t.Helper()
+	want := oracleRoot(tree, mats, r)
+	p, err := PrepareMttkrp(tree.Tree(), r)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	got, err := p.ExecuteSeq(mats)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	tensortest.SameBits(t, label+" ExecuteSeq", got, want)
+	for _, threads := range []int{1, 2} {
+		got, err := tree.MttkrpRoot(mats, parallel.Options{Threads: threads, Schedule: parallel.Dynamic, Chunk: 3})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
 		}
+		tensortest.SameBits(t, fmt.Sprintf("%s MttkrpRoot on %d threads", label, threads), got, want)
+	}
+	for _, budget := range []int64{1, 7, 1 << 40} {
+		got, err := tree.MttkrpRootBalanced(mats, parallel.Options{Threads: 1}, budget)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		tensortest.SameBits(t, fmt.Sprintf("%s balanced, budget %d", label, budget), got, oracleTasks(tree, tree.buildTasks(budget), mats, r))
 	}
 }
 

@@ -5,18 +5,21 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/dataset"
 	"repro/internal/roofline"
 	"repro/internal/tensor"
+	"repro/internal/tensortest"
 )
 
 // BenchmarkTreeMttkrp times the sequential rung of the Mttkrp cells on
 // CSF and bCSF (csf's tree plan, DESIGN.md §23) beside the COO row body
 // on the three benchmark recipes at the benchmark's sizes: one iteration
-// is one Mttkrp per mode, reported per non-zero per mode. Run it with
-// -cpu 1; every row must read 0 B/op. long4d is the guard no benchmark
-// workload provides: an order-4 tree with ≈ 9 non-zeros per fiber, where
-// a shape that helps regular4d's chains of one-leaf fibers can cost.
+// is one Mttkrp per mode, reported per non-zero per mode, on the Go loops
+// (/go) and on the AVX2 bodies (/avx2). Run it with -cpu 1; every row
+// must read 0 B/op. long4d is the guard no benchmark workload provides:
+// an order-4 tree with ≈ 9 non-zeros per fiber, where a shape that helps
+// regular4d's chains of one-leaf fibers can cost.
 func BenchmarkTreeMttkrp(b *testing.B) {
 	ctx := context.Background()
 	recipe := func(name string, nnz int) *tensor.COO {
@@ -54,17 +57,28 @@ func BenchmarkTreeMttkrp(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.Run(w.name+"/"+f.String(), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					for _, inst := range insts {
-						if err := inst.Serial(ctx); err != nil {
-							b.Fatal(err)
-						}
+			for _, body := range []struct {
+				name string
+				asm  bool
+			}{{"go", false}, {"avx2", true}} {
+				b.Run(w.name+"/"+f.String()+"/"+body.name, func(b *testing.B) {
+					if body.asm && !cpu.AVX2 {
+						b.Skip("no AVX2 on this host")
 					}
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(insts)*x.NNZ()), "ns/nnz")
-			})
+					tensortest.WithAVX2(body.asm, func() {
+						b.ReportAllocs()
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							for _, inst := range insts {
+								if err := inst.Serial(ctx); err != nil {
+									b.Fatal(err)
+								}
+							}
+						}
+					})
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(insts)*x.NNZ()), "ns/nnz")
+				})
+			}
 		}
 	}
 }
@@ -72,7 +86,8 @@ func BenchmarkTreeMttkrp(b *testing.B) {
 // TestTreeMttkrpAllocatesNothingPerCall: the tree plan owns its output
 // and draws pooled level scratch, so a steady-state sequential rung
 // allocates nothing and a one-thread Run only what parallel.For's own
-// bookkeeping costs every kernel (the COO cell's count).
+// bookkeeping costs every kernel (the COO cell's count), on the Go loops
+// and on the AVX2 bodies.
 func TestTreeMttkrpAllocatesNothingPerCall(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -101,10 +116,14 @@ func TestTreeMttkrpAllocatesNothingPerCall(t *testing.T) {
 		}
 		return rung(inst.Serial), rung(inst.Run)
 	}
-	_, loop := allocs(roofline.COO)
-	for _, f := range []roofline.Format{roofline.CSF, roofline.BCSF} {
-		if serial, run := allocs(f); serial != 0 || run > loop {
-			t.Errorf("Mttkrp/%s allocates %v times per Serial and %v per one-thread Run, want 0 and at most the COO cell's %v", f, serial, run, loop)
-		}
+	for _, asm := range tensortest.BodySides() {
+		tensortest.WithAVX2(asm, func() {
+			_, loop := allocs(roofline.COO)
+			for _, f := range []roofline.Format{roofline.CSF, roofline.BCSF} {
+				if serial, run := allocs(f); serial != 0 || run > loop {
+					t.Errorf("Mttkrp/%s asm %v allocates %v times per Serial and %v per one-thread Run, want 0 and at most the COO cell's %v", f, asm, serial, run, loop)
+				}
+			}
+		})
 	}
 }

@@ -136,7 +136,9 @@ func mttkrpSigs(order int) map[string]Signature {
 
 // TestMttkrpPlanBitIdenticalToWalker: resolving a hierarchy into the
 // plain tree and walking that reproduces the recursive level walker bit
-// for bit on one thread, and on two wherever units own their rows.
+// for bit on one thread, and on two wherever units own their rows — on
+// the Go loops and on the AVX2 bodies (cpu.AVX2 forced off and on), so
+// that bCSF, HiCOO views, dense levels and split leaves go through both.
 func TestMttkrpPlanBitIdenticalToWalker(t *testing.T) {
 	ranks := []int{1, 3, 7, 8, 13, 16, 17, 32}
 	for _, c := range tensortest.MttkrpCases(t) {
@@ -155,26 +157,30 @@ func TestMttkrpPlanBitIdenticalToWalker(t *testing.T) {
 					t.Fatalf("%s %s mode %d: %v", c.Name, name, mode, err)
 				}
 				for i, r := range ranks {
-					label := fmt.Sprintf("%s %s mode %d R %d", c.Name, name, mode, r)
 					want := oracleMttkrp(h, mode, mats[i], r)
 					p, err := PrepareMttkrp(h, mode, r)
 					if err != nil {
-						t.Fatalf("%s: %v", label, err)
+						t.Fatalf("%s %s mode %d R %d: %v", c.Name, name, mode, r, err)
 					}
-					got, err := p.ExecuteSeq(mats[i])
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					tensortest.SameBits(t, label+" ExecuteSeq", got, want)
-					for threads := 1; threads <= 2; threads++ {
-						if threads > 1 && h.Mode(0) != mode {
-							continue // shared rows: concurrent commits reassociate
-						}
-						got, err := p.ExecuteOMP(mats[i], parallel.Options{Threads: threads, Schedule: parallel.Dynamic, Chunk: 2})
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						tensortest.SameBits(t, fmt.Sprintf("%s ExecuteOMP on %d threads", label, threads), got, want)
+					for _, asm := range tensortest.BodySides() {
+						label := fmt.Sprintf("%s %s mode %d R %d asm %v", c.Name, name, mode, r, asm)
+						tensortest.WithAVX2(asm, func() {
+							got, err := p.ExecuteSeq(mats[i])
+							if err != nil {
+								t.Fatalf("%s: %v", label, err)
+							}
+							tensortest.SameBits(t, label+" ExecuteSeq", got, want)
+							for threads := 1; threads <= 2; threads++ {
+								if threads > 1 && h.Mode(0) != mode {
+									continue // shared rows: concurrent commits reassociate
+								}
+								got, err := p.ExecuteOMP(mats[i], parallel.Options{Threads: threads, Schedule: parallel.Dynamic, Chunk: 2})
+								if err != nil {
+									t.Fatalf("%s: %v", label, err)
+								}
+								tensortest.SameBits(t, fmt.Sprintf("%s ExecuteOMP on %d threads", label, threads), got, want)
+							}
+						})
 					}
 				}
 			}
