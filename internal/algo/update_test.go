@@ -184,13 +184,6 @@ func TestUpdateFactorMatchesOracle(t *testing.T) {
 	}
 }
 
-// withBody runs f on the assembly bodies (asm) or the Go loops.
-func withBody(asm bool, f func()) {
-	defer func(on bool) { cpu.AVX2 = on }(cpu.AVX2)
-	cpu.AVX2 = asm
-	f()
-}
-
 // TestDenseBodiesMatchGo holds the assembly product and gram to the Go
 // loops bit for bit: every rank from 1 to 40 (each residue mod 4 and 16),
 // occupancy lists with gaps of 0 to 200 rows, and operands either plain
@@ -236,7 +229,7 @@ func TestDenseBodiesMatchGo(t *testing.T) {
 					factor                        []tensor.Value
 				}
 				run := func(asm bool) (r result) {
-					withBody(asm, func() {
+					tensortest.WithAVX2(asm, func() {
 						an := &tensor.Matrix{Rows: factorRows, Cols: rank, Data: slices.Clone(init.Data)}
 						w := newCPWorkspace([]*tensor.Matrix{tensor.NewMatrix(factorRows, rank)}, rank, [][]int{occ})
 						w.mulSquare(src, sq, occ)
@@ -596,38 +589,26 @@ func BenchmarkCPALSUpdate(b *testing.B) {
 	const rows = 10000
 	for _, rank := range []int{16, 20, 32} {
 		for _, every := range []int{1, 4} {
-			for _, body := range []string{"go", "asm"} {
-				asm := body == "asm"
-				name := fmt.Sprintf("R=%d", rank)
-				if every > 1 {
-					name += fmt.Sprintf("/occupied=%d", rows/every)
-				}
-				b.Run(name+"/body="+body, func(b *testing.B) {
-					if asm && !cpu.AVX2 {
-						b.Skip("no AVX2 body on this CPU or port")
-					}
-					mt, v := updateCase(rows, rank, -1, 1)
-					var occ []int
-					for i := 0; i < rows; i += every {
-						occ = append(occ, i)
-					}
-					an := tensor.NewMatrix(rows, rank)
-					w := newCPWorkspace([]*tensor.Matrix{an}, rank, [][]int{occ})
-					copy(w.v, v)
-					if err := invertSPD(w.v, w.elim, w.inv, rank); err != nil {
-						b.Fatal(err)
-					}
-					lambda := make([]float64, rank)
-					withBody(asm, func() {
-						b.ReportAllocs()
-						b.ResetTimer()
-						for i := 0; i < b.N; i++ {
-							w.updateFactor(mt, an, lambda, w.grams[0], occ)
-						}
-					})
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
-				})
+			name := fmt.Sprintf("R=%d", rank)
+			if every > 1 {
+				name += fmt.Sprintf("/occupied=%d", rows/every)
 			}
+			mt, v := updateCase(rows, rank, -1, 1)
+			var occ []int
+			for i := 0; i < rows; i += every {
+				occ = append(occ, i)
+			}
+			an := tensor.NewMatrix(rows, rank)
+			w := newCPWorkspace([]*tensor.Matrix{an}, rank, [][]int{occ})
+			copy(w.v, v)
+			if err := invertSPD(w.v, w.elim, w.inv, rank); err != nil {
+				b.Fatal(err)
+			}
+			lambda := make([]float64, rank)
+			tensortest.BenchSides(b, name, rows, "row", func() error {
+				w.updateFactor(mt, an, lambda, w.grams[0], occ)
+				return nil
+			})
 		}
 	}
 }

@@ -11,14 +11,8 @@ import (
 	"repro/internal/hicoo"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
+	"repro/internal/tensortest"
 )
-
-// withBody runs f on the assembly bodies (asm) or on the Go loops.
-func withBody(asm bool, f func()) {
-	defer func(on bool) { cpu.AVX2 = on }(cpu.AVX2)
-	cpu.AVX2 = asm
-	f()
-}
 
 // specialValues are the classes the element-wise bodies must round like
 // the Go loops: signed zeros (and so x/0), subnormals, values whose sums
@@ -91,7 +85,7 @@ func TestElementwiseBodiesMatchGo(t *testing.T) {
 		for i := range zv {
 			zv[i] = -7 // a sentinel outside every range
 		}
-		withBody(asm, func() { f(zv) })
+		tensortest.WithAVX2(asm, func() { f(zv) })
 		return zv
 	}
 	for _, n := range lengths {
@@ -180,10 +174,10 @@ func TestElementwisePlansMatchGo(t *testing.T) {
 	for _, nnz := range []int{1000, 40001, 100003} {
 		for name, exec := range elementwisePlans(t, nnz) {
 			var want []tensor.Value
-			withBody(false, func() { want = append(want, exec(false, parallel.Options{})...) })
+			tensortest.WithAVX2(false, func() { want = append(want, exec(false, parallel.Options{})...) })
 			for _, threads := range []int{1, 2} {
 				var got []tensor.Value
-				withBody(true, func() { got = exec(true, parallel.Options{Threads: threads, Ctx: ctx, Schedule: parallel.Dynamic}) })
+				tensortest.WithAVX2(true, func() { got = exec(true, parallel.Options{Threads: threads, Ctx: ctx, Schedule: parallel.Dynamic}) })
 				sameValues(t, fmt.Sprintf("%s nnz %d threads %d", name, nnz, threads), got, want)
 			}
 		}
@@ -194,14 +188,14 @@ func TestElementwisePlansMatchGo(t *testing.T) {
 // plans on both bodies: none per ExecuteSeq, and per one-thread
 // ExecuteOMP only the loop's closure and its control block.
 func TestElementwisePlansAllocs(t *testing.T) {
-	if raceDetector {
+	if tensortest.Race {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	for name, exec := range elementwisePlans(t, 5000) {
-		for _, asm := range []bool{false, cpu.AVX2} {
-			withBody(asm, func() {
+		for _, asm := range tensortest.BodySides() {
+			tensortest.WithAVX2(asm, func() {
 				if n := testing.AllocsPerRun(10, func() { exec(false, parallel.Options{}) }); n != 0 {
 					t.Errorf("%s asm %v: ExecuteSeq allocates %v times per call, want 0", name, asm, n)
 				}
@@ -232,22 +226,10 @@ func BenchmarkElementwise(b *testing.B) {
 			{"Tew", func() { tewValues(xv, yv, zv, Add, 0, n) }},
 			{"Ts", func() { tsValues(xv, zv, 1.5, Mul, 0, n) }},
 		} {
-			for _, body := range []string{"go", "asm"} {
-				b.Run(fmt.Sprintf("%s/n=%d/body=%s", kernel.name, n, body), func(b *testing.B) {
-					asm := body == "asm"
-					if asm && !cpu.AVX2 {
-						b.Skip("no AVX2 body on this CPU or port")
-					}
-					withBody(asm, func() {
-						b.ReportAllocs()
-						b.ResetTimer()
-						for i := 0; i < b.N; i++ {
-							kernel.run()
-						}
-					})
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/elem")
-				})
-			}
+			tensortest.BenchSides(b, fmt.Sprintf("%s/n=%d", kernel.name, n), n, "elem", func() error {
+				kernel.run()
+				return nil
+			})
 		}
 	}
 }

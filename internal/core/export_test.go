@@ -6,20 +6,21 @@ import "repro/internal/tensor"
 // tree plans through internal/levels, which imports core — what those
 // tests need of the package's internals.
 
-// RaceDetector reports a -race test binary.
-const RaceDetector = raceDetector
-
-// FiberCut is fiberCut.
-var FiberCut = fiberCut
-
 // TtmStreamValues is ttmStreamValues.
 const TtmStreamValues = ttmStreamValues
 
-// TtmBody is a Ttm plan's fiber view and its owner arm.
+// ExecuteBlocks runs executeBlocks over blocks [lo, hi) into out.
+func (p *MttkrpHiCOOPlan) ExecuteBlocks(lo, hi int, mats []*tensor.Matrix, out []tensor.Value, atomicUpd bool) {
+	p.executeBlocks(lo, hi, mats, out, atomicUpd)
+}
+
+// TtmBody is a Ttm plan's fiber view, its output values and its owner
+// arm.
 type TtmBody struct {
 	Fptr []int64
 	KInd []tensor.Index
 	Vals []tensor.Value
+	Out  []tensor.Value
 	k    fiberKernel
 }
 
@@ -30,7 +31,7 @@ func (p *TtmPlan) Body() TtmBody { return ttmBody(p.k) }
 func (p *TtmHiCOOPlan) Body() TtmBody { return ttmBody(p.k) }
 
 func ttmBody(k fiberKernel) TtmBody {
-	return TtmBody{Fptr: k.fptr, KInd: k.kInd, Vals: k.vals, k: k}
+	return TtmBody{Fptr: k.fptr, KInd: k.kInd, Vals: k.vals, Out: k.out, k: k}
 }
 
 // Run runs ttmFibers over fibers [lo, hi) into out instead of the plan's

@@ -185,7 +185,7 @@ func (k *fiberKernel) checkMat(u *tensor.Matrix) error {
 // column loop plays the role of the paper's "omp simd". On amd64 with
 // AVX2 one assembly body (ttm_amd64.s, DESIGN.md §25) computes columns
 // [0, r&^7), in calls of at most cpu.CallNNZ non-zeros cut at fiber
-// boundaries (fiberCut), and ttmCols the columns left; elsewhere ttmCols
+// boundaries (cpu.Cut), and ttmCols the columns left; elsewhere ttmCols
 // computes everything. The body stops before the first fiber with a row,
 // range or index out of bounds and ttmCols resumes there, so such a
 // fiber panics where the Go loop alone panics, after the same writes.
@@ -197,7 +197,7 @@ func (k *fiberKernel) ttmFibers(lo, hi int, u *tensor.Matrix) {
 	if c := r &^ 7; c > 0 && cpu.AVX2 && k.ttmFits(lo, hi) {
 		stream := len(k.out) >= ttmStreamValues
 		for lo < hi {
-			end := fiberCut(k.fptr, lo, hi)
+			end := cpu.Cut(k.fptr, lo, hi)
 			stop := ttmRows(k.out, k.fptr, k.kInd, k.vals, u.Data, r, lo, end, stream)
 			if c < r {
 				k.ttmCols(lo, stop, u, c)
@@ -229,15 +229,6 @@ const ttmStreamValues = 1 << 18
 // offset the body computes wraps.
 func (k *fiberKernel) ttmFits(lo, hi int) bool {
 	return 0 <= lo && lo <= hi && hi < len(k.fptr) && len(k.kInd) == len(k.vals) && k.r <= 1<<16
-}
-
-// fiberCut returns the end of the next assembly call over fibers
-// [lo, hi): the last fiber boundary at most cpu.CallNNZ non-zeros past
-// fptr[lo], or lo+1 when fiber lo alone holds more.
-func fiberCut(fptr []int64, lo, hi int) int {
-	limit := fptr[lo] + cpu.CallNNZ
-	n := sort.Search(hi-lo, func(i int) bool { return fptr[lo+1+i] > limit })
-	return lo + max(n, 1)
 }
 
 // ttmCols is ttmFibers' Go loop over columns [c0, r) of fibers [lo, hi).

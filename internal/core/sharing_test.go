@@ -178,7 +178,7 @@ func TestFiberKernelsBitIdenticalAcrossFormats(t *testing.T) {
 // view lives in the plan precisely so they do not grow — building it per
 // call makes it escape through the parallel.For closure.
 func TestFiberKernelSteadyStateAllocations(t *testing.T) {
-	if raceDetector {
+	if tensortest.Race {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	x := randTensor(77, []tensor.Index{200, 150, 100}, 20000)

@@ -5,10 +5,10 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/cpu"
 	"repro/internal/hicoo"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
+	"repro/internal/tensortest"
 )
 
 // samePatternPair returns two tensors sharing a non-zero pattern with
@@ -274,9 +274,9 @@ func TestOpApplyPanicsOnUnknown(t *testing.T) {
 	for i := range xv {
 		xv[i], yv[i] = 1, 2 // every op gives a non-zero
 	}
-	for _, asm := range []bool{false, cpu.AVX2} {
+	for _, asm := range tensortest.BodySides() {
 		zv := make([]tensor.Value, 100)
-		withBody(asm, func() {
+		tensortest.WithAVX2(asm, func() {
 			defer func() {
 				if recover() == nil {
 					t.Fatalf("asm %v: tewValues did not panic on an unknown op", asm)

@@ -15,6 +15,25 @@ var AVX2 = hasAVX2()
 // stop-the-world waits for the running call to return; cutting a range
 // into calls of at most 2^16 non-zeros (about 0.5 ms of Mttkrp at 7 ns
 // per non-zero on a 2-vCPU x86-64 host) bounds that wait whatever the
-// tensor's size. Callers cut at the boundaries of their units (non-zero,
-// fiber, node), so a unit longer than the budget is one call of its own.
+// tensor's size.
 const CallNNZ = 1 << 16
+
+// Cut returns the end of the next call over units [lo, hi), unit u holding
+// non-zeros [ptr[u], ptr[u+1]): hi if they fit in CallNNZ, else the last
+// unit boundary within CallNNZ of ptr[lo], or lo+1 when unit lo alone
+// holds more, for a unit longer than the budget is a call of its own.
+func Cut(ptr []int64, lo, hi int) int {
+	limit := ptr[lo] + CallNNZ
+	if ptr[hi] <= limit {
+		return hi
+	}
+	i, j := lo+2, hi // the first boundary past the limit is in [lo+2, hi]
+	for i < j {
+		if m := int(uint(i+j) >> 1); ptr[m] > limit {
+			j = m
+		} else {
+			i = m + 1
+		}
+	}
+	return i - 1
+}

@@ -3,7 +3,6 @@ package csf
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/cpu"
 	"repro/internal/parallel"
@@ -270,7 +269,7 @@ func (p *MttkrpPlan) chainNodes(ptr []int64, ids []tensor.Index, u []tensor.Valu
 	for lo < hi {
 		// A node the body sums has one leaf per fiber: its leaves are
 		// ptr[node+1] − ptr[node].
-		end := int64(callCut(ptr, int(lo), int(hi)))
+		end := int64(cpu.Cut(ptr, int(lo), int(hi)))
 		stop := int64(chainsAVX2(&p.body, ptr, ids, u, rows, dst, r, int(lo), int(end)))
 		if c < r {
 			for node := lo; node < stop; node++ {
@@ -295,7 +294,7 @@ func (p *MttkrpPlan) sumFibers(fptr []int64, fid []tensor.Index, fu []tensor.Val
 	r, lo, hi := p.R, 0, len(fid)
 	if c := r &^ 7; p.asm && len(fptr) > hi && len(dst) >= r {
 		for lo < hi {
-			end := callCut(fptr, lo, hi)
+			end := cpu.Cut(fptr, lo, hi)
 			stop := fibersAVX2(&p.body, fptr, fid, fu, rows, dst, r, lo, end)
 			if c < r {
 				p.fibers(fptr[lo:], fid[lo:stop], fu, dst, c)
@@ -307,18 +306,6 @@ func (p *MttkrpPlan) sumFibers(fptr []int64, fid []tensor.Index, fu []tensor.Val
 		}
 	}
 	p.fibers(fptr[lo:], fid[lo:], fu, dst, 0)
-}
-
-// callCut returns the end of the next assembly call over units [lo, hi)
-// whose leaves ptr bounds: the last boundary at most cpu.CallNNZ leaves
-// past ptr[lo], or lo+1 when unit lo alone holds more.
-func callCut(ptr []int64, lo, hi int) int {
-	limit := ptr[lo] + cpu.CallNNZ
-	if ptr[hi] <= limit {
-		return hi
-	}
-	n := sort.Search(hi-lo, func(i int) bool { return ptr[lo+1+i] > limit })
-	return lo + max(n, 1)
 }
 
 // chains adds urow ⊙ Σ_f fu(fid[f],:) ⊙ val·U(leaf,:) over fibers [lo, hi)

@@ -3,7 +3,6 @@ package csf
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -143,37 +142,6 @@ func TestMixedChainsTakeBothPaths(t *testing.T) {
 // rootFirst is the mode order with mode at the root, the rest ascending.
 func rootFirst(order, mode int) []int {
 	return append([]int{mode}, tensor.OtherModes(order, mode)...)
-}
-
-// sameAsOracle runs the tree plan on tree through ExecuteSeq, MttkrpRoot
-// on one and two threads and MttkrpRootBalanced at budgets 1, 7 and
-// 1<<40, and requires each output to equal the recursive loop's bits.
-func sameAsOracle(t *testing.T, label string, tree *CSF, mats []*tensor.Matrix, r int) {
-	t.Helper()
-	want := oracleRoot(tree, mats, r)
-	p, err := PrepareMttkrp(tree.Tree(), r)
-	if err != nil {
-		t.Fatalf("%s: %v", label, err)
-	}
-	got, err := p.ExecuteSeq(mats)
-	if err != nil {
-		t.Fatalf("%s: %v", label, err)
-	}
-	tensortest.SameBits(t, label+" ExecuteSeq", got, want)
-	for _, threads := range []int{1, 2} {
-		got, err := tree.MttkrpRoot(mats, parallel.Options{Threads: threads, Schedule: parallel.Dynamic, Chunk: 3})
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		tensortest.SameBits(t, fmt.Sprintf("%s MttkrpRoot on %d threads", label, threads), got, want)
-	}
-	for _, budget := range []int64{1, 7, 1 << 40} {
-		got, err := tree.MttkrpRootBalanced(mats, parallel.Options{Threads: 1}, budget)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		tensortest.SameBits(t, fmt.Sprintf("%s balanced, budget %d", label, budget), got, oracleTasks(tree, tree.buildTasks(budget), mats, r))
-	}
 }
 
 // TestMttkrpPlanErrors: every operand the plan cannot run on is an

@@ -141,7 +141,7 @@ func TestTreeFiberPlansPrepareErrors(t *testing.T) {
 // so a steady-state Run of a tree cell allocates exactly what the COO
 // cell's does (the parallel runtime's per-loop bookkeeping).
 func TestTreeFiberPlansAllocateNoOutputPerCall(t *testing.T) {
-	if raceDetector {
+	if tensortest.Race {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	x := tensor.RandomCOO([]tensor.Index{200, 150, 100}, 20000, rand.New(rand.NewSource(77)))

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/cpu"
 	"repro/internal/dataset"
 	"repro/internal/roofline"
 	"repro/internal/tensor"
@@ -57,28 +56,14 @@ func BenchmarkTreeMttkrp(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			for _, body := range []struct {
-				name string
-				asm  bool
-			}{{"go", false}, {"avx2", true}} {
-				b.Run(w.name+"/"+f.String()+"/"+body.name, func(b *testing.B) {
-					if body.asm && !cpu.AVX2 {
-						b.Skip("no AVX2 on this host")
+			tensortest.BenchSides(b, w.name+"/"+f.String(), len(insts)*x.NNZ(), "nnz", func() error {
+				for _, inst := range insts {
+					if err := inst.Serial(ctx); err != nil {
+						return err
 					}
-					tensortest.WithAVX2(body.asm, func() {
-						b.ReportAllocs()
-						b.ResetTimer()
-						for i := 0; i < b.N; i++ {
-							for _, inst := range insts {
-								if err := inst.Serial(ctx); err != nil {
-									b.Fatal(err)
-								}
-							}
-						}
-					})
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(insts)*x.NNZ()), "ns/nnz")
-				})
-			}
+				}
+				return nil
+			})
 		}
 	}
 }
@@ -89,7 +74,7 @@ func BenchmarkTreeMttkrp(b *testing.B) {
 // bookkeeping costs every kernel (the COO cell's count), on the Go loops
 // and on the AVX2 bodies.
 func TestTreeMttkrpAllocatesNothingPerCall(t *testing.T) {
-	if raceDetector {
+	if tensortest.Race {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	x := tensor.RandomCOO([]tensor.Index{200, 150, 100, 30}, 20000, rand.New(rand.NewSource(78)))

@@ -1,6 +1,8 @@
 // Package tensortest holds the tensors and the comparator-sort oracle the
 // format-conversion golden tests share: every conversion must produce,
-// array for array, what the comparison-sort code path it replaced did.
+// array for array, what the comparison-sort code path it replaced did. It
+// also holds the harness every assembly body's contract test runs on
+// (CheckBody, bodies.go).
 package tensortest
 
 import (
@@ -263,9 +265,5 @@ func SameBits(tb testing.TB, label string, got, want *tensor.Matrix) {
 	if got.Rows != want.Rows || got.Cols != want.Cols {
 		tb.Fatalf("%s: output is %dx%d, want %dx%d", label, got.Rows, got.Cols, want.Rows, want.Cols)
 	}
-	for i, w := range want.Data {
-		if math.Float32bits(got.Data[i]) != math.Float32bits(w) {
-			tb.Fatalf("%s: element %d is %v (%08x), want %v (%08x)", label, i, got.Data[i], math.Float32bits(got.Data[i]), w, math.Float32bits(w))
-		}
-	}
+	sameBits(tb, label, got.Data, want.Data)
 }
