@@ -14,14 +14,10 @@ import (
 	"repro/internal/tensortest"
 )
 
-// TestBodyContract holds core's two assembly bodies to their contract
-// (DESIGN.md, "Assembly bodies"): the Mttkrp row body (mttkrpRows32 and
-// mttkrpRows8 behind mttkrpRows) and the Ttm fiber body (ttmRows behind
-// ttmFibers).
-func TestBodyContract(t *testing.T) {
-	t.Run("Mttkrp", func(t *testing.T) { tensortest.CheckBody(t, mttkrpBody(t)) })
-	t.Run("Ttm", func(t *testing.T) { tensortest.CheckBody(t, ttmBody(t)) })
-}
+// The tests below hold core's two assembly bodies to their contract
+// (DESIGN.md, "Assembly bodies") through tensortest.CheckBody, one part
+// of it each: the Mttkrp row body (mttkrpRows32 and mttkrpRows8 behind
+// mttkrpRows) and the Ttm fiber body (ttmRows behind ttmFibers).
 
 // scalarMttkrp is the textbook Mttkrp loop the blocked body replaced,
 // kept as its oracle: per non-zero an R-wide scratch row starts at the
@@ -65,17 +61,16 @@ func mttkrpCase(seed int64, order, nnz, r, mode int) (*tensor.COO, []*tensor.Mat
 	return x, mats
 }
 
-// mttkrpBody is the Mttkrp row body through COO ranges as tiles and
-// ranks pass them (lo > 0 included) and HiCOO block ranges (against the
-// oracle in HiCOO's storage order), plain and, on the test's one
-// goroutine, atomic; at every tail length, order 10 past the executor's
-// stack array, a range of three calls; and with a row index past a
-// factor or the output: COO's 32-bit, HiCOO's 8-bit (255 in a block
-// moved to the last block row).
-func mttkrpBody(t *testing.T) tensortest.Body {
+// TestMttkrpBodyBitIdentical holds the Mttkrp row body to the scalar
+// loop bit for bit through both of its callers: COO over the ranges a
+// tile or a rank passes (lo > 0 included), HiCOO over block ranges
+// against the oracle in HiCOO's storage order, plain and, on the test's
+// one goroutine, atomic. The ranks cover every tail length; order 10
+// has more operands than the executor's stack array.
+func TestMttkrpBodyBitIdentical(t *testing.T) {
 	var b tensortest.Body
-	add := func(name string, size int, units []int64, oracle, run func([]tensor.Value)) {
-		b.Cases = append(b.Cases, tensortest.BodyCase{Name: name, Size: size, Oracle: oracle, Run: run, Units: units})
+	add := func(name string, size int, oracle, run func([]tensor.Value)) {
+		b.Cases = append(b.Cases, tensortest.BodyCase{Name: name, Size: size, Oracle: oracle, Run: run})
 	}
 	for _, order := range []int{2, 3, 4, 5, 6, 10} {
 		for _, r := range []int{1, 3, 7, 8, 9, 15, 16, 17, 24, 33} {
@@ -85,7 +80,7 @@ func mttkrpBody(t *testing.T) tensortest.Body {
 			label := fmt.Sprintf("order %d R %d mode %d", order, r, mode)
 			for _, rg := range [][2]int{{0, m}, {0, 0}, {m, m}, {m / 3, m / 3}, {0, m / 3}, {m / 3, 2*m/3 + 1}, {m - 1, m}} {
 				for _, atomicUpd := range []bool{false, true} {
-					add(fmt.Sprintf("COO %s range %v atomic %v", label, rg, atomicUpd), size, nil,
+					add(fmt.Sprintf("COO %s range %v atomic %v", label, rg, atomicUpd), size,
 						func(out []tensor.Value) { scalarMttkrp(x.Inds, x.Vals, mode, r, mats, out, rg[0], rg[1]) },
 						func(out []tensor.Value) {
 							core.MttkrpCOORange(x.Inds, x.Vals, mode, r, mats, out, rg[0], rg[1], atomicUpd)
@@ -102,7 +97,7 @@ func mttkrpBody(t *testing.T) tensortest.Body {
 			nb := h.NumBlocks()
 			for _, rg := range [][2]int{{0, nb}, {0, 0}, {nb / 2, nb / 2}, {0, nb / 2}, {nb / 2, nb}, {1, nb - 1}} {
 				for _, atomicUpd := range []bool{false, true} {
-					add(fmt.Sprintf("HiCOO %s blocks %v atomic %v", label, rg, atomicUpd), size, nil,
+					add(fmt.Sprintf("HiCOO %s blocks %v atomic %v", label, rg, atomicUpd), size,
 						func(out []tensor.Value) {
 							scalarMttkrp(stored.Inds, stored.Vals, mode, r, mats, out, int(h.BPtr[rg[0]]), int(h.BPtr[rg[1]]))
 						},
@@ -111,7 +106,14 @@ func mttkrpBody(t *testing.T) tensortest.Body {
 			}
 		}
 	}
+	tensortest.CheckBody(t, b)
+}
 
+// TestMttkrpBodyAcrossCalls holds a COO range of more than two calls'
+// worth of non-zeros (cpu.CallNNZ each), entered at lo > 0 too, to the
+// scalar loop bit for bit.
+func TestMttkrpBodyAcrossCalls(t *testing.T) {
+	var b tensortest.Body
 	const r, mode = 17, 1
 	x, mats := mttkrpCase(11, 3, 2*cpu.CallNNZ+1000, r, mode)
 	m := x.NNZ()
@@ -120,11 +122,21 @@ func mttkrpBody(t *testing.T) tensortest.Body {
 		nonZeros[i] = int64(i)
 	}
 	for _, rg := range [][2]int{{0, m}, {5, m - 3}} {
-		add(fmt.Sprintf("COO across calls, range %v", rg), int(x.Dims[mode])*r, nonZeros[rg[0]:rg[1]+1],
-			func(out []tensor.Value) { scalarMttkrp(x.Inds, x.Vals, mode, r, mats, out, rg[0], rg[1]) },
-			func(out []tensor.Value) { core.MttkrpCOORange(x.Inds, x.Vals, mode, r, mats, out, rg[0], rg[1], false) })
+		b.Cases = append(b.Cases, tensortest.BodyCase{Name: fmt.Sprintf("COO range %v", rg), Size: int(x.Dims[mode]) * r, Units: nonZeros[rg[0] : rg[1]+1],
+			Oracle: func(out []tensor.Value) { scalarMttkrp(x.Inds, x.Vals, mode, r, mats, out, rg[0], rg[1]) },
+			Run:    func(out []tensor.Value) { core.MttkrpCOORange(x.Inds, x.Vals, mode, r, mats, out, rg[0], rg[1], false) },
+		})
 	}
+	tensortest.CheckBody(t, b)
+}
 
+// TestMttkrpOutOfRangePanicsAtSameNonZero puts one row index past a
+// factor or the output: COO's 32-bit one row past the end, HiCOO's 8-bit
+// 255 in a block moved to the last block row. Both sides must panic at
+// that non-zero after the writes of the non-zeros in front of it.
+func TestMttkrpOutOfRangePanicsAtSameNonZero(t *testing.T) {
+	const mode = 1
+	var b tensortest.Body
 	for _, r := range []int{8, 16, 17, 33} {
 		for _, bad := range []int{mode, 0, 2} {
 			x, mats := mttkrpCase(int64(7*r+bad), 3, 400, r, mode)
@@ -154,9 +166,13 @@ func mttkrpBody(t *testing.T) tensortest.Body {
 			})
 		}
 	}
+	tensortest.CheckBody(t, b)
+}
 
-	// The operand list lives on the executor's stack and the body needs
-	// no scratch row.
+// TestMttkrpExecuteAllocatesNothing pins the Mttkrp paths at zero
+// allocations per call: the operand list lives on the executor's stack
+// and the body needs no scratch row.
+func TestMttkrpExecuteAllocatesNothing(t *testing.T) {
 	ax := tensor.RandomCOO([]tensor.Index{40, 30, 50, 20}, 3000, rand.New(rand.NewSource(90)))
 	amats := tensortest.SignedFactors(ax, 16, 91)
 	p, err := core.PrepareMttkrp(ax, 2, 16)
@@ -168,15 +184,14 @@ func mttkrpBody(t *testing.T) tensortest.Body {
 		t.Fatal(err)
 	}
 	out := make([]tensor.Value, len(p.Out.Data))
-	b.Allocs = map[string]func() error{
+	tensortest.CheckBody(t, tensortest.Body{Allocs: map[string]func() error{
 		"MttkrpPlan.ExecuteSeq":      func() error { _, err := p.ExecuteSeq(amats); return err },
 		"MttkrpHiCOOPlan.ExecuteSeq": func() error { _, err := hp.ExecuteSeq(amats); return err },
 		"MttkrpCOORange": func() error {
 			core.MttkrpCOORange(ax.Inds, ax.Vals, 2, 16, amats, out, 0, ax.NNZ(), false)
 			return nil
 		},
-	}
-	return b
+	}})
 }
 
 // scalarTtm is the textbook Ttm loop, the oracle: each output row of
@@ -285,13 +300,12 @@ func ttmCases(t *testing.T, label string, p ttmPlan, u *tensor.Matrix, units []i
 	return cases
 }
 
-// ttmBody is the Ttm fiber body through every plan that runs it (COO,
-// HiCOO, CSF, bCSF, a view with empty fibers) at every tail length; over
-// tensors cut between fibers or a call per fiber; over outputs streamed
-// (core.TtmStreamValues) and, one value off their alignment, not; and
-// with a product index one row past U, a fiber end past the values, or
-// an output one row short.
-func ttmBody(t *testing.T) tensortest.Body {
+// TestTtmBodyBitIdentical holds the Ttm fiber body to the scalar loop
+// bit for bit through every plan that runs it (COO, HiCOO, CSF, bCSF, a
+// view with empty fibers) at every tail length; over tensors cut
+// between fibers or a call per fiber; and over outputs streamed
+// (core.TtmStreamValues) and, one value off their alignment, not.
+func TestTtmBodyBitIdentical(t *testing.T) {
 	var b tensortest.Body
 	for order := 2; order <= 6; order++ {
 		for _, r := range []int{1, 3, 7, 8, 9, 15, 16, 17, 24, 33} {
@@ -359,6 +373,15 @@ func ttmBody(t *testing.T) tensortest.Body {
 		}
 	}
 
+	tensortest.CheckBody(t, b)
+}
+
+// TestTtmOutOfRangePanicsAtSameFiber corrupts one fiber — a product
+// index one row past U, a fiber end past the values, or an output one
+// row short: both sides must panic with the same runtime error after the
+// same writes.
+func TestTtmOutOfRangePanicsAtSameFiber(t *testing.T) {
+	var b tensortest.Body
 	const mode = 1
 	x := tensor.RandomCOO([]tensor.Index{30, 40, 20}, 500, rand.New(rand.NewSource(3)))
 	for _, r := range []int{8, 16, 17, 33} {
@@ -387,8 +410,14 @@ func ttmBody(t *testing.T) tensortest.Body {
 		}
 	}
 
-	// With and without a tail of columns left to Go.
-	b.Allocs = map[string]func() error{}
+	tensortest.CheckBody(t, b)
+}
+
+// TestTtmExecuteAllocatesNothing pins ExecuteSeq of the COO and HiCOO Ttm
+// plans at zero allocations per call, with and without a tail of columns
+// left to Go.
+func TestTtmExecuteAllocatesNothing(t *testing.T) {
+	allocs := map[string]func() error{}
 	ax := tensor.RandomCOO([]tensor.Index{40, 30, 50, 20}, 3000, rand.New(rand.NewSource(90)))
 	for _, r := range []int{16, 20} {
 		u := tensortest.SignedFactors(ax, r, 91)[2]
@@ -400,10 +429,10 @@ func ttmBody(t *testing.T) tensortest.Body {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b.Allocs[fmt.Sprintf("TtmPlan.ExecuteSeq R %d", r)] = func() error { _, err := p.ExecuteSeq(u); return err }
-		b.Allocs[fmt.Sprintf("TtmHiCOOPlan.ExecuteSeq R %d", r)] = func() error { _, err := hp.ExecuteSeq(u); return err }
+		allocs[fmt.Sprintf("TtmPlan.ExecuteSeq R %d", r)] = func() error { _, err := p.ExecuteSeq(u); return err }
+		allocs[fmt.Sprintf("TtmHiCOOPlan.ExecuteSeq R %d", r)] = func() error { _, err := hp.ExecuteSeq(u); return err }
 	}
-	return b
+	tensortest.CheckBody(t, tensortest.Body{Allocs: allocs})
 }
 
 // BenchmarkMttkrpBody times one sequential Mttkrp (mode 0) through the

@@ -9,14 +9,15 @@ import (
 	"repro/internal/tensortest"
 )
 
-// TestBodyContract holds the tree plan's two assembly bodies, fibersAVX2
-// (behind sumFibers) and chainsAVX2 (behind chainNodes), to their
-// contract (DESIGN.md, "Assembly bodies") against the recursive scalar
-// loop the plan replaced: for every mode at the root of every tree of
-// tensortest.MttkrpCases (the mixed chains among them, whose chain-node
-// body hands nodes back), for two trees whose first root the bodies cut
-// into calls, and for corrupted trees.
-func TestBodyContract(t *testing.T) {
+// TestTreeMttkrpBodyBitIdentical holds the tree plan's two assembly
+// bodies, fibersAVX2 (behind sumFibers) and chainsAVX2 (behind
+// chainNodes), to their contract (DESIGN.md, "Assembly bodies") against
+// the recursive scalar loop the plan replaced: for every mode at the
+// root of every tree of tensortest.MttkrpCases (the mixed chains among
+// them, whose chain-node body hands nodes back), and for two trees whose
+// first root the bodies cut into calls, one over long fibers, one over
+// 30 000 chain nodes (90 000 leaves).
+func TestTreeMttkrpBodyBitIdentical(t *testing.T) {
 	for _, c := range tensortest.MttkrpCases(t) {
 		t.Run(c.Name, func(t *testing.T) {
 			x := c.X
@@ -33,7 +34,23 @@ func TestBodyContract(t *testing.T) {
 			tensortest.CheckBody(t, b)
 		})
 	}
-	t.Run("calls", func(t *testing.T) { tensortest.CheckBody(t, callsBody(t)) })
+	t.Run("calls", func(t *testing.T) {
+		var b tensortest.Body
+		for name, x := range map[string]*tensor.COO{"wide-root": wideRoot(), "long-chains": chainTensor(1, 30_000)} {
+			tree, err := FromCOO(x, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The units of the first root: fibers (wide-root) or nodes of
+			// one-leaf fibers (long-chains), their leaves or fibers bounded
+			// by the level-1 pointer.
+			units := tree.FPtr[1][tree.FPtr[0][0] : tree.FPtr[0][1]+1]
+			for _, r := range []int{16, 17} {
+				b.Cases = append(b.Cases, treeCases(t, fmt.Sprintf("%s R %d", name, r), x, tree, r, units)[0])
+			}
+		}
+		tensortest.CheckBody(t, b)
+	})
 }
 
 // treeCases run the tree plan on tree, built from x, through ExecuteSeq,
@@ -76,28 +93,13 @@ func treeCases(t *testing.T, label string, x *tensor.COO, tree *CSF, r int, unit
 	return cases
 }
 
-// callsBody is the contract's cases across calls, its corruptions and its
-// allocation pin. Two trees' first roots take more than one call: one
-// over long fibers, one over 30 000 chain nodes (90 000 leaves). The
-// corruptions put one index of a tree out of range — a leaf's row, a
-// fiber's row, a node's row, a fiber's leaf pointer or a node's fiber
-// pointer — under long fibers (order 3) and under chains (order 4).
-func callsBody(t *testing.T) tensortest.Body {
+// TestTreeMttkrpOutOfRangePanicsAtSameNode corrupts one index of a tree —
+// a leaf's row, a fiber's row, a node's row, a fiber's leaf pointer or a
+// node's fiber pointer — under long fibers (order 3) and under chains
+// (order 4): both sides must panic with the same runtime error after the
+// same writes, the roots before the bad one committed.
+func TestTreeMttkrpOutOfRangePanicsAtSameNode(t *testing.T) {
 	var b tensortest.Body
-	for name, x := range map[string]*tensor.COO{"wide-root": wideRoot(), "long-chains": chainTensor(1, 30_000)} {
-		tree, err := FromCOO(x, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The units of the first root: fibers (wide-root) or nodes of
-		// one-leaf fibers (long-chains), their leaves or fibers bounded by
-		// the level-1 pointer.
-		units := tree.FPtr[1][tree.FPtr[0][0] : tree.FPtr[0][1]+1]
-		for _, r := range []int{16, 17} {
-			b.Cases = append(b.Cases, treeCases(t, fmt.Sprintf("%s R %d", name, r), x, tree, r, units)[0])
-		}
-	}
-
 	fibers := randTensor(5, []tensor.Index{30, 20, 40}, 2000)
 	chains := chainTensor(16, 40)
 	// chain returns a node of level 1 of a chain tree that holds two or
@@ -147,9 +149,15 @@ func callsBody(t *testing.T) tensortest.Body {
 		}
 	}
 
-	// The plan owns its output and draws pooled level scratch.
-	b.Allocs = map[string]func() error{}
-	for name, x := range map[string]*tensor.COO{"long fibers": fibers, "chains": chains} {
+	tensortest.CheckBody(t, b)
+}
+
+// TestTreeMttkrpExecuteAllocatesNothing pins ExecuteSeq of the tree plan
+// at zero allocations per call: the plan owns its output and draws
+// pooled level scratch.
+func TestTreeMttkrpExecuteAllocatesNothing(t *testing.T) {
+	allocs := map[string]func() error{}
+	for name, x := range map[string]*tensor.COO{"long fibers": randTensor(5, []tensor.Index{30, 20, 40}, 2000), "chains": chainTensor(16, 40)} {
 		for _, r := range []int{16, 20} {
 			tree, err := FromCOO(x, nil)
 			if err != nil {
@@ -160,10 +168,10 @@ func callsBody(t *testing.T) tensortest.Body {
 				t.Fatal(err)
 			}
 			mats := tensortest.SignedFactors(x, r, 3)
-			b.Allocs[fmt.Sprintf("%s R %d ExecuteSeq", name, r)] = func() error { _, err := p.ExecuteSeq(mats); return err }
+			allocs[fmt.Sprintf("%s R %d ExecuteSeq", name, r)] = func() error { _, err := p.ExecuteSeq(mats); return err }
 		}
 	}
-	return b
+	tensortest.CheckBody(t, tensortest.Body{Allocs: allocs})
 }
 
 // wideRoot is an order-3 tensor whose first root holds 600 fibers of 120
