@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -14,10 +15,11 @@ import (
 	"repro/internal/tensortest"
 )
 
-// The tests below hold core's two assembly bodies to their contract
+// The tests below hold core's three assembly bodies to their contract
 // (DESIGN.md, "Assembly bodies") through tensortest.CheckBody, one part
 // of it each: the Mttkrp row body (mttkrpRows32 and mttkrpRows8 behind
-// mttkrpRows) and the Ttm fiber body (ttmRows behind ttmFibers).
+// mttkrpRows), the Ttm fiber body (ttmRows behind ttmFibers) and the
+// Ttv fiber-group body (ttvGroups behind ttvFibers).
 
 // scalarMttkrp is the textbook Mttkrp loop the blocked body replaced,
 // kept as its oracle: per non-zero an R-wide scratch row starts at the
@@ -197,7 +199,7 @@ func TestMttkrpExecuteAllocatesNothing(t *testing.T) {
 // scalarTtm is the textbook Ttm loop, the oracle: each output row of
 // fibers [lo, hi) starts at zero and adds value times U row per
 // non-zero, in order.
-func scalarTtm(b core.TtmBody, u *tensor.Matrix, out []tensor.Value, lo, hi int) {
+func scalarTtm(b core.FiberBody, u *tensor.Matrix, out []tensor.Value, lo, hi int) {
 	r := u.Cols
 	for f := lo; f < hi; f++ {
 		row := out[f*r : (f+1)*r]
@@ -217,7 +219,7 @@ func scalarTtm(b core.TtmBody, u *tensor.Matrix, out []tensor.Value, lo, hi int)
 // its fiber view and its ExecuteSeq, which fills body.Out.
 type ttmPlan struct {
 	name string
-	body core.TtmBody
+	body core.FiberBody
 	exec func(*tensor.Matrix) error
 }
 
@@ -294,7 +296,7 @@ func ttmCases(t *testing.T, label string, p ttmPlan, u *tensor.Matrix, units []i
 		cases = append(cases, tensortest.BodyCase{
 			Name: fmt.Sprintf("%s fibers %v", label, rg), Size: size, Fill: 7,
 			Oracle: func(out []tensor.Value) { scalarTtm(p.body, u, out, rg[0], rg[1]) },
-			Run:    func(out []tensor.Value) { p.body.Run(out, rg[0], rg[1], u) },
+			Run:    func(out []tensor.Value) { p.body.Ttm(out, rg[0], rg[1], u) },
 		})
 	}
 	return cases
@@ -366,7 +368,7 @@ func TestTtmBodyBitIdentical(t *testing.T) {
 				Oracle: func(out []tensor.Value) { scalarTtm(pl.body, u, out, 0, mf) },
 				Run: func(out []tensor.Value) {
 					off := make([]tensor.Value, 1+len(out))[1:]
-					pl.body.Run(off, 0, mf, u)
+					pl.body.Ttm(off, 0, mf, u)
 					copy(out, off)
 				},
 			})
@@ -405,7 +407,7 @@ func TestTtmOutOfRangePanicsAtSameFiber(t *testing.T) {
 			}
 			b.Corruptions = append(b.Corruptions, tensortest.BodyCase{
 				Name: fmt.Sprintf("R %d bad %s", r, bad), Size: size,
-				Run: func(out []tensor.Value) { body.Run(out, 0, mf, u) },
+				Run: func(out []tensor.Value) { body.Ttm(out, 0, mf, u) },
 			})
 		}
 	}
@@ -492,4 +494,399 @@ func BenchmarkTtmBody(b *testing.B) {
 		_, err := p.ExecuteSeq(u)
 		return err
 	})
+}
+
+// scalarTtv is the textbook Ttv loop, the oracle: each fiber of [lo, hi)
+// sums value times vector entry from +0, in non-zero order.
+func scalarTtv(b core.FiberBody, v tensor.Vector, out []tensor.Value, lo, hi int) {
+	for f := lo; f < hi; f++ {
+		var acc tensor.Value
+		for m := b.Fptr[f]; m < b.Fptr[f+1]; m++ {
+			acc += b.Vals[m] * v[b.KInd[m]]
+		}
+		out[f] = acc
+	}
+}
+
+// ttvVector returns a signed vector of n values with −0, ±Inf and NaN
+// planted. Its NaN is the one x86 makes of ∞ − ∞ and 0·∞ (0xffc00000), so
+// that no fiber sees two NaN payloads: which of two survives a sum is the
+// compiler's choice of operand order, and it differs between builds of
+// the Go loop (-race).
+func ttvVector(n int, seed int64) tensor.Vector {
+	rng := rand.New(rand.NewSource(seed))
+	special := []tensor.Value{tensor.Value(math.Copysign(0, -1)), tensor.Value(math.Inf(1)), tensor.Value(math.Inf(-1)), math.Float32frombits(0xffc00000)}
+	v := make(tensor.Vector, n)
+	for i := range v {
+		v[i] = tensor.Value(2*rng.Float64() - 1)
+		if rng.Intn(8) == 0 {
+			v[i] = special[rng.Intn(len(special))]
+		}
+	}
+	return v
+}
+
+// ttvPlan is one way of preparing Ttv that runs fiberKernel.ttvFibers:
+// its fiber view, its ExecuteSeq and, for the COO-shaped plans, its
+// ExecuteFibers, which fill body.Out.
+type ttvPlan struct {
+	name   string
+	body   core.FiberBody
+	exec   func(tensor.Vector) error
+	fibers func(lo, hi int, v tensor.Vector) error // nil for HiCOO
+}
+
+func ttvPlanOf(t testing.TB, name string, p *core.TtvPlan, err error) ttvPlan {
+	t.Helper()
+	if err != nil {
+		t.Fatal(name, err)
+	}
+	return ttvPlan{name, p.Body(),
+		func(v tensor.Vector) error { _, err := p.ExecuteSeq(v); return err },
+		func(lo, hi int, v tensor.Vector) error { _, err := p.ExecuteFibers(lo, hi, v); return err }}
+}
+
+// ttvViewPlan returns a Ttv plan over fptr and the columns of b, with
+// zero skeleton columns.
+func ttvViewPlan(t testing.TB, name string, b core.FiberBody, fptr []int64, dims []tensor.Index, mode int) ttvPlan {
+	t.Helper()
+	cols := make([][]tensor.Index, len(dims))
+	for _, n := range tensor.OtherModes(len(dims), mode) {
+		cols[n] = make([]tensor.Index, len(fptr)-1)
+	}
+	p, err := core.NewTtvPlan(core.FiberView{Fptr: fptr, KInd: b.KInd, Vals: b.Vals, Dims: dims, Mode: mode}, cols)
+	return ttvPlanOf(t, name, p, err)
+}
+
+// ttvPlans prepares Ttv of x in mode every way the contract covers: the
+// COO and HiCOO plans, the CSF and bCSF trees through levels, and the
+// COO plan's fibers with an empty fiber in front, after every third
+// fiber, eight in a row after the tenth, and one at the end.
+func ttvPlans(t *testing.T, x *tensor.COO, mode int) []ttvPlan {
+	t.Helper()
+	coo, err := core.PrepareTtv(x, mode)
+	plans := []ttvPlan{ttvPlanOf(t, "COO", coo, err)}
+
+	hp, err := core.PrepareTtvHiCOO(x, mode, hicoo.DefaultBlockBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans = append(plans, ttvPlan{"HiCOO", hp.Body(), func(v tensor.Vector) error { _, err := hp.ExecuteSeq(v); return err }, nil})
+
+	mo := tensor.ModeOrder(x.Order(), mode)
+	for _, sig := range []levels.Signature{levels.CSFSig(x.Order()), levels.BCSFSig(x.Order(), 2)} {
+		h, err := levels.Build(x, sig, mo)
+		if err != nil {
+			t.Fatal(sig, err)
+		}
+		p, err := levels.PrepareTtv(h, mode)
+		plans = append(plans, ttvPlanOf(t, sig.Name, p, err))
+	}
+
+	b := coo.Body()
+	fptr := []int64{0}
+	for f := 1; f < len(b.Fptr); f++ {
+		if f%3 == 0 {
+			fptr = append(fptr, b.Fptr[f-1])
+		}
+		if f == 10 {
+			for i := 0; i < 8; i++ {
+				fptr = append(fptr, b.Fptr[f-1])
+			}
+		}
+		fptr = append(fptr, b.Fptr[f])
+	}
+	fptr = append(fptr, b.Fptr[len(b.Fptr)-1])
+	return append(plans, ttvViewPlan(t, "empty fibers", b, fptr, x.Dims, mode))
+}
+
+// ttvCases are plan p's cases: ExecuteSeq on an output as a fresh plan
+// holds it, then again on its own result (the output is refilled, not
+// added to), ExecuteFibers and the owner arm over fiber ranges (lo > 0,
+// and every tail length of 1 to 7 fibers, included) into an output whose
+// other values must keep theirs.
+func ttvCases(t *testing.T, label string, p ttvPlan, v tensor.Vector, units []int64) []tensortest.BodyCase {
+	mf := len(p.body.Fptr) - 1
+	oracle := func(out []tensor.Value) { scalarTtv(p.body, v, out, 0, mf) }
+	exec := func(out []tensor.Value) {
+		if err := p.exec(v); err != nil {
+			t.Fatal(label, err)
+		}
+		copy(out, p.body.Out)
+	}
+	cases := []tensortest.BodyCase{
+		{Name: label + " ExecuteSeq", Size: mf, Units: units, Oracle: oracle,
+			Run: func(out []tensor.Value) { copy(p.body.Out, out); exec(out) }},
+		{Name: label + " ExecuteSeq again", Size: mf, Oracle: oracle, Run: exec},
+	}
+	ranges := [][2]int{{0, 0}, {mf, mf}, {mf / 3, mf / 3}, {0, mf / 3}, {mf / 3, 2*mf/3 + 1}, {1, mf}, {3, mf - 2}, {mf - 1, mf}, {mf - 9, mf}}
+	for tail := 1; tail < 8; tail++ {
+		ranges = append(ranges, [2]int{5, 5 + 16 + tail})
+	}
+	for _, rg := range ranges {
+		lo, hi := rg[0], rg[1]
+		if lo < 0 || hi > mf {
+			continue
+		}
+		cases = append(cases, tensortest.BodyCase{
+			Name: fmt.Sprintf("%s fibers %v", label, rg), Size: mf, Fill: 7,
+			Oracle: func(out []tensor.Value) { scalarTtv(p.body, v, out, lo, hi) },
+			Run:    func(out []tensor.Value) { p.body.Ttv(out, lo, hi, v) },
+		})
+		if p.fibers != nil {
+			cases = append(cases, tensortest.BodyCase{
+				Name: fmt.Sprintf("%s ExecuteFibers %v", label, rg), Size: mf, Fill: 7,
+				Oracle: func(out []tensor.Value) { scalarTtv(p.body, v, out, lo, hi) },
+				Run: func(out []tensor.Value) {
+					copy(p.body.Out, out)
+					if err := p.fibers(lo, hi, v); err != nil {
+						t.Fatal(label, err)
+					}
+					copy(out, p.body.Out)
+				},
+			})
+		}
+	}
+	return cases
+}
+
+// ttvGroupsView returns a mode-1 Ttv plan over 27 fibers whose groups of
+// eight take each of the body's paths: fibers 0–7 hold one non-zero each
+// (single-leaf), 8–15 one or two (lanes), 16–23 nine and seven times one
+// (scalar: the longest is more than twice the mean), and 24–26, the tail
+// the Go loop reduces, one each. The product mode has ten indices; no
+// non-zero takes the last. Its values and vector are signed.
+func ttvGroupsView(t testing.TB) (ttvPlan, tensor.Vector) {
+	t.Helper()
+	lens := []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 1, 2, 1, 2, 1, 2, 9, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}
+	const kDim = 10
+	rng := rand.New(rand.NewSource(12))
+	b := core.FiberBody{Fptr: []int64{0}}
+	for _, n := range lens {
+		for i := 0; i < n; i++ {
+			b.KInd = append(b.KInd, tensor.Index(rng.Intn(kDim-1)))
+			b.Vals = append(b.Vals, tensor.Value(2*rng.Float64()-1))
+		}
+		b.Fptr = append(b.Fptr, int64(len(b.Vals)))
+	}
+	v := make(tensor.Vector, kDim)
+	for i := range v {
+		v[i] = tensor.Value(2*rng.Float64() - 1)
+	}
+	return ttvViewPlan(t, "groups", b, b.Fptr, []tensor.Index{3, kDim}, 1), v
+}
+
+// TestTtvBodyBitIdentical holds the Ttv body to the scalar loop bit for
+// bit through every plan that runs it (COO, HiCOO, CSF, bCSF, a view
+// with empty fibers, eight of them in a row) on every mode of random
+// tensors of orders 2–6 and of the benchmark's three recipes — nell2 and
+// regS4d, nearly every group single-leaf, and irrS, mixed lengths, whose
+// 51-row mode 2 takes the scalar path —, with −0, ±Inf and NaN in the
+// vector. Last, on ttvGroupsView, one non-zero of a single-leaf, a lane
+// and a scalar-path group multiplies a NaN value by a NaN vector entry
+// of another payload, which no other non-zero meets: x·v returns x's
+// payload, v·x would return v's.
+func TestTtvBodyBitIdentical(t *testing.T) {
+	var b tensortest.Body
+	var xs []tensortest.Case
+	for order := 2; order <= 6; order++ {
+		dims := make([]tensor.Index, order)
+		for n := range dims {
+			dims[n] = tensor.Index(4 + (3*n+order)%7)
+			if order <= 3 {
+				dims[n] += 40
+			}
+		}
+		xs = append(xs, tensortest.Case{Name: fmt.Sprintf("order %d", order), X: tensor.RandomCOO(dims, 700, rand.New(rand.NewSource(int64(order))))})
+	}
+	for _, r := range []struct {
+		id  string
+		nnz int
+	}{{"nell2", 5_000}, {"regS4d", 6_000}, {"irrS", 12_000}} {
+		e, err := dataset.ByID(r.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, err := dataset.Materialize(e, r.nnz, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		xs = append(xs, tensortest.Case{Name: r.id, X: x})
+	}
+	for i, c := range xs {
+		for mode := 0; mode < c.X.Order(); mode++ {
+			v := ttvVector(int(c.X.Dims[mode]), int64(10*i+mode))
+			for _, p := range ttvPlans(t, c.X, mode) {
+				b.Cases = append(b.Cases, ttvCases(t, fmt.Sprintf("%s mode %d %s", c.Name, mode, p.name), p, v, nil)...)
+			}
+		}
+	}
+
+	p, v := ttvGroupsView(t)
+	b.Cases = append(b.Cases, ttvCases(t, "groups", p, v, nil)...)
+	nan, v := ttvGroupsView(t)
+	v[len(v)-1] = math.Float32frombits(0x7fc00b0b)
+	for _, m := range []int64{nan.body.Fptr[2], nan.body.Fptr[9] + 1, nan.body.Fptr[16] + 3} {
+		nan.body.KInd[m] = tensor.Index(len(v) - 1)
+		nan.body.Vals[m] = math.Float32frombits(0x7fc00a0a)
+	}
+	b.Cases = append(b.Cases, ttvCases(t, "NaN operands", nan, v, nil)...)
+	tensortest.CheckBody(t, b)
+}
+
+// TestTtvBodyAcrossCalls holds tensors whose fibers take more than one
+// call (cpu.CallNNZ non-zeros each) to the scalar loop bit for bit:
+// 150 000 non-zeros of short fibers, cut between fibers, and 16 short
+// fibers around one longer than a call's budget, which is a call of its
+// own, entered at lo = 0 and lo > 0.
+func TestTtvBodyAcrossCalls(t *testing.T) {
+	var b tensortest.Body
+	cut := tensor.RandomCOO([]tensor.Index{300, 200, 100}, 150_000, rand.New(rand.NewSource(5)))
+	long := tensor.NewCOO([]tensor.Index{16, 100_000}, 0)
+	for i := 0; i < 16; i++ {
+		n := 1 + i%3
+		if i == 3 {
+			n = cpu.CallNNZ + 4_000
+		}
+		for j := 0; j < n; j++ {
+			long.Append([]tensor.Index{tensor.Index(i), tensor.Index(j * 7 % 100_000)}, tensor.Value(j%5)-1.5)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		x    *tensor.COO
+		mode int
+	}{{"cut between fibers", cut, 1}, {"fiber past the budget", long, 1}} {
+		p, err := core.PrepareTtv(c.x, c.mode)
+		pl := ttvPlanOf(t, c.name, p, err)
+		v := ttvVector(int(c.x.Dims[c.mode]), 6)
+		fptr := pl.body.Fptr
+		mf := len(fptr) - 1
+		b.Cases = append(b.Cases, ttvCases(t, c.name, pl, v, fptr)[0])
+		for _, lo := range []int{1, 3} {
+			b.Cases = append(b.Cases, tensortest.BodyCase{
+				Name: fmt.Sprintf("%s fibers [%d, %d)", c.name, lo, mf), Size: mf, Fill: 7, Units: fptr[lo:],
+				Oracle: func(out []tensor.Value) { scalarTtv(pl.body, v, out, lo, mf) },
+				Run:    func(out []tensor.Value) { pl.body.Ttv(out, lo, mf, v) },
+			})
+		}
+	}
+	tensortest.CheckBody(t, b)
+}
+
+// TestTtvOutOfRangePanicsAtSameFiber corrupts one product index of
+// ttvGroupsView — len(v) in a single-leaf, a lane and a scalar-path
+// group, 0xFFFFFFFF in a later fiber of the scalar group and in a
+// single-leaf group of a COO plan — or one fiber offset: a start that
+// decreases to −1, and an end past the value column. Both sides must
+// panic with the same runtime error after the same writes.
+func TestTtvOutOfRangePanicsAtSameFiber(t *testing.T) {
+	var b tensortest.Body
+	for _, bad := range []string{"single-leaf index", "lane index", "scalar index", "later scalar index", "decreasing offset", "end past the values"} {
+		p, v := ttvGroupsView(t)
+		body := p.body // aliases the plan's arrays: the corruption is the plan's
+		switch bad {
+		case "single-leaf index":
+			body.KInd[body.Fptr[3]] = tensor.Index(len(v))
+		case "lane index":
+			body.KInd[body.Fptr[9]+1] = tensor.Index(len(v))
+		case "scalar index":
+			body.KInd[body.Fptr[16]+4] = tensor.Index(len(v))
+		case "later scalar index":
+			body.KInd[body.Fptr[19]] = 0xFFFFFFFF
+		case "decreasing offset":
+			body.Fptr[11] = -1
+		case "end past the values":
+			body.Fptr[24] = int64(len(body.Vals)) + 3
+		}
+		mf := len(body.Fptr) - 1
+		b.Corruptions = append(b.Corruptions, tensortest.BodyCase{
+			Name: bad, Size: mf,
+			Run: func(out []tensor.Value) { body.Ttv(out, 0, mf, v) },
+		})
+	}
+
+	e, err := dataset.ByID("regS4d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := dataset.Materialize(e, 3_000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.PrepareTtv(x, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := p.Body()
+	mf := p.NumFibers()
+	body.KInd[body.Fptr[mf/2]] = 0xFFFFFFFF
+	v := ttvVector(int(x.Dims[2]), 7)
+	b.Corruptions = append(b.Corruptions, tensortest.BodyCase{
+		Name: "COO index 0xFFFFFFFF", Size: mf,
+		Run: func(out []tensor.Value) { body.Ttv(out, 0, mf, v) },
+	})
+	tensortest.CheckBody(t, b)
+}
+
+// TestTtvExecuteAllocatesNothing pins ExecuteSeq of the COO, HiCOO and
+// CSF Ttv plans and ExecuteFibers, the dist ranks' entry, at zero
+// allocations per call.
+func TestTtvExecuteAllocatesNothing(t *testing.T) {
+	x := tensor.RandomCOO([]tensor.Index{40, 30, 50, 20}, 3000, rand.New(rand.NewSource(90)))
+	const mode = 2
+	v := ttvVector(int(x.Dims[mode]), 91)
+	p, err := core.PrepareTtv(x, mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hp, err := core.PrepareTtvHiCOO(x, mode, hicoo.DefaultBlockBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := levels.Build(x, levels.CSFSig(x.Order()), tensor.ModeOrder(x.Order(), mode))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp, err := levels.PrepareTtv(h, mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tensortest.CheckBody(t, tensortest.Body{Allocs: map[string]func() error{
+		"TtvPlan.ExecuteSeq":      func() error { _, err := p.ExecuteSeq(v); return err },
+		"TtvHiCOOPlan.ExecuteSeq": func() error { _, err := hp.ExecuteSeq(v); return err },
+		"CSF TtvPlan.ExecuteSeq":  func() error { _, err := tp.ExecuteSeq(v); return err },
+		"TtvPlan.ExecuteFibers":   func() error { _, err := p.ExecuteFibers(3, p.NumFibers()-1, v); return err },
+	}})
+}
+
+// BenchmarkTtvBody times one sequential Ttv per mode through the COO plan
+// on the benchmark's three service tensors (irrS, regS4d and nell2 at a
+// benchmark workload's main size over eight), on the Go loop and on the
+// assembly body, and reports it per non-zero. Run it with -cpu 1.
+func BenchmarkTtvBody(b *testing.B) {
+	for _, r := range []struct {
+		id  string
+		nnz int
+	}{{"irrS", 37_500}, {"regS4d", 12_500}, {"nell2", 5_000}} {
+		e, err := dataset.ByID(r.id)
+		if err != nil {
+			b.Fatal(err)
+		}
+		x, err := dataset.Materialize(e, r.nnz, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for mode := 0; mode < x.Order(); mode++ {
+			p, err := core.PrepareTtv(x, mode)
+			if err != nil {
+				b.Fatal(err)
+			}
+			v := ttvVector(int(x.Dims[mode]), 3)
+			tensortest.BenchSides(b, fmt.Sprintf("%s/m%d", r.id, mode), x.NNZ(), "nnz", func() error {
+				_, err := p.ExecuteSeq(v)
+				return err
+			})
+		}
+	}
 }

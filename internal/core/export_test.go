@@ -14,9 +14,9 @@ func (p *MttkrpHiCOOPlan) ExecuteBlocks(lo, hi int, mats []*tensor.Matrix, out [
 	p.executeBlocks(lo, hi, mats, out, atomicUpd)
 }
 
-// TtmBody is a Ttm plan's fiber view, its output values and its owner
-// arm.
-type TtmBody struct {
+// FiberBody is a Ttv or Ttm plan's fiber view, its output values and its
+// owner arm.
+type FiberBody struct {
 	Fptr []int64
 	KInd []tensor.Index
 	Vals []tensor.Value
@@ -25,19 +25,33 @@ type TtmBody struct {
 }
 
 // Body returns the plan's fiber view; its slices alias the plan's.
-func (p *TtmPlan) Body() TtmBody { return ttmBody(p.k) }
+func (p *TtmPlan) Body() FiberBody { return fiberBody(p.k) }
 
 // Body returns the plan's fiber view; its slices alias the plan's.
-func (p *TtmHiCOOPlan) Body() TtmBody { return ttmBody(p.k) }
+func (p *TtmHiCOOPlan) Body() FiberBody { return fiberBody(p.k) }
 
-func ttmBody(k fiberKernel) TtmBody {
-	return TtmBody{Fptr: k.fptr, KInd: k.kInd, Vals: k.vals, Out: k.out, k: k}
+// Body returns the plan's fiber view; its slices alias the plan's.
+func (p *TtvPlan) Body() FiberBody { return fiberBody(p.k) }
+
+// Body returns the plan's fiber view; its slices alias the plan's.
+func (p *TtvHiCOOPlan) Body() FiberBody { return fiberBody(p.k) }
+
+func fiberBody(k fiberKernel) FiberBody {
+	return FiberBody{Fptr: k.fptr, KInd: k.kInd, Vals: k.vals, Out: k.out, k: k}
 }
 
-// Run runs ttmFibers over fibers [lo, hi) into out instead of the plan's
+// Ttm runs ttmFibers over fibers [lo, hi) into out instead of the plan's
 // output.
-func (b TtmBody) Run(out []tensor.Value, lo, hi int, u *tensor.Matrix) {
+func (b FiberBody) Ttm(out []tensor.Value, lo, hi int, u *tensor.Matrix) {
 	k := b.k
 	k.out = out
 	k.ttmFibers(lo, hi, u)
+}
+
+// Ttv runs ttvFibers over fibers [lo, hi) into out instead of the plan's
+// output.
+func (b FiberBody) Ttv(out []tensor.Value, lo, hi int, v tensor.Vector) {
+	k := b.k
+	k.out = out
+	k.ttvFibers(lo, hi, v)
 }

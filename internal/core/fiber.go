@@ -53,8 +53,48 @@ func (k *fiberKernel) checkVec(v tensor.Vector) error {
 	return nil
 }
 
-// ttvFibers reduces fibers [lo, hi), one independent reduction each.
+// ttvFibers reduces fibers [lo, hi), one independent reduction each. On
+// amd64 with AVX2 one assembly body (ttv_amd64.s, DESIGN.md §26) reduces
+// eight fibers per step, one per vector lane, in calls of at most
+// cpu.CallNNZ non-zeros cut at fiber boundaries (cpu.Cut); ttvLoop
+// reduces the fewer than eight fibers a call leaves, the fibers in front
+// of one that holds more than a call's budget, that fiber, and everything
+// elsewhere. The body stops before the first group with an offset or
+// index out of bounds and ttvLoop takes over there, so such a fiber
+// panics where the Go loop alone panics, after the same writes. Each
+// fiber sees 0 + x₀v₀ + x₁v₁ + … in non-zero order on either path, bit
+// for bit.
 func (k *fiberKernel) ttvFibers(lo, hi int, v tensor.Vector) {
+	body := cpu.AVX2 && k.ttvFits(lo, hi, v)
+	for lo < hi {
+		end := hi
+		if body && hi-lo >= 8 {
+			end = cpu.Cut(k.fptr, lo, hi)
+			if n := (end - lo) &^ 7; n > 0 {
+				stop := ttvGroups(k.out, k.fptr, k.kInd, k.vals, v, lo, lo+n)
+				body = stop == lo+n
+				lo = stop
+				continue
+			}
+		}
+		k.ttvLoop(lo, end, v)
+		lo = end
+	}
+}
+
+// ttvFits is the assembly body's precondition, O(1): the fiber offsets
+// cover [lo, hi], the output holds fibers [0, hi), the index and value
+// columns are one length, short enough for the body's dword offsets, and
+// v has 1 to 2³¹ entries, so that every index the body accepts is a
+// non-negative dword.
+func (k *fiberKernel) ttvFits(lo, hi int, v tensor.Vector) bool {
+	return 0 <= lo && lo <= hi && hi < len(k.fptr) && hi <= len(k.out) &&
+		len(k.kInd) == len(k.vals) && int64(len(k.vals)) < 1<<31 &&
+		len(v) >= 1 && int64(len(v)) <= 1<<31
+}
+
+// ttvLoop is ttvFibers' Go loop over fibers [lo, hi).
+func (k *fiberKernel) ttvLoop(lo, hi int, v tensor.Vector) {
 	fptr := k.fptr
 	kInd := k.kInd
 	xv := k.vals
@@ -96,11 +136,13 @@ func (k *fiberKernel) ttvNNZ(lo, hi int, v tensor.Vector, yv []tensor.Value, ato
 	}
 }
 
-func (k *fiberKernel) ttvSeq(v tensor.Vector) error {
+// ttvRange checks v and reduces fibers [lo, hi): ExecuteSeq over every
+// fiber, ExecuteFibers over a rank's range.
+func (k *fiberKernel) ttvRange(lo, hi int, v tensor.Vector) error {
 	if err := k.checkVec(v); err != nil {
 		return err
 	}
-	k.ttvFibers(0, k.numFibers(), v)
+	k.ttvFibers(lo, hi, v)
 	return nil
 }
 

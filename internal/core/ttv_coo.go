@@ -53,7 +53,7 @@ func (p *TtvPlan) NumFibers() int { return len(p.Fptr) - 1 }
 // ExecuteSeq runs the value computation sequentially: one reduction per
 // fiber, y_f = Σ_m x_m · v[k_m].
 func (p *TtvPlan) ExecuteSeq(v tensor.Vector) (*tensor.COO, error) {
-	return planOut(p.Out, p.k.ttvSeq(v))
+	return planOut(p.Out, p.k.ttvRange(0, p.NumFibers(), v))
 }
 
 // ExecuteOMP runs the value computation with the strategy-selected
@@ -76,10 +76,9 @@ func (p *TtvPlan) ExecuteFibers(lo, hi int, v tensor.Vector) ([]tensor.Value, er
 	if lo < 0 || hi < lo || hi > p.NumFibers() {
 		return nil, fmt.Errorf("core: Ttv fiber range [%d,%d) outside [0,%d)", lo, hi, p.NumFibers())
 	}
-	if err := p.k.checkVec(v); err != nil {
+	if err := p.k.ttvRange(lo, hi, v); err != nil {
 		return nil, err
 	}
-	p.k.ttvFibers(lo, hi, v)
 	return p.Out.Vals[lo:hi], nil
 }
 

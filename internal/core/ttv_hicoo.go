@@ -62,6 +62,29 @@ func PrepareTtvHiCOO(x *tensor.COO, mode int, blockBits uint8) (*TtvHiCOOPlan, e
 	return &TtvHiCOOPlan{X: g, Mode: mode, Fptr: k.fptr, FiberBlock: sk.fiberBlock, Out: out, k: k}, nil
 }
 
+// NumFibers returns MF.
+func (p *TtvHiCOOPlan) NumFibers() int { return len(p.Fptr) - 1 }
+
+// ExecuteSeq runs the value computation sequentially.
+func (p *TtvHiCOOPlan) ExecuteSeq(v tensor.Vector) (*hicoo.HiCOO, error) {
+	return planOut(p.Out, p.k.ttvRange(0, p.NumFibers(), v))
+}
+
+// ExecuteOMP runs the value computation exactly as the COO kernel does
+// (fiberKernel.ttvOMP).
+func (p *TtvHiCOOPlan) ExecuteOMP(v tensor.Vector, opt parallel.Options) (*hicoo.HiCOO, error) {
+	return planOut(p.Out, p.k.ttvOMP(v, opt, &p.LastStrategy))
+}
+
+// ExecuteGPU runs HiCOO-Ttv-GPU (same execution as COO per §3.4.2): one
+// thread per fiber.
+func (p *TtvHiCOOPlan) ExecuteGPU(dev *gpusim.Device, v tensor.Vector) (*hicoo.HiCOO, error) {
+	return planOut(p.Out, p.k.ttvGPU(dev, 0, p.NumFibers(), v))
+}
+
+// FlopCount returns the floating-point work of one execution (2M flops).
+func (p *TtvHiCOOPlan) FlopCount() int64 { return 2 * int64(p.X.NNZ()) }
+
 // fiberSkeleton is the block structure a gHiCOO tensor's fibers induce on
 // the output of Ttv (HiCOO) and Ttm (sHiCOO): one output entry per
 // fiber, inheriting the fiber's block and element indices on the
@@ -109,26 +132,3 @@ func prepareFiberHiCOO(x *tensor.COO, mode, r int, blockBits uint8) (*hicoo.GHiC
 	sk.bptr = append(sk.bptr, int64(mf))
 	return g, FiberView{Fptr: fptr, KInd: g.UInds[0], Vals: g.Vals, Dims: x.Dims, Mode: mode}.kernel(r), sk
 }
-
-// NumFibers returns MF.
-func (p *TtvHiCOOPlan) NumFibers() int { return len(p.Fptr) - 1 }
-
-// ExecuteSeq runs the value computation sequentially.
-func (p *TtvHiCOOPlan) ExecuteSeq(v tensor.Vector) (*hicoo.HiCOO, error) {
-	return planOut(p.Out, p.k.ttvSeq(v))
-}
-
-// ExecuteOMP runs the value computation exactly as the COO kernel does
-// (fiberKernel.ttvOMP).
-func (p *TtvHiCOOPlan) ExecuteOMP(v tensor.Vector, opt parallel.Options) (*hicoo.HiCOO, error) {
-	return planOut(p.Out, p.k.ttvOMP(v, opt, &p.LastStrategy))
-}
-
-// ExecuteGPU runs HiCOO-Ttv-GPU (same execution as COO per §3.4.2): one
-// thread per fiber.
-func (p *TtvHiCOOPlan) ExecuteGPU(dev *gpusim.Device, v tensor.Vector) (*hicoo.HiCOO, error) {
-	return planOut(p.Out, p.k.ttvGPU(dev, 0, p.NumFibers(), v))
-}
-
-// FlopCount returns the floating-point work of one execution (2M flops).
-func (p *TtvHiCOOPlan) FlopCount() int64 { return 2 * int64(p.X.NNZ()) }

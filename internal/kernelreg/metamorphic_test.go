@@ -1,0 +1,214 @@
+package kernelreg
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/dataset"
+	"repro/internal/dist"
+	"repro/internal/roofline"
+	"repro/internal/tensor"
+	"repro/internal/tensortest"
+)
+
+// Relations every Ttv cell must meet bit for bit, with no oracle and no
+// error bound: each fiber is one reduction whose order the cell fixes, so
+// scaling the values by a power of two scales every output exactly, a
+// fiber's output does not depend on the other fibers of the tensor, and
+// the dist ranks' owner decomposition changes nothing.
+
+// ttvCells are the registered Ttv cells.
+func ttvCells() []*Variant {
+	var cells []*Variant
+	for _, v := range All() {
+		if v.Kernel == roofline.Ttv {
+			cells = append(cells, v)
+		}
+	}
+	return cells
+}
+
+// metamorphicTensors are small tensors of the benchmark's three recipes
+// (nell2 and regS4d nearly one non-zero per fiber, irrS mixed lengths)
+// with signed values.
+func metamorphicTensors(t *testing.T) []tensortest.Case {
+	t.Helper()
+	var cases []tensortest.Case
+	for i, id := range []string{"nell2", "regS4d", "irrS"} {
+		e, err := dataset.ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, err := dataset.Materialize(e, 3000, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(i)))
+		for m := range x.Vals {
+			x.Vals[m] = tensor.Value(2*rng.Float64() - 1)
+		}
+		cases = append(cases, tensortest.Case{Name: id, X: x})
+	}
+	return cases
+}
+
+// ttvCellOutput runs cell on x in mode on one thread and returns its
+// output by coordinate.
+func ttvCellOutput(t *testing.T, cell *Variant, x *tensor.COO, mode int) map[string]float32 {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Sched.Threads = 1
+	inst, err := cell.Prepare(NewWorkbench(x, cfg), mode)
+	if err != nil {
+		t.Fatalf("%s mode %d: %v", cell, mode, err)
+	}
+	if err := inst.Run(context.Background()); err != nil {
+		t.Fatalf("%s mode %d: %v", cell, mode, err)
+	}
+	out := make(map[string]float32)
+	for c, v := range inst.Output() {
+		out[c] = float32(v)
+	}
+	return out
+}
+
+// TestTtvCellsScaleExactly scales a tensor's values by 2^k, k = 5 and
+// −7, and checks that every output of every Ttv cell scales by exactly
+// 2^k, with the Go loop and with the assembly body. No term or sum
+// overflows or turns subnormal at these sizes (checked), so the relation
+// holds exactly whatever order a cell sums in; a cell that summed a fiber
+// in two orders across the runs would break it.
+func TestTtvCellsScaleExactly(t *testing.T) {
+	for _, c := range metamorphicTensors(t) {
+		for _, k := range []int{5, -7} {
+			scale := tensor.Value(math.Ldexp(1, k))
+			y := c.X.Clone()
+			for m := range y.Vals {
+				y.Vals[m] *= scale
+				if a := math.Abs(float64(y.Vals[m])); a < 0x1p-100 || a > 0x1p100 {
+					t.Fatalf("%s: value %v scaled by 2^%d leaves the safe range", c.Name, c.X.Vals[m], k)
+				}
+			}
+			for _, asm := range tensortest.BodySides() {
+				tensortest.WithAVX2(asm, func() {
+					for _, cell := range ttvCells() {
+						for mode := 0; mode < c.X.Order(); mode++ {
+							label := fmt.Sprintf("%s 2^%d %s mode %d asm %v", c.Name, k, cell, mode, asm)
+							base, scaled := ttvCellOutput(t, cell, c.X, mode), ttvCellOutput(t, cell, y, mode)
+							if len(base) != len(scaled) {
+								t.Fatalf("%s: %d outputs, %d scaled", label, len(base), len(scaled))
+							}
+							for at, b := range base {
+								if b != 0 && math.Abs(float64(b)) < 0x1p-100 {
+									t.Fatalf("%s: output %s = %v is too small to scale exactly", label, at, b)
+								}
+								if want, got := b*scale, scaled[at]; math.Float32bits(got) != math.Float32bits(want) {
+									t.Fatalf("%s: output %s scaled is %v (%08x), want %v (%08x)", label, at,
+										got, math.Float32bits(got), want, math.Float32bits(want))
+								}
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestTtvCellsUnionOfDisjointFibers splits a tensor, per product mode,
+// into two whose fibers are disjoint (by the parity of the fiber's other
+// coordinates) and checks that every Ttv cell's output of the whole is,
+// fiber by fiber, bit for bit the output of the part that holds the
+// fiber, with the Go loop and with the assembly body. F-COO is the one
+// cell held out: its segmented reduction cuts the non-zeros into
+// segments of a fixed length from the tensor's first non-zero and adds a
+// fiber's per-segment partial sums, so how it associates a fiber's sum
+// depends on the non-zeros in front of the fiber, by design.
+func TestTtvCellsUnionOfDisjointFibers(t *testing.T) {
+	for _, c := range metamorphicTensors(t) {
+		x := c.X
+		for mode := 0; mode < x.Order(); mode++ {
+			parts := [2]*tensor.COO{tensor.NewCOO(x.Dims, 0), tensor.NewCOO(x.Dims, 0)}
+			idx := make([]tensor.Index, x.Order())
+			for m := 0; m < x.NNZ(); m++ {
+				v := x.Entry(m, idx)
+				var sum tensor.Index
+				for _, n := range tensor.OtherModes(x.Order(), mode) {
+					sum += idx[n]
+				}
+				parts[sum&1].Append(idx, v)
+			}
+			for _, asm := range tensortest.BodySides() {
+				tensortest.WithAVX2(asm, func() {
+					for _, cell := range ttvCells() {
+						if cell.Format == roofline.FCOO {
+							continue
+						}
+						label := fmt.Sprintf("%s %s mode %d asm %v", c.Name, cell, mode, asm)
+						whole := ttvCellOutput(t, cell, x, mode)
+						n := 0
+						for _, part := range parts {
+							for at, want := range ttvCellOutput(t, cell, part, mode) {
+								n++
+								got, ok := whole[at]
+								if !ok {
+									t.Fatalf("%s: the whole has no fiber %s", label, at)
+								}
+								if math.Float32bits(got) != math.Float32bits(want) {
+									t.Fatalf("%s: fiber %s is %v (%08x) in the whole, %v (%08x) in its part", label, at,
+										got, math.Float32bits(got), want, math.Float32bits(want))
+								}
+							}
+						}
+						if n != len(whole) {
+							t.Fatalf("%s: the parts hold %d fibers, the whole %d", label, n, len(whole))
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestDistTtvMatchesExecuteSeq runs dist's Ttv at 1, 2 and 3 ranks and
+// checks its output against the COO plan's ExecuteSeq, index for index
+// and bit for bit, with the Go loop and with the assembly body: each
+// rank reduces a range of whole fibers (TtvPlan.ExecuteFibers), so the
+// decomposition reassociates nothing.
+func TestDistTtvMatchesExecuteSeq(t *testing.T) {
+	ctx := context.Background()
+	for _, c := range metamorphicTensors(t) {
+		x := c.X
+		for mode := 0; mode < x.Order(); mode++ {
+			v := ModeVector(x.Dims, mode)
+			p, err := core.PrepareTtv(x, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, asm := range tensortest.BodySides() {
+				tensortest.WithAVX2(asm, func() {
+					want, err := p.ExecuteSeq(v)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for ranks := 1; ranks <= 3; ranks++ {
+						e, err := dist.NewEngine(x, dist.Options{Ranks: ranks})
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := e.Ttv(ctx, mode, v)
+						if err != nil {
+							t.Fatal(err)
+						}
+						sameFibers(t, fmt.Sprintf("%s mode %d ranks %d asm %v", c.Name, mode, ranks, asm),
+							got.Out.Inds, want.Inds, got.Out.Vals, want.Vals)
+					}
+				})
+			}
+		}
+	}
+}

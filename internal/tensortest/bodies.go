@@ -182,9 +182,9 @@ func sameBits(tb testing.TB, label string, got, want []tensor.Value) {
 }
 
 // BenchSides times run as two sub-benchmarks, name/go on the Go loops
-// and name/avx2 on the assembly bodies (skipped without AVX2), and
-// reports allocations and nanoseconds per unit, for units units per run.
-// Run it with -cpu 1.
+// and name/avx2 on the assembly bodies (skipped without AVX2), each after
+// one untimed call, and reports allocations and nanoseconds per unit, for
+// units units per run. Run it with -cpu 1.
 func BenchSides(b *testing.B, name string, units int, unit string, run func() error) {
 	metric := "ns/" + unit // built here: a concatenation in the timed run allocates
 	for _, side := range []struct {
@@ -200,6 +200,12 @@ func BenchSides(b *testing.B, name string, units int, unit string, run func() er
 				b.Skip("no AVX2 on this host")
 			}
 			WithAVX2(side.asm, func() {
+				// One untimed call first: it warms what a plan pools
+				// (level scratch, workspaces), which a timed first call
+				// would report as allocations at -benchtime 1x.
+				if err := run(); err != nil {
+					b.Fatal(err)
+				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
