@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/cpu"
 	"repro/internal/gpusim"
@@ -108,34 +107,6 @@ func (k *fiberKernel) ttvLoop(lo, hi int, v tensor.Vector) {
 	}
 }
 
-// ttvNNZ processes non-zeros [lo, hi) as a segmented reduction: each
-// contiguous fiber segment accumulates locally and flushes once, so only
-// fibers split across workers ever contend on yv.
-func (k *fiberKernel) ttvNNZ(lo, hi int, v tensor.Vector, yv []tensor.Value, atomicUpd bool) {
-	fptr := k.fptr
-	kInd := k.kInd
-	xv := k.vals
-	f := sort.Search(len(fptr)-1, func(i int) bool { return fptr[i+1] > int64(lo) })
-	for m := lo; m < hi; {
-		for fptr[f+1] <= int64(m) {
-			f++
-		}
-		end := hi
-		if fptr[f+1] < int64(end) {
-			end = int(fptr[f+1])
-		}
-		var acc tensor.Value
-		for ; m < end; m++ {
-			acc += xv[m] * v[kInd[m]]
-		}
-		if atomicUpd {
-			parallel.AtomicAddFloat32(&yv[f], acc)
-		} else {
-			yv[f] += acc
-		}
-	}
-}
-
 // ttvRange checks v and reduces fibers [lo, hi): ExecuteSeq over every
 // fiber, ExecuteFibers over a rank's range.
 func (k *fiberKernel) ttvRange(lo, hi int, v tensor.Vector) error {
@@ -146,38 +117,17 @@ func (k *fiberKernel) ttvRange(lo, hi int, v tensor.Vector) error {
 	return nil
 }
 
-// ttvOMP runs the strategy-selected decomposition: owner-computes over
-// independent fibers ("parfor f = 1..MF", race-free but exposed to the
-// fiber-length imbalance the paper highlights), or balanced over
-// non-zeros with the per-fiber reduction protected by atomics or pooled
-// per-worker private outputs. The resolved strategy is stored in *last.
-func (k *fiberKernel) ttvOMP(v tensor.Vector, opt parallel.Options, last *parallel.Strategy) error {
+// ttvOMP runs the paper's "parfor f = 1..MF": owner-computes over
+// independent fibers, race-free but exposed to the fiber-length imbalance
+// the paper highlights. Each fiber is reduced by one worker in non-zero
+// order, so the output is ExecuteSeq's bit for bit at any worker count.
+func (k *fiberKernel) ttvOMP(v tensor.Vector, opt parallel.Options) error {
 	if err := k.checkVec(v); err != nil {
 		return err
 	}
-	m := len(k.vals)
-	mf := k.numFibers()
-	st, threads := planReduction(opt, m, mf, m, mf)
-	*last = st
-	switch st {
-	case parallel.Owner:
-		return parallel.For(mf, opt, func(lo, hi, _ int) {
-			k.ttvFibers(lo, hi, v)
-		})
-	case parallel.Privatized:
-		return privatizedReduce(m, threads, opt, k.out, func(lo, hi int, priv []tensor.Value) {
-			k.ttvNNZ(lo, hi, v, priv, false)
-		})
-	default: // Atomic
-		if err := zeroValues(k.out, threads, opt.Ctx); err != nil {
-			return err
-		}
-		opt.Threads = threads
-		atomicUpd := threads > 1
-		return parallel.For(m, opt, func(lo, hi, _ int) {
-			k.ttvNNZ(lo, hi, v, k.out, atomicUpd)
-		})
-	}
+	return parallel.For(k.numFibers(), opt, func(lo, hi, _ int) {
+		k.ttvFibers(lo, hi, v)
+	})
 }
 
 // ttvGPU launches the Ttv GPU kernel over fibers [lo, hi): a 1-D grid of
@@ -301,56 +251,6 @@ func (k *fiberKernel) ttmCols(lo, hi int, u *tensor.Matrix, c0 int) {
 	}
 }
 
-// ttmNNZ processes non-zeros [lo, hi) as a segmented reduction over the
-// output's R-length fiber rows. With acc nil the contribution adds
-// directly into out (single writer or private copy); otherwise each
-// contiguous fiber segment accumulates into acc and flushes once with
-// atomic adds.
-func (k *fiberKernel) ttmNNZ(lo, hi int, u *tensor.Matrix, out []tensor.Value, acc []tensor.Value) {
-	fptr := k.fptr
-	kInd := k.kInd
-	xv := k.vals
-	r := k.r
-	ud := u.Data
-	f := sort.Search(len(fptr)-1, func(i int) bool { return fptr[i+1] > int64(lo) })
-	for m := lo; m < hi; {
-		for fptr[f+1] <= int64(m) {
-			f++
-		}
-		end := hi
-		if fptr[f+1] < int64(end) {
-			end = int(fptr[f+1])
-		}
-		if acc != nil {
-			for c := range acc {
-				acc[c] = 0
-			}
-			for ; m < end; m++ {
-				v := xv[m]
-				urow := ud[int(kInd[m])*r : int(kInd[m])*r+r]
-				for c, uv := range urow {
-					acc[c] += v * uv
-				}
-			}
-			row := out[f*r : f*r+r]
-			for c, a := range acc {
-				if a != 0 {
-					parallel.AtomicAddFloat32(&row[c], a)
-				}
-			}
-		} else {
-			row := out[f*r : f*r+r]
-			for ; m < end; m++ {
-				v := xv[m]
-				urow := ud[int(kInd[m])*r : int(kInd[m])*r+r]
-				for c, uv := range urow {
-					row[c] += v * uv
-				}
-			}
-		}
-	}
-}
-
 func (k *fiberKernel) ttmSeq(u *tensor.Matrix) error {
 	if err := k.checkMat(u); err != nil {
 		return err
@@ -359,46 +259,14 @@ func (k *fiberKernel) ttmSeq(u *tensor.Matrix) error {
 	return nil
 }
 
-// ttmOMP is ttvOMP for R-wide rows: owner-computes over fibers, or
-// balanced over non-zeros with the per-fiber row reduction privatized or
-// flushed atomically once per segment.
-func (k *fiberKernel) ttmOMP(u *tensor.Matrix, opt parallel.Options, last *parallel.Strategy) error {
+// ttmOMP is ttvOMP for R-wide rows: owner-computes over fibers.
+func (k *fiberKernel) ttmOMP(u *tensor.Matrix, opt parallel.Options) error {
 	if err := k.checkMat(u); err != nil {
 		return err
 	}
-	m := len(k.vals)
-	mf := k.numFibers()
-	st, threads := planReduction(opt, m, mf*k.r, m*k.r, mf)
-	*last = st
-	switch st {
-	case parallel.Owner:
-		return parallel.For(mf, opt, func(lo, hi, _ int) {
-			k.ttmFibers(lo, hi, u)
-		})
-	case parallel.Privatized:
-		return privatizedReduce(m, threads, opt, k.out, func(lo, hi int, priv []tensor.Value) {
-			k.ttmNNZ(lo, hi, u, priv, nil)
-		})
-	default: // Atomic
-		if err := zeroValues(k.out, threads, opt.Ctx); err != nil {
-			return err
-		}
-		opt.Threads = threads
-		if threads == 1 {
-			return parallel.For(m, opt, func(lo, hi, _ int) {
-				k.ttmNNZ(lo, hi, u, k.out, nil)
-			})
-		}
-		// Per-worker R-wide segment accumulators from the pool: each
-		// contiguous fiber segment flushes its row once, atomically.
-		ws := parallel.SharedWorkspace()
-		acc := ws.Set(threads, k.r)
-		err := parallel.For(m, opt, func(lo, hi, w int) {
-			k.ttmNNZ(lo, hi, u, k.out, acc.Bufs[w])
-		})
-		ws.PutSet(acc)
-		return err
-	}
+	return parallel.For(k.numFibers(), opt, func(lo, hi, _ int) {
+		k.ttmFibers(lo, hi, u)
+	})
 }
 
 // ttmGPU launches the Ttm GPU kernel following ParTI: one 2-D thread

@@ -102,7 +102,7 @@ func (p *MttkrpPlan) ExecuteOMP(mats []*tensor.Matrix, opt parallel.Options) (*t
 		return nil, err
 	}
 	m := p.X.NNZ()
-	st, threads := planReduction(opt, m, len(p.Out.Data), m*p.R, 0)
+	st, threads := planReduction(opt, m, len(p.Out.Data), m*p.R)
 	p.LastStrategy = st
 	opt.Threads = threads
 	if st == parallel.Privatized {

@@ -84,7 +84,7 @@ func (p *MttkrpHiCOOPlan) ExecuteOMP(mats []*tensor.Matrix, opt parallel.Options
 		return nil, err
 	}
 	nb := p.X.NumBlocks()
-	st, threads := planReduction(opt, nb, len(p.Out.Data), p.X.NNZ()*p.R, 0)
+	st, threads := planReduction(opt, nb, len(p.Out.Data), p.X.NNZ()*p.R)
 	p.LastStrategy = st
 	opt.Threads = threads
 	if st == parallel.Privatized {

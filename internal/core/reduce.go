@@ -7,25 +7,24 @@ import (
 	"repro/internal/tensor"
 )
 
-// reduce.go is the shared reduction runtime of the OMP kernels: every
-// Execute with a shared output (Mttkrp, and the racy nnz/input-parallel
-// decompositions of Ttv and Ttm) resolves its worker count once, asks the
-// strategy selector whether to run owner-computes, atomic, or privatized,
-// and draws privatization scratch from the pooled workspace instead of
-// allocating per call.
+// reduce.go is the shared reduction runtime of the OMP kernels with a
+// racing output, COO and HiCOO Mttkrp: each Execute resolves its worker
+// count once, asks the strategy selector whether to run atomic or
+// privatized, and draws privatization scratch from the pooled workspace
+// instead of allocating per call. Ttv and Ttm are owner-computes and
+// need none of it.
 
 // planReduction resolves the worker count for a loop of loopN iterations
 // and the update strategy for the given reduction shape. The returned
 // thread count MUST be passed back to every parallel.For of the
 // invocation via Options.Threads: it is the single NumThreads read of the
 // call, so per-worker state stays consistent under SetNumThreads churn.
-func planReduction(opt parallel.Options, loopN, outElems, updates, ownerUnits int) (parallel.Strategy, int) {
+func planReduction(opt parallel.Options, loopN, outElems, updates int) (parallel.Strategy, int) {
 	threads := parallel.ResolveThreads(loopN, opt)
 	st := parallel.Choose(opt.Strategy, parallel.ReductionShape{
-		OutElems:   outElems,
-		Updates:    updates,
-		OwnerUnits: ownerUnits,
-		Threads:    threads,
+		OutElems: outElems,
+		Updates:  updates,
+		Threads:  threads,
 	})
 	return st, threads
 }
@@ -61,17 +60,6 @@ func mergePrivates(out []tensor.Value, privs [][]float32, threads int, ctx conte
 			for i := range dst {
 				dst[i] += src[i]
 			}
-		}
-	})
-}
-
-// zeroValues zeroes out in parallel (the atomic strategy's preamble for
-// scatter-accumulated outputs).
-func zeroValues(out []tensor.Value, threads int, ctx context.Context) error {
-	return parallel.For(len(out), parallel.Options{Schedule: parallel.Static, Threads: threads, Ctx: ctx}, func(lo, hi, _ int) {
-		dst := out[lo:hi]
-		for i := range dst {
-			dst[i] = 0
 		}
 	})
 }

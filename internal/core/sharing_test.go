@@ -16,7 +16,8 @@ import (
 // The COO and HiCOO plans of Ttv and Ttm run one value computation
 // (fiber.go) behind different preprocessing, so their outputs must agree
 // bit for bit — per output coordinate, under every execution path that
-// reduces a fiber in storage order. These tests pin that sharing and the
+// reduces a fiber in storage order (every one: ExecuteOMP is
+// owner-computes). These tests pin that sharing and the
 // per-call cost of the delegation.
 
 // maxDenseOperand bounds the product-mode size a corpus case may have:
@@ -66,18 +67,9 @@ func sameRows(t *testing.T, label string, got, want map[string][]uint32) {
 	}
 }
 
-// oneThread lists the execution options that reduce every fiber in
-// storage order: each forced strategy on a single worker.
-func oneThread() []parallel.Options {
-	var opts []parallel.Options
-	for _, st := range []parallel.Strategy{parallel.Owner, parallel.Atomic, parallel.Privatized} {
-		opts = append(opts, parallel.Options{Threads: 1, Strategy: st})
-	}
-	return opts
-}
-
 func TestFiberKernelsBitIdenticalAcrossFormats(t *testing.T) {
 	const r = 3
+	oneThread := parallel.Options{Threads: 1}
 	devs := []*gpusim.Device{gpusim.NewDevice("gpu0", 4), gpusim.NewDevice("gpu1", 4), gpusim.NewDevice("gpu2", 4)}
 	for _, c := range tensortest.Corpus(t) {
 		x := c.X
@@ -116,16 +108,14 @@ func TestFiberKernelsBitIdenticalAcrossFormats(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameRows(t, name+" Ttv HiCOO seq", hicooRows(), want)
-			for _, opt := range oneThread() {
-				if _, err := cp.ExecuteOMP(v, opt); err != nil {
-					t.Fatal(err)
-				}
-				sameRows(t, fmt.Sprintf("%s Ttv COO %v", name, opt.Strategy), cooRows(), want)
-				if _, err := hp.ExecuteOMP(v, opt); err != nil {
-					t.Fatal(err)
-				}
-				sameRows(t, fmt.Sprintf("%s Ttv HiCOO %v", name, opt.Strategy), hicooRows(), want)
+			if _, err := cp.ExecuteOMP(v, oneThread); err != nil {
+				t.Fatal(err)
 			}
+			sameRows(t, name+" Ttv COO omp", cooRows(), want)
+			if _, err := hp.ExecuteOMP(v, oneThread); err != nil {
+				t.Fatal(err)
+			}
+			sameRows(t, name+" Ttv HiCOO omp", hicooRows(), want)
 			if _, err := cp.ExecuteGPU(devs[0], v); err != nil {
 				t.Fatal(err)
 			}
@@ -157,16 +147,14 @@ func TestFiberKernelsBitIdenticalAcrossFormats(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameRows(t, name+" Ttm HiCOO seq", hicooRows(), want)
-			for _, opt := range oneThread() {
-				if _, err := cm.ExecuteOMP(u, opt); err != nil {
-					t.Fatal(err)
-				}
-				sameRows(t, fmt.Sprintf("%s Ttm COO %v", name, opt.Strategy), cooRows(), want)
-				if _, err := hm.ExecuteOMP(u, opt); err != nil {
-					t.Fatal(err)
-				}
-				sameRows(t, fmt.Sprintf("%s Ttm HiCOO %v", name, opt.Strategy), hicooRows(), want)
+			if _, err := cm.ExecuteOMP(u, oneThread); err != nil {
+				t.Fatal(err)
 			}
+			sameRows(t, name+" Ttm COO omp", cooRows(), want)
+			if _, err := hm.ExecuteOMP(u, oneThread); err != nil {
+				t.Fatal(err)
+			}
+			sameRows(t, name+" Ttm HiCOO omp", hicooRows(), want)
 		}
 	}
 }
@@ -219,14 +207,12 @@ func TestFiberKernelSteadyStateAllocations(t *testing.T) {
 		opt    parallel.Options
 		allocs float64
 	}{
-		{parallel.Options{Threads: 1, Strategy: parallel.Owner}, 2},
-		{parallel.Options{Threads: 1, Strategy: parallel.Atomic}, 4},
-		{parallel.Options{Threads: 1, Strategy: parallel.Privatized}, 5},
-		{parallel.Options{Threads: 4, Schedule: parallel.Static, Strategy: parallel.Owner}, 12},
+		{parallel.Options{Threads: 1}, 2},
+		{parallel.Options{Threads: 4, Schedule: parallel.Static}, 12},
 	}
 	for _, k := range kernels {
 		for _, p := range parent {
-			for i := 0; i < 3; i++ { // warm the workspace pool
+			for i := 0; i < 3; i++ { // warm up
 				if err := k.run(p.opt); err != nil {
 					t.Fatal(err)
 				}
@@ -237,7 +223,7 @@ func TestFiberKernelSteadyStateAllocations(t *testing.T) {
 				}
 			})
 			if got > p.allocs {
-				t.Errorf("%s T=%d %v: %v allocs/call, parent commit had %v", k.name, p.opt.Threads, p.opt.Strategy, got, p.allocs)
+				t.Errorf("%s T=%d: %v allocs/call, parent commit had %v", k.name, p.opt.Threads, got, p.allocs)
 			}
 		}
 	}

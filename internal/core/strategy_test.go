@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"runtime"
 	"testing"
 
@@ -20,27 +19,18 @@ type strategyKernel struct {
 	runSeq func() error
 	runOMP func(opt parallel.Options) (parallel.Strategy, error)
 	out    func() []tensor.Value
-	// hasOwner reports whether the kernel has an owner-computes
-	// decomposition (all but Mttkrp do).
-	hasOwner bool
 }
 
-// strategyKernels builds one plan per reduction kernel over shared random
-// inputs sized so every strategy has real work (multiple fibers per
-// output, collisions on the product mode).
+// strategyKernels builds one plan per kernel that resolves a strategy
+// (COO and HiCOO Mttkrp; Ttv and Ttm are owner-computes only) over shared
+// random inputs sized so every strategy has real work (collisions on the
+// output rows).
 func strategyKernels(t *testing.T) []strategyKernel {
 	t.Helper()
 	x := randTensor(900, []tensor.Index{40, 30, 25}, 4000)
 	r := 8
 	mats := randMats(901, x, r)
-	rng := rand.New(rand.NewSource(902))
-	v := tensor.RandomVector(40, rng)
-	u := tensor.NewMatrix(40, r)
-	u.Randomize(rng)
 	h := hicoo.FromCOO(x, hicoo.DefaultBlockBits)
-	s := semiFromTtm(t, 903, []tensor.Index{40, 30, 25}, 4000, 2, 6)
-	su := tensor.NewMatrix(40, 5)
-	su.Randomize(rng)
 
 	mp, err := PrepareMttkrp(x, 0, r)
 	if err != nil {
@@ -50,27 +40,6 @@ func strategyKernels(t *testing.T) []strategyKernel {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tvp, err := PrepareTtv(x, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tvhp, err := PrepareTtvHiCOO(x, 0, hicoo.DefaultBlockBits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmp, err := PrepareTtm(x, 0, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmhp, err := PrepareTtmHiCOO(x, 0, r, hicoo.DefaultBlockBits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmsp, err := PrepareTtmSemi(s, 0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	return []strategyKernel{
 		{
 			name:   "MttkrpCOO",
@@ -90,61 +59,11 @@ func strategyKernels(t *testing.T) []strategyKernel {
 			},
 			out: func() []tensor.Value { return mhp.Out.Data },
 		},
-		{
-			name:   "TtvCOO",
-			runSeq: func() error { _, err := tvp.ExecuteSeq(v); return err },
-			runOMP: func(opt parallel.Options) (parallel.Strategy, error) {
-				_, err := tvp.ExecuteOMP(v, opt)
-				return tvp.LastStrategy, err
-			},
-			out:      func() []tensor.Value { return tvp.Out.Vals },
-			hasOwner: true,
-		},
-		{
-			name:   "TtvHiCOO",
-			runSeq: func() error { _, err := tvhp.ExecuteSeq(v); return err },
-			runOMP: func(opt parallel.Options) (parallel.Strategy, error) {
-				_, err := tvhp.ExecuteOMP(v, opt)
-				return tvhp.LastStrategy, err
-			},
-			out:      func() []tensor.Value { return tvhp.Out.Vals },
-			hasOwner: true,
-		},
-		{
-			name:   "TtmCOO",
-			runSeq: func() error { _, err := tmp.ExecuteSeq(u); return err },
-			runOMP: func(opt parallel.Options) (parallel.Strategy, error) {
-				_, err := tmp.ExecuteOMP(u, opt)
-				return tmp.LastStrategy, err
-			},
-			out:      func() []tensor.Value { return tmp.Out.Vals },
-			hasOwner: true,
-		},
-		{
-			name:   "TtmHiCOO",
-			runSeq: func() error { _, err := tmhp.ExecuteSeq(u); return err },
-			runOMP: func(opt parallel.Options) (parallel.Strategy, error) {
-				_, err := tmhp.ExecuteOMP(u, opt)
-				return tmhp.LastStrategy, err
-			},
-			out:      func() []tensor.Value { return tmhp.Out.Vals },
-			hasOwner: true,
-		},
-		{
-			name:   "TtmSemi",
-			runSeq: func() error { _, err := tmsp.ExecuteSeq(su); return err },
-			runOMP: func(opt parallel.Options) (parallel.Strategy, error) {
-				_, err := tmsp.ExecuteOMP(su, opt)
-				return tmsp.LastStrategy, err
-			},
-			out:      func() []tensor.Value { return tmsp.Out.Vals },
-			hasOwner: true,
-		},
 	}
 }
 
-// TestAllStrategiesMatchSeq is the property the selector rests on: every
-// reduction kernel produces the same values (within float32 reassociation
+// TestAllStrategiesMatchSeq is the property the selector rests on: both
+// Mttkrp kernels produce the same values (within float32 reassociation
 // tolerance) under every strategy and several thread counts.
 func TestAllStrategiesMatchSeq(t *testing.T) {
 	for _, k := range strategyKernels(t) {
@@ -155,11 +74,7 @@ func TestAllStrategiesMatchSeq(t *testing.T) {
 		for i, x := range k.out() {
 			want[i] = float64(x)
 		}
-		strategies := []parallel.Strategy{parallel.Auto, parallel.Atomic, parallel.Privatized}
-		if k.hasOwner {
-			strategies = append(strategies, parallel.Owner)
-		}
-		for _, st := range strategies {
+		for _, st := range []parallel.Strategy{parallel.Auto, parallel.Atomic, parallel.Privatized} {
 			for _, threads := range []int{1, 3, 8} {
 				opt := parallel.Options{Schedule: parallel.Dynamic, Threads: threads, Strategy: st}
 				last, err := k.runOMP(opt)
@@ -169,7 +84,7 @@ func TestAllStrategiesMatchSeq(t *testing.T) {
 				if last == parallel.Auto {
 					t.Fatalf("%s/%v/T=%d: LastStrategy not resolved", k.name, st, threads)
 				}
-				if st != parallel.Auto && st != parallel.Owner && last != st {
+				if st != parallel.Auto && last != st {
 					t.Fatalf("%s/T=%d: forced %v but ran %v", k.name, threads, st, last)
 				}
 				for i, x := range k.out() {
@@ -194,12 +109,7 @@ func TestStrategiesUnderThreadChurn(t *testing.T) {
 	x := randTensor(910, []tensor.Index{30, 20, 15}, 1500)
 	r := 4
 	mats := randMats(911, x, r)
-	v := tensor.RandomVector(30, rand.New(rand.NewSource(912)))
 	mp, err := PrepareMttkrp(x, 0, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tvp, err := PrepareTtv(x, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,10 +117,6 @@ func TestStrategiesUnderThreadChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantM := append([]tensor.Value(nil), mp.Out.Data...)
-	if _, err := tvp.ExecuteSeq(v); err != nil {
-		t.Fatal(err)
-	}
-	wantV := append([]tensor.Value(nil), tvp.Out.Vals...)
 
 	stop := make(chan struct{})
 	done := make(chan struct{})
@@ -238,14 +144,6 @@ func TestStrategiesUnderThreadChurn(t *testing.T) {
 		for i, got := range mp.Out.Data {
 			if !closeEnough(float64(got), float64(wantM[i])) {
 				t.Fatalf("iter %d %v: Mttkrp out[%d] = %v, want %v", iter, st, i, got, wantM[i])
-			}
-		}
-		if _, err := tvp.ExecuteOMP(v, opt); err != nil {
-			t.Fatal(err)
-		}
-		for i, got := range tvp.Out.Vals {
-			if !closeEnough(float64(got), float64(wantV[i])) {
-				t.Fatalf("iter %d %v: Ttv out[%d] = %v, want %v", iter, st, i, got, wantV[i])
 			}
 		}
 	}

@@ -25,9 +25,6 @@ type TtmPlan struct {
 	Fptr []int64
 	// Out is the preallocated sCOO output with Mode dense of size R.
 	Out *tensor.SemiCOO
-	// LastStrategy records the reduction strategy the most recent
-	// ExecuteOMP call resolved to (for harness reporting).
-	LastStrategy parallel.Strategy
 
 	k fiberKernel // the value computation over the plan's fiber view
 }
@@ -53,12 +50,10 @@ func (p *TtmPlan) ExecuteSeq(u *tensor.Matrix) (*tensor.SemiCOO, error) {
 	return planOut(p.Out, p.k.ttmSeq(u))
 }
 
-// ExecuteOMP runs the value computation with the strategy-selected
-// decomposition (fiberKernel.ttmOMP): owner-computes over independent
-// fibers, or balanced over non-zeros with the per-fiber R-row reduction
-// protected by atomics or pooled per-worker private outputs.
+// ExecuteOMP runs the value computation owner-computes over independent
+// fibers (fiberKernel.ttmOMP); opt.Strategy is ignored.
 func (p *TtmPlan) ExecuteOMP(u *tensor.Matrix, opt parallel.Options) (*tensor.SemiCOO, error) {
-	return planOut(p.Out, p.k.ttmOMP(u, opt, &p.LastStrategy))
+	return planOut(p.Out, p.k.ttmOMP(u, opt))
 }
 
 // ExecuteGPU runs the COO-Ttm-GPU kernel following ParTI: one 2-D thread

@@ -23,9 +23,6 @@ type TtmHiCOOPlan struct {
 	Fptr []int64
 	// Out is the preallocated sHiCOO output.
 	Out *hicoo.SemiHiCOO
-	// LastStrategy records the reduction strategy the most recent
-	// ExecuteOMP call resolved to (for harness reporting).
-	LastStrategy parallel.Strategy
 
 	k fiberKernel // the COO value computation over (Fptr, X.UInds[0], X.Vals)
 }
@@ -63,7 +60,7 @@ func (p *TtmHiCOOPlan) ExecuteSeq(u *tensor.Matrix) (*hicoo.SemiHiCOO, error) {
 // ExecuteOMP runs the value computation exactly as the COO Ttm kernel
 // does (fiberKernel.ttmOMP).
 func (p *TtmHiCOOPlan) ExecuteOMP(u *tensor.Matrix, opt parallel.Options) (*hicoo.SemiHiCOO, error) {
-	return planOut(p.Out, p.k.ttmOMP(u, opt, &p.LastStrategy))
+	return planOut(p.Out, p.k.ttmOMP(u, opt))
 }
 
 // ExecuteGPU runs HiCOO-Ttm-GPU with the same geometry as the COO kernel:

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -23,16 +22,10 @@ type TtmSemiPlan struct {
 	// Out is the preallocated semi-sparse output: X's dense modes plus
 	// Mode (now of size R).
 	Out *tensor.SemiCOO
-	// LastStrategy records the reduction strategy the most recent
-	// ExecuteOMP call resolved to (for harness reporting).
-	LastStrategy parallel.Strategy
 
 	// outFiberInputs groups the input fibers feeding each output fiber
 	// (they differ only in their mode-n coordinate).
 	outFiberInputs [][]int32
-	// ofOf maps each input fiber to the output fiber it feeds (the
-	// inverse of outFiberInputs, for the racy input-parallel strategies).
-	ofOf []int32
 	// kOf is each input fiber's mode-n coordinate.
 	kOf []tensor.Index
 	// baseOff maps an input dense offset to its output dense offset at
@@ -76,7 +69,6 @@ func PrepareTtmSemi(x *tensor.SemiCOO, mode, r int) (*TtmSemiPlan, error) {
 	// Group input fibers by their sparse coordinates excluding mode.
 	nf := x.NumFibers()
 	p.kOf = make([]tensor.Index, nf)
-	p.ofOf = make([]int32, nf)
 	groups := make(map[string]int, nf)
 	key := make([]byte, 4*(len(sparse)-1))
 	outSparseIdx := make([]tensor.Index, len(sparse)-1)
@@ -99,7 +91,6 @@ func PrepareTtmSemi(x *tensor.SemiCOO, mode, r int) (*TtmSemiPlan, error) {
 			p.outFiberInputs = append(p.outFiberInputs, nil)
 		}
 		p.outFiberInputs[of] = append(p.outFiberInputs[of], int32(f))
-		p.ofOf[f] = int32(of)
 	}
 
 	// Dense-layout mapping: decompose each input dense offset over X's
@@ -142,98 +133,22 @@ func PrepareTtmSemi(x *tensor.SemiCOO, mode, r int) (*TtmSemiPlan, error) {
 	return p, nil
 }
 
-// ExecuteSeq runs the value computation sequentially.
+// ExecuteSeq runs the value computation sequentially: each output fiber
+// is zeroed, then accumulates the R-expanded contributions of the input
+// fibers that feed it.
 func (p *TtmSemiPlan) ExecuteSeq(u *tensor.Matrix) (*tensor.SemiCOO, error) {
 	if err := p.checkMat(u); err != nil {
 		return nil, err
 	}
-	p.executeOutFibers(0, len(p.outFiberInputs), u)
-	return p.Out, nil
-}
-
-// ExecuteOMP runs the value computation with the strategy-selected
-// decomposition: owner-computes over output fibers (input fibers sharing
-// an output fiber handled by one worker, so no races), or balanced over
-// input fibers with the shared output protected by atomics or pooled
-// per-worker private copies.
-func (p *TtmSemiPlan) ExecuteOMP(u *tensor.Matrix, opt parallel.Options) (*tensor.SemiCOO, error) {
-	if err := p.checkMat(u); err != nil {
-		return nil, err
-	}
-	nf := p.X.NumFibers()
-	nOut := len(p.outFiberInputs)
-	st, threads := planReduction(opt, nf, len(p.Out.Vals), len(p.X.Vals)*p.R, nOut)
-	p.LastStrategy = st
-	switch st {
-	case parallel.Owner:
-		if err := parallel.For(nOut, opt, func(lo, hi, _ int) {
-			p.executeOutFibers(lo, hi, u)
-		}); err != nil {
-			return nil, err
-		}
-	case parallel.Privatized:
-		if err := privatizedReduce(nf, threads, opt, p.Out.Vals, func(lo, hi int, priv []tensor.Value) {
-			p.executeInFibers(lo, hi, u, priv, false)
-		}); err != nil {
-			return nil, err
-		}
-	default: // Atomic
-		if err := zeroValues(p.Out.Vals, threads, opt.Ctx); err != nil {
-			return nil, err
-		}
-		opt.Threads = threads
-		atomicUpd := threads > 1
-		if err := parallel.For(nf, opt, func(lo, hi, _ int) {
-			p.executeInFibers(lo, hi, u, p.Out.Vals, atomicUpd)
-		}); err != nil {
-			return nil, err
-		}
-	}
-	return p.Out, nil
-}
-
-// executeInFibers processes input fibers [lo, hi), scattering each
-// fiber's R-expanded contribution into the output fiber it feeds (out is
-// the shared output or a worker's private copy, which must arrive
-// zeroed).
-func (p *TtmSemiPlan) executeInFibers(lo, hi int, u *tensor.Matrix, out []tensor.Value, atomicUpd bool) {
-	dsIn := p.X.DenseSize()
-	dsOut := p.Out.DenseSize()
-	r := p.R
-	ud := u.Data
-	for f := lo; f < hi; f++ {
-		of := int(p.ofOf[f])
-		dst := out[of*dsOut : (of+1)*dsOut]
-		in := p.X.Vals[f*dsIn : (f+1)*dsIn]
-		urow := ud[int(p.kOf[f])*r : int(p.kOf[f])*r+r]
-		for d, v := range in {
-			if v == 0 {
-				continue
-			}
-			base := int(p.baseOff[d])
-			if atomicUpd {
-				for c := 0; c < r; c++ {
-					parallel.AtomicAddFloat32(&dst[base+c*p.strideR], v*urow[c])
-				}
-			} else {
-				for c := 0; c < r; c++ {
-					dst[base+c*p.strideR] += v * urow[c]
-				}
-			}
-		}
-	}
-}
-
-func (p *TtmSemiPlan) executeOutFibers(lo, hi int, u *tensor.Matrix) {
 	dsIn := p.X.DenseSize()
 	r := p.R
 	ud := u.Data
-	for of := lo; of < hi; of++ {
+	for of, inputs := range p.outFiberInputs {
 		out := p.Out.FiberVals(of)
 		for i := range out {
 			out[i] = 0
 		}
-		for _, f := range p.outFiberInputs[of] {
+		for _, f := range inputs {
 			in := p.X.Vals[int(f)*dsIn : (int(f)+1)*dsIn]
 			urow := ud[int(p.kOf[f])*r : int(p.kOf[f])*r+r]
 			for d, v := range in {
@@ -247,6 +162,7 @@ func (p *TtmSemiPlan) executeOutFibers(lo, hi int, u *tensor.Matrix) {
 			}
 		}
 	}
+	return p.Out, nil
 }
 
 func (p *TtmSemiPlan) checkMat(u *tensor.Matrix) error {

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -72,31 +71,6 @@ func TestTtmSemiChainAllModes(t *testing.T) {
 	}
 }
 
-func TestTtmSemiOMPMatchesSeq(t *testing.T) {
-	s := semiFromTtm(t, 104, []tensor.Index{30, 25, 20}, 2000, 2, 8)
-	u := tensor.NewMatrix(int(s.Dims[0]), 6)
-	u.Randomize(rand.New(rand.NewSource(105)))
-	p, err := PrepareTtmSemi(s, 0, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := p.ExecuteSeq(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := append([]tensor.Value(nil), seq.Vals...)
-	for _, sched := range []parallel.Schedule{parallel.Static, parallel.Dynamic, parallel.Guided} {
-		if _, err := p.ExecuteOMP(u, parallel.Options{Schedule: sched}); err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if p.Out.Vals[i] != want[i] {
-				t.Fatalf("OMP(%v) value %d differs", sched, i)
-			}
-		}
-	}
-}
-
 func TestTtmSemiErrors(t *testing.T) {
 	s := semiFromTtm(t, 106, []tensor.Index{8, 8, 8}, 50, 1, 3)
 	if _, err := PrepareTtmSemi(s, 1, 4); err == nil {
@@ -115,9 +89,6 @@ func TestTtmSemiErrors(t *testing.T) {
 	bad := tensor.NewMatrix(3, 4)
 	if _, err := p.ExecuteSeq(bad); err == nil {
 		t.Fatal("expected matrix shape error")
-	}
-	if _, err := p.ExecuteOMP(bad, parallel.Options{}); err == nil {
-		t.Fatal("expected matrix shape error (OMP)")
 	}
 }
 

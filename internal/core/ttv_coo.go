@@ -26,9 +26,6 @@ type TtvPlan struct {
 	// Out is the preallocated output tensor of order N-1 with MF
 	// non-zeros; indices are final, values recomputed per Execute.
 	Out *tensor.COO
-	// LastStrategy records the reduction strategy the most recent
-	// ExecuteOMP call resolved to (for harness reporting).
-	LastStrategy parallel.Strategy
 
 	k fiberKernel // the value computation over the plan's fiber view
 }
@@ -56,11 +53,10 @@ func (p *TtvPlan) ExecuteSeq(v tensor.Vector) (*tensor.COO, error) {
 	return planOut(p.Out, p.k.ttvRange(0, p.NumFibers(), v))
 }
 
-// ExecuteOMP runs the value computation with the strategy-selected
-// decomposition (fiberKernel.ttvOMP): owner-computes over independent
-// fibers, or balanced over non-zeros with atomic or privatized updates.
+// ExecuteOMP runs the value computation owner-computes over independent
+// fibers (fiberKernel.ttvOMP); opt.Strategy is ignored.
 func (p *TtvPlan) ExecuteOMP(v tensor.Vector, opt parallel.Options) (*tensor.COO, error) {
-	return planOut(p.Out, p.k.ttvOMP(v, opt, &p.LastStrategy))
+	return planOut(p.Out, p.k.ttvOMP(v, opt))
 }
 
 // ExecuteGPU runs the COO-Ttv-GPU kernel: one thread per fiber (§3.2.2).

@@ -27,9 +27,6 @@ type TtvHiCOOPlan struct {
 	FiberBlock []int32
 	// Out is the preallocated order-(N-1) HiCOO output.
 	Out *hicoo.HiCOO
-	// LastStrategy records the reduction strategy the most recent
-	// ExecuteOMP call resolved to (for harness reporting).
-	LastStrategy parallel.Strategy
 
 	k fiberKernel // the COO value computation over (Fptr, X.UInds[0], X.Vals)
 }
@@ -73,7 +70,7 @@ func (p *TtvHiCOOPlan) ExecuteSeq(v tensor.Vector) (*hicoo.HiCOO, error) {
 // ExecuteOMP runs the value computation exactly as the COO kernel does
 // (fiberKernel.ttvOMP).
 func (p *TtvHiCOOPlan) ExecuteOMP(v tensor.Vector, opt parallel.Options) (*hicoo.HiCOO, error) {
-	return planOut(p.Out, p.k.ttvOMP(v, opt, &p.LastStrategy))
+	return planOut(p.Out, p.k.ttvOMP(v, opt))
 }
 
 // ExecuteGPU runs HiCOO-Ttv-GPU (same execution as COO per §3.4.2): one

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/hicoo"
+	"repro/internal/parallel"
 	"repro/internal/roofline"
 	"repro/internal/tensor"
 	"repro/internal/tensortest"
@@ -167,5 +169,97 @@ func TestTreeFiberPlansAllocateNoOutputPerCall(t *testing.T) {
 		if got, want := allocs(v), allocs(coo); got != want {
 			t.Errorf("%s allocates %v times per Run, %s %v", v, got, coo, want)
 		}
+	}
+}
+
+// fewLongFibers is an order-3 tensor whose mode-2 fibers are three of
+// about 3 000 non-zeros each: fewer fibers than workers times four, the
+// shape on which a non-zero-parallel reduction would split a fiber.
+func fewLongFibers() *tensor.COO {
+	rng := rand.New(rand.NewSource(45))
+	x := tensor.NewCOO([]tensor.Index{3, 2, 4096}, 9000)
+	for i := tensor.Index(0); i < 3; i++ {
+		for k, keep := range rng.Perm(4096) {
+			if keep < 3000 {
+				x.Append([]tensor.Index{i, tensor.Index(i % 2), tensor.Index(k)}, tensor.Value(2*rng.Float64()-1))
+			}
+		}
+	}
+	return x
+}
+
+// fiberPlanVals is the values array of a Ttv or Ttm cell's plan-owned
+// output, one value (Ttv) or R-row (Ttm) per fiber, whose skeleton no
+// execution changes.
+func fiberPlanVals(t *testing.T, inst *Instance) []tensor.Value {
+	t.Helper()
+	switch o := inst.out().(type) {
+	case *tensor.COO:
+		return o.Vals
+	case *tensor.SemiCOO:
+		return o.Vals
+	case *hicoo.HiCOO:
+		return o.Vals
+	case *hicoo.SemiHiCOO:
+		return o.Vals
+	}
+	t.Fatalf("output %T is no fiber plan's", inst.out())
+	return nil
+}
+
+// TestTtvTtmCellsBitsIndependentOfWorkers: every registered Ttv and Ttm
+// omp cell is owner-computes, one worker reducing each fiber in storage
+// order, so its output equals its Serial rung's bit for bit at any
+// worker count, with the Go loops and with the assembly bodies, and it
+// reports the strategy owner.
+func TestTtvTtmCellsBitsIndependentOfWorkers(t *testing.T) {
+	var cells []*Variant
+	for _, v := range All() {
+		if v.Backend == OMP && (v.Kernel == roofline.Ttv || v.Kernel == roofline.Ttm) {
+			cells = append(cells, v)
+		}
+	}
+	if len(cells) != 8 {
+		t.Fatalf("%d Ttv/Ttm omp cells, want 8", len(cells))
+	}
+	cases := []tensortest.Case{tensortest.Corpus(t)[0], {Name: "few-long-fibers", X: fewLongFibers()}}
+	// The workbenches leave Threads at 0, so each Run reads the global
+	// worker count.
+	defer parallel.SetNumThreads(parallel.NumThreads())
+	ctx := context.Background()
+	for _, asm := range tensortest.BodySides() {
+		tensortest.WithAVX2(asm, func() {
+			for _, c := range cases {
+				wb := NewWorkbench(c.X, DefaultConfig())
+				for _, v := range cells {
+					for mode := 0; mode < c.X.Order(); mode++ {
+						label := fmt.Sprintf("%s %s mode %d asm %v", c.Name, v, mode, asm)
+						inst, err := v.Prepare(wb, mode)
+						if err != nil {
+							t.Fatal(label, err)
+						}
+						if err := inst.Serial(ctx); err != nil {
+							t.Fatal(label, err)
+						}
+						want := append([]tensor.Value(nil), fiberPlanVals(t, inst)...)
+						for _, threads := range []int{1, 2, 3, 7} {
+							parallel.SetNumThreads(threads)
+							if err := inst.Run(ctx); err != nil {
+								t.Fatal(label, err)
+							}
+							if got := inst.Strategy(); got != "owner" {
+								t.Fatalf("%s T=%d: reports strategy %q, want owner", label, threads, got)
+							}
+							for i, g := range fiberPlanVals(t, inst) {
+								if math.Float32bits(g) != math.Float32bits(want[i]) {
+									t.Fatalf("%s T=%d: value %d is %v (%08x), serial %v (%08x)", label, threads, i,
+										g, math.Float32bits(g), want[i], math.Float32bits(want[i]))
+								}
+							}
+						}
+					}
+				}
+			}
+		})
 	}
 }

@@ -50,13 +50,13 @@ func genericInstance(wb *Workbench, k roofline.Kernel, h *levels.Hierarchy, mode
 		if err != nil {
 			return nil, err
 		}
-		return wb.instance(site, OMP, operandRungs(p, wb.Vec(mode), p.Out, &p.LastStrategy))
+		return wb.instance(site, OMP, operandRungs(p, wb.Vec(mode), p.Out, &ownerComputes))
 	case roofline.Ttm:
 		p, err := levels.PrepareTtm(h, mode, wb.R())
 		if err != nil {
 			return nil, err
 		}
-		return wb.instance(site, OMP, operandRungs(p, wb.TtmMat(mode), p.Out, &p.LastStrategy))
+		return wb.instance(site, OMP, operandRungs(p, wb.TtmMat(mode), p.Out, &ownerComputes))
 	}
 	p, err := levels.PrepareMttkrp(h, mode, wb.R())
 	if err != nil {

@@ -94,8 +94,8 @@ func init() {
 				}
 				if genericCell(k, f, b) {
 					// All three are prepared plans with a native serial
-					// rung; the fiber plans of Ttv and Ttm also resolve a
-					// reduction strategy.
+					// rung; the fiber plans of Ttv and Ttm also report
+					// their decomposition, owner-computes.
 					caps := Caps{
 						ModeDependent: true,
 						NeedsFactors:  k == roofline.Ttm || k == roofline.Mttkrp,

@@ -68,8 +68,8 @@ func TestGridGeneration(t *testing.T) {
 			t.Errorf("%s: NeedsFactors = %v, want %v", v, v.Caps.NeedsFactors, wantFactors)
 		}
 		// All three are prepared plans with a native serial rung; only the
-		// fiber plans of Ttv and Ttm resolve a reduction strategy (tree
-		// Mttkrp commits whole rows).
+		// fiber plans of Ttv and Ttm report a decomposition, owner-computes
+		// (tree Mttkrp commits whole rows).
 		if wantStrategy := v.Kernel != roofline.Mttkrp; v.Caps.SerialRef || v.Caps.StrategyAware != wantStrategy {
 			t.Errorf("%s: generated variant caps %+v, want no SerialRef and StrategyAware = %v", v, v.Caps, wantStrategy)
 		}

@@ -24,7 +24,7 @@ type Instance struct {
 	Serial func(ctx context.Context) error
 	// Check scans the current output for non-finite values.
 	Check func() error
-	// Strategy reports the reduction strategy the last Run resolved
+	// Strategy reports the parallel decomposition of Run
 	// (StrategyAware variants); nil otherwise.
 	Strategy func() string
 	// out yields the current output object for Output()/Check.

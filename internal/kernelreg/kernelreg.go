@@ -65,8 +65,11 @@ type Caps struct {
 	// NeedsFactors: the kernel consumes dense factor matrices (Ttm,
 	// Mttkrp), so R is part of its workload.
 	NeedsFactors bool
-	// StrategyAware: the path resolves a reduction strategy
-	// (owner/atomic/privatized) that Instance.Strategy reports.
+	// StrategyAware: Instance.Strategy reports the parallel
+	// decomposition the path's last omp run took: owner for the Ttv
+	// and Ttm fiber plans, which always compute owner-computes; atomic
+	// or privatized, as the selector resolved it, for COO and HiCOO
+	// Mttkrp.
 	StrategyAware bool
 	// SerialRef: the cell has no native serial path, so the Instance's
 	// Serial rung is the serial COO reference: fCOO's GPU-only kernels.

@@ -46,7 +46,7 @@ func handTuned() map[regKey]handOverride {
 		hand[regKey{k, f, b}] = handOverride{caps, prep}
 	}
 	for _, b := range []Backend{OMP, GPU} {
-		strat := b == OMP // only the OMP reduction paths resolve a strategy
+		strat := b == OMP // only the OMP paths report a decomposition
 		add(roofline.Tew, roofline.COO, b, Caps{}, prepTewCOO)
 		add(roofline.Tew, roofline.HiCOO, b, Caps{}, prepTewHiCOO)
 		add(roofline.Ts, roofline.COO, b, Caps{}, prepTsCOO)
@@ -104,10 +104,15 @@ type rungs struct {
 	gpu   func(*gpusim.Device) error
 	// multi is the multi-device path, nil where core has none.
 	multi func([]*gpusim.Device) error
-	// strategy points at the plan's LastStrategy; nil for kernels with
-	// no shared-output reduction.
+	// strategy points at the decomposition the last omp run took: the
+	// Mttkrp plan's LastStrategy, ownerComputes for the fiber plans of Ttv
+	// and Ttm; nil for kernels with neither.
 	strategy *parallel.Strategy
 }
+
+// ownerComputes is the one decomposition of every Ttv and Ttm plan's
+// ExecuteOMP: fibers split across workers, one writer per output fiber.
+var ownerComputes = parallel.Owner
 
 // instance assembles the Instance of a core plan on backend b.
 func (wb *Workbench) instance(site string, b Backend, r rungs) (*Instance, error) {
@@ -213,7 +218,7 @@ func prepTtvCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
 		return nil, err
 	}
 	v := wb.Vec(mode)
-	r := deviceRungs(p, v, p.Out, &p.LastStrategy)
+	r := deviceRungs(p, v, p.Out, &ownerComputes)
 	r.multi = func(ds []*gpusim.Device) error { _, err := p.ExecuteMultiGPU(ds, v); return err }
 	return wb.instance("Ttv/COO", b, r)
 }
@@ -223,7 +228,7 @@ func prepTtvHiCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	return wb.instance("Ttv/HiCOO", b, deviceRungs(p, wb.Vec(mode), p.Out, &p.LastStrategy))
+	return wb.instance("Ttv/HiCOO", b, deviceRungs(p, wb.Vec(mode), p.Out, &ownerComputes))
 }
 
 func prepTtmCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
@@ -231,7 +236,7 @@ func prepTtmCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	return wb.instance("Ttm/COO", b, deviceRungs(p, wb.TtmMat(mode), p.Out, &p.LastStrategy))
+	return wb.instance("Ttm/COO", b, deviceRungs(p, wb.TtmMat(mode), p.Out, &ownerComputes))
 }
 
 func prepTtmHiCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
@@ -239,7 +244,7 @@ func prepTtmHiCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	return wb.instance("Ttm/HiCOO", b, deviceRungs(p, wb.TtmMat(mode), p.Out, &p.LastStrategy))
+	return wb.instance("Ttm/HiCOO", b, deviceRungs(p, wb.TtmMat(mode), p.Out, &ownerComputes))
 }
 
 func prepMttkrpCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {

@@ -76,7 +76,7 @@ func TestTreeTtvBodyBitIdentical(t *testing.T) {
 						Run: run(func() error { _, err := p.ExecuteSeq(v); return err })},
 					tensortest.BodyCase{Name: label + " ExecuteOMP", Size: mf, Oracle: oracle(0),
 						Run: run(func() error {
-							_, err := p.ExecuteOMP(v, parallel.Options{Threads: 1, Strategy: parallel.Owner})
+							_, err := p.ExecuteOMP(v, parallel.Options{Threads: 1})
 							return err
 						})},
 					tensortest.BodyCase{Name: label + " ExecuteFibers", Size: mf, Fill: 7, Oracle: oracle(lo),

@@ -10,11 +10,11 @@ const (
 	// Auto lets the runtime pick a strategy per invocation from the
 	// reduction's shape (output size × threads vs update count).
 	Auto Strategy = iota
-	// Owner partitions the loop so every output element has exactly one
-	// writer (owner-computes, e.g. fiber-parallel Ttv/Ttm): no
-	// synchronization, but parallelism is bounded by the output units and
-	// skewed units cause imbalance. Only kernels with an owner
-	// decomposition support it; others fall back to Atomic.
+	// Owner labels the owner-computes decomposition, where every output
+	// element has exactly one writer: the fiber-parallel Ttv and Ttm
+	// kernels, which always run it and report it. Choose never returns
+	// it: requested of a kernel that resolves a strategy, it degrades to
+	// Atomic.
 	Owner
 	// Atomic updates the shared output with atomic read-modify-write
 	// ("omp atomic"): no extra memory, but popular output elements
@@ -48,10 +48,6 @@ type ReductionShape struct {
 	// performs across all output elements; Updates/OutElems is the mean
 	// contention per element.
 	Updates int
-	// OwnerUnits is the number of independent single-writer work units
-	// the kernel can offer (e.g. fibers); 0 when every decomposition
-	// races.
-	OwnerUnits int
 	// Threads is the resolved worker count; <= 0 reads NumThreads once.
 	Threads int
 }
@@ -62,11 +58,6 @@ const (
 	// the zero+merge traffic and memory footprint outweigh saved atomics.
 	PrivatizationBudget = 1 << 24
 
-	// ownerParallelFactor is the minimum owner-units-per-thread ratio for
-	// Auto to keep the race-free owner decomposition: below it the units
-	// are too coarse to balance and the racy nnz decomposition wins.
-	ownerParallelFactor = 4
-
 	// privatizeReuseFactor is the minimum mean updates-per-output-element
 	// for Auto to privatize: each private element is zeroed and merged
 	// once, so it must absorb at least a few updates to pay for itself.
@@ -74,36 +65,31 @@ const (
 )
 
 // Choose resolves a requested strategy against the shape of one
-// reduction. Explicit requests are honored (Owner degrades to Atomic when
-// the kernel has no owner decomposition); Auto picks Owner when the
-// owner units offer enough parallelism, otherwise privatizes when the
-// output is small and hot enough for private copies to pay off, and
-// falls back to Atomic for large or sparsely-updated outputs.
+// reduction. Explicit Atomic and Privatized requests are honored and
+// Owner degrades to Atomic; Auto privatizes when the output is small and
+// hot enough for private copies to pay off, and falls back to Atomic for
+// a single worker (whose callers skip real atomics) and for large or
+// sparsely-updated outputs.
+//
+// Choose stays a call of its own: inlined into its one caller, core's
+// planReduction, it would take its text out of this package and move
+// everything linked after it (tensor's readers, hicoo's conversions,
+// core's kernels) by 32 bytes mod 64, a placement shift that moves the
+// benchmark's kernel ratios by up to 10 % (EXPERIMENTS.md, "Ttv and Ttm
+// owner-computes only").
+//
+//go:noinline
 func Choose(requested Strategy, sh ReductionShape) Strategy {
 	if sh.Threads <= 0 {
 		sh.Threads = NumThreads()
 	}
 	switch requested {
-	case Owner:
-		if sh.OwnerUnits > 0 {
-			return Owner
-		}
-		return Atomic
 	case Atomic, Privatized:
 		return requested
-	}
-	// Auto. A single worker never races: prefer the owner decomposition,
-	// else the atomic path (whose callers skip real atomics at T=1).
-	if sh.Threads <= 1 {
-		if sh.OwnerUnits > 0 {
-			return Owner
-		}
+	case Owner:
 		return Atomic
 	}
-	if sh.OwnerUnits >= ownerParallelFactor*sh.Threads {
-		return Owner
-	}
-	if sh.OutElems > 0 &&
+	if sh.Threads > 1 && sh.OutElems > 0 &&
 		int64(sh.OutElems)*int64(sh.Threads) <= PrivatizationBudget &&
 		sh.Updates >= privatizeReuseFactor*sh.OutElems {
 		return Privatized

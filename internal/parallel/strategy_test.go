@@ -18,21 +18,18 @@ func TestStrategyString(t *testing.T) {
 }
 
 func TestChooseHonorsExplicitRequest(t *testing.T) {
-	sh := ReductionShape{OutElems: 100, Updates: 1000, OwnerUnits: 100, Threads: 8}
+	sh := ReductionShape{OutElems: 100, Updates: 1000, Threads: 8}
 	if got := Choose(Atomic, sh); got != Atomic {
 		t.Errorf("explicit Atomic resolved to %v", got)
 	}
 	if got := Choose(Privatized, sh); got != Privatized {
 		t.Errorf("explicit Privatized resolved to %v", got)
 	}
-	if got := Choose(Owner, sh); got != Owner {
-		t.Errorf("explicit Owner resolved to %v", got)
-	}
-	// Owner without an owner decomposition degrades to Atomic rather than
-	// handing the kernel a strategy it cannot run.
-	sh.OwnerUnits = 0
+	// The kernels that resolve a strategy have no owner decomposition:
+	// Owner degrades to Atomic rather than handing them a strategy they
+	// cannot run.
 	if got := Choose(Owner, sh); got != Atomic {
-		t.Errorf("Owner with no owner units resolved to %v, want Atomic", got)
+		t.Errorf("explicit Owner resolved to %v, want Atomic", got)
 	}
 }
 
@@ -43,27 +40,12 @@ func TestChooseAuto(t *testing.T) {
 		want Strategy
 	}{
 		{
-			name: "single thread with owner path",
-			sh:   ReductionShape{OutElems: 100, Updates: 1000, OwnerUnits: 10, Threads: 1},
-			want: Owner,
-		},
-		{
-			name: "single thread without owner path",
+			name: "single thread",
 			sh:   ReductionShape{OutElems: 100, Updates: 1000, Threads: 1},
 			want: Atomic,
 		},
 		{
-			name: "ample owner parallelism",
-			sh:   ReductionShape{OutElems: 1000, Updates: 100000, OwnerUnits: 4 * 8, Threads: 8},
-			want: Owner,
-		},
-		{
-			name: "too few owner units, small output, high reuse",
-			sh:   ReductionShape{OutElems: 1000, Updates: 100000, OwnerUnits: 8, Threads: 8},
-			want: Privatized,
-		},
-		{
-			name: "no owner path, small output, high reuse",
+			name: "small output, high reuse",
 			sh:   ReductionShape{OutElems: 1 << 10, Updates: 1 << 20, Threads: 8},
 			want: Privatized,
 		},
@@ -93,9 +75,13 @@ func TestChooseAuto(t *testing.T) {
 func TestChooseZeroThreadsReadsGlobal(t *testing.T) {
 	orig := NumThreads()
 	defer SetNumThreads(orig)
+	sh := ReductionShape{OutElems: 100, Updates: 10000}
 	SetNumThreads(1)
-	sh := ReductionShape{OutElems: 100, Updates: 10000, OwnerUnits: 2}
-	if got := Choose(Auto, sh); got != Owner {
-		t.Errorf("threads=0 with NumThreads=1: got %v, want Owner", got)
+	if got := Choose(Auto, sh); got != Atomic {
+		t.Errorf("threads=0 with NumThreads=1: got %v, want Atomic", got)
+	}
+	SetNumThreads(4)
+	if got := Choose(Auto, sh); got != Privatized {
+		t.Errorf("threads=0 with NumThreads=4: got %v, want Privatized", got)
 	}
 }
