@@ -104,8 +104,9 @@ func printVariants(w io.Writer) {
 		}
 	}
 	fmt.Fprintln(w, "\ncaps: mode-sweep = averaged over every tensor mode; factors = consumes dense")
-	fmt.Fprintln(w, "factor matrices (R columns); strategy = OMP path reports its reduction strategy;")
-	fmt.Fprintln(w, "serial-ref = fallback rung is the serial COO reference (no native serial path).")
+	fmt.Fprintln(w, "factor matrices (R columns); strategy = OMP path reports its parallel decomposition")
+	fmt.Fprintln(w, "(owner, atomic or privatized); serial-ref = fallback rung is the serial COO")
+	fmt.Fprintln(w, "reference (no native serial path).")
 }
 
 // capFlags renders capability metadata as short flags.

@@ -508,6 +508,45 @@ func scalarTtv(b core.FiberBody, v tensor.Vector, out []tensor.Value, lo, hi int
 	}
 }
 
+// scalarTtvGrouped is scalarTtv over fibers [lo, hi) of g, the grouped
+// layout of b: g's fiber f is b's fiber g.Perm[f], summed from b's own
+// arrays into out[g.Perm[f]].
+func scalarTtvGrouped(b, g core.FiberBody, v tensor.Vector, out []tensor.Value, lo, hi int) {
+	for f := lo; f < hi; f++ {
+		pf := int(g.Perm[f])
+		scalarTtv(b, v, out, pf, pf+1)
+	}
+}
+
+// powerLawFibers returns an order-3 tensor whose mode-2 fibers, one per
+// (i, j), have power-law lengths: fiber r of n, in a shuffled order,
+// holds ⌈top·r^−α⌉ non-zeros at distinct indices, with signed values.
+func powerLawFibers(dims []tensor.Index, top, alpha float64, seed int64) *tensor.COO {
+	rng := rand.New(rand.NewSource(seed))
+	n := int(dims[0] * dims[1])
+	x := tensor.NewCOO(dims, 0)
+	for f, r := range rng.Perm(n) {
+		l := int(math.Ceil(top * math.Pow(float64(r+1), -alpha)))
+		start := rng.Intn(int(dims[2]))
+		for j := 0; j < l; j++ {
+			k := (start + 7*j) % int(dims[2])
+			x.Append([]tensor.Index{tensor.Index(f) / dims[1], tensor.Index(f) % dims[1], tensor.Index(k)}, tensor.Value(2*rng.Float64()-1))
+		}
+	}
+	return x
+}
+
+// groupedBody returns the grouped layout of a Ttv plan's fibers, failing
+// t if Prepare built none.
+func groupedBody(t testing.TB, name string, b core.FiberBody) core.FiberBody {
+	t.Helper()
+	g, ok := b.Grouped()
+	if !ok {
+		t.Fatalf("%s: Prepare built no length-grouped layout", name)
+	}
+	return g
+}
+
 // ttvVector returns a signed vector of n values with −0, ±Inf and NaN
 // planted. Its NaN is the one x86 makes of ∞ − ∞ and 0·∞ (0xffc00000), so
 // that no fiber sees two NaN payloads: which of two survives a sum is the
@@ -604,7 +643,8 @@ func ttvPlans(t *testing.T, x *tensor.COO, mode int) []ttvPlan {
 // holds it, then again on its own result (the output is refilled, not
 // added to), ExecuteFibers and the owner arm over fiber ranges (lo > 0,
 // and every tail length of 1 to 7 fibers, included) into an output whose
-// other values must keep theirs.
+// other values must keep theirs, and the owner arm over the same ranges
+// of the length-grouped layout when the plan has one.
 func ttvCases(t *testing.T, label string, p ttvPlan, v tensor.Vector, units []int64) []tensortest.BodyCase {
 	mf := len(p.body.Fptr) - 1
 	oracle := func(out []tensor.Value) { scalarTtv(p.body, v, out, 0, mf) }
@@ -623,10 +663,18 @@ func ttvCases(t *testing.T, label string, p ttvPlan, v tensor.Vector, units []in
 	for tail := 1; tail < 8; tail++ {
 		ranges = append(ranges, [2]int{5, 5 + 16 + tail})
 	}
+	g, grouped := p.body.Grouped()
 	for _, rg := range ranges {
 		lo, hi := rg[0], rg[1]
 		if lo < 0 || hi > mf {
 			continue
+		}
+		if grouped {
+			cases = append(cases, tensortest.BodyCase{
+				Name: fmt.Sprintf("%s grouped fibers %v", label, rg), Size: mf, Fill: 7,
+				Oracle: func(out []tensor.Value) { scalarTtvGrouped(p.body, g, v, out, lo, hi) },
+				Run:    func(out []tensor.Value) { g.Ttv(out, lo, hi, v) },
+			})
 		}
 		cases = append(cases, tensortest.BodyCase{
 			Name: fmt.Sprintf("%s fibers %v", label, rg), Size: mf, Fill: 7,
@@ -653,9 +701,10 @@ func ttvCases(t *testing.T, label string, p ttvPlan, v tensor.Vector, units []in
 // ttvGroupsView returns a mode-1 Ttv plan over 27 fibers whose groups of
 // eight take each of the body's paths: fibers 0–7 hold one non-zero each
 // (single-leaf), 8–15 one or two (lanes), 16–23 nine and seven times one
-// (scalar: the longest is more than twice the mean), and 24–26, the tail
-// the Go loop reduces, one each. The product mode has ten indices; no
-// non-zero takes the last. Its values and vector are signed.
+// (lanes, one of them active past the second step), and 24–26, the tail
+// the Go loop reduces, one each. Its lengths are too even for a grouped
+// layout. The product mode has ten indices; no non-zero takes the last.
+// Its values and vector are signed.
 func ttvGroupsView(t testing.TB) (ttvPlan, tensor.Vector) {
 	t.Helper()
 	lens := []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 1, 2, 1, 2, 1, 2, 9, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}
@@ -679,13 +728,14 @@ func ttvGroupsView(t testing.TB) (ttvPlan, tensor.Vector) {
 // TestTtvBodyBitIdentical holds the Ttv body to the scalar loop bit for
 // bit through every plan that runs it (COO, HiCOO, CSF, bCSF, a view
 // with empty fibers, eight of them in a row) on every mode of random
-// tensors of orders 2–6 and of the benchmark's three recipes — nell2 and
+// tensors of orders 2–6, of the benchmark's three recipes — nell2 and
 // regS4d, nearly every group single-leaf, and irrS, mixed lengths, whose
-// 51-row mode 2 takes the scalar path —, with −0, ±Inf and NaN in the
-// vector. Last, on ttvGroupsView, one non-zero of a single-leaf, a lane
-// and a scalar-path group multiplies a NaN value by a NaN vector entry
-// of another payload, which no other non-zero meets: x·v returns x's
-// payload, v·x would return v's.
+// plans run over the length-grouped layout — and of a tensor whose
+// mode-2 fibers have power-law lengths, whose mode-2 plans must all take
+// the layout, with −0, ±Inf and NaN in the vector. Last, on
+// ttvGroupsView, one non-zero of a single-leaf and of two lane groups
+// multiplies a NaN value by a NaN vector entry of another payload, which
+// no other non-zero meets: x·v returns x's payload, v·x would return v's.
 func TestTtvBodyBitIdentical(t *testing.T) {
 	var b tensortest.Body
 	var xs []tensortest.Case
@@ -713,11 +763,17 @@ func TestTtvBodyBitIdentical(t *testing.T) {
 		}
 		xs = append(xs, tensortest.Case{Name: r.id, X: x})
 	}
+	const powerLaw = "power law"
+	xs = append(xs, tensortest.Case{Name: powerLaw, X: powerLawFibers([]tensor.Index{30, 40, 500}, 300, 0.9, 4)})
 	for i, c := range xs {
 		for mode := 0; mode < c.X.Order(); mode++ {
 			v := ttvVector(int(c.X.Dims[mode]), int64(10*i+mode))
 			for _, p := range ttvPlans(t, c.X, mode) {
-				b.Cases = append(b.Cases, ttvCases(t, fmt.Sprintf("%s mode %d %s", c.Name, mode, p.name), p, v, nil)...)
+				label := fmt.Sprintf("%s mode %d %s", c.Name, mode, p.name)
+				if c.Name == powerLaw && mode == 2 {
+					groupedBody(t, label, p.body)
+				}
+				b.Cases = append(b.Cases, ttvCases(t, label, p, v, nil)...)
 			}
 		}
 	}
@@ -736,9 +792,12 @@ func TestTtvBodyBitIdentical(t *testing.T) {
 
 // TestTtvBodyAcrossCalls holds tensors whose fibers take more than one
 // call (cpu.CallNNZ non-zeros each) to the scalar loop bit for bit:
-// 150 000 non-zeros of short fibers, cut between fibers, and 16 short
-// fibers around one longer than a call's budget, which is a call of its
-// own, entered at lo = 0 and lo > 0.
+// 150 000 non-zeros of short fibers, cut between fibers, 16 short fibers
+// around one longer than a call's budget, which is a call of its own,
+// entered at lo = 0 and lo > 0, and power-law fibers whose first window
+// of the length-grouped layout holds more non-zeros than a call, so that
+// the calls over the layout cut it, ExecuteSeq and the grouped owner arm
+// entered at lo > 0.
 func TestTtvBodyAcrossCalls(t *testing.T) {
 	var b tensortest.Body
 	cut := tensor.RandomCOO([]tensor.Index{300, 200, 100}, 150_000, rand.New(rand.NewSource(5)))
@@ -771,18 +830,39 @@ func TestTtvBodyAcrossCalls(t *testing.T) {
 			})
 		}
 	}
+
+	const name = "window past the budget"
+	x := powerLawFibers([]tensor.Index{1, 1100, 4096}, 2000, 0.6, 8)
+	p, err := core.PrepareTtv(x, 2)
+	pl := ttvPlanOf(t, name, p, err)
+	g := groupedBody(t, name, pl.body)
+	if w := g.Fptr[min(1024, len(g.Fptr)-1)]; w <= cpu.CallNNZ {
+		t.Fatalf("%s: the first window holds %d non-zeros, no more than a call", name, w)
+	}
+	v := ttvVector(int(x.Dims[2]), 9)
+	mf := len(g.Fptr) - 1
+	b.Cases = append(b.Cases, ttvCases(t, name, pl, v, g.Fptr)[0])
+	for _, lo := range []int{1, 3} {
+		b.Cases = append(b.Cases, tensortest.BodyCase{
+			Name: fmt.Sprintf("%s grouped fibers [%d, %d)", name, lo, mf), Size: mf, Fill: 7, Units: g.Fptr[lo:],
+			Oracle: func(out []tensor.Value) { scalarTtvGrouped(pl.body, g, v, out, lo, mf) },
+			Run:    func(out []tensor.Value) { g.Ttv(out, lo, mf, v) },
+		})
+	}
 	tensortest.CheckBody(t, b)
 }
 
 // TestTtvOutOfRangePanicsAtSameFiber corrupts one product index of
-// ttvGroupsView — len(v) in a single-leaf, a lane and a scalar-path
-// group, 0xFFFFFFFF in a later fiber of the scalar group and in a
+// ttvGroupsView — len(v) in a single-leaf and two lane groups,
+// 0xFFFFFFFF in a later fiber of the long-fiber group and in a
 // single-leaf group of a COO plan — or one fiber offset: a start that
-// decreases to −1, and an end past the value column. Both sides must
-// panic with the same runtime error after the same writes.
+// decreases to −1, and an end past the value column; or one perm entry
+// of a length-grouped layout: len(Out) inside a group, and −1 in a later
+// group. Both sides must panic with the same runtime error after the
+// same writes.
 func TestTtvOutOfRangePanicsAtSameFiber(t *testing.T) {
 	var b tensortest.Body
-	for _, bad := range []string{"single-leaf index", "lane index", "scalar index", "later scalar index", "decreasing offset", "end past the values"} {
+	for _, bad := range []string{"single-leaf index", "lane index", "long-fiber index", "later long-fiber index", "decreasing offset", "end past the values"} {
 		p, v := ttvGroupsView(t)
 		body := p.body // aliases the plan's arrays: the corruption is the plan's
 		switch bad {
@@ -790,9 +870,9 @@ func TestTtvOutOfRangePanicsAtSameFiber(t *testing.T) {
 			body.KInd[body.Fptr[3]] = tensor.Index(len(v))
 		case "lane index":
 			body.KInd[body.Fptr[9]+1] = tensor.Index(len(v))
-		case "scalar index":
+		case "long-fiber index":
 			body.KInd[body.Fptr[16]+4] = tensor.Index(len(v))
-		case "later scalar index":
+		case "later long-fiber index":
 			body.KInd[body.Fptr[19]] = 0xFFFFFFFF
 		case "decreasing offset":
 			body.Fptr[11] = -1
@@ -826,12 +906,32 @@ func TestTtvOutOfRangePanicsAtSameFiber(t *testing.T) {
 		Name: "COO index 0xFFFFFFFF", Size: mf,
 		Run: func(out []tensor.Value) { body.Ttv(out, 0, mf, v) },
 	})
+
+	x = powerLawFibers([]tensor.Index{30, 40, 500}, 300, 0.9, 4)
+	v = ttvVector(int(x.Dims[2]), 8)
+	for i, at := range []int{43, 205} {
+		p, err := core.PrepareTtv(x, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := groupedBody(t, "power law", p.Body()) // aliases the plan's layout
+		mf := len(g.Fptr) - 1
+		bad := int32(mf) // len(Out)
+		if i > 0 {
+			bad = -1
+		}
+		g.Perm[at] = bad
+		b.Corruptions = append(b.Corruptions, tensortest.BodyCase{
+			Name: fmt.Sprintf("perm[%d] = %d", at, bad), Size: mf,
+			Run: func(out []tensor.Value) { g.Ttv(out, 0, mf, v) },
+		})
+	}
 	tensortest.CheckBody(t, b)
 }
 
 // TestTtvExecuteAllocatesNothing pins ExecuteSeq of the COO, HiCOO and
-// CSF Ttv plans and ExecuteFibers, the dist ranks' entry, at zero
-// allocations per call.
+// CSF Ttv plans, in their stored order and over a length-grouped layout,
+// and ExecuteFibers, the dist ranks' entry, at zero allocations per call.
 func TestTtvExecuteAllocatesNothing(t *testing.T) {
 	x := tensor.RandomCOO([]tensor.Index{40, 30, 50, 20}, 3000, rand.New(rand.NewSource(90)))
 	const mode = 2
@@ -852,11 +952,25 @@ func TestTtvExecuteAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	y := powerLawFibers([]tensor.Index{30, 40, 500}, 300, 0.9, 4)
+	yv := ttvVector(int(y.Dims[2]), 92)
+	gp, err := core.PrepareTtv(y, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groupedBody(t, "power law COO", gp.Body())
+	ghp, err := core.PrepareTtvHiCOO(y, 2, hicoo.DefaultBlockBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groupedBody(t, "power law HiCOO", ghp.Body())
 	tensortest.CheckBody(t, tensortest.Body{Allocs: map[string]func() error{
-		"TtvPlan.ExecuteSeq":      func() error { _, err := p.ExecuteSeq(v); return err },
-		"TtvHiCOOPlan.ExecuteSeq": func() error { _, err := hp.ExecuteSeq(v); return err },
-		"CSF TtvPlan.ExecuteSeq":  func() error { _, err := tp.ExecuteSeq(v); return err },
-		"TtvPlan.ExecuteFibers":   func() error { _, err := p.ExecuteFibers(3, p.NumFibers()-1, v); return err },
+		"TtvPlan.ExecuteSeq":              func() error { _, err := p.ExecuteSeq(v); return err },
+		"TtvHiCOOPlan.ExecuteSeq":         func() error { _, err := hp.ExecuteSeq(v); return err },
+		"CSF TtvPlan.ExecuteSeq":          func() error { _, err := tp.ExecuteSeq(v); return err },
+		"TtvPlan.ExecuteFibers":           func() error { _, err := p.ExecuteFibers(3, p.NumFibers()-1, v); return err },
+		"grouped TtvPlan.ExecuteSeq":      func() error { _, err := gp.ExecuteSeq(yv); return err },
+		"grouped TtvHiCOOPlan.ExecuteSeq": func() error { _, err := ghp.ExecuteSeq(yv); return err },
 	}})
 }
 

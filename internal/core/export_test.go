@@ -15,12 +15,13 @@ func (p *MttkrpHiCOOPlan) ExecuteBlocks(lo, hi int, mats []*tensor.Matrix, out [
 }
 
 // FiberBody is a Ttv or Ttm plan's fiber view, its output values and its
-// owner arm.
+// owner arm; Perm is set on a length-grouped layout (Grouped).
 type FiberBody struct {
 	Fptr []int64
 	KInd []tensor.Index
 	Vals []tensor.Value
 	Out  []tensor.Value
+	Perm []int32
 	k    fiberKernel
 }
 
@@ -37,7 +38,16 @@ func (p *TtvPlan) Body() FiberBody { return fiberBody(p.k) }
 func (p *TtvHiCOOPlan) Body() FiberBody { return fiberBody(p.k) }
 
 func fiberBody(k fiberKernel) FiberBody {
-	return FiberBody{Fptr: k.fptr, KInd: k.kInd, Vals: k.vals, Out: k.out, k: k}
+	return FiberBody{Fptr: k.fptr, KInd: k.kInd, Vals: k.vals, Out: k.out, Perm: k.perm, k: k}
+}
+
+// Grouped returns the length-grouped layout whole-tensor Ttv runs over
+// (its slices alias the plan's), and false if Prepare built none.
+func (b FiberBody) Grouped() (FiberBody, bool) {
+	if b.k.grouped == nil {
+		return FiberBody{}, false
+	}
+	return fiberBody(*b.k.grouped), true
 }
 
 // Ttm runs ttmFibers over fibers [lo, hi) into out instead of the plan's
@@ -49,7 +59,7 @@ func (b FiberBody) Ttm(out []tensor.Value, lo, hi int, u *tensor.Matrix) {
 }
 
 // Ttv runs ttvFibers over fibers [lo, hi) into out instead of the plan's
-// output.
+// output; on a grouped layout fiber f writes out[Perm[f]].
 func (b FiberBody) Ttv(out []tensor.Value, lo, hi int, v tensor.Vector) {
 	k := b.k
 	k.out = out

@@ -27,9 +27,15 @@ type fiberKernel struct {
 	kInd []tensor.Index // product-mode index of each non-zero
 	vals []tensor.Value // non-zero values, fiber-contiguous
 	out  []tensor.Value // output values: MF×r, one r-row per fiber
-	mode int            // product mode n (operand-check messages)
-	kDim int            // size of the product mode
-	r    int            // output columns: R for Ttm, 1 for Ttv
+	// perm, when set, maps each fiber to its output value: fiber f's sum
+	// is out[perm[f]]. Only a grouped layout has one.
+	perm []int32
+	// grouped is Ttv's length-grouped layout of the same fibers
+	// (ttv_layout.go), or nil: whole-tensor Ttv runs over it.
+	grouped *fiberKernel
+	mode    int // product mode n (operand-check messages)
+	kDim    int // size of the product mode
+	r       int // output columns: R for Ttm, 1 for Ttv
 }
 
 func (k *fiberKernel) numFibers() int { return len(k.fptr) - 1 }
@@ -52,17 +58,17 @@ func (k *fiberKernel) checkVec(v tensor.Vector) error {
 	return nil
 }
 
-// ttvFibers reduces fibers [lo, hi), one independent reduction each. On
-// amd64 with AVX2 one assembly body (ttv_amd64.s, DESIGN.md §26) reduces
-// eight fibers per step, one per vector lane, in calls of at most
-// cpu.CallNNZ non-zeros cut at fiber boundaries (cpu.Cut); ttvLoop
-// reduces the fewer than eight fibers a call leaves, the fibers in front
-// of one that holds more than a call's budget, that fiber, and everything
-// elsewhere. The body stops before the first group with an offset or
-// index out of bounds and ttvLoop takes over there, so such a fiber
-// panics where the Go loop alone panics, after the same writes. Each
-// fiber sees 0 + x₀v₀ + x₁v₁ + … in non-zero order on either path, bit
-// for bit.
+// ttvFibers reduces fibers [lo, hi), one independent reduction each,
+// into out, or into out[perm[f]] on a grouped layout. On amd64 with AVX2
+// one assembly body (ttv_amd64.s, DESIGN.md §26) reduces eight fibers per
+// step, one per vector lane, in calls of at most cpu.CallNNZ non-zeros
+// cut at fiber boundaries (cpu.Cut); ttvLoop reduces the fewer than eight
+// fibers a call leaves, the fibers in front of one that holds more than a
+// call's budget, that fiber, and everything elsewhere. The body stops
+// before the first group with an offset, index or perm entry out of
+// bounds and ttvLoop takes over there, so such a fiber panics where the
+// Go loop alone panics, after the same writes. Each fiber sees
+// 0 + x₀v₀ + x₁v₁ + … in non-zero order on either path, bit for bit.
 func (k *fiberKernel) ttvFibers(lo, hi int, v tensor.Vector) {
 	body := cpu.AVX2 && k.ttvFits(lo, hi, v)
 	for lo < hi {
@@ -70,7 +76,7 @@ func (k *fiberKernel) ttvFibers(lo, hi int, v tensor.Vector) {
 		if body && hi-lo >= 8 {
 			end = cpu.Cut(k.fptr, lo, hi)
 			if n := (end - lo) &^ 7; n > 0 {
-				stop := ttvGroups(k.out, k.fptr, k.kInd, k.vals, v, lo, lo+n)
+				stop := ttvGroups(k.out, k.fptr, k.kInd, k.vals, v, k.perm, lo, lo+n)
 				body = stop == lo+n
 				lo = stop
 				continue
@@ -83,13 +89,15 @@ func (k *fiberKernel) ttvFibers(lo, hi int, v tensor.Vector) {
 
 // ttvFits is the assembly body's precondition, O(1): the fiber offsets
 // cover [lo, hi], the output holds fibers [0, hi), the index and value
-// columns are one length, short enough for the body's dword offsets, and
-// v has 1 to 2³¹ entries, so that every index the body accepts is a
-// non-negative dword.
+// columns are one length, short enough for the body's dword offsets, v
+// has 1 to 2³¹ entries, so that every index the body accepts is a
+// non-negative dword, and a perm covers [0, hi) and indexes an output of
+// at most 2³¹ values, so that every entry the body accepts is one too.
 func (k *fiberKernel) ttvFits(lo, hi int, v tensor.Vector) bool {
 	return 0 <= lo && lo <= hi && hi < len(k.fptr) && hi <= len(k.out) &&
 		len(k.kInd) == len(k.vals) && int64(len(k.vals)) < 1<<31 &&
-		len(v) >= 1 && int64(len(v)) <= 1<<31
+		len(v) >= 1 && int64(len(v)) <= 1<<31 &&
+		(k.perm == nil || hi <= len(k.perm) && int64(len(k.out)) <= 1<<31)
 }
 
 // ttvLoop is ttvFibers' Go loop over fibers [lo, hi).
@@ -98,17 +106,38 @@ func (k *fiberKernel) ttvLoop(lo, hi int, v tensor.Vector) {
 	kInd := k.kInd
 	xv := k.vals
 	yv := k.out
+	perm := k.perm
 	for f := lo; f < hi; f++ {
 		var acc tensor.Value
 		for m := fptr[f]; m < fptr[f+1]; m++ {
 			acc += xv[m] * v[kInd[m]]
 		}
-		yv[f] = acc
+		if perm != nil {
+			yv[perm[f]] = acc
+		} else {
+			yv[f] = acc
+		}
 	}
 }
 
-// ttvRange checks v and reduces fibers [lo, hi): ExecuteSeq over every
-// fiber, ExecuteFibers over a rank's range.
+// ttvView is the fibers whole-tensor Ttv runs over: the length-grouped
+// layout when Prepare built one, else the plan's own.
+func (k *fiberKernel) ttvView() *fiberKernel {
+	if k.grouped != nil {
+		return k.grouped
+	}
+	return k
+}
+
+// ttvSeq checks v and reduces every fiber.
+func (k *fiberKernel) ttvSeq(v tensor.Vector) error {
+	g := k.ttvView()
+	return g.ttvRange(0, g.numFibers(), v)
+}
+
+// ttvRange checks v and reduces fibers [lo, hi) of k: ExecuteSeq over
+// every fiber of ttvView, ExecuteFibers over a rank's range of the
+// plan's own.
 func (k *fiberKernel) ttvRange(lo, hi int, v tensor.Vector) error {
 	if err := k.checkVec(v); err != nil {
 		return err
@@ -125,8 +154,9 @@ func (k *fiberKernel) ttvOMP(v tensor.Vector, opt parallel.Options) error {
 	if err := k.checkVec(v); err != nil {
 		return err
 	}
-	return parallel.For(k.numFibers(), opt, func(lo, hi, _ int) {
-		k.ttvFibers(lo, hi, v)
+	g := k.ttvView()
+	return parallel.For(g.numFibers(), opt, func(lo, hi, _ int) {
+		g.ttvFibers(lo, hi, v)
 	})
 }
 

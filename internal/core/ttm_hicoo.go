@@ -36,7 +36,8 @@ func PrepareTtmHiCOO(x *tensor.COO, mode, r int, blockBits uint8) (*TtmHiCOOPlan
 	if r <= 0 {
 		return nil, fmt.Errorf("core: Ttm needs R >= 1, got %d", r)
 	}
-	g, k, sk := prepareFiberHiCOO(x, mode, r, blockBits)
+	g, view, sk := prepareFiberHiCOO(x, mode, blockBits)
+	k := view.kernel(r)
 
 	outDims := append([]tensor.Index(nil), x.Dims...)
 	outDims[mode] = tensor.Index(r)

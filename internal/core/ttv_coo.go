@@ -50,7 +50,7 @@ func (p *TtvPlan) NumFibers() int { return len(p.Fptr) - 1 }
 // ExecuteSeq runs the value computation sequentially: one reduction per
 // fiber, y_f = Σ_m x_m · v[k_m].
 func (p *TtvPlan) ExecuteSeq(v tensor.Vector) (*tensor.COO, error) {
-	return planOut(p.Out, p.k.ttvRange(0, p.NumFibers(), v))
+	return planOut(p.Out, p.k.ttvSeq(v))
 }
 
 // ExecuteOMP runs the value computation owner-computes over independent

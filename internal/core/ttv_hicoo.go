@@ -40,7 +40,8 @@ func PrepareTtvHiCOO(x *tensor.COO, mode int, blockBits uint8) (*TtvHiCOOPlan, e
 	if x.Order() < 2 {
 		return nil, fmt.Errorf("core: Ttv needs an order >= 2 tensor")
 	}
-	g, k, sk := prepareFiberHiCOO(x, mode, 1, blockBits)
+	g, view, sk := prepareFiberHiCOO(x, mode, blockBits)
+	k := view.ttvKernel()
 
 	// Output dims: drop the product mode. The compressed modes of X map
 	// one-to-one onto the output's modes, in order.
@@ -64,7 +65,7 @@ func (p *TtvHiCOOPlan) NumFibers() int { return len(p.Fptr) - 1 }
 
 // ExecuteSeq runs the value computation sequentially.
 func (p *TtvHiCOOPlan) ExecuteSeq(v tensor.Vector) (*hicoo.HiCOO, error) {
-	return planOut(p.Out, p.k.ttvRange(0, p.NumFibers(), v))
+	return planOut(p.Out, p.k.ttvSeq(v))
 }
 
 // ExecuteOMP runs the value computation exactly as the COO kernel does
@@ -95,10 +96,9 @@ type fiberSkeleton struct {
 
 // prepareFiberHiCOO is the preprocessing HiCOO-Ttv and HiCOO-Ttm share:
 // convert to gHiCOO compressing every mode except the product mode,
-// detect the fibers, derive the output's block skeleton and allocate its
-// values, one r-row per fiber. The returned kernel views the gHiCOO
-// arrays and those values.
-func prepareFiberHiCOO(x *tensor.COO, mode, r int, blockBits uint8) (*hicoo.GHiCOO, fiberKernel, fiberSkeleton) {
+// detect the fibers and derive the output's block skeleton. The returned
+// view is over the gHiCOO arrays.
+func prepareFiberHiCOO(x *tensor.COO, mode int, blockBits uint8) (*hicoo.GHiCOO, FiberView, fiberSkeleton) {
 	g := hicoo.FromCOOExceptMode(x, mode, blockBits)
 	fptr, fiberBlock := g.FiberPointers()
 	mf := len(fptr) - 1
@@ -127,5 +127,5 @@ func prepareFiberHiCOO(x *tensor.COO, mode, r int, blockBits uint8) (*hicoo.GHiC
 		}
 	}
 	sk.bptr = append(sk.bptr, int64(mf))
-	return g, FiberView{Fptr: fptr, KInd: g.UInds[0], Vals: g.Vals, Dims: x.Dims, Mode: mode}.kernel(r), sk
+	return g, FiberView{Fptr: fptr, KInd: g.UInds[0], Vals: g.Vals, Dims: x.Dims, Mode: mode}, sk
 }

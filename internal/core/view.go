@@ -13,7 +13,8 @@ import (
 // uncompressed and a level hierarchy with the mode at the leaves
 // (internal/levels) all are that; formats differ in how they locate the
 // columns and derive the output skeleton, not in the value computation
-// (fiber.go). A plan aliases the arrays: they must not change under it.
+// (fiber.go). A plan aliases the arrays, and a Ttv plan may keep a copy
+// of them in another order (ttv_layout.go): they must not change under it.
 type FiberView struct {
 	Fptr []int64        // MF+1 fiber start offsets into KInd/Vals
 	KInd []tensor.Index // product-mode index of each non-zero
@@ -29,6 +30,15 @@ func (v FiberView) kernel(r int) fiberKernel {
 		fptr: v.Fptr, kInd: v.KInd, vals: v.Vals, out: make([]tensor.Value, (len(v.Fptr)-1)*r),
 		mode: v.Mode, kDim: int(v.Dims[v.Mode]), r: r,
 	}
+}
+
+// ttvKernel is kernel(1) for Ttv, with the length-grouped layout its
+// whole-tensor paths run over when the fibers' lengths call for one
+// (ttv_layout.go): the one place that layout is built.
+func (v FiberView) ttvKernel() fiberKernel {
+	k := v.kernel(1)
+	k.grouped = k.groupByLength()
+	return k
 }
 
 // skeleton checks the view against the COO-shaped output skeleton a
@@ -63,7 +73,7 @@ func NewTtvPlan(v FiberView, cols [][]tensor.Index) (*TtvPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	k := v.kernel(1)
+	k := v.ttvKernel()
 	out := &tensor.COO{Dims: make([]tensor.Index, 0, len(inds)), Inds: inds, Vals: k.out}
 	for _, n := range tensor.OtherModes(len(v.Dims), v.Mode) {
 		out.Dims = append(out.Dims, v.Dims[n])

@@ -211,7 +211,8 @@ func fiberPlanVals(t *testing.T, inst *Instance) []tensor.Value {
 // omp cell is owner-computes, one worker reducing each fiber in storage
 // order, so its output equals its Serial rung's bit for bit at any
 // worker count, with the Go loops and with the assembly bodies, and it
-// reports the strategy owner.
+// reports the strategy owner. The first tensor's Ttv plans run over the
+// length-grouped layout, whose fibers the workers split.
 func TestTtvTtmCellsBitsIndependentOfWorkers(t *testing.T) {
 	var cells []*Variant
 	for _, v := range All() {
@@ -223,6 +224,7 @@ func TestTtvTtmCellsBitsIndependentOfWorkers(t *testing.T) {
 		t.Fatalf("%d Ttv/Ttm omp cells, want 8", len(cells))
 	}
 	cases := []tensortest.Case{tensortest.Corpus(t)[0], {Name: "few-long-fibers", X: fewLongFibers()}}
+	requireGroupedTtv(t, cases[0].Name, cases[0].X)
 	// The workbenches leave Threads at 0, so each Run reads the global
 	// worker count.
 	defer parallel.SetNumThreads(parallel.NumThreads())

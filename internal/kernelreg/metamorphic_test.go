@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/dist"
+	"repro/internal/hicoo"
 	"repro/internal/roofline"
 	"repro/internal/tensor"
 	"repro/internal/tensortest"
@@ -34,7 +36,9 @@ func ttvCells() []*Variant {
 
 // metamorphicTensors are small tensors of the benchmark's three recipes
 // (nell2 and regS4d nearly one non-zero per fiber, irrS mixed lengths)
-// with signed values.
+// with signed values. Every Ttv plan of irrS's must run over the
+// length-grouped layout (requireGroupedTtv), so that each relation
+// covers it.
 func metamorphicTensors(t *testing.T) []tensortest.Case {
 	t.Helper()
 	var cases []tensortest.Case
@@ -51,9 +55,39 @@ func metamorphicTensors(t *testing.T) []tensortest.Case {
 		for m := range x.Vals {
 			x.Vals[m] = tensor.Value(2*rng.Float64() - 1)
 		}
+		if id == "irrS" {
+			requireGroupedTtv(t, id, x)
+		}
 		cases = append(cases, tensortest.Case{Name: id, X: x})
 	}
 	return cases
+}
+
+// requireGroupedTtv fails t unless the COO and the HiCOO Ttv plan of x
+// run over a length-grouped layout in every mode (core/ttv_layout.go).
+// core exports no name for the layout, so this reads the plans'
+// unexported kernel by reflection.
+func requireGroupedTtv(t *testing.T, name string, x *tensor.COO) {
+	t.Helper()
+	for mode := 0; mode < x.Order(); mode++ {
+		p, err := core.PrepareTtv(x, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hp, err := core.PrepareTtvHiCOO(x, mode, hicoo.DefaultBlockBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, plan := range []any{p, hp} {
+			grouped := reflect.ValueOf(plan).Elem().FieldByName("k").FieldByName("grouped")
+			if !grouped.IsValid() {
+				t.Fatalf("%T has no kernel field k.grouped", plan)
+			}
+			if grouped.IsNil() {
+				t.Fatalf("%s mode %d: %T runs over no length-grouped layout", name, mode, plan)
+			}
+		}
+	}
 }
 
 // ttvCellOutput runs cell on x in mode on one thread and returns its
@@ -83,22 +117,28 @@ func ttvCellOutput(t *testing.T, cell *Variant, x *tensor.COO, mode int) map[str
 // holds exactly whatever order a cell sums in; a cell that summed a fiber
 // in two orders across the runs would break it.
 func TestTtvCellsScaleExactly(t *testing.T) {
+	ks := []int{5, -7}
 	for _, c := range metamorphicTensors(t) {
-		for _, k := range []int{5, -7} {
+		ys := make([]*tensor.COO, len(ks))
+		for i, k := range ks {
 			scale := tensor.Value(math.Ldexp(1, k))
-			y := c.X.Clone()
-			for m := range y.Vals {
-				y.Vals[m] *= scale
-				if a := math.Abs(float64(y.Vals[m])); a < 0x1p-100 || a > 0x1p100 {
-					t.Fatalf("%s: value %v scaled by 2^%d leaves the safe range", c.Name, c.X.Vals[m], k)
+			ys[i] = c.X.Clone()
+			for m, v := range ys[i].Vals {
+				ys[i].Vals[m] = v * scale
+				if a := math.Abs(float64(ys[i].Vals[m])); a < 0x1p-100 || a > 0x1p100 {
+					t.Fatalf("%s: value %v scaled by 2^%d leaves the safe range", c.Name, v, k)
 				}
 			}
-			for _, asm := range tensortest.BodySides() {
-				tensortest.WithAVX2(asm, func() {
-					for _, cell := range ttvCells() {
-						for mode := 0; mode < c.X.Order(); mode++ {
+		}
+		for _, asm := range tensortest.BodySides() {
+			tensortest.WithAVX2(asm, func() {
+				for _, cell := range ttvCells() {
+					for mode := 0; mode < c.X.Order(); mode++ {
+						base := ttvCellOutput(t, cell, c.X, mode)
+						for i, k := range ks {
+							scale := tensor.Value(math.Ldexp(1, k))
 							label := fmt.Sprintf("%s 2^%d %s mode %d asm %v", c.Name, k, cell, mode, asm)
-							base, scaled := ttvCellOutput(t, cell, c.X, mode), ttvCellOutput(t, cell, y, mode)
+							scaled := ttvCellOutput(t, cell, ys[i], mode)
 							if len(base) != len(scaled) {
 								t.Fatalf("%s: %d outputs, %d scaled", label, len(base), len(scaled))
 							}
@@ -113,8 +153,8 @@ func TestTtvCellsScaleExactly(t *testing.T) {
 							}
 						}
 					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
