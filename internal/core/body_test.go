@@ -17,9 +17,10 @@ import (
 
 // The tests below hold core's three assembly bodies to their contract
 // (DESIGN.md, "Assembly bodies") through tensortest.CheckBody, one part
-// of it each: the Mttkrp row body (mttkrpRows32 and mttkrpRows8 behind
-// mttkrpRows), the Ttm fiber body (ttmRows behind ttmFibers) and the
-// Ttv fiber-group body (ttvGroups behind ttvFibers).
+// of it each: the Mttkrp row body (mttkrpRows32 behind mttkrpRows and
+// mttkrpBlocks behind HiCOO's executeBlocks), the Ttm fiber body (ttmRows
+// behind ttmFibers) and the Ttv fiber-group body (ttvGroups behind
+// ttvFibers).
 
 // scalarMttkrp is the textbook Mttkrp loop the blocked body replaced,
 // kept as its oracle: per non-zero an R-wide scratch row starts at the
@@ -63,12 +64,75 @@ func mttkrpCase(seed int64, order, nnz, r, mode int) (*tensor.COO, []*tensor.Mat
 	return x, mats
 }
 
+// sparseBlocks is a hypersparse order-N tensor in the shape of regS4d's
+// HiCOO form (hicoo.DefaultBlockBits): one non-zero in each of about
+// blocks random blocks of a grid rowBlocks blocks wide per mode, half of
+// them with a second non-zero in the same block, with signed values and
+// factors and a nil mats[mode]. Every mode is whole blocks long, so any
+// block's base plus any element index is a row.
+func sparseBlocks(seed int64, order, rowBlocks, blocks, r, mode int) (*tensor.COO, []*tensor.Matrix) {
+	const side = 1 << hicoo.DefaultBlockBits
+	rng := rand.New(rand.NewSource(seed))
+	dims := make([]tensor.Index, order)
+	for n := range dims {
+		dims[n] = tensor.Index(rowBlocks * side)
+	}
+	x := tensor.NewCOO(dims, 2*blocks)
+	idx := make([]tensor.Index, order)
+	for range blocks {
+		for n := range idx {
+			idx[n] = tensor.Index(rng.Intn(rowBlocks)*side + rng.Intn(side))
+		}
+		x.Append(idx, tensor.Value(2*rng.Float64()-1))
+		if rng.Intn(2) == 0 {
+			idx[0] = idx[0]&^(side-1) | (idx[0]+tensor.Index(1+rng.Intn(side-1)))&(side-1)
+			x.Append(idx, tensor.Value(2*rng.Float64()-1))
+		}
+	}
+	x.Dedup()
+	mats := tensortest.SignedFactors(x, r, seed+1)
+	mats[mode] = nil
+	return x, mats
+}
+
+// scalarMttkrpBlocks is Algorithm 2 as the textbook writes it, the
+// oracle of HiCOO block ranges: per block b and non-zero x of
+// [BPtr[b], BPtr[b+1]), the scratch-row product of scalarMttkrp over rows
+// BInds[m][b]<<BlockBits + EInds[m][x].
+func scalarMttkrpBlocks(h *hicoo.HiCOO, mode, r int, mats []*tensor.Matrix, out []tensor.Value, lo, hi int) {
+	prod := make([]tensor.Value, r)
+	for b := lo; b < hi; b++ {
+		for x := h.BPtr[b]; x < h.BPtr[b+1]; x++ {
+			for c := range prod {
+				prod[c] = h.Vals[x]
+			}
+			for mo := range h.EInds {
+				if mo == mode {
+					continue
+				}
+				row := mats[mo].Row(int(h.Index(mo, b, x)))
+				for c := range prod {
+					prod[c] *= row[c]
+				}
+			}
+			orow := out[int(h.Index(mode, b, x))*r:][:r]
+			for c := range prod {
+				orow[c] += prod[c]
+			}
+		}
+	}
+}
+
 // TestMttkrpBodyBitIdentical holds the Mttkrp row body to the scalar
 // loop bit for bit through both of its callers: COO over the ranges a
 // tile or a rank passes (lo > 0 included), HiCOO over block ranges
 // against the oracle in HiCOO's storage order, plain and, on the test's
 // one goroutine, atomic. The ranks cover every tail length; order 10
-// has more operands than the executor's stack array.
+// has more operands than the executor's stack array. HiCOO tensors of
+// one or two non-zeros per block, as regular4d's, hold the block entry
+// to Algorithm 2's loop: orders 3–5 and 10 over sub-ranges, a range of
+// several calls, and BPtr made non-monotone in range (a block runs
+// empty, the next re-reads its non-zeros under its own bases).
 func TestMttkrpBodyBitIdentical(t *testing.T) {
 	var b tensortest.Body
 	add := func(name string, size int, oracle, run func([]tensor.Value)) {
@@ -108,6 +172,51 @@ func TestMttkrpBodyBitIdentical(t *testing.T) {
 			}
 		}
 	}
+
+	blockCase := func(label string, h *hicoo.HiCOO, mats []*tensor.Matrix, mode, r, lo, hi int, units []int64) {
+		hp, err := core.PrepareMttkrpHiCOO(h, mode, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Cases = append(b.Cases, tensortest.BodyCase{Name: label, Size: int(h.Dims[mode]) * r, Units: units,
+			Oracle: func(out []tensor.Value) { scalarMttkrpBlocks(h, mode, r, mats, out, lo, hi) },
+			Run:    func(out []tensor.Value) { hp.ExecuteBlocks(lo, hi, mats, out, false) },
+		})
+	}
+	for _, order := range []int{3, 4, 5, 10} {
+		rowBlocks := 32
+		if order == 10 {
+			rowBlocks = 4
+		}
+		for _, r := range []int{8, 16, 17, 33} {
+			mode := (order + r) % order
+			x, mats := sparseBlocks(int64(1000*order+r), order, rowBlocks, 300, r, mode)
+			h := hicoo.FromCOO(x, hicoo.DefaultBlockBits)
+			nb := h.NumBlocks()
+			if nnz := h.NNZ(); nnz > 2*nb {
+				t.Fatalf("order %d: %d non-zeros in %d blocks, want one or two per block", order, nnz, nb)
+			}
+			for _, rg := range [][2]int{{0, nb}, {1, nb - 1}, {nb / 3, 2 * nb / 3}} {
+				blockCase(fmt.Sprintf("HiCOO sparse blocks order %d R %d mode %d blocks %v", order, r, mode, rg), h, mats, mode, r, rg[0], rg[1], nil)
+			}
+		}
+	}
+	{
+		const order, r, mode = 4, 17, 1
+		x, mats := sparseBlocks(31, order, 32, 48_000, r, mode)
+		h := hicoo.FromCOO(x, hicoo.DefaultBlockBits)
+		nb := h.NumBlocks()
+		for _, rg := range [][2]int{{0, nb}, {3, nb - 2}} {
+			blockCase(fmt.Sprintf("HiCOO sparse blocks across calls blocks %v", rg), h, mats, mode, r, rg[0], rg[1], h.BPtr[rg[0]:rg[1]+1])
+		}
+
+		inverted := *h
+		inverted.BPtr = append([]int64(nil), h.BPtr...)
+		for _, k := range []int{1, nb / 3, nb / 2, nb - 2} {
+			inverted.BPtr[k], inverted.BPtr[k+1] = inverted.BPtr[k+1], inverted.BPtr[k]
+		}
+		blockCase("HiCOO sparse blocks non-monotone BPtr", &inverted, mats, mode, r, 0, nb, nil)
+	}
 	tensortest.CheckBody(t, b)
 }
 
@@ -134,11 +243,28 @@ func TestMttkrpBodyAcrossCalls(t *testing.T) {
 
 // TestMttkrpOutOfRangePanicsAtSameNonZero puts one row index past a
 // factor or the output: COO's 32-bit one row past the end, HiCOO's 8-bit
-// 255 in a block moved to the last block row. Both sides must panic at
-// that non-zero after the writes of the non-zeros in front of it.
+// 255 in a block moved to the last block row. HiCOO's block pointers and
+// block indices are corrupted too: the last BPtr entry past the values,
+// an entry of −1 (inside a range, and as the first block of one), an
+// entry moved back before the block in front of it
+// (that block runs empty, and this one re-reads earlier non-zeros under
+// its own bases until a row is past the end), and a block index whose
+// base is past the rows, by one block and by the most a 32-bit index
+// holds. Both sides must panic at the same non-zero after the same
+// writes.
 func TestMttkrpOutOfRangePanicsAtSameNonZero(t *testing.T) {
 	const mode = 1
 	var b tensortest.Body
+	hicooCase := func(name string, h *hicoo.HiCOO, mats []*tensor.Matrix, r int) {
+		hp, err := core.PrepareMttkrpHiCOO(h, mode, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Corruptions = append(b.Corruptions, tensortest.BodyCase{
+			Name: name, Size: int(h.Dims[mode]) * r,
+			Run: func(out []tensor.Value) { hp.ExecuteBlocks(0, h.NumBlocks(), mats, out, false) },
+		})
+	}
 	for _, r := range []int{8, 16, 17, 33} {
 		for _, bad := range []int{mode, 0, 2} {
 			x, mats := mttkrpCase(int64(7*r+bad), 3, 400, r, mode)
@@ -155,25 +281,73 @@ func TestMttkrpOutOfRangePanicsAtSameNonZero(t *testing.T) {
 			})
 
 			h := hicoo.FromCOO(x, hicoo.DefaultBlockBits)
-			hp, err := core.PrepareMttkrpHiCOO(h, mode, r)
-			if err != nil {
-				t.Fatal(err)
-			}
 			blk := h.NumBlocks() / 2
 			h.BInds[bad][blk] = (x.Dims[bad] - 1) >> h.BlockBits
 			h.EInds[bad][h.BPtr[blk+1]-1] = 255
-			b.Corruptions = append(b.Corruptions, tensortest.BodyCase{
-				Name: fmt.Sprintf("HiCOO R %d bad mode %d", r, bad), Size: size,
-				Run: func(out []tensor.Value) { hp.ExecuteBlocks(0, h.NumBlocks(), mats, out, false) },
-			})
+			hicooCase(fmt.Sprintf("HiCOO R %d bad mode %d", r, bad), h, mats, r)
+
+			h = hicoo.FromCOO(x, hicoo.DefaultBlockBits)
+			blk, to := movedBack(t, h, bad)
+			h.BPtr[blk] = to
+			hicooCase(fmt.Sprintf("HiCOO R %d BPtr[%d] moved back to %d bad mode %d", r, blk, to, bad), h, mats, r)
+
+			for _, bind := range []tensor.Index{x.Dims[bad]>>hicoo.DefaultBlockBits + 1, math.MaxUint32} {
+				h := hicoo.FromCOO(x, hicoo.DefaultBlockBits)
+				h.BInds[bad][h.NumBlocks()/2] = bind
+				hicooCase(fmt.Sprintf("HiCOO R %d BInds %d bad mode %d", r, bind, bad), h, mats, r)
+			}
 		}
+
+		x, mats := mttkrpCase(int64(7*r), 3, 400, r, mode)
+		h := hicoo.FromCOO(x, hicoo.DefaultBlockBits)
+		h.BPtr[h.NumBlocks()] = int64(h.NNZ()) + 3
+		hicooCase(fmt.Sprintf("HiCOO R %d last BPtr past the values", r), h, mats, r)
+
+		h = hicoo.FromCOO(x, hicoo.DefaultBlockBits)
+		blk := h.NumBlocks() / 2
+		h.BPtr[blk] = -1
+		hicooCase(fmt.Sprintf("HiCOO R %d BPtr -1", r), h, mats, r)
+		hp, err := core.PrepareMttkrpHiCOO(h, mode, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Corruptions = append(b.Corruptions, tensortest.BodyCase{
+			Name: fmt.Sprintf("HiCOO R %d BPtr -1 at a range's first block", r), Size: int(h.Dims[mode]) * r,
+			Run: func(out []tensor.Value) {
+				hp.ExecuteBlocks(0, blk, mats, out, false)
+				hp.ExecuteBlocks(blk, h.NumBlocks(), mats, out, false)
+			},
+		})
 	}
 	tensortest.CheckBody(t, b)
 }
 
+// movedBack finds a block of h whose base in mode bad is the last block
+// row and a non-zero in front of the block before it whose element
+// index in mode bad, under that base, is past the mode's end: with
+// BPtr[blk] set to at, block blk−1 runs empty and block blk panics at
+// its first non-zero, at.
+func movedBack(t *testing.T, h *hicoo.HiCOO, bad int) (blk int, at int64) {
+	t.Helper()
+	last := (h.Dims[bad] - 1) >> h.BlockBits
+	for blk := h.NumBlocks() - 1; blk >= 2; blk-- {
+		if h.BInds[bad][blk] != last {
+			continue
+		}
+		for at := h.BPtr[blk-1] - 1; at >= 0; at-- {
+			if last<<h.BlockBits+tensor.Index(h.EInds[bad][at]) >= h.Dims[bad] {
+				return blk, at
+			}
+		}
+	}
+	t.Fatalf("no block to move back in mode %d", bad)
+	return 0, 0
+}
+
 // TestMttkrpExecuteAllocatesNothing pins the Mttkrp paths at zero
 // allocations per call: the operand list lives on the executor's stack
-// and the body needs no scratch row.
+// and the body needs no scratch row. The sparse-blocks HiCOO plan (order
+// 4, R = 16, one or two non-zeros per block) runs the block entry.
 func TestMttkrpExecuteAllocatesNothing(t *testing.T) {
 	ax := tensor.RandomCOO([]tensor.Index{40, 30, 50, 20}, 3000, rand.New(rand.NewSource(90)))
 	amats := tensortest.SignedFactors(ax, 16, 91)
@@ -185,10 +359,20 @@ func TestMttkrpExecuteAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sx, smats := sparseBlocks(92, 4, 32, 3000, 16, 2)
+	sh := hicoo.FromCOO(sx, hicoo.DefaultBlockBits)
+	sp, err := core.PrepareMttkrpHiCOO(sh, 2, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
 	out := make([]tensor.Value, len(p.Out.Data))
 	tensortest.CheckBody(t, tensortest.Body{Allocs: map[string]func() error{
 		"MttkrpPlan.ExecuteSeq":      func() error { _, err := p.ExecuteSeq(amats); return err },
 		"MttkrpHiCOOPlan.ExecuteSeq": func() error { _, err := hp.ExecuteSeq(amats); return err },
+		"MttkrpHiCOOPlan.ExecuteSeq sparse blocks": func() error {
+			_, err := sp.ExecuteSeq(smats)
+			return err
+		},
 		"MttkrpCOORange": func() error {
 			core.MttkrpCOORange(ax.Inds, ax.Vals, 2, 16, amats, out, 0, ax.NNZ(), false)
 			return nil
@@ -439,14 +623,29 @@ func TestTtmExecuteAllocatesNothing(t *testing.T) {
 
 // BenchmarkMttkrpBody times one sequential Mttkrp (mode 0) through the
 // COO and the HiCOO plan, on the Go loop and on the assembly body, and
-// reports it per non-zero. Run it with -cpu 1.
+// reports it per non-zero. Run it with -cpu 1. The random tensors hold
+// tens to thousands of non-zeros per HiCOO block; regS4d, regular4d's
+// service tensor at 100 000 non-zeros, holds about 1.6, so its HiCOO row
+// shows the per-block cost.
 func BenchmarkMttkrpBody(b *testing.B) {
-	for _, dims := range [][]tensor.Index{
-		{3000, 2000, 1000},
-		{400, 300, 200, 100},
-		{120, 100, 80, 60, 40},
+	e, err := dataset.ByID("regS4d")
+	if err != nil {
+		b.Fatal(err)
+	}
+	regS4d, err := dataset.Materialize(e, 100_000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, w := range []struct {
+		name string
+		x    *tensor.COO
+	}{
+		{"order=3", tensor.RandomCOO([]tensor.Index{3000, 2000, 1000}, 100000, rand.New(rand.NewSource(3)))},
+		{"order=4", tensor.RandomCOO([]tensor.Index{400, 300, 200, 100}, 100000, rand.New(rand.NewSource(4)))},
+		{"order=5", tensor.RandomCOO([]tensor.Index{120, 100, 80, 60, 40}, 100000, rand.New(rand.NewSource(5)))},
+		{"regS4d", regS4d},
 	} {
-		x := tensor.RandomCOO(dims, 100000, rand.New(rand.NewSource(int64(len(dims)))))
+		x := w.x
 		h := hicoo.FromCOO(x, hicoo.DefaultBlockBits)
 		for _, r := range []int{16, 32} {
 			mats := tensortest.SignedFactors(x, r, 7)
@@ -462,7 +661,7 @@ func BenchmarkMttkrpBody(b *testing.B) {
 				name string
 				exec func([]*tensor.Matrix) (*tensor.Matrix, error)
 			}{{"COO", p.ExecuteSeq}, {"HiCOO", hp.ExecuteSeq}} {
-				tensortest.BenchSides(b, fmt.Sprintf("order=%d/R=%d/%s", len(dims), r, f.name), x.NNZ(), "nnz", func() error {
+				tensortest.BenchSides(b, fmt.Sprintf("%s/R=%d/%s", w.name, r, f.name), x.NNZ(), "nnz", func() error {
 					_, err := f.exec(mats)
 					return err
 				})

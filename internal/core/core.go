@@ -19,11 +19,12 @@
 // view.go is the contract, through which the fiber trees of
 // internal/levels and internal/csf prepare the same plans; on amd64 with
 // AVX2 Ttm's owner arm is one assembly body, ttm_amd64.s), tewValues
-// and tsValues for the element-wise kernels, mttkrpRows for Mttkrp (a
+// and tsValues for the element-wise kernels, mttkrpCols for Mttkrp (a
 // rank-blocked row accumulation over one block of non-zeros: COO columns,
-// exported as MttkrpCOORange, are one block with base 0, a HiCOO tensor
-// is its blocks with 8-bit element indices; on amd64 with AVX2 its plain
-// arm is one assembly body, mttkrp_amd64.s).
+// exported as MttkrpCOORange, are one block with base 0 behind
+// mttkrpRows, a HiCOO tensor is its blocks with 8-bit element indices
+// behind executeBlocks; on amd64 with AVX2 both plain arms are one
+// assembly body, mttkrp_amd64.s, with an entry each).
 // The same bodies take a range, so the multi-GPU shards (multigpu.go),
 // the out-of-core tile stream (internal/ooc) and the distributed ranks
 // (internal/dist) run them too. The sCOO kernels are bodies of their own.

@@ -11,7 +11,14 @@ import "repro/internal/tensor"
 //go:noescape
 func mttkrpRows32(dst *mttkrpOperand[tensor.Index], ops []mttkrpOperand[tensor.Index], vals []tensor.Value, r, lo, hi int) int
 
-// mttkrpRows8 is mttkrpRows32 for HiCOO blocks: 8-bit element indices.
+// mttkrpBlocks adds columns [0, r&^7) of HiCOO blocks [lo, hi) to dst's
+// rows, as executeBlocks' Go loop does: for each block b it stores
+// bind[b] << bits into the base of dst and of each operand, in that
+// order, then runs non-zeros [bptr[b], bptr[b+1]) as mttkrpRows32 does.
+// It returns (hi, ·) — or the block b and the non-zero x where it
+// stopped, of which it wrote nothing: bptr[b] when bptr[b] or bptr[b+1]
+// is not in [0, n], else the first non-zero whose row does not fit.
+// blocksFit must hold for the arguments and give n.
 //
 //go:noescape
-func mttkrpRows8(dst *mttkrpOperand[uint8], ops []mttkrpOperand[uint8], vals []tensor.Value, r, lo, hi int) int
+func mttkrpBlocks(dst *mttkrpOperand[uint8], ops []mttkrpOperand[uint8], vals []tensor.Value, r, lo, hi int, bptr []int64, n, bits int) (b, x int)

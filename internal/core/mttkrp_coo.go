@@ -199,39 +199,38 @@ func (k *cooMttkrp) accumulate(lo, hi int, mats []*tensor.Matrix, out []tensor.V
 // mttkrpOperand is one mode of a Mttkrp block: a row-major R-column
 // matrix (a factor, or the output), the block's first row in it, and the
 // column giving every non-zero's row within the block — 32-bit COO
-// coordinates under base 0, or HiCOO's 8-bit element indices.
+// coordinates under base 0, or HiCOO's 8-bit element indices. For HiCOO,
+// bind is the mode's block index column: block b's base is
+// bind[b] << BlockBits.
 type mttkrpOperand[E uint8 | tensor.Index] struct {
 	ind  []E
 	data []tensor.Value
 	base int
+	bind []tensor.Index
 }
 
 // mttkrpStackOperands is how many input modes an executor gathers on its
 // stack; a tensor of higher order spills the list to the heap (append).
 const mttkrpStackOperands = 8
 
-// mttkrpRows is the Mttkrp value computation (DESIGN.md §22): for every
-// non-zero x of [lo, hi) it adds vals[x] times the Hadamard product of
-// the operands' rows to the row of dst. On amd64 with AVX2 the plain arm
-// runs one assembly body over columns [0, r&^7) (mttkrp_amd64.s), one
-// call per cpu.CallNNZ non-zeros; the Go loop computes the columns left,
-// the atomic arm and, on other hosts, everything. The body stops before the first non-zero with a row out of
-// range, and the Go loop resumes there, so such an index panics where
-// the Go loop alone panics, after the same writes. Operands multiply in
-// slice order (ascending mode) and non-zeros are visited in order, so
-// each output element sees the products and additions of the textbook
-// loop, bit for bit, on either path.
-func mttkrpRows[E uint8 | tensor.Index](dst *mttkrpOperand[E], ops []mttkrpOperand[E], vals []tensor.Value, r, lo, hi int, atomicUpd bool) {
+// mttkrpRows is the Mttkrp value computation over one block of 32-bit
+// row indices (DESIGN.md §22): for every non-zero x of [lo, hi) it adds
+// vals[x] times the Hadamard product of the operands' rows to the row of
+// dst. On amd64 with AVX2 the plain arm runs one assembly body over
+// columns [0, r&^7) (mttkrp_amd64.s), one call per cpu.CallNNZ
+// non-zeros; the Go loop computes the columns left, the atomic arm and,
+// on other hosts, everything. The body stops before the first non-zero
+// with a row out of range, and the Go loop resumes there, so such an
+// index panics where the Go loop alone panics, after the same writes.
+// Operands multiply in slice order (ascending mode) and non-zeros are
+// visited in order, so each output element sees the products and
+// additions of the textbook loop, bit for bit, on either path. HiCOO's
+// blocks have an entry of their own, executeBlocks.
+func mttkrpRows(dst *mttkrpOperand[tensor.Index], ops []mttkrpOperand[tensor.Index], vals []tensor.Value, r, lo, hi int, atomicUpd bool) {
 	if c := r &^ 7; c > 0 && cpu.AVX2 && !atomicUpd && mttkrpFits(dst, ops, vals, r, lo, hi) {
 		for lo < hi {
 			end := min(hi, lo+cpu.CallNNZ)
-			var stop int
-			switch d := any(dst).(type) {
-			case *mttkrpOperand[tensor.Index]:
-				stop = mttkrpRows32(d, any(ops).([]mttkrpOperand[tensor.Index]), vals, r, lo, end)
-			case *mttkrpOperand[uint8]:
-				stop = mttkrpRows8(d, any(ops).([]mttkrpOperand[uint8]), vals, r, lo, end)
-			}
+			stop := mttkrpRows32(dst, ops, vals, r, lo, end)
 			if c < r {
 				mttkrpCols(dst, ops, vals, r, c, lo, stop, false)
 			}
@@ -244,12 +243,11 @@ func mttkrpRows[E uint8 | tensor.Index](dst *mttkrpOperand[E], ops []mttkrpOpera
 	mttkrpCols(dst, ops, vals, r, 0, lo, hi, atomicUpd)
 }
 
-// mttkrpFits is the assembly body's precondition, O(order): the index
-// and value columns cover [lo, hi), and every base lies in
-// [0, len(data)]. With r ≤ 2^16 a row index stays below 2^32 + 2^46 (a
-// []float32 holds fewer than 2^46 values), so the body's (base+ind)·r + r
-// cannot wrap.
-func mttkrpFits[E uint8 | tensor.Index](dst *mttkrpOperand[E], ops []mttkrpOperand[E], vals []tensor.Value, r, lo, hi int) bool {
+// mttkrpFits is mttkrpRows32's precondition, O(order): the index and
+// value columns cover [lo, hi), and every base lies in [0, len(data)].
+// With r ≤ 2^16 a row index stays below 2^32 + 2^46 (a []float32 holds
+// fewer than 2^46 values), so the body's (base+ind)·r + r cannot wrap.
+func mttkrpFits(dst *mttkrpOperand[tensor.Index], ops []mttkrpOperand[tensor.Index], vals []tensor.Value, r, lo, hi int) bool {
 	if lo < 0 || lo > hi || hi > len(vals) || r > 1<<16 || len(dst.ind) < hi || uint(dst.base) > uint(len(dst.data)) {
 		return false
 	}
@@ -261,11 +259,12 @@ func mttkrpFits[E uint8 | tensor.Index](dst *mttkrpOperand[E], ops []mttkrpOpera
 	return true
 }
 
-// mttkrpCols is mttkrpRows' Go loop over columns [c0, r): eight output
-// columns at a time live in registers across the operands, every row
-// re-sliced to a [8]Value so the multiplies carry no bounds checks; a
-// scalar loop takes the columns left. Plain and atomic differ only in
-// how the finished products are committed.
+// mttkrpCols is the Go loop of mttkrpRows and executeBlocks over columns
+// [c0, r) of non-zeros [lo, hi) of one block: eight output columns at a
+// time live in registers across the operands, every row re-sliced to a
+// [8]Value so the multiplies carry no bounds checks; a scalar loop takes
+// the columns left. Plain and atomic differ only in how the finished
+// products are committed.
 func mttkrpCols[E uint8 | tensor.Index](dst *mttkrpOperand[E], ops []mttkrpOperand[E], vals []tensor.Value, r, c0, lo, hi int, atomicUpd bool) {
 	for x := lo; x < hi; x++ {
 		v := vals[x]

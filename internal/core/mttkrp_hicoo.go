@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/cpu"
 	"repro/internal/gpusim"
 	"repro/internal/hicoo"
 	"repro/internal/parallel"
@@ -13,8 +14,10 @@ import (
 // matrices are addressed through per-block base rows (Ab, Bb, Cb) so the
 // inner loop works purely on 8-bit element indices, which increases
 // locality via blocking and Morton-order construction. CPU parallelism is
-// over tensor blocks rather than non-zeros; because distinct tensor blocks
-// can still share output block-rows, updates remain atomic — and on GPUs
+// over tensor blocks rather than non-zeros. ExecuteSeq and a one-thread
+// ExecuteOMP add plainly; with more threads distinct tensor blocks can
+// still share output block-rows, so each call adds into pooled private
+// copies or atomically (Options.Strategy; Auto picks per call). On GPUs
 // the per-block mapping loses COO's balanced non-zero distribution, which
 // is why the paper observes HiCOO-Mttkrp-GPU below COO-Mttkrp-GPU.
 type MttkrpHiCOOPlan struct {
@@ -156,31 +159,87 @@ func (p *MttkrpHiCOOPlan) ExecuteGPU(dev *gpusim.Device, mats []*tensor.Matrix) 
 
 // executeBlocks processes tensor blocks [lo, hi) following Algorithm 2,
 // adding into out (the shared output or a worker's private copy) either
-// plainly or atomically: each tensor block is one mttkrpRows block whose
-// bases are the block matrix bases Ab, Bb, Cb of line 3 and whose row
-// indices are the 8-bit element indices.
+// plainly or atomically. Each tensor block is one block of the row body
+// (DESIGN.md §22): its operands' bases are the block matrix bases Ab,
+// Bb, Cb of line 3 and its row indices the 8-bit element indices. On
+// amd64 with AVX2 the plain arm hands columns [0, r&^7) of whole block
+// ranges, cut by cpu.Cut, to mttkrpBlocks, which walks the blocks itself;
+// blockCols, the Go loop, computes the columns left, the atomic arm and,
+// on other hosts, everything. When the body stops at block b, non-zero
+// x, the Go loop finishes the columns from r&^7 on up to there and
+// resumes every column at x, so a bad pointer or index panics where, and
+// after the writes with which, the Go loop alone panics.
 func (p *MttkrpHiCOOPlan) executeBlocks(lo, hi int, mats []*tensor.Matrix, out []tensor.Value, atomicUpd bool) {
 	h := p.X
 	var buf [mttkrpStackOperands]mttkrpOperand[uint8]
 	ops := buf[:0]
 	for mo, ind := range h.EInds {
 		if mo != p.Mode {
-			ops = append(ops, mttkrpOperand[uint8]{ind: ind, data: mats[mo].Data})
+			ops = append(ops, mttkrpOperand[uint8]{ind: ind, data: mats[mo].Data, bind: h.BInds[mo]})
 		}
 	}
-	dst := mttkrpOperand[uint8]{ind: h.EInds[p.Mode], data: out}
-	for b := lo; b < hi; b++ {
-		i := 0
-		for mo, bind := range h.BInds {
-			base := int(bind[b]) << h.BlockBits
-			if mo == p.Mode {
-				dst.base = base
-				continue
+	dst := mttkrpOperand[uint8]{ind: h.EInds[p.Mode], data: out, bind: h.BInds[p.Mode]}
+	r := p.R
+	if c := r &^ 7; c > 0 && cpu.AVX2 && !atomicUpd {
+		if n, ok := blocksFit(h, &dst, ops, r, lo, hi); ok {
+			for lo < hi {
+				end := cpu.Cut(h.BPtr, lo, hi)
+				b, x := mttkrpBlocks(&dst, ops, h.Vals, r, lo, end, h.BPtr, n, int(h.BlockBits))
+				if c < r {
+					blockCols(h, &dst, ops, r, c, lo, b, false)
+				}
+				if b == end {
+					lo = end
+					continue
+				}
+				blockBases(h, &dst, ops, b)
+				if c < r {
+					mttkrpCols(&dst, ops, h.Vals, r, c, int(h.BPtr[b]), x, false)
+				}
+				mttkrpCols(&dst, ops, h.Vals, r, 0, x, int(h.BPtr[b+1]), false)
+				lo = b + 1
+				break
 			}
-			ops[i].base = base
-			i++
 		}
-		mttkrpRows(&dst, ops, h.Vals, p.R, int(h.BPtr[b]), int(h.BPtr[b+1]), atomicUpd)
+	}
+	blockCols(h, &dst, ops, r, 0, lo, hi, atomicUpd)
+}
+
+// blocksFit is mttkrpBlocks' precondition, O(order): BPtr covers blocks
+// [lo, hi) and every operand's block index column their bases, the
+// block bits are at most hicoo.MaxBlockBits and r ≤ 2^16. It returns n,
+// how many non-zeros the value and element index columns all cover,
+// which the body checks every block's BPtr entries against. A base is
+// then below 2^40 (a 32-bit block index shifted by at most 8), so no
+// row product can wrap.
+func blocksFit(h *hicoo.HiCOO, dst *mttkrpOperand[uint8], ops []mttkrpOperand[uint8], r, lo, hi int) (int, bool) {
+	if lo < 0 || hi >= len(h.BPtr) || r > 1<<16 || h.BlockBits > hicoo.MaxBlockBits || len(dst.bind) < hi {
+		return 0, false
+	}
+	n := min(len(h.Vals), len(dst.ind))
+	for i := range ops {
+		if len(ops[i].bind) < hi {
+			return 0, false
+		}
+		n = min(n, len(ops[i].ind))
+	}
+	return n, true
+}
+
+// blockCols is executeBlocks' Go loop: columns [c0, r) of blocks
+// [lo, hi), plainly or atomically.
+func blockCols(h *hicoo.HiCOO, dst *mttkrpOperand[uint8], ops []mttkrpOperand[uint8], r, c0, lo, hi int, atomicUpd bool) {
+	for b := lo; b < hi; b++ {
+		blockBases(h, dst, ops, b)
+		mttkrpCols(dst, ops, h.Vals, r, c0, int(h.BPtr[b]), int(h.BPtr[b+1]), atomicUpd)
+	}
+}
+
+// blockBases sets every operand's base to block b's row, dst first.
+func blockBases(h *hicoo.HiCOO, dst *mttkrpOperand[uint8], ops []mttkrpOperand[uint8], b int) {
+	dst.base = int(dst.bind[b]) << h.BlockBits
+	for i := range ops {
+		ops[i].base = int(ops[i].bind[b]) << h.BlockBits
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -21,7 +22,9 @@ import (
 // error bound: each fiber is one reduction whose order the cell fixes, so
 // scaling the values by a power of two scales every output exactly, a
 // fiber's output does not depend on the other fibers of the tensor, and
-// the dist ranks' owner decomposition changes nothing.
+// the dist ranks' owner decomposition changes nothing. The first holds
+// for every Mttkrp cell too: each output element is a sum of products of
+// one value each, in an order the cell fixes.
 
 // ttvCells are the registered Ttv cells.
 func ttvCells() []*Variant {
@@ -155,6 +158,92 @@ func TestTtvCellsScaleExactly(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// mttkrpCells are the registered Mttkrp cells.
+func mttkrpCells() []*Variant {
+	var cells []*Variant
+	for _, v := range All() {
+		if v.Kernel == roofline.Mttkrp {
+			cells = append(cells, v)
+		}
+	}
+	return cells
+}
+
+// TestMttkrpCellsScaleExactly is TestTtvCellsScaleExactly for every
+// Mttkrp cell: values scaled by 2^k, k = 5 and −7, must scale every
+// element of the dense output by exactly 2^k, compared by position, with
+// the Go loops and with the assembly bodies. The device cells commit
+// with atomic adds in the order the simulated device schedules its
+// blocks, so the test runs on one P, where the device runs its blocks in
+// order and every cell sums in one order; their closures read no
+// cpu.AVX2, so they run on one side.
+func TestMttkrpCellsScaleExactly(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ctx := context.Background()
+	ks := []int{5, -7}
+	cfg := DefaultConfig()
+	cfg.Sched.Threads = 1
+	cells := mttkrpCells()
+	for _, c := range metamorphicTensors(t) {
+		wbs := []*Workbench{NewWorkbench(c.X, cfg)}
+		for _, k := range ks {
+			scale := tensor.Value(math.Ldexp(1, k))
+			y := c.X.Clone()
+			for m, v := range y.Vals {
+				y.Vals[m] = v * scale
+				if a := math.Abs(float64(y.Vals[m])); a < 0x1p-100 || a > 0x1p100 {
+					t.Fatalf("%s: value %v scaled by 2^%d leaves the safe range", c.Name, v, k)
+				}
+			}
+			wbs = append(wbs, NewWorkbench(y, cfg))
+		}
+		for _, cell := range cells {
+			for mode := 0; mode < c.X.Order(); mode++ {
+				insts := make([]*Instance, len(wbs))
+				for i, wb := range wbs {
+					var err error
+					if insts[i], err = cell.Prepare(wb, mode); err != nil {
+						t.Fatalf("%s %s mode %d: %v", c.Name, cell, mode, err)
+					}
+				}
+				sides := tensortest.BodySides()
+				if cell.Backend == GPU || cell.Backend == MultiGPU {
+					sides = sides[:1]
+				}
+				for _, asm := range sides {
+					outs := make([][]tensor.Value, len(insts))
+					tensortest.WithAVX2(asm, func() {
+						for i, inst := range insts {
+							if err := inst.Run(ctx); err != nil {
+								t.Fatalf("%s %s mode %d: %v", c.Name, cell, mode, err)
+							}
+							m, ok := inst.out().(*tensor.Matrix)
+							if !ok {
+								t.Fatalf("%s: output is %T, not a dense matrix", cell, inst.out())
+							}
+							outs[i] = append([]tensor.Value(nil), m.Data...)
+						}
+					})
+					base := outs[0]
+					for i, k := range ks {
+						scale := tensor.Value(math.Ldexp(1, k))
+						label := fmt.Sprintf("%s 2^%d %s mode %d asm %v", c.Name, k, cell, mode, asm)
+						for at, b := range base {
+							if b != 0 && math.Abs(float64(b)) < 0x1p-100 {
+								t.Fatalf("%s: output element %d = %v is too small to scale exactly", label, at, b)
+							}
+							if want, got := b*scale, outs[i+1][at]; math.Float32bits(got) != math.Float32bits(want) {
+								t.Fatalf("%s: output element %d scaled is %v (%08x), want %v (%08x)", label, at,
+									got, math.Float32bits(got), want, math.Float32bits(want))
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }
