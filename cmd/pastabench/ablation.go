@@ -42,10 +42,10 @@ func runAblations(o options) {
 	row := func(name string, flops int64, run func() error) {
 		mean, _, err := metrics.Time("ablation/"+name, cfg.Runs, run)
 		if err != nil {
-			fmt.Printf("  %-36s error: %v\n", name, err)
+			fmt.Printf("  %-40s error: %v\n", name, err)
 			return
 		}
-		fmt.Printf("  %-36s %10.4fms %10.3f GFLOPS\n", name, mean*1e3, float64(flops)/mean/1e9)
+		fmt.Printf("  %-40s %10.4fms %10.3f GFLOPS\n", name, mean*1e3, float64(flops)/mean/1e9)
 	}
 
 	// --- Block size B for HiCOO ------------------------------------------
@@ -105,14 +105,15 @@ func runAblations(o options) {
 	row("sequential", flops, func() error { _, err := p.ExecuteSeq(mats); return err })
 	row("nnz-parallel + atomics", flops, func() error { _, err := p.ExecuteOMP(mats, atomicOpt); return err })
 	row("nnz-parallel + privatization", flops, func() error { _, err := p.ExecuteOMP(mats, privOpt); return err })
-	// The zero-value (Auto) strategy lets the runtime's selector pick.
-	row("nnz-parallel adaptive", flops, func() error { _, err := p.ExecuteOMP(mats, cfg.Sched); return err })
+	// The zero-value (Auto) strategy is owner-computes: whole output rows
+	// per worker, over a copy sorted by the output mode (built by the
+	// untimed warm-up run).
+	row("nnz-parallel owners (mode-sorted copy)", flops, func() error { _, err := p.ExecuteOMP(mats, cfg.Sched); return err })
 	row("block-parallel HiCOO + atomics", flops, func() error { _, err := hp.ExecuteOMP(mats, atomicOpt); return err })
-	row("block-parallel HiCOO adaptive", flops, func() error { _, err := hp.ExecuteOMP(mats, cfg.Sched); return err })
+	row("block-parallel HiCOO owners (block-rows)", flops, func() error { _, err := hp.ExecuteOMP(mats, cfg.Sched); return err })
 	row("CSF root subtrees", flops, func() error { _, err := cp.ExecuteOMP(mats, cfg.Sched); return err })
 	row(fmt.Sprintf("CSF root, %d balanced tasks", c.ComputeTaskStats(0).Tasks), flops,
 		func() error { _, err := c.MttkrpRootBalanced(mats, cfg.Sched, 0); return err })
-	fmt.Printf("  (adaptive chose %s for COO, %s for HiCOO)\n", p.LastStrategy, hp.LastStrategy)
 
 	// --- Scheduling policy for skewed fibers (host-measured Ttv) -----------
 	fmt.Println("\n(d) OpenMP scheduling policy for Ttv on skewed fibers (host wall-clock, mode 0):")

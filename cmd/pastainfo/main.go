@@ -104,8 +104,7 @@ func printVariants(w io.Writer) {
 		}
 	}
 	fmt.Fprintln(w, "\ncaps: mode-sweep = averaged over every tensor mode; factors = consumes dense")
-	fmt.Fprintln(w, "factor matrices (R columns); strategy = OMP path reports its parallel decomposition")
-	fmt.Fprintln(w, "(owner, atomic or privatized); serial-ref = fallback rung is the serial COO")
+	fmt.Fprintln(w, "factor matrices (R columns); serial-ref = fallback rung is the serial COO")
 	fmt.Fprintln(w, "reference (no native serial path).")
 }
 
@@ -117,9 +116,6 @@ func capFlags(c kernelreg.Caps) []string {
 	}
 	if c.NeedsFactors {
 		out = append(out, "factors")
-	}
-	if c.StrategyAware {
-		out = append(out, "strategy")
 	}
 	if c.SerialRef {
 		out = append(out, "serial-ref")

@@ -11,6 +11,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/hicoo"
 	"repro/internal/levels"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 	"repro/internal/tensortest"
 )
@@ -347,7 +348,9 @@ func movedBack(t *testing.T, h *hicoo.HiCOO, bad int) (blk int, at int64) {
 // TestMttkrpExecuteAllocatesNothing pins the Mttkrp paths at zero
 // allocations per call: the operand list lives on the executor's stack
 // and the body needs no scratch row. The sparse-blocks HiCOO plan (order
-// 4, R = 16, one or two non-zeros per block) runs the block entry.
+// 4, R = 16, one or two non-zeros per block) runs the block entry. On one
+// worker ExecuteOMP is ExecuteSeq: it allocates nothing and builds no
+// mode-sorted copy, whatever the strategy asked for.
 func TestMttkrpExecuteAllocatesNothing(t *testing.T) {
 	ax := tensor.RandomCOO([]tensor.Index{40, 30, 50, 20}, 3000, rand.New(rand.NewSource(90)))
 	amats := tensortest.SignedFactors(ax, 16, 91)
@@ -366,7 +369,7 @@ func TestMttkrpExecuteAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := make([]tensor.Value, len(p.Out.Data))
-	tensortest.CheckBody(t, tensortest.Body{Allocs: map[string]func() error{
+	allocs := map[string]func() error{
 		"MttkrpPlan.ExecuteSeq":      func() error { _, err := p.ExecuteSeq(amats); return err },
 		"MttkrpHiCOOPlan.ExecuteSeq": func() error { _, err := hp.ExecuteSeq(amats); return err },
 		"MttkrpHiCOOPlan.ExecuteSeq sparse blocks": func() error {
@@ -377,7 +380,16 @@ func TestMttkrpExecuteAllocatesNothing(t *testing.T) {
 			core.MttkrpCOORange(ax.Inds, ax.Vals, 2, 16, amats, out, 0, ax.NNZ(), false)
 			return nil
 		},
-	}})
+	}
+	for _, st := range []parallel.Strategy{parallel.Auto, parallel.Atomic, parallel.Privatized} {
+		opt := parallel.Options{Schedule: parallel.Dynamic, Threads: 1, Strategy: st}
+		allocs["MttkrpPlan.ExecuteOMP T=1 "+st.String()] = func() error { _, err := p.ExecuteOMP(amats, opt); return err }
+		allocs["MttkrpHiCOOPlan.ExecuteOMP T=1 "+st.String()] = func() error { _, err := hp.ExecuteOMP(amats, opt); return err }
+	}
+	tensortest.CheckBody(t, tensortest.Body{Allocs: allocs})
+	if p.HasOwners() || hp.HasOwners() {
+		t.Fatal("ExecuteOMP on one worker built a mode-sorted copy")
+	}
 }
 
 // scalarTtm is the textbook Ttm loop, the oracle: each output row of

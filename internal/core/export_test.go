@@ -14,6 +14,14 @@ func (p *MttkrpHiCOOPlan) ExecuteBlocks(lo, hi int, mats []*tensor.Matrix, out [
 	p.executeBlocks(lo, hi, mats, out, atomicUpd)
 }
 
+// HasOwners reports whether ExecuteOMP has built the plan's mode-sorted
+// copy.
+func (p *MttkrpPlan) HasOwners() bool { return p.owners != nil }
+
+// HasOwners reports whether ExecuteOMP has built the plan's block-row
+// sorted copy.
+func (p *MttkrpHiCOOPlan) HasOwners() bool { return p.owners != nil }
+
 // FiberBody is a Ttv or Ttm plan's fiber view, its output values and its
 // owner arm; Perm is set on a length-grouped layout (Grouped).
 type FiberBody struct {

@@ -11,8 +11,9 @@ import (
 
 // MttkrpPlan is the prepared state of a COO Mttkrp kernel in a fixed mode
 // (§2.5, §3.2). Unlike the other kernels Mttkrp needs no preprocessing
-// (the paper times it without one); the plan only validates shapes and
-// owns the dense output matrix Ã ∈ R^{I_n × R}.
+// (the paper times it without one); the plan validates shapes and owns
+// the dense output matrix Ã ∈ R^{I_n × R}, and the parallel path's
+// mode-sorted copy once it has run.
 type MttkrpPlan struct {
 	// X is the input tensor in any non-zero order.
 	X *tensor.COO
@@ -20,21 +21,22 @@ type MttkrpPlan struct {
 	Mode int
 	// R is the factor-matrix column count.
 	R int
-	// Out is the dense output matrix, zeroed at the start of each Execute.
+	// Out is the dense output matrix, zeroed at the start of each Execute,
+	// so a plan serves one Execute at a time.
 	Out *tensor.Matrix
-	// LastStrategy records the reduction strategy the most recent
-	// ExecuteOMP call resolved to (for harness reporting).
-	LastStrategy parallel.Strategy
 
 	k cooMttkrp // the value computation over (X.Inds, X.Vals)
+	// owners is k over the non-zeros sorted stably by the mode-n index;
+	// nil until ExecuteOMP first runs on more than one worker.
+	owners *cooMttkrp
 }
 
 // cooMttkrp is the COO-Mttkrp value computation over raw per-mode index
 // columns and a value column — a COO tensor's, or one out-of-core tile's.
 // Like fiberKernel it is a view built once (in PrepareMttkrp) and kept in
 // the plan, so the range body and the GPU launch exist once and every
-// executor — sequential, OMP under each strategy, single- and multi-GPU,
-// the tile stream — runs them on a non-zero range.
+// executor — sequential, OMP owners and ablations, single- and
+// multi-GPU, the tile stream — runs them on a non-zero range.
 type cooMttkrp struct {
 	inds [][]tensor.Index
 	vals []tensor.Value
@@ -90,37 +92,40 @@ func (p *MttkrpPlan) ExecuteSeq(mats []*tensor.Matrix) (*tensor.Matrix, error) {
 	return p.Out, nil
 }
 
-// ExecuteOMP runs COO-Mttkrp-OMP: parallelized by non-zeros with the
-// shared output matrix protected per Options.Strategy — "omp atomic"
-// updates, or the privatization the paper's Observation 5 points to
-// ([42]): each worker accumulates into a pooled private copy of Ã and
-// the copies are reduced afterwards, trading memory (T×I_n×R) for
-// atomic-free updates. Auto picks per call from the output-size×threads
-// vs NNZ shape.
+// ExecuteOMP runs COO-Mttkrp-OMP, owner-computes: on one worker it is
+// ExecuteSeq; on more, every worker adds whole output rows of a copy of
+// the non-zeros sorted stably by the mode-n index (built by the first
+// such call), so the output is ExecuteSeq's bit for bit. Options.Strategy
+// Atomic and Privatized are the paper's Observation 5 ablations over the
+// stored order: "omp atomic" updates, or pooled per-worker private
+// copies of Ã merged after the loop ([42]).
 func (p *MttkrpPlan) ExecuteOMP(mats []*tensor.Matrix, opt parallel.Options) (*tensor.Matrix, error) {
+	m := p.X.NNZ()
+	if opt.Threads = parallel.ResolveThreads(m, opt); opt.Threads == 1 || m == 0 {
+		return p.ExecuteSeq(mats)
+	}
 	if err := p.checkMats(mats); err != nil {
 		return nil, err
 	}
-	m := p.X.NNZ()
-	st, threads := planReduction(opt, m, len(p.Out.Data), m*p.R)
-	p.LastStrategy = st
-	opt.Threads = threads
-	if st == parallel.Privatized {
-		if err := privatizedReduce(m, threads, opt, p.Out.Data, func(lo, hi int, priv []tensor.Value) {
+	switch opt.Strategy {
+	case parallel.Atomic:
+		p.Out.Zero()
+		return planOut(p.Out, parallel.For(m, opt, func(lo, hi, _ int) {
+			p.k.accumulate(lo, hi, mats, p.Out.Data, true)
+		}))
+	case parallel.Privatized:
+		return planOut(p.Out, privatizedReduce(m, opt, p.Out.Data, func(lo, hi int, priv []tensor.Value) {
 			p.k.accumulate(lo, hi, mats, priv, false)
-		}); err != nil {
-			return nil, err
-		}
-		return p.Out, nil
+		}))
 	}
+	if p.owners == nil {
+		p.owners = p.k.modeSorted()
+	}
+	s := p.owners
 	p.Out.Zero()
-	atomicUpd := threads > 1
-	if err := parallel.For(m, opt, func(lo, hi, _ int) {
-		p.k.accumulate(lo, hi, mats, p.Out.Data, atomicUpd)
-	}); err != nil {
-		return nil, err
-	}
-	return p.Out, nil
+	return planOut(p.Out, ownerShares(opt, m, s.inds[s.mode], nil, func(lo, hi int) {
+		s.accumulate(lo, hi, mats, p.Out.Data, false)
+	}))
 }
 
 // ExecuteGPU runs COO-Mttkrp-GPU following ParTI: a 1-D grid of 2-D thread

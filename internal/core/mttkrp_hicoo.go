@@ -14,10 +14,9 @@ import (
 // matrices are addressed through per-block base rows (Ab, Bb, Cb) so the
 // inner loop works purely on 8-bit element indices, which increases
 // locality via blocking and Morton-order construction. CPU parallelism is
-// over tensor blocks rather than non-zeros. ExecuteSeq and a one-thread
-// ExecuteOMP add plainly; with more threads distinct tensor blocks can
-// still share output block-rows, so each call adds into pooled private
-// copies or atomically (Options.Strategy; Auto picks per call). On GPUs
+// over tensor blocks rather than non-zeros: distinct blocks can share
+// output block-rows, so ExecuteOMP gives each worker whole block-rows of
+// a block-row-sorted copy of the tensor (owner-computes). On GPUs
 // the per-block mapping loses COO's balanced non-zero distribution, which
 // is why the paper observes HiCOO-Mttkrp-GPU below COO-Mttkrp-GPU.
 type MttkrpHiCOOPlan struct {
@@ -27,11 +26,13 @@ type MttkrpHiCOOPlan struct {
 	Mode int
 	// R is the factor-matrix column count.
 	R int
-	// Out is the dense output matrix, zeroed at the start of each Execute.
+	// Out is the dense output matrix, zeroed at the start of each Execute,
+	// so a plan serves one Execute at a time.
 	Out *tensor.Matrix
-	// LastStrategy records the reduction strategy the most recent
-	// ExecuteOMP call resolved to (for harness reporting).
-	LastStrategy parallel.Strategy
+	// owners is the plan over X's blocks sorted stably by their mode-n
+	// block index; nil until ExecuteOMP first runs on more than one
+	// worker.
+	owners *MttkrpHiCOOPlan
 }
 
 // PrepareMttkrpHiCOO validates the mode and allocates the output matrix.
@@ -76,36 +77,35 @@ func (p *MttkrpHiCOOPlan) ExecuteSeq(mats []*tensor.Matrix) (*tensor.Matrix, err
 	return p.Out, nil
 }
 
-// ExecuteOMP runs HiCOO-Mttkrp-OMP: "parfor b = 1..nb" over tensor blocks
-// (Algorithm 2). Distinct blocks may share output rows, so the shared
-// output needs protection: atomic updates, or pooled per-worker private
-// copies merged after the loop (Options.Strategy; Auto adapts per call).
-// The reference implementation deliberately skips the lock-avoiding
-// scheduling of the HiCOO paper (§3.4).
+// ExecuteOMP runs HiCOO-Mttkrp-OMP, "parfor b = 1..nb" over tensor
+// blocks (Algorithm 2), owner-computes: on one worker it is ExecuteSeq;
+// on more, every worker adds whole output block-rows of a copy of X
+// whose blocks are sorted stably by their mode-n block index (built by
+// the first such call), so the output is ExecuteSeq's bit for bit. A
+// mode with one block-row runs on one worker. Options.Strategy Atomic is
+// the paper's "omp atomic" ablation over X's own block order. The
+// lock-avoiding scheduling of the HiCOO paper is deliberately skipped.
 func (p *MttkrpHiCOOPlan) ExecuteOMP(mats []*tensor.Matrix, opt parallel.Options) (*tensor.Matrix, error) {
+	nb := p.X.NumBlocks()
+	if opt.Threads = parallel.ResolveThreads(nb, opt); opt.Threads == 1 || nb == 0 {
+		return p.ExecuteSeq(mats)
+	}
 	if err := p.checkMats(mats); err != nil {
 		return nil, err
 	}
-	nb := p.X.NumBlocks()
-	st, threads := planReduction(opt, nb, len(p.Out.Data), p.X.NNZ()*p.R)
-	p.LastStrategy = st
-	opt.Threads = threads
-	if st == parallel.Privatized {
-		if err := privatizedReduce(nb, threads, opt, p.Out.Data, func(lo, hi int, priv []tensor.Value) {
-			p.executeBlocks(lo, hi, mats, priv, false)
-		}); err != nil {
-			return nil, err
-		}
-		return p.Out, nil
-	}
 	p.Out.Zero()
-	atomicUpd := threads > 1
-	if err := parallel.For(nb, opt, func(lo, hi, _ int) {
-		p.executeBlocks(lo, hi, mats, p.Out.Data, atomicUpd)
-	}); err != nil {
-		return nil, err
+	if opt.Strategy == parallel.Atomic {
+		return planOut(p.Out, parallel.For(nb, opt, func(lo, hi, _ int) {
+			p.executeBlocks(lo, hi, mats, p.Out.Data, true)
+		}))
 	}
-	return p.Out, nil
+	if p.owners == nil {
+		p.owners = &MttkrpHiCOOPlan{X: blocksModeSorted(p.X, p.Mode), Mode: p.Mode, R: p.R}
+	}
+	s := p.owners
+	return planOut(p.Out, ownerShares(opt, s.X.NNZ(), s.X.BInds[p.Mode], s.X.BPtr, func(lo, hi int) {
+		s.executeBlocks(lo, hi, mats, p.Out.Data, false)
+	}))
 }
 
 // ExecuteGPU runs the unoptimized HiCOO-Mttkrp-GPU of §3.4.2: one tensor

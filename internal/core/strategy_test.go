@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -12,19 +13,18 @@ import (
 
 // strategyKernel adapts one reduction kernel for the strategy matrix
 // tests: runSeq computes the reference output, runOMP executes with the
-// given options and reports the resolved strategy, out exposes the
-// (shared) output buffer.
+// given options, out exposes the (shared) output buffer.
 type strategyKernel struct {
 	name   string
 	runSeq func() error
-	runOMP func(opt parallel.Options) (parallel.Strategy, error)
+	runOMP func(opt parallel.Options) error
 	out    func() []tensor.Value
 }
 
-// strategyKernels builds one plan per kernel that resolves a strategy
-// (COO and HiCOO Mttkrp; Ttv and Ttm are owner-computes only) over shared
-// random inputs sized so every strategy has real work (collisions on the
-// output rows).
+// strategyKernels builds one plan per kernel that honors an explicit
+// strategy (COO and HiCOO Mttkrp; Ttv and Ttm are owner-computes only)
+// over shared random inputs sized so every strategy has real work
+// (collisions on the output rows).
 func strategyKernels(t *testing.T) []strategyKernel {
 	t.Helper()
 	x := randTensor(900, []tensor.Index{40, 30, 25}, 4000)
@@ -32,11 +32,11 @@ func strategyKernels(t *testing.T) []strategyKernel {
 	mats := randMats(901, x, r)
 	h := hicoo.FromCOO(x, hicoo.DefaultBlockBits)
 
-	mp, err := PrepareMttkrp(x, 0, r)
+	mp, err := PrepareMttkrp(x, 1, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mhp, err := PrepareMttkrpHiCOO(h, 0, r)
+	mhp, err := PrepareMttkrpHiCOO(h, 1, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,52 +44,41 @@ func strategyKernels(t *testing.T) []strategyKernel {
 		{
 			name:   "MttkrpCOO",
 			runSeq: func() error { _, err := mp.ExecuteSeq(mats); return err },
-			runOMP: func(opt parallel.Options) (parallel.Strategy, error) {
-				_, err := mp.ExecuteOMP(mats, opt)
-				return mp.LastStrategy, err
-			},
-			out: func() []tensor.Value { return mp.Out.Data },
+			runOMP: func(opt parallel.Options) error { _, err := mp.ExecuteOMP(mats, opt); return err },
+			out:    func() []tensor.Value { return mp.Out.Data },
 		},
 		{
 			name:   "MttkrpHiCOO",
 			runSeq: func() error { _, err := mhp.ExecuteSeq(mats); return err },
-			runOMP: func(opt parallel.Options) (parallel.Strategy, error) {
-				_, err := mhp.ExecuteOMP(mats, opt)
-				return mhp.LastStrategy, err
-			},
-			out: func() []tensor.Value { return mhp.Out.Data },
+			runOMP: func(opt parallel.Options) error { _, err := mhp.ExecuteOMP(mats, opt); return err },
+			out:    func() []tensor.Value { return mhp.Out.Data },
 		},
 	}
 }
 
-// TestAllStrategiesMatchSeq is the property the selector rests on: both
-// Mttkrp kernels produce the same values (within float32 reassociation
-// tolerance) under every strategy and several thread counts.
+// TestAllStrategiesMatchSeq: both Mttkrp kernels equal ExecuteSeq bit
+// for bit under owner-computes (Auto, Owner) and within float32
+// reassociation tolerance under the Atomic and Privatized ablations, at
+// several thread counts and on every schedule.
 func TestAllStrategiesMatchSeq(t *testing.T) {
 	for _, k := range strategyKernels(t) {
 		if err := k.runSeq(); err != nil {
 			t.Fatalf("%s: seq: %v", k.name, err)
 		}
-		want := make([]float64, len(k.out()))
-		for i, x := range k.out() {
-			want[i] = float64(x)
-		}
-		for _, st := range []parallel.Strategy{parallel.Auto, parallel.Atomic, parallel.Privatized} {
-			for _, threads := range []int{1, 3, 8} {
-				opt := parallel.Options{Schedule: parallel.Dynamic, Threads: threads, Strategy: st}
-				last, err := k.runOMP(opt)
-				if err != nil {
-					t.Fatalf("%s/%v/T=%d: %v", k.name, st, threads, err)
-				}
-				if last == parallel.Auto {
-					t.Fatalf("%s/%v/T=%d: LastStrategy not resolved", k.name, st, threads)
-				}
-				if st != parallel.Auto && last != st {
-					t.Fatalf("%s/T=%d: forced %v but ran %v", k.name, threads, st, last)
-				}
-				for i, x := range k.out() {
-					if !closeEnough(float64(x), want[i]) {
-						t.Fatalf("%s/%v/T=%d: out[%d] = %v, want %v", k.name, st, threads, i, x, want[i])
+		want := append([]tensor.Value(nil), k.out()...)
+		for _, st := range []parallel.Strategy{parallel.Auto, parallel.Owner, parallel.Atomic, parallel.Privatized} {
+			for _, sched := range []parallel.Schedule{parallel.Static, parallel.Dynamic, parallel.Guided} {
+				for _, threads := range []int{1, 3, 8} {
+					opt := parallel.Options{Schedule: sched, Threads: threads, Strategy: st}
+					if err := k.runOMP(opt); err != nil {
+						t.Fatalf("%s/%v/%v/T=%d: %v", k.name, st, sched, threads, err)
+					}
+					exact := st == parallel.Auto || st == parallel.Owner || threads == 1
+					for i, x := range k.out() {
+						if exact && math.Float32bits(x) != math.Float32bits(want[i]) ||
+							!exact && !closeEnough(float64(x), float64(want[i])) {
+							t.Fatalf("%s/%v/%v/T=%d: out[%d] = %v, want %v", k.name, st, sched, threads, i, x, want[i])
+						}
 					}
 				}
 			}
@@ -97,7 +86,7 @@ func TestAllStrategiesMatchSeq(t *testing.T) {
 	}
 }
 
-// TestStrategiesUnderThreadChurn runs the racy strategies while another
+// TestStrategiesUnderThreadChurn runs every strategy while another
 // goroutine flips the global thread count — the failure mode the pinned
 // ResolveThreads count guards against. Values are still checked each
 // iteration; run under -race this also proves no data race on the
@@ -109,7 +98,7 @@ func TestStrategiesUnderThreadChurn(t *testing.T) {
 	x := randTensor(910, []tensor.Index{30, 20, 15}, 1500)
 	r := 4
 	mats := randMats(911, x, r)
-	mp, err := PrepareMttkrp(x, 0, r)
+	mp, err := PrepareMttkrp(x, 1, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,16 +122,14 @@ func TestStrategiesUnderThreadChurn(t *testing.T) {
 	}()
 
 	for iter := 0; iter < 60; iter++ {
-		st := parallel.Atomic
-		if iter%2 == 1 {
-			st = parallel.Privatized
-		}
+		st := []parallel.Strategy{parallel.Auto, parallel.Atomic, parallel.Privatized}[iter%3]
 		opt := parallel.Options{Schedule: parallel.Dynamic, Strategy: st}
 		if _, err := mp.ExecuteOMP(mats, opt); err != nil {
 			t.Fatal(err)
 		}
 		for i, got := range mp.Out.Data {
-			if !closeEnough(float64(got), float64(wantM[i])) {
+			if st == parallel.Auto && math.Float32bits(got) != math.Float32bits(wantM[i]) ||
+				!closeEnough(float64(got), float64(wantM[i])) {
 				t.Fatalf("iter %d %v: Mttkrp out[%d] = %v, want %v", iter, st, i, got, wantM[i])
 			}
 		}

@@ -75,11 +75,15 @@ func TestRegistryComplete(t *testing.T) {
 		if inst.Flops <= 0 {
 			t.Errorf("%s instance reports flops %d", v, inst.Flops)
 		}
-		if v.Caps.StrategyAware && inst.Strategy == nil {
-			t.Errorf("%s claims StrategyAware but has no Strategy hook", v)
+		// The owner-computes omp paths report their decomposition; tree
+		// Mttkrp commits shared rows atomically and reports none.
+		owner := v.Backend == OMP && (v.Kernel == roofline.Ttv || v.Kernel == roofline.Ttm ||
+			v.Kernel == roofline.Mttkrp && (v.Format == roofline.COO || v.Format == roofline.HiCOO))
+		if owner && (inst.Strategy == nil || inst.Strategy() != "owner") {
+			t.Errorf("%s does not report the strategy owner", v)
 		}
-		if !v.Caps.StrategyAware && inst.Strategy != nil {
-			t.Errorf("%s has a Strategy hook but does not claim StrategyAware", v)
+		if !owner && inst.Strategy != nil {
+			t.Errorf("%s reports a strategy, %q", v, inst.Strategy())
 		}
 	}
 }

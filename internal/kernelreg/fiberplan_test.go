@@ -188,10 +188,10 @@ func fewLongFibers() *tensor.COO {
 	return x
 }
 
-// fiberPlanVals is the values array of a Ttv or Ttm cell's plan-owned
-// output, one value (Ttv) or R-row (Ttm) per fiber, whose skeleton no
-// execution changes.
-func fiberPlanVals(t *testing.T, inst *Instance) []tensor.Value {
+// cellVals is the values array of a Ttv or Ttm cell's output, one
+// value (Ttv) or R-row (Ttm) per fiber, whose skeleton no execution
+// changes, or a Mttkrp cell's dense output matrix.
+func cellVals(t *testing.T, inst *Instance) []tensor.Value {
 	t.Helper()
 	switch o := inst.out().(type) {
 	case *tensor.COO:
@@ -202,26 +202,33 @@ func fiberPlanVals(t *testing.T, inst *Instance) []tensor.Value {
 		return o.Vals
 	case *hicoo.SemiHiCOO:
 		return o.Vals
+	case *tensor.Matrix:
+		return o.Data
 	}
-	t.Fatalf("output %T is no fiber plan's", inst.out())
+	t.Fatalf("output %T has no values array", inst.out())
 	return nil
 }
 
-// TestTtvTtmCellsBitsIndependentOfWorkers: every registered Ttv and Ttm
-// omp cell is owner-computes, one worker reducing each fiber in storage
-// order, so its output equals its Serial rung's bit for bit at any
-// worker count, with the Go loops and with the assembly bodies, and it
-// reports the strategy owner. The first tensor's Ttv plans run over the
-// length-grouped layout, whose fibers the workers split.
-func TestTtvTtmCellsBitsIndependentOfWorkers(t *testing.T) {
+// TestOMPCellsBitsIndependentOfWorkers: every registered Ttv and Ttm omp
+// cell and the COO and HiCOO Mttkrp omp cells are owner-computes. A Ttv
+// or Ttm fiber is reduced by one worker in storage order; a Mttkrp output
+// row is summed by one worker over a stable mode-sorted copy, in the
+// order ExecuteSeq sums it. So each output equals its Serial rung's bit
+// for bit at any worker count, with the Go loops and with the assembly
+// bodies, and each cell reports the strategy owner. The first tensor's
+// Ttv plans run over the length-grouped layout, whose fibers the workers
+// split; the second tensor's Mttkrp modes 0 and 1 have fewer output rows
+// than workers, and one HiCOO block-row.
+func TestOMPCellsBitsIndependentOfWorkers(t *testing.T) {
 	var cells []*Variant
 	for _, v := range All() {
-		if v.Backend == OMP && (v.Kernel == roofline.Ttv || v.Kernel == roofline.Ttm) {
+		if v.Backend == OMP && (v.Kernel == roofline.Ttv || v.Kernel == roofline.Ttm ||
+			v.Kernel == roofline.Mttkrp && (v.Format == roofline.COO || v.Format == roofline.HiCOO)) {
 			cells = append(cells, v)
 		}
 	}
-	if len(cells) != 8 {
-		t.Fatalf("%d Ttv/Ttm omp cells, want 8", len(cells))
+	if len(cells) != 10 {
+		t.Fatalf("%d Ttv/Ttm and COO/HiCOO Mttkrp omp cells, want 10", len(cells))
 	}
 	cases := []tensortest.Case{tensortest.Corpus(t)[0], {Name: "few-long-fibers", X: fewLongFibers()}}
 	requireGroupedTtv(t, cases[0].Name, cases[0].X)
@@ -243,7 +250,7 @@ func TestTtvTtmCellsBitsIndependentOfWorkers(t *testing.T) {
 						if err := inst.Serial(ctx); err != nil {
 							t.Fatal(label, err)
 						}
-						want := append([]tensor.Value(nil), fiberPlanVals(t, inst)...)
+						want := append([]tensor.Value(nil), cellVals(t, inst)...)
 						for _, threads := range []int{1, 2, 3, 7} {
 							parallel.SetNumThreads(threads)
 							if err := inst.Run(ctx); err != nil {
@@ -252,7 +259,7 @@ func TestTtvTtmCellsBitsIndependentOfWorkers(t *testing.T) {
 							if got := inst.Strategy(); got != "owner" {
 								t.Fatalf("%s T=%d: reports strategy %q, want owner", label, threads, got)
 							}
-							for i, g := range fiberPlanVals(t, inst) {
+							for i, g := range cellVals(t, inst) {
 								if math.Float32bits(g) != math.Float32bits(want[i]) {
 									t.Fatalf("%s T=%d: value %d is %v (%08x), serial %v (%08x)", label, threads, i,
 										g, math.Float32bits(g), want[i], math.Float32bits(want[i]))

@@ -13,8 +13,8 @@ import (
 // hierarchy of the cell's format (Workbench.Hier). Ttv and Ttm are
 // core fiber plans on the hierarchy's leaf level, Mttkrp is csf's tree
 // plan on the hierarchy resolved from its root; each has the plan's own
-// serial rung and output, the fiber plans the strategy selection too
-// (tree Mttkrp commits whole rows, so it resolves none).
+// serial rung and output, and the fiber plans report their
+// owner-computes decomposition.
 
 // genericModeOrder places the kernel's mode of interest where its
 // generic body wants it: Mttkrp assembles the output mode first (root
@@ -50,17 +50,19 @@ func genericInstance(wb *Workbench, k roofline.Kernel, h *levels.Hierarchy, mode
 		if err != nil {
 			return nil, err
 		}
-		return wb.instance(site, OMP, operandRungs(p, wb.Vec(mode), p.Out, &ownerComputes))
+		return wb.instance(site, OMP, operandRungs(p, wb.Vec(mode), p.Out))
 	case roofline.Ttm:
 		p, err := levels.PrepareTtm(h, mode, wb.R())
 		if err != nil {
 			return nil, err
 		}
-		return wb.instance(site, OMP, operandRungs(p, wb.TtmMat(mode), p.Out, &ownerComputes))
+		return wb.instance(site, OMP, operandRungs(p, wb.TtmMat(mode), p.Out))
 	}
 	p, err := levels.PrepareMttkrp(h, mode, wb.R())
 	if err != nil {
 		return nil, err
 	}
-	return wb.instance(site, OMP, operandRungs(p, wb.Mats(), p.Out, nil))
+	r := operandRungs(p, wb.Mats(), p.Out)
+	r.owner = false // rows that workers share are committed atomically
+	return wb.instance(site, OMP, r)
 }

@@ -94,12 +94,10 @@ func init() {
 				}
 				if genericCell(k, f, b) {
 					// All three are prepared plans with a native serial
-					// rung; the fiber plans of Ttv and Ttm also report
-					// their decomposition, owner-computes.
+					// rung.
 					caps := Caps{
 						ModeDependent: true,
 						NeedsFactors:  k == roofline.Ttm || k == roofline.Mttkrp,
-						StrategyAware: k != roofline.Mttkrp,
 					}
 					registerCell(k, f, b, caps, true, genericPrep(k, f))
 					continue

@@ -67,11 +67,9 @@ func TestGridGeneration(t *testing.T) {
 		if v.Caps.NeedsFactors != wantFactors {
 			t.Errorf("%s: NeedsFactors = %v, want %v", v, v.Caps.NeedsFactors, wantFactors)
 		}
-		// All three are prepared plans with a native serial rung; only the
-		// fiber plans of Ttv and Ttm report a decomposition, owner-computes
-		// (tree Mttkrp commits whole rows).
-		if wantStrategy := v.Kernel != roofline.Mttkrp; v.Caps.SerialRef || v.Caps.StrategyAware != wantStrategy {
-			t.Errorf("%s: generated variant caps %+v, want no SerialRef and StrategyAware = %v", v, v.Caps, wantStrategy)
+		// All three are prepared plans with a native serial rung.
+		if v.Caps.SerialRef {
+			t.Errorf("%s: generated variant caps %+v, want no SerialRef", v, v.Caps)
 		}
 		if v.Levels == "" {
 			t.Errorf("%s: generated variant has no level signature", v)
@@ -107,7 +105,7 @@ func TestGridGeneration(t *testing.T) {
 		if v.Generated {
 			t.Errorf("%s: streaming variant marked Generated", v)
 		}
-		if !v.Caps.ModeDependent || v.Caps.SerialRef || v.Caps.StrategyAware {
+		if !v.Caps.ModeDependent || v.Caps.SerialRef {
 			t.Errorf("%s: streaming variant caps %+v, want ModeDependent only", v, v.Caps)
 		}
 		if want := k == roofline.Mttkrp; v.Caps.NeedsFactors != want {

@@ -24,8 +24,8 @@ type Instance struct {
 	Serial func(ctx context.Context) error
 	// Check scans the current output for non-finite values.
 	Check func() error
-	// Strategy reports the parallel decomposition of Run
-	// (StrategyAware variants); nil otherwise.
+	// Strategy reports the parallel decomposition of Run, owner, for the
+	// omp cells of Ttv, Ttm and COO and HiCOO Mttkrp; nil otherwise.
 	Strategy func() string
 	// out yields the current output object for Output()/Check.
 	out func() any

@@ -26,17 +26,6 @@ import (
 // for every Mttkrp cell too: each output element is a sum of products of
 // one value each, in an order the cell fixes.
 
-// ttvCells are the registered Ttv cells.
-func ttvCells() []*Variant {
-	var cells []*Variant
-	for _, v := range All() {
-		if v.Kernel == roofline.Ttv {
-			cells = append(cells, v)
-		}
-	}
-	return cells
-}
-
 // metamorphicTensors are small tensors of the benchmark's three recipes
 // (nell2 and regS4d nearly one non-zero per fiber, irrS mixed lengths)
 // with signed values. Every Ttv plan of irrS's must run over the
@@ -135,7 +124,7 @@ func TestTtvCellsScaleExactly(t *testing.T) {
 		}
 		for _, asm := range tensortest.BodySides() {
 			tensortest.WithAVX2(asm, func() {
-				for _, cell := range ttvCells() {
+				for _, cell := range kernelCells(roofline.Ttv) {
 					for mode := 0; mode < c.X.Order(); mode++ {
 						base := ttvCellOutput(t, cell, c.X, mode)
 						for i, k := range ks {
@@ -162,11 +151,11 @@ func TestTtvCellsScaleExactly(t *testing.T) {
 	}
 }
 
-// mttkrpCells are the registered Mttkrp cells.
-func mttkrpCells() []*Variant {
+// kernelCells are the registered cells of kernel k.
+func kernelCells(k roofline.Kernel) []*Variant {
 	var cells []*Variant
 	for _, v := range All() {
-		if v.Kernel == roofline.Mttkrp {
+		if v.Kernel == k {
 			cells = append(cells, v)
 		}
 	}
@@ -175,19 +164,28 @@ func mttkrpCells() []*Variant {
 
 // TestMttkrpCellsScaleExactly is TestTtvCellsScaleExactly for every
 // Mttkrp cell: values scaled by 2^k, k = 5 and −7, must scale every
-// element of the dense output by exactly 2^k, compared by position, with
-// the Go loops and with the assembly bodies. The device cells commit
-// with atomic adds in the order the simulated device schedules its
-// blocks, so the test runs on one P, where the device runs its blocks in
-// order and every cell sums in one order; their closures read no
-// cpu.AVX2, so they run on one side.
-func TestMttkrpCellsScaleExactly(t *testing.T) {
+// element of the dense output by exactly 2^k (cellsScaleExactly).
+func TestMttkrpCellsScaleExactly(t *testing.T) { cellsScaleExactly(t, roofline.Mttkrp) }
+
+// TestTtmCellsScaleExactly is the same relation for every Ttm cell, over
+// the values of its semi-sparse output, whose skeleton the scaling does
+// not change.
+func TestTtmCellsScaleExactly(t *testing.T) { cellsScaleExactly(t, roofline.Ttm) }
+
+// cellsScaleExactly checks that values scaled by 2^k, k = 5 and −7, scale
+// every output value of every cell of kernel k by exactly 2^k, compared
+// by position, with the Go loops and with the assembly bodies. The device
+// cells commit with atomic adds in the order the simulated device
+// schedules its blocks, so the test runs on one P, where the device runs
+// its blocks in order and every cell sums in one order; their closures
+// read no cpu.AVX2, so they run on one side.
+func cellsScaleExactly(t *testing.T, kernel roofline.Kernel) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ctx := context.Background()
 	ks := []int{5, -7}
 	cfg := DefaultConfig()
 	cfg.Sched.Threads = 1
-	cells := mttkrpCells()
+	cells := kernelCells(kernel)
 	for _, c := range metamorphicTensors(t) {
 		wbs := []*Workbench{NewWorkbench(c.X, cfg)}
 		for _, k := range ks {
@@ -221,17 +219,16 @@ func TestMttkrpCellsScaleExactly(t *testing.T) {
 							if err := inst.Run(ctx); err != nil {
 								t.Fatalf("%s %s mode %d: %v", c.Name, cell, mode, err)
 							}
-							m, ok := inst.out().(*tensor.Matrix)
-							if !ok {
-								t.Fatalf("%s: output is %T, not a dense matrix", cell, inst.out())
-							}
-							outs[i] = append([]tensor.Value(nil), m.Data...)
+							outs[i] = append([]tensor.Value(nil), cellVals(t, inst)...)
 						}
 					})
 					base := outs[0]
 					for i, k := range ks {
 						scale := tensor.Value(math.Ldexp(1, k))
 						label := fmt.Sprintf("%s 2^%d %s mode %d asm %v", c.Name, k, cell, mode, asm)
+						if len(outs[i+1]) != len(base) {
+							t.Fatalf("%s: %d output values, %d unscaled", label, len(outs[i+1]), len(base))
+						}
 						for at, b := range base {
 							if b != 0 && math.Abs(float64(b)) < 0x1p-100 {
 								t.Fatalf("%s: output element %d = %v is too small to scale exactly", label, at, b)
@@ -273,7 +270,7 @@ func TestTtvCellsUnionOfDisjointFibers(t *testing.T) {
 			}
 			for _, asm := range tensortest.BodySides() {
 				tensortest.WithAVX2(asm, func() {
-					for _, cell := range ttvCells() {
+					for _, cell := range kernelCells(roofline.Ttv) {
 						if cell.Format == roofline.FCOO {
 							continue
 						}

@@ -1,8 +1,6 @@
 package kernelreg
 
 import (
-	"runtime"
-
 	"repro/internal/roofline"
 	"repro/internal/tensor"
 )
@@ -17,12 +15,12 @@ type Footprint struct {
 	Workbench int64
 	// Instance is the prepared-instance component: the format
 	// conversion (it reads a sorted copy of the COO, so that copy is
-	// charged too) plus the output buffer the instance owns.
+	// charged too), the output buffer the instance owns and, for COO and
+	// HiCOO Mttkrp, the mode-sorted copy its parallel path keeps.
 	Instance int64
 	// Run is the per-execution transient component: the unique bytes a
 	// trial touches — the Table 1 roofline traffic clamped to the
-	// resident set (traffic counts re-reads; the working set does not)
-	// — plus per-worker reduction scratch.
+	// resident set (traffic counts re-reads; the working set does not).
 	Run int64
 }
 
@@ -70,10 +68,18 @@ func EstimateFootprint(k roofline.Kernel, f roofline.Format, dims []int64, nnz i
 	// and the converted structure coexist, so both are charged.
 	conv := coo
 	switch f {
+	case roofline.COO:
+		if k == roofline.Mttkrp {
+			conv += coo // the owners' copy, sorted by the output mode
+		}
 	case roofline.HiCOO:
 		// Block pointers + block indices + 8-bit element indices + values.
 		nb := nnz/blockSize + 1
-		conv += (8+tensor.IndexBytes*order)*nb + (tensor.ValueBytes+order)*nnz
+		hx := (8+tensor.IndexBytes*order)*nb + (tensor.ValueBytes+order)*nnz
+		if k == roofline.Mttkrp {
+			hx *= 2 // the owners' copy, blocks sorted by the output mode
+		}
+		conv += hx
 	case roofline.CSF:
 		conv += 8*nnz + tensor.IndexBytes*order*nnz // fiber pointers + per-level ids (nnz upper bound)
 	case roofline.BCSF:
@@ -96,8 +102,6 @@ func EstimateFootprint(k roofline.Kernel, f roofline.Format, dims []int64, nnz i
 	if resident := fp.Workbench + fp.Instance; run > resident {
 		run = resident
 	}
-	// Per-worker privatized reduction scratch (cache-line padded rows).
-	run += int64(runtime.GOMAXPROCS(0)) * 64 * tensor.ValueBytes
 	fp.Run = run
 	return fp
 }

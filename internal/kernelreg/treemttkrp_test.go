@@ -71,8 +71,9 @@ func BenchmarkTreeMttkrp(b *testing.B) {
 // TestTreeMttkrpAllocatesNothingPerCall: the tree plan owns its output
 // and draws pooled level scratch, so a steady-state sequential rung
 // allocates nothing and a one-thread Run only what parallel.For's own
-// bookkeeping costs every kernel (the COO cell's count), on the Go loops
-// and on the AVX2 bodies.
+// bookkeeping costs every kernel that runs it there (the Ttm COO cell's
+// count; COO Mttkrp on one worker is its serial body and allocates
+// nothing), on the Go loops and on the AVX2 bodies.
 func TestTreeMttkrpAllocatesNothingPerCall(t *testing.T) {
 	if tensortest.Race {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -83,8 +84,8 @@ func TestTreeMttkrpAllocatesNothingPerCall(t *testing.T) {
 	wb := NewWorkbench(x, cfg)
 	ctx := context.Background()
 	const mode = 1
-	allocs := func(f roofline.Format) (serial, run float64) {
-		v, err := Lookup(roofline.Mttkrp, f, OMP)
+	allocs := func(k roofline.Kernel, f roofline.Format) (serial, run float64) {
+		v, err := Lookup(k, f, OMP)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,10 +104,10 @@ func TestTreeMttkrpAllocatesNothingPerCall(t *testing.T) {
 	}
 	for _, asm := range tensortest.BodySides() {
 		tensortest.WithAVX2(asm, func() {
-			_, loop := allocs(roofline.COO)
+			_, loop := allocs(roofline.Ttm, roofline.COO)
 			for _, f := range []roofline.Format{roofline.CSF, roofline.BCSF} {
-				if serial, run := allocs(f); serial != 0 || run > loop {
-					t.Errorf("Mttkrp/%s asm %v allocates %v times per Serial and %v per one-thread Run, want 0 and at most the COO cell's %v", f, asm, serial, run, loop)
+				if serial, run := allocs(roofline.Mttkrp, f); serial != 0 || run > loop {
+					t.Errorf("Mttkrp/%s asm %v allocates %v times per Serial and %v per one-thread Run, want 0 and at most the Ttm COO cell's %v", f, asm, serial, run, loop)
 				}
 			}
 		})

@@ -46,23 +46,16 @@ func handTuned() map[regKey]handOverride {
 		hand[regKey{k, f, b}] = handOverride{caps, prep}
 	}
 	for _, b := range []Backend{OMP, GPU} {
-		strat := b == OMP // only the OMP paths report a decomposition
 		add(roofline.Tew, roofline.COO, b, Caps{}, prepTewCOO)
 		add(roofline.Tew, roofline.HiCOO, b, Caps{}, prepTewHiCOO)
 		add(roofline.Ts, roofline.COO, b, Caps{}, prepTsCOO)
 		add(roofline.Ts, roofline.HiCOO, b, Caps{}, prepTsHiCOO)
-		add(roofline.Ttv, roofline.COO, b,
-			Caps{ModeDependent: true, StrategyAware: strat}, prepTtvCOO)
-		add(roofline.Ttv, roofline.HiCOO, b,
-			Caps{ModeDependent: true, StrategyAware: strat}, prepTtvHiCOO)
-		add(roofline.Ttm, roofline.COO, b,
-			Caps{ModeDependent: true, NeedsFactors: true, StrategyAware: strat}, prepTtmCOO)
-		add(roofline.Ttm, roofline.HiCOO, b,
-			Caps{ModeDependent: true, NeedsFactors: true, StrategyAware: strat}, prepTtmHiCOO)
-		add(roofline.Mttkrp, roofline.COO, b,
-			Caps{ModeDependent: true, NeedsFactors: true, StrategyAware: strat}, prepMttkrpCOO)
-		add(roofline.Mttkrp, roofline.HiCOO, b,
-			Caps{ModeDependent: true, NeedsFactors: true, StrategyAware: strat}, prepMttkrpHiCOO)
+		add(roofline.Ttv, roofline.COO, b, Caps{ModeDependent: true}, prepTtvCOO)
+		add(roofline.Ttv, roofline.HiCOO, b, Caps{ModeDependent: true}, prepTtvHiCOO)
+		add(roofline.Ttm, roofline.COO, b, Caps{ModeDependent: true, NeedsFactors: true}, prepTtmCOO)
+		add(roofline.Ttm, roofline.HiCOO, b, Caps{ModeDependent: true, NeedsFactors: true}, prepTtmHiCOO)
+		add(roofline.Mttkrp, roofline.COO, b, Caps{ModeDependent: true, NeedsFactors: true}, prepMttkrpCOO)
+		add(roofline.Mttkrp, roofline.HiCOO, b, Caps{ModeDependent: true, NeedsFactors: true}, prepMttkrpHiCOO)
 	}
 	// Multi-device partitioned paths exist for the reduction kernels that
 	// have them in core.
@@ -76,7 +69,7 @@ func handTuned() map[regKey]handOverride {
 	// level, csf's tree plan from the root. They stay overrides so the
 	// tree is the workbench's cached CSF and the cells keep their names.
 	add(roofline.Ttv, roofline.CSF, OMP,
-		Caps{ModeDependent: true, StrategyAware: true}, prepCSF(roofline.Ttv, "Ttv-leaf"))
+		Caps{ModeDependent: true}, prepCSF(roofline.Ttv, "Ttv-leaf"))
 	add(roofline.Mttkrp, roofline.CSF, OMP,
 		Caps{ModeDependent: true, NeedsFactors: true}, prepCSF(roofline.Mttkrp, "Mttkrp-root"))
 	// F-COO: segmented-reduction GPU kernels only.
@@ -104,15 +97,11 @@ type rungs struct {
 	gpu   func(*gpusim.Device) error
 	// multi is the multi-device path, nil where core has none.
 	multi func([]*gpusim.Device) error
-	// strategy points at the decomposition the last omp run took: the
-	// Mttkrp plan's LastStrategy, ownerComputes for the fiber plans of Ttv
-	// and Ttm; nil for kernels with neither.
-	strategy *parallel.Strategy
+	// owner marks an omp path that is owner-computes, one writer per
+	// output element: the Ttv and Ttm fiber plans and COO and HiCOO
+	// Mttkrp. Its Instance reports the strategy owner.
+	owner bool
 }
-
-// ownerComputes is the one decomposition of every Ttv and Ttm plan's
-// ExecuteOMP: fibers split across workers, one writer per output fiber.
-var ownerComputes = parallel.Owner
 
 // instance assembles the Instance of a core plan on backend b.
 func (wb *Workbench) instance(site string, b Backend, r rungs) (*Instance, error) {
@@ -123,8 +112,8 @@ func (wb *Workbench) instance(site string, b Backend, r rungs) (*Instance, error
 	switch {
 	case b == OMP:
 		inst.Run = func(ctx context.Context) error { return r.omp(wb.Opt(ctx)) }
-		if r.strategy != nil {
-			inst.Strategy = func() string { return r.strategy.String() }
+		if r.owner {
+			inst.Strategy = parallel.Owner.String
 		}
 	case b == GPU:
 		inst.Run = wb.onDevice(func() error { return r.gpu(wb.Device()) })
@@ -155,16 +144,17 @@ func elementRungs[P elementPlan[O], O any](p P, out any) rungs {
 }
 
 // operandPlan is the Execute* shape of the Ttv, Ttm and Mttkrp plans: one
-// dense operand A per execution (vector, matrix, factor list).
+// dense operand A per execution (vector, matrix, factor list). Their omp
+// paths are owner-computes, except tree Mttkrp's (generic.go).
 type operandPlan[A, O any] interface {
 	ExecuteSeq(A) (O, error)
 	ExecuteOMP(A, parallel.Options) (O, error)
 	FlopCount() int64
 }
 
-func operandRungs[P operandPlan[A, O], A, O any](p P, a A, out any, last *parallel.Strategy) rungs {
+func operandRungs[P operandPlan[A, O], A, O any](p P, a A, out any) rungs {
 	return rungs{
-		flops: p.FlopCount(), out: out, strategy: last,
+		flops: p.FlopCount(), out: out, owner: true,
 		seq: func() error { _, err := p.ExecuteSeq(a); return err },
 		omp: func(o parallel.Options) error { _, err := p.ExecuteOMP(a, o); return err },
 	}
@@ -174,8 +164,8 @@ func operandRungs[P operandPlan[A, O], A, O any](p P, a A, out any, last *parall
 func deviceRungs[P interface {
 	operandPlan[A, O]
 	ExecuteGPU(*gpusim.Device, A) (O, error)
-}, A, O any](p P, a A, out any, last *parallel.Strategy) rungs {
-	r := operandRungs(p, a, out, last)
+}, A, O any](p P, a A, out any) rungs {
+	r := operandRungs(p, a, out)
 	r.gpu = func(d *gpusim.Device) error { _, err := p.ExecuteGPU(d, a); return err }
 	return r
 }
@@ -218,7 +208,7 @@ func prepTtvCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
 		return nil, err
 	}
 	v := wb.Vec(mode)
-	r := deviceRungs(p, v, p.Out, &ownerComputes)
+	r := deviceRungs(p, v, p.Out)
 	r.multi = func(ds []*gpusim.Device) error { _, err := p.ExecuteMultiGPU(ds, v); return err }
 	return wb.instance("Ttv/COO", b, r)
 }
@@ -228,7 +218,7 @@ func prepTtvHiCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	return wb.instance("Ttv/HiCOO", b, deviceRungs(p, wb.Vec(mode), p.Out, &ownerComputes))
+	return wb.instance("Ttv/HiCOO", b, deviceRungs(p, wb.Vec(mode), p.Out))
 }
 
 func prepTtmCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
@@ -236,7 +226,7 @@ func prepTtmCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	return wb.instance("Ttm/COO", b, deviceRungs(p, wb.TtmMat(mode), p.Out, &ownerComputes))
+	return wb.instance("Ttm/COO", b, deviceRungs(p, wb.TtmMat(mode), p.Out))
 }
 
 func prepTtmHiCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
@@ -244,7 +234,7 @@ func prepTtmHiCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	return wb.instance("Ttm/HiCOO", b, deviceRungs(p, wb.TtmMat(mode), p.Out, &ownerComputes))
+	return wb.instance("Ttm/HiCOO", b, deviceRungs(p, wb.TtmMat(mode), p.Out))
 }
 
 func prepMttkrpCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
@@ -253,7 +243,7 @@ func prepMttkrpCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
 		return nil, err
 	}
 	mats := wb.Mats()
-	r := deviceRungs(p, mats, p.Out, &p.LastStrategy)
+	r := deviceRungs(p, mats, p.Out)
 	r.multi = func(ds []*gpusim.Device) error { _, err := p.ExecuteMultiGPU(ds, mats); return err }
 	return wb.instance("Mttkrp/COO", b, r)
 }
@@ -263,7 +253,7 @@ func prepMttkrpHiCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	return wb.instance("Mttkrp/HiCOO", b, deviceRungs(p, wb.Mats(), p.Out, &p.LastStrategy))
+	return wb.instance("Mttkrp/HiCOO", b, deviceRungs(p, wb.Mats(), p.Out))
 }
 
 // tracked starts an instance for rungs that return their output object

@@ -101,15 +101,13 @@ type Result struct {
 	// Flops is the per-execution floating point work.
 	Flops int64
 	// Strategy summarizes the reduction strategies the kernel's OMP path
-	// resolved to ("owner", "atomic", "privatized") on measured runs of
-	// the reduction kernels: the single value when every mode agreed,
-	// otherwise the comma-joined per-mode list (e.g.
-	// "atomic,privatized,atomic"); empty otherwise.
+	// reported on measured runs of the reduction kernels: the single
+	// value when every mode agreed (today always "owner"), otherwise the
+	// comma-joined per-mode list; empty otherwise.
 	Strategy string
-	// Strategies records the strategy each mode resolved to, in mode
-	// order. The adaptive selector may pick differently per mode, so
-	// ablation output must not pretend the last mode's choice covered
-	// the whole measurement.
+	// Strategies records the strategy each mode reported, in mode order,
+	// so that output never lets one mode's report stand for the whole
+	// measurement.
 	Strategies []string
 	// Outcome summarizes how the guarded trials ended ("ok", or e.g.
 	// "fell-back:serial=2,ok=10"); empty when resilience guarding is

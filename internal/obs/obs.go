@@ -114,11 +114,6 @@ type Tracer struct {
 	// epoch anchors every span's Start offset; time.Since(epoch) reads
 	// the monotonic clock.
 	epoch time.Time
-	// wall is the wall-clock time of the epoch. Nothing reads it; it
-	// stays because dropping it shrinks New and moves internal/core in
-	// the benchmark binary by 32 bytes mod 64, which shifts the kernel
-	// ratios (EXPERIMENTS.md "Element-wise kernels in AVX2").
-	wall time.Time
 	// blockSpans opts in to one span per simulated GPU block — precise
 	// but voluminous; off by default.
 	blockSpans bool
@@ -138,8 +133,7 @@ func WithBlockSpans() Option {
 
 // New returns an empty tracer whose epoch is now.
 func New(opts ...Option) *Tracer {
-	now := time.Now()
-	t := &Tracer{epoch: now, wall: now}
+	t := &Tracer{epoch: time.Now()}
 	for _, o := range opts {
 		o(t)
 	}

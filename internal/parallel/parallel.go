@@ -128,8 +128,8 @@ type Options struct {
 	Chunk int
 	// Threads overrides NumThreads for this loop when > 0.
 	Threads int
-	// Strategy selects the reduction-update strategy for kernels with a
-	// shared output (see Choose); the zero value Auto adapts per call.
+	// Strategy selects the reduction-update strategy of COO and HiCOO
+	// Mttkrp (see Strategy); the zero value Auto runs owner-computes.
 	Strategy Strategy
 	// Ctx, when non-nil, cancels the loop cooperatively: workers check
 	// it at chunk granularity, stop claiming chunks once it is done, and

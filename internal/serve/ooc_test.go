@@ -68,8 +68,14 @@ func TestOverBudgetStreamsInsteadOf413(t *testing.T) {
 		t.Fatalf("Ttv not streamed: %s", body)
 	}
 
-	// A kernel with no streaming body keeps the honest 413.
-	status, body = postRun(t, ts.URL,
+	// A kernel with no streaming body keeps the honest 413, at a budget
+	// just below its own in-core footprint.
+	ttmIncore, err := requestCost(New(Config{NNZ: 1500}), RunRequest{Dataset: "nell2", Kernel: "Ttm", Format: "COO"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts3 := newTestDaemon(t, Config{NNZ: 1500, MemBudget: ttmIncore - 1})
+	status, body = postRun(t, ts3.URL,
 		RunRequest{Dataset: "nell2", Kernel: "Ttm", Format: "COO"}, "streamer")
 	if status != http.StatusRequestEntityTooLarge {
 		t.Fatalf("over-budget Ttm: HTTP %d, want 413: %s", status, body)

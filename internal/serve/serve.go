@@ -359,7 +359,6 @@ type variantInfo struct {
 	Backend       string `json:"backend"`
 	ModeDependent bool   `json:"modeDependent"`
 	NeedsFactors  bool   `json:"needsFactors"`
-	StrategyAware bool   `json:"strategyAware"`
 	SerialRef     bool   `json:"serialRef"`
 	// Generated marks a variant instantiated by the generic
 	// level-iterator kernels from the format's declaration.
@@ -379,7 +378,6 @@ func (s *Server) handleVariants(w http.ResponseWriter, r *http.Request) {
 			Backend:       v.Backend.String(),
 			ModeDependent: v.Caps.ModeDependent,
 			NeedsFactors:  v.Caps.NeedsFactors,
-			StrategyAware: v.Caps.StrategyAware,
 			SerialRef:     v.Caps.SerialRef,
 			Generated:     v.Generated,
 			Levels:        v.Levels,
