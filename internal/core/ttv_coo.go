@@ -30,13 +30,28 @@ type TtvPlan struct {
 	k fiberKernel // the value computation over the plan's fiber view
 }
 
-// PrepareTtv performs the preprocessing stage of Ttv in mode n.
+// PrepareTtv performs the preprocessing stage of Ttv in mode n,
+// including the length-grouped layout (ttv_layout.go) that ExecuteSeq
+// and ExecuteOMP run over when the fibers' lengths call for one.
 func PrepareTtv(x *tensor.COO, mode int) (*TtvPlan, error) {
+	p, err := PrepareTtvRanges(x, mode)
+	if err != nil {
+		return nil, err
+	}
+	p.k.grouped = p.k.groupByLength()
+	return p, nil
+}
+
+// PrepareTtvRanges is PrepareTtv without the length-grouped layout, for
+// callers that run only ExecuteFibers (dist ranks): ranges index the
+// plan's own fibers, and only the whole-tensor paths read the layout.
+// Those still run on its plan, over the stored fiber order.
+func PrepareTtvRanges(x *tensor.COO, mode int) (*TtvPlan, error) {
 	if mode < 0 || mode >= x.Order() {
 		return nil, fmt.Errorf("core: Ttv mode %d out of range for order-%d tensor", mode, x.Order())
 	}
 	xs, view, heads := cooFibers(x, mode)
-	p, err := NewTtvPlan(view, heads)
+	p, err := newTtvPlan(view, heads)
 	if err != nil {
 		return nil, err
 	}

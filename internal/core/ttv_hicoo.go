@@ -41,7 +41,8 @@ func PrepareTtvHiCOO(x *tensor.COO, mode int, blockBits uint8) (*TtvHiCOOPlan, e
 		return nil, fmt.Errorf("core: Ttv needs an order >= 2 tensor")
 	}
 	g, view, sk := prepareFiberHiCOO(x, mode, blockBits)
-	k := view.ttvKernel()
+	k := view.kernel(1)
+	k.grouped = k.groupByLength()
 
 	// Output dims: drop the product mode. The compressed modes of X map
 	// one-to-one onto the output's modes, in order.

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/hicoo"
+	"repro/internal/tensor"
 )
 
 // TestTtvLayoutGate pins where the length-grouped layout's gate falls
@@ -46,6 +48,51 @@ func TestTtvLayoutGate(t *testing.T) {
 					t.Errorf("%s %d mode %d: grouped layout %v, want %v (lane-steps %d stored, %d grouped: %.3f)",
 						r.id, r.nnz, mode, got, want, stored, grouped, float64(stored)/float64(grouped))
 				}
+			}
+		}
+	}
+}
+
+// TestTtvRangesPlanHasNoLayout: PrepareTtvRanges builds no
+// length-grouped layout, even on irrS where PrepareTtv builds one in
+// every mode, and its whole-tensor ExecuteSeq over the stored fiber
+// order equals PrepareTtv's bit for bit.
+func TestTtvRangesPlanHasNoLayout(t *testing.T) {
+	e, err := dataset.ByID("irrS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := dataset.Materialize(e, 37_500, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for mode := 0; mode < x.Order(); mode++ {
+		p, err := PrepareTtv(x, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rp, err := PrepareTtvRanges(x, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.k.grouped == nil || rp.k.grouped != nil {
+			t.Fatalf("mode %d: PrepareTtv layout %v, PrepareTtvRanges layout %v; want true, false", mode, p.k.grouped != nil, rp.k.grouped != nil)
+		}
+		v := make(tensor.Vector, x.Dims[mode])
+		for i := range v {
+			v[i] = tensor.Value(i%7) - 3
+		}
+		want, err := p.ExecuteSeq(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := rp.ExecuteSeq(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for f := range want.Vals {
+			if math.Float32bits(got.Vals[f]) != math.Float32bits(want.Vals[f]) {
+				t.Fatalf("mode %d fiber %d: %v without the layout, %v with it", mode, f, got.Vals[f], want.Vals[f])
 			}
 		}
 	}

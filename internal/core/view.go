@@ -32,15 +32,6 @@ func (v FiberView) kernel(r int) fiberKernel {
 	}
 }
 
-// ttvKernel is kernel(1) for Ttv, with the length-grouped layout its
-// whole-tensor paths run over when the fibers' lengths call for one
-// (ttv_layout.go): the one place that layout is built.
-func (v FiberView) ttvKernel() fiberKernel {
-	k := v.kernel(1)
-	k.grouped = k.groupByLength()
-	return k
-}
-
 // skeleton checks the view against the COO-shaped output skeleton a
 // format derived for it — cols holds, per mode of the input, that mode's
 // index of every fiber (the product mode's entry is ignored) — and
@@ -64,8 +55,20 @@ func (v FiberView) skeleton(cols [][]tensor.Index) ([][]tensor.Index, error) {
 
 // NewTtvPlan prepares Ttv over any format's fiber view and skeleton
 // columns: the plan owns an order-(N-1) COO output with one non-zero per
-// fiber, indices final, values refilled by every Execute.
+// fiber, indices final, values refilled by every Execute, and the
+// length-grouped layout its whole-tensor paths run over when the fibers'
+// lengths call for one (ttv_layout.go).
 func NewTtvPlan(v FiberView, cols [][]tensor.Index) (*TtvPlan, error) {
+	p, err := newTtvPlan(v, cols)
+	if err != nil {
+		return nil, err
+	}
+	p.k.grouped = p.k.groupByLength()
+	return p, nil
+}
+
+// newTtvPlan is NewTtvPlan without the length-grouped layout.
+func newTtvPlan(v FiberView, cols [][]tensor.Index) (*TtvPlan, error) {
 	if len(v.Dims) < 2 {
 		return nil, fmt.Errorf("core: Ttv needs an order >= 2 tensor")
 	}
@@ -73,7 +76,7 @@ func NewTtvPlan(v FiberView, cols [][]tensor.Index) (*TtvPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	k := v.ttvKernel()
+	k := v.kernel(1)
 	out := &tensor.COO{Dims: make([]tensor.Index, 0, len(inds)), Inds: inds, Vals: k.out}
 	for _, n := range tensor.OtherModes(len(v.Dims), v.Mode) {
 		out.Dims = append(out.Dims, v.Dims[n])

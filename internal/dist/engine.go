@@ -490,7 +490,7 @@ func (e *Engine) ttvPlanFor(mode int) (*core.TtvPlan, error) {
 	if plan, ok := e.ttvPlans[mode]; ok {
 		return plan, nil
 	}
-	plan, err := core.PrepareTtv(e.x, mode)
+	plan, err := core.PrepareTtvRanges(e.x, mode)
 	if err != nil {
 		return nil, err
 	}

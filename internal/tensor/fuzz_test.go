@@ -2,14 +2,43 @@ package tensor
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 )
 
+// tnsOracle parses .tns bytes the slow way ParseTNS must agree with:
+// split on '\n', then per line trim, skip blanks and comments, and run
+// parseTNSDataLine.
+func tnsOracle(data []byte) (*COO, error) {
+	order, err := tnsOrder(data)
+	if err != nil {
+		return nil, err
+	}
+	x := &COO{Dims: make([]Index, order), Inds: make([][]Index, order), Vals: []Value{}}
+	coords := make([]Index, order)
+	for line, ln := range bytes.Split(data, []byte{'\n'}) {
+		if ln = trimTNSSpace(ln); len(ln) == 0 || ln[0] == '#' {
+			continue
+		}
+		v, err := parseTNSDataLine(ln, order, coords)
+		if err != nil {
+			return nil, fmt.Errorf("tns: line %d: %v", line+1, err)
+		}
+		for n, i := range coords {
+			x.Inds[n] = append(x.Inds[n], i)
+			x.Dims[n] = max(x.Dims[n], i+1)
+		}
+		x.Vals = append(x.Vals, v)
+	}
+	return x, nil
+}
+
 // FuzzReadTNS exercises the FROSTT parser against arbitrary inputs: it
-// must never panic, and any tensor it accepts must be structurally valid
-// and round-trip through the writer.
+// must never panic, must agree with tnsOracle — the same entries, value
+// bits and dims, or the same error text and line — and any tensor it
+// accepts must be structurally valid and round-trip through the writer.
 func FuzzReadTNS(f *testing.F) {
 	f.Add("1 1 1 1.0\n")
 	f.Add("# comment\n2 3 4 -1.5\n1 1 1 0.25\n")
@@ -19,10 +48,21 @@ func FuzzReadTNS(f *testing.F) {
 	f.Add("1 1 1 nan\n")
 	f.Add("4294967295 1 1 1\n")
 	f.Add("1 1 1 1\n1 1 2\n")
+	for _, ln := range tnsLines {
+		f.Add(ln)
+		f.Add(ln + "\n7 8 9 1\n")
+	}
 	f.Fuzz(func(t *testing.T, in string) {
 		x, err := ParseTNS([]byte(in))
+		want, wantErr := tnsOracle([]byte(in))
+		if errText(err) != errText(wantErr) {
+			t.Fatalf("error %q, the oracle's %q", errText(err), errText(wantErr))
+		}
 		if err != nil {
 			return
+		}
+		if !identicalBits(x, want) {
+			t.Fatalf("parsed %v %v %v, the oracle %v %v %v", x.Dims, x.Inds, x.Vals, want.Dims, want.Inds, want.Vals)
 		}
 		if verr := x.Validate(); verr != nil {
 			// NaN/Inf values are representable in .tns input but rejected

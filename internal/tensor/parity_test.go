@@ -218,21 +218,35 @@ func TestDecodersMatchNaiveLoop(t *testing.T) {
 	}
 }
 
-// TestScanTNSLineMatchesFieldParser holds the one-pass line scanner to
-// the field-by-field parser it runs ahead of: on every line, regular or
-// not, the shard parser must return what trimming, skipping and
+// tnsLines are .tns lines of order 3, regular or not, that the record
+// scanner and the field parser must read alike: spaces, signs,
+// coordinate limits, non-finite and malformed values, blanks, comments,
+// and the float32 fast path's edges.
+var tnsLines = []string{
+	"1 2 3 1.5", "1 2 3 1.5\r", "1\t2\t3\t1.5", " \t1  2\t 3   1.5 \t\r", "1 2 3 -2.5e-3",
+	"+1 2 3 1.5", "1 +2 3 1.5", "1 2 3 +1.5", "-1 2 3 1.5",
+	"4294967295 1 1 1", "4294967296 1 1 1", "04294967295 1 1 1", "00000000001 2 3 4", "42949672950 1 1 1", "99999999999999999999999 1 1 1",
+	"1 1 1 nan", "1 1 1 NaN", "1 1 1 inf", "1 1 1 -Inf", "1 1 1 +infinity", "1 1 1 1e39", "1 1 1 1e-46", "1 1 1 0x1p-2", "1 1 1 1_000",
+	"0 1 1 1", "1 0 1 1", "1 1 1", "1 1 1 1 1", "1 1 x 1", "1 1 1 x", "1 1 1x 1", "1 1 1 1 x", "1.0 1 1 1",
+	"", "   ", "\r", "# comment", "  # indented comment", "#", "1 1 1 #", "1 1 # 1",
+	"1\v2\f3 4", "1 2 3 4\x00", "1 2 3\x004", "١ 2 3 4",
+	// The exact float32 fast path's edges: halfway points, forms
+	// of the point and sign, and values it must leave to strconv.
+	"1 2 3 16777217", "1 2 3 16777219", "1 2 3 0.1", "1 2 3 .5", "1 2 3 5.", "1 2 3 -0", "1 2 3 -0.0", "1 2 3 00.5",
+	"1 2 3 1.17549435e-38", "1 2 3 0.0000000000000000000000000000000000000117549435",
+	"1 2 3 0.000000000000000000000000000000000000000000001", "1 2 3 -0.0000000000000000000000000000000000000000000014",
+	"1 2 3 3.4028235e38", "1 2 3 340282350000000000000000000000000000000", "1 2 3 3402823500000000000000000000000000000000",
+	"1 2 3 123456789012345", "1 2 3 1234567890.123456", "1 2 3 -1234567890123456789", "1 2 3 0.30000001192092896",
+	"1 2 3 4194304.25", "1 2 3 4194304.75", "1 2 3 0.5 ", "1 2 3 -", "1 2 3 .", "1 2 3 -.", "1 2 3 1.2.3", "1 2 3 --1", "1 2 3 1-",
+	"999999999 1 1 1", "1000000000 1 1 1", "000000000 1 1 1", "000000001 1 1 1",
+}
+
+// TestScanTNSLineMatchesFieldParser holds the one-pass record scanner
+// to the field-by-field parser it runs ahead of: on every line, regular
+// or not, the shard parser must return what trimming, skipping and
 // parseTNSDataLine alone return — value bits, coordinates, error text.
 func TestScanTNSLineMatchesFieldParser(t *testing.T) {
-	lines := []string{
-		"1 2 3 1.5", "1 2 3 1.5\r", "1\t2\t3\t1.5", " \t1  2\t 3   1.5 \t\r", "1 2 3 -2.5e-3",
-		"+1 2 3 1.5", "1 +2 3 1.5", "1 2 3 +1.5", "-1 2 3 1.5",
-		"4294967295 1 1 1", "4294967296 1 1 1", "04294967295 1 1 1", "00000000001 2 3 4", "42949672950 1 1 1", "99999999999999999999999 1 1 1",
-		"1 1 1 nan", "1 1 1 NaN", "1 1 1 inf", "1 1 1 -Inf", "1 1 1 +infinity", "1 1 1 1e39", "1 1 1 1e-46", "1 1 1 0x1p-2", "1 1 1 1_000",
-		"0 1 1 1", "1 0 1 1", "1 1 1", "1 1 1 1 1", "1 1 x 1", "1 1 1 x", "1 1 1x 1", "1 1 1 1 x", "1.0 1 1 1",
-		"", "   ", "\r", "# comment", "  # indented comment", "#", "1 1 1 #", "1 1 # 1",
-		"1\v2\f3 4", "1 2 3 4\x00", "1 2 3\x004", "١ 2 3 4",
-	}
-	for _, ln := range lines {
+	for _, ln := range tnsLines {
 		// The field parser alone, as parseTNSShard used it.
 		wantCoords, want, wantErr, skipped := make([]Index, 3), Value(0), error(nil), false
 		if trimmed := trimTNSSpace([]byte(ln)); len(trimmed) == 0 || trimmed[0] == '#' {

@@ -165,25 +165,33 @@ func tnsOrder(data []byte) (int, error) {
 // parseTNSShard parses one newline-aligned byte range into sh. On a bad
 // line it records the cause and the shard-local line number but still
 // leaves sh.lines as the count scanned so far (callers only need full
-// counts for shards before the first error).
+// counts for shards before the first error). The columns are sized once
+// to the range's line count, an upper bound on its entries, so the parse
+// makes the same few allocations at any size.
 func parseTNSShard(data []byte, order int, sh *tnsShard) {
+	lines := bytes.Count(data, []byte{'\n'}) + 1
 	sh.inds = make([][]Index, order)
+	for n := range sh.inds {
+		sh.inds[n] = make([]Index, 0, lines)
+	}
+	sh.vals = make([]Value, 0, lines)
 	sh.dims = make([]Index, order)
 	coords := make([]Index, order)
 	for len(data) > 0 {
-		var ln []byte
-		if nl := bytes.IndexByte(data, '\n'); nl >= 0 {
-			ln, data = data[:nl], data[nl+1:]
-		} else {
-			ln, data = data, nil
-		}
 		sh.lines++
-		v, ok := scanTNSLine(ln, coords)
+		v, rest, ok := scanTNSRecord(data, coords)
 		if !ok {
-			// Blank, comment or malformed: the field-by-field parser
-			// decides which, and words the error.
+			// Blank, comment, irregular or malformed: the field-by-field
+			// parser decides which, and words the error.
+			ln := data
+			if nl := bytes.IndexByte(data, '\n'); nl >= 0 {
+				ln, rest = data[:nl], data[nl+1:]
+			} else {
+				rest = nil
+			}
 			ln = trimTNSSpace(ln)
 			if len(ln) == 0 || ln[0] == '#' {
+				data = rest
 				continue
 			}
 			if v, sh.err = parseTNSDataLine(ln, order, coords); sh.err != nil {
@@ -191,8 +199,8 @@ func parseTNSShard(data []byte, order int, sh *tnsShard) {
 				return
 			}
 		}
-		for n := 0; n < order; n++ {
-			i := coords[n]
+		data = rest
+		for n, i := range coords {
 			sh.inds[n] = append(sh.inds[n], i)
 			if i+1 > sh.dims[n] {
 				sh.dims[n] = i + 1
@@ -202,36 +210,91 @@ func parseTNSShard(data []byte, order int, sh *tnsShard) {
 	}
 }
 
-// scanTNSLine parses a regular data line — len(coords) runs of digits
-// and one value token between TNS spaces — in one pass, accumulating
-// each coordinate while it looks for the token's end. Anything else (a
-// blank or comment line, a sign, a zero or overflowing coordinate, a
-// wrong field count, a bad value) is !ok and left to parseTNSDataLine.
-func scanTNSLine(ln []byte, coords []Index) (Value, bool) {
+// scanTNSRecord parses the data line at the head of data in one pass and
+// returns the input after it. It accepts only the regular form that
+// WriteTNS emits: len(coords) coordinates of 1–9 digits, each followed by
+// one ' ', then an optional '-' and digits with at most one '.', then
+// '\n' or the end of the input. Anything else — other spaces or runs of
+// them, a '+', an exponent, inf or nan, a zero or 10-digit coordinate, a
+// comment, a blank line, a wrong field count — is !ok, and the caller
+// hands the line to parseTNSDataLine, so the lines accepted and the
+// errors given are that parser's.
+func scanTNSRecord(data []byte, coords []Index) (v Value, rest []byte, ok bool) {
 	i := 0
 	for n := range coords {
-		for i < len(ln) && isTNSSpace(ln[i]) {
-			i++
+		var u Index // 9 digits cannot overflow it
+		j := i
+		for ; j < len(data) && data[j]-'0' <= 9; j++ {
+			u = u*10 + Index(data[j]-'0')
 		}
-		var u uint64 // stays 0 when there is no digit, which a coordinate may not be either
-		for ; i < len(ln) && ln[i]-'0' <= 9; i++ {
-			if u = u*10 + uint64(ln[i]-'0'); u > math.MaxUint32 {
-				return 0, false
-			}
+		if j == i || j-i > 9 || u == 0 || j == len(data) || data[j] != ' ' {
+			return 0, nil, false
 		}
-		if u == 0 || i == len(ln) || !isTNSSpace(ln[i]) {
-			return 0, false
-		}
-		coords[n] = Index(u - 1)
+		coords[n] = u - 1
+		i = j + 1
 	}
-	tok := trimTNSSpace(ln[i:])
-	for _, c := range tok {
-		if isTNSSpace(c) {
-			return 0, false // more than one field is left
+	tok := i
+	neg := i < len(data) && data[i] == '-'
+	if neg {
+		i++
+	}
+	var m uint64
+	digits, dot := 0, -1
+	for ; i < len(data); i++ {
+		if c := data[i]; c-'0' <= 9 {
+			m = m*10 + uint64(c-'0')
+			digits++
+		} else if c == '.' && dot < 0 {
+			dot = i
+		} else {
+			break
 		}
 	}
-	v, err := strconv.ParseFloat(bstr(tok), 32)
-	return Value(v), err == nil
+	if digits == 0 {
+		return 0, nil, false
+	}
+	end := i
+	if i < len(data) {
+		if data[i] != '\n' {
+			return 0, nil, false
+		}
+		rest = data[i+1:]
+	}
+	frac := 0
+	if dot >= 0 {
+		frac = end - dot - 1
+	}
+	if f, exact := tnsDecimal(m, digits, frac); exact {
+		if v = Value(f); neg {
+			v = -v // last, so that "-0" is -0
+		}
+		return v, rest, true
+	}
+	f, err := strconv.ParseFloat(bstr(data[tok:end]), 32)
+	return Value(f), rest, err == nil
+}
+
+// pow10 holds the scales 10^frac of a mantissa of at most 15 digits, all
+// exact in float64.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+
+// tnsDecimal returns m / 10^frac, for a mantissa of the given number of
+// decimal digits, as a float64 whose float32 conversion equals
+// strconv.ParseFloat's correctly rounded float32 of the decimal — or
+// exact=false when it cannot promise that. With at most 15 digits, m and
+// 10^frac are exact in float64, so f is the one correctly rounded
+// division of the exact quotient q. Rounding f to float32 then rounds q
+// the same way unless f lies exactly on a float32 halfway point: were q
+// on one side of a halfway point and f on the other, that point (a
+// float64) would be nearer to q than f. Non-zero |f| lies in [1e-15,
+// 1e15), inside float32's normal range, so the halfway test is the 29
+// float64 mantissa bits a float32 drops being 1 followed by 28 zeros.
+func tnsDecimal(m uint64, digits, frac int) (f float64, exact bool) {
+	if digits > 15 {
+		return 0, false
+	}
+	f = float64(m) / pow10[frac]
+	return f, math.Float64bits(f)&(1<<29-1) != 1<<28
 }
 
 // parseTNSDataLine parses "c1 c2 ... cN value" into coords (0-based) and

@@ -3,8 +3,10 @@ package tensor
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -176,6 +178,98 @@ func TestWriteTNSFloat32RoundTrip(t *testing.T) {
 	}
 }
 
+// TestTNSValuesMatchStrconv drives the record scanner's float32 fast
+// path with fixed seeds: shortest-form float32s of random bit patterns
+// must survive WriteTNS → ParseTNS bit for bit, and random decimal
+// lines — 1–17 digits with a random sign and point, and decimals at or
+// next to float32 halfway points — must read as strconv.ParseFloat(·,
+// 32) reads them.
+func TestTNSValuesMatchStrconv(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	const n = 50_000
+	x := NewCOO([]Index{n}, n)
+	for i := 0; i < n; i++ {
+		v := math.Float32frombits(rng.Uint32())
+		if f := float64(v); math.IsNaN(f) || math.IsInf(f, 0) {
+			v = Value(i)
+		}
+		x.Append([]Index{Index(i)}, v)
+	}
+	var buf bytes.Buffer
+	if err := WriteTNS(&buf, x); err != nil {
+		t.Fatal(err)
+	}
+	y, err := ParseTNS(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !identicalBits(x, y) {
+		t.Fatal("WriteTNS → ParseTNS changed a value's bits")
+	}
+
+	var toks []string
+	for i := 0; i < n; i++ {
+		d := make([]byte, 1+rng.Intn(17))
+		for j := range d {
+			d[j] = byte('0' + rng.Intn(10))
+		}
+		tok := string(d)
+		if p := rng.Intn(len(d) + 2); p <= len(d) {
+			tok = tok[:p] + "." + tok[p:]
+		}
+		if rng.Intn(2) == 0 {
+			tok = "-" + tok
+		}
+		toks = append(toks, tok)
+
+		// A float32 halfway point in [1/16, 2), written out exactly
+		// and as the nearest 15-digit decimal, whose float64 quotient
+		// is often the halfway point itself.
+		lo := math.Float32frombits(uint32(123+rng.Intn(5))<<23 | rng.Uint32()&(1<<23-1))
+		mid := (float64(lo) + float64(math.Nextafter32(lo, 2))) / 2
+		toks = append(toks, strconv.FormatFloat(mid, 'f', -1, 64))
+		if mid < 1 {
+			toks = append(toks, strconv.FormatFloat(mid, 'f', 15, 64)[1:])
+		} else {
+			toks = append(toks, strconv.FormatFloat(mid, 'f', 14, 64))
+		}
+	}
+	var lines bytes.Buffer
+	for _, tok := range toks {
+		lines.WriteString("1 " + tok + "\n")
+	}
+	z, err := ParseTNS(lines.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tok := range toks {
+		want, err := strconv.ParseFloat(tok, 32)
+		if err != nil {
+			t.Fatalf("%q: %v", tok, err)
+		}
+		if got := z.Vals[i]; math.Float32bits(got) != math.Float32bits(Value(want)) {
+			t.Fatalf("%q read as %v (%#x), strconv says %v (%#x)", tok, got, math.Float32bits(got), want, math.Float32bits(Value(want)))
+		}
+	}
+}
+
+// TestParseTNSAllocs pins the pre-sized builders: the serial parse
+// makes as many allocations at 40 000 lines as at 1 000.
+func TestParseTNSAllocs(t *testing.T) {
+	small := genTNSBytes(t, []Index{300, 300, 30}, 1_000, 5)
+	large := genTNSBytes(t, []Index{6000, 6000, 51}, 40_000, 5)
+	allocs := func(data []byte) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := parseTNSSerial(data); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a, b := allocs(small), allocs(large); a != b {
+		t.Fatalf("parseTNSSerial: %v allocations at 1 000 lines, %v at 40 000", a, b)
+	}
+}
+
 // BenchmarkParseTNS compares the serial and chunk-parallel parsers on a
 // ~1M-non-zero input. On a multicore host the parallel path should be
 // ≥2× faster; on a single-core host it degenerates to serial speed.
@@ -184,6 +278,7 @@ func BenchmarkParseTNS(b *testing.B) {
 	b.Logf("input: %.1f MB", float64(len(data))/1e6)
 	b.Run("serial", func(b *testing.B) {
 		b.SetBytes(int64(len(data)))
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := parseTNSSerial(data); err != nil {
 				b.Fatal(err)
@@ -193,6 +288,7 @@ func BenchmarkParseTNS(b *testing.B) {
 	for _, threads := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("parallel-%d", threads), func(b *testing.B) {
 			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := parseTNSParallel(data, threads); err != nil {
 					b.Fatal(err)
