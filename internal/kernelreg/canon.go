@@ -1,6 +1,7 @@
 package kernelreg
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 
@@ -9,57 +10,42 @@ import (
 	"repro/internal/tensor"
 )
 
-// Canon is the canonical coordinate→value form of a kernel output:
-// duplicate coordinates accumulate, so two outputs agree exactly when
-// they represent the same tensor regardless of format, entry order, or
-// duplicate splitting.
-type Canon map[string]float64
+// Canon is the canonical form of a kernel output: a sparse output's
+// non-zeros in natural order (duplicates kept), or a dense output as it
+// is. nil stands for a missing output.
+type Canon *canonical
 
-// canonOf converts any output object a registered variant produces into
-// canonical form. A nil or unknown output canonicalizes to nil, which
-// Compare treats as maximally deviant — a variant that never ran cannot
-// accidentally verify.
-func canonOf(out any) Canon {
-	switch o := out.(type) {
-	case *tensor.COO:
-		return cooCanon(o)
-	case *hicoo.HiCOO:
-		return cooCanon(o.ToCOO())
-	case *tensor.SemiCOO:
-		return cooCanon(o.ToCOO())
-	case *hicoo.SemiHiCOO:
-		return cooCanon(o.ToSemiCOO().ToCOO())
-	case *tensor.Matrix:
-		m := make(Canon, len(o.Data))
-		for i := 0; i < o.Rows; i++ {
-			row := o.Row(i)
-			for j, v := range row {
-				if v != 0 {
-					m[fmt.Sprintf("r%d,c%d", i, j)] += float64(v)
-				}
-			}
-		}
-		return m
-	}
-	return nil
+type canonical struct {
+	coo *tensor.COO
+	mat *tensor.Matrix
 }
 
 // CanonOf converts a kernel output object (dense matrix, COO, HiCOO,
-// semi-sparse forms) into canonical form for Compare. Exported so
-// out-of-package harnesses — e.g. the distributed layer's cross-checks
-// against Workbench.Reference — verify through the same canonicalization
-// the registry uses.
-func CanonOf(out any) Canon { return canonOf(out) }
-
-// cooCanon accumulates a COO tensor into coordinate→value form.
-func cooCanon(t *tensor.COO) Canon {
-	m := make(Canon, t.NNZ())
-	idx := make([]tensor.Index, t.Order())
-	for x := 0; x < t.NNZ(); x++ {
-		v := t.Entry(x, idx)
-		m[fmt.Sprint(idx)] += float64(v)
+// semi-sparse forms) into canonical form for Compare; out-of-package
+// harnesses verify through it against Workbench.Reference. A nil or
+// unknown output gives nil, which Compare treats as all zeros, so an
+// output that was never produced cannot verify.
+func CanonOf(out any) Canon {
+	var t *tensor.COO
+	switch o := out.(type) {
+	case *tensor.Matrix:
+		if o == nil {
+			return nil
+		}
+		return &canonical{mat: o}
+	case *tensor.COO:
+		t = o
+	case *hicoo.HiCOO:
+		t = o.ToCOO()
+	case *tensor.SemiCOO:
+		t = o.ToCOO()
+	case *hicoo.SemiHiCOO:
+		t = o.ToSemiCOO().ToCOO()
 	}
-	return m
+	if t == nil {
+		return nil
+	}
+	return &canonical{coo: t.SortedBy(tensor.OtherModes(t.Order(), -1))}
 }
 
 // valsOf extracts the raw value array of a variant output for the finite
@@ -90,31 +76,51 @@ func checkFinite(out any) error {
 }
 
 // Compare returns the worst relative deviation between two canonical
-// outputs over the union of their coordinates (absolute deviation for
-// magnitudes below 1). Either side nil compares as all-zeros against the
-// other, so a missing output deviates by the other's largest entry.
+// outputs (absolute below magnitude 1) over the union of their
+// coordinates, duplicates summed (tensor.MaxDeviation). A missing side
+// compares as all zeros; a sparse and a dense output share no
+// coordinate; matrices compare by (row, col). A NaN or an infinity on
+// either side deviates by +Inf.
 func Compare(a, b Canon) float64 {
-	var worst float64
-	for k, av := range a {
-		if d := relDev(av, b[k]); d > worst {
-			worst = d
-		}
+	if a == nil {
+		a = &canonical{}
 	}
-	for k, bv := range b {
-		if _, ok := a[k]; !ok {
-			if d := relDev(0, bv); d > worst {
-				worst = d
+	if b == nil {
+		b = &canonical{}
+	}
+	switch {
+	case a.mat == nil && b.mat == nil:
+		return tensor.MaxDeviation(cmp.Or(a.coo, &tensor.COO{}), cmp.Or(b.coo, &tensor.COO{}), relDev)
+	case a.coo != nil || b.coo != nil:
+		return max(Compare(a, nil), Compare(nil, b))
+	}
+	return matDev(cmp.Or(a.mat, &tensor.Matrix{}), cmp.Or(b.mat, &tensor.Matrix{}))
+}
+
+// matDev is Compare on two matrices; entries outside a matrix's shape
+// compare as 0.
+func matDev(a, b *tensor.Matrix) float64 {
+	var worst float64
+	for i := range max(a.Rows, b.Rows) {
+		for j := range max(a.Cols, b.Cols) {
+			x, y := entry(a, i, j), entry(b, i, j)
+			if math.IsNaN((x - x) + (y - y)) { // x or y is NaN or infinite
+				return math.Inf(1)
 			}
+			worst = max(worst, relDev(x, y))
 		}
 	}
 	return worst
 }
 
-func relDev(a, b float64) float64 {
-	d := math.Abs(a - b)
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	if scale < 1 {
-		scale = 1
+// entry is m's (i, j) entry, 0 outside its shape.
+func entry(m *tensor.Matrix, i, j int) float64 {
+	if i < m.Rows && j < m.Cols {
+		return float64(m.Row(i)[j])
 	}
-	return d / scale
+	return 0
+}
+
+func relDev(a, b float64) float64 {
+	return math.Abs(a-b) / max(math.Abs(a), math.Abs(b), 1)
 }

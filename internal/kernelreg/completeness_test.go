@@ -251,12 +251,11 @@ func TestReferenceCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c1) == 0 {
+	if c1 == nil || c1.coo == nil || c1.coo.NNZ() == 0 {
 		t.Fatal("empty reference")
 	}
-	// A cached reference shares the same underlying map.
-	c1["sentinel"] = 1
-	if c2["sentinel"] != 1 {
+	// A cached reference is the same canonical object, not a recomputed one.
+	if c1 != c2 {
 		t.Fatal("reference recomputed instead of cached")
 	}
 }

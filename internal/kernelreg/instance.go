@@ -32,7 +32,7 @@ type Instance struct {
 }
 
 // Output returns the canonical form of the instance's current output.
-func (i *Instance) Output() Canon { return canonOf(i.out()) }
+func (i *Instance) Output() Canon { return CanonOf(i.out()) }
 
 // SerialRung is the ladder name of a trial's fallback rung; it has a
 // circuit breaker of its own beside the registered backends'.

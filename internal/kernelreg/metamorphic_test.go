@@ -62,22 +62,28 @@ func metamorphicTensors(t *testing.T) []tensortest.Case {
 func requireGroupedTtv(t *testing.T, name string, x *tensor.COO) {
 	t.Helper()
 	for mode := 0; mode < x.Order(); mode++ {
-		p, err := core.PrepareTtv(x, mode)
-		if err != nil {
-			t.Fatal(err)
+		requireGroupedTtvMode(t, name, x, mode)
+	}
+}
+
+// requireGroupedTtvMode is requireGroupedTtv on one mode.
+func requireGroupedTtvMode(t *testing.T, name string, x *tensor.COO, mode int) {
+	t.Helper()
+	p, err := core.PrepareTtv(x, mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hp, err := core.PrepareTtvHiCOO(x, mode, hicoo.DefaultBlockBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, plan := range []any{p, hp} {
+		grouped := reflect.ValueOf(plan).Elem().FieldByName("k").FieldByName("grouped")
+		if !grouped.IsValid() {
+			t.Fatalf("%T has no kernel field k.grouped", plan)
 		}
-		hp, err := core.PrepareTtvHiCOO(x, mode, hicoo.DefaultBlockBits)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, plan := range []any{p, hp} {
-			grouped := reflect.ValueOf(plan).Elem().FieldByName("k").FieldByName("grouped")
-			if !grouped.IsValid() {
-				t.Fatalf("%T has no kernel field k.grouped", plan)
-			}
-			if grouped.IsNil() {
-				t.Fatalf("%s mode %d: %T runs over no length-grouped layout", name, mode, plan)
-			}
+		if grouped.IsNil() {
+			t.Fatalf("%s mode %d: %T runs over no length-grouped layout", name, mode, plan)
 		}
 	}
 }
@@ -96,7 +102,7 @@ func ttvCellOutput(t *testing.T, cell *Variant, x *tensor.COO, mode int) map[str
 		t.Fatalf("%s mode %d: %v", cell, mode, err)
 	}
 	out := make(map[string]float32)
-	for c, v := range inst.Output() {
+	for c, v := range mapCanonOf(inst.out()) {
 		out[c] = float32(v)
 	}
 	return out

@@ -15,8 +15,9 @@ type Footprint struct {
 	Workbench int64
 	// Instance is the prepared-instance component: the format
 	// conversion (it reads a sorted copy of the COO, so that copy is
-	// charged too), the output buffer the instance owns and, for COO and
-	// HiCOO Mttkrp, the mode-sorted copy its parallel path keeps.
+	// charged too), the output buffer the instance owns, for COO and
+	// HiCOO Mttkrp the mode-sorted copy its parallel path keeps, and for
+	// Ttv the length-grouped layout its Prepare may build.
 	Instance int64
 	// Run is the per-execution transient component: the unique bytes a
 	// trial touches — the Table 1 roofline traffic clamped to the
@@ -88,6 +89,9 @@ func EstimateFootprint(k roofline.Kernel, f roofline.Format, dims []int64, nnz i
 		conv += 8*nnz + tensor.IndexBytes*order*nnz + (8+2*tensor.IndexBytes)*nnz
 	case roofline.FCOO:
 		conv += 2*tensor.IndexBytes*nnz + nnz/8 + tensor.ValueBytes*nnz // inds + vals + flag bitmaps
+	}
+	if k == roofline.Ttv && f != roofline.FCOO { // F-COO runs no fiber plan
+		conv += 20 * nnz // the length-grouped fibers: 8 B per non-zero + 12 B per fiber
 	}
 	out := outputBytes(k, order, nnz, maxDim, r)
 	fp.Instance = conv + out

@@ -2,6 +2,7 @@ package kernelreg
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/roofline"
@@ -222,4 +223,50 @@ func shared[E any](hs, cs [][]E, size int64) int64 {
 		}
 	}
 	return b
+}
+
+// TestEstimateChargesTtvLayout prepares each Ttv fiber-plan cell on a
+// tensor of many one-non-zero fibers and a few long ones, where Prepare
+// builds the length-grouped layout, and checks that the bytes Prepare
+// leaves live (the sorted view, the conversion, the plan, its output
+// and the layout) stay within the estimate's Instance component.
+func TestEstimateChargesTtvLayout(t *testing.T) {
+	dims := []tensor.Index{1024, 64, 512}
+	x := tensor.NewCOO(dims, 0)
+	for i := 0; i < 1024; i++ {
+		for j := 0; j < 64; j++ {
+			n := 1
+			if j == 0 && i%4 == 0 {
+				n = 200
+			}
+			for k := 0; k < n; k++ {
+				x.Append([]tensor.Index{tensor.Index(i), tensor.Index(j), tensor.Index((7*k + j) % 512)}, 1)
+			}
+		}
+	}
+	const mode = 2
+	requireGroupedTtvMode(t, "few-long-fibers", x, mode)
+	for _, f := range []roofline.Format{roofline.COO, roofline.HiCOO, roofline.CSF, roofline.BCSF} {
+		v, err := Lookup(roofline.Ttv, f, OMP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wb := NewWorkbench(x, DefaultConfig())
+		wb.Vec(mode)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		inst, err := v.Prepare(wb, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+		runtime.KeepAlive(inst)
+		est := EstimateFootprint(roofline.Ttv, f, []int64{1024, 64, 512}, int64(x.NNZ()), Config{})
+		if live > est.Instance {
+			t.Errorf("%s: Prepare left %d bytes live, the estimate charges the instance %d", v, live, est.Instance)
+		}
+	}
 }

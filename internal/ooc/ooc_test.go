@@ -136,10 +136,16 @@ func TestStreamingTtvBitExact(t *testing.T) {
 		if got.NNZ() != want.NNZ() {
 			t.Fatalf("mode %d: %d output fibers, in-core has %d", mode, got.NNZ(), want.NNZ())
 		}
-		wm, gm := want.ToMap(), got.ToMap()
-		for k, wv := range wm {
-			if gv, ok := gm[k]; !ok || math.Float32bits(gv) != math.Float32bits(wv) {
-				t.Fatalf("mode %d: fiber %v = %x, in-core %x: not bit-exact", mode, k, gm[k], wv)
+		natural := tensor.OtherModes(want.Order(), -1)
+		ws, gs := want.SortedBy(natural), got.SortedBy(natural)
+		for i, wv := range ws.Vals {
+			for n := range ws.Inds {
+				if gs.Inds[n][i] != ws.Inds[n][i] {
+					t.Fatalf("mode %d: output %d sits at mode-%d index %d, in-core at %d", mode, i, n, gs.Inds[n][i], ws.Inds[n][i])
+				}
+			}
+			if gv := gs.Vals[i]; math.Float32bits(gv) != math.Float32bits(wv) {
+				t.Fatalf("mode %d: output %d = %x, in-core %x: not bit-exact", mode, i, gv, wv)
 			}
 		}
 		if st.PeakBytes > budget || st.Tiles != int64(tr.NumTiles()) {

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"errors"
+	"math"
 	"net/http"
 	"testing"
 	"time"
@@ -11,6 +13,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/ooc"
 	"repro/internal/resilience"
+	"repro/internal/roofline"
 	"repro/internal/tensor"
 )
 
@@ -234,6 +237,39 @@ func TestStreamOperandsMatchWorkbench(t *testing.T) {
 			if got[i] != v {
 				t.Fatalf("mode-%d vector element %d = %v, want %v", mode, i, got[i], v)
 			}
+		}
+	}
+}
+
+// TestFinishRejectsNonFiniteOutput: a verified output holding a NaN or
+// an infinity — which dist's path never scans — must fail the request as
+// non-finite (422), not report a deviation: the comparison reads it as
+// +Inf, which JSON cannot encode in Deviation.
+func TestFinishRejectsNonFiniteOutput(t *testing.T) {
+	x := tensor.NewCOO([]tensor.Index{3, 4}, 3)
+	x.Append([]tensor.Index{0, 1}, 1)
+	x.Append([]tensor.Index{2, 3}, 2)
+	x.Append([]tensor.Index{1, 0}, 3)
+	wb := kernelreg.NewWorkbench(x, kernelreg.DefaultConfig())
+	p := &plan{kernel: roofline.Tew, opts: runOpts{verify: true}}
+	ctx := context.Background()
+	ref, err := wb.Reference(ctx, roofline.Tew, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := p.finish(ctx, &RunResponse{}, 1, wb, func() kernelreg.Canon { return ref })
+	if err != nil || resp.Deviation == nil || *resp.Deviation != 0 {
+		t.Fatalf("the reference against itself: response %+v, error %v; want deviation 0", resp, err)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		y := x.Clone()
+		y.Vals[1] = tensor.Value(bad)
+		_, err := p.finish(ctx, &RunResponse{}, 1, wb, func() kernelreg.Canon { return kernelreg.CanonOf(y) })
+		if !errors.Is(err, resilience.ErrNonFinite) {
+			t.Fatalf("output holding %v: error %v, want one wrapping ErrNonFinite", bad, err)
+		}
+		if status, kind := statusOf(err); status != http.StatusUnprocessableEntity || kind != "non-finite" {
+			t.Fatalf("output holding %v: HTTP %d %q, want 422 non-finite", bad, status, kind)
 		}
 	}
 }

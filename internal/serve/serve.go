@@ -35,6 +35,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -711,7 +712,8 @@ func (s *Server) timed(ctx context.Context, kernel func(context.Context) error) 
 // finish completes a response the way every executor reports it: the
 // measured time, the rate it implies and, when the request asked to
 // verify, the worst relative deviation of out from the workbench's
-// serial-COO reference. The tile stream passes no workbench: it runs
+// serial-COO reference (a NaN or Inf, +Inf to Compare, is 422
+// non-finite). The tile stream passes no workbench: it runs
 // because the in-memory tensor a reference needs does not fit.
 func (p *plan) finish(ctx context.Context, resp *RunResponse, elapsed float64,
 	wb *kernelreg.Workbench, out func() kernelreg.Canon) (*RunResponse, error) {
@@ -725,6 +727,9 @@ func (p *plan) finish(ctx context.Context, resp *RunResponse, elapsed float64,
 			return nil, err
 		}
 		dev := kernelreg.Compare(out(), ref)
+		if math.IsInf(dev, 1) {
+			return nil, fmt.Errorf("serve: verify: output or reference holds a NaN or an infinity: %w", resilience.ErrNonFinite)
+		}
 		resp.Deviation = &dev
 	}
 	return resp, nil

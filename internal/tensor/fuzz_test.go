@@ -229,19 +229,30 @@ func FuzzDedupSort(f *testing.F) {
 			}
 			x.Append(idx, Value(i+1))
 		}
-		before := x.ToMap()
+		want := x.Clone().SortedBy(OtherModes(order, -1)) // Dedup sorts and compacts x in place
 		x.Dedup()
 		if err := x.Validate(); err != nil {
 			t.Fatalf("Dedup broke invariants: %v", err)
 		}
-		after := x.ToMap()
-		if len(after) != x.NNZ() {
-			t.Fatal("duplicates survived Dedup")
-		}
-		for k, v := range before {
-			if after[k] != v {
+		// x holds one entry per run of equal coordinates of want, with
+		// the run's values summed in float32 in stored order.
+		k := 0
+		for i := 0; i < want.NNZ(); k++ {
+			var s Value
+			j := i
+			for ; j < want.NNZ() && want.sameCoord(i, j); j++ {
+				s += want.Vals[j]
+			}
+			if k >= x.NNZ() || compareCoords(x, k, want, i) != 0 {
+				t.Fatal("duplicates survived Dedup, or it lost a coordinate")
+			}
+			if x.Vals[k] != s {
 				t.Fatal("Dedup changed summed content")
 			}
+			i = j
+		}
+		if k != x.NNZ() {
+			t.Fatal("Dedup added coordinates")
 		}
 		for mode := 0; mode < order; mode++ {
 			x.SortForMode(mode)

@@ -83,25 +83,76 @@ func DistinctModeIndices(t *COO, n int) int {
 	return d
 }
 
-// AbsDiff returns the largest absolute element-wise difference between two
-// tensors viewed as coordinate→value maps (so ordering differences do not
-// matter). Missing coordinates compare against zero. Intended for tests.
+// AbsDiff returns the largest absolute difference between two tensors
+// over the union of their coordinates, whatever their entry order.
+// Intended for tests.
 func AbsDiff(a, b *COO) float64 {
-	am, bm := a.ToMap(), b.ToMap()
-	var worst float64
-	for k, av := range am {
-		d := math.Abs(float64(av) - float64(bm[k]))
-		if d > worst {
-			worst = d
-		}
+	return MaxDeviation(a, b, func(x, y float64) float64 { return math.Abs(x - y) })
+}
+
+// MaxDeviation returns the largest dev(x, y) over the union of the
+// coordinates of a and b, where x and y are each side's values at a
+// coordinate summed in float64 in stored order (0 where a side has none):
+// an output that splits a value over duplicate entries equals one that
+// holds it once. Tensors of different orders share no coordinate, and a
+// NaN or an infinity on either side gives +Inf. It is one merge walk over
+// both tensors in natural order (SortedBy: no copy for a tensor already
+// in it); the inputs are not modified.
+func MaxDeviation(a, b *COO, dev func(x, y float64) float64) float64 {
+	if a.Order() != b.Order() && a.NNZ() > 0 && b.NNZ() > 0 {
+		return max(MaxDeviation(a, &COO{}, dev), MaxDeviation(&COO{}, b, dev))
 	}
-	for k, bv := range bm {
-		if _, ok := am[k]; !ok {
-			d := math.Abs(float64(bv))
-			if d > worst {
-				worst = d
-			}
+	a, b = a.SortedBy(OtherModes(a.Order(), -1)), b.SortedBy(OtherModes(b.Order(), -1))
+	var worst float64
+	for i, j := 0, 0; i < a.NNZ() || j < b.NNZ(); {
+		c := compareCoords(a, i, b, j) // the side holding the next coordinate
+		var x, y float64
+		if c <= 0 {
+			x, i = a.runSum(i)
 		}
+		if c >= 0 {
+			y, j = b.runSum(j)
+		}
+		if math.IsNaN((x - x) + (y - y)) { // x or y is NaN or infinite
+			return math.Inf(1)
+		}
+		worst = max(worst, dev(x, y))
 	}
 	return worst
+}
+
+// compareCoords orders non-zero i of a against non-zero j of b
+// lexicographically: -1 (a's comes first), 0 or 1. A side past its last
+// non-zero comes last.
+func compareCoords(a *COO, i int, b *COO, j int) int {
+	switch {
+	case i == a.NNZ():
+		return 1
+	case j == b.NNZ():
+		return -1
+	}
+	for n, ind := range a.Inds {
+		x, y := ind[i], b.Inds[n][j]
+		if x < y {
+			return -1
+		}
+		if x > y {
+			return 1
+		}
+	}
+	return 0
+}
+
+// runSum sums the values of the run of non-zeros at non-zero i's
+// coordinate in float64, in stored order, and returns the index past it.
+func (t *COO) runSum(i int) (float64, int) {
+	end := i + 1
+	for end < t.NNZ() && t.sameCoord(i, end) {
+		end++
+	}
+	var s float64
+	for _, v := range t.Vals[i:end] {
+		s += float64(v)
+	}
+	return s, end
 }

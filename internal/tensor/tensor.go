@@ -242,22 +242,6 @@ scan:
 	return 0, false
 }
 
-// ToMap returns a coordinate→value map. Duplicate coordinates are summed.
-// Intended for tests; allocation is O(M).
-func (t *COO) ToMap() map[string]Value {
-	m := make(map[string]Value, t.NNZ())
-	key := make([]byte, 0, 4*t.Order())
-	for x := 0; x < t.NNZ(); x++ {
-		key = key[:0]
-		for n := range t.Inds {
-			i := t.Inds[n][x]
-			key = append(key, byte(i), byte(i>>8), byte(i>>16), byte(i>>24))
-		}
-		m[string(key)] += t.Vals[x]
-	}
-	return m
-}
-
 // String summarizes the tensor without printing its contents.
 func (t *COO) String() string {
 	return fmt.Sprintf("COO(order=%d dims=%v nnz=%d density=%.3g)", t.Order(), t.Dims, t.NNZ(), t.Density())

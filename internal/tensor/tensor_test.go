@@ -79,7 +79,7 @@ func nan32() float32 {
 	return z / z
 }
 
-func TestAtAndToMap(t *testing.T) {
+func TestAtAndDuplicateSum(t *testing.T) {
 	x := NewCOO([]Index{3, 3}, 4)
 	x.Append([]Index{0, 1}, 2)
 	x.Append([]Index{2, 2}, 3)
@@ -90,9 +90,11 @@ func TestAtAndToMap(t *testing.T) {
 	if _, ok := x.At(1, 1); ok {
 		t.Fatal("At(1,1) should be absent")
 	}
-	m := x.ToMap()
-	if len(m) != 2 {
-		t.Fatalf("ToMap has %d keys, want 2 (duplicates summed)", len(m))
+	summed := NewCOO([]Index{3, 3}, 2)
+	summed.Append([]Index{2, 2}, 3)
+	summed.Append([]Index{0, 1}, 7)
+	if d := AbsDiff(x, summed); d != 0 {
+		t.Fatalf("AbsDiff against the summed tensor = %v, want 0 (duplicates summed)", d)
 	}
 }
 
@@ -156,18 +158,15 @@ func TestSortForModePutsModeLast(t *testing.T) {
 func TestSortPreservesContent(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	x := RandomCOO([]Index{16, 16, 16}, 300, rng)
-	before := x.ToMap()
+	before := x.Clone()
 	x.SortForMode(2)
 	x.SortForMode(0)
 	x.SortNatural()
-	after := x.ToMap()
-	if len(before) != len(after) {
-		t.Fatalf("sort changed nnz: %d -> %d", len(before), len(after))
+	if x.NNZ() != before.NNZ() {
+		t.Fatalf("sort changed nnz: %d -> %d", before.NNZ(), x.NNZ())
 	}
-	for k, v := range before {
-		if after[k] != v {
-			t.Fatal("sort changed tensor content")
-		}
+	if AbsDiff(before, x) != 0 {
+		t.Fatal("sort changed tensor content")
 	}
 }
 

@@ -76,15 +76,8 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a := yc.ToMap()
-		b := yh.ToCOO().ToMap()
-		if len(a) != len(b) {
-			t.Fatalf("mode %d: Ttv nnz differ: COO %d, HiCOO %d", mode, len(a), len(b))
-		}
-		for k, av := range a {
-			if math.Abs(float64(av-b[k])) > 1e-3 {
-				t.Fatalf("mode %d: Ttv values differ at %q", mode, k)
-			}
+		if d := tensor.AbsDiff(yc, yh.ToCOO()); d > 1e-3 {
+			t.Fatalf("mode %d: Ttv values of COO and HiCOO differ by %g", mode, d)
 		}
 	}
 

@@ -32,7 +32,7 @@ var reachAllow = map[string]string{
 	"internal/levels.Hierarchy.Validate":     "the bCSF hierarchy's structural oracle: levels' tests check Build and FromCSF with it, kernelreg's the workbench's bCSF conversion",
 	"internal/resilience.Injector.Disarm":    "the chaos tests of resilience, serve and cmd/pastad disarm their injector with it",
 	"internal/resilience.Injector.Injected":  "the chaos tests of resilience, serve and cmd/pastad assert through it that an armed fault fired",
-	"internal/tensor.AbsDiff":                "the coordinate-map comparison the tests of a dozen packages share; internal/tensortest cannot host it, tensor's own tests would import it in a cycle",
+	"internal/tensor.AbsDiff":                "the absolute-deviation merge walk the tests of a dozen packages compare tensors with; internal/tensortest cannot host it, tensor's own tests would import it in a cycle",
 	"internal/tensor.COO.AppendIdx3":         "the third-order fixture builder of the tests of seven packages; internal/tensortest cannot declare a method of COO",
 	"internal/tensor.SemiCOO.Validate":       "sCOO's structural oracle: tensor's and hicoo's tests check conversions with it, core's the outputs of the Ttm kernels",
 }
