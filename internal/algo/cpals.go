@@ -45,7 +45,9 @@ type CPSweep struct {
 // with the given factor matrices. CPALSWith accepts one so the sweep's
 // dominant kernel is pluggable: the serial/OMP plans here, or a
 // distributed executor (internal/dist) that shards the tensor across
-// workers and allreduces the partials.
+// workers and allreduces the partials. Like any Mttkrp it must not read
+// factors[mode]: CPALSWith leaves factor 0 unset until mode 0's first
+// update.
 type MttkrpFunc func(mode int, factors []*tensor.Matrix) (*tensor.Matrix, error)
 
 // CPALS computes a rank-R CANDECOMP/PARAFAC decomposition by alternating
@@ -106,7 +108,7 @@ func CPALSWith(x *tensor.COO, rank, maxIters int, tol float64, seed int64, mttkr
 	if normX == 0 {
 		return nil, fmt.Errorf("algo: zero tensor")
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := newUniform(rand.NewSource(seed).(rand.Source64))
 	res := &CPResult{
 		Factors:      make([]*tensor.Matrix, x.Order()),
 		Lambda:       make([]float64, rank),
@@ -114,8 +116,17 @@ func CPALSWith(x *tensor.COO, rank, maxIters int, tol float64, seed int64, mttkr
 		OccupiedRows: make([]int, x.Order()),
 	}
 	for n := range res.Factors {
-		res.Factors[n] = tensor.NewMatrix(int(x.Dims[n]), rank)
-		res.Factors[n].Randomize(rng)
+		f := tensor.NewMatrix(int(x.Dims[n]), rank)
+		if n == 0 && maxIters >= 1 {
+			// No value of factor 0 is read before the first update
+			// writes it: mode 0's Mttkrp skips it, solveMode(0)
+			// overwrites its occupied rows and newCPWorkspace clears the
+			// rest. Its draws are stepped over, not converted.
+			rng.skip(len(f.Data))
+		} else {
+			rng.fill(f.Data)
+		}
+		res.Factors[n] = f
 	}
 	w := newCPWorkspace(res.Factors, rank, occupiedRows(x))
 	for n, occ := range w.occ {

@@ -11,6 +11,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cpu"
 	"repro/internal/dataset"
@@ -616,8 +617,10 @@ func BenchmarkCPALSUpdate(b *testing.B) {
 // BenchmarkCPALS times whole CP-ALS calls as the benchmark's cpals_x cell
 // makes them — rank 16, three sweeps — on one thread, over the service
 // tensors of its three workloads (the recipes at 1/8 of the main tensor's
-// non-zeros), and reports the dense side: milliseconds per call outside
-// Mttkrp, from CPResult.Sweeps.
+// non-zeros), and reports two shares of a call from CPResult.Sweeps:
+// dense-ms/op, the sweeps' milliseconds outside Mttkrp, and init-ms/op,
+// the milliseconds outside the sweeps (the Mttkrp plans, the seeded
+// factors, the occupied rows, the workspace and its first grams).
 func BenchmarkCPALS(b *testing.B) {
 	for _, c := range []struct {
 		recipe string
@@ -632,18 +635,22 @@ func BenchmarkCPALS(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(c.recipe, func(b *testing.B) {
-			var dense float64
+			var dense, init float64
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				start := time.Now()
 				res, err := CPALS(x, 16, 3, 0, 1, parallel.Options{Schedule: parallel.Static, Threads: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
+				init += time.Since(start).Seconds()
 				for _, s := range res.Sweeps {
 					dense += s.Seconds - s.MttkrpSeconds
+					init -= s.Seconds
 				}
 			}
 			b.ReportMetric(dense*1e3/float64(b.N), "dense-ms/op")
+			b.ReportMetric(init*1e3/float64(b.N), "init-ms/op")
 		})
 	}
 }

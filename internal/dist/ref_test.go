@@ -2,8 +2,12 @@ package dist
 
 import (
 	"context"
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/algo"
@@ -11,6 +15,7 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/roofline"
 	"repro/internal/tensor"
+	"repro/internal/tensortest"
 )
 
 // refRanks are the satellite-mandated worker counts: 7 exercises the
@@ -201,3 +206,66 @@ var errTestNodeLoss = errorString("node lost mid-sweep")
 type errorString string
 
 func (e errorString) Error() string { return string(e) }
+
+func cpHash(res *algo.CPResult) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, f := range res.Factors {
+		for _, v := range f.Data {
+			binary.LittleEndian.PutUint32(b[:4], math.Float32bits(v))
+			h.Write(b[:4])
+		}
+	}
+	for _, l := range append(append([]float64(nil), res.Lambda...), res.Fit) {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(l))
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// TestEngineCPALSGolden pins CP-ALS with the engine's Mttkrp injected to
+// hashes of factors + λ + fit frozen from the solver that drew every
+// factor through rand.Rand.Float64, factor 0 included (commit 74eafb3,
+// amd64): the bulk draw and the step over factor 0's draws must leave an
+// injected executor's run bit for bit as it was. The COO hashes are
+// TestCPALSGolden's rank-6 ones: the engine's COO ranks sum as the
+// serial plan does.
+func TestEngineCPALSGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("hashes were frozen on amd64; other ports may fuse multiply-add")
+	}
+	golden := map[string]uint64{
+		"irrS/COO/1":     0x86e3ce6b2d578f67,
+		"irrS/COO/3":     0x86e3ce6b2d578f67,
+		"irrS/HiCOO/3":   0x3d675717308012e4,
+		"regS4d/COO/3":   0x1b9bde9ed6dc4507,
+		"regS4d/HiCOO/3": 0x51bdb7ce8e684c45,
+	}
+	seen := 0
+	for _, c := range tensortest.Corpus(t) {
+		for _, format := range []Format{FormatCOO, FormatHiCOO} {
+			for _, p := range []int{1, 3} {
+				name := fmt.Sprintf("%s/%v/%d", c.Name, format, p)
+				want, ok := golden[name]
+				if !ok {
+					continue
+				}
+				seen++
+				e, err := NewEngine(c.X, Options{Ranks: p, Format: format})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := e.CPALS(context.Background(), 6, 4, 0, 7)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if got := cpHash(res); got != want {
+					t.Errorf("%s: hash %#x, frozen %#x (fit %v)", name, got, want, res.Fit)
+				}
+			}
+		}
+	}
+	if seen != len(golden) {
+		t.Fatalf("ran %d of %d golden cases", seen, len(golden))
+	}
+}

@@ -16,8 +16,9 @@ type Footprint struct {
 	// Instance is the prepared-instance component: the format
 	// conversion (it reads a sorted copy of the COO, so that copy is
 	// charged too), the output buffer the instance owns, for COO and
-	// HiCOO Mttkrp the mode-sorted copy its parallel path keeps, and for
-	// Ttv the length-grouped layout its Prepare may build.
+	// HiCOO Mttkrp the mode-sorted copy its parallel path keeps, for COO
+	// and HiCOO Ttv and Ttm the plan's fiber pointers, and for Ttv the
+	// length-grouped layout its Prepare may build.
 	Instance int64
 	// Run is the per-execution transient component: the unique bytes a
 	// trial touches — the Table 1 roofline traffic clamped to the
@@ -66,7 +67,12 @@ func EstimateFootprint(k roofline.Kernel, f roofline.Format, dims []int64, nnz i
 
 	// Prepare converts from a sorted copy of the COO (the workbench's
 	// cached view, shared by the variants of one mode order); the copy
-	// and the converted structure coexist, so both are charged.
+	// and the converted structure coexist, so both are charged. Pointers
+	// to fibers (≤ nnz+1 of 8 B) are charged ptrBytes per non-zero: a
+	// quarter more covers a fiber plan's pointers, grown by append to up
+	// to 1.25 times their length, and a tree's levels above its fibers
+	// when they hold fewer than a quarter as many nodes.
+	const ptrBytes = 10
 	conv := coo
 	switch f {
 	case roofline.COO:
@@ -82,16 +88,19 @@ func EstimateFootprint(k roofline.Kernel, f roofline.Format, dims []int64, nnz i
 		}
 		conv += hx
 	case roofline.CSF:
-		conv += 8*nnz + tensor.IndexBytes*order*nnz // fiber pointers + per-level ids (nnz upper bound)
+		conv += ptrBytes*nnz + tensor.IndexBytes*order*nnz // fiber pointers + per-level ids (nnz upper bound)
 	case roofline.BCSF:
 		// CSF storage plus the root split: one coarse blocked level
 		// (crd + ptr, ≤ root-node count ≤ nnz) and the refined root crds.
-		conv += 8*nnz + tensor.IndexBytes*order*nnz + (8+2*tensor.IndexBytes)*nnz
+		conv += ptrBytes*nnz + tensor.IndexBytes*order*nnz + (8+2*tensor.IndexBytes)*nnz
 	case roofline.FCOO:
 		conv += 2*tensor.IndexBytes*nnz + nnz/8 + tensor.ValueBytes*nnz // inds + vals + flag bitmaps
 	}
 	if k == roofline.Ttv && f != roofline.FCOO { // F-COO runs no fiber plan
 		conv += 20 * nnz // the length-grouped fibers: 8 B per non-zero + 12 B per fiber
+	}
+	if (k == roofline.Ttv || k == roofline.Ttm) && (f == roofline.COO || f == roofline.HiCOO) {
+		conv += ptrBytes * nnz // the fiber plan's own fiber pointers (a tree plan reads its leaf level's)
 	}
 	out := outputBytes(k, order, nnz, maxDim, r)
 	fp.Instance = conv + out

@@ -225,14 +225,17 @@ func shared[E any](hs, cs [][]E, size int64) int64 {
 	return b
 }
 
-// TestEstimateChargesTtvLayout prepares each Ttv fiber-plan cell on a
-// tensor of many one-non-zero fibers and a few long ones, where Prepare
-// builds the length-grouped layout, and checks that the bytes Prepare
-// leaves live (the sorted view, the conversion, the plan, its output
-// and the layout) stay within the estimate's Instance component.
+// TestEstimateChargesTtvLayout prepares each Ttv and Ttm fiber-plan cell
+// and checks that the bytes Prepare leaves live (the sorted view, the
+// conversion, the plan with its fiber pointers, its output and, for Ttv,
+// the length-grouped layout) stay within the estimate's Instance
+// component, on two tensors: many one-non-zero fibers and a few long
+// ones, where Ttv's Prepare builds the layout, and one fiber per
+// non-zero, where the fiber pointers are as many as the non-zeros.
 func TestEstimateChargesTtvLayout(t *testing.T) {
 	dims := []tensor.Index{1024, 64, 512}
-	x := tensor.NewCOO(dims, 0)
+	fewLong := tensor.NewCOO(dims, 0)
+	perNonZero := tensor.NewCOO(dims, 0)
 	for i := 0; i < 1024; i++ {
 		for j := 0; j < 64; j++ {
 			n := 1
@@ -240,33 +243,46 @@ func TestEstimateChargesTtvLayout(t *testing.T) {
 				n = 200
 			}
 			for k := 0; k < n; k++ {
-				x.Append([]tensor.Index{tensor.Index(i), tensor.Index(j), tensor.Index((7*k + j) % 512)}, 1)
+				fewLong.Append([]tensor.Index{tensor.Index(i), tensor.Index(j), tensor.Index((7*k + j) % 512)}, 1)
 			}
 		}
 	}
+	for _, ij := range rand.New(rand.NewSource(3)).Perm(1024 * 64) { // out of order: the sorted view is a copy
+		i, j := ij/64, ij%64
+		perNonZero.Append([]tensor.Index{tensor.Index(i), tensor.Index(j), tensor.Index((7*i + j) % 512)}, 1)
+	}
 	const mode = 2
-	requireGroupedTtvMode(t, "few-long-fibers", x, mode)
-	for _, f := range []roofline.Format{roofline.COO, roofline.HiCOO, roofline.CSF, roofline.BCSF} {
-		v, err := Lookup(roofline.Ttv, f, OMP)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wb := NewWorkbench(x, DefaultConfig())
-		wb.Vec(mode)
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		inst, err := v.Prepare(wb, mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runtime.GC()
-		runtime.ReadMemStats(&after)
-		live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-		runtime.KeepAlive(inst)
-		est := EstimateFootprint(roofline.Ttv, f, []int64{1024, 64, 512}, int64(x.NNZ()), Config{})
-		if live > est.Instance {
-			t.Errorf("%s: Prepare left %d bytes live, the estimate charges the instance %d", v, live, est.Instance)
+	requireGroupedTtvMode(t, "few-long-fibers", fewLong, mode)
+	for name, x := range map[string]*tensor.COO{"few-long-fibers": fewLong, "fiber-per-non-zero": perNonZero} {
+		for _, k := range []roofline.Kernel{roofline.Ttv, roofline.Ttm} {
+			for _, f := range []roofline.Format{roofline.COO, roofline.HiCOO, roofline.CSF, roofline.BCSF} {
+				v, err := Lookup(k, f, OMP)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wb := NewWorkbench(x, DefaultConfig())
+				if k == roofline.Ttv {
+					wb.Vec(mode)
+				} else {
+					wb.TtmMat(mode)
+				}
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				inst, err := v.Prepare(wb, mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				runtime.GC()
+				runtime.ReadMemStats(&after)
+				live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+				runtime.KeepAlive(inst)
+				est := EstimateFootprint(k, f, []int64{1024, 64, 512}, int64(x.NNZ()), Config{})
+				t.Logf("%s %s: %.1f B per non-zero live, %.1f charged", name, v, float64(live)/float64(x.NNZ()), float64(est.Instance)/float64(x.NNZ()))
+				if live > est.Instance {
+					t.Errorf("%s %s: Prepare left %d bytes live, the estimate charges the instance %d", name, v, live, est.Instance)
+				}
+			}
 		}
 	}
 }

@@ -37,8 +37,8 @@ func (m *Matrix) Fill(v Value) {
 	}
 }
 
-// Zero clears the matrix.
-func (m *Matrix) Zero() { m.Fill(0) }
+// Zero clears the matrix: every value becomes +0, whatever it held.
+func (m *Matrix) Zero() { clear(m.Data) }
 
 // Randomize fills the matrix with uniform values in [0, 1) from rng.
 func (m *Matrix) Randomize(rng *rand.Rand) {

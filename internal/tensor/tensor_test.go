@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -328,5 +329,34 @@ func TestAbsDiff(t *testing.T) {
 	c.Append([]Index{3, 3}, 4)
 	if d := AbsDiff(a, c); d != 4 {
 		t.Fatalf("AbsDiff(disjoint) = %v, want 4", d)
+	}
+}
+
+// TestMatrixZeroClearsEveryValue: Zero leaves +0 (all bits clear) in
+// every value, whatever it held — −0, NaN, ±Inf, subnormals, ±max — and
+// Fill with a non-zero value still writes it everywhere.
+func TestMatrixZeroClearsEveryValue(t *testing.T) {
+	specials := []Value{
+		Value(math.Copysign(0, -1)), Value(math.NaN()), Value(math.Inf(1)), Value(math.Inf(-1)),
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, math.Float32frombits(0x007fffff),
+		math.MaxFloat32, -math.MaxFloat32, 1,
+	}
+	for _, shape := range [][2]int{{0, 4}, {1, 1}, {3, 7}, {10711, 16}} {
+		m := NewMatrix(shape[0], shape[1])
+		for i := range m.Data {
+			m.Data[i] = specials[i%len(specials)]
+		}
+		m.Zero()
+		for i, v := range m.Data {
+			if bits := math.Float32bits(v); bits != 0 {
+				t.Fatalf("%dx%d: value %d holds bits %#x after Zero", shape[0], shape[1], i, bits)
+			}
+		}
+		m.Fill(2)
+		for i, v := range m.Data {
+			if v != 2 {
+				t.Fatalf("%dx%d: value %d = %v after Fill(2)", shape[0], shape[1], i, v)
+			}
+		}
 	}
 }
