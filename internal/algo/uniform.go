@@ -22,31 +22,41 @@ const (
 // first uniformLag words, continues the recurrence itself a block at a
 // time, and converts as Float64 does.
 type uniformStream struct {
-	win []uint64 // a block of words; its last uniformLag are the stream's latest
-	pos int      // the next unread word of win
-	// redrawn reports that a word of the block being read (win[uniformLag:]
-	// after a refill, the source's words before the first) is one that
-	// Float64 draws again. It is false in all but about one block in 2⁴³,
-	// and only then are words checked one by one.
-	redrawn bool
+	win  []uint64 // a block of words; its last uniformLag are the stream's latest
+	pos  int      // the next unread word of win
+	drop int      // the first word of win from pos on that Float64 draws again, or len(win)
 }
 
 // newUniform continues src's stream, whose words must obey the
 // recurrence from the next one on, as a math/rand seeded source's do;
 // src is not read again.
 func newUniform(src rand.Source64) *uniformStream {
-	u := &uniformStream{win: make([]uint64, uniformLag+uniformBlock), pos: uniformBlock}
+	u := &uniformStream{win: make([]uint64, uniformLag+uniformBlock)}
 	for i := range u.win[uniformBlock:] {
 		u.win[uniformBlock+i] = src.Uint64()
 	}
-	u.redrawn = redraws(u.win[uniformBlock:]) > 0
+	u.seek(uniformBlock)
 	return u
 }
 
+// seek makes win[pos] the next unread word and finds the next word from
+// there that Float64 draws again.
+func (u *uniformStream) seek(pos int) {
+	u.pos, u.drop = pos, len(u.win)
+	for i, y := range u.win[pos:] {
+		if y&uniformMask >= uniformRedraw {
+			u.drop = pos + i
+			return
+		}
+	}
+}
+
 // refill generates the next uniformBlock words after the latest
-// uniformLag ones, which it first moves to the front of the window. A
-// masked word y is drawn again exactly when y + 512 carries into bit 63,
-// so one OR over those sums sets redrawn.
+// uniformLag ones, which it first moves to the front of the window, and
+// makes the first of them the next unread word. A masked word y is drawn
+// again exactly when y + 512 carries into bit 63, so one OR over those
+// sums, taken as the words are made, spares the block seek's scan in all
+// but about one block in 2⁴³.
 func (u *uniformStream) refill() {
 	copy(u.win, u.win[uniformBlock:])
 	next := u.win[uniformLag:]
@@ -57,30 +67,27 @@ func (u *uniformStream) refill() {
 		next[i] = y
 		carry |= y&uniformMask + (1<<63 - uniformRedraw)
 	}
-	u.pos, u.redrawn = uniformLag, carry >= 1<<63
+	u.pos, u.drop = uniformLag, len(u.win)
+	if carry >= 1<<63 {
+		u.seek(uniformLag)
+	}
 }
 
-// next returns the next min(n, words left in the window) unread words,
-// refilling an exhausted window first, and marks them read.
+// next returns the next min(n, words up to the next redrawn one) unread
+// words that Float64 keeps, refilling an exhausted window and reading
+// past redrawn words first, and marks them read.
 func (u *uniformStream) next(n int) []uint64 {
-	if u.pos == len(u.win) {
-		u.refill()
+	for u.pos == u.drop {
+		if u.pos == len(u.win) {
+			u.refill()
+		} else {
+			u.seek(u.pos + 1)
+		}
 	}
-	words := u.win[u.pos:]
+	words := u.win[u.pos:u.drop]
 	words = words[:min(len(words), n)]
 	u.pos += len(words)
 	return words
-}
-
-// redraws counts the words of ws that Float64 draws again.
-func redraws(ws []uint64) int {
-	n := 0
-	for _, y := range ws {
-		if y&uniformMask >= uniformRedraw {
-			n++
-		}
-	}
-	return n
 }
 
 // fill sets dst to the stream's next len(dst) values, each rounded to
@@ -88,33 +95,16 @@ func redraws(ws []uint64) int {
 func (u *uniformStream) fill(dst []tensor.Value) {
 	for len(dst) > 0 {
 		words := u.next(len(dst))
-		if !u.redrawn {
-			for i, y := range words {
-				dst[i] = tensor.Value(float64(int64(y&uniformMask)) / (1 << 63))
-			}
-			dst = dst[len(words):]
-			continue
+		for i, y := range words {
+			dst[i] = tensor.Value(float64(int64(y&uniformMask)) / (1 << 63))
 		}
-		k := 0 // a redrawn word's value is written and then overwritten
-		for _, y := range words {
-			y &= uniformMask
-			dst[k] = tensor.Value(float64(int64(y)) / (1 << 63))
-			if y < uniformRedraw {
-				k++
-			}
-		}
-		dst = dst[k:]
+		dst = dst[len(words):]
 	}
 }
 
-// skip steps over the stream's next n values without converting them; a
-// redrawn word still costs a word.
+// skip steps over the stream's next n values without converting them.
 func (u *uniformStream) skip(n int) {
 	for n > 0 {
-		words := u.next(n)
-		n -= len(words)
-		if u.redrawn {
-			n += redraws(words)
-		}
+		n -= len(u.next(n))
 	}
 }

@@ -95,41 +95,51 @@ func (s *lagSource) Seed(int64)   { panic("lagSource is not reseeded") }
 
 // TestCPALSUniformRedraws covers the branch that a seeded math/rand
 // stream takes about once in 2⁵⁴ draws: a masked word of at least
-// 2⁶³ − 512 rounds to 1.0 and is drawn again. The first words lie in
-// [2⁶³ − 513, 2⁶³ − 1] or are chosen so that the recurrence's sums land
-// there (the top bit set at random: the mask drops it), so redraws occur
-// among the source's own words, in generated ones, as the seeded block's
-// last word and across fills and skips. The reference is rand.Rand's
-// Float64 over the same word sequence.
+// 2⁶³ − 512 rounds to 1.0 and is drawn again. Two test sources:
+//   - spread: the first words lie in [2⁶³ − 513, 2⁶³ − 1] or are chosen
+//     so that the recurrence's sums land there (the top bit set at
+//     random: the mask drops it), so redraws occur among the source's
+//     own words, in generated ones, as the seeded block's last word and
+//     across fills and skips;
+//   - at-threshold: the first word is 2⁶³ − 512 and the rest 0, so every
+//     word is a multiple of it and the only redraws are words of exactly
+//     2⁶³ − 512, which a refill must not take for a block without one.
+//
+// The reference is rand.Rand's Float64 over the same word sequence.
 func TestCPALSUniformRedraws(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	first := make([]uint64, uniformLag)
+	spread := make([]uint64, uniformLag)
 	top := func() uint64 { return uint64(rng.Intn(2)) << 63 }
 	for i := uniformLag - uniformTap; i < uniformLag; i++ { // the near terms of y_607 … y_879: small
-		first[i] = uint64(rng.Intn(256)) | top()
+		spread[i] = uint64(rng.Intn(256)) | top()
 	}
 	for i := 0; i < uniformTap; i++ { // the far terms: y_{607+i} masked lands in [2⁶³ − 513, 2⁶³ − 1]
 		d := uint64(rng.Intn(513))
 		if i%5 == 0 {
 			d = uint64(i % 2) // 2⁶³ − 513 and 2⁶³ − 512: both sides of the threshold
 		}
-		first[i] = (uniformRedraw - 1 - first[i+uniformLag-uniformTap]&uniformMask + d) | top()
+		spread[i] = (uniformRedraw - 1 - spread[i+uniformLag-uniformTap]&uniformMask + d) | top()
 	}
 	for i := uniformTap; i < uniformLag-uniformTap; i++ {
-		first[i] = (uniformRedraw - 1 + uint64(rng.Intn(513))) | top()
+		spread[i] = (uniformRedraw - 1 + uint64(rng.Intn(513))) | top()
 	}
-	first[uniformLag-1] = uniformRedraw | top()
-	for name, ops := range uniformSequences() {
-		ref := &lagSource{first: first}
-		checkUniformOps(t, name, newUniform(&lagSource{first: first}), rand.New(ref), ops)
-		redraws := 0
-		for _, y := range ref.ys {
-			if y&uniformMask >= uniformRedraw {
-				redraws++
+	spread[uniformLag-1] = uniformRedraw | top()
+	atThreshold := make([]uint64, uniformLag)
+	atThreshold[0] = uniformRedraw
+	for srcName, first := range map[string][]uint64{"spread": spread, "at-threshold": atThreshold} {
+		for name, ops := range uniformSequences() {
+			name = srcName + "/" + name
+			ref := &lagSource{first: first}
+			checkUniformOps(t, name, newUniform(&lagSource{first: first}), rand.New(ref), ops)
+			redraws := 0
+			for _, y := range ref.ys[uniformLag:] {
+				if y&uniformMask >= uniformRedraw {
+					redraws++
+				}
 			}
-		}
-		if redraws < uniformLag {
-			t.Fatalf("%s: %d redraws in %d words", name, redraws, len(ref.ys))
+			if redraws < uniformLag {
+				t.Fatalf("%s: %d redraws in %d generated words", name, redraws, len(ref.ys)-uniformLag)
+			}
 		}
 	}
 }

@@ -17,8 +17,9 @@ type Footprint struct {
 	// conversion (it reads a sorted copy of the COO, so that copy is
 	// charged too), the output buffer the instance owns, for COO and
 	// HiCOO Mttkrp the mode-sorted copy its parallel path keeps, for COO
-	// and HiCOO Ttv and Ttm the plan's fiber pointers, and for Ttv the
-	// length-grouped layout its Prepare may build.
+	// and HiCOO Ttv and Ttm the plan's fiber pointers (and for HiCOO each
+	// fiber's block), and for Ttv the length-grouped layout its Prepare
+	// may build.
 	Instance int64
 	// Run is the per-execution transient component: the unique bytes a
 	// trial touches — the Table 1 roofline traffic clamped to the
@@ -99,8 +100,18 @@ func EstimateFootprint(k roofline.Kernel, f roofline.Format, dims []int64, nnz i
 	if k == roofline.Ttv && f != roofline.FCOO { // F-COO runs no fiber plan
 		conv += 20 * nnz // the length-grouped fibers: 8 B per non-zero + 12 B per fiber
 	}
-	if (k == roofline.Ttv || k == roofline.Ttm) && (f == roofline.COO || f == roofline.HiCOO) {
-		conv += ptrBytes * nnz // the fiber plan's own fiber pointers (a tree plan reads its leaf level's)
+	if k == roofline.Ttv || k == roofline.Ttm {
+		// A fiber plan's own fiber pointers (a tree plan reads its leaf
+		// level's); HiCOO's also keeps each fiber's gHiCOO block, an
+		// int32 per fiber grown by append. The HiCOO output's skeleton (1 B
+		// element indices per fiber and compressed mode, block pointers
+		// and indices) is the output term's, which charges 4 B per index.
+		switch f {
+		case roofline.COO:
+			conv += ptrBytes * nnz
+		case roofline.HiCOO:
+			conv += (ptrBytes + 5) * nnz
+		}
 	}
 	out := outputBytes(k, order, nnz, maxDim, r)
 	fp.Instance = conv + out

@@ -231,7 +231,10 @@ func shared[E any](hs, cs [][]E, size int64) int64 {
 // the length-grouped layout) stay within the estimate's Instance
 // component, on two tensors: many one-non-zero fibers and a few long
 // ones, where Ttv's Prepare builds the layout, and one fiber per
-// non-zero, where the fiber pointers are as many as the non-zeros.
+// non-zero, where the fiber pointers are as many as the non-zeros. The
+// HiCOO cells are held to the estimate less the output indices it
+// charges beyond the 1 B ones a HiCOO output holds, so they do not pass
+// on that margin alone.
 func TestEstimateChargesTtvLayout(t *testing.T) {
 	dims := []tensor.Index{1024, 64, 512}
 	fewLong := tensor.NewCOO(dims, 0)
@@ -278,9 +281,16 @@ func TestEstimateChargesTtvLayout(t *testing.T) {
 				live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 				runtime.KeepAlive(inst)
 				est := EstimateFootprint(k, f, []int64{1024, 64, 512}, int64(x.NNZ()), Config{})
-				t.Logf("%s %s: %.1f B per non-zero live, %.1f charged", name, v, float64(live)/float64(x.NNZ()), float64(est.Instance)/float64(x.NNZ()))
-				if live > est.Instance {
-					t.Errorf("%s %s: Prepare left %d bytes live, the estimate charges the instance %d", name, v, live, est.Instance)
+				charged := est.Instance
+				if f == roofline.HiCOO {
+					// The output term charges COO's 4 B per index; the
+					// HiCOO output holds 1 B element indices. The estimate
+					// must hold without those 3 B per fiber and index.
+					charged -= 3 * int64(len(dims)-1) * int64(x.NNZ())
+				}
+				t.Logf("%s %s: %.1f B per non-zero live, %.1f charged", name, v, float64(live)/float64(x.NNZ()), float64(charged)/float64(x.NNZ()))
+				if live > charged {
+					t.Errorf("%s %s: Prepare left %d bytes live, the estimate charges the instance %d", name, v, live, charged)
 				}
 			}
 		}
