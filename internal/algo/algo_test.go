@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/parallel"
 	"repro/internal/tensor"
+	"repro/internal/tensortest"
 )
 
 // ReconstructAt evaluates the CP model X̂ at one coordinate.
@@ -343,4 +344,45 @@ func (d *DenseTensor) offset(idx []int) int {
 		off = off*d.Dims[n] + i
 	}
 	return off
+}
+
+// TestCPALSZeroSweepsKeepsSeededFactors guards the step over factor 0's
+// draws: it is taken only when a sweep follows. With maxIters = 0 every
+// factor is still Randomize's, from one rand.Rand in mode order, with the
+// rows of empty slices cleared as newCPWorkspace clears them.
+func TestCPALSZeroSweepsKeepsSeededFactors(t *testing.T) {
+	seen := 0
+	for _, c := range tensortest.Corpus(t) {
+		if c.Name != "irrS" && c.Name != "regS4d" {
+			continue
+		}
+		seen++
+		const rank, seed = 16, 7
+		got, err := CPALS(c.X, rank, 0, 0, seed, parallel.Options{Threads: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		for n, f := range got.Factors {
+			want := tensor.NewMatrix(int(c.X.Dims[n]), rank)
+			want.Randomize(rng)
+			occupied := make([]bool, want.Rows)
+			for _, i := range c.X.Inds[n] {
+				occupied[i] = true
+			}
+			for i, occ := range occupied {
+				if !occ {
+					clear(want.Row(i))
+				}
+			}
+			for i, v := range f.Data {
+				if math.Float32bits(v) != math.Float32bits(want.Data[i]) {
+					t.Fatalf("%s: factor %d value %d = %v, Randomize %v", c.Name, n, i, v, want.Data[i])
+				}
+			}
+		}
+	}
+	if seen != 2 {
+		t.Fatalf("ran %d of 2 corpus tensors", seen)
+	}
 }

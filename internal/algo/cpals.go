@@ -108,7 +108,7 @@ func CPALSWith(x *tensor.COO, rank, maxIters int, tol float64, seed int64, mttkr
 	if normX == 0 {
 		return nil, fmt.Errorf("algo: zero tensor")
 	}
-	rng := newUniform(rand.NewSource(seed).(rand.Source64))
+	rng := tensor.NewUniform(rand.NewSource(seed).(rand.Source64))
 	res := &CPResult{
 		Factors:      make([]*tensor.Matrix, x.Order()),
 		Lambda:       make([]float64, rank),
@@ -122,9 +122,9 @@ func CPALSWith(x *tensor.COO, rank, maxIters int, tol float64, seed int64, mttkr
 			// writes it: mode 0's Mttkrp skips it, solveMode(0)
 			// overwrites its occupied rows and newCPWorkspace clears the
 			// rest. Its draws are stepped over, not converted.
-			rng.skip(len(f.Data))
+			rng.Skip(len(f.Data))
 		} else {
-			rng.fill(f.Data)
+			rng.Fill(f.Data)
 		}
 		res.Factors[n] = f
 	}

@@ -117,29 +117,38 @@ func (g *GHiCOO) FiberPointers() (fptr []int64, fiberBlock []int32) {
 	if len(g.UInds) != 1 {
 		panic("hicoo: FiberPointers requires exactly one uncompressed mode")
 	}
-	nc := len(g.CompModes)
+	fibers := 0
 	for b := 0; b < g.NumBlocks(); b++ {
 		for x := g.BPtr[b]; x < g.BPtr[b+1]; x++ {
-			if x == g.BPtr[b] {
-				fptr = append(fptr, x)
-				fiberBlock = append(fiberBlock, int32(b))
-				continue
+			if g.startsFiber(b, x) {
+				fibers++
 			}
-			same := true
-			for ci := 0; ci < nc; ci++ {
-				if g.EInds[ci][x] != g.EInds[ci][x-1] {
-					same = false
-					break
-				}
-			}
-			if !same {
+		}
+	}
+	fptr, fiberBlock = make([]int64, 0, fibers+1), make([]int32, 0, fibers)
+	for b := 0; b < g.NumBlocks(); b++ {
+		for x := g.BPtr[b]; x < g.BPtr[b+1]; x++ {
+			if g.startsFiber(b, x) {
 				fptr = append(fptr, x)
 				fiberBlock = append(fiberBlock, int32(b))
 			}
 		}
 	}
-	fptr = append(fptr, int64(g.NNZ()))
-	return fptr, fiberBlock
+	return append(fptr, int64(g.NNZ())), fiberBlock
+}
+
+// startsFiber reports whether non-zero x of block b starts a fiber: it
+// is the block's first, or it differs from x-1 in a compressed coordinate.
+func (g *GHiCOO) startsFiber(b int, x int64) bool {
+	if x == g.BPtr[b] {
+		return true
+	}
+	for _, e := range g.EInds[:len(g.CompModes)] {
+		if e[x] != e[x-1] {
+			return true
+		}
+	}
+	return false
 }
 
 func (g *GHiCOO) String() string {

@@ -69,10 +69,11 @@ func EstimateFootprint(k roofline.Kernel, f roofline.Format, dims []int64, nnz i
 	// Prepare converts from a sorted copy of the COO (the workbench's
 	// cached view, shared by the variants of one mode order); the copy
 	// and the converted structure coexist, so both are charged. Pointers
-	// to fibers (≤ nnz+1 of 8 B) are charged ptrBytes per non-zero: a
-	// quarter more covers a fiber plan's pointers, grown by append to up
-	// to 1.25 times their length, and a tree's levels above its fibers
-	// when they hold fewer than a quarter as many nodes.
+	// to fibers (≤ nnz+1 of 8 B, allocated once at their exact count) are
+	// charged ptrBytes per non-zero: the quarter more covers a tree's
+	// levels above its fibers when they hold fewer than a quarter as many
+	// nodes (a CSF Ttm over one non-zero per fiber leaves 108 B per
+	// non-zero live of the 110 charged, TestEstimateChargesTtvLayout).
 	const ptrBytes = 10
 	conv := coo
 	switch f {
@@ -103,14 +104,14 @@ func EstimateFootprint(k roofline.Kernel, f roofline.Format, dims []int64, nnz i
 	if k == roofline.Ttv || k == roofline.Ttm {
 		// A fiber plan's own fiber pointers (a tree plan reads its leaf
 		// level's); HiCOO's also keeps each fiber's gHiCOO block, an
-		// int32 per fiber grown by append. The HiCOO output's skeleton (1 B
-		// element indices per fiber and compressed mode, block pointers
-		// and indices) is the output term's, which charges 4 B per index.
+		// int32 per fiber. The HiCOO output's skeleton (1 B element
+		// indices per fiber and compressed mode, block pointers and
+		// indices) is the output term's, which charges 4 B per index.
 		switch f {
 		case roofline.COO:
 			conv += ptrBytes * nnz
 		case roofline.HiCOO:
-			conv += (ptrBytes + 5) * nnz
+			conv += (ptrBytes + 4) * nnz
 		}
 	}
 	out := outputBytes(k, order, nnz, maxDim, r)

@@ -227,7 +227,9 @@ func (wb *Workbench) Vec(mode int) tensor.Vector {
 // Workbench.Vec, exported so a caller holding only a tensor's shape (the
 // daemon's tile stream) computes on the identical operand.
 func ModeVector(dims []tensor.Index, mode int) tensor.Vector {
-	return tensor.RandomVector(int(dims[mode]), rand.New(rand.NewSource(int64(mode))))
+	v := tensor.NewVector(int(dims[mode]))
+	seeded(int64(mode)).Fill(v)
+	return v
 }
 
 // TtmMat is the dense Ttm matrix for one mode (seed mode+100).
@@ -238,7 +240,7 @@ func (wb *Workbench) TtmMat(mode int) *tensor.Matrix {
 		return u
 	}
 	u := tensor.NewMatrix(int(wb.X.Dims[mode]), wb.cfg.R)
-	u.Randomize(rand.New(rand.NewSource(int64(mode) + 100)))
+	seeded(int64(mode) + 100).Fill(u.Data)
 	wb.ttm[mode] = u
 	return u
 }
@@ -258,13 +260,18 @@ func (wb *Workbench) Mats() []*tensor.Matrix {
 // 777. Like ModeVector, it is the one constructor behind Workbench.Mats
 // and the daemon's tile stream.
 func FactorMats(dims []tensor.Index, r int) []*tensor.Matrix {
-	rng := rand.New(rand.NewSource(777))
+	u := seeded(777)
 	mats := make([]*tensor.Matrix, len(dims))
 	for n := range mats {
 		mats[n] = tensor.NewMatrix(int(dims[n]), r)
-		mats[n].Randomize(rng)
+		u.Fill(mats[n].Data)
 	}
 	return mats
+}
+
+// seeded is the uniform stream math/rand draws from seed.
+func seeded(seed int64) *tensor.Uniform {
+	return tensor.NewUniform(rand.NewSource(seed).(rand.Source64))
 }
 
 // Device is the workbench's simulated GPU, created on first use.

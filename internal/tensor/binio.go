@@ -14,6 +14,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/cpu"
 )
 
 // Binary tensor format ("PSTB"): parsing the FROSTT text format dominates
@@ -517,12 +519,29 @@ func readFlat(b *binReader, ver byte, dims []Index, nnz uint64) (*COO, error) {
 	return t, nil
 }
 
+// bodyLen is how many leading entries of an n-entry column the next call
+// of a column body (decode_amd64.s) takes: a multiple of 32, at most
+// cpu.CallNNZ, or 0 without AVX2 or when fewer than 32 are left, which
+// the Go loops take.
+func bodyLen(n int) int {
+	if !cpu.AVX2 {
+		return 0
+	}
+	return min(n, cpu.CallNNZ) &^ 31
+}
+
 // decodeU32 copies len(dst) little-endian u32s out of src and returns
 // their minimum and maximum (^0 and 0 when there are none): the copy
 // and the range check of a column are one pass.
 func decodeU32(dst []Index, src []byte) (lo, hi Index) {
 	lo = ^Index(0)
-	for src = src[:4*len(dst)]; len(dst) >= 4; src, dst = src[16:], dst[4:] {
+	src = src[:4*len(dst)]
+	for k := bodyLen(len(dst)); k > 0; k = bodyLen(len(dst)) {
+		l, h := decodeU32AVX2(dst[:k], src)
+		lo, hi = min(lo, l), max(hi, h)
+		dst, src = dst[k:], src[4*k:]
+	}
+	for ; len(dst) >= 4; src, dst = src[16:], dst[4:] {
 		s := src[:16]
 		a, b := binary.LittleEndian.Uint32(s), binary.LittleEndian.Uint32(s[4:])
 		c, d := binary.LittleEndian.Uint32(s[8:]), binary.LittleEndian.Uint32(s[12:])
@@ -545,7 +564,12 @@ const f32NonFinite = 0xFF000000
 // whether all are finite, from the maximum of their sign-less patterns.
 func decodeF32(dst []Value, src []byte) (finite bool) {
 	var top uint32
-	for src = src[:4*len(dst)]; len(dst) >= 4; src, dst = src[16:], dst[4:] {
+	src = src[:4*len(dst)]
+	for k := bodyLen(len(dst)); k > 0; k = bodyLen(len(dst)) {
+		top = max(top, decodeF32AVX2(dst[:k], src))
+		dst, src = dst[k:], src[4*k:]
+	}
+	for ; len(dst) >= 4; src, dst = src[16:], dst[4:] {
 		s := src[:16]
 		a, b := binary.LittleEndian.Uint32(s), binary.LittleEndian.Uint32(s[4:])
 		c, d := binary.LittleEndian.Uint32(s[8:]), binary.LittleEndian.Uint32(s[12:])

@@ -124,48 +124,83 @@ func addBinarySeeds(f *testing.F) {
 	f.Add([]byte("PSTB\x02\x02\x00\x00\x18\x00\x00\x00"))                 // v2 prologue only
 	f.Add([]byte("PSTB\x03\x02\x00\x00\x20\x00\x00\x00"))                 // v3 prologue only
 	f.Add([]byte("PSTB\x01\x01\x02\x00\x00\x00\xff\xff\xff\xff\xff\xff")) // absurd nnz
+	// Columns long enough for the column bodies (32 entries a block),
+	// whole and with a NaN, an index equal to its dim and an infinity
+	// inside a block.
+	long := RandomCOO([]Index{9, 10, 11}, 70, rand.New(rand.NewSource(2)))
+	var l2, l3 bytes.Buffer
+	if err := WriteBinary(&l2, long); err != nil {
+		f.Fatal(err)
+	}
+	if err := WriteBinaryTiled(&l3, long, 40); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(l2.Bytes())
+	f.Add(patchFlat(l2.Bytes(), 3, long.NNZ(), 5, 3, 0x7FC00000))
+	f.Add(patchFlat(l2.Bytes(), 3, long.NNZ(), 33, 1, 10))
+	f.Add(l3.Bytes())
+	f.Add(patchTile(f, l3.Bytes(), 0, 7, 3, 0x7F800000))
 }
 
 // FuzzReadBinary exercises the PSTB reader (all three versions, both
 // the sized and unknown-size paths) against arbitrary bytes: it must
 // never panic or over-allocate, any tensor it accepts must be
 // structurally valid, and accepted tensors must round-trip through the
-// v2 writer.
+// v2 writer. The Go loops and the column bodies must return the same
+// tensor or the same error text.
 func FuzzReadBinary(f *testing.F) {
 	addBinarySeeds(f)
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		x, err := readBinaryAll(bytes.NewReader(raw))
-		xu, erru := readBinaryAll(opaqueReader{bytes.NewReader(raw)})
-		if (err == nil) != (erru == nil) {
-			t.Fatalf("sized/chunked disagree: %v vs %v", err, erru)
-		}
-		if err != nil {
-			return
-		}
-		if verr := x.Validate(); verr != nil {
-			t.Fatalf("reader accepted invalid tensor: %v", verr)
-		}
-		if !identicalCOO(x, xu) {
-			t.Fatal("sized and chunked parses differ")
-		}
-		var buf bytes.Buffer
-		if werr := WriteBinary(&buf, x); werr != nil {
-			t.Fatalf("writer failed on accepted tensor: %v", werr)
-		}
-		y, rerr := readBinaryAll(&buf)
-		if rerr != nil {
-			t.Fatalf("re-read of rewritten tensor failed: %v", rerr)
-		}
-		if !identicalCOO(x, y) {
-			t.Fatal("v2 round trip changed content")
+		var goX *COO
+		var goErr error
+		for _, asm := range bodySides() {
+			withAVX2(asm, func() {
+				x, err := checkReadBinary(t, raw)
+				if !asm {
+					goX, goErr = x, err
+				} else if errText(err) != errText(goErr) || err == nil && !identicalBits(x, goX) {
+					t.Fatalf("the column bodies read %v, the Go loops %v", err, goErr)
+				}
+			})
 		}
 	})
+}
+
+// checkReadBinary is FuzzReadBinary's check of one side.
+func checkReadBinary(t *testing.T, raw []byte) (*COO, error) {
+	x, err := readBinaryAll(bytes.NewReader(raw))
+	xu, erru := readBinaryAll(opaqueReader{bytes.NewReader(raw)})
+	if (err == nil) != (erru == nil) {
+		t.Fatalf("sized/chunked disagree: %v vs %v", err, erru)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if verr := x.Validate(); verr != nil {
+		t.Fatalf("reader accepted invalid tensor: %v", verr)
+	}
+	if !identicalCOO(x, xu) {
+		t.Fatal("sized and chunked parses differ")
+	}
+	var buf bytes.Buffer
+	if werr := WriteBinary(&buf, x); werr != nil {
+		t.Fatalf("writer failed on accepted tensor: %v", werr)
+	}
+	y, rerr := readBinaryAll(&buf)
+	if rerr != nil {
+		t.Fatalf("re-read of rewritten tensor failed: %v", rerr)
+	}
+	if !identicalCOO(x, y) {
+		t.Fatal("v2 round trip changed content")
+	}
+	return x, nil
 }
 
 // FuzzTiledAgree holds the two v3 readers to one verdict: on any bytes,
 // either NewTileReader + ReadTile over every tile succeed with exactly
 // the entries ReadBinary returns, or both fail. A streamed kernel
-// therefore never sees content the in-core path would have refused.
+// therefore never sees content the in-core path would have refused. It
+// runs on the Go loops and on the column bodies.
 func FuzzTiledAgree(f *testing.F) {
 	addBinarySeeds(f)
 	// A well-formed image whose content is bad: an index outside its
@@ -179,35 +214,42 @@ func FuzzTiledAgree(f *testing.F) {
 	f.Add(patchTile(f, v3.Bytes(), 1, 3, 0, 0))
 	f.Add(patchTile(f, v3.Bytes(), 2, 1, 3, 0x7FC00000))
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		want, err := readBinaryAll(bytes.NewReader(raw))
-		tr, terr := NewTileReader(bytes.NewReader(raw), int64(len(raw)))
-		var got *COO
-		if terr == nil {
-			got = &COO{Dims: tr.Dims, Inds: make([][]Index, tr.Order()), Vals: []Value{}}
-			var tl Tile
-			for i := 0; i < tr.NumTiles(); i++ {
-				if terr = tr.ReadTile(i, &tl); terr != nil {
-					break
-				}
-				for n := range got.Inds {
-					got.Inds[n] = append(got.Inds[n], tl.Inds[n]...)
-				}
-				got.Vals = append(got.Vals, tl.Vals...)
-			}
-		}
-		if len(raw) < 5 || raw[4] != binVersion3 {
-			if terr == nil {
-				t.Fatal("a TileReader opened an image that is not v3")
-			}
-			return
-		}
-		if (err == nil) != (terr == nil) {
-			t.Fatalf("the v3 readers disagree: in-core err=%v, streamed err=%v", err, terr)
-		}
-		if err == nil && !identicalCOO(want, got) {
-			t.Fatal("the v3 readers returned different entries")
+		for _, asm := range bodySides() {
+			withAVX2(asm, func() { checkTiledAgree(t, raw) })
 		}
 	})
+}
+
+// checkTiledAgree is FuzzTiledAgree's check on one side of cpu.AVX2.
+func checkTiledAgree(t *testing.T, raw []byte) {
+	want, err := readBinaryAll(bytes.NewReader(raw))
+	tr, terr := NewTileReader(bytes.NewReader(raw), int64(len(raw)))
+	var got *COO
+	if terr == nil {
+		got = &COO{Dims: tr.Dims, Inds: make([][]Index, tr.Order()), Vals: []Value{}}
+		var tl Tile
+		for i := 0; i < tr.NumTiles(); i++ {
+			if terr = tr.ReadTile(i, &tl); terr != nil {
+				break
+			}
+			for n := range got.Inds {
+				got.Inds[n] = append(got.Inds[n], tl.Inds[n]...)
+			}
+			got.Vals = append(got.Vals, tl.Vals...)
+		}
+	}
+	if len(raw) < 5 || raw[4] != binVersion3 {
+		if terr == nil {
+			t.Fatal("a TileReader opened an image that is not v3")
+		}
+		return
+	}
+	if (err == nil) != (terr == nil) {
+		t.Fatalf("the v3 readers disagree: in-core err=%v, streamed err=%v", err, terr)
+	}
+	if err == nil && !identicalCOO(want, got) {
+		t.Fatal("the v3 readers returned different entries")
+	}
 }
 
 // FuzzDedupSort checks that arbitrary coordinate streams survive

@@ -34,7 +34,8 @@ func patchFlat(raw []byte, order, nnz, x, col int, bits uint32) []byte {
 // first, a middle and the last entry of the first, a middle and the
 // last tile, in images whose checksums are valid, and requires the
 // error text of every reader and of Validate to be the scan's, byte for
-// byte. A subnormal and a negative zero are content, not faults.
+// byte, on the Go loops and on the column bodies. A subnormal and a
+// negative zero are content, not faults.
 func TestContentRejectionParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	x := RandomCOO([]Index{30, 40, 50}, 400, rng)
@@ -53,86 +54,90 @@ func TestContentRejectionParity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, f := range []struct {
-		name string
-		col  int
-		bits uint32
-		ok   bool
-	}{
-		{"index == dim", mode, x.Dims[mode], false},
-		{"index == 2^32-1", mode, math.MaxUint32, false},
-		{"NaN", order, 0x7FC00001, false},
-		{"+Inf", order, 0x7F800000, false},
-		{"-Inf", order, 0xFF800000, false},
-		{"subnormal", order, 0x00000001, true},
-		{"-0", order, 0x80000000, true},
-	} {
-		for _, tile := range []int{0, tr.NumTiles() / 2, tr.NumTiles() - 1} {
-			cnt := int(tr.Tiles[tile].Count)
-			for _, local := range []int{0, cnt / 2, cnt - 1} {
-				g := int(tr.Tiles[tile].Start) + local
-				// What the scans said at the parent commit.
-				var scan, tileScan string
-				switch {
-				case f.ok:
-				case f.col < order:
-					scan = fmt.Sprintf("tensor: entry %d mode %d index %d out of range [0,%d)", g, mode, f.bits, x.Dims[mode])
-					tileScan = fmt.Sprintf("tensor: tile %d entry %d mode %d index %d outside dim %d: corrupt tile", tile, local, mode, f.bits, x.Dims[mode])
-				default:
-					v := math.Float32frombits(f.bits)
-					scan = fmt.Sprintf("tensor: entry %d has non-finite value %v", g, v)
-					tileScan = fmt.Sprintf("tensor: tile %d entry %d has non-finite value %v", tile, local, v)
-				}
-				where := fmt.Sprintf("%s at tile %d entry %d", f.name, tile, local)
+	for _, asm := range bodySides() {
+		withAVX2(asm, func() {
+			for _, f := range []struct {
+				name string
+				col  int
+				bits uint32
+				ok   bool
+			}{
+				{"index == dim", mode, x.Dims[mode], false},
+				{"index == 2^32-1", mode, math.MaxUint32, false},
+				{"NaN", order, 0x7FC00001, false},
+				{"+Inf", order, 0x7F800000, false},
+				{"-Inf", order, 0xFF800000, false},
+				{"subnormal", order, 0x00000001, true},
+				{"-0", order, 0x80000000, true},
+			} {
+				for _, tile := range []int{0, tr.NumTiles() / 2, tr.NumTiles() - 1} {
+					cnt := int(tr.Tiles[tile].Count)
+					for _, local := range []int{0, cnt / 2, cnt - 1} {
+						g := int(tr.Tiles[tile].Start) + local
+						// What the scans said at the parent commit.
+						var scan, tileScan string
+						switch {
+						case f.ok:
+						case f.col < order:
+							scan = fmt.Sprintf("tensor: entry %d mode %d index %d out of range [0,%d)", g, mode, f.bits, x.Dims[mode])
+							tileScan = fmt.Sprintf("tensor: tile %d entry %d mode %d index %d outside dim %d: corrupt tile", tile, local, mode, f.bits, x.Dims[mode])
+						default:
+							v := math.Float32frombits(f.bits)
+							scan = fmt.Sprintf("tensor: entry %d has non-finite value %v", g, v)
+							tileScan = fmt.Sprintf("tensor: tile %d entry %d has non-finite value %v", tile, local, v)
+						}
+						where := fmt.Sprintf("AVX2 %v: %s at tile %d entry %d", asm, f.name, tile, local)
 
-				y := x.Clone()
-				if f.col < order {
-					y.Inds[f.col][g] = f.bits
-				} else {
-					y.Vals[g] = math.Float32frombits(f.bits)
-				}
-				if got := errText(y.Validate()); got != scan {
-					t.Errorf("%s: Validate = %q, want %q", where, got, scan)
-				}
+						y := x.Clone()
+						if f.col < order {
+							y.Inds[f.col][g] = f.bits
+						} else {
+							y.Vals[g] = math.Float32frombits(f.bits)
+						}
+						if got := errText(y.Validate()); got != scan {
+							t.Errorf("%s: Validate = %q, want %q", where, got, scan)
+						}
 
-				read := scan
-				if !f.ok {
-					read = "tensor: binary content invalid: " + scan
-				}
-				for ver, raw := range map[string][]byte{
-					"v1": patchFlat(v1, order, nnz, g, f.col, f.bits),
-					"v2": patchFlat(v2, order, nnz, g, f.col, f.bits),
-					"v3": patchTile(t, v3, tile, local, f.col, f.bits),
-				} {
-					got, err := readBinaryAll(bytes.NewReader(raw))
-					if errText(err) != read {
-						t.Errorf("%s: readBinaryAll(%s) = %q, want %q", where, ver, errText(err), read)
-					}
-					_, errU := readBinaryAll(opaqueReader{bytes.NewReader(raw)})
-					if errText(errU) != read {
-						t.Errorf("%s: unsized readBinaryAll(%s) = %q, want %q", where, ver, errText(errU), read)
-					}
-					if f.ok && err == nil && !identicalBits(got, y) {
-						t.Errorf("%s: readBinaryAll(%s) changed the content", where, ver)
-					}
-				}
+						read := scan
+						if !f.ok {
+							read = "tensor: binary content invalid: " + scan
+						}
+						for ver, raw := range map[string][]byte{
+							"v1": patchFlat(v1, order, nnz, g, f.col, f.bits),
+							"v2": patchFlat(v2, order, nnz, g, f.col, f.bits),
+							"v3": patchTile(t, v3, tile, local, f.col, f.bits),
+						} {
+							got, err := readBinaryAll(bytes.NewReader(raw))
+							if errText(err) != read {
+								t.Errorf("%s: readBinaryAll(%s) = %q, want %q", where, ver, errText(err), read)
+							}
+							_, errU := readBinaryAll(opaqueReader{bytes.NewReader(raw)})
+							if errText(errU) != read {
+								t.Errorf("%s: unsized readBinaryAll(%s) = %q, want %q", where, ver, errText(errU), read)
+							}
+							if f.ok && err == nil && !identicalBits(got, y) {
+								t.Errorf("%s: readBinaryAll(%s) changed the content", where, ver)
+							}
+						}
 
-				ptr, err := NewTileReader(bytes.NewReader(patchTile(t, v3, tile, local, f.col, f.bits)), int64(len(v3)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				var tl Tile
-				for i := 0; i < ptr.NumTiles(); i++ {
-					want := ""
-					if i == tile {
-						want = tileScan
-					}
-					if got := errText(ptr.ReadTile(i, &tl)); got != want {
-						t.Errorf("%s: ReadTile(%d) = %q, want %q", where, i, got, want)
+						ptr, err := NewTileReader(bytes.NewReader(patchTile(t, v3, tile, local, f.col, f.bits)), int64(len(v3)))
+						if err != nil {
+							t.Fatal(err)
+						}
+						var tl Tile
+						for i := 0; i < ptr.NumTiles(); i++ {
+							want := ""
+							if i == tile {
+								want = tileScan
+							}
+							if got := errText(ptr.ReadTile(i, &tl)); got != want {
+								t.Errorf("%s: ReadTile(%d) = %q, want %q", where, i, got, want)
+							}
+						}
 					}
 				}
 			}
-		}
+		})
 	}
 }
 

@@ -197,8 +197,13 @@ func (t *COO) FiberPointers(n int) []int64 {
 	if !t.IsSortedBy(ModeOrder(t.Order(), n)) {
 		panic("tensor: FiberPointers requires SortForMode(n) first")
 	}
-	m := t.NNZ()
-	fptr := make([]int64, 0, 16)
+	m, fibers := t.NNZ(), 0
+	for x := 0; x < m; x++ {
+		if x == 0 || !t.sameFiber(x-1, x, n) {
+			fibers++
+		}
+	}
+	fptr := make([]int64, 0, fibers+1)
 	for x := 0; x < m; x++ {
 		if x == 0 || !t.sameFiber(x-1, x, n) {
 			fptr = append(fptr, int64(x))

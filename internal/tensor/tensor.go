@@ -184,6 +184,10 @@ func (t *COO) Validate() error {
 // maxIndex returns the largest entry of ind, 0 when it is empty.
 func maxIndex(ind []Index) Index {
 	var a, b, c, d Index
+	for k := bodyLen(len(ind)); k > 0; k = bodyLen(len(ind)) {
+		a = max(a, maxIndexAVX2(ind[:k]))
+		ind = ind[k:]
+	}
 	for ; len(ind) >= 4; ind = ind[4:] {
 		a, b, c, d = max(a, ind[0]), max(b, ind[1]), max(c, ind[2]), max(d, ind[3])
 	}
@@ -193,9 +197,17 @@ func maxIndex(ind []Index) Index {
 	return max(a, b, c, d)
 }
 
-// allFinite reports whether no value is a NaN or an infinity: v·0 is ±0
-// for a finite v and NaN for any other, so the products sum to zero.
+// allFinite reports whether no value is a NaN or an infinity. The body
+// takes the maximum of the sign-less bit patterns, as decodeF32 does; in
+// Go, v·0 is ±0 for a finite v and NaN for any other, so the products
+// sum to zero.
 func allFinite(vals []Value) bool {
+	for k := bodyLen(len(vals)); k > 0; k = bodyLen(len(vals)) {
+		if topF32AVX2(vals[:k]) >= f32NonFinite {
+			return false
+		}
+		vals = vals[k:]
+	}
 	var a, b, c, d Value
 	for ; len(vals) >= 4; vals = vals[4:] {
 		a, b, c, d = a+vals[0]*0, b+vals[1]*0, c+vals[2]*0, d+vals[3]*0

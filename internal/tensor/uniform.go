@@ -1,10 +1,6 @@
-package algo
+package tensor
 
-import (
-	"math/rand"
-
-	"repro/internal/tensor"
-)
+import "math/rand"
 
 // math/rand's seeded source is an additive lagged-Fibonacci generator
 // over a 607-word register whose feed runs 334 words ahead of its tap, so
@@ -17,31 +13,22 @@ const (
 	uniformRedraw = 1<<63 - 512 // a masked word from here on rounds to 1.0, and Float64 draws again
 )
 
-// uniformStream yields the stream rand.New(src).Float64() yields, value
-// for value, without an interface call per draw: it takes the source's
-// first uniformLag words, continues the recurrence itself a block at a
-// time, and converts as Float64 does.
-type uniformStream struct {
+// Uniform is the program's one seeded draw of operand values: it yields
+// the stream rand.New(src).Float64() yields, value for value, without an
+// interface call per draw. It takes the source's first uniformLag words,
+// continues the recurrence itself a block at a time, and converts as
+// Float64 does, so a matrix or vector filled from it holds the bits
+// Matrix.Randomize or RandomVector give it from a rand.Rand over the
+// same source.
+type Uniform struct {
 	win  []uint64 // a block of words; its last uniformLag are the stream's latest
 	pos  int      // the next unread word of win
 	drop int      // the first word of win from pos on that Float64 draws again, or len(win)
 }
 
-// newUniform continues src's stream, whose words must obey the
-// recurrence from the next one on, as a math/rand seeded source's do;
-// src is not read again.
-func newUniform(src rand.Source64) *uniformStream {
-	u := &uniformStream{win: make([]uint64, uniformLag+uniformBlock)}
-	for i := range u.win[uniformBlock:] {
-		u.win[uniformBlock+i] = src.Uint64()
-	}
-	u.seek(uniformBlock)
-	return u
-}
-
 // seek makes win[pos] the next unread word and finds the next word from
 // there that Float64 draws again.
-func (u *uniformStream) seek(pos int) {
+func (u *Uniform) seek(pos int) {
 	u.pos, u.drop = pos, len(u.win)
 	for i, y := range u.win[pos:] {
 		if y&uniformMask >= uniformRedraw {
@@ -57,7 +44,7 @@ func (u *uniformStream) seek(pos int) {
 // again exactly when y + 512 carries into bit 63, so one OR over those
 // sums, taken as the words are made, spares the block seek's scan in all
 // but about one block in 2⁴³.
-func (u *uniformStream) refill() {
+func (u *Uniform) refill() {
 	copy(u.win, u.win[uniformBlock:])
 	next := u.win[uniformLag:]
 	far, near := u.win[:len(next)], u.win[uniformLag-uniformTap:][:len(next)]
@@ -76,7 +63,7 @@ func (u *uniformStream) refill() {
 // next returns the next min(n, words up to the next redrawn one) unread
 // words that Float64 keeps, refilling an exhausted window and reading
 // past redrawn words first, and marks them read.
-func (u *uniformStream) next(n int) []uint64 {
+func (u *Uniform) next(n int) []uint64 {
 	for u.pos == u.drop {
 		if u.pos == len(u.win) {
 			u.refill()
@@ -90,21 +77,36 @@ func (u *uniformStream) next(n int) []uint64 {
 	return words
 }
 
-// fill sets dst to the stream's next len(dst) values, each rounded to
-// tensor.Value as Matrix.Randomize rounds them.
-func (u *uniformStream) fill(dst []tensor.Value) {
+// Fill sets dst to the stream's next len(dst) values, each rounded to
+// Value as Matrix.Randomize rounds them.
+func (u *Uniform) Fill(dst []Value) {
 	for len(dst) > 0 {
 		words := u.next(len(dst))
 		for i, y := range words {
-			dst[i] = tensor.Value(float64(int64(y&uniformMask)) / (1 << 63))
+			dst[i] = Value(float64(int64(y&uniformMask)) / (1 << 63))
 		}
 		dst = dst[len(words):]
 	}
 }
 
-// skip steps over the stream's next n values without converting them.
-func (u *uniformStream) skip(n int) {
+// Skip steps over the stream's next n values without converting them.
+func (u *Uniform) Skip(n int) {
 	for n > 0 {
 		n -= len(u.next(n))
 	}
+}
+
+// NewUniform continues src's stream, whose words must obey the
+// recurrence from the next one on, as those of a seeded source
+// (rand.NewSource(seed).(rand.Source64)) do; src is not read again.
+// It is declared last because the linker lays functions out in
+// declaration order, and this order starts refill and Fill, the loops
+// every draw runs, on 64-byte boundaries in the benchmark binary.
+func NewUniform(src rand.Source64) *Uniform {
+	u := &Uniform{win: make([]uint64, uniformLag+uniformBlock)}
+	for i := range u.win[uniformBlock:] {
+		u.win[uniformBlock+i] = src.Uint64()
+	}
+	u.seek(uniformBlock)
+	return u
 }

@@ -1,17 +1,13 @@
-package algo
+package tensor
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
-
-	"repro/internal/parallel"
-	"repro/internal/tensor"
-	"repro/internal/tensortest"
 )
 
-// uniformOp is one call on a uniformStream: fill n values, or skip n.
+// uniformOp is one call on a Uniform: fill n values, or skip n.
 type uniformOp struct {
 	skip bool
 	n    int
@@ -19,22 +15,22 @@ type uniformOp struct {
 
 // checkUniformOps runs ops on got and the same draws on want's Float64,
 // and fails at the first value whose bits differ from Randomize's.
-func checkUniformOps(t *testing.T, name string, got *uniformStream, want *rand.Rand, ops []uniformOp) {
+func checkUniformOps(t *testing.T, name string, got *Uniform, want *rand.Rand, ops []uniformOp) {
 	t.Helper()
 	drawn := 0
 	for _, op := range ops {
 		if op.skip {
-			got.skip(op.n)
+			got.Skip(op.n)
 			for range op.n {
 				want.Float64()
 			}
 			drawn += op.n
 			continue
 		}
-		dst := make([]tensor.Value, op.n)
-		got.fill(dst)
+		dst := make([]Value, op.n)
+		got.Fill(dst)
 		for i, v := range dst {
-			if w := tensor.Value(want.Float64()); math.Float32bits(v) != math.Float32bits(w) {
+			if w := Value(want.Float64()); math.Float32bits(v) != math.Float32bits(w) {
 				t.Fatalf("%s: value %d (fill of %d from draw %d) = %v, rand.Float64 gives %v", name, drawn+i, op.n, drawn, v, w)
 			}
 		}
@@ -61,15 +57,15 @@ func uniformSequences() map[string][]uniformOp {
 	return seqs
 }
 
-// TestCPALSUniformMatchesMathRand holds the bulk generator to
+// TestUniformMatchesMathRand holds the bulk generator to
 // rand.New(rand.NewSource(s)).Float64() value for value, rounded as
 // Randomize rounds: seeds that math/rand maps to its special cases (0,
 // −1, MinInt64) and ordinary ones, fills and skips of every length that
 // meets a boundary of the lag or of a block.
-func TestCPALSUniformMatchesMathRand(t *testing.T) {
+func TestUniformMatchesMathRand(t *testing.T) {
 	for _, seed := range []int64{0, 1, 7, -1, 1 << 40, math.MinInt64} {
 		for name, ops := range uniformSequences() {
-			got := newUniform(rand.NewSource(seed).(rand.Source64))
+			got := NewUniform(rand.NewSource(seed).(rand.Source64))
 			checkUniformOps(t, fmt.Sprintf("seed %d/%s", seed, name), got, rand.New(rand.NewSource(seed)), ops)
 		}
 	}
@@ -93,7 +89,7 @@ func (s *lagSource) Uint64() uint64 {
 func (s *lagSource) Int63() int64 { return int64(s.Uint64() & uniformMask) }
 func (s *lagSource) Seed(int64)   { panic("lagSource is not reseeded") }
 
-// TestCPALSUniformRedraws covers the branch that a seeded math/rand
+// TestUniformRedraws covers the branch that a seeded math/rand
 // stream takes about once in 2⁵⁴ draws: a masked word of at least
 // 2⁶³ − 512 rounds to 1.0 and is drawn again. Two test sources:
 //   - spread: the first words lie in [2⁶³ − 513, 2⁶³ − 1] or are chosen
@@ -106,7 +102,7 @@ func (s *lagSource) Seed(int64)   { panic("lagSource is not reseeded") }
 //     2⁶³ − 512, which a refill must not take for a block without one.
 //
 // The reference is rand.Rand's Float64 over the same word sequence.
-func TestCPALSUniformRedraws(t *testing.T) {
+func TestUniformRedraws(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	spread := make([]uint64, uniformLag)
 	top := func() uint64 { return uint64(rng.Intn(2)) << 63 }
@@ -130,7 +126,7 @@ func TestCPALSUniformRedraws(t *testing.T) {
 		for name, ops := range uniformSequences() {
 			name = srcName + "/" + name
 			ref := &lagSource{first: first}
-			checkUniformOps(t, name, newUniform(&lagSource{first: first}), rand.New(ref), ops)
+			checkUniformOps(t, name, NewUniform(&lagSource{first: first}), rand.New(ref), ops)
 			redraws := 0
 			for _, y := range ref.ys[uniformLag:] {
 				if y&uniformMask >= uniformRedraw {
@@ -141,46 +137,5 @@ func TestCPALSUniformRedraws(t *testing.T) {
 				t.Fatalf("%s: %d redraws in %d generated words", name, redraws, len(ref.ys)-uniformLag)
 			}
 		}
-	}
-}
-
-// TestCPALSZeroSweepsKeepsSeededFactors guards the step over factor 0's
-// draws: it is taken only when a sweep follows. With maxIters = 0 every
-// factor is still Randomize's, from one rand.Rand in mode order, with the
-// rows of empty slices cleared as newCPWorkspace clears them.
-func TestCPALSZeroSweepsKeepsSeededFactors(t *testing.T) {
-	seen := 0
-	for _, c := range tensortest.Corpus(t) {
-		if c.Name != "irrS" && c.Name != "regS4d" {
-			continue
-		}
-		seen++
-		const rank, seed = 16, 7
-		got, err := CPALS(c.X, rank, 0, 0, seed, parallel.Options{Threads: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(seed))
-		for n, f := range got.Factors {
-			want := tensor.NewMatrix(int(c.X.Dims[n]), rank)
-			want.Randomize(rng)
-			occupied := make([]bool, want.Rows)
-			for _, i := range c.X.Inds[n] {
-				occupied[i] = true
-			}
-			for i, occ := range occupied {
-				if !occ {
-					clear(want.Row(i))
-				}
-			}
-			for i, v := range f.Data {
-				if math.Float32bits(v) != math.Float32bits(want.Data[i]) {
-					t.Fatalf("%s: factor %d value %d = %v, Randomize %v", c.Name, n, i, v, want.Data[i])
-				}
-			}
-		}
-	}
-	if seen != 2 {
-		t.Fatalf("ran %d of 2 corpus tensors", seen)
 	}
 }
