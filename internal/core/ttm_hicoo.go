@@ -36,7 +36,7 @@ func PrepareTtmHiCOO(x *tensor.COO, mode, r int, blockBits uint8) (*TtmHiCOOPlan
 	if r <= 0 {
 		return nil, fmt.Errorf("core: Ttm needs R >= 1, got %d", r)
 	}
-	g, view, sk := prepareFiberHiCOO(x, mode, blockBits)
+	g, view, fb := prepareFiberHiCOO(x, mode, blockBits)
 	k := view.kernel(r)
 
 	outDims := append([]tensor.Index(nil), x.Dims...)
@@ -45,9 +45,9 @@ func PrepareTtmHiCOO(x *tensor.COO, mode, r int, blockBits uint8) (*TtmHiCOOPlan
 		Dims:       outDims,
 		DenseModes: []int{mode},
 		BlockBits:  g.BlockBits,
-		BPtr:       sk.bptr,
-		BInds:      sk.binds,
-		EInds:      sk.einds,
+		BPtr:       fb.BPtr,
+		BInds:      fb.BInds,
+		EInds:      fb.EInds,
 		Vals:       k.out,
 	}
 	return &TtmHiCOOPlan{X: g, Mode: mode, R: r, Fptr: k.fptr, Out: out, k: k}, nil

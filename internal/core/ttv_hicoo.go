@@ -40,7 +40,7 @@ func PrepareTtvHiCOO(x *tensor.COO, mode int, blockBits uint8) (*TtvHiCOOPlan, e
 	if x.Order() < 2 {
 		return nil, fmt.Errorf("core: Ttv needs an order >= 2 tensor")
 	}
-	g, view, sk := prepareFiberHiCOO(x, mode, blockBits)
+	g, view, fb := prepareFiberHiCOO(x, mode, blockBits)
 	k := view.kernel(1)
 	k.grouped = k.groupByLength()
 
@@ -53,12 +53,12 @@ func PrepareTtvHiCOO(x *tensor.COO, mode int, blockBits uint8) (*TtvHiCOOPlan, e
 	out := &hicoo.HiCOO{
 		Dims:      outDims,
 		BlockBits: blockBits,
-		BPtr:      sk.bptr,
-		BInds:     sk.binds,
-		EInds:     sk.einds,
+		BPtr:      fb.BPtr,
+		BInds:     fb.BInds,
+		EInds:     fb.EInds,
 		Vals:      k.out,
 	}
-	return &TtvHiCOOPlan{X: g, Mode: mode, Fptr: k.fptr, FiberBlock: sk.fiberBlock, Out: out, k: k}, nil
+	return &TtvHiCOOPlan{X: g, Mode: mode, Fptr: k.fptr, FiberBlock: fb.Block, Out: out, k: k}, nil
 }
 
 // NumFibers returns MF.
@@ -84,49 +84,12 @@ func (p *TtvHiCOOPlan) ExecuteGPU(dev *gpusim.Device, v tensor.Vector) (*hicoo.H
 // FlopCount returns the floating-point work of one execution (2M flops).
 func (p *TtvHiCOOPlan) FlopCount() int64 { return 2 * int64(p.X.NNZ()) }
 
-// fiberSkeleton is the block structure a gHiCOO tensor's fibers induce on
-// the output of Ttv (HiCOO) and Ttm (sHiCOO): one output entry per
-// fiber, inheriting the fiber's block and element indices on the
-// compressed modes.
-type fiberSkeleton struct {
-	fiberBlock []int32          // gHiCOO block of each fiber
-	bptr       []int64          // first fiber of each output block
-	binds      [][]tensor.Index // per compressed mode, per output block
-	einds      [][]uint8        // per compressed mode, per fiber
-}
-
 // prepareFiberHiCOO is the preprocessing HiCOO-Ttv and HiCOO-Ttm share:
-// convert to gHiCOO compressing every mode except the product mode,
-// detect the fibers and derive the output's block skeleton. The returned
-// view is over the gHiCOO arrays.
-func prepareFiberHiCOO(x *tensor.COO, mode int, blockBits uint8) (*hicoo.GHiCOO, FiberView, fiberSkeleton) {
-	g := hicoo.FromCOOExceptMode(x, mode, blockBits)
-	fptr, fiberBlock := g.FiberPointers()
-	mf := len(fptr) - 1
-	nc := len(g.CompModes)
-	sk := fiberSkeleton{
-		fiberBlock: fiberBlock,
-		binds:      make([][]tensor.Index, nc),
-		einds:      make([][]uint8, nc),
-	}
-	for ci := 0; ci < nc; ci++ {
-		sk.einds[ci] = make([]uint8, mf)
-	}
-	// Fibers arrive grouped by block (FiberPointers walks blocks in
-	// order), so output blocks are runs of equal fiberBlock.
-	for f := 0; f < mf; f++ {
-		if f == 0 || fiberBlock[f] != fiberBlock[f-1] {
-			sk.bptr = append(sk.bptr, int64(f))
-			b := int(fiberBlock[f])
-			for ci := 0; ci < nc; ci++ {
-				sk.binds[ci] = append(sk.binds[ci], g.BInds[ci][b])
-			}
-		}
-		head := fptr[f]
-		for ci := 0; ci < nc; ci++ {
-			sk.einds[ci][f] = g.EInds[ci][head]
-		}
-	}
-	sk.bptr = append(sk.bptr, int64(mf))
-	return g, FiberView{Fptr: fptr, KInd: g.UInds[0], Vals: g.Vals, Dims: x.Dims, Mode: mode}, sk
+// convert to gHiCOO compressing every mode except the product mode; the
+// conversion's assembly sweep also finds the fibers and the output's
+// block skeleton they induce. The returned view is over the gHiCOO
+// arrays.
+func prepareFiberHiCOO(x *tensor.COO, mode int, blockBits uint8) (*hicoo.GHiCOO, FiberView, *hicoo.Fibers) {
+	g, fb := hicoo.FromCOOFibers(x, mode, blockBits)
+	return g, FiberView{Fptr: fb.Ptr, KInd: g.UInds[0], Vals: g.Vals, Dims: x.Dims, Mode: mode}, fb
 }

@@ -76,6 +76,47 @@ func (g *GHiCOO) StorageBytes() int64 {
 // single uncompressed mode the mode-n fibers are contiguous and sorted,
 // exactly what the Ttv/Ttm kernels need.
 func FromCOOModes(t *tensor.COO, compModes []int, blockBits uint8) *GHiCOO {
+	g, _ := fromCOOModes(t, compModes, blockBits, false)
+	return g
+}
+
+// FromCOOExceptMode converts to gHiCOO compressing every mode except mode
+// n — the configuration the HiCOO-Ttv and HiCOO-Ttm kernels use.
+func FromCOOExceptMode(t *tensor.COO, n int, blockBits uint8) *GHiCOO {
+	return FromCOOModes(t, tensor.OtherModes(t.Order(), n), blockBits)
+}
+
+// Fibers is the fiber structure of a gHiCOO tensor with one uncompressed
+// mode: its runs of non-zeros equal on every compressed mode, in storage
+// order, and the HiCOO skeleton they induce over the compressed modes —
+// one entry per fiber, in the tensor's blocks — which is the block
+// structure of Ttv's (HiCOO) and Ttm's (sHiCOO) output.
+type Fibers struct {
+	// Ptr[f] is the first non-zero of fiber f (NumFibers+1 entries).
+	Ptr []int64
+	// Block maps each fiber to its gHiCOO block.
+	Block []int32
+	// BPtr[b] is the first fiber of block b (NumBlocks+1 entries).
+	BPtr []int64
+	// BInds holds one block-index array per compressed mode, a copy of
+	// the tensor's.
+	BInds [][]tensor.Index
+	// EInds holds one element-index array per compressed mode, the
+	// element index of every fiber.
+	EInds [][]uint8
+}
+
+// FromCOOFibers is FromCOOExceptMode plus the mode-n fibers, found in the
+// same sweep that assembles the blocks. It panics unless n is a mode, so
+// that exactly one mode is uncompressed.
+func FromCOOFibers(t *tensor.COO, n int, blockBits uint8) (*GHiCOO, *Fibers) {
+	if n < 0 || n >= t.Order() {
+		panic(fmt.Sprintf("hicoo: fibers need one uncompressed mode, got mode %d of %d", n, t.Order()))
+	}
+	return fromCOOModes(t, tensor.OtherModes(t.Order(), n), blockBits, true)
+}
+
+func fromCOOModes(t *tensor.COO, compModes []int, blockBits uint8, fibers bool) (*GHiCOO, *Fibers) {
 	if blockBits == 0 || blockBits > MaxBlockBits {
 		panic(fmt.Sprintf("hicoo: blockBits %d outside [1,%d]", blockBits, MaxBlockBits))
 	}
@@ -92,63 +133,9 @@ func FromCOOModes(t *tensor.COO, compModes []int, blockBits uint8) *GHiCOO {
 		CompModes: append([]int(nil), compModes...),
 		BlockBits: blockBits,
 	}
-	uncomp := g.UncompModes()
-	b := blockModes(t, compModes, uncomp, blockBits)
-	g.BPtr, g.BInds, g.EInds = b.bptr, b.binds, b.einds
-	g.UInds = make([][]tensor.Index, len(uncomp))
-	for ui, n := range uncomp {
-		g.UInds[ui] = gathered(t.Inds[n], b.perm)
-	}
-	g.Vals = gathered(t.Vals, b.perm)
-	return g
-}
-
-// FromCOOExceptMode converts to gHiCOO compressing every mode except mode
-// n — the configuration the HiCOO-Ttv and HiCOO-Ttm kernels use.
-func FromCOOExceptMode(t *tensor.COO, n int, blockBits uint8) *GHiCOO {
-	return FromCOOModes(t, tensor.OtherModes(t.Order(), n), blockBits)
-}
-
-// FiberPointers returns the start offsets of the fibers along the single
-// uncompressed mode (runs of non-zeros agreeing on every compressed
-// coordinate), plus a parallel array mapping each fiber to its block.
-// It panics unless exactly one mode is uncompressed.
-func (g *GHiCOO) FiberPointers() (fptr []int64, fiberBlock []int32) {
-	if len(g.UInds) != 1 {
-		panic("hicoo: FiberPointers requires exactly one uncompressed mode")
-	}
-	fibers := 0
-	for b := 0; b < g.NumBlocks(); b++ {
-		for x := g.BPtr[b]; x < g.BPtr[b+1]; x++ {
-			if g.startsFiber(b, x) {
-				fibers++
-			}
-		}
-	}
-	fptr, fiberBlock = make([]int64, 0, fibers+1), make([]int32, 0, fibers)
-	for b := 0; b < g.NumBlocks(); b++ {
-		for x := g.BPtr[b]; x < g.BPtr[b+1]; x++ {
-			if g.startsFiber(b, x) {
-				fptr = append(fptr, x)
-				fiberBlock = append(fiberBlock, int32(b))
-			}
-		}
-	}
-	return append(fptr, int64(g.NNZ())), fiberBlock
-}
-
-// startsFiber reports whether non-zero x of block b starts a fiber: it
-// is the block's first, or it differs from x-1 in a compressed coordinate.
-func (g *GHiCOO) startsFiber(b int, x int64) bool {
-	if x == g.BPtr[b] {
-		return true
-	}
-	for _, e := range g.EInds[:len(g.CompModes)] {
-		if e[x] != e[x-1] {
-			return true
-		}
-	}
-	return false
+	b := blockModes(t, compModes, g.UncompModes(), blockBits, fibers)
+	g.BPtr, g.BInds, g.EInds, g.UInds, g.Vals = b.bptr, b.binds, b.einds, b.uinds, b.vals
+	return g, b.fibers
 }
 
 func (g *GHiCOO) String() string {

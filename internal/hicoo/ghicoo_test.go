@@ -2,6 +2,8 @@ package hicoo
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -61,13 +63,13 @@ func TestGHiCOOFiberPointers(t *testing.T) {
 	x.AppendIdx3(0, 1, 0, 3)
 	x.AppendIdx3(3, 3, 7, 4)
 	x.AppendIdx3(3, 3, 8, 5)
-	g := FromCOOExceptMode(x, 2, 2) // block 4x4 over modes 0,1
-	fptr, fiberBlock := g.FiberPointers()
+	g, fb := FromCOOFibers(x, 2, 2) // block 4x4 over modes 0,1
+	fptr := fb.Ptr
 	if len(fptr)-1 != 3 {
 		t.Fatalf("fibers = %d, want 3 (fptr=%v)", len(fptr)-1, fptr)
 	}
-	if len(fiberBlock) != 3 {
-		t.Fatalf("fiberBlock length %d, want 3", len(fiberBlock))
+	if len(fb.Block) != 3 {
+		t.Fatalf("fiberBlock length %d, want 3", len(fb.Block))
 	}
 	// Each fiber's entries must agree on all compressed coordinates and be
 	// sorted by the uncompressed index.
@@ -83,17 +85,93 @@ func TestGHiCOOFiberPointers(t *testing.T) {
 			}
 		}
 	}
+	sameFibers(t, "known fibers", g, fb)
 }
 
+// TestGHiCOOFiberPointersRequireOneUncomp: fibers run along exactly one
+// uncompressed mode, so FromCOOFibers refuses a mode outside the tensor,
+// which would leave none.
 func TestGHiCOOFiberPointersRequireOneUncomp(t *testing.T) {
 	x := randomTensor(23, 4, 50, 60)
-	g := FromCOOModes(x, []int{0, 1}, 4) // two uncompressed modes
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic with two uncompressed modes")
+	for _, n := range []int{-1, 4} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("expected panic for mode %d of an order-4 tensor", n)
+				}
+			}()
+			FromCOOFibers(x, n, 4)
+		}()
+	}
+}
+
+// fiberPointersOracle finds the fibers of a gHiCOO tensor with one
+// uncompressed mode the two-pass way the sweep replaced: count the
+// non-zeros that open a fiber (a block's first, or one differing from
+// the previous in an element index), then fill exactly sized arrays.
+func fiberPointersOracle(g *GHiCOO) (fptr []int64, fiberBlock []int32) {
+	startsFiber := func(b int, x int64) bool {
+		if x == g.BPtr[b] {
+			return true
 		}
-	}()
-	g.FiberPointers()
+		for _, e := range g.EInds {
+			if e[x] != e[x-1] {
+				return true
+			}
+		}
+		return false
+	}
+	fibers := 0
+	for b := 0; b < g.NumBlocks(); b++ {
+		for x := g.BPtr[b]; x < g.BPtr[b+1]; x++ {
+			if startsFiber(b, x) {
+				fibers++
+			}
+		}
+	}
+	fptr, fiberBlock = make([]int64, 0, fibers+1), make([]int32, 0, fibers)
+	for b := 0; b < g.NumBlocks(); b++ {
+		for x := g.BPtr[b]; x < g.BPtr[b+1]; x++ {
+			if startsFiber(b, x) {
+				fptr = append(fptr, x)
+				fiberBlock = append(fiberBlock, int32(b))
+			}
+		}
+	}
+	return append(fptr, int64(g.NNZ())), fiberBlock
+}
+
+// sameFibers checks fb against the oracle's fiber pointers and blocks and
+// against the skeleton they induce: each block's first fiber, a copy of
+// the block indices, each fiber's head element indices.
+func sameFibers(t *testing.T, what string, g *GHiCOO, fb *Fibers) {
+	t.Helper()
+	fptr, fiberBlock := fiberPointersOracle(g)
+	if !slices.Equal(fb.Ptr, fptr) || !slices.Equal(fb.Block, fiberBlock) {
+		t.Fatalf("%s: fiber pointers or blocks differ from the two-pass oracle", what)
+	}
+	var bptr []int64
+	for f := range fiberBlock {
+		if f == 0 || fiberBlock[f] != fiberBlock[f-1] {
+			bptr = append(bptr, int64(f))
+		}
+	}
+	bptr = append(bptr, int64(len(fiberBlock)))
+	if !slices.Equal(fb.BPtr, bptr) {
+		t.Fatalf("%s: skeleton block pointers %v, want %v", what, fb.BPtr, bptr)
+	}
+	for ci := range g.CompModes {
+		if !slices.Equal(fb.BInds[ci], g.BInds[ci]) || (len(g.BInds[ci]) > 0 && &fb.BInds[ci][0] == &g.BInds[ci][0]) {
+			t.Fatalf("%s: skeleton block indices of slot %d are not a copy of the tensor's", what, ci)
+		}
+		e := make([]uint8, len(fiberBlock))
+		for f := range e {
+			e[f] = g.EInds[ci][fptr[f]]
+		}
+		if !slices.Equal(fb.EInds[ci], e) {
+			t.Fatalf("%s: skeleton element indices of slot %d differ from the fiber heads'", what, ci)
+		}
+	}
 }
 
 func TestGHiCOOStorageBeatsHiCOOOnHyperSparse(t *testing.T) {
@@ -232,4 +310,99 @@ func (g *GHiCOO) Validate() error {
 		}
 	}
 	return nil
+}
+
+// orderTensors are tensors of order 2-4 with duplicate coordinates (values
+// number the entries, so any instability shows), with blocks of many
+// non-zeros and of one, for the conversions' order-dependence tests.
+func orderTensors() []*tensor.COO {
+	var out []*tensor.COO
+	for i, dims := range [][]tensor.Index{{9, 300}, {6, 40, 300}, {5, 300, 7, 20}, {3000, 3000, 3000}} {
+		rng := rand.New(rand.NewSource(int64(40 + i)))
+		x := tensor.NewCOO(dims, 400)
+		idx := make([]tensor.Index, len(dims))
+		for v := 0; v < 400; v++ {
+			for n, d := range dims {
+				idx[n] = tensor.Index(rng.Intn(int(d)))
+			}
+			x.Append(idx, tensor.Value(v))
+		}
+		out = append(out, x)
+	}
+	return out
+}
+
+// permutations lists every permutation of 0..n-1.
+func permutations(n int) [][]int {
+	if n == 0 {
+		return [][]int{{}}
+	}
+	var out [][]int
+	for _, p := range permutations(n - 1) {
+		for at := 0; at <= len(p); at++ {
+			out = append(out, append(append(append([]int{}, p[:at]...), n-1), p[at:]...))
+		}
+	}
+	return out
+}
+
+func sameGHiCOO(t *testing.T, what string, got, want *GHiCOO) {
+	t.Helper()
+	if !slices.Equal(got.BPtr, want.BPtr) || !slices.Equal(got.Vals, want.Vals) {
+		t.Fatalf("%s: block pointers or values differ", what)
+	}
+	sameArrays(t, what+" BInds", got.BInds, want.BInds)
+	sameArrays(t, what+" EInds", got.EInds, want.EInds)
+	sameArrays(t, what+" UInds", got.UInds, want.UInds)
+}
+
+// TestFromCOOModesIgnoresRecordedOrder: blockModes sorts only the
+// uncompressed columns the input's recorded order leaves open, so for
+// every recorded order and every set of compressed modes the gHiCOO
+// arrays must equal those converted from the same data with its order
+// forgotten, which sorts on every uncompressed column.
+func TestFromCOOModesIgnoresRecordedOrder(t *testing.T) {
+	for ti, x0 := range orderTensors() {
+		order := x0.Order()
+		for _, recorded := range permutations(order) {
+			x := x0.Clone()
+			x.Sort(recorded)
+			forgotten := &tensor.COO{Dims: x.Dims, Inds: x.Inds, Vals: x.Vals}
+			for set := 1; set < 1<<order; set++ {
+				var comp []int
+				for n := 0; n < order; n++ {
+					if set>>n&1 == 1 {
+						comp = append(comp, n)
+					}
+				}
+				what := fmt.Sprintf("tensor %d recorded %v comp %v", ti, recorded, comp)
+				sameGHiCOO(t, what, FromCOOModes(x, comp, 3), FromCOOModes(forgotten, comp, 3))
+			}
+		}
+	}
+}
+
+// TestFromCOOFibersMatchesTwoPass: the fibers the assembly sweep finds
+// equal the two-pass oracle's over the finished gHiCOO, and the tensor
+// equals FromCOOExceptMode's, for every mode, block size and recorded
+// order (none, and each permutation).
+func TestFromCOOFibersMatchesTwoPass(t *testing.T) {
+	for ti, x0 := range orderTensors() {
+		inputs := []*tensor.COO{x0}
+		for _, recorded := range permutations(x0.Order()) {
+			x := x0.Clone()
+			x.Sort(recorded)
+			inputs = append(inputs, x)
+		}
+		for xi, x := range inputs {
+			for mode := 0; mode < x.Order(); mode++ {
+				for _, bits := range []uint8{1, 3, DefaultBlockBits} {
+					what := fmt.Sprintf("tensor %d input %d mode %d bits %d", ti, xi, mode, bits)
+					g, fb := FromCOOFibers(x, mode, bits)
+					sameGHiCOO(t, what, g, FromCOOExceptMode(x, mode, bits))
+					sameFibers(t, what, g, fb)
+				}
+			}
+		}
+	}
 }

@@ -76,14 +76,14 @@ func FromCOO(t *tensor.COO, blockBits uint8) *HiCOO {
 	if blockBits == 0 || blockBits > MaxBlockBits {
 		panic(fmt.Sprintf("hicoo: blockBits %d outside [1,%d]", blockBits, MaxBlockBits))
 	}
-	b := blockModes(t, tensor.OtherModes(t.Order(), -1), nil, blockBits)
+	b := blockModes(t, tensor.OtherModes(t.Order(), -1), nil, blockBits, false)
 	return &HiCOO{
 		Dims:      append([]tensor.Index(nil), t.Dims...),
 		BlockBits: blockBits,
 		BPtr:      b.bptr,
 		BInds:     b.binds,
 		EInds:     b.einds,
-		Vals:      gathered(t.Vals, b.perm),
+		Vals:      b.vals,
 	}
 }
 

@@ -14,12 +14,12 @@ type Footprint struct {
 	// matrices, dense Ttm matrix, Ttv vector).
 	Workbench int64
 	// Instance is the prepared-instance component: the format
-	// conversion (it reads a sorted copy of the COO, so that copy is
-	// charged too), the output buffer the instance owns, for COO and
-	// HiCOO Mttkrp the mode-sorted copy its parallel path keeps, for COO
-	// and HiCOO Ttv and Ttm the plan's fiber pointers (and for HiCOO each
-	// fiber's block), and for Ttv the length-grouped layout its Prepare
-	// may build.
+	// conversion (which, except for HiCOO Ttv and Ttm, reads a sorted
+	// copy of the COO, so that copy is charged too), the output buffer
+	// the instance owns, for COO and HiCOO Mttkrp the mode-sorted copy
+	// its parallel path keeps, for COO and HiCOO Ttv and Ttm the plan's
+	// fiber pointers (and for HiCOO each fiber's block), and for Ttv the
+	// length-grouped layout its Prepare may build.
 	Instance int64
 	// Run is the per-execution transient component: the unique bytes a
 	// trial touches — the Table 1 roofline traffic clamped to the
@@ -72,16 +72,31 @@ func EstimateFootprint(k roofline.Kernel, f roofline.Format, dims []int64, nnz i
 	// to fibers (≤ nnz+1 of 8 B, allocated once at their exact count) are
 	// charged ptrBytes per non-zero: the quarter more covers a tree's
 	// levels above its fibers when they hold fewer than a quarter as many
-	// nodes (a CSF Ttm over one non-zero per fiber leaves 108 B per
+	// nodes (a CSF Ttm over one non-zero per fiber leaves 102 B per
 	// non-zero live of the 110 charged, TestEstimateChargesTtvLayout).
 	const ptrBytes = 10
 	conv := coo
+	// HiCOO Ttv and Ttm convert X itself to gHiCOO with the product mode
+	// uncompressed (no sorted copy): per non-zero its value, that mode's
+	// full index and the other modes' 1 B element indices; per block a
+	// pointer and the compressed modes' block indices, charged at
+	// fiberBlocks' bound. Their output (HiCOO, sHiCOO) repeats the block
+	// arrays over one entry per fiber.
+	hicooFibers := f == roofline.HiCOO && (k == roofline.Ttv || k == roofline.Ttm)
+	var blockBytes int64
+	if hicooFibers {
+		blockBytes = (8 + tensor.IndexBytes*(order-1)) * fiberBlocks(dims, nnz, blockSize)
+	}
 	switch f {
 	case roofline.COO:
 		if k == roofline.Mttkrp {
 			conv += coo // the owners' copy, sorted by the output mode
 		}
 	case roofline.HiCOO:
+		if hicooFibers {
+			conv = (tensor.ValueBytes+tensor.IndexBytes+order-1)*nnz + blockBytes
+			break
+		}
 		// Block pointers + block indices + 8-bit element indices + values.
 		nb := nnz/blockSize + 1
 		hx := (8+tensor.IndexBytes*order)*nb + (tensor.ValueBytes+order)*nnz
@@ -115,6 +130,15 @@ func EstimateFootprint(k roofline.Kernel, f roofline.Format, dims []int64, nnz i
 		}
 	}
 	out := outputBytes(k, order, nnz, maxDim, r)
+	if hicooFibers {
+		// Per fiber (≤ nnz) its value (Ttv) or row of R (Ttm) and 1 B
+		// element indices, per block a copy of the gHiCOO's block arrays.
+		row := int64(tensor.ValueBytes)
+		if k == roofline.Ttm {
+			row *= r
+		}
+		out = (row+order-1)*nnz + blockBytes
+	}
 	fp.Instance = conv + out
 
 	// The roofline byte models count every read, including re-reads of
@@ -129,6 +153,30 @@ func EstimateFootprint(k roofline.Kernel, f roofline.Format, dims []int64, nnz i
 	}
 	fp.Run = run
 	return fp
+}
+
+// fiberBlocks bounds the blocks of a gHiCOO tensor with one mode left
+// uncompressed: at most one per non-zero, and at most the B-wide tiles
+// of the compressed modes, whichever mode is left out.
+func fiberBlocks(dims []int64, nnz, blockSize int64) int64 {
+	fewest := 0
+	for n, d := range dims {
+		if d < dims[fewest] {
+			fewest = n
+		}
+	}
+	bound := int64(1)
+	for n, d := range dims {
+		if n == fewest {
+			continue
+		}
+		tiles := max((d+blockSize-1)/blockSize, 1)
+		if bound > nnz/tiles {
+			return nnz
+		}
+		bound *= tiles
+	}
+	return min(bound, nnz)
 }
 
 // outputBytes estimates the output object one prepared instance owns.

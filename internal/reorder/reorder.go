@@ -138,15 +138,20 @@ func (p *Perm) Apply(t *tensor.COO) (*tensor.COO, error) {
 	if err := p.Validate(t.Dims); err != nil {
 		return nil, err
 	}
-	out := t.Clone()
-	for n := range out.Inds {
-		m := p.Maps[n]
-		ind := out.Inds[n]
-		for x := range ind {
-			ind[x] = m[ind[x]]
-		}
+	// A fresh COO, not a Clone: relabeling invalidates the input's
+	// recorded order, and Sort trusts a recorded order to decide ties.
+	out := &tensor.COO{
+		Dims: append([]tensor.Index(nil), t.Dims...),
+		Inds: make([][]tensor.Index, len(t.Inds)),
+		Vals: append([]tensor.Value(nil), t.Vals...),
 	}
-	// Relabeling invalidates any recorded ordering.
+	for n, ind := range t.Inds {
+		m, dst := p.Maps[n], make([]tensor.Index, len(ind))
+		for x, i := range ind {
+			dst[x] = m[i]
+		}
+		out.Inds[n] = dst
+	}
 	out.SortNatural()
 	return out, nil
 }

@@ -261,3 +261,26 @@ func TestReorderProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestApplySortsRelabeledSortedInput: relabeling voids the order an
+// input records, and Sort trusts a recorded order to decide ties, so
+// Apply on a sorted input must still leave its result in natural order.
+func TestApplySortsRelabeledSortedInput(t *testing.T) {
+	x := skewed(6)
+	x.SortNatural()
+	y, err := ByDegree(x).Apply(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for z := 1; z < y.NNZ(); z++ {
+		for n := range y.Inds {
+			a, b := y.Inds[n][z-1], y.Inds[n][z]
+			if a < b {
+				break
+			}
+			if a > b {
+				t.Fatalf("entries %d and %d out of natural order in mode %d", z-1, z, n)
+			}
+		}
+	}
+}

@@ -159,10 +159,10 @@ toploop:
 	VZEROUPPER
 	RET
 	// topF32AVX2 is the last assembly of tensor's text, and only the
-	// readLabel method wrappers the compiler emits (288 bytes) follow it.
-	// Padding it to 32 bytes past a multiple of 64 (INT3s, never run)
-	// starts hicoo, core and the rest at the offsets mod 64 they have
-	// without these bodies, whatever tensor's Go code weighs.
+	// readLabel method wrappers the compiler emits (288 bytes) and hicoo
+	// follow it before core. Padding it to a multiple of 64 (never run)
+	// keeps core and everything after it at the offsets mod 64 the
+	// kernel bodies were measured at, whatever tensor's Go code weighs;
+	// a change in hicoo's size by an odd multiple of 32 bytes is
+	// answered here, by adding or removing 32 bytes of padding.
 	PCALIGN $64
-	LONG $0xCCCCCCCC; LONG $0xCCCCCCCC; LONG $0xCCCCCCCC; LONG $0xCCCCCCCC
-	LONG $0xCCCCCCCC; LONG $0xCCCCCCCC; LONG $0xCCCCCCCC; LONG $0xCCCCCCCC

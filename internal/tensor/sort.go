@@ -43,13 +43,37 @@ func (t *COO) Sort(perm []int) {
 }
 
 // sortPerm returns the permutation of the non-zeros that orders them
-// stably by perm: the index arrays themselves are the key columns.
+// stably by perm: the index arrays themselves are the key columns, and
+// only those of SortPrefix(perm) are sorted on.
 func (t *COO) sortPerm(perm []int) []int32 {
-	cols := make([][]uint32, len(perm))
-	for k, n := range perm {
+	prefix := t.SortPrefix(perm)
+	cols := make([][]uint32, len(prefix))
+	for k, n := range prefix {
 		cols[k] = t.Inds[n]
 	}
 	return parallel.SortColumns(t.NNZ(), cols)
+}
+
+// SortPrefix returns the leading modes of the target order perm that a
+// stable sort of the non-zeros as they stand must still compare. With a
+// recorded order P, non-zeros equal on a set S of modes stand in P's
+// order over the modes outside S; so when perm[k:] is a subsequence of P
+// the stable sort by perm[:k] is the sort by perm, and SortPrefix
+// returns the shortest such perm[:k]. Without a recorded order it
+// returns perm. A stable sort by any key that ties exactly when
+// perm[:k] does (HiCOO's Morton key over a set of modes) is likewise
+// completed by the input's order over perm[k:].
+func (t *COO) SortPrefix(perm []int) []int {
+	if t.sortOrder == nil {
+		return perm
+	}
+	k, j := len(perm), len(t.sortOrder)-1
+	for ; k > 0 && j >= 0; j-- {
+		if t.sortOrder[j] == perm[k-1] {
+			k--
+		}
+	}
+	return perm[:k]
 }
 
 // SortedBy returns the tensor's non-zeros ordered by perm without

@@ -234,3 +234,76 @@ func TestUnfoldTree(t *testing.T) {
 		t.Fatalf("empty tree: %v", got)
 	}
 }
+
+// allPerms lists every permutation of 0..n-1.
+func allPerms(n int) [][]int {
+	if n == 0 {
+		return [][]int{{}}
+	}
+	var out [][]int
+	for _, p := range allPerms(n - 1) {
+		for at := 0; at <= len(p); at++ {
+			q := append(append(append([]int{}, p[:at]...), n-1), p[at:]...)
+			out = append(out, q)
+		}
+	}
+	return out
+}
+
+func TestSortPrefix(t *testing.T) {
+	natural := NewCOO([]Index{2, 2, 2, 2}, 0)
+	natural.SortNatural()
+	for _, c := range []struct {
+		x            *COO
+		target, want []int
+	}{
+		{natural, []int{1, 2, 3, 0}, []int{1, 2, 3}},
+		{natural, []int{0, 1, 2, 3}, []int{}},
+		{natural, []int{3, 2, 1, 0}, []int{3, 2, 1}},
+		{natural, []int{2, 0, 3, 1}, []int{2, 0, 3}},
+		{natural, []int{1, 3, 0, 2}, []int{1, 3}},
+		{NewCOO([]Index{2, 2, 2, 2}, 0), []int{1, 2, 3, 0}, []int{1, 2, 3, 0}},
+	} {
+		if got := c.x.SortPrefix(c.target); !slices.Equal(got, c.want) {
+			t.Errorf("recorded %v, target %v: SortPrefix = %v, want %v", c.x.sortOrder, c.target, got, c.want)
+		}
+	}
+}
+
+// TestSortedBySkipsDecidedModes: with an order recorded, SortedBy and
+// Sort compare only SortPrefix(perm); for every recorded order and every
+// target order they must give, bit for bit, the arrays a full sort of
+// the same data with its order forgotten gives — on tensors of order 1-5
+// with duplicates, an empty and a one-non-zero tensor, and sizes on both
+// sides of the parallel sort's chunking threshold.
+func TestSortedBySkipsDecidedModes(t *testing.T) {
+	cases := []*COO{
+		dupTensor(11, []Index{5}, 200),
+		dupTensor(12, []Index{4, 6}, 200),
+		dupTensor(13, []Index{3, 5, 4}, 200),
+		dupTensor(14, []Index{3, 2, 4, 3}, 200),
+		dupTensor(15, []Index{2, 3, 2, 3, 2}, 120),
+		NewCOO([]Index{3, 4, 5}, 0),
+		dupTensor(16, []Index{3, 4, 5}, 1),
+		dupTensor(17, []Index{40, 7}, 1<<14+3000),     // chunked passes
+		dupTensor(18, []Index{30, 5, 60}, 1<<14+3000), // chunked passes
+	}
+	for ci, x0 := range cases {
+		perms := allPerms(x0.Order())
+		for _, recorded := range perms {
+			x := x0.Clone()
+			x.Sort(recorded)
+			forgotten := &COO{Dims: x.Dims, Inds: x.Inds, Vals: x.Vals}
+			for _, perm := range perms {
+				want := forgotten.SortedBy(perm)
+				if got := x.SortedBy(perm); !sameEntries(got, want) || !got.IsSortedBy(perm) {
+					t.Fatalf("case %d recorded %v: SortedBy(%v) differs from the full sort", ci, recorded, perm)
+				}
+				got := x.Clone()
+				if got.Sort(perm); !sameEntries(got, want) {
+					t.Fatalf("case %d recorded %v: Sort(%v) differs from the full sort", ci, recorded, perm)
+				}
+			}
+		}
+	}
+}

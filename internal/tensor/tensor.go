@@ -42,7 +42,9 @@ type COO struct {
 	Vals []Value
 
 	// sortOrder records the mode permutation of the last sort, outermost
-	// first, or nil if the ordering is unknown.
+	// first, or nil if the ordering is unknown. Sorts trust it to decide
+	// ties (SortPrefix), so code that rewrites Inds in place must build
+	// a fresh COO rather than keep a Clone's.
 	sortOrder []int
 }
 
