@@ -10,6 +10,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/dataset"
 	"repro/internal/hicoo"
+	"repro/internal/kernelreg"
 	"repro/internal/levels"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
@@ -131,9 +132,11 @@ func scalarMttkrpBlocks(h *hicoo.HiCOO, mode, r int, mats []*tensor.Matrix, out 
 // one goroutine, atomic. The ranks cover every tail length; order 10
 // has more operands than the executor's stack array. HiCOO tensors of
 // one or two non-zeros per block, as regular4d's, hold the block entry
-// to Algorithm 2's loop: orders 3–5 and 10 over sub-ranges, a range of
+// to Algorithm 2's loop: orders 2–5 and 10 over sub-ranges, a range of
 // several calls, and BPtr made non-monotone in range (a block runs
-// empty, the next re-reads its non-zeros under its own bases).
+// empty, the next re-reads its non-zeros under its own bases). Orders
+// 2–4 run the body's one-, two- and three-operand instantiations, the
+// others the Go loop alone.
 func TestMttkrpBodyBitIdentical(t *testing.T) {
 	var b tensortest.Body
 	add := func(name string, size int, oracle, run func([]tensor.Value)) {
@@ -184,12 +187,15 @@ func TestMttkrpBodyBitIdentical(t *testing.T) {
 			Run:    func(out []tensor.Value) { hp.ExecuteBlocks(lo, hi, mats, out, false) },
 		})
 	}
-	for _, order := range []int{3, 4, 5, 10} {
+	for _, order := range []int{2, 3, 4, 5, 10} {
 		rowBlocks := 32
-		if order == 10 {
+		switch order {
+		case 2:
+			rowBlocks = 512
+		case 10:
 			rowBlocks = 4
 		}
-		for _, r := range []int{8, 16, 17, 33} {
+		for _, r := range []int{8, 16, 17, 33, 40} {
 			mode := (order + r) % order
 			x, mats := sparseBlocks(int64(1000*order+r), order, rowBlocks, 300, r, mode)
 			h := hicoo.FromCOO(x, hicoo.DefaultBlockBits)
@@ -243,16 +249,17 @@ func TestMttkrpBodyAcrossCalls(t *testing.T) {
 }
 
 // TestMttkrpOutOfRangePanicsAtSameNonZero puts one row index past a
-// factor or the output: COO's 32-bit one row past the end, HiCOO's 8-bit
-// 255 in a block moved to the last block row. HiCOO's block pointers and
-// block indices are corrupted too: the last BPtr entry past the values,
-// an entry of −1 (inside a range, and as the first block of one), an
-// entry moved back before the block in front of it
-// (that block runs empty, and this one re-reads earlier non-zeros under
-// its own bases until a row is past the end), and a block index whose
-// base is past the rows, by one block and by the most a 32-bit index
-// holds. Both sides must panic at the same non-zero after the same
-// writes.
+// factor or the output, in every slot of every operand count the body
+// instantiates (orders 2–4, the output and each input mode): COO's
+// 32-bit index at the row count and at 2³² − 1, HiCOO's 8-bit index at
+// the row count in a block of the last block row and at 255 in a block
+// moved there, and HiCOO's block index one block past the rows and at
+// 2³² − 1. HiCOO's block pointers are corrupted too (order 3): the last
+// BPtr entry past the values, an entry of −1 (inside a range, and as the
+// first block of one), and an entry moved back before the block in front
+// of it (that block runs empty, and this one re-reads earlier non-zeros
+// under its own bases until a row is past the end). Both sides must
+// panic at the same non-zero after the same writes.
 func TestMttkrpOutOfRangePanicsAtSameNonZero(t *testing.T) {
 	const mode = 1
 	var b tensortest.Body
@@ -267,35 +274,50 @@ func TestMttkrpOutOfRangePanicsAtSameNonZero(t *testing.T) {
 		})
 	}
 	for _, r := range []int{8, 16, 17, 33} {
-		for _, bad := range []int{mode, 0, 2} {
-			x, mats := mttkrpCase(int64(7*r+bad), 3, 400, r, mode)
-			inds := x.Clone().Inds
-			const lo, at = 20, 250
-			inds[bad][at] = x.Dims[bad] // one row past the end
-			size := int(x.Dims[mode]) * r
-			b.Corruptions = append(b.Corruptions, tensortest.BodyCase{
-				Name: fmt.Sprintf("COO R %d bad mode %d", r, bad), Size: size,
-				Oracle: func(out []tensor.Value) { scalarMttkrp(inds, x.Vals, mode, r, mats, out, lo, at) },
-				Run: func(out []tensor.Value) {
-					core.MttkrpCOORange(inds, x.Vals, mode, r, mats, out, lo, x.NNZ(), false)
-				},
-			})
+		for _, order := range []int{2, 3, 4} {
+			for bad := range order {
+				seed := int64(7*r + bad)
+				if order != 3 {
+					seed += int64(1000 * order)
+				}
+				x, mats := mttkrpCase(seed, order, 400, r, mode)
+				label := fmt.Sprintf("order %d R %d bad mode %d", order, r, bad)
+				for _, idx := range []tensor.Index{x.Dims[bad], math.MaxUint32} {
+					inds := x.Clone().Inds
+					const lo, at = 20, 250
+					inds[bad][at] = idx
+					b.Corruptions = append(b.Corruptions, tensortest.BodyCase{
+						Name: fmt.Sprintf("COO %s index %d", label, idx), Size: int(x.Dims[mode]) * r,
+						Oracle: func(out []tensor.Value) { scalarMttkrp(inds, x.Vals, mode, r, mats, out, lo, at) },
+						Run: func(out []tensor.Value) {
+							core.MttkrpCOORange(inds, x.Vals, mode, r, mats, out, lo, x.NNZ(), false)
+						},
+					})
+				}
 
-			h := hicoo.FromCOO(x, hicoo.DefaultBlockBits)
-			blk := h.NumBlocks() / 2
-			h.BInds[bad][blk] = (x.Dims[bad] - 1) >> h.BlockBits
-			h.EInds[bad][h.BPtr[blk+1]-1] = 255
-			hicooCase(fmt.Sprintf("HiCOO R %d bad mode %d", r, bad), h, mats, r)
-
-			h = hicoo.FromCOO(x, hicoo.DefaultBlockBits)
-			blk, to := movedBack(t, h, bad)
-			h.BPtr[blk] = to
-			hicooCase(fmt.Sprintf("HiCOO R %d BPtr[%d] moved back to %d bad mode %d", r, blk, to, bad), h, mats, r)
-
-			for _, bind := range []tensor.Index{x.Dims[bad]>>hicoo.DefaultBlockBits + 1, math.MaxUint32} {
+				last := (x.Dims[bad] - 1) >> hicoo.DefaultBlockBits
 				h := hicoo.FromCOO(x, hicoo.DefaultBlockBits)
-				h.BInds[bad][h.NumBlocks()/2] = bind
-				hicooCase(fmt.Sprintf("HiCOO R %d BInds %d bad mode %d", r, bind, bad), h, mats, r)
+				blk := lastRowBlock(t, h, bad)
+				h.EInds[bad][h.BPtr[blk+1]-1] = uint8(x.Dims[bad] - last<<hicoo.DefaultBlockBits)
+				hicooCase(fmt.Sprintf("HiCOO %s element index at the row count", label), h, mats, r)
+
+				h = hicoo.FromCOO(x, hicoo.DefaultBlockBits)
+				blk = h.NumBlocks() / 2
+				h.BInds[bad][blk] = last
+				h.EInds[bad][h.BPtr[blk+1]-1] = 255
+				hicooCase(fmt.Sprintf("HiCOO %s element index 255", label), h, mats, r)
+				for _, bind := range []tensor.Index{last + 1, math.MaxUint32} {
+					h := hicoo.FromCOO(x, hicoo.DefaultBlockBits)
+					h.BInds[bad][h.NumBlocks()/2] = bind
+					hicooCase(fmt.Sprintf("HiCOO %s BInds %d", label, bind), h, mats, r)
+				}
+				if order != 3 {
+					continue
+				}
+				h = hicoo.FromCOO(x, hicoo.DefaultBlockBits)
+				blk, to := movedBack(t, h, bad)
+				h.BPtr[blk] = to
+				hicooCase(fmt.Sprintf("HiCOO %s BPtr[%d] moved back to %d", label, blk, to), h, mats, r)
 			}
 		}
 
@@ -323,6 +345,21 @@ func TestMttkrpOutOfRangePanicsAtSameNonZero(t *testing.T) {
 	tensortest.CheckBody(t, b)
 }
 
+// lastRowBlock finds a block of h, from the middle on, whose base in
+// mode bad is the mode's last block row.
+func lastRowBlock(t *testing.T, h *hicoo.HiCOO, bad int) int {
+	t.Helper()
+	last := (h.Dims[bad] - 1) >> h.BlockBits
+	nb := h.NumBlocks()
+	for i := range nb {
+		if blk := (nb/2 + i) % nb; h.BInds[bad][blk] == last {
+			return blk
+		}
+	}
+	t.Fatalf("no block in mode %d's last block row", bad)
+	return 0
+}
+
 // movedBack finds a block of h whose base in mode bad is the last block
 // row and a non-zero in front of the block before it whose element
 // index in mode bad, under that base, is past the mode's end: with
@@ -348,7 +385,8 @@ func movedBack(t *testing.T, h *hicoo.HiCOO, bad int) (blk int, at int64) {
 // TestMttkrpExecuteAllocatesNothing pins the Mttkrp paths at zero
 // allocations per call: the operand list lives on the executor's stack
 // and the body needs no scratch row. The sparse-blocks HiCOO plan (order
-// 4, R = 16, one or two non-zeros per block) runs the block entry. On one
+// 4, R = 16, one or two non-zeros per block) runs the block entry, and
+// ExecuteSeq of orders 2 and 3 the body's other operand counts. On one
 // worker ExecuteOMP is ExecuteSeq: it allocates nothing and builds no
 // mode-sorted copy, whatever the strategy asked for.
 func TestMttkrpExecuteAllocatesNothing(t *testing.T) {
@@ -380,6 +418,19 @@ func TestMttkrpExecuteAllocatesNothing(t *testing.T) {
 			core.MttkrpCOORange(ax.Inds, ax.Vals, 2, 16, amats, out, 0, ax.NNZ(), false)
 			return nil
 		},
+	}
+	for _, order := range []int{2, 3} {
+		x, mats := mttkrpCase(int64(93+order), order, 3000, 16, 1)
+		p, err := core.PrepareMttkrp(x, 1, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hp, err := core.PrepareMttkrpHiCOO(hicoo.FromCOO(x, hicoo.DefaultBlockBits), 1, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs[fmt.Sprintf("MttkrpPlan.ExecuteSeq order %d", order)] = func() error { _, err := p.ExecuteSeq(mats); return err }
+		allocs[fmt.Sprintf("MttkrpHiCOOPlan.ExecuteSeq order %d", order)] = func() error { _, err := hp.ExecuteSeq(mats); return err }
 	}
 	for _, st := range []parallel.Strategy{parallel.Auto, parallel.Atomic, parallel.Privatized} {
 		opt := parallel.Options{Schedule: parallel.Dynamic, Threads: 1, Strategy: st}
@@ -638,7 +689,9 @@ func TestTtmExecuteAllocatesNothing(t *testing.T) {
 // reports it per non-zero. Run it with -cpu 1. The random tensors hold
 // tens to thousands of non-zeros per HiCOO block; regS4d, regular4d's
 // service tensor at 100 000 non-zeros, holds about 1.6, so its HiCOO row
-// shows the per-block cost.
+// shows the per-block cost. The main/ rows time every mode, R = 16, of
+// the three workloads' main tensors (dataset.Materialize, seed 1) over
+// the operands the workbench draws.
 func BenchmarkMttkrpBody(b *testing.B) {
 	e, err := dataset.ByID("regS4d")
 	if err != nil {
@@ -674,6 +727,43 @@ func BenchmarkMttkrpBody(b *testing.B) {
 				exec func([]*tensor.Matrix) (*tensor.Matrix, error)
 			}{{"COO", p.ExecuteSeq}, {"HiCOO", hp.ExecuteSeq}} {
 				tensortest.BenchSides(b, fmt.Sprintf("%s/R=%d/%s", w.name, r, f.name), x.NNZ(), "nnz", func() error {
+					_, err := f.exec(mats)
+					return err
+				})
+			}
+		}
+	}
+
+	const r = 16
+	for _, w := range []struct {
+		id  string
+		nnz int
+	}{{"irrS", 300_000}, {"regS4d", 100_000}, {"nell2", 40_000}} {
+		e, err := dataset.ByID(w.id)
+		if err != nil {
+			b.Fatal(err)
+		}
+		x, err := dataset.Materialize(e, w.nnz, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		h := hicoo.FromCOO(x, hicoo.DefaultBlockBits)
+		mats := kernelreg.FactorMats(x.Dims, r)
+		for mode := range x.Dims {
+			p, err := core.PrepareMttkrp(x, mode, r)
+			if err != nil {
+				b.Fatal(err)
+			}
+			hp, err := core.PrepareMttkrpHiCOO(h, mode, r)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, f := range []struct {
+				name string
+				exec func([]*tensor.Matrix) (*tensor.Matrix, error)
+			}{{"COO", p.ExecuteSeq}, {"HiCOO", hp.ExecuteSeq}} {
+				name := fmt.Sprintf("main/%s-%d/mode=%d/R=%d/%s", w.id, w.nnz, mode, r, f.name)
+				tensortest.BenchSides(b, name, x.NNZ(), "nnz", func() error {
 					_, err := f.exec(mats)
 					return err
 				})

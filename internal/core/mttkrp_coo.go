@@ -218,15 +218,20 @@ type mttkrpOperand[E uint8 | tensor.Index] struct {
 // stack; a tensor of higher order spills the list to the heap (append).
 const mttkrpStackOperands = 8
 
+// mttkrpBodyOperands is the most input modes the assembly body holds in
+// registers: orders 2–4. Higher orders run the Go loop.
+const mttkrpBodyOperands = 3
+
 // mttkrpRows is the Mttkrp value computation over one block of 32-bit
 // row indices (DESIGN.md §22): for every non-zero x of [lo, hi) it adds
 // vals[x] times the Hadamard product of the operands' rows to the row of
-// dst. On amd64 with AVX2 the plain arm runs one assembly body over
-// columns [0, r&^7) (mttkrp_amd64.s), one call per cpu.CallNNZ
-// non-zeros; the Go loop computes the columns left, the atomic arm and,
-// on other hosts, everything. The body stops before the first non-zero
-// with a row out of range, and the Go loop resumes there, so such an
-// index panics where the Go loop alone panics, after the same writes.
+// dst. On amd64 with AVX2 the plain arm of orders 2–4 runs one assembly
+// body over columns [0, r&^7) (mttkrp_amd64.s), one call per
+// cpu.CallNNZ non-zeros; the Go loop computes the columns left, the
+// atomic arm, orders 5 and up and, on other hosts, everything. The body
+// stops before the first non-zero with a row out of range, and the Go
+// loop resumes there, so such an index panics where the Go loop alone
+// panics, after the same writes.
 // Operands multiply in slice order (ascending mode) and non-zeros are
 // visited in order, so each output element sees the products and
 // additions of the textbook loop, bit for bit, on either path. HiCOO's
@@ -248,16 +253,17 @@ func mttkrpRows(dst *mttkrpOperand[tensor.Index], ops []mttkrpOperand[tensor.Ind
 	mttkrpCols(dst, ops, vals, r, 0, lo, hi, atomicUpd)
 }
 
-// mttkrpFits is mttkrpRows32's precondition, O(order): the index and
-// value columns cover [lo, hi), and every base lies in [0, len(data)].
-// With r ≤ 2^16 a row index stays below 2^32 + 2^46 (a []float32 holds
-// fewer than 2^46 values), so the body's (base+ind)·r + r cannot wrap.
+// mttkrpFits is mttkrpRows32's precondition, O(order): one to
+// mttkrpBodyOperands operands, the index and value columns cover
+// [lo, hi), and every base is 0, as COO's always are, so the body reads
+// none. A row that passes the body's row check lies inside its data.
 func mttkrpFits(dst *mttkrpOperand[tensor.Index], ops []mttkrpOperand[tensor.Index], vals []tensor.Value, r, lo, hi int) bool {
-	if lo < 0 || lo > hi || hi > len(vals) || r > 1<<16 || len(dst.ind) < hi || uint(dst.base) > uint(len(dst.data)) {
+	if uint(len(ops)-1) >= mttkrpBodyOperands || uint(lo) > uint(hi) || uint(hi) > uint(len(vals)) || r > 1<<16 ||
+		len(dst.ind) < hi || dst.base != 0 {
 		return false
 	}
 	for i := range ops {
-		if op := &ops[i]; len(op.ind) < hi || uint(op.base) > uint(len(op.data)) {
+		if op := &ops[i]; len(op.ind) < hi || op.base != 0 {
 			return false
 		}
 	}

@@ -162,13 +162,14 @@ func (p *MttkrpHiCOOPlan) ExecuteGPU(dev *gpusim.Device, mats []*tensor.Matrix) 
 // plainly or atomically. Each tensor block is one block of the row body
 // (DESIGN.md §22): its operands' bases are the block matrix bases Ab,
 // Bb, Cb of line 3 and its row indices the 8-bit element indices. On
-// amd64 with AVX2 the plain arm hands columns [0, r&^7) of whole block
-// ranges, cut by cpu.Cut, to mttkrpBlocks, which walks the blocks itself;
-// blockCols, the Go loop, computes the columns left, the atomic arm and,
-// on other hosts, everything. When the body stops at block b, non-zero
-// x, the Go loop finishes the columns from r&^7 on up to there and
-// resumes every column at x, so a bad pointer or index panics where, and
-// after the writes with which, the Go loop alone panics.
+// amd64 with AVX2 the plain arm of orders 2–4 hands columns [0, r&^7)
+// of whole block ranges, cut by cpu.Cut, to mttkrpBlocks, which walks
+// the blocks itself; blockCols, the Go loop, computes the columns left,
+// the atomic arm, orders 5 and up and, on other hosts, everything. When
+// the body stops at block b, non-zero x, the Go loop finishes the
+// columns from r&^7 on up to there and resumes every column at x, so a
+// bad pointer or index panics where, and after the writes with which,
+// the Go loop alone panics.
 func (p *MttkrpHiCOOPlan) executeBlocks(lo, hi int, mats []*tensor.Matrix, out []tensor.Value, atomicUpd bool) {
 	h := p.X
 	var buf [mttkrpStackOperands]mttkrpOperand[uint8]
@@ -205,15 +206,16 @@ func (p *MttkrpHiCOOPlan) executeBlocks(lo, hi int, mats []*tensor.Matrix, out [
 	blockCols(h, &dst, ops, r, 0, lo, hi, atomicUpd)
 }
 
-// blocksFit is mttkrpBlocks' precondition, O(order): BPtr covers blocks
-// [lo, hi) and every operand's block index column their bases, the
-// block bits are at most hicoo.MaxBlockBits and r ≤ 2^16. It returns n,
-// how many non-zeros the value and element index columns all cover,
-// which the body checks every block's BPtr entries against. A base is
-// then below 2^40 (a 32-bit block index shifted by at most 8), so no
-// row product can wrap.
+// blocksFit is mttkrpBlocks' precondition, O(order): one to
+// mttkrpBodyOperands operands, BPtr covers blocks [lo, hi) and every
+// operand's block index column their bases, the block bits are at most
+// hicoo.MaxBlockBits and r ≤ 2^16. It returns n, how many non-zeros the
+// value and element index columns all cover, which the body checks
+// every block's BPtr entries against. A base is then below 2^40 (a
+// 32-bit block index shifted by at most 8), so no row can wrap.
 func blocksFit(h *hicoo.HiCOO, dst *mttkrpOperand[uint8], ops []mttkrpOperand[uint8], r, lo, hi int) (int, bool) {
-	if lo < 0 || hi >= len(h.BPtr) || r > 1<<16 || h.BlockBits > hicoo.MaxBlockBits || len(dst.bind) < hi {
+	if uint(len(ops)-1) >= mttkrpBodyOperands || lo < 0 || hi >= len(h.BPtr) || r > 1<<16 ||
+		h.BlockBits > hicoo.MaxBlockBits || len(dst.bind) < hi {
 		return 0, false
 	}
 	n := min(len(h.Vals), len(dst.ind))

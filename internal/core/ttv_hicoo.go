@@ -23,8 +23,6 @@ type TtvHiCOOPlan struct {
 	Mode int
 	// Fptr holds the fiber start offsets (MF+1 entries).
 	Fptr []int64
-	// FiberBlock maps each fiber to its gHiCOO block.
-	FiberBlock []int32
 	// Out is the preallocated order-(N-1) HiCOO output.
 	Out *hicoo.HiCOO
 
@@ -58,7 +56,7 @@ func PrepareTtvHiCOO(x *tensor.COO, mode int, blockBits uint8) (*TtvHiCOOPlan, e
 		EInds:     fb.EInds,
 		Vals:      k.out,
 	}
-	return &TtvHiCOOPlan{X: g, Mode: mode, Fptr: k.fptr, FiberBlock: fb.Block, Out: out, k: k}, nil
+	return &TtvHiCOOPlan{X: g, Mode: mode, Fptr: k.fptr, Out: out, k: k}, nil
 }
 
 // NumFibers returns MF.

@@ -274,7 +274,7 @@ func assemble(t *tensor.COO, srcs [][]tensor.Index, uncomp []int, perm []int32, 
 	b.bptr = make([]int64, nb+1)
 	var fb *Fibers
 	if withFibers {
-		fb = &Fibers{Ptr: make([]int64, nf+1), Block: make([]int32, nf), BPtr: make([]int64, nb+1)}
+		fb = &Fibers{Ptr: make([]int64, nf+1), BPtr: make([]int64, nb+1), BInds: make([][]tensor.Index, nc), EInds: make([][]uint8, nc)}
 	}
 	blk, f := 0, 0
 	for w, d := range diffs {
@@ -287,7 +287,6 @@ func assemble(t *tensor.COO, srcs [][]tensor.Index, uncomp []int, perm []int32, 
 		}
 		if fb != nil && d != 0 {
 			fb.Ptr[f] = int64(w)
-			fb.Block[f] = int32(blk - 1)
 			f++
 		}
 	}
@@ -302,7 +301,6 @@ func assemble(t *tensor.COO, srcs [][]tensor.Index, uncomp []int, perm []int32, 
 	}
 	if fb != nil {
 		fb.Ptr[nf], fb.BPtr[nb] = int64(m), int64(nf)
-		fb.BInds, fb.EInds = make([][]tensor.Index, nc), make([][]uint8, nc)
 		fe := make([]uint8, nc*nf)
 		for ci, e := range b.einds {
 			fb.BInds[ci] = slices.Clone(b.binds[ci])

@@ -94,8 +94,6 @@ func FromCOOExceptMode(t *tensor.COO, n int, blockBits uint8) *GHiCOO {
 type Fibers struct {
 	// Ptr[f] is the first non-zero of fiber f (NumFibers+1 entries).
 	Ptr []int64
-	// Block maps each fiber to its gHiCOO block.
-	Block []int32
 	// BPtr[b] is the first fiber of block b (NumBlocks+1 entries).
 	BPtr []int64
 	// BInds holds one block-index array per compressed mode, a copy of

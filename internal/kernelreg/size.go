@@ -14,12 +14,12 @@ type Footprint struct {
 	// matrices, dense Ttm matrix, Ttv vector).
 	Workbench int64
 	// Instance is the prepared-instance component: the format
-	// conversion (which, except for HiCOO Ttv and Ttm, reads a sorted
-	// copy of the COO, so that copy is charged too), the output buffer
-	// the instance owns, for COO and HiCOO Mttkrp the mode-sorted copy
-	// its parallel path keeps, for COO and HiCOO Ttv and Ttm the plan's
-	// fiber pointers (and for HiCOO each fiber's block), and for Ttv the
-	// length-grouped layout its Prepare may build.
+	// conversion (which, except for HiCOO Ttv, Ttm and Mttkrp, reads a
+	// sorted copy of the COO, so that copy is charged too), the output
+	// buffer the instance owns, for COO and HiCOO Mttkrp the mode-sorted
+	// copy its parallel path keeps, for COO and HiCOO Ttv and Ttm the
+	// plan's fiber pointers, and for Ttv the length-grouped layout its
+	// Prepare may build.
 	Instance int64
 	// Run is the per-execution transient component: the unique bytes a
 	// trial touches — the Table 1 roofline traffic clamped to the
@@ -80,12 +80,12 @@ func EstimateFootprint(k roofline.Kernel, f roofline.Format, dims []int64, nnz i
 	// uncompressed (no sorted copy): per non-zero its value, that mode's
 	// full index and the other modes' 1 B element indices; per block a
 	// pointer and the compressed modes' block indices, charged at
-	// fiberBlocks' bound. Their output (HiCOO, sHiCOO) repeats the block
-	// arrays over one entry per fiber.
+	// blockBound without the fewest mode. Their output (HiCOO, sHiCOO)
+	// repeats the block arrays over one entry per fiber.
 	hicooFibers := f == roofline.HiCOO && (k == roofline.Ttv || k == roofline.Ttm)
 	var blockBytes int64
 	if hicooFibers {
-		blockBytes = (8 + tensor.IndexBytes*(order-1)) * fiberBlocks(dims, nnz, blockSize)
+		blockBytes = (8 + tensor.IndexBytes*(order-1)) * blockBound(dims, nnz, blockSize, fewestMode(dims))
 	}
 	switch f {
 	case roofline.COO:
@@ -99,6 +99,11 @@ func EstimateFootprint(k roofline.Kernel, f roofline.Format, dims []int64, nnz i
 		}
 		// Block pointers + block indices + 8-bit element indices + values.
 		nb := nnz/blockSize + 1
+		if k == roofline.Mttkrp {
+			// Workbench.HX converts X itself (no sorted copy), with
+			// the blocks at their bound: regS4d's hold 1.6 non-zeros.
+			nb, conv = blockBound(dims, nnz, blockSize, -1), 0
+		}
 		hx := (8+tensor.IndexBytes*order)*nb + (tensor.ValueBytes+order)*nnz
 		if k == roofline.Mttkrp {
 			hx *= 2 // the owners' copy, blocks sorted by the output mode
@@ -118,15 +123,12 @@ func EstimateFootprint(k roofline.Kernel, f roofline.Format, dims []int64, nnz i
 	}
 	if k == roofline.Ttv || k == roofline.Ttm {
 		// A fiber plan's own fiber pointers (a tree plan reads its leaf
-		// level's); HiCOO's also keeps each fiber's gHiCOO block, an
-		// int32 per fiber. The HiCOO output's skeleton (1 B element
-		// indices per fiber and compressed mode, block pointers and
-		// indices) is the output term's, which charges 4 B per index.
+		// level's). The HiCOO output's skeleton (1 B element indices per
+		// fiber and compressed mode, block pointers and indices) is the
+		// output term's, which charges 4 B per index.
 		switch f {
-		case roofline.COO:
+		case roofline.COO, roofline.HiCOO:
 			conv += ptrBytes * nnz
-		case roofline.HiCOO:
-			conv += (ptrBytes + 4) * nnz
 		}
 	}
 	out := outputBytes(k, order, nnz, maxDim, r)
@@ -155,19 +157,13 @@ func EstimateFootprint(k roofline.Kernel, f roofline.Format, dims []int64, nnz i
 	return fp
 }
 
-// fiberBlocks bounds the blocks of a gHiCOO tensor with one mode left
-// uncompressed: at most one per non-zero, and at most the B-wide tiles
-// of the compressed modes, whichever mode is left out.
-func fiberBlocks(dims []int64, nnz, blockSize int64) int64 {
-	fewest := 0
-	for n, d := range dims {
-		if d < dims[fewest] {
-			fewest = n
-		}
-	}
+// blockBound bounds the blocks of a HiCOO tensor whose modes other
+// than skip (none when skip < 0) are compressed: at most one per
+// non-zero, and at most the B-wide tiles of the compressed modes.
+func blockBound(dims []int64, nnz, blockSize int64, skip int) int64 {
 	bound := int64(1)
 	for n, d := range dims {
-		if n == fewest {
+		if n == skip {
 			continue
 		}
 		tiles := max((d+blockSize-1)/blockSize, 1)
@@ -177,6 +173,19 @@ func fiberBlocks(dims []int64, nnz, blockSize int64) int64 {
 		bound *= tiles
 	}
 	return min(bound, nnz)
+}
+
+// fewestMode is the mode of fewest rows. blockBound without it is the
+// largest bound over the choice of the uncompressed mode, so it bounds a
+// gHiCOO tensor's blocks whichever mode is left uncompressed.
+func fewestMode(dims []int64) int {
+	fewest := 0
+	for n, d := range dims {
+		if d < dims[fewest] {
+			fewest = n
+		}
+	}
+	return fewest
 }
 
 // outputBytes estimates the output object one prepared instance owns.

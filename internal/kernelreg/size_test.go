@@ -1,11 +1,13 @@
 package kernelreg
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"runtime"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/roofline"
 	"repro/internal/tensor"
 )
@@ -232,11 +234,7 @@ func shared[E any](hs, cs [][]E, size int64) int64 {
 // the length-grouped layout) stay within the estimate's Instance
 // component, on two tensors: many one-non-zero fibers and a few long
 // ones, where Ttv's Prepare builds the layout, and one fiber per
-// non-zero, where the fiber pointers are as many as the non-zeros. One
-// HeapAlloc difference moved by several bytes per non-zero from run to
-// run (pooled sort scratch counted or not), so a cell's live bytes are
-// the least of liveSamples prepares, each on a fresh workbench after a
-// collection with the pools refilled, and the log shows their spread.
+// non-zero, where the fiber pointers are as many as the non-zeros.
 func TestEstimateChargesTtvLayout(t *testing.T) {
 	dims := []tensor.Index{1024, 64, 512}
 	fewLong := tensor.NewCOO(dims, 0)
@@ -256,10 +254,7 @@ func TestEstimateChargesTtvLayout(t *testing.T) {
 		i, j := ij/64, ij%64
 		perNonZero.Append([]tensor.Index{tensor.Index(i), tensor.Index(j), tensor.Index((7*i + j) % 512)}, 1)
 	}
-	const (
-		mode        = 2
-		liveSamples = 5
-	)
+	const mode = 2
 	requireGroupedTtvMode(t, "few-long-fibers", fewLong, mode)
 	for name, x := range map[string]*tensor.COO{"few-long-fibers": fewLong, "fiber-per-non-zero": perNonZero} {
 		for _, k := range []roofline.Kernel{roofline.Ttv, roofline.Ttm} {
@@ -268,34 +263,13 @@ func TestEstimateChargesTtvLayout(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				least, most := int64(math.MaxInt64), int64(math.MinInt64)
-				for range liveSamples {
-					// A throwaway Prepare first refills the pooled
-					// scratch (sort buffers) that the collections since
-					// the last sample dropped, so that both readings
-					// hold it and it is not counted as the instance's.
-					if _, err := v.Prepare(NewWorkbench(x, DefaultConfig()), mode); err != nil {
-						t.Fatal(err)
-					}
-					wb := NewWorkbench(x, DefaultConfig())
+				least, most := leastLive(t, v, x, mode, DefaultConfig(), func(wb *Workbench) {
 					if k == roofline.Ttv {
 						wb.Vec(mode)
 					} else {
 						wb.TtmMat(mode)
 					}
-					var before, after runtime.MemStats
-					runtime.GC()
-					runtime.ReadMemStats(&before)
-					inst, err := v.Prepare(wb, mode)
-					if err != nil {
-						t.Fatal(err)
-					}
-					runtime.GC()
-					runtime.ReadMemStats(&after)
-					runtime.KeepAlive(inst)
-					live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-					least, most = min(least, live), max(most, live)
-				}
+				}, nil)
 				charged := EstimateFootprint(k, f, []int64{1024, 64, 512}, int64(x.NNZ()), Config{}).Instance
 				perNZ := func(b int64) float64 { return float64(b) / float64(x.NNZ()) }
 				t.Logf("%s %s: %.1f B per non-zero live (%.1f–%.1f over %d prepares), %.1f charged",
@@ -303,6 +277,97 @@ func TestEstimateChargesTtvLayout(t *testing.T) {
 				if least > charged {
 					t.Errorf("%s %s: Prepare left %d bytes live, the estimate charges the instance %d", name, v, least, charged)
 				}
+			}
+		}
+	}
+}
+
+// liveSamples is how many prepares leastLive reads. One HeapAlloc
+// difference moved by several bytes per non-zero from run to run (pooled
+// sort scratch counted or not), so a cell's live bytes are the least of
+// liveSamples prepares, each on a fresh workbench after a collection
+// with the pools refilled, and the tests log their spread.
+const liveSamples = 5
+
+// leastLive prepares variant v of x in mode liveSamples times and
+// returns the least and most bytes each left live: after operands has
+// built the workbench operands the cell reads (which the estimate
+// charges to the workbench) and, when after is not nil, after it ran on
+// the instance.
+func leastLive(t *testing.T, v *Variant, x *tensor.COO, mode int, cfg Config, operands func(*Workbench), after func(*Instance)) (least, most int64) {
+	t.Helper()
+	least, most = math.MaxInt64, math.MinInt64
+	for range liveSamples {
+		// A throwaway Prepare first refills the pooled scratch (sort
+		// buffers) that the collections since the last sample dropped,
+		// so that both readings hold it and it is not counted as the
+		// instance's.
+		if _, err := v.Prepare(NewWorkbench(x, cfg), mode); err != nil {
+			t.Fatal(err)
+		}
+		wb := NewWorkbench(x, cfg)
+		operands(wb)
+		var before, after2 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		inst, err := v.Prepare(wb, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after != nil {
+			after(inst)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after2)
+		runtime.KeepAlive(inst)
+		live := int64(after2.HeapAlloc) - int64(before.HeapAlloc)
+		least, most = min(least, live), max(most, live)
+	}
+	return least, most
+}
+
+// TestEstimateChargesMttkrp holds the COO and HiCOO Mttkrp cells to the
+// rule TestEstimateChargesTtvLayout holds the fiber plans to: the bytes
+// Prepare and a first run on two workers leave live (the conversion,
+// the output and the mode-sorted copy the parallel path builds) stay
+// within the estimate's Instance component. The tensors are regular4d's
+// main tensor (regS4d, 100 000 non-zeros, about 1.6 per HiCOO block) and
+// small3d's (nell2, 40 000 non-zeros, tens per block).
+func TestEstimateChargesMttkrp(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Sched.Threads = 2
+	for _, w := range []struct {
+		id  string
+		nnz int
+	}{{"regS4d", 100_000}, {"nell2", 40_000}} {
+		e, err := dataset.ByID(w.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, err := dataset.Materialize(e, w.nnz, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dims := make([]int64, len(x.Dims))
+		for n, d := range x.Dims {
+			dims[n] = int64(d)
+		}
+		for _, f := range []roofline.Format{roofline.COO, roofline.HiCOO} {
+			v, err := Lookup(roofline.Mttkrp, f, OMP)
+			if err != nil {
+				t.Fatal(err)
+			}
+			least, most := leastLive(t, v, x, 0, cfg, func(wb *Workbench) { wb.Mats() }, func(inst *Instance) {
+				if err := inst.Run(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+			})
+			charged := EstimateFootprint(roofline.Mttkrp, f, dims, int64(x.NNZ()), cfg).Instance
+			perNZ := func(b int64) float64 { return float64(b) / float64(x.NNZ()) }
+			t.Logf("%s %s: %.1f B per non-zero live (%.1f–%.1f over %d prepares), %.1f charged",
+				w.id, v, perNZ(least), perNZ(least), perNZ(most), liveSamples, perNZ(charged))
+			if least > charged {
+				t.Errorf("%s %s: Prepare and a run left %d bytes live, the estimate charges the instance %d", w.id, v, least, charged)
 			}
 		}
 	}
